@@ -8,7 +8,7 @@
 //! are pooled in `HealScratch` / `FloodScratch`).
 //!
 //! Determinism: everything in the JSON except the timing fields is
-//! bit-identical for a given `--seed` regardless of `--threads`; `--smoke`
+//! bit-identical for a given `--seed` regardless of `--exec-threads`; `--smoke`
 //! omits the timing fields so the whole file is byte-identical (the CI
 //! smoke job and the `heal_determinism` test rely on this).
 //!
@@ -17,8 +17,6 @@
 //! cargo run --release -p dex-bench --bin bench_heal -- --smoke # CI-sized
 //! cargo run --release -p dex-bench --bin bench_heal -- --exec-threads 1
 //! ```
-//!
-//! `--threads` is a deprecated alias of `--exec-threads`.
 
 use dex_bench::alloc::{allocated_bytes, CountingAlloc};
 use dex_bench::heal::{run_heal_bench, HealBenchOptions};
@@ -35,7 +33,7 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => opts.smoke = true,
-            "--exec-threads" | "--threads" => {
+            "--exec-threads" => {
                 opts.threads = it
                     .next()
                     .and_then(|v| v.parse().ok())

@@ -6,8 +6,7 @@
 //! header is **byte-identical** for a given `--seed` regardless of
 //! `--exec-threads` (trials fan out over the order-preserving `par_map`;
 //! nothing in the output depends on timing). The CI smoke job relies on
-//! `--smoke` running every family at toy scale in seconds. `--threads`
-//! is a deprecated alias of `--exec-threads`.
+//! `--smoke` running every family at toy scale in seconds.
 //!
 //! ```sh
 //! cargo run --release -p dex-bench --bin bench_scenarios            # full, n≈20k
@@ -28,7 +27,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut args = Args {
         smoke: false,
-        threads: dex::sim::parallel::default_threads(),
+        threads: dex::exec::thread_budget(),
         seed: 0xd5c0_cafe,
         trials: 0, // 0 = scale default
     };
@@ -36,7 +35,7 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => args.smoke = true,
-            "--exec-threads" | "--threads" => {
+            "--exec-threads" => {
                 args.threads = it
                     .next()
                     .and_then(|v| v.parse().ok())
@@ -136,11 +135,7 @@ fn main() {
         trials,
         seed: args.seed,
         lambda_every: if args.smoke { 16 } else { 64 },
-        exec: None,
-        threads: args.threads,
-        // Trials already saturate the fan-out; plan batches inline.
-        heal_threads: 1,
-        adaptive_crossover: false,
+        exec: dex::exec::ExecConfig::with_threads(args.threads),
         check_invariants: args.smoke, // free correctness coverage at toy scale
         // Aggregates come from the compact per-step logs; full traces and
         // StepMetrics records are dead weight at benchmark scale.

@@ -24,7 +24,7 @@ fn main() {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--smoke" => opts.smoke = true,
-            "--exec-threads" | "--threads" => {
+            "--exec-threads" => {
                 opts.threads = it
                     .next()
                     .and_then(|v| v.parse().ok())

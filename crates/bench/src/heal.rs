@@ -22,15 +22,15 @@
 //!
 //! Determinism contract: everything except the clearly-labelled timing
 //! fields (`*_ops_per_sec`, `speedup`, `wall_s`) is a pure function of
-//! `(smoke, seed, trials)` — independent of `--threads` and of machine
+//! `(smoke, seed, trials)` — independent of `--exec-threads` and of machine
 //! speed. In `--smoke` mode the timing fields are omitted entirely and
 //! the JSON is **byte-identical** across thread counts; the
 //! `heal_determinism` test runs threads ∈ {1, 3, 8} and diffs the bytes.
 
 use dex::core::mapping::oracle::HashMapping;
 use dex::core::VirtualMapping;
+use dex::exec::par_map;
 use dex::prelude::*;
-use dex::sim::parallel::par_map;
 use dex::sim::rng::splitmix64;
 use dex::sim::{HasStepLog, HistoryMode, StepLog};
 use std::fmt::Write as _;
@@ -56,7 +56,7 @@ impl Default for HealBenchOptions {
     fn default() -> Self {
         HealBenchOptions {
             smoke: false,
-            threads: dex::sim::parallel::default_threads(),
+            threads: dex::exec::thread_budget(),
             seed: 0x4ea1,
             trials: 0,
             alloc_bytes: None,

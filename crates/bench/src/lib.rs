@@ -10,7 +10,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 pub mod alloc;
-pub mod batch;
 pub mod heal;
 pub mod serve;
 
@@ -88,10 +87,9 @@ pub fn overlay_label(o: &dyn Overlay) -> String {
 
 /// Executor-environment header fragment for every `BENCH_*.json` emitter:
 /// the machine's `available_parallelism`, the executor's effective thread
-/// budget, and the pool mode. This is what makes flagged Amdahl
-/// projections machine-distinguishable from real multi-core measurements
-/// when a bench is re-run on a bigger box. Deliberately independent of
-/// any `--threads` flag so smoke outputs stay byte-identical across
+/// budget, and the pool mode. This is what makes a re-run on a bigger box
+/// machine-distinguishable. Deliberately independent of
+/// any `--exec-threads` flag so smoke outputs stay byte-identical across
 /// thread sweeps on one machine.
 pub fn exec_header_json() -> String {
     format!(

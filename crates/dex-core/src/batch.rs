@@ -8,21 +8,12 @@
 //! Recovery may lean on the simplified type-2 procedures every O(1) steps,
 //! for O(n log² n) messages and O(log³ n) rounds per batch.
 //!
-//! Implementation: the batch shares one step scope. Batches of at least
-//! [`crate::parheal::PAR_BATCH_MIN`] ops are applied by the deterministic
-//! **parallel wave engine** ([`crate::parheal`]): ops are speculatively
-//! planned, partitioned into conflict-free waves over their touch sets,
-//! and committed in canonical order — bit-identical to sequential
-//! application for any thread count. Smaller batches, and any op whose
-//! heal leaves the type-1 fast path (walk miss, type-2 trigger), run
-//! through the sequential per-op machinery below, which also survives as
-//! [`DexNetwork::insert_batch_seq`] / [`DexNetwork::delete_batch_seq`] —
-//! the differential oracle (`tests/batch_par.rs`) and the `bench_batch`
-//! baseline.
+//! Implementation: the batch shares one step scope and its ops are healed
+//! one at a time in canonical (batch) order by the same type-1 machinery
+//! as single-op steps, with walk streams keyed by `(step, node, attempt)`.
 
 use crate::config::RecoveryMode;
 use crate::dex::DexNetwork;
-use crate::parheal::{self, BatchOp, PAR_BATCH_MIN};
 use dex_graph::ids::NodeId;
 use dex_sim::{RecoveryKind, StepKind, StepMetrics};
 
@@ -30,11 +21,25 @@ use dex_sim::{RecoveryKind, StepKind, StepMetrics};
 /// anti-congestion bound, Sect. 5).
 pub const MAX_ATTACH_FAN_IN: usize = 8;
 
+/// Read by the frozen benchmark crate (`benchmark/src/metrics.rs`) and
+/// written by nothing; goes away with the four `core.batch_*` per-layer
+/// metrics in the next `benchmark` PR.
+#[derive(Debug, Clone, Default)]
+pub struct BatchHealStats {
+    pub waves: u64,
+    pub replans: u64,
+    pub max_wave: usize,
+    pub plan_ns: u64,
+    pub partition_ns: u64,
+    pub commit_ns: u64,
+    pub serial_ns: u64,
+}
+
 impl DexNetwork {
     /// Insert a batch of `(new_node, attach_to)` pairs in one adversarial
-    /// step, healed by the parallel wave engine (sequentially below
-    /// [`PAR_BATCH_MIN`] ops). Requires simplified mode (the staggered
-    /// machinery assumes one event per step, as in the paper).
+    /// step, healed pair-by-pair in batch order. Requires simplified mode
+    /// (the staggered machinery assumes one event per step, as in the
+    /// paper).
     ///
     /// # Panics
     /// Panics on duplicate ids, missing attach points, or more than O(1)
@@ -43,18 +48,12 @@ impl DexNetwork {
         self.validate_insert_batch(joins);
         self.step_no += 1;
         self.net.begin_step();
-        // Under a fault spec the engine plans every walk on the message
-        // schedule (read-only, bit-identical to the faulted sequential
-        // path), so faulted batches keep their conflict-graph waves.
-        let used_type2 = if joins.len() >= PAR_BATCH_MIN && !self.crossover_to_seq(joins.len()) {
-            let mut ops = std::mem::take(&mut self.heal.par.ops);
-            ops.clear();
-            ops.extend(joins.iter().map(|&(u, v)| BatchOp::Insert { u, v }));
-            self.heal.par.ops = ops;
-            parheal::run_batch(self, self.heal_threads)
-        } else {
-            self.apply_insert_batch_seq(joins)
-        };
+        let mut used_type2 = false;
+        for &(u, v) in joins {
+            self.net.adversary_add_node(u);
+            self.net.adversary_add_edge(u, v);
+            used_type2 |= self.heal_one_insert(u, v);
+        }
         self.net.end_step(
             StepKind::BatchInsert(joins.len() as u32),
             if used_type2 {
@@ -63,48 +62,6 @@ impl DexNetwork {
                 RecoveryKind::Type1
             },
         )
-    }
-
-    /// [`DexNetwork::insert_batch`] through the sequential one-op-at-a-time
-    /// path, regardless of batch size. Kept as the differential oracle for
-    /// the wave engine: both paths must produce bit-identical network, Φ,
-    /// and metric state.
-    pub fn insert_batch_seq(&mut self, joins: &[(NodeId, NodeId)]) -> StepMetrics {
-        self.validate_insert_batch(joins);
-        self.step_no += 1;
-        self.net.begin_step();
-        let used_type2 = self.apply_insert_batch_seq(joins);
-        self.net.end_step(
-            StepKind::BatchInsert(joins.len() as u32),
-            if used_type2 {
-                RecoveryKind::InflateSimple
-            } else {
-                RecoveryKind::Type1
-            },
-        )
-    }
-
-    /// Consult the adaptive small-n crossover controller (when enabled)
-    /// for a wave-eligible batch of `ops` ops: `true` routes the batch to
-    /// the sequential path, recording the decision in the step's
-    /// [`StepMetrics::crossover`] flag and the engine stats. The decision
-    /// is a deterministic function of `(n, waved-batch history)` — never
-    /// of the thread count — so either route stays bit-identical across
-    /// threads (and both routes produce identical state by the engine's
-    /// standing contract).
-    fn crossover_to_seq(&mut self, ops: usize) -> bool {
-        if !self.adaptive_crossover {
-            return false;
-        }
-        let n = self.n();
-        if self.heal.par.crossover_route_seq(n) {
-            self.net.note_crossover();
-            self.batch_stats.crossover_batches += 1;
-            self.batch_stats.crossover_ops += ops as u64;
-            true
-        } else {
-            false
-        }
     }
 
     /// Validate the whole batch before touching any state: fan-in per
@@ -144,53 +101,25 @@ impl DexNetwork {
         }
     }
 
-    /// Sequential application body shared by the oracle path and small
-    /// batches.
-    fn apply_insert_batch_seq(&mut self, joins: &[(NodeId, NodeId)]) -> bool {
-        let mut used_type2 = false;
-        for &(u, v) in joins {
-            self.net.adversary_add_node(u);
-            self.net.adversary_add_edge(u, v);
-            used_type2 |= self.heal_one_insert(u, v);
-        }
-        used_type2
-    }
-
-    /// Delete a batch of victims in one adversarial step, healed by the
-    /// parallel wave engine (sequentially below [`PAR_BATCH_MIN`] ops).
-    /// The remainder graph must stay connected (checked after healing,
-    /// which restores the contraction fabric and hence connectivity).
+    /// Delete a batch of victims in one adversarial step, healed
+    /// victim-by-victim in batch order. The remainder graph must stay
+    /// connected (checked after healing, which restores the contraction
+    /// fabric and hence connectivity).
     pub fn delete_batch(&mut self, victims: &[NodeId]) -> StepMetrics {
         self.validate_delete_batch(victims);
         self.step_no += 1;
         self.net.begin_step();
-        let used_type2 = if victims.len() >= PAR_BATCH_MIN && !self.crossover_to_seq(victims.len())
-        {
-            let mut ops = std::mem::take(&mut self.heal.par.ops);
-            ops.clear();
-            ops.extend(victims.iter().map(|&victim| BatchOp::Delete { victim }));
-            self.heal.par.ops = ops;
-            parheal::run_batch(self, self.heal_threads)
-        } else {
-            self.apply_delete_batch_seq(victims)
-        };
-        self.net.end_step(
-            StepKind::BatchDelete(victims.len() as u32),
-            if used_type2 {
-                RecoveryKind::DeflateSimple
-            } else {
-                RecoveryKind::Type1
-            },
-        )
-    }
-
-    /// [`DexNetwork::delete_batch`] through the sequential path — the
-    /// differential oracle (see [`DexNetwork::insert_batch_seq`]).
-    pub fn delete_batch_seq(&mut self, victims: &[NodeId]) -> StepMetrics {
-        self.validate_delete_batch(victims);
-        self.step_no += 1;
-        self.net.begin_step();
-        let used_type2 = self.apply_delete_batch_seq(victims);
+        let mut used_type2 = false;
+        for &victim in victims {
+            // Every victim must keep one surviving neighbor (paper's
+            // condition); because healing runs victim-by-victim, the
+            // previous victims' vertices have already been rehomed.
+            let rescuer = self
+                .rescuer_of(victim)
+                .unwrap_or_else(|| panic!("victim {victim} lost all neighbors"));
+            self.net.adversary_remove_node(victim);
+            used_type2 |= self.heal_one_delete(victim, rescuer);
+        }
         self.net.end_step(
             StepKind::BatchDelete(victims.len() as u32),
             if used_type2 {
@@ -219,36 +148,9 @@ impl DexNetwork {
         }
     }
 
-    /// Sequential application body shared by the oracle path and small
-    /// batches.
-    fn apply_delete_batch_seq(&mut self, victims: &[NodeId]) -> bool {
-        let mut used_type2 = false;
-        for &victim in victims {
-            // Every victim must keep one surviving neighbor (paper's
-            // condition); because healing runs victim-by-victim, the
-            // previous victims' vertices have already been rehomed.
-            self.heal.nbrs.clear();
-            let nbrs = &mut self.heal.nbrs;
-            nbrs.extend(
-                self.net
-                    .graph()
-                    .neighbors(victim)
-                    .iter()
-                    .filter(|&w| w != victim),
-            );
-            nbrs.sort_unstable();
-            nbrs.dedup();
-            assert!(!nbrs.is_empty(), "victim {victim} lost all neighbors");
-            let rescuer = nbrs[0];
-            self.net.adversary_remove_node(victim);
-            used_type2 |= self.heal_one_delete(victim, rescuer);
-        }
-        used_type2
-    }
-
     /// Type-1 insert healing inside an open step; returns whether type-2
     /// was needed.
-    pub(crate) fn heal_one_insert(&mut self, u: NodeId, v: NodeId) -> bool {
+    fn heal_one_insert(&mut self, u: NodeId, v: NodeId) -> bool {
         use dex_sim::rng::Purpose;
         use dex_sim::tokens::random_walk_search;
         if self.faults.is_some() {
@@ -296,7 +198,7 @@ impl DexNetwork {
     /// Type-1 delete healing inside an open step; returns whether type-2
     /// was needed. Detaches the pooled vertex buffer from `self` for the
     /// duration (see [`crate::scratch::HealScratch`]).
-    pub(crate) fn heal_one_delete(&mut self, victim: NodeId, rescuer: NodeId) -> bool {
+    fn heal_one_delete(&mut self, victim: NodeId, rescuer: NodeId) -> bool {
         let mut zs = std::mem::take(&mut self.heal.zs);
         zs.clear();
         zs.extend_from_slice(self.map.sim(victim));

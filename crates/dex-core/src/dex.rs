@@ -54,22 +54,16 @@ pub struct DexNetwork {
     /// Reusable BFS scratch for the type-2 decision floods (one flood per
     /// type-2 step; reusing the buffers keeps the hot path allocation-free).
     pub(crate) flood_scratch: FloodScratch,
-    /// Pooled healing buffers (vertex sets, neighbor lists, fabric
-    /// instances, routing paths) — with these, steady-state type-1
-    /// recovery allocates nothing per operation.
+    /// Pooled healing buffers (vertex sets, fabric instances, routing
+    /// paths) — with these, steady-state type-1 recovery allocates
+    /// nothing per operation.
     pub(crate) heal: HealScratch,
-    /// Worker threads for the parallel batch-heal planner (1 = plan
-    /// inline). Results are bit-identical for every value — see
-    /// [`crate::parheal`].
+    /// Executor fan-out width of the type-2 rebuild and of the
+    /// message-level simulator's delivery loops (1 = inline). Results are
+    /// bit-identical for every value.
     pub(crate) heal_threads: usize,
-    /// Adaptive small-n crossover: when enabled, wave-eligible batches may
-    /// be routed to the sequential heal path by a deterministic controller
-    /// keyed on n and the observed replan rate (see [`crate::parheal`]).
-    /// Off by default so differential tests always exercise the engine.
-    pub(crate) adaptive_crossover: bool,
-    /// Waved batch-heal statistics (waves, serial fallbacks, wave-size
-    /// histogram), accumulated across batch steps.
-    pub batch_stats: crate::parheal::BatchHealStats,
+    /// Always zero; see [`crate::batch::BatchHealStats`].
+    pub batch_stats: crate::batch::BatchHealStats,
     /// When set, type-1 walks and DHT routing run on the message-level
     /// simulator ([`dex_sim::msim`]) under this fault model instead of
     /// the centralized fast path (see [`crate::faulted`]). `None` (the
@@ -114,40 +108,25 @@ impl DexNetwork {
             flood_scratch: FloodScratch::new(),
             heal: HealScratch::new(),
             heal_threads: 1,
-            adaptive_crossover: false,
-            batch_stats: crate::parheal::BatchHealStats::default(),
+            batch_stats: crate::batch::BatchHealStats::default(),
             faults: None,
             fault_stats: dex_sim::msim::FaultStats::default(),
         }
     }
 
-    /// Set the worker-thread count for the parallel batch-heal planner.
-    /// Purely a throughput knob: batch results are bit-identical for any
-    /// value (the determinism contract `tests/batch_par.rs` and the
-    /// `bench_batch --smoke` CI job enforce).
+    /// Set the executor fan-out width used inside this network: the
+    /// type-2 rebuild (permutation resolution, cloud staging) and, under a
+    /// fault spec, the message-level simulator's walk/flood/route
+    /// delivery. Purely a throughput knob: results are bit-identical for
+    /// any value (`tests/batch.rs` and the `bench_faults --smoke` CI job
+    /// enforce it).
     pub fn set_heal_threads(&mut self, threads: usize) {
         self.heal_threads = threads.max(1);
     }
 
-    /// Current batch-heal planner thread count.
+    /// Current executor fan-out width (see [`DexNetwork::set_heal_threads`]).
     pub fn heal_threads(&self) -> usize {
         self.heal_threads
-    }
-
-    /// Enable/disable the adaptive small-n crossover: a deterministic
-    /// per-network controller (keyed on n and the observed replan-rate
-    /// EMA, with a fixed probe schedule) that routes small/cache-resident
-    /// batches to the sequential heal path where waved planning is pure
-    /// overhead. The decision is recorded in [`dex_sim::StepMetrics`]'s
-    /// `crossover` flag; either route yields bit-identical state for any
-    /// thread count. Off by default.
-    pub fn set_adaptive_crossover(&mut self, enabled: bool) {
-        self.adaptive_crossover = enabled;
-    }
-
-    /// Is the adaptive small-n crossover enabled?
-    pub fn adaptive_crossover(&self) -> bool {
-        self.adaptive_crossover
     }
 
     /// Current network size.
@@ -344,22 +323,9 @@ impl DexNetwork {
         self.step_no += 1;
 
         // Former neighbors learn of the attack in the same time step.
-        self.heal.nbrs.clear();
-        let nbrs = &mut self.heal.nbrs;
-        nbrs.extend(
-            self.net
-                .graph()
-                .neighbors(victim)
-                .iter()
-                .filter(|&w| w != victim),
-        );
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        assert!(
-            !nbrs.is_empty(),
-            "deleted node had no neighbors — network was disconnected"
-        );
-        let rescuer = nbrs[0];
+        let rescuer = self
+            .rescuer_of(victim)
+            .expect("deleted node had no neighbors — network was disconnected");
 
         self.net.begin_step();
         self.net.adversary_remove_node(victim);
@@ -492,6 +458,17 @@ impl DexNetwork {
     // ------------------------------------------------------------------
     // Shared helpers
     // ------------------------------------------------------------------
+
+    /// The neighbor that heals `victim`'s deletion: its smallest-id neighbor
+    /// other than itself (`None` when it has none).
+    pub(crate) fn rescuer_of(&self, victim: NodeId) -> Option<NodeId> {
+        self.net
+            .graph()
+            .neighbors(victim)
+            .iter()
+            .filter(|&w| w != victim)
+            .min()
+    }
 
     /// Nodes advertise load changes to their neighbors (constant overhead,
     /// Sect. 4.1); charged as one message per incident edge.

@@ -62,7 +62,7 @@ use dex_sim::{RecoveryKind, StepKind, StepMetrics};
 
 /// Context word appended for transport-level re-initiations: each retry
 /// generation draws a fresh, deterministic RNG stream (`"RETRY" | r`).
-pub(crate) const RETRY_WORD: u64 = 0x5245_5452_5900;
+const RETRY_WORD: u64 = 0x5245_5452_5900;
 
 /// Op-key salt for flood operations (`"FLOOD"`), separating their fault
 /// draws from walk and route streams.
@@ -72,8 +72,7 @@ const FLOOD_WORD: u64 = 0x464c_4f4f_4400;
 const TYPE2_WORD: u64 = 0x5459_5045_3200;
 
 /// Deterministic op key: a splitmix64 chain of `seed ^ word` over the
-/// context words. Shared by the live heal paths and the wave planner so
-/// both derive identical fault draws for the same operation.
+/// context words.
 fn op_key_for(seed: u64, word: u64, ctx: &[u64]) -> u64 {
     let mut acc = splitmix64(seed ^ word);
     for &w in ctx {
@@ -84,7 +83,7 @@ fn op_key_for(seed: u64, word: u64, ctx: &[u64]) -> u64 {
 
 /// What a faulted walk is searching for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum WalkGoal {
+enum WalkGoal {
     /// A node in Spare (insertion healing).
     Spare,
     /// A node in Low (deletion healing).
@@ -92,12 +91,12 @@ pub(crate) enum WalkGoal {
 }
 
 /// Outcome of one faulted walk attempt.
-pub(crate) struct FaultedWalk {
+struct FaultedWalk {
     /// Accepting node, if the walk hit.
-    pub hit: Option<NodeId>,
+    hit: Option<NodeId>,
     /// The walk was abandoned: every transport retry lost its token.
     /// (`false` + `hit: None` is a genuine protocol miss.)
-    pub lost: bool,
+    lost: bool,
 }
 
 impl DexNetwork {
@@ -741,69 +740,6 @@ impl DexNetwork {
         }
         delivered
     }
-}
-
-/// Read-only replay of [`DexNetwork::walk_faulted`] for the wave
-/// planner: identical op key, RNG streams, and engine schedule, run
-/// against an [`msim::AdjView`] (the live graph, or a plan overlay
-/// carrying pending in-batch edits) without charging the network. The
-/// engine is thread-count invariant, so this single-threaded plan-time
-/// run returns bit-for-bit the outcome and report the sequential heal
-/// would observe; the caller records the charge in its plan and applies
-/// it at commit. `traces` receives the walk's arrival slots — the
-/// plan's read set.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn plan_walk_faulted<V, A>(
-    dex: &DexNetwork,
-    view: &V,
-    start: NodeId,
-    exclude: Option<NodeId>,
-    accept: A,
-    purpose: Purpose,
-    ctx: &[u64],
-    traces: &mut Vec<Vec<u32>>,
-) -> (FaultedWalk, msim::RunReport)
-where
-    V: msim::AdjView + ?Sized,
-    A: Fn(NodeId) -> bool + Sync,
-{
-    let spec = dex.faults.expect("plan_walk_faulted without a fault spec");
-    let walk_len = dex.cfg.walk_len(dex.cycle.p());
-    let ops = [WalkOp {
-        start,
-        max_len: walk_len,
-        exclude,
-        op_key: op_key_for(spec.seed, RETRY_WORD, ctx),
-    }];
-    let seeds = &dex.seeds;
-    let mk_rng = |_: usize, retry: u32| {
-        if retry == 0 {
-            seeds.stream(purpose, ctx)
-        } else {
-            let mut ext = Vec::with_capacity(ctx.len() + 1);
-            ext.extend_from_slice(ctx);
-            ext.push(RETRY_WORD | retry as u64);
-            seeds.stream(purpose, &ext)
-        }
-    };
-    let (results, report) = msim::run_walks_traced(
-        dex.net.graph(),
-        view,
-        &spec,
-        &ops,
-        accept,
-        mk_rng,
-        1,
-        Some(traces),
-    );
-    let r = &results[0];
-    (
-        FaultedWalk {
-            hit: r.hit,
-            lost: r.status == OpStatus::Lost,
-        },
-        report,
-    )
 }
 
 #[cfg(test)]

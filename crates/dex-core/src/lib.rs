@@ -40,7 +40,6 @@ pub mod fabric;
 pub mod faulted;
 pub mod invariants;
 pub mod mapping;
-pub mod parheal;
 pub mod routing;
 pub mod scratch;
 pub mod staggered;

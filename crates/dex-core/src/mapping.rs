@@ -325,12 +325,6 @@ impl VirtualMapping {
             self.owner(z)
         );
         let slot = self.slot_for(u);
-        self.assign_to_slot(z, slot);
-    }
-
-    /// Assign body once the owner's slot is resolved and `z` is known
-    /// vacant (dense record sized and free).
-    fn assign_to_slot(&mut self, z: VertexId, slot: u32) {
         let len = self.lens[slot as usize];
         if len == class_cap(self.nodes[slot as usize].class) {
             self.grow_seg(slot);
@@ -385,54 +379,6 @@ impl VirtualMapping {
         let from = self.unassign(z);
         self.assign(z, to);
         from
-    }
-
-    /// Move every vertex of `zs` (in order) to `to`, resolving `to`'s slot
-    /// **once** — the batch-commit fast path for adoption, where the
-    /// per-vertex [`VirtualMapping::transfer`] would re-hash the same
-    /// destination `|zs|` times. Φ state afterwards is identical to the
-    /// per-vertex loop.
-    ///
-    /// `to` must already simulate at least one vertex (true for every
-    /// adoption rescuer); otherwise this falls back to the per-vertex path
-    /// so slot-allocation order stays exactly sequential.
-    pub fn transfer_all(&mut self, zs: &[VertexId], to: NodeId) {
-        let Some(&slot) = self.slot_of.get(&to) else {
-            for &z in zs {
-                self.transfer(z, to);
-            }
-            return;
-        };
-        for &z in zs {
-            // `to`'s slot can never be freed mid-loop: its load only grows.
-            self.unassign(z);
-            self.assign_to_slot(z, slot);
-        }
-    }
-
-    /// Prefetch the dense record of vertex `z` toward L1 (see
-    /// [`dex_graph::par::prefetch_read`]); batch engines issue this for
-    /// every vertex a heal op will resolve before starting the op's
-    /// dependent-miss chain.
-    #[inline(always)]
-    pub fn prefetch_vertex(&self, z: VertexId) {
-        if let Some(rec) = self.meta.get(z.0 as usize) {
-            dex_graph::par::prefetch_read(rec as *const VertexRec);
-        }
-    }
-
-    /// Prefetch node `u`'s `Sim` segment and load counter (paying the
-    /// slot hash now, while the caller still has independent work to
-    /// overlap the segment's DRAM fetch with).
-    #[inline]
-    pub fn prefetch_node(&self, u: NodeId) {
-        if let Some(&s) = self.slot_of.get(&u) {
-            let rec = &self.nodes[s as usize];
-            dex_graph::par::prefetch_read(&self.lens[s as usize]);
-            if let Some(first) = self.pool.get(rec.start as usize) {
-                dex_graph::par::prefetch_read(first as *const VertexId);
-            }
-        }
     }
 
     /// Assign the run of `count` unowned consecutive vertices starting at
@@ -899,39 +845,6 @@ mod tests {
         }
         a.validate().unwrap();
         assert_eq!(a.sim(n(7)), b.sim(n(7)));
-    }
-
-    #[test]
-    fn transfer_all_matches_per_vertex_transfers() {
-        let mut a = VirtualMapping::new(8);
-        let mut b = VirtualMapping::new(8);
-        for m in [&mut a, &mut b] {
-            for i in 0..20u64 {
-                m.assign(z(i), n(i % 5));
-            }
-        }
-        // Adoption shape: a victim's whole Sim set moves to a live rescuer.
-        let zs: Vec<VertexId> = a.sim(n(2)).to_vec();
-        a.transfer_all(&zs, n(0));
-        for &v in &zs {
-            b.transfer(v, n(0));
-        }
-        a.validate().unwrap();
-        assert_eq!(a.sim(n(0)), b.sim(n(0)));
-        assert_eq!(a.entries_sorted(), b.entries_sorted());
-        assert_eq!(
-            (a.spare_count(), a.low_count()),
-            (b.spare_count(), b.low_count())
-        );
-        // Fresh destination (cold path) also matches, including slot reuse.
-        let zs: Vec<VertexId> = a.sim(n(3)).to_vec();
-        a.transfer_all(&zs, n(99));
-        for &v in &zs {
-            b.transfer(v, n(99));
-        }
-        a.validate().unwrap();
-        assert_eq!(a.sim(n(99)), b.sim(n(99)));
-        assert_eq!(a.entries_sorted(), b.entries_sorted());
     }
 
     #[test]

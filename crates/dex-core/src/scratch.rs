@@ -26,8 +26,6 @@ use dex_graph::ids::{NodeId, VertexId};
 pub struct HealScratch {
     /// Vertex set being rehomed (a victim's `Sim` copy, a move set, …).
     pub zs: Vec<VertexId>,
-    /// Neighbor collection (rescuer election, batch validation).
-    pub nbrs: Vec<NodeId>,
     /// Nodes whose load changed this step (batched load-update charge).
     pub touched: Vec<NodeId>,
     /// Virtual-edge instance buffer for fabric moves
@@ -44,9 +42,6 @@ pub struct HealScratch {
     pub fan_in: FxHashMap<NodeId, usize>,
     /// Batch-validation set: newcomer / victim uniqueness.
     pub seen: FxHashSet<NodeId>,
-    /// Parallel batch-heal engine state (plans, conflict map, op staging)
-    /// — see [`crate::parheal`].
-    pub(crate) par: crate::parheal::ParScratch,
 }
 
 impl HealScratch {

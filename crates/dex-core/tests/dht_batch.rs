@@ -206,6 +206,28 @@ fn batch_rejects_duplicate_victims() {
 }
 
 #[test]
+#[should_panic(expected = "attach point")]
+fn batch_rejects_missing_attach_point() {
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(15).simplified(), 16);
+    let ids = dex.node_ids();
+    // The second pair attaches to a node that is neither live nor an
+    // earlier newcomer of the batch.
+    let joins = vec![
+        (NodeId(8_000_000), ids[0]),
+        (NodeId(8_000_001), NodeId(8_999_999)),
+    ];
+    dex.insert_batch(&joins);
+}
+
+#[test]
+#[should_panic(expected = "empty the network")]
+fn batch_rejects_emptying_the_network() {
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(16).simplified(), 8);
+    let ids = dex.node_ids();
+    dex.delete_batch(&ids[..7]);
+}
+
+#[test]
 fn dht_remigrates_when_hashed_under_changes_across_staggered_switchover() {
     // Data stored under Z(p₀) must follow the hash function to the new
     // cycle when a *staggered* type-2 operation switches over, with the

@@ -1,18 +1,13 @@
 //! `dex-exec` — the repo's single deterministic execution layer: a
 //! persistent, lazily-spawned worker pool with parked-worker handoff,
-//! chunk-deterministic scheduling, and per-worker scratch-state slots.
+//! and chunk-deterministic scheduling.
 //!
-//! Before this crate existed the workspace carried **two** fork-join
-//! runtimes (`dex_graph::par` and `dex_sim::parallel`), both spawning std
-//! scoped threads *per call* — so every planning round of the batch-heal
-//! engine and every trial fan-out paid thread-spawn cost. Both modules are
-//! now thin facades over this pool: a worker thread is spawned at most
-//! once per process (lazily, on first demand), parks between jobs, and is
-//! handed work by writing a job into its mailbox and waking it — the
-//! steady-state cost of a parallel section is a few mutex/condvar
-//! handoffs, not `clone(2)` calls. [`total_spawns`] exposes the spawn
-//! counter so tests can prove the hot loop performs **zero thread spawns
-//! after warm-up**.
+//! A worker thread is spawned at most once per process (lazily, on first
+//! demand), parks between jobs, and is handed work by writing a job into
+//! its mailbox and waking it — the steady-state cost of a parallel section
+//! is a few mutex/condvar handoffs, not `clone(2)` calls. [`total_spawns`]
+//! exposes the spawn counter so tests can prove the hot loop performs
+//! **zero thread spawns after warm-up**.
 //!
 //! # Determinism contract
 //!
@@ -26,12 +21,10 @@
 //! * every chunk is processed exactly once, and ordered outputs
 //!   (reductions, spliced buffers) are combined **sequentially in chunk
 //!   order** on the calling thread;
-//! * per-worker state ([`with_scratch`], [`for_chunks_scratch_mut`]) is
-//!   *scratch*: it persists across jobs on the same worker purely as a
-//!   capacity/allocation optimization, and callers must not let its
-//!   contents influence results. Differential tests (`tests/pool.rs`, the
-//!   heal-engine proptests) enforce the contract end to end — including
-//!   across repeated invocations on the same warm pool.
+//! * per-worker state ([`for_chunks_state_mut`]) is *scratch*: callers
+//!   must not let its contents influence results. Differential tests
+//!   (`tests/pool.rs`) enforce the contract end to end — including across
+//!   repeated invocations on the same warm pool.
 //!
 //! Callers keep their half by making per-element results pure functions of
 //! `(index, element, shared inputs)`.
@@ -51,15 +44,14 @@
 //! # Thread budget
 //!
 //! [`thread_budget`] is the *default* worker count used by auto/unset
-//! knobs across the workspace (`ExecConfig::AUTO`, the facades'
-//! `default_threads`): the `DEX_EXEC_THREADS` environment variable when
-//! set (CI forces 8 to exercise real fan-out on few-core runners),
+//! knobs across the workspace (`ExecConfig::AUTO`): the
+//! `DEX_EXEC_THREADS` environment variable when set (CI forces 8 to
+//! exercise real fan-out on few-core runners),
 //! otherwise `available_parallelism`, clamped to `[1, MAX_WORKERS]`.
 //! Explicitly requested thread counts are honored as-is — determinism
 //! tests sweep 1/3/8 regardless of the machine.
 
-use std::any::{Any, TypeId};
-use std::cell::RefCell;
+use std::any::Any;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -129,8 +121,8 @@ pub fn pool_mode() -> &'static str {
 }
 
 /// One executor configuration shared by every thread knob in the
-/// workspace: bench bins, `dex-workload` runs, and the in-network
-/// batch-heal planner all resolve their worker counts through this.
+/// workspace: bench bins, `dex-workload` runs, and each network's
+/// internal fan-out all resolve their worker counts through this.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     /// Worker threads for every pool fan-out; `0` = auto
@@ -379,35 +371,6 @@ pub fn run_workers<F: Fn(usize) + Sync>(workers: usize, f: F) {
 }
 
 // ======================================================================
-// Per-worker scratch slots
-// ======================================================================
-
-thread_local! {
-    /// Type-keyed scratch slots owned by this thread (pool workers *and*
-    /// calling threads). One slot per scratch type; contents persist
-    /// across jobs as a capacity cache and must never influence results.
-    static SCRATCH: RefCell<Vec<(TypeId, Box<dyn Any>)>> = const { RefCell::new(Vec::new()) };
-}
-
-/// Borrow this thread's persistent scratch slot of type `S`, creating it
-/// with `S::default()` on first use. The slot is detached for the duration
-/// of `f`, so nested `with_scratch` calls (any type) are safe — a nested
-/// call for the *same* type sees a fresh instance, which is fine for
-/// scratch by definition.
-pub fn with_scratch<S: Default + 'static, R>(f: impl FnOnce(&mut S) -> R) -> R {
-    let mut boxed: Box<dyn Any> = SCRATCH.with(|slots| {
-        let mut slots = slots.borrow_mut();
-        match slots.iter().position(|(t, _)| *t == TypeId::of::<S>()) {
-            Some(i) => slots.swap_remove(i).1,
-            None => Box::new(S::default()),
-        }
-    });
-    let r = f(boxed.downcast_mut::<S>().expect("scratch slot type"));
-    SCRATCH.with(|slots| slots.borrow_mut().push((TypeId::of::<S>(), boxed)));
-    r
-}
-
-// ======================================================================
 // Chunk-deterministic helpers
 // ======================================================================
 
@@ -491,39 +454,6 @@ pub fn for_chunks_state_mut<T, S, I, F>(
         for (c, chunk) in slice.chunks_mut(chunk_size).enumerate() {
             f(*offset + c * chunk_size, chunk, &mut state);
         }
-    });
-}
-
-/// [`for_chunks_state_mut`] with the worker state taken from each engaged
-/// worker's **persistent scratch slot** ([`with_scratch`]) instead of a
-/// per-call `init` — the batch-heal planner's shape: pooled buffers
-/// (overlay maps, visited lists) are built once per worker *per process*
-/// and reused across every planning round, so a warm planning wave
-/// performs zero thread spawns and no per-wave scratch construction.
-pub fn for_chunks_scratch_mut<T, S, F>(data: &mut [T], threads: usize, chunk_size: usize, f: F)
-where
-    T: Send,
-    S: Default + 'static,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    assert!(chunk_size > 0, "chunk_size must be positive");
-    if threads <= 1 || data.len() <= chunk_size {
-        with_scratch::<S, _>(|state| {
-            for (c, chunk) in data.chunks_mut(chunk_size).enumerate() {
-                f(c * chunk_size, chunk, state);
-            }
-        });
-        return;
-    }
-    let spans = spans_of(data, threads, chunk_size);
-    run_workers(spans.len(), |w| {
-        let mut guard = spans[w].lock().expect("span poisoned");
-        let (offset, slice) = &mut *guard;
-        with_scratch::<S, _>(|state| {
-            for (c, chunk) in slice.chunks_mut(chunk_size).enumerate() {
-                f(*offset + c * chunk_size, chunk, state);
-            }
-        });
     });
 }
 
@@ -684,6 +614,34 @@ mod tests {
     }
 
     #[test]
+    fn sized_chunks_with_worker_state_cover_everything_once() {
+        for n in [0usize, 1, 7, 8, 9, 100] {
+            for threads in [1, 3, 8] {
+                let mut data = vec![0u32; n];
+                for_chunks_state_mut(
+                    &mut data,
+                    threads,
+                    8,
+                    Vec::<u32>::new,
+                    |start, chunk, scratch| {
+                        // The state is scratch: its contents carry over
+                        // between one worker's chunks but never leak into
+                        // results.
+                        scratch.push(start as u32);
+                        for (i, v) in chunk.iter_mut().enumerate() {
+                            *v += (start + i) as u32 + 1;
+                        }
+                    },
+                );
+                assert!(
+                    data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1),
+                    "n={n} threads={threads}"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn reduction_is_thread_count_invariant() {
         let n = 3 * CHUNK + 911;
         let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
@@ -816,19 +774,6 @@ mod tests {
         // The pool must still be usable afterwards.
         let items: Vec<u32> = (0..100).collect();
         assert_eq!(par_map(&items, 4, |x| x + 1)[99], 100);
-    }
-
-    #[test]
-    fn scratch_slots_persist_per_thread_and_nest() {
-        with_scratch::<Vec<u32>, _>(|v| {
-            v.clear();
-            v.push(7);
-        });
-        with_scratch::<Vec<u32>, _>(|v| {
-            assert_eq!(v.as_slice(), &[7], "slot must persist across calls");
-            // Nested borrow of a different type is fine.
-            with_scratch::<String, _>(|s| s.push('x'));
-        });
     }
 
     #[test]

@@ -1,27 +1,26 @@
 //! Pool-reuse contract tests: executor results must be bit-identical
 //! across thread counts **and** across repeated invocations on the same
-//! warm pool (per-worker scratch slots persist between waves purely as
-//! capacity — never as state that leaks into results), and a warm pool
-//! must perform zero thread spawns.
+//! warm pool (per-worker state is scratch — never something that leaks
+//! into results), and a warm pool must perform zero thread spawns.
 
 use dex_exec::{
-    for_chunks_scratch_mut, par_map, prewarm, reduce_chunks, run_workers, total_spawns, MAX_WORKERS,
+    for_chunks_state_mut, par_map, prewarm, reduce_chunks, run_workers, total_spawns, MAX_WORKERS,
 };
 use proptest::prelude::*;
 
-/// A scratch type that deliberately accumulates garbage across chunks and
-/// invocations: if any helper let scratch contents influence results, the
-/// repeated-invocation sweep below would diverge.
+/// A scratch type that deliberately accumulates garbage across a
+/// worker's chunks: if any helper let scratch contents influence results,
+/// the thread-count sweep below would diverge.
 #[derive(Default)]
 struct Sticky {
     junk: Vec<u64>,
 }
 
 /// One deterministic "wave": mixes each element with its index, via
-/// scratch that keeps growing (polluted by every previous wave on
+/// scratch that keeps growing (polluted by every earlier chunk of
 /// whatever worker ran it).
 fn wave(data: &mut [u64], threads: usize, chunk: usize, salt: u64) {
-    for_chunks_scratch_mut::<u64, Sticky, _>(data, threads, chunk, |start, chunk, s| {
+    for_chunks_state_mut(data, threads, chunk, Sticky::default, |start, chunk, s| {
         s.junk.push(salt ^ start as u64);
         for (i, v) in chunk.iter_mut().enumerate() {
             let idx = (start + i) as u64;
@@ -37,8 +36,8 @@ proptest! {
 
     // Bit-identical across threads 1/3/8 *and* across repeated
     // invocations on the same pool: every (threads, repetition) pair of
-    // the same wave sequence must produce the same bytes even though the
-    // workers' scratch slots carry junk from every earlier case.
+    // the same wave sequence must produce the same bytes whichever
+    // worker's (junk-filled) scratch processed a chunk.
     #[test]
     fn scratch_waves_are_thread_and_history_invariant(
         n in 0usize..2000,

@@ -314,15 +314,8 @@ impl MultiGraph {
 
     /// Insert an isolated node. Returns `false` if it already existed.
     pub fn add_node(&mut self, u: NodeId) -> bool {
-        self.add_node_slot(u).is_some()
-    }
-
-    /// Insert an isolated node, returning its arena slot (`None` if it
-    /// already existed). The batch commit path uses the slot directly for
-    /// the newcomer's fabric edges instead of re-hashing the id.
-    pub fn add_node_slot(&mut self, u: NodeId) -> Option<u32> {
         if self.index.contains_key(&u) {
-            return None;
+            return false;
         }
         let slot = match self.free.pop() {
             Some(s) => {
@@ -349,7 +342,7 @@ impl MultiGraph {
         self.live += 1;
         self.generation += 1;
         self.mark_membership_dirty();
-        Some(slot)
+        true
     }
 
     /// Remove `u` and all incident edges (including parallel copies and

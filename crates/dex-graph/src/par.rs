@@ -1,24 +1,6 @@
-//! Deterministic chunked parallelism for dense numeric loops — a thin
-//! facade over the persistent [`dex_exec`] worker pool.
-//!
-//! The spectral engine parallelizes two shapes of work: disjoint writes
-//! (mat-vec output rows) and reductions (dots, norms). Both are chunked on
-//! a **fixed** chunk size, independent of the worker count, and reduction
-//! partials are combined sequentially in chunk order — so results are
-//! bit-identical for any thread count, including 1. A determinism test in
-//! `spectral` enforces this.
-//!
-//! Workers come from the process-wide `dex-exec` pool: threads are spawned
-//! lazily at most once per process, park between jobs, and are handed work
-//! by mailbox — a parallel section costs a few condvar handoffs, not
-//! thread spawns (`dex_exec::total_spawns` lets tests assert zero spawns
-//! after warm-up). Callers should still only engage `threads > 1` when the
-//! per-call work clearly dominates a handoff (the spectral engine gates on
-//! [`PAR_MIN_LEN`] rows); [`default_threads`] resolves to the executor's
-//! global thread budget (`DEX_EXEC_THREADS` override, else available
-//! parallelism).
-
-pub use dex_exec::{CHUNK, PAR_MIN_LEN};
+//! Memory-level parallelism: the software-prefetch hint and the cached
+//! `DEX_MLP_KERNELS` / `DEX_WALK_K` knobs read by the interleaved walk
+//! engine and the blocked SpMV. (Thread-level fan-out is [`dex_exec`]'s.)
 
 use std::sync::atomic::{AtomicU8, Ordering};
 
@@ -26,13 +8,10 @@ use std::sync::atomic::{AtomicU8, Ordering};
 /// `prefetcht0`, aarch64 `prfm pldl1keep`; a no-op elsewhere). Safe for
 /// any address — prefetches never fault.
 ///
-/// This is the *memory-level* parallelism sibling of the thread helpers in
-/// this module: batch engines that interleave many independent pointer
-/// chases (walk hops, owner resolutions, commit targets) overlap their
-/// cache misses by prefetching the next item's lines while working on the
-/// current one — a large win even on a single core for workloads that are
-/// DRAM-latency-bound on scattered reads, which heal-time graph and Φ
-/// access is.
+/// Engines that interleave many independent pointer chases (walk hops,
+/// SpMV gathers) overlap their cache misses by prefetching the next item's
+/// lines while working on the current one — a large win even on a single
+/// core for workloads that are DRAM-latency-bound on scattered reads.
 #[inline(always)]
 pub fn prefetch_read<T>(p: *const T) {
     #[cfg(target_arch = "x86_64")]
@@ -96,80 +75,6 @@ pub fn walk_pipeline_k() -> usize {
     }
 }
 
-/// Worker threads to use by default: the executor's global thread budget
-/// (`DEX_EXEC_THREADS` when set, else available parallelism, clamped to
-/// `[1, 16]`).
-pub fn default_threads() -> usize {
-    dex_exec::thread_budget()
-}
-
-/// Apply `f(start_index, chunk)` to consecutive [`CHUNK`]-sized pieces of
-/// `data`, possibly in parallel on the pool. Chunk boundaries do not
-/// depend on `threads`, and chunks never overlap, so any per-element
-/// result is computed exactly once, by exactly one worker, from the same
-/// inputs.
-pub fn for_chunks_mut<T, F>(data: &mut [T], threads: usize, f: F)
-where
-    T: Send,
-    F: Fn(usize, &mut [T]) + Sync,
-{
-    dex_exec::for_chunks_mut(data, threads, f);
-}
-
-/// [`for_chunks_mut`] with a caller-chosen fixed chunk size and a
-/// per-worker state built by `init` (once per engaged worker per call).
-///
-/// Determinism contract, same as [`for_chunks_mut`]: chunk boundaries
-/// depend only on `chunk_size` (never on `threads`), chunks are disjoint,
-/// and per-element results may depend only on `(start_index, element)` —
-/// the worker state must act as scratch, not as an input that varies with
-/// which worker processed the chunk. Under that contract results are
-/// bit-identical for any thread count.
-pub fn for_chunks_state_mut<T, S, I, F>(
-    data: &mut [T],
-    threads: usize,
-    chunk_size: usize,
-    init: I,
-    f: F,
-) where
-    T: Send,
-    I: Fn() -> S + Sync,
-    F: Fn(usize, &mut [T], &mut S) + Sync,
-{
-    dex_exec::for_chunks_state_mut(data, threads, chunk_size, init, f);
-}
-
-/// Chunked reduction: `partial(lo, hi)` produces the partial sum of the
-/// half-open index range, partials are computed (possibly in parallel) per
-/// fixed chunk, then combined **sequentially in chunk order** — so the
-/// floating-point result is independent of the thread count.
-pub fn reduce_chunks<F>(n: usize, threads: usize, partial: F) -> f64
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    dex_exec::reduce_chunks(n, threads, partial)
-}
-
-/// Fused chunked mutate-and-reduce ([`dex_exec::for_chunks_fold_mut`]):
-/// one streaming pass both rewrites `data` and folds per-chunk partials,
-/// combined sequentially in chunk order — bit-identical to a mutation
-/// pass followed by a separate [`reduce_chunks`], at any thread count.
-pub fn for_chunks_fold_mut<T, A, F, C>(
-    data: &mut [T],
-    threads: usize,
-    zero: A,
-    f: F,
-    combine: C,
-) -> A
-where
-    T: Send,
-    A: Send + Copy,
-    F: Fn(usize, &mut [T]) -> A + Sync,
-    C: Fn(A, A) -> A,
-{
-    dex_exec::for_chunks_fold_mut(data, threads, zero, f, combine)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,77 +102,5 @@ mod tests {
         let k = walk_pipeline_k();
         assert!((1..=64).contains(&k), "K={k}");
         assert_eq!(walk_pipeline_k(), k);
-    }
-
-    #[test]
-    fn chunked_writes_cover_everything_once() {
-        for n in [0usize, 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 17] {
-            for threads in [1, 2, 5] {
-                let mut data = vec![0u32; n];
-                for_chunks_mut(&mut data, threads, |start, chunk| {
-                    for (i, v) in chunk.iter_mut().enumerate() {
-                        *v += (start + i) as u32;
-                    }
-                });
-                assert!(
-                    data.iter().enumerate().all(|(i, &v)| v == i as u32),
-                    "n={n} threads={threads}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn reduction_is_thread_count_invariant() {
-        let n = 3 * CHUNK + 911;
-        let x: Vec<f64> = (0..n).map(|i| (i as f64).sin()).collect();
-        let expect = reduce_chunks(n, 1, |lo, hi| x[lo..hi].iter().sum());
-        for threads in [2, 3, 8] {
-            let got = reduce_chunks(n, threads, |lo, hi| x[lo..hi].iter().sum());
-            assert_eq!(got.to_bits(), expect.to_bits(), "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn multi_worker_reduction_covers_every_chunk() {
-        // n_chunks (4) is far below CHUNK, so this exercises the direct
-        // worker split — the path a naive re-chunk of the partials array
-        // would leave sequential.
-        let n = 4 * CHUNK;
-        let sum = reduce_chunks(n, 4, |lo, hi| (hi - lo) as f64);
-        assert_eq!(sum, n as f64);
-    }
-
-    #[test]
-    fn empty_reduction() {
-        assert_eq!(reduce_chunks(0, 4, |_, _| unreachable!()), 0.0);
-    }
-
-    #[test]
-    fn sized_chunks_with_worker_state_cover_everything_once() {
-        for n in [0usize, 1, 7, 8, 9, 100] {
-            for threads in [1, 3, 8] {
-                let mut data = vec![0u32; n];
-                for_chunks_state_mut(
-                    &mut data,
-                    threads,
-                    8,
-                    Vec::<u32>::new,
-                    |start, chunk, scratch| {
-                        // The state is scratch: its contents carry over
-                        // between one worker's chunks but never leak into
-                        // results.
-                        scratch.push(start as u32);
-                        for (i, v) in chunk.iter_mut().enumerate() {
-                            *v += (start + i) as u32 + 1;
-                        }
-                    },
-                );
-                assert!(
-                    data.iter().enumerate().all(|(i, &v)| v == i as u32 + 1),
-                    "n={n} threads={threads}"
-                );
-            }
-        }
     }
 }

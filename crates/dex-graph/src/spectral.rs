@@ -24,7 +24,7 @@
 //!   hundreds, and together with the graph's cached CSR snapshot it is the
 //!   fast path the benchmarks exercise.
 //!
-//! All dense numeric loops are chunked via [`crate::par`]: reductions
+//! All dense numeric loops are chunked via [`dex_exec`]: reductions
 //! combine fixed-size chunk partials in chunk order, so results are
 //! bit-identical for every thread count (including 1) — a determinism test
 //! enforces that parallel and sequential runs agree.
@@ -39,7 +39,7 @@
 //! misses overlap instead of serializing; the two reduction+rewrite
 //! passes that follow each SpMV (deflation numerator; subtract + Rayleigh
 //! quotient + norm) are fused into the same streaming pass via
-//! [`par::for_chunks_fold_mut`]. **No arithmetic is reordered**: per-row
+//! [`dex_exec::for_chunks_fold_mut`]. **No arithmetic is reordered**: per-row
 //! entry order, reduction chunking, and partial-combination order are
 //! unchanged, so the MLP path is bit-identical to the scalar path at
 //! every thread count — differential tests assert byte equality, and the
@@ -293,7 +293,7 @@ fn spmv_chunk(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign: f64, bl
 pub fn lazy_spmv(csr: &Csr, x: &[f64], y: &mut [f64], threads: usize, sign: f64, blocked: bool) {
     assert_eq!(x.len(), csr.n());
     assert_eq!(y.len(), csr.n());
-    par::for_chunks_mut(y, threads, |start, chunk| {
+    dex_exec::for_chunks_mut(y, threads, |start, chunk| {
         spmv_chunk(csr, x, start, chunk, sign, blocked);
     });
 }
@@ -303,7 +303,7 @@ pub fn lazy_spmv(csr: &Csr, x: &[f64], y: &mut [f64], threads: usize, sign: f64,
 /// `y[i]` is computed from the same inputs in the same order regardless of
 /// the thread count.
 fn apply_lazy(csr: &Csr, x: &[f64], y: &mut [f64], threads: usize, blocked: bool) {
-    par::for_chunks_mut(y, threads, |start, chunk| {
+    dex_exec::for_chunks_mut(y, threads, |start, chunk| {
         spmv_chunk(csr, x, start, chunk, 1.0, blocked);
     });
 }
@@ -321,7 +321,7 @@ fn apply_lazy_fold_num(
     threads: usize,
     blocked: bool,
 ) -> f64 {
-    par::for_chunks_fold_mut(
+    dex_exec::for_chunks_fold_mut(
         y,
         threads,
         0.0f64,
@@ -339,7 +339,7 @@ fn apply_lazy_fold_num(
 
 /// π-weighted dot product `Σ π_i a_i b_i`, chunk-deterministic.
 fn dot_pi(pi: &[f64], a: &[f64], b: &[f64], threads: usize) -> f64 {
-    par::reduce_chunks(pi.len(), threads, |lo, hi| {
+    dex_exec::reduce_chunks(pi.len(), threads, |lo, hi| {
         let mut acc = 0.0;
         for i in lo..hi {
             acc += pi[i] * a[i] * b[i];
@@ -356,14 +356,14 @@ fn pi_norm(pi: &[f64], x: &[f64], threads: usize) -> f64 {
 /// Remove the component along the top eigenvector of `W` (the constant
 /// vector, orthogonal in the π-weighted inner product with π ∝ degree).
 fn deflate_top(pi: &[f64], x: &mut [f64], threads: usize) {
-    let num = par::reduce_chunks(pi.len(), threads, |lo, hi| {
+    let num = dex_exec::reduce_chunks(pi.len(), threads, |lo, hi| {
         let mut acc = 0.0;
         for i in lo..hi {
             acc += pi[i] * x[i];
         }
         acc
     });
-    par::for_chunks_mut(x, threads, |_, chunk| {
+    dex_exec::for_chunks_mut(x, threads, |_, chunk| {
         for v in chunk.iter_mut() {
             *v -= num;
         }
@@ -384,7 +384,7 @@ fn deflate_top(pi: &[f64], x: &mut [f64], threads: usize) {
 ///
 /// Results are deterministic for a fixed call sequence and thread count
 /// choice is *not* part of that: any `threads` value gives bit-identical
-/// output (see [`crate::par`]).
+/// output (see [`dex_exec`]).
 pub struct Lambda2Solver {
     threads: usize,
     x: Vec<f64>,
@@ -404,9 +404,9 @@ impl Default for Lambda2Solver {
 }
 
 impl Lambda2Solver {
-    /// Solver using [`par::default_threads`] workers.
+    /// Solver using [`dex_exec::thread_budget`] workers.
     pub fn new() -> Self {
-        Self::with_threads(par::default_threads())
+        Self::with_threads(dex_exec::thread_budget())
     }
 
     /// Solver with an explicit worker count (1 = sequential).
@@ -459,7 +459,7 @@ impl Lambda2Solver {
 
     fn run(&mut self, csr: &Csr, max_iters: usize, tol: f64, seed: u64) -> f64 {
         let n = csr.n();
-        let threads = if n >= par::PAR_MIN_LEN {
+        let threads = if n >= dex_exec::PAR_MIN_LEN {
             self.threads
         } else {
             1
@@ -473,7 +473,7 @@ impl Lambda2Solver {
         // Stationary distribution π ∝ degree.
         self.pi.clear();
         self.pi.resize(n, 0.0);
-        let deg_sum = par::reduce_chunks(n, threads, |lo, hi| {
+        let deg_sum = dex_exec::reduce_chunks(n, threads, |lo, hi| {
             let mut acc = 0.0;
             for i in lo..hi {
                 acc += csr.degree(i) as f64;
@@ -481,7 +481,7 @@ impl Lambda2Solver {
             acc
         });
         let pi = &mut self.pi;
-        par::for_chunks_mut(pi, threads, |start, chunk| {
+        dex_exec::for_chunks_mut(pi, threads, |start, chunk| {
             for (k, p) in chunk.iter_mut().enumerate() {
                 *p = csr.degree(start + k) as f64 / deg_sum;
             }
@@ -512,13 +512,13 @@ impl Lambda2Solver {
                 self.warm = false;
                 return 0.0;
             }
-            par::for_chunks_mut(x, threads, |_, chunk| {
+            dex_exec::for_chunks_mut(x, threads, |_, chunk| {
                 for v in chunk.iter_mut() {
                     *v /= norm;
                 }
             });
         } else {
-            par::for_chunks_mut(x, threads, |_, chunk| {
+            dex_exec::for_chunks_mut(x, threads, |_, chunk| {
                 for v in chunk.iter_mut() {
                     *v /= norm;
                 }
@@ -537,7 +537,7 @@ impl Lambda2Solver {
             let (rq, norm) = if self.mlp {
                 let num = apply_lazy_fold_num(csr, x, y, pi, threads, true);
                 let x_ro: &[f64] = x;
-                let (rq, norm2) = par::for_chunks_fold_mut(
+                let (rq, norm2) = dex_exec::for_chunks_fold_mut(
                     y,
                     threads,
                     (0.0f64, 0.0f64),
@@ -567,7 +567,7 @@ impl Lambda2Solver {
                 self.warm = false;
                 return 0.0;
             }
-            par::for_chunks_mut(x, threads, |start, chunk| {
+            dex_exec::for_chunks_mut(x, threads, |start, chunk| {
                 for (k, xv) in chunk.iter_mut().enumerate() {
                     *xv = y[start + k] / norm;
                 }
@@ -623,8 +623,8 @@ pub fn power_lambda_min(g: &MultiGraph, max_iters: usize, tol: f64, seed: u64) -
     if n <= 1 {
         return 0.0;
     }
-    let threads = if n >= par::PAR_MIN_LEN {
-        par::default_threads()
+    let threads = if n >= dex_exec::PAR_MIN_LEN {
+        dex_exec::thread_budget()
     } else {
         1
     };
@@ -633,7 +633,7 @@ pub fn power_lambda_min(g: &MultiGraph, max_iters: usize, tol: f64, seed: u64) -
     let mut y = vec![0.0f64; n];
     let mut prev = f64::NAN;
     let norm0 =
-        par::reduce_chunks(n, threads, |lo, hi| x[lo..hi].iter().map(|v| v * v).sum()).sqrt();
+        dex_exec::reduce_chunks(n, threads, |lo, hi| x[lo..hi].iter().map(|v| v * v).sum()).sqrt();
     for v in x.iter_mut() {
         *v /= norm0;
     }
@@ -642,7 +642,7 @@ pub fn power_lambda_min(g: &MultiGraph, max_iters: usize, tol: f64, seed: u64) -
         // y = (x - P x)/2 — the shared SpMV kernel with sign −1
         // (bit-identical to the historical `0.5·x − 0.5·acc/deg` loop).
         lazy_spmv(&csr, &x, &mut y, threads, -1.0, blocked);
-        let rq = par::reduce_chunks(n, threads, |lo, hi| {
+        let rq = dex_exec::reduce_chunks(n, threads, |lo, hi| {
             let mut acc = 0.0;
             for i in lo..hi {
                 acc += x[i] * y[i];
@@ -650,13 +650,14 @@ pub fn power_lambda_min(g: &MultiGraph, max_iters: usize, tol: f64, seed: u64) -
             acc
         });
         let norm =
-            par::reduce_chunks(n, threads, |lo, hi| y[lo..hi].iter().map(|v| v * v).sum()).sqrt();
+            dex_exec::reduce_chunks(n, threads, |lo, hi| y[lo..hi].iter().map(|v| v * v).sum())
+                .sqrt();
         if norm < 1e-300 {
             return 1.0; // P x = x for every start: e.g. clique of loops
         }
         {
             let (x, y) = (&mut x, &y);
-            par::for_chunks_mut(x, threads, |start, chunk| {
+            dex_exec::for_chunks_mut(x, threads, |start, chunk| {
                 for (k, xv) in chunk.iter_mut().enumerate() {
                     *xv = y[start + k] / norm;
                 }
@@ -1010,7 +1011,7 @@ mod tests {
         // the 16·CHUNK threshold. tol = 0 keeps all runs iterating the
         // full budget (determinism needs identical loops, not
         // convergence).
-        assert!(65537 >= crate::par::PAR_MIN_LEN as u64);
+        assert!(65537 >= dex_exec::PAR_MIN_LEN as u64);
         let g = PCycle::new(65537).to_multigraph();
         let seq = Lambda2Solver::with_threads(1).lambda2(&g, 60, 0.0, 42);
         for threads in [2, 4, 8] {

@@ -16,7 +16,7 @@
 //! chain*: the next hop's adjacency row cannot even be requested until the
 //! current row has arrived and the RNG has drawn from it, so every hop
 //! costs a full memory round trip and the core sits idle. Batch callers
-//! (the batch-heal planner, trial fan-outs, DHT search storms) hold many
+//! (trial fan-outs, DHT search storms) hold many
 //! *independent* walks, which makes the latency hideable: [`run_interleaved`]
 //! keeps K walks in flight round-robin, and each visit to a lane issues
 //! the prefetches for that lane's *next* line(s) before rotating on — so
@@ -64,12 +64,6 @@ pub trait WalkLane {
     /// (an accepting hit). Not called for the start slot — scalar walk
     /// semantics never test the start.
     fn arrive(&mut self, g: &MultiGraph, slot: u32) -> bool;
-
-    /// Issue consumer-specific prefetches for `slot` one stage before
-    /// [`WalkLane::arrive`] runs its test there (e.g. the Φ load entry the
-    /// test will probe). Default: none.
-    #[inline]
-    fn prefetch_hint(&mut self, _g: &MultiGraph, _slot: u32) {}
 }
 
 /// Observability counters of one [`run_interleaved`] batch: how well the
@@ -173,7 +167,6 @@ pub fn run_interleaved<L: WalkLane>(
             }
             Stage::Fetch => {
                 g.prefetch_slot_adj(fl.slot);
-                lane.prefetch_hint(g, fl.slot);
                 fl.stage = Stage::Step;
                 false
             }

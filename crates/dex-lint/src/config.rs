@@ -58,16 +58,6 @@ pub const WALLCLOCK_CRATES: &[&str] = &[
     "shims/criterion",
 ];
 
-/// Metrics-timing allowlist: files outside the bench crates that may
-/// call `Instant::now`, each with the reason it is sound. Wall-times
-/// here feed *observability* fields (per-section `StepMetrics` timings)
-/// that are excluded from every digest and byte-diff — never results.
-pub const WALLCLOCK_FILES: &[(&str, &str)] = &[(
-    "crates/dex-core/src/parheal.rs",
-    "per-section engine timings feed BatchHealStats/StepMetrics observability; \
-     digests and CI byte-diffs never include them",
-)];
-
 /// Directories (workspace-relative prefixes) never walked.
 pub const SKIP_DIRS: &[&str] = &["target", ".git"];
 
@@ -78,7 +68,7 @@ mod tests {
     #[test]
     fn crate_keys() {
         assert_eq!(crate_key("crates/dex-core/src/lib.rs"), "dex-core");
-        assert_eq!(crate_key("crates/bench/src/bin/exp_batch.rs"), "bench");
+        assert_eq!(crate_key("crates/bench/src/bin/exp_dht.rs"), "bench");
         assert_eq!(crate_key("shims/rand/src/lib.rs"), "shims/rand");
         assert_eq!(crate_key("src/lib.rs"), "root");
         assert_eq!(crate_key("tests/determinism.rs"), "root");

@@ -13,7 +13,7 @@
 //! | `no-random-state` | results-bearing crates never iterate RandomState maps |
 //! | `knob-discipline` | the environment is read only in the `dex_exec::knobs` registry |
 //! | `unsafe-hygiene` | every `unsafe` carries a `// SAFETY:` argument |
-//! | `no-wallclock-in-results` | wall-clock stays in bench/metrics allowlists |
+//! | `no-wallclock-in-results` | wall-clock stays in the bench crates |
 //! | `rng-keying` | RNG streams are keyed by op identity, never arrival order |
 //!
 //! Violations can be waived inline — `// dex-lint: allow(<rule>) --

@@ -215,15 +215,11 @@ fn unsafe_hygiene(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 }
 
 /// Rule 5 — `no-wallclock-in-results`: `Instant::now`/`SystemTime` are
-/// measurement, and measurement belongs to the bench crates (or the
-/// audited metrics-timing allowlist). Wall-clock anywhere else can leak
-/// scheduling noise into results.
+/// measurement, and measurement belongs to the bench crates — no file
+/// elsewhere is exempt. Wall-clock anywhere else can leak scheduling
+/// noise into results.
 fn no_wallclock_in_results(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
-    if config::WALLCLOCK_CRATES.contains(&ctx.crate_key)
-        || config::WALLCLOCK_FILES
-            .iter()
-            .any(|(f, _)| *f == ctx.rel_path)
-    {
+    if config::WALLCLOCK_CRATES.contains(&ctx.crate_key) {
         return;
     }
     for (idx, line) in ctx.lexed.code.iter().enumerate() {
@@ -234,9 +230,8 @@ fn no_wallclock_in_results(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     out,
                     idx + 1,
                     "no-wallclock-in-results",
-                    format!("`{pat}` outside bench/metrics-timing allowlists"),
-                    "keep timing in crates/bench, or add the file to \
-                     config::WALLCLOCK_FILES with a written reason",
+                    format!("`{pat}` outside the bench crates"),
+                    "keep timing in crates/bench",
                 );
             }
         }
@@ -436,7 +431,7 @@ mod tests {
             ["no-wallclock-in-results", "no-wallclock-in-results"]
         );
         assert!(lint_src("crates/bench/src/x.rs", src).is_empty());
-        assert!(lint_src("crates/dex-core/src/parheal.rs", src).is_empty());
+        assert_eq!(lint_src("crates/dex-core/src/batch.rs", src).len(), 2);
         assert!(lint_src("shims/criterion/src/lib.rs", src).is_empty());
         // `Instant` as a stored type (no clock read) is fine.
         assert!(lint_src(

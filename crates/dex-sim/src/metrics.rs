@@ -60,16 +60,6 @@ pub struct StepMetrics {
     /// Edges added or removed by the *algorithm* (adversarial attach /
     /// attack edges are not charged).
     pub topology_changes: u64,
-    /// Conflict-free waves the parallel batch-heal engine applied this
-    /// step (0 when the step healed through the sequential path). Pure
-    /// observability: the metered costs above are charged identically
-    /// either way.
-    pub waves: u32,
-    /// Whether the adaptive small-n crossover controller routed this
-    /// batch step to the sequential heal path (cache-resident regime or
-    /// high observed replan rate). Pure observability, like `waves`:
-    /// either route produces bit-identical state and charges.
-    pub crossover: bool,
     /// Network size after the step.
     pub n_after: usize,
 }
@@ -325,8 +315,6 @@ mod tests {
             rounds,
             messages: rounds * 10,
             topology_changes: 2,
-            waves: 0,
-            crossover: false,
             n_after: 16,
         };
         let steps = vec![
@@ -355,8 +343,6 @@ mod tests {
             rounds,
             messages: rounds * 3 + 1,
             topology_changes: step % 4,
-            waves: 0,
-            crossover: false,
             n_after: 9,
         };
         let steps: Vec<StepMetrics> = (1..40)

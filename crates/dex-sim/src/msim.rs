@@ -281,9 +281,6 @@ pub struct FaultStats {
     /// Type-2 operations re-initiated after a rollback (maintained by
     /// `dex-core`).
     pub type2_reinitiations: u64,
-    /// Wave-engine plans invalidated and re-planned while a non-zero
-    /// fault spec was installed (maintained by `dex-core`).
-    pub wave_replans: u64,
 }
 
 impl FaultStats {
@@ -304,7 +301,6 @@ impl FaultStats {
         self.floods_partial += other.floods_partial;
         self.type2_rollbacks += other.type2_rollbacks;
         self.type2_reinitiations += other.type2_reinitiations;
-        self.wave_replans += other.wave_replans;
     }
 
     /// Fraction of sends delivered (1.0 when nothing was sent).
@@ -477,24 +473,6 @@ pub struct RunReport {
     pub messages: u64,
 }
 
-/// Adjacency view consulted by the walk engine's hop picks. The base
-/// graph implements it directly; `dex-core`'s wave planner implements it
-/// over a copy-on-write overlay so faulted delete walks can be planned
-/// against pending in-batch edits without mutating the real graph. Node
-/// identity (`id_of_slot`) always comes from the base graph — a view may
-/// only re-route adjacency rows, never rename or add slots.
-pub trait AdjView: Sync {
-    /// Adjacency multiset of `slot` under this view.
-    fn view_neighbor_slots(&self, slot: u32) -> &[u32];
-}
-
-impl AdjView for MultiGraph {
-    #[inline]
-    fn view_neighbor_slots(&self, slot: u32) -> &[u32] {
-        self.neighbor_slots(slot)
-    }
-}
-
 // ---------------------------------------------------------------------
 // Engine internals
 // ---------------------------------------------------------------------
@@ -596,10 +574,8 @@ struct Work {
 /// Decide what a token delivered at `slot` in `round` does next. Pure:
 /// reads the graph, the spec and the op metadata, mutates only its own
 /// token (RNG, hop/pos counters).
-#[allow(clippy::too_many_arguments)]
-fn decide<V: AdjView + ?Sized, A: Fn(NodeId) -> bool + Sync>(
+fn decide<A: Fn(NodeId) -> bool + Sync>(
     g: &MultiGraph,
-    view: &V,
     spec: &FaultSpec,
     metas: &[OpMeta],
     accept: &A,
@@ -629,7 +605,7 @@ fn decide<V: AdjView + ?Sized, A: Fn(NodeId) -> bool + Sync>(
             } else {
                 let mut choice: Option<u32> = None;
                 let mut seen = 0usize;
-                for &v in view.view_neighbor_slots(slot) {
+                for &v in g.neighbor_slots(slot) {
                     if Some(v) == *exclude_slot {
                         continue;
                     }
@@ -682,27 +658,19 @@ fn decide<V: AdjView + ?Sized, A: Fn(NodeId) -> bool + Sync>(
 /// metadata) to completion and reports per-op outcomes plus run-level
 /// fault stats. `mk_rng` builds the RNG for a walk op's generation
 /// (op index, retry); route ops never call it.
-#[allow(clippy::too_many_arguments)]
-fn run_engine<V, A, M>(
+fn run_engine<A, M>(
     g: &MultiGraph,
-    view: &V,
     spec: &FaultSpec,
     metas: Vec<OpMeta>,
     accept: A,
     mut mk_rng: M,
     threads: usize,
-    mut traces: Option<&mut Vec<Vec<u32>>>,
 ) -> (Vec<OpResult>, RunReport)
 where
-    V: AdjView + ?Sized,
     A: Fn(NodeId) -> bool + Sync,
     M: FnMut(usize, u32) -> StdRng,
 {
     let n_ops = metas.len();
-    if let Some(tr) = traces.as_deref_mut() {
-        tr.clear();
-        tr.resize(n_ops, Vec::new());
-    }
     let mut states: Vec<OpState> = Vec::with_capacity(n_ops);
     let mut arena: Vec<Option<Token>> = Vec::new();
     let mut free: Vec<u32> = Vec::new();
@@ -806,13 +774,6 @@ where
                         // after its op already closed: drop it.
                         free.push(idx);
                     } else {
-                        // Every decided arrival reads the protocol state
-                        // of its slot, so it belongs to the op's trace
-                        // (the wave planner turns traces into touch
-                        // sets).
-                        if let Some(tr) = traces.as_deref_mut() {
-                            tr[tok.op as usize].push(ev.slot);
-                        }
                         work.push(Work {
                             tok_idx: idx,
                             arrival: ev.slot,
@@ -833,7 +794,7 @@ where
         dex_exec::for_chunks_mut(&mut work, threads, |_, chunk| {
             for w in chunk {
                 let arrival = w.arrival;
-                decide(g, view, spec, metas_ref, accept_ref, round, arrival, w);
+                decide(g, spec, metas_ref, accept_ref, round, arrival, w);
             }
         });
 
@@ -997,30 +958,6 @@ where
     A: Fn(NodeId) -> bool + Sync,
     M: FnMut(usize, u32) -> StdRng,
 {
-    run_walks_traced(g, g, spec, ops, accept, mk_rng, threads, None)
-}
-
-/// [`run_walks`] with two extensions used by `dex-core`'s wave planner:
-/// hops pick from an [`AdjView`] (so pending in-batch edits can overlay
-/// the base graph), and when `traces` is given, each op's delivered
-/// arrival slots (every slot whose state the walk read, all generations,
-/// start included) are collected into it — the planner's touch sets.
-#[allow(clippy::too_many_arguments)]
-pub fn run_walks_traced<V, A, M>(
-    g: &MultiGraph,
-    view: &V,
-    spec: &FaultSpec,
-    ops: &[WalkOp],
-    accept: A,
-    mk_rng: M,
-    threads: usize,
-    traces: Option<&mut Vec<Vec<u32>>>,
-) -> (Vec<OpResult>, RunReport)
-where
-    V: AdjView + ?Sized,
-    A: Fn(NodeId) -> bool + Sync,
-    M: FnMut(usize, u32) -> StdRng,
-{
     let metas: Vec<OpMeta> = ops
         .iter()
         .map(|op| {
@@ -1039,7 +976,7 @@ where
             }
         })
         .collect();
-    run_engine(g, view, spec, metas, accept, mk_rng, threads, traces)
+    run_engine(g, spec, metas, accept, mk_rng, threads)
 }
 
 /// Run a batch of path routes on an actual message schedule. Round
@@ -1076,13 +1013,11 @@ pub fn run_routes(
         .collect();
     run_engine(
         g,
-        g,
         spec,
         metas,
         |_| false,
         |_, _| StdRng::seed_from_u64(0),
         threads,
-        None,
     )
 }
 
@@ -1475,7 +1410,7 @@ mod tests {
         u.0.is_multiple_of(7)
     }
 
-    /// Every counter — including the flood/type-2/wave additions — must
+    /// Every counter — including the flood/type-2 additions — must
     /// survive a merge. Distinct per-field values catch a field that
     /// `merge` forgot (it would keep its pre-merge value, not the sum).
     #[test]
@@ -1496,7 +1431,6 @@ mod tests {
             floods_partial: base + 13,
             type2_rollbacks: base + 14,
             type2_reinitiations: base + 15,
-            wave_replans: base + 16,
         };
         let mut acc = FaultStats::default();
         acc.merge(&fill(100));

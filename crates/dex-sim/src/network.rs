@@ -48,13 +48,6 @@ pub struct StepTotals {
     pub topology_changes: u64,
     /// Steps whose recovery was a type-2 flavour.
     pub type2_steps: u64,
-    /// Conflict-free waves applied by the parallel batch-heal engine
-    /// across all steps (observability only; costs are charged the same
-    /// as sequential application).
-    pub heal_waves: u64,
-    /// Batch steps the adaptive small-n crossover controller routed to
-    /// the sequential heal path (observability only).
-    pub crossover_steps: u64,
 }
 
 /// Metered dynamic network. See module docs.
@@ -63,8 +56,6 @@ pub struct Network {
     rounds: u64,
     messages: u64,
     topology_changes: u64,
-    waves: u64,
-    crossover: bool,
     in_step: bool,
     step_counter: u64,
     mode: HistoryMode,
@@ -82,8 +73,6 @@ impl Network {
             rounds: 0,
             messages: 0,
             topology_changes: 0,
-            waves: 0,
-            crossover: false,
             in_step: false,
             step_counter: 0,
             mode: HistoryMode::Full,
@@ -137,26 +126,16 @@ impl Network {
 
     /// Adversary inserts an isolated node.
     pub fn adversary_add_node(&mut self, u: NodeId) {
-        self.adversary_add_node_slot(u);
-    }
-
-    /// Adversary inserts an isolated node; returns its arena slot (the
-    /// batch commit path keeps working in slot space from here on).
-    pub fn adversary_add_node_slot(&mut self, u: NodeId) -> u32 {
-        self.graph
-            .add_node_slot(u)
-            .unwrap_or_else(|| panic!("adversary inserted existing node {u}"))
+        assert!(
+            self.graph.add_node(u),
+            "adversary inserted existing node {u}"
+        );
     }
 
     /// Adversary attaches an edge (e.g. the initial connection of an
     /// inserted node). Not charged to the algorithm.
     pub fn adversary_add_edge(&mut self, u: NodeId, v: NodeId) {
         self.graph.add_edge(u, v);
-    }
-
-    /// [`Network::adversary_add_edge`] in slot space (uncharged).
-    pub fn adversary_add_edge_slots(&mut self, su: u32, sv: u32) {
-        self.graph.add_edge_slots(su, sv);
     }
 
     /// Adversary (or uncharged bootstrap code) removes one edge copy.
@@ -190,23 +169,6 @@ impl Network {
         removed
     }
 
-    /// [`Network::add_edge`] in slot space: the batch commit path resolves
-    /// each endpoint slot once per heal plan instead of hashing per edge
-    /// instance. Charged identically.
-    pub fn add_edge_slots(&mut self, su: u32, sv: u32) {
-        self.graph.add_edge_slots(su, sv);
-        self.topology_changes += 1;
-    }
-
-    /// [`Network::remove_edge`] in slot space. Charged identically.
-    pub fn remove_edge_slots(&mut self, su: u32, sv: u32) -> bool {
-        let removed = self.graph.remove_edge_slots(su, sv);
-        if removed {
-            self.topology_changes += 1;
-        }
-        removed
-    }
-
     /// Healing code adds a node (only used when bootstrapping).
     pub fn add_node(&mut self, u: NodeId) {
         assert!(self.graph.add_node(u), "node {u} already present");
@@ -226,24 +188,6 @@ impl Network {
         self.messages += k;
     }
 
-    /// Record one conflict-free wave applied by the parallel batch-heal
-    /// engine within the current step. Observability only — never affects
-    /// the metered rounds/messages/topology counters, which the waved
-    /// engine charges exactly as sequential application would.
-    #[inline]
-    pub fn note_heal_wave(&mut self) {
-        self.waves += 1;
-    }
-
-    /// Record that the adaptive small-n crossover controller routed the
-    /// current batch step to the sequential heal path. Observability only,
-    /// like [`Network::note_heal_wave`] — both routes produce bit-identical
-    /// state and charges.
-    #[inline]
-    pub fn note_crossover(&mut self) {
-        self.crossover = true;
-    }
-
     /// Counters since the current step began: `(rounds, messages,
     /// topology_changes)`.
     pub fn current_counters(&self) -> (u64, u64, u64) {
@@ -260,8 +204,6 @@ impl Network {
         self.rounds = 0;
         self.messages = 0;
         self.topology_changes = 0;
-        self.waves = 0;
-        self.crossover = false;
     }
 
     /// End the step, record and return its metrics.
@@ -275,18 +217,12 @@ impl Network {
             rounds: self.rounds,
             messages: self.messages,
             topology_changes: self.topology_changes,
-            waves: u32::try_from(self.waves).expect("wave count overflow"),
-            crossover: self.crossover,
             n_after: self.n(),
         };
         self.totals.steps += 1;
         self.totals.rounds += m.rounds;
         self.totals.messages += m.messages;
         self.totals.topology_changes += m.topology_changes;
-        self.totals.heal_waves += self.waves;
-        if self.crossover {
-            self.totals.crossover_steps += 1;
-        }
         if recovery.is_type2() {
             self.totals.type2_steps += 1;
         }

@@ -1,34 +1,12 @@
-//! Deterministic fork-join parallelism helpers — a thin facade over the
-//! persistent [`dex_exec`] worker pool.
-//!
-//! Used by the measurement harness for embarrassingly parallel work such as
-//! computing spectral gaps over hundreds of topology snapshots, or driving
-//! thousands of independent random walks. Output order always equals input
-//! order and results never depend on the thread count, so parallel and
-//! sequential runs are interchangeable — determinism tests enforce it.
-//! Workers are parked pool threads (spawned lazily at most once per
-//! process), so a trial fan-out costs mailbox handoffs, not thread spawns.
+//! Batches of independent random walks fanned over the [`dex_exec`]
+//! worker pool. Output order always equals input order and results never
+//! depend on the thread count — determinism tests enforce it.
 
 use dex_graph::adjacency::MultiGraph;
 use dex_graph::ids::NodeId;
 use dex_graph::walks::SlotWalkJob;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Parallel map preserving input order. Splits `items` into contiguous
-/// chunks, one per worker; workers write into disjoint output slices, so no
-/// synchronization is needed beyond the final join.
-///
-/// Falls back to a sequential map when `threads <= 1` or the input is
-/// small.
-pub fn par_map<T, U, F>(items: &[T], threads: usize, f: F) -> Vec<U>
-where
-    T: Sync,
-    U: Send,
-    F: Fn(&T) -> U + Sync,
-{
-    dex_exec::par_map(items, threads, f)
-}
 
 /// One batch-walk job: start node, walk length, and an RNG seed. Seeds are
 /// carried per job (not derived from job position at run time) so a batch
@@ -78,7 +56,7 @@ fn walk_endpoints_impl(
     interleave: bool,
 ) -> Vec<NodeId> {
     if !interleave {
-        return par_map(jobs, threads, |job| {
+        return dex_exec::par_map(jobs, threads, |job| {
             let mut rng = StdRng::seed_from_u64(job.seed);
             let slot = g
                 .slot_of(job.start)
@@ -118,47 +96,10 @@ fn walk_endpoints_impl(
     ends.into_iter().map(|s| g.id_of_slot(s)).collect()
 }
 
-/// Number of worker threads to use by default: the executor's global
-/// thread budget (`DEX_EXEC_THREADS` when set, else available
-/// parallelism, clamped to [1, 16]).
-pub fn default_threads() -> usize {
-    dex_exec::thread_budget()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use dex_graph::PCycle;
-
-    #[test]
-    fn matches_sequential_map() {
-        let items: Vec<u64> = (0..1000).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * x).collect();
-        for threads in [1, 2, 3, 8, 64] {
-            let par = par_map(&items, threads, |x| x * x);
-            assert_eq!(par, seq, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn empty_and_singleton() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, 8, |x| *x).is_empty());
-        assert_eq!(par_map(&[5u32], 8, |x| x + 1), vec![6]);
-    }
-
-    #[test]
-    fn preserves_order_with_uneven_chunks() {
-        let items: Vec<usize> = (0..17).collect();
-        let out = par_map(&items, 4, |x| *x);
-        assert_eq!(out, items);
-    }
-
-    #[test]
-    fn default_threads_sane() {
-        let t = default_threads();
-        assert!((1..=16).contains(&t));
-    }
 
     #[test]
     fn batch_walks_deterministic_across_thread_counts() {

@@ -13,7 +13,7 @@
 //!   DHT puts/gets) applied through the existing `DexNetwork` entry
 //!   points;
 //! * [`run_trials`] runs R independent trials in parallel over
-//!   [`dex_sim::parallel::par_map`], each trial seeded by its own
+//!   [`dex_exec::par_map`], each trial seeded by its own
 //!   splitmix64-derived stream, so results are **bit-identical for any
 //!   thread count**;
 //! * every trial records its full action trace (replayable through

@@ -3,15 +3,14 @@
 //! Determinism contract: a trial's entire behaviour is a function of
 //! `(scenario, n0, trial seed)`. Trial seeds derive from the master seed
 //! through splitmix64, trials run under the order-preserving
-//! [`par_map`], and nothing reads wall-clock or thread identity — so a
-//! run is bit-identical for any `threads` value, and any recorded trace
+//! [`dex_exec::par_map`], and nothing reads wall-clock or thread identity —
+//! so a run is bit-identical for any `exec` value, and any recorded trace
 //! replays exactly on a fresh [`bootstrap_for`] network.
 
 use dex_adversary::{driver, Action, IdAllocator};
 use dex_core::{invariants, DexConfig, DexNetwork};
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::spectral::Lambda2Solver;
-use dex_sim::parallel::{default_threads, par_map};
 use dex_sim::rng::splitmix64;
 use dex_sim::{HasStepLog, HistoryMode, StepAggregate, StepLog, StepMetrics};
 use rand::rngs::StdRng;
@@ -38,23 +37,11 @@ pub struct RunOptions {
     /// Sample λ₂ every this many actions (0 disables the trajectory).
     pub lambda_every: usize,
     /// The one executor knob: worker threads for **both** the trial
-    /// fan-out and the in-network batch-heal planner, resolved through
-    /// the shared [`dex_exec`] pool (`None`/`ExecConfig::AUTO` → the
-    /// global thread budget). When set, it overrides the deprecated
-    /// `threads`/`heal_threads` aliases below. Purely a throughput knob —
-    /// results are bit-identical for any value.
-    pub exec: Option<dex_exec::ExecConfig>,
-    /// Deprecated alias: worker threads for the trial fan-out. Ignored
-    /// when `exec` is set; prefer `exec`.
-    pub threads: usize,
-    /// Deprecated alias: planner threads for the in-network parallel
-    /// batch-heal engine (`dex_core::parheal`). Ignored when `exec` is
-    /// set; prefer `exec`.
-    pub heal_threads: usize,
-    /// Enable the adaptive small-n crossover on every trial network
-    /// (deterministic controller routing cache-resident batches to the
-    /// sequential heal path; decision visible in `StepMetrics::crossover`).
-    pub adaptive_crossover: bool,
+    /// fan-out and every trial network's internal fan-out
+    /// ([`DexNetwork::set_heal_threads`]), resolved through the shared
+    /// [`dex_exec`] pool (`ExecConfig::AUTO` → the global thread budget).
+    /// Purely a throughput knob — results are bit-identical for any value.
+    pub exec: dex_exec::ExecConfig,
     /// Assert the full structural invariants after every action
     /// (O(n) per step — test-scale only).
     pub check_invariants: bool,
@@ -74,28 +61,11 @@ impl Default for RunOptions {
             trials: 4,
             seed: 0xd5c0,
             lambda_every: 32,
-            exec: None,
-            threads: default_threads(),
-            heal_threads: 1,
-            adaptive_crossover: false,
+            exec: dex_exec::ExecConfig::AUTO,
             check_invariants: false,
             keep_actions: true,
             keep_step_metrics: true,
         }
-    }
-}
-
-impl RunOptions {
-    /// Effective trial fan-out width: the executor config when set, else
-    /// the legacy `threads` alias.
-    pub fn trial_threads(&self) -> usize {
-        self.exec.map(|e| e.resolve()).unwrap_or(self.threads)
-    }
-
-    /// Effective in-network planner width: the executor config when set,
-    /// else the legacy `heal_threads` alias.
-    pub fn planner_threads(&self) -> usize {
-        self.exec.map(|e| e.resolve()).unwrap_or(self.heal_threads)
     }
 }
 
@@ -145,10 +115,10 @@ pub fn trial_seed(master: u64, t: usize) -> u64 {
     splitmix64(master ^ splitmix64(0x7419_5eed ^ (t as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15)))
 }
 
-/// Run every trial of a scenario, fanned out over `opts.threads` workers.
+/// Run every trial of a scenario, fanned out over `opts.exec` workers.
 pub fn run_trials(sc: &Scenario, opts: &RunOptions) -> Vec<TrialReport> {
     let idx: Vec<usize> = (0..opts.trials).collect();
-    par_map(&idx, opts.trial_threads(), |&t| {
+    dex_exec::par_map(&idx, opts.exec.resolve(), |&t| {
         run_scenario(sc, opts.n0, trial_seed(opts.seed, t), t, opts)
     })
 }
@@ -193,8 +163,7 @@ pub fn run_scenario(
     // The trial streams its own compact log; the inner network need not
     // hold a second copy of every step.
     t.dex.net.set_history_mode(HistoryMode::Off);
-    t.dex.set_heal_threads(opts.planner_threads());
-    t.dex.set_adaptive_crossover(opts.adaptive_crossover);
+    t.dex.set_heal_threads(opts.exec.resolve());
     t.sample_lambda();
     for phase in &sc.phases {
         t.run_phase(phase);
@@ -436,10 +405,7 @@ mod tests {
             trials: 3,
             seed: 42,
             lambda_every: 16,
-            exec: None,
-            threads: 2,
-            heal_threads: 2,
-            adaptive_crossover: false,
+            exec: dex_exec::ExecConfig::with_threads(2),
             check_invariants: true,
             keep_actions: true,
             keep_step_metrics: true,
@@ -468,10 +434,10 @@ mod tests {
         let sc = small_scenario();
         let mut o = opts();
         o.check_invariants = false;
-        o.threads = 1;
+        o.exec = dex_exec::ExecConfig::with_threads(1);
         let seq = run_trials(&sc, &o);
-        for threads in [2, 8] {
-            o.threads = threads;
+        for threads in [2, 3, 8] {
+            o.exec = dex_exec::ExecConfig::with_threads(threads);
             let par = run_trials(&sc, &o);
             for (a, b) in seq.iter().zip(par.iter()) {
                 assert_eq!(a.actions, b.actions, "threads={threads}");
@@ -483,66 +449,6 @@ mod tests {
                 );
             }
         }
-        // The unified executor config overrides both deprecated aliases
-        // and — being a pure throughput knob — changes nothing either.
-        o.threads = 1;
-        o.heal_threads = 1;
-        o.exec = Some(dex_exec::ExecConfig::with_threads(3));
-        assert_eq!(o.trial_threads(), 3);
-        assert_eq!(o.planner_threads(), 3);
-        let exec = run_trials(&sc, &o);
-        for (a, b) in seq.iter().zip(exec.iter()) {
-            assert_eq!(a.actions, b.actions, "exec config");
-            assert_eq!(a.lambda2, b.lambda2, "exec config");
-        }
-    }
-
-    #[test]
-    fn adaptive_crossover_changes_route_not_results() {
-        // Wave-eligible batches (≥ 8 ops) at cache-resident n: the
-        // controller's regime. Heavy touch-set overlap at this scale keeps
-        // the replan EMA above the crossover threshold.
-        let sc = Scenario::new("crossover")
-            .phase(Phase::FlashCrowd {
-                waves: 6,
-                wave_size: 12,
-            })
-            .phase(Phase::CorrelatedDelete {
-                bursts: 4,
-                burst_size: 10,
-                targeting: Targeting::Neighborhood,
-                replenish: true,
-            });
-        let mut o = opts();
-        o.check_invariants = false;
-        let base = run_trials(&sc, &o);
-        o.adaptive_crossover = true;
-        let crossed = run_trials(&sc, &o);
-        for (a, b) in base.iter().zip(crossed.iter()) {
-            assert_eq!(a.actions, b.actions);
-            assert_eq!(a.lambda2, b.lambda2);
-            assert_eq!(
-                a.metrics.iter().map(|m| m.messages).collect::<Vec<_>>(),
-                b.metrics.iter().map(|m| m.messages).collect::<Vec<_>>(),
-                "crossover must not change charged costs"
-            );
-        }
-        // At n≈24 every wave-eligible batch is in the small-n regime, so
-        // after the first probe the controller's decisions appear in the
-        // step stream (the probe schedule keeps at least one waved batch).
-        let crossed_steps: usize = crossed
-            .iter()
-            .map(|r| r.metrics.iter().filter(|m| m.crossover).count())
-            .sum();
-        assert!(
-            crossed_steps > 0,
-            "small-n batches must engage the crossover"
-        );
-        let base_steps: usize = base
-            .iter()
-            .map(|r| r.metrics.iter().filter(|m| m.crossover).count())
-            .sum();
-        assert_eq!(base_steps, 0, "crossover is opt-in");
     }
 
     #[test]
@@ -640,13 +546,12 @@ mod tests {
             );
             assert!(fs.timeouts > 0, "trial {}: no stall detected", r.trial);
         }
-        // Bit-identical across trial fan-out and planner widths.
+        // Bit-identical across executor widths (trial fan-out and the
+        // message-level simulator's delivery fan-out).
         o.check_invariants = false;
-        o.threads = 1;
-        o.heal_threads = 1;
+        o.exec = dex_exec::ExecConfig::with_threads(1);
         let seq = run_trials(&sc, &o);
-        o.threads = 8;
-        o.heal_threads = 8;
+        o.exec = dex_exec::ExecConfig::with_threads(8);
         let par = run_trials(&sc, &o);
         for (a, b) in seq.iter().zip(par.iter()) {
             assert_eq!(a.actions, b.actions, "faulted trace diverged");

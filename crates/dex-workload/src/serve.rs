@@ -16,8 +16,8 @@
 //!   in the simulator's synchronous *rounds*;
 //! * each shard pumps its arrivals through a **bounded ingestion queue**:
 //!   ops wait for the shard's single server, compatible neighbors at the
-//!   queue head coalesce into one batch for the `parheal` wave engine
-//!   (k joins heal in one batch step instead of k sequential steps), and
+//!   queue head coalesce into one batch step (`insert_batch` /
+//!   `delete_batch`: k joins heal in one step scope instead of k), and
 //!   an arrival that finds the queue full is **shed** — deterministic
 //!   backpressure, visible in the report;
 //! * shard execution fans out over the shared `dex-exec` pool via the
@@ -35,7 +35,6 @@ use dex_core::batch::MAX_ATTACH_FAN_IN;
 use dex_core::{DexConfig, DexNetwork};
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::NodeId;
-use dex_sim::parallel::{default_threads, par_map};
 use dex_sim::rng::splitmix64;
 use dex_sim::{HasStepLog, HistoryMode, StepAggregate, StepLog, Summary};
 use std::collections::VecDeque;
@@ -105,7 +104,8 @@ pub struct ServeOptions {
     /// thread budget). Pure throughput knob: results are bit-identical
     /// for any value.
     pub threads: usize,
-    /// Planner threads for each shard's in-network wave engine.
+    /// Each shard network's internal fan-out width
+    /// ([`DexNetwork::set_heal_threads`]).
     pub heal_threads: usize,
 }
 
@@ -295,11 +295,11 @@ pub fn run_serve(opts: &ServeOptions) -> ServeReport {
     let schedule = build_schedule(opts);
     let idx: Vec<usize> = (0..opts.shards).collect();
     let threads = if opts.threads == 0 {
-        default_threads()
+        dex_exec::thread_budget()
     } else {
         opts.threads
     };
-    let shards = par_map(&idx, threads, |&s| run_shard(s, &schedule[s], opts));
+    let shards = dex_exec::par_map(&idx, threads, |&s| run_shard(s, &schedule[s], opts));
     let served: u64 = shards.iter().map(|r| r.served).sum();
     let shed: u64 = shards.iter().map(|r| r.shed).sum();
     let makespan = shards.iter().map(|r| r.makespan).max().unwrap_or(0);
@@ -328,7 +328,7 @@ pub fn run_serve(opts: &ServeOptions) -> ServeReport {
 
 /// The service classes a batch may coalesce. DHT ops are served singly
 /// (their cost is one route); churn ops of the same direction coalesce
-/// so the wave engine heals them in one batch step.
+/// into one batch step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
     Join,
@@ -728,7 +728,10 @@ mod tests {
             heal_threads: 4,
             ..o
         });
-        assert_eq!(base.digest, r.digest, "planner width is cosmetic");
+        assert_eq!(
+            base.digest, r.digest,
+            "in-network fan-out width is cosmetic"
+        );
     }
 
     #[test]

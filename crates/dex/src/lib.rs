@@ -14,8 +14,7 @@
 //! * [`sim`] — the synchronous CONGEST simulator substrate (metered
 //!   rounds / messages / topology changes);
 //! * [`exec`] — the persistent deterministic executor every parallel
-//!   section in the stack fans out over (worker pool, thread budget,
-//!   per-worker scratch slots);
+//!   section in the stack fans out over (worker pool, thread budget);
 //! * [`core`] — the DEX algorithm: type-1 recovery, simplified and
 //!   staggered type-2 recovery, the DHT, batch churn, invariant checkers;
 //! * [`adversary`] — adaptive attack strategies and churn traces;

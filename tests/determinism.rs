@@ -53,7 +53,7 @@ fn recorded_trace_replays_identically() {
 
 #[test]
 fn parallel_measurement_matches_sequential() {
-    // The crossbeam par_map used by the harness must be order-preserving.
+    // The executor's par_map used by the harness must be order-preserving.
     let mut net = DexNetwork::bootstrap(DexConfig::new(6).simplified(), 16);
     let mut adv = RandomChurn::new(23, 0.6);
     let mut snapshots = Vec::new();
@@ -62,6 +62,6 @@ fn parallel_measurement_matches_sequential() {
         snapshots.push(net.graph().clone());
     }
     let seq: Vec<f64> = snapshots.iter().map(spectral::spectral_gap).collect();
-    let par = dex::sim::parallel::par_map(&snapshots, 8, spectral::spectral_gap);
+    let par = dex::exec::par_map(&snapshots, 8, spectral::spectral_gap);
     assert_eq!(seq, par);
 }
