@@ -12,21 +12,12 @@
 //! * **walk throughput**: seed path = per-hop id-space neighbor lookup
 //!   (one hash probe per hop, as the seed's `FxHashMap` adjacency did);
 //!   new path = slot-space walking ([`MultiGraph::walk_slots`]).
-//! * **memory-level-parallel kernels** (`kernels` section): per-hop ns for
-//!   scalar vs K-way interleaved walk batches and per-row ns for scalar vs
-//!   blocked SpMV, at n ∈ {20k, 200k, 1M} — the single-core
-//!   latency-hiding payoff, with pipeline occupancy as an observability
-//!   stat. Outputs are asserted bit-identical between the paths before any
-//!   timing is reported.
 //!
 //! Run with `cargo run --release -p dex-bench --bin bench_graph_core`.
-//! `--smoke` emits only deterministic digests (no timings, no occupancy),
-//! byte-identical for any `DEX_MLP_KERNELS` / `DEX_WALK_K` /
-//! `DEX_EXEC_THREADS` setting — CI diffs the engine forced on vs off.
-//! `--out FILE` overrides the output path.
+//! `--smoke` emits only deterministic digests (no timings), byte-identical
+//! for any `DEX_EXEC_THREADS` setting. `--out FILE` overrides the output
+//! path.
 
-use dex::graph::walks::{walk_endpoints_interleaved, SlotWalkJob};
-use dex::graph::{par, spectral};
 use dex::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -185,15 +176,9 @@ fn walk_slot_path(g: &MultiGraph, hops: usize, seed: u64) -> (f64, u64) {
     (elapsed, g.id_of_slot(end).0)
 }
 
-// ---------------------------------------------------------------------
-// Memory-level-parallel kernels (PR 6): scalar vs K-way walks, scalar vs
-// blocked SpMV. Timed single-core (threads = 1) so the numbers isolate
-// the latency-hiding effect the pool then multiplies.
-// ---------------------------------------------------------------------
-
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
-/// FNV-1a over a u64 stream — the deterministic digest CI byte-diffs.
+/// FNV-1a over a u64 stream — the deterministic digest of the smoke JSON.
 fn fnv1a(acc: u64, v: u64) -> u64 {
     let mut h = acc;
     for b in v.to_le_bytes() {
@@ -203,231 +188,19 @@ fn fnv1a(acc: u64, v: u64) -> u64 {
     h
 }
 
-fn median3(mut v: [f64; 3]) -> f64 {
-    v.sort_by(f64::total_cmp);
-    v[1]
-}
-
-/// Deterministic batch of fixed-length walk jobs with starts scattered
-/// over the whole arena (golden-ratio stride ⇒ DRAM-resident at large n).
-fn kernel_jobs(g: &MultiGraph, n: u64, jobs: usize, len: usize) -> Vec<SlotWalkJob> {
-    (0..jobs)
-        .map(|i| SlotWalkJob {
-            start: g
-                .slot_of(NodeId((i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15) % n))
-                .unwrap(),
-            len,
-            seed: 0x5eed_c0de ^ (i as u64).wrapping_mul(0x2545_f491_4f6c_dd1d),
-        })
-        .collect()
-}
-
-/// Scalar reference: one `walk_slots` per job, endpoints into `out`.
-fn scalar_walk_batch(g: &MultiGraph, jobs: &[SlotWalkJob], out: &mut [u32]) {
-    for (j, slot) in jobs.iter().zip(out.iter_mut()) {
-        let mut rng = StdRng::seed_from_u64(j.seed);
-        *slot = g.walk_slots(j.start, j.len, &mut rng);
-    }
-}
-
-struct WalkKernelRow {
-    n: u64,
-    jobs: usize,
-    len: usize,
-    scalar_ns_per_hop: f64,
-    kway_ns_per_hop: f64,
-    mean_in_flight: f64,
-}
-
-fn kernel_walks(g: &MultiGraph, n: u64, njobs: usize, len: usize) -> WalkKernelRow {
-    let jobs = kernel_jobs(g, n, njobs, len);
-    let hops = (njobs * len) as f64;
-    let k = par::walk_pipeline_k();
-    let mut scalar_out = vec![0u32; njobs];
-    let mut kway_out = vec![0u32; njobs];
-    // Bit-identity first, then timing: a fast wrong kernel is worthless.
-    scalar_walk_batch(g, &jobs, &mut scalar_out);
-    let stats = walk_endpoints_interleaved(g, &jobs, k, &mut kway_out);
-    assert_eq!(scalar_out, kway_out, "K-way endpoints diverged at n={n}");
-    let mut t_scalar = [0.0f64; 3];
-    let mut t_kway = [0.0f64; 3];
-    for rep in 0..3 {
-        let t0 = Instant::now();
-        scalar_walk_batch(g, &jobs, &mut scalar_out);
-        t_scalar[rep] = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        walk_endpoints_interleaved(g, &jobs, k, &mut kway_out);
-        t_kway[rep] = t0.elapsed().as_secs_f64();
-    }
-    std::hint::black_box((&scalar_out, &kway_out));
-    WalkKernelRow {
-        n,
-        jobs: njobs,
-        len,
-        scalar_ns_per_hop: median3(t_scalar) * 1e9 / hops,
-        kway_ns_per_hop: median3(t_kway) * 1e9 / hops,
-        mean_in_flight: stats.mean_in_flight(),
-    }
-}
-
-struct SpmvKernelRow {
-    n: u64,
-    scalar_ns_per_row: f64,
-    blocked_ns_per_row: f64,
-}
-
-fn kernel_spmv(g: &MultiGraph, n: u64) -> SpmvKernelRow {
-    let csr = g.csr();
-    let rows = csr.n();
-    let x: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.618).sin()).collect();
-    let mut y_scalar = vec![0.0f64; rows];
-    let mut y_blocked = vec![0.0f64; rows];
-    spectral::lazy_spmv(&csr, &x, &mut y_scalar, 1, 1.0, false);
-    spectral::lazy_spmv(&csr, &x, &mut y_blocked, 1, 1.0, true);
-    assert!(
-        y_scalar
-            .iter()
-            .zip(&y_blocked)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "blocked SpMV diverged at n={n}"
-    );
-    let mut t_scalar = [0.0f64; 3];
-    let mut t_blocked = [0.0f64; 3];
-    for rep in 0..3 {
-        let t0 = Instant::now();
-        spectral::lazy_spmv(&csr, &x, &mut y_scalar, 1, 1.0, false);
-        t_scalar[rep] = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        spectral::lazy_spmv(&csr, &x, &mut y_blocked, 1, 1.0, true);
-        t_blocked[rep] = t0.elapsed().as_secs_f64();
-    }
-    std::hint::black_box((&y_scalar, &y_blocked));
-    SpmvKernelRow {
-        n,
-        scalar_ns_per_row: median3(t_scalar) * 1e9 / rows as f64,
-        blocked_ns_per_row: median3(t_blocked) * 1e9 / rows as f64,
-    }
-}
-
-/// The three kernel scales: cache-resident, cache-straddling, and
-/// DRAM-resident arenas. All primes (p-cycle sizes).
-const KERNEL_SIZES: [(u64, &str, usize, usize); 3] = [
-    (20_011, "cache_resident", 4096, 64),
-    (200_003, "cache_straddling", 4096, 128),
-    (1_000_003, "dram_resident", 8192, 128),
-];
-
-fn kernels_json() -> String {
-    let mut json = String::new();
-    let _ = writeln!(json, "  \"kernels\": {{");
-    let _ = writeln!(json, "    \"walk_k\": {},", par::walk_pipeline_k());
-    let _ = writeln!(
-        json,
-        "    \"note\": \"single-core (threads=1); medians of 3 reps on a \
-         1-CPU container (~±20% noise); the MLP win is the per-hop/per-row \
-         ns *trend vs n* — flat scalar-vs-kway at cache_resident n is \
-         expected, the gap must open in the DRAM regime\","
-    );
-    let mut walks = Vec::new();
-    let mut spmvs = Vec::new();
-    for (n, regime, njobs, len) in KERNEL_SIZES {
-        let g = PCycle::new(n).to_multigraph();
-        let w = kernel_walks(&g, n, njobs, len);
-        println!(
-            "kernels n={n} ({regime}): walks scalar {:.1} ns/hop, K-way {:.1} ns/hop ({:.2}x, occupancy {:.2})",
-            w.scalar_ns_per_hop,
-            w.kway_ns_per_hop,
-            w.scalar_ns_per_hop / w.kway_ns_per_hop,
-            w.mean_in_flight
-        );
-        let s = kernel_spmv(&g, n);
-        println!(
-            "kernels n={n} ({regime}): spmv scalar {:.1} ns/row, blocked {:.1} ns/row ({:.2}x)",
-            s.scalar_ns_per_row,
-            s.blocked_ns_per_row,
-            s.scalar_ns_per_row / s.blocked_ns_per_row
-        );
-        walks.push((regime, w));
-        spmvs.push((regime, s));
-    }
-    let _ = writeln!(json, "    \"walks\": [");
-    for (i, (regime, w)) in walks.iter().enumerate() {
-        let comma = if i + 1 < walks.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"n\": {}, \"regime\": \"{}\", \"jobs\": {}, \"hops_per_job\": {}, \
-             \"scalar_ns_per_hop\": {:.2}, \"kway_ns_per_hop\": {:.2}, \
-             \"speedup\": {:.2}, \"mean_in_flight\": {:.2}}}{}",
-            w.n,
-            regime,
-            w.jobs,
-            w.len,
-            w.scalar_ns_per_hop,
-            w.kway_ns_per_hop,
-            w.scalar_ns_per_hop / w.kway_ns_per_hop,
-            w.mean_in_flight,
-            comma
-        );
-    }
-    let _ = writeln!(json, "    ],");
-    let _ = writeln!(json, "    \"spmv\": [");
-    for (i, (regime, s)) in spmvs.iter().enumerate() {
-        let comma = if i + 1 < spmvs.len() { "," } else { "" };
-        let _ = writeln!(
-            json,
-            "      {{\"n\": {}, \"regime\": \"{}\", \"scalar_ns_per_row\": {:.2}, \
-             \"blocked_ns_per_row\": {:.2}, \"speedup\": {:.2}}}{}",
-            s.n,
-            regime,
-            s.scalar_ns_per_row,
-            s.blocked_ns_per_row,
-            s.scalar_ns_per_row / s.blocked_ns_per_row,
-            comma
-        );
-    }
-    let _ = writeln!(json, "    ]");
-    let _ = write!(json, "  }}");
-    json
-}
-
 // ---------------------------------------------------------------------
-// Smoke mode: deterministic digests only — no timings, no occupancy —
-// byte-identical for any DEX_MLP_KERNELS / DEX_WALK_K / DEX_EXEC_THREADS
-// setting. CI runs it with the engine forced on and off and diffs.
+// Smoke mode: deterministic digests only — no timings — byte-identical
+// for any DEX_EXEC_THREADS setting.
 // ---------------------------------------------------------------------
 
 fn run_smoke(base: &MultiGraph) -> String {
-    // Walk endpoints: scalar and K-way must agree in-process, and the
-    // digest of either must not depend on the engine knobs.
-    let jobs = kernel_jobs(base, P, 512, 64);
-    let mut scalar_out = vec![0u32; jobs.len()];
-    let mut kway_out = vec![0u32; jobs.len()];
-    scalar_walk_batch(base, &jobs, &mut scalar_out);
-    walk_endpoints_interleaved(base, &jobs, par::walk_pipeline_k(), &mut kway_out);
-    assert_eq!(scalar_out, kway_out, "smoke: K-way endpoints diverged");
-    let walk_fnv = scalar_out
-        .iter()
-        .fold(FNV_SEED, |h, &s| fnv1a(h, base.id_of_slot(s).0));
-
-    // SpMV: both kernels bitwise, digest of the env-selected path.
     let csr = base.csr();
     let rows = csr.n();
     let x: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.618).sin()).collect();
-    let mut y_scalar = vec![0.0f64; rows];
-    let mut y_blocked = vec![0.0f64; rows];
-    spectral::lazy_spmv(&csr, &x, &mut y_scalar, 1, -1.0, false);
-    spectral::lazy_spmv(&csr, &x, &mut y_blocked, 1, -1.0, true);
-    assert!(
-        y_scalar
-            .iter()
-            .zip(&y_blocked)
-            .all(|(a, b)| a.to_bits() == b.to_bits()),
-        "smoke: blocked SpMV diverged"
-    );
-    let spmv_fnv = y_scalar.iter().fold(FNV_SEED, |h, v| fnv1a(h, v.to_bits()));
+    let mut y = vec![0.0f64; rows];
+    spectral::lazy_spmv(&csr, &x, &mut y, 1, -1.0);
+    let spmv_fnv = y.iter().fold(FNV_SEED, |h, v| fnv1a(h, v.to_bits()));
 
-    // λ₂ through the solver's dispatch (fused MLP path when enabled):
-    // the eigenvalue bits must not depend on the knob.
     let mut g = base.clone();
     let mut rng = StdRng::seed_from_u64(99);
     let mut solver = Lambda2Solver::new();
@@ -447,7 +220,6 @@ fn run_smoke(base: &MultiGraph) -> String {
     );
     let _ = writeln!(json, "  {},", dex_bench::exec_header_json());
     let _ = writeln!(json, "  \"digests\": {{");
-    let _ = writeln!(json, "    \"walk_endpoints_fnv\": \"{walk_fnv:#018x}\",");
     let _ = writeln!(json, "    \"spmv_y_fnv\": \"{spmv_fnv:#018x}\",");
     let _ = writeln!(json, "    \"lambda2_bits\": \"{:#018x}\"", last.to_bits());
     let _ = writeln!(json, "  }}");
@@ -485,8 +257,6 @@ fn run_full(base: &MultiGraph) -> String {
     let slot_mhps = hops as f64 / t_slot / 1e6;
     println!("walks: id-space {id_mhps:.2} Mhops/s, slot-space {slot_mhps:.2} Mhops/s");
 
-    let kernels = kernels_json();
-
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(
@@ -516,8 +286,7 @@ fn run_full(base: &MultiGraph) -> String {
     let _ = writeln!(json, "    \"seed_id_space_mhops_per_s\": {id_mhps:.2},");
     let _ = writeln!(json, "    \"slot_space_mhops_per_s\": {slot_mhps:.2},");
     let _ = writeln!(json, "    \"speedup\": {:.2}", slot_mhps / id_mhps);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "{kernels}");
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
     json
 }

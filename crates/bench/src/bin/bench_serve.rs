@@ -11,9 +11,8 @@
 //!
 //! `--smoke` output is byte-identical for any `--exec-threads` value —
 //! CI runs 1/3/8 and diffs the files. `--shards` (default 4) and
-//! `--queue-cap` (default 4096) size the harness; the `DEX_SERVE_SHARDS`
-//! and `DEX_SERVE_QUEUE_CAP` knobs override the flags (experiment
-//! inputs, recorded in the config header).
+//! `--queue-cap` (default 4096) size the harness and are recorded in the
+//! config header.
 
 use dex_bench::serve::{run_serve_bench, ServeBenchOptions};
 

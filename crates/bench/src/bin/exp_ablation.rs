@@ -1,4 +1,4 @@
-//! **Ablations** — the design choices DESIGN.md calls out:
+//! **Ablations** of three design choices:
 //!
 //! * **θ sweep** — the rebuilding parameter trades type-2 frequency
 //!   against spare capacity (paper Eq. 3 demands θ ≤ 1/545; how much do

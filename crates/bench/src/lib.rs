@@ -2,8 +2,7 @@
 //! benches: comparable churn schedules, overlay drivers, and plain-text
 //! table formatting.
 //!
-//! Every table and figure of the paper maps to one binary here — see
-//! DESIGN.md §4 for the index and EXPERIMENTS.md for recorded outcomes.
+//! Every table and figure of the paper maps to one binary here.
 
 use dex::prelude::*;
 use rand::rngs::StdRng;
@@ -78,11 +77,6 @@ pub fn lineup(seed: u64, n0: u64) -> Vec<Box<dyn Overlay>> {
         Box::new(Flooding::bootstrap(seed + 3, n0, 4)),
         Box::new(NaivePatch::bootstrap(seed + 4, n0)),
     ]
-}
-
-/// Overlay display name including the type-2 mode for DEX.
-pub fn overlay_label(o: &dyn Overlay) -> String {
-    o.name().to_string()
 }
 
 /// Executor-environment header fragment for every `BENCH_*.json` emitter:

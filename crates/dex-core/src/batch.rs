@@ -13,7 +13,7 @@
 //! as single-op steps, with walk streams keyed by `(step, node, attempt)`.
 
 use crate::config::RecoveryMode;
-use crate::dex::DexNetwork;
+use crate::dex::{DexNetwork, HealScope};
 use dex_graph::ids::NodeId;
 use dex_sim::{RecoveryKind, StepKind, StepMetrics};
 
@@ -52,7 +52,7 @@ impl DexNetwork {
         for &(u, v) in joins {
             self.net.adversary_add_node(u);
             self.net.adversary_add_edge(u, v);
-            used_type2 |= self.heal_one_insert(u, v);
+            used_type2 |= self.heal_insert(u, v, HealScope::BatchOp) != RecoveryKind::Type1;
         }
         self.net.end_step(
             StepKind::BatchInsert(joins.len() as u32),
@@ -118,7 +118,8 @@ impl DexNetwork {
                 .rescuer_of(victim)
                 .unwrap_or_else(|| panic!("victim {victim} lost all neighbors"));
             self.net.adversary_remove_node(victim);
-            used_type2 |= self.heal_one_delete(victim, rescuer);
+            used_type2 |=
+                self.heal_delete(victim, rescuer, HealScope::BatchOp) != RecoveryKind::Type1;
         }
         self.net.end_step(
             StepKind::BatchDelete(victims.len() as u32),
@@ -146,146 +147,5 @@ impl DexNetwork {
                 "duplicate victim {victim} in batch"
             );
         }
-    }
-
-    /// Type-1 insert healing inside an open step; returns whether type-2
-    /// was needed.
-    fn heal_one_insert(&mut self, u: NodeId, v: NodeId) -> bool {
-        use dex_sim::rng::Purpose;
-        use dex_sim::tokens::random_walk_search;
-        if self.faults.is_some() {
-            return self.heal_one_insert_faulted(u, v);
-        }
-        let walk_len = self.cfg.walk_len(self.cycle.p());
-        for attempt in 0..self.cfg.max_walk_retries {
-            self.walk_stats.attempts += 1;
-            let map = &self.map;
-            let mut rng = self
-                .seeds
-                .stream(Purpose::InsertWalk, &[self.step_no, u.0, attempt]);
-            let out = random_walk_search(
-                &mut self.net,
-                v,
-                walk_len,
-                Some(u),
-                |w| map.is_spare(w),
-                &mut rng,
-            );
-            if let Some(w) = out.hit {
-                self.walk_stats.hits += 1;
-                self.give_vertex_to_new_node(w, u, v);
-                return false;
-            }
-            self.walk_stats.misses += 1;
-            let res = dex_sim::flood::flood_count_with(
-                &mut self.net,
-                v,
-                |w| map.is_spare(w),
-                &mut self.flood_scratch,
-            );
-            if !self
-                .cfg
-                .spare_sufficient(res.matching, res.n.saturating_sub(1))
-            {
-                self.walk_stats.type2 += 1;
-                crate::type2_simple::inflate(self, Some((u, v)));
-                return true;
-            }
-        }
-        panic!("batch insertion starved (n={})", self.n());
-    }
-
-    /// Type-1 delete healing inside an open step; returns whether type-2
-    /// was needed. Detaches the pooled vertex buffer from `self` for the
-    /// duration (see [`crate::scratch::HealScratch`]).
-    fn heal_one_delete(&mut self, victim: NodeId, rescuer: NodeId) -> bool {
-        let mut zs = std::mem::take(&mut self.heal.zs);
-        zs.clear();
-        zs.extend_from_slice(self.map.sim(victim));
-        let used_type2 = self.heal_one_delete_core(victim, rescuer, &zs);
-        self.heal.zs = zs;
-        used_type2
-    }
-
-    fn heal_one_delete_core(
-        &mut self,
-        victim: NodeId,
-        rescuer: NodeId,
-        zs: &[dex_graph::ids::VertexId],
-    ) -> bool {
-        use dex_sim::rng::Purpose;
-        use dex_sim::tokens::random_walk_search;
-        if self.faults.is_some() {
-            return self.heal_one_delete_core_faulted(victim, rescuer, zs);
-        }
-        crate::fabric::adopt_vertices(
-            &mut self.net,
-            &mut self.map,
-            &self.cycle,
-            zs,
-            rescuer,
-            &mut self.heal.insts,
-        );
-        self.net.charge_messages(3 * zs.len() as u64);
-        self.net.charge_rounds(1);
-        let walk_len = self.cfg.walk_len(self.cycle.p());
-        let mut used_type2 = false;
-        for (i, &z) in zs.iter().enumerate() {
-            let mut attempt = 0u64;
-            loop {
-                self.walk_stats.attempts += 1;
-                let map = &self.map;
-                let mut rng = self.seeds.stream(
-                    Purpose::DeleteWalk,
-                    &[self.step_no, victim.0, i as u64, attempt],
-                );
-                let out = random_walk_search(
-                    &mut self.net,
-                    rescuer,
-                    walk_len,
-                    None,
-                    |w| map.is_low(w),
-                    &mut rng,
-                );
-                if let Some(w) = out.hit {
-                    self.walk_stats.hits += 1;
-                    if w != rescuer {
-                        crate::fabric::move_vertices(
-                            &mut self.net,
-                            &mut self.map,
-                            &self.cycle,
-                            &[z],
-                            w,
-                            &mut self.heal.insts,
-                        );
-                        self.net.charge_messages(4);
-                        self.net.charge_rounds(1);
-                    }
-                    break;
-                }
-                self.walk_stats.misses += 1;
-                let res = dex_sim::flood::flood_count_with(
-                    &mut self.net,
-                    rescuer,
-                    |w| map.is_low(w),
-                    &mut self.flood_scratch,
-                );
-                if !self.cfg.low_sufficient(res.matching, res.n) {
-                    self.walk_stats.type2 += 1;
-                    crate::type2_simple::deflate(self, rescuer);
-                    used_type2 = true;
-                    break; // this vertex was rehomed by the deflation
-                }
-                attempt += 1;
-                assert!(
-                    attempt < self.cfg.max_walk_retries,
-                    "batch deletion starved"
-                );
-            }
-            if used_type2 {
-                break; // remaining vertices were redistributed by deflate
-            }
-        }
-        used_type2
     }
 }

@@ -11,6 +11,7 @@ use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
 use dex_sim::flood::{flood_count_with, FloodScratch};
+use dex_sim::msim::FloodOutcome;
 use dex_sim::rng::{Purpose, SeedSpace};
 use dex_sim::tokens::random_walk_search;
 use dex_sim::{Network, RecoveryKind, StepKind, StepMetrics};
@@ -26,6 +27,46 @@ pub struct WalkStats {
     pub misses: u64,
     /// Type-2 recoveries triggered.
     pub type2: u64,
+}
+
+/// What a type-1 walk or count is looking for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum WalkGoal {
+    /// A node in Spare (insertion healing).
+    Spare,
+    /// A node in Low (deletion healing).
+    Low,
+}
+
+impl WalkGoal {
+    /// Is `w` in this goal's set?
+    pub(crate) fn accepts(self, map: &VirtualMapping, w: NodeId) -> bool {
+        match self {
+            WalkGoal::Spare => map.is_spare(w),
+            WalkGoal::Low => map.is_low(w),
+        }
+    }
+}
+
+/// Whether a heal is its step's only op or one op of a batch. The
+/// algorithm is the same (Sect. 5 / Corollary 2 run the single-op recovery
+/// op by op); three pieces of data differ: a batch op's RNG stream keys
+/// carry its node id, a batch insert recounts Spare on every miss where a
+/// single insert counts once per step, and a single delete batches its
+/// neighbors' load updates where a batch delete charges none.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum HealScope {
+    SingleOp,
+    BatchOp,
+}
+
+/// Outcome of one healing walk attempt.
+pub(crate) struct HealWalk {
+    /// Accepting node, if the walk hit.
+    pub(crate) hit: Option<NodeId>,
+    /// The walk was abandoned: every transport retry lost its token.
+    /// (`false` + `hit: None` is a genuine protocol miss.)
+    pub(crate) lost: bool,
 }
 
 /// A DEX-maintained self-healing expander network.
@@ -64,10 +105,10 @@ pub struct DexNetwork {
     pub(crate) heal_threads: usize,
     /// Always zero; see [`crate::batch::BatchHealStats`].
     pub batch_stats: crate::batch::BatchHealStats,
-    /// When set, type-1 walks and DHT routing run on the message-level
-    /// simulator ([`dex_sim::msim`]) under this fault model instead of
-    /// the centralized fast path (see [`crate::faulted`]). `None` (the
-    /// default) keeps the centralized execution.
+    /// When set, walks, floods, type-2 coordination and DHT routes run on
+    /// the message-level simulator ([`dex_sim::msim`]) under this fault
+    /// model (see [`crate::faulted`]). `None` (the default) keeps the
+    /// centralized transports.
     pub(crate) faults: Option<dex_sim::msim::FaultSpec>,
     /// Fault-layer counters accumulated while `faults` is set.
     pub(crate) fault_stats: dex_sim::msim::FaultStats,
@@ -198,7 +239,7 @@ impl DexNetwork {
             crate::staggered::insert_during_staggered(self, u, v);
             RecoveryKind::Type1Staggered
         } else {
-            self.insert_normal(u, v)
+            self.heal_insert(u, v, HealScope::SingleOp)
         };
         // Worst-case mode: coordinator bookkeeping + window advance.
         if self.cfg.mode == RecoveryMode::Staggered {
@@ -208,64 +249,85 @@ impl DexNetwork {
         self.net.end_step(StepKind::Insert, recovery)
     }
 
-    /// Normal-mode insertion recovery. Returns the recovery kind used.
-    fn insert_normal(&mut self, u: NodeId, v: NodeId) -> RecoveryKind {
-        if self.faults.is_some() {
-            return self.insert_normal_faulted(u, v);
-        }
-        let walk_len = self.cfg.walk_len(self.cycle.p());
+    /// Insertion recovery (Algorithm 4.2) for newcomer `u` attached at `v`,
+    /// inside an open step. The one type-1 insert loop: a single-op step
+    /// and a batch op run it with different data (see [`HealScope`]), and
+    /// the centralized and the message-scheduled execution differ only in
+    /// the transport behind [`Self::heal_walk`] / [`Self::heal_flood`] —
+    /// on the centralized one no walk is ever `lost` and every count is
+    /// `complete`, so the fallback branches are dead there.
+    pub(crate) fn heal_insert(&mut self, u: NodeId, v: NodeId, scope: HealScope) -> RecoveryKind {
         let mut flooded = false;
+        let mut lost = 0u32;
         for attempt in 0..self.cfg.max_walk_retries {
+            let (single, batch);
+            let ctx: &[u64] = match scope {
+                HealScope::SingleOp => {
+                    single = [self.step_no, attempt];
+                    &single
+                }
+                HealScope::BatchOp => {
+                    batch = [self.step_no, u.0, attempt];
+                    &batch
+                }
+            };
             self.walk_stats.attempts += 1;
-            let map = &self.map;
-            let mut rng = self
-                .seeds
-                .stream(Purpose::InsertWalk, &[self.step_no, attempt]);
-            let out = random_walk_search(
-                &mut self.net,
-                v,
-                walk_len,
-                Some(u),
-                |w| map.is_spare(w),
-                &mut rng,
-            );
+            let out = self.heal_walk(v, Some(u), WalkGoal::Spare, Purpose::InsertWalk, ctx);
             if let Some(w) = out.hit {
                 self.walk_stats.hits += 1;
                 self.give_vertex_to_new_node(w, u, v);
                 return RecoveryKind::Type1;
             }
+            if out.lost {
+                lost += 1;
+                if lost > self.scheduled_spec().fallback_after {
+                    return self.insert_fallback(u, v);
+                }
+                continue;
+            }
             self.walk_stats.misses += 1;
-            // Deterministic count (Algorithm 4.4) before deciding; the
-            // paper floods once, then retries walks (Alg. 4.2 line 9
-            // repeats from line 1 — loads cannot change mid-step).
-            if flooded {
+            // Deterministic count (Algorithm 4.4) before deciding. A
+            // single-op step floods once, then retries walks (Alg. 4.2
+            // line 9 repeats from line 1 — loads cannot change mid-step);
+            // inside a batch the earlier ops' transfers can, so every
+            // miss recounts.
+            if flooded && scope == HealScope::SingleOp {
                 continue;
             }
             flooded = true;
-            let res = flood_count_with(
-                &mut self.net,
-                v,
-                |w| map.is_spare(w),
-                &mut self.flood_scratch,
-            );
+            let res = self.heal_flood(v, WalkGoal::Spare, ctx);
             // The flood reaches the fresh node u too; the paper counts
             // |Spare| against |G_{t-1}|.
             let n_prev = res.n.saturating_sub(1);
             if !self.cfg.spare_sufficient(res.matching, n_prev) {
-                self.walk_stats.type2 += 1;
-                match self.cfg.mode {
-                    RecoveryMode::Simplified => {
-                        crate::type2_simple::inflate(self, Some((u, v)));
-                        return RecoveryKind::InflateSimple;
-                    }
-                    RecoveryMode::Staggered => {
-                        // The coordinator should have fired at 3θn; reaching
-                        // the hard wall means it must start now, and the new
-                        // node is served from the first staged window.
-                        crate::staggered::begin_inflation(self);
-                        crate::staggered::insert_during_staggered(self, u, v);
-                        return RecoveryKind::InflateStaggered;
-                    }
+                // Only a *complete* convergecast proves the spare set is
+                // dry: a partial count is a lower bound, and inflating on
+                // it compounds under sustained loss until the mapping can
+                // no longer balance. Partial + insufficient degrades to
+                // the best partial witness; no witness → keep walking.
+                if res.complete {
+                    self.walk_stats.type2 += 1;
+                    return match self.cfg.mode {
+                        RecoveryMode::Simplified => {
+                            crate::type2_simple::inflate(self, Some((u, v)));
+                            RecoveryKind::InflateSimple
+                        }
+                        RecoveryMode::Staggered => {
+                            // The coordinator should have fired at 3θn;
+                            // reaching the hard wall means it must start
+                            // now, and the new node is served from the
+                            // first staged window.
+                            crate::staggered::begin_inflation(self);
+                            crate::staggered::insert_during_staggered(self, u, v);
+                            RecoveryKind::InflateStaggered
+                        }
+                    };
+                }
+                if let Some(w) = res.witness {
+                    self.fault_stats.heal_fallbacks += 1;
+                    self.walk_stats.hits += 1;
+                    self.give_vertex_to_new_node(w, u, v);
+                    return RecoveryKind::Type1;
                 }
             }
             // Enough spares exist; the walk was simply unlucky — retry.
@@ -334,7 +396,7 @@ impl DexNetwork {
             crate::staggered::delete_during_staggered(self, victim, rescuer);
             RecoveryKind::Type1Staggered
         } else {
-            self.delete_normal(victim, rescuer)
+            self.heal_delete(victim, rescuer, HealScope::SingleOp)
         };
         if self.cfg.mode == RecoveryMode::Staggered {
             crate::staggered::after_step(self);
@@ -343,30 +405,41 @@ impl DexNetwork {
         self.net.end_step(StepKind::Delete, recovery)
     }
 
-    /// Normal-mode deletion recovery. Detaches the pooled vertex/touched
-    /// buffers from `self`, runs the core, and reattaches them so their
+    /// Deletion recovery (Algorithm 4.3) for `victim`, healed by
+    /// `rescuer`, inside an open step. Detaches the pooled vertex/touched
+    /// buffers from `self`, runs the loop, and reattaches them so their
     /// capacity survives across steps (including the early type-2 return).
-    fn delete_normal(&mut self, victim: NodeId, rescuer: NodeId) -> RecoveryKind {
+    pub(crate) fn heal_delete(
+        &mut self,
+        victim: NodeId,
+        rescuer: NodeId,
+        scope: HealScope,
+    ) -> RecoveryKind {
         let mut zs = std::mem::take(&mut self.heal.zs);
         let mut touched = std::mem::take(&mut self.heal.touched);
         zs.clear();
         zs.extend_from_slice(self.map.sim(victim));
         touched.clear();
-        let kind = self.delete_normal_core(rescuer, &zs, &mut touched);
+        let kind = self.heal_delete_loop(victim, rescuer, &zs, scope, &mut touched);
         self.heal.zs = zs;
         self.heal.touched = touched;
         kind
     }
 
-    fn delete_normal_core(
+    /// The one type-1 delete loop (see [`Self::heal_insert`] for how scope
+    /// and transport enter).
+    fn heal_delete_loop(
         &mut self,
+        victim: NodeId,
         rescuer: NodeId,
         zs: &[VertexId],
+        scope: HealScope,
         touched: &mut Vec<NodeId>,
     ) -> RecoveryKind {
-        if self.faults.is_some() {
-            return self.delete_normal_core_faulted(rescuer, zs, touched);
-        }
+        // A single-op step batches load updates: each touched node informs
+        // its neighbors once at the end of the recovery. A batch op
+        // charges none.
+        let mut touched = (scope == HealScope::SingleOp).then_some(touched);
         // Rescuer adopts the victim's vertices and restores their edges.
         debug_assert!(!zs.is_empty(), "every node simulates >= 1 vertex");
         fabric::adopt_vertices(
@@ -379,65 +452,73 @@ impl DexNetwork {
         );
         self.net.charge_messages(3 * zs.len() as u64);
         self.net.charge_rounds(1);
+        if let Some(t) = touched.as_deref_mut() {
+            t.push(rescuer);
+        }
 
         // Redistribute each adopted vertex to a node in Low. The count is
         // re-run after every failed walk (Alg. 4.3 lines 6–11): our own
         // transfers within the step can shrink Low, so the threshold must
         // be re-checked before deciding between retry and deflation.
-        // Load updates to neighbors are batched: each touched node informs
-        // its neighbors once at the end of the recovery.
-        let walk_len = self.cfg.walk_len(self.cycle.p());
-        touched.push(rescuer);
         for (i, &z) in zs.iter().enumerate() {
-            let mut attempt = 0;
+            let mut attempt = 0u64;
+            let mut lost = 0u32;
             loop {
+                let (single, batch);
+                let ctx: &[u64] = match scope {
+                    HealScope::SingleOp => {
+                        single = [self.step_no, i as u64, attempt];
+                        &single
+                    }
+                    HealScope::BatchOp => {
+                        batch = [self.step_no, victim.0, i as u64, attempt];
+                        &batch
+                    }
+                };
                 self.walk_stats.attempts += 1;
-                let map = &self.map;
-                let mut rng = self
-                    .seeds
-                    .stream(Purpose::DeleteWalk, &[self.step_no, i as u64, attempt]);
-                let out = random_walk_search(
-                    &mut self.net,
-                    rescuer,
-                    walk_len,
-                    None,
-                    |w| map.is_low(w),
-                    &mut rng,
-                );
+                let out = self.heal_walk(rescuer, None, WalkGoal::Low, Purpose::DeleteWalk, ctx);
                 if let Some(w) = out.hit {
                     self.walk_stats.hits += 1;
-                    if w != rescuer {
-                        fabric::move_vertices(
-                            &mut self.net,
-                            &mut self.map,
-                            &self.cycle,
-                            &[z],
-                            w,
-                            &mut self.heal.insts,
-                        );
-                        self.net.charge_messages(4);
-                        self.net.charge_rounds(1);
-                        touched.push(w);
-                    }
+                    self.move_to_low(z, rescuer, w, touched.as_deref_mut());
                     break;
                 }
-                self.walk_stats.misses += 1;
-                let res = flood_count_with(
-                    &mut self.net,
-                    rescuer,
-                    |w| map.is_low(w),
-                    &mut self.flood_scratch,
-                );
-                if !self.cfg.low_sufficient(res.matching, res.n) {
-                    self.walk_stats.type2 += 1;
-                    match self.cfg.mode {
-                        RecoveryMode::Simplified => {
-                            crate::type2_simple::deflate(self, rescuer);
-                            return RecoveryKind::DeflateSimple;
+                if out.lost {
+                    lost += 1;
+                    if lost > self.scheduled_spec().fallback_after {
+                        match self.delete_fallback(z, rescuer, touched.as_deref_mut()) {
+                            true => break,
+                            // The deflation rehomed this vertex and every
+                            // remaining one.
+                            false => return RecoveryKind::DeflateSimple,
                         }
-                        RecoveryMode::Staggered => {
-                            crate::staggered::begin_deflation(self);
-                            return RecoveryKind::DeflateStaggered;
+                    }
+                } else {
+                    self.walk_stats.misses += 1;
+                    let res = self.heal_flood(rescuer, WalkGoal::Low, ctx);
+                    if !self.cfg.low_sufficient(res.matching, res.n) {
+                        // Deflate only on a complete convergecast — a
+                        // partial count undercounts the Low set, and a
+                        // spurious deflation can shrink p below what the
+                        // surviving nodes need. Partial + witness heals
+                        // to the witness; no witness → keep walking.
+                        if res.complete {
+                            self.walk_stats.type2 += 1;
+                            return match self.cfg.mode {
+                                RecoveryMode::Simplified => {
+                                    crate::type2_simple::deflate(self, rescuer);
+                                    RecoveryKind::DeflateSimple
+                                }
+                                RecoveryMode::Staggered => {
+                                    crate::staggered::begin_deflation(self);
+                                    RecoveryKind::DeflateStaggered
+                                }
+                            };
+                        }
+                        if let Some(w) = res.witness {
+                            self.fault_stats.heal_fallbacks += 1;
+                            self.walk_stats.hits += 1;
+                            self.move_to_low(z, rescuer, w, touched.as_deref_mut());
+                            break;
                         }
                     }
                 }
@@ -449,10 +530,125 @@ impl DexNetwork {
                 );
             }
         }
-        touched.sort_unstable();
-        touched.dedup();
-        self.charge_load_updates(touched);
+        if let Some(t) = touched {
+            t.sort_unstable();
+            t.dedup();
+            self.charge_load_updates(t);
+        }
         RecoveryKind::Type1
+    }
+
+    /// Move vertex `z` from `rescuer` to the Low node `w` (no-op when the
+    /// rescuer itself was picked), recording `w` in `touched` when the
+    /// caller batches load updates.
+    pub(crate) fn move_to_low(
+        &mut self,
+        z: VertexId,
+        rescuer: NodeId,
+        w: NodeId,
+        touched: Option<&mut Vec<NodeId>>,
+    ) {
+        if w != rescuer {
+            fabric::move_vertices(
+                &mut self.net,
+                &mut self.map,
+                &self.cycle,
+                &[z],
+                w,
+                &mut self.heal.insts,
+            );
+            self.net.charge_messages(4);
+            self.net.charge_rounds(1);
+            if let Some(t) = touched {
+                t.push(w);
+            }
+        }
+    }
+
+    // ------------------------------------------------------------------
+    // Transports
+    // ------------------------------------------------------------------
+
+    /// One healing walk from `start`, keyed by `(purpose, ctx)`. Without a
+    /// fault spec it is a single centralized token that cannot be lost;
+    /// with one it runs on the message schedule
+    /// ([`Self::walk_scheduled`]). Inlined into the two loops so the
+    /// caller's constant goal and exclusion reach the walk's inner loop.
+    #[inline]
+    fn heal_walk(
+        &mut self,
+        start: NodeId,
+        exclude: Option<NodeId>,
+        goal: WalkGoal,
+        purpose: Purpose,
+        ctx: &[u64],
+    ) -> HealWalk {
+        match self.faults {
+            None => {
+                let mut rng = self.seeds.stream(purpose, ctx);
+                // Matched out here so the walk's per-hop predicate stays a
+                // direct call.
+                let hit = match goal {
+                    WalkGoal::Spare => {
+                        self.walk_central(start, exclude, VirtualMapping::is_spare, &mut rng)
+                    }
+                    WalkGoal::Low => {
+                        self.walk_central(start, exclude, VirtualMapping::is_low, &mut rng)
+                    }
+                };
+                HealWalk { hit, lost: false }
+            }
+            Some(spec) => self.walk_scheduled(&spec, start, exclude, goal, purpose, ctx),
+        }
+    }
+
+    /// The centralized walk transport, generic over the goal's predicate.
+    #[inline]
+    fn walk_central(
+        &mut self,
+        start: NodeId,
+        exclude: Option<NodeId>,
+        accept: impl Fn(&VirtualMapping, NodeId) -> bool,
+        rng: &mut impl rand::Rng,
+    ) -> Option<NodeId> {
+        let walk_len = self.cfg.walk_len(self.cycle.p());
+        let map = &self.map;
+        random_walk_search(
+            &mut self.net,
+            start,
+            walk_len,
+            exclude,
+            |w| accept(map, w),
+            rng,
+        )
+        .hit
+    }
+
+    /// One deterministic count of `goal`'s set from `root` (Algorithm
+    /// 4.4). Without a fault spec the centralized flood always covers the
+    /// whole component; with one it runs on the message schedule and may
+    /// close on a partial count ([`Self::flood_scheduled`]).
+    fn heal_flood(&mut self, root: NodeId, goal: WalkGoal, ctx: &[u64]) -> FloodOutcome {
+        match self.faults {
+            None => {
+                let map = &self.map;
+                let res = flood_count_with(
+                    &mut self.net,
+                    root,
+                    |w| goal.accepts(map, w),
+                    &mut self.flood_scratch,
+                );
+                FloodOutcome {
+                    n: res.n,
+                    matching: res.matching,
+                    witness: res.witness,
+                    complete: true,
+                    retries: 0,
+                    close_round: res.rounds,
+                }
+            }
+            Some(spec) => self.flood_scheduled(&spec, root, Some(goal), ctx, spec.flood_retries),
+        }
     }
 
     // ------------------------------------------------------------------
@@ -521,5 +717,42 @@ impl std::fmt::Debug for DexNetwork {
             self.map,
             self.stag.is_some()
         )
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The centralized transports cannot lose a token or miss a report:
+    /// hit or miss, no walk is `lost`, and every count is `complete` and
+    /// exact.
+    #[test]
+    fn centralized_transports_never_lose_a_walk_or_close_a_count_partial() {
+        // p₀ = 67; 48 inserts leave at most 3 spare nodes among 64, so
+        // Spare walks both hit and miss.
+        let mut dex = DexNetwork::bootstrap(DexConfig::new(0x7a11).simplified(), 16);
+        for i in 0..48 {
+            dex.insert(NodeId(16 + i), NodeId(i % 16));
+        }
+        assert!(dex.faults.is_none());
+        let nodes = dex.node_ids();
+        dex.net.begin_step();
+        let mut misses = 0;
+        for (i, &start) in nodes.iter().cycle().take(256).enumerate() {
+            let goal = [WalkGoal::Spare, WalkGoal::Low][i % 2];
+            let out = dex.heal_walk(start, None, goal, Purpose::InsertWalk, &[i as u64]);
+            assert!(!out.lost, "centralized walk {i} reported lost");
+            assert!(out.hit.is_none_or(|w| goal.accepts(&dex.map, w)));
+            misses += out.hit.is_none() as usize;
+        }
+        assert!((1..256).contains(&misses), "misses={misses}");
+        for goal in [WalkGoal::Spare, WalkGoal::Low] {
+            let res = dex.heal_flood(nodes[0], goal, &[0]);
+            let matching = nodes.iter().filter(|&&w| goal.accepts(&dex.map, w)).count();
+            assert!(res.complete);
+            assert_eq!((res.n, res.matching), (dex.n(), matching));
+        }
+        dex.net.end_step(StepKind::Insert, RecoveryKind::Type1);
     }
 }

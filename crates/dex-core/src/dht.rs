@@ -11,7 +11,7 @@
 //! rehashes to the new cycle. The paper staggers the data handoff with the
 //! staggered inflation at a constant-factor overhead; we apply the whole
 //! migration at switchover and charge one message per stored item then
-//! (the same total cost, lumped — see DESIGN.md).
+//! (the same total cost, lumped).
 
 use crate::dex::DexNetwork;
 use dex_graph::fxhash::FxHashMap;
@@ -84,37 +84,22 @@ impl DexNetwork {
     pub fn dht_insert(&mut self, from: NodeId, key: Key, value: Value) -> StepMetrics {
         self.net.begin_step();
         self.migrate_if_rehashed();
-        let delivered = if self.faults.is_some() {
-            // Message-level routing: an abandoned put is simply not
-            // applied (graceful degradation, counted in `dht_abandoned`).
-            self.route_dht_faulted(from, key, false)
-        } else {
-            self.route_dht(from, key);
-            true
-        };
-        if delivered {
+        // An abandoned put is simply not applied (graceful degradation,
+        // counted in `dht_abandoned`).
+        if self.route_dht(from, key, false) {
             self.dht.entries.insert(key, value);
         }
         self.net.end_step(StepKind::Insert, RecoveryKind::Type1)
     }
 
     /// Look up `key`, initiated by node `from`. The reply routes back along
-    /// the same path, so the cost is twice the one-way routing cost (the
-    /// path is resolved once and charged twice).
+    /// the same path, so the cost is twice the one-way routing cost.
     pub fn dht_lookup(&mut self, from: NodeId, key: Key) -> (Option<Value>, StepMetrics) {
         self.net.begin_step();
         self.migrate_if_rehashed();
-        let delivered = if self.faults.is_some() {
-            // Request + reply as one round-trip route; an abandoned
-            // lookup reports `None` (counted in `dht_abandoned`).
-            self.route_dht_faulted(from, key, true)
-        } else {
-            let hops = self.route_dht(from, key);
-            self.net.charge_rounds(hops); // reply path (same length)
-            self.net.charge_messages(hops);
-            true
-        };
-        let v = if delivered {
+        // Request + reply as one round-trip route; an abandoned lookup
+        // reports `None` (counted in `dht_abandoned`).
+        let v = if self.route_dht(from, key, true) {
             self.dht.entries.get(&key).copied()
         } else {
             None
@@ -123,11 +108,15 @@ impl DexNetwork {
         (v, m)
     }
 
-    /// Route one message from `from` to the node owning `h(key)`: the
+    /// Route one message from `from` to the node owning `h(key)` (and,
+    /// for a `round_trip`, the reply back along the same path): the
     /// initiator computes a shortest path in the virtual graph from one of
     /// its own vertices and forwards hop by hop; hops between vertices
-    /// simulated by the same node are free local computation. Returns the
-    /// physical hop count (also charged as rounds and messages).
+    /// simulated by the same node are free local computation. Returns
+    /// whether the message was delivered. The path is resolved once;
+    /// without a fault spec every hop arrives and costs one round and one
+    /// message, with one the hop sequence runs on the message schedule
+    /// ([`Self::route_scheduled`]) and may be abandoned.
     ///
     /// Hot path: the virtual path comes from the pooled bidirectional BFS
     /// ([`dex_graph::pcycle::PCycle::shortest_path_with`], O(√p) visited
@@ -136,7 +125,7 @@ impl DexNetwork {
     /// ([`crate::VirtualMapping::owner_of`], one array load), and every
     /// buffer lives in the pooled [`crate::routing::RouteScratch`] — zero
     /// allocation per operation once warm.
-    fn route_dht(&mut self, from: NodeId, key: Key) -> u64 {
+    fn route_dht(&mut self, from: NodeId, key: Key, round_trip: bool) -> bool {
         let target = hash_to_vertex(key, self.cycle.p());
         let start = *self
             .map
@@ -147,8 +136,9 @@ impl DexNetwork {
         let route = &mut self.heal.route;
         self.cycle
             .shortest_path_with(start, target, &mut route.bfs, &mut route.vpath);
-        let mut hops = 0u64;
         let mut prev = self.map.owner_of(route.vpath[0]);
+        route.npath.clear();
+        route.npath.push(prev);
         for &z in &route.vpath[1..] {
             let cur = self.map.owner_of(z);
             if cur != prev {
@@ -156,13 +146,19 @@ impl DexNetwork {
                     self.net.graph().contains_edge(prev, cur),
                     "virtual path step not physical: {prev} {cur}"
                 );
-                hops += 1;
+                route.npath.push(cur);
+                prev = cur;
             }
-            prev = cur;
         }
-        self.net.charge_rounds(hops);
-        self.net.charge_messages(hops);
-        hops
+        match self.faults {
+            None => {
+                let hops = (route.npath.len() as u64 - 1) * if round_trip { 2 } else { 1 };
+                self.net.charge_rounds(hops);
+                self.net.charge_messages(hops);
+                true
+            }
+            Some(spec) => self.route_scheduled(&spec, key, round_trip),
+        }
     }
 
     /// After a type-2 recovery the hash function changed: rehash all data,

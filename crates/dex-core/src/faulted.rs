@@ -1,15 +1,22 @@
-//! Fault-injected execution: type-1 healing walks and DHT routing on
-//! the message-level simulator ([`dex_sim::msim`]).
+//! The message-scheduled transports: healing walks, counting floods,
+//! type-2 coordination and DHT routes on the message-level simulator
+//! ([`dex_sim::msim`]), plus the fallbacks that only a lossy transport
+//! can reach.
 //!
-//! With a [`FaultSpec`] installed ([`DexNetwork::set_faults`]), every
-//! type-1 walk and every DHT route runs as actual scheduled messages —
-//! subject to loss, latency skew and partitions — instead of the
-//! centralized fast path. The adapter preserves the protocol shape of
-//! each centralized heal loop exactly (flood-once vs flood-per-miss,
-//! load-update batching, RNG stream keying), so a **zero** fault spec is
-//! bit-identical to running with no spec at all: same end state, same
-//! per-step rounds and messages (`tests/msim_diff.rs` enforces this at
-//! several thread counts).
+//! There is one insert-heal loop and one delete-heal loop
+//! (`DexNetwork::heal_insert` / `DexNetwork::heal_delete`) and one
+//! DHT route. Each asks a transport for a walk, a count or a delivery;
+//! with a [`FaultSpec`] installed ([`DexNetwork::set_faults`]) the
+//! transport is this module's — every token, flood forward, convergecast
+//! report and route hop is an actual scheduled message, subject to loss,
+//! latency skew and partitions — and without one it is the centralized
+//! `random_walk_search` / `flood_count_with` / hop count, which never
+//! loses a token and always completes its convergecast. Generation 0 of
+//! a scheduled walk replays the centralized RNG stream and unit-latency
+//! scheduling charges one round and one message per hop, so a **zero**
+//! fault spec is bit-identical to no spec at all: same end state, same
+//! per-step rounds and messages (`tests/msim_diff.rs` runs the two
+//! transports under the one loop at several thread counts).
 //!
 //! Under real faults, three robustness layers engage:
 //!
@@ -33,9 +40,8 @@
 //! times with deterministic backoff and then settles for the partial
 //! count plus the best partial witness (`flood_retries` /
 //! `floods_partial` in [`FaultStats`]) — a heal decision taken on a
-//! partial count (e.g. concluding the spare set ran dry and inflating)
-//! is the protocol's honest degradation, never an unsoundness: every
-//! path still terminates with the invariants intact.
+//! partial count is the protocol's honest degradation, never an
+//! unsoundness: every path still terminates with the invariants intact.
 //!
 //! Type-2 rebuilds coordinate on the schedule too
 //! ([`DexNetwork::type2_coordinate`]): the announcement flood's
@@ -52,11 +58,11 @@
 //! on charged cost models.
 
 use crate::config::RecoveryMode;
-use crate::dex::DexNetwork;
-use crate::dht::{hash_to_vertex, Key};
+use crate::dex::{DexNetwork, HealWalk, WalkGoal};
+use crate::dht::Key;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_sim::flood::flood_count_with;
-use dex_sim::msim::{self, FaultSpec, FaultStats, OpStatus, RouteOp, WalkOp};
+use dex_sim::msim::{self, FaultSpec, FaultStats, FloodOutcome, OpStatus, RouteOp, WalkOp};
 use dex_sim::rng::{splitmix64, Purpose};
 use dex_sim::{RecoveryKind, StepKind, StepMetrics};
 
@@ -81,29 +87,12 @@ fn op_key_for(seed: u64, word: u64, ctx: &[u64]) -> u64 {
     acc
 }
 
-/// What a faulted walk is searching for.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum WalkGoal {
-    /// A node in Spare (insertion healing).
-    Spare,
-    /// A node in Low (deletion healing).
-    Low,
-}
-
-/// Outcome of one faulted walk attempt.
-struct FaultedWalk {
-    /// Accepting node, if the walk hit.
-    hit: Option<NodeId>,
-    /// The walk was abandoned: every transport retry lost its token.
-    /// (`false` + `hit: None` is a genuine protocol miss.)
-    lost: bool,
-}
-
 impl DexNetwork {
-    /// Install (or clear) the fault model. While set, type-1 walks and
-    /// DHT routing run on the message-level simulator (see the module
-    /// docs). Requires simplified mode with no staggered operation in
-    /// progress (the staggered machinery assumes one event per step).
+    /// Install (or clear) the fault model. While set, walks, floods,
+    /// type-2 coordination and DHT routes run on the message-level
+    /// simulator (see the module docs). Requires simplified mode with no
+    /// staggered operation in progress (the staggered machinery assumes
+    /// one event per step).
     pub fn set_faults(&mut self, spec: Option<FaultSpec>) {
         if spec.is_some() {
             assert_eq!(
@@ -140,20 +129,25 @@ impl DexNetwork {
         self.fault_stats
     }
 
+    /// The installed spec, for code only a lost walk can lead to.
+    pub(crate) fn scheduled_spec(&self) -> FaultSpec {
+        self.faults.expect("reached only under a fault spec")
+    }
+
     /// Run one healing walk on the message schedule. `ctx` is exactly
-    /// the context the centralized path would key its stream with;
+    /// the context the centralized transport keys its stream with;
     /// generation 0 replays that stream, so at zero faults the outcome
     /// (hit, hops, charge) is bit-identical to
     /// [`dex_sim::tokens::random_walk_search`].
-    fn walk_faulted(
+    pub(crate) fn walk_scheduled(
         &mut self,
+        spec: &FaultSpec,
         start: NodeId,
         exclude: Option<NodeId>,
         goal: WalkGoal,
         purpose: Purpose,
         ctx: &[u64],
-    ) -> FaultedWalk {
-        let spec = self.faults.expect("walk_faulted without a fault spec");
+    ) -> HealWalk {
         let walk_len = self.cfg.walk_len(self.cycle.p());
         let op_key = op_key_for(spec.seed, RETRY_WORD, ctx);
         let ops = [WalkOp {
@@ -166,10 +160,7 @@ impl DexNetwork {
             let g = self.net.graph();
             let map = &self.map;
             let seeds = &self.seeds;
-            let accept = move |w: NodeId| match goal {
-                WalkGoal::Spare => map.is_spare(w),
-                WalkGoal::Low => map.is_low(w),
-            };
+            let accept = move |w: NodeId| goal.accepts(map, w);
             let mk_rng = |_: usize, retry: u32| {
                 if retry == 0 {
                     seeds.stream(purpose, ctx)
@@ -180,13 +171,13 @@ impl DexNetwork {
                     seeds.stream(purpose, &ext)
                 }
             };
-            msim::run_walks(g, &spec, &ops, accept, mk_rng, self.heal_threads)
+            msim::run_walks(g, spec, &ops, accept, mk_rng, self.heal_threads)
         };
         self.net.charge_rounds(report.makespan);
         self.net.charge_messages(report.messages);
         self.fault_stats.merge(&report.stats);
         let r = &results[0];
-        FaultedWalk {
+        HealWalk {
             hit: r.hit,
             lost: r.status == OpStatus::Lost,
         }
@@ -196,43 +187,31 @@ impl DexNetwork {
     // Floods & type-2 coordination
     // ------------------------------------------------------------------
 
-    /// Run one flood-aggregate on the message schedule, charging its
-    /// makespan and sends. At zero faults the outcome and charges are
-    /// bit-identical to [`flood_count_with`]; under faults the result
-    /// may be a partial count with the best partial witness.
-    fn flood_faulted_inner(
+    /// Run one flood-aggregate on the message schedule with a re-flood
+    /// budget of `retries`, charging its makespan and sends; `goal: None`
+    /// counts nothing (a type-2 announcement). At zero faults the outcome
+    /// and charges are bit-identical to [`flood_count_with`]; under
+    /// faults the result may be a partial count with the best partial
+    /// witness.
+    pub(crate) fn flood_scheduled(
         &mut self,
+        spec: &FaultSpec,
         root: NodeId,
         goal: Option<WalkGoal>,
         ctx: &[u64],
         retries: u32,
-    ) -> msim::FloodOutcome {
-        let spec = self.faults.expect("flood_faulted without a fault spec");
+    ) -> FloodOutcome {
         let op_key = op_key_for(spec.seed, FLOOD_WORD, ctx);
         let (outcome, report) = {
             let g = self.net.graph();
             let map = &self.map;
-            let pred = move |w: NodeId| match goal {
-                Some(WalkGoal::Spare) => map.is_spare(w),
-                Some(WalkGoal::Low) => map.is_low(w),
-                None => false,
-            };
-            msim::run_flood(g, &spec, root, pred, op_key, retries, self.heal_threads)
+            let pred = move |w: NodeId| goal.is_some_and(|goal| goal.accepts(map, w));
+            msim::run_flood(g, spec, root, pred, op_key, retries, self.heal_threads)
         };
         self.net.charge_rounds(report.makespan);
         self.net.charge_messages(report.messages);
         self.fault_stats.merge(&report.stats);
         outcome
-    }
-
-    /// Heal-path flood (computeSpare/computeLow) with the spec's
-    /// re-flood budget.
-    fn flood_faulted(&mut self, root: NodeId, goal: WalkGoal, ctx: &[u64]) -> msim::FloodOutcome {
-        let retries = self
-            .faults
-            .expect("flood_faulted without a fault spec")
-            .flood_retries;
-        self.flood_faulted_inner(root, Some(goal), ctx, retries)
     }
 
     /// One type-2 coordination attempt: a single flood generation (no
@@ -245,10 +224,12 @@ impl DexNetwork {
     /// byte-identical to the pre-op state.
     pub(crate) fn type2_coordinate_attempt(
         &mut self,
+        spec: &FaultSpec,
         root: NodeId,
         attempt: u32,
-    ) -> msim::FloodOutcome {
-        self.flood_faulted_inner(
+    ) -> FloodOutcome {
+        self.flood_scheduled(
+            spec,
             root,
             None,
             &[self.step_no, root.0, TYPE2_WORD | attempt as u64],
@@ -256,161 +237,50 @@ impl DexNetwork {
         )
     }
 
-    /// Coordinate a type-2 rebuild (inflate/deflate) on the message
-    /// schedule. The initiator releases the rebuild — the commit rides
-    /// the first Phase-1 message wave — only after an attempt's
-    /// convergecast completes. An incomplete attempt rolls back cleanly
-    /// (counted in `type2_rollbacks`), waits out a deterministic
-    /// exponential backoff, and re-initiates (`type2_reinitiations`) up
-    /// to the spec's `type2_retries`; when the budget exhausts, the
-    /// announcement escalates to per-link ARQ (reliable, charged at the
-    /// centralized flood cost), so a type-2 always completes.
+    /// Announce a type-2 rebuild (inflate/deflate) from `root` so every
+    /// node switches to the same Z(p'). Without a fault spec that is one
+    /// centralized flood. With one, the announcement and its convergecast
+    /// run on the message schedule first: the initiator releases the
+    /// rebuild — the commit rides the first Phase-1 message wave — only
+    /// after an attempt's convergecast completes. An incomplete attempt
+    /// rolls back cleanly (counted in `type2_rollbacks`), waits out a
+    /// deterministic exponential backoff, and re-initiates
+    /// (`type2_reinitiations`) up to the spec's `type2_retries`; when the
+    /// budget exhausts, the announcement escalates to per-link ARQ
+    /// (reliable, charged at the centralized flood cost), so a type-2
+    /// always completes.
     pub(crate) fn type2_coordinate(&mut self, root: NodeId) {
-        let spec = self.faults.expect("type2_coordinate without a fault spec");
-        for attempt in 0..=spec.type2_retries {
-            let out = self.type2_coordinate_attempt(root, attempt);
-            if out.complete {
-                return;
-            }
-            self.fault_stats.type2_rollbacks += 1;
-            if attempt < spec.type2_retries {
-                self.fault_stats.type2_reinitiations += 1;
-                // Deterministic exponential backoff: the failed attempt
-                // already charged one timeout window (its close round);
-                // the initiator idles for 2^min(a,3) − 1 more of them
-                // before re-initiating.
-                let wait = out.close_round * ((1u64 << attempt.min(3)) - 1);
-                self.net.charge_rounds(wait);
+        if let Some(spec) = self.faults {
+            for attempt in 0..=spec.type2_retries {
+                let out = self.type2_coordinate_attempt(&spec, root, attempt);
+                if out.complete {
+                    return;
+                }
+                self.fault_stats.type2_rollbacks += 1;
+                if attempt < spec.type2_retries {
+                    self.fault_stats.type2_reinitiations += 1;
+                    // Deterministic exponential backoff: the failed
+                    // attempt already charged one timeout window (its
+                    // close round); the initiator idles for
+                    // 2^min(a,3) − 1 more of them before re-initiating.
+                    let wait = out.close_round * ((1u64 << attempt.min(3)) - 1);
+                    self.net.charge_rounds(wait);
+                }
             }
         }
-        // Budget exhausted: reliable announcement (per-link ARQ).
         flood_count_with(&mut self.net, root, |_| false, &mut self.flood_scratch);
     }
 
     // ------------------------------------------------------------------
-    // Insertion healing (mirrors `insert_normal` / `heal_one_insert`)
+    // Fallbacks after repeated walk loss
     // ------------------------------------------------------------------
 
-    /// Faulted single-insert recovery: same shape as `insert_normal`
-    /// (flood at most once per step, then keep retrying walks), plus the
-    /// lost-walk fallback.
-    pub(crate) fn insert_normal_faulted(&mut self, u: NodeId, v: NodeId) -> RecoveryKind {
-        let spec = self.faults.expect("faulted heal without a fault spec");
-        let mut flooded = false;
-        let mut lost = 0u32;
-        for attempt in 0..self.cfg.max_walk_retries {
-            self.walk_stats.attempts += 1;
-            let out = self.walk_faulted(
-                v,
-                Some(u),
-                WalkGoal::Spare,
-                Purpose::InsertWalk,
-                &[self.step_no, attempt],
-            );
-            if let Some(w) = out.hit {
-                self.walk_stats.hits += 1;
-                self.give_vertex_to_new_node(w, u, v);
-                return RecoveryKind::Type1;
-            }
-            if out.lost {
-                lost += 1;
-                if lost > spec.fallback_after {
-                    return match self.insert_fallback(u, v) {
-                        true => RecoveryKind::Type1,
-                        false => RecoveryKind::InflateSimple,
-                    };
-                }
-                continue;
-            }
-            self.walk_stats.misses += 1;
-            if flooded {
-                continue;
-            }
-            flooded = true;
-            let res = self.flood_faulted(v, WalkGoal::Spare, &[self.step_no, attempt]);
-            let n_prev = res.n.saturating_sub(1);
-            if !self.cfg.spare_sufficient(res.matching, n_prev) {
-                // Only a *complete* convergecast proves the spare set is
-                // dry: a partial count is a lower bound, and inflating on
-                // it compounds under sustained loss until the mapping can
-                // no longer balance. Partial + insufficient degrades to
-                // the best partial witness; no witness → keep walking.
-                if res.complete {
-                    self.walk_stats.type2 += 1;
-                    crate::type2_simple::inflate(self, Some((u, v)));
-                    return RecoveryKind::InflateSimple;
-                }
-                if let Some(w) = res.witness {
-                    self.fault_stats.heal_fallbacks += 1;
-                    self.walk_stats.hits += 1;
-                    self.give_vertex_to_new_node(w, u, v);
-                    return RecoveryKind::Type1;
-                }
-            }
-        }
-        panic!(
-            "faulted insertion walk failed {} times (n={}, p={})",
-            self.cfg.max_walk_retries,
-            self.n(),
-            self.cycle.p()
-        );
-    }
-
-    /// Faulted batch-insert healing: same shape as `heal_one_insert`
-    /// (flood on every miss). Returns whether type-2 was needed.
-    pub(crate) fn heal_one_insert_faulted(&mut self, u: NodeId, v: NodeId) -> bool {
-        let spec = self.faults.expect("faulted heal without a fault spec");
-        let mut lost = 0u32;
-        for attempt in 0..self.cfg.max_walk_retries {
-            self.walk_stats.attempts += 1;
-            let out = self.walk_faulted(
-                v,
-                Some(u),
-                WalkGoal::Spare,
-                Purpose::InsertWalk,
-                &[self.step_no, u.0, attempt],
-            );
-            if let Some(w) = out.hit {
-                self.walk_stats.hits += 1;
-                self.give_vertex_to_new_node(w, u, v);
-                return false;
-            }
-            if out.lost {
-                lost += 1;
-                if lost > spec.fallback_after {
-                    return !self.insert_fallback(u, v);
-                }
-                continue;
-            }
-            self.walk_stats.misses += 1;
-            let res = self.flood_faulted(v, WalkGoal::Spare, &[self.step_no, u.0, attempt]);
-            if !self
-                .cfg
-                .spare_sufficient(res.matching, res.n.saturating_sub(1))
-            {
-                // Same partial-evidence rule as `insert_normal_faulted`:
-                // only a complete convergecast may trigger inflation.
-                if res.complete {
-                    self.walk_stats.type2 += 1;
-                    crate::type2_simple::inflate(self, Some((u, v)));
-                    return true;
-                }
-                if let Some(w) = res.witness {
-                    self.fault_stats.heal_fallbacks += 1;
-                    self.walk_stats.hits += 1;
-                    self.give_vertex_to_new_node(w, u, v);
-                    return false;
-                }
-            }
-        }
-        panic!("faulted batch insertion starved (n={})", self.n());
-    }
-
-    /// Walk-free insert fallback after repeated walk loss: flood for the
-    /// spare set, heal to its witness (or inflate if spares ran out).
-    /// Returns `true` when type-1 healing sufficed.
-    fn insert_fallback(&mut self, u: NodeId, v: NodeId) -> bool {
-        let res = self.flood_faulted(v, WalkGoal::Spare, &[self.step_no, u.0, FLOOD_WORD]);
+    /// Walk-free insert fallback: flood for the spare set, heal to its
+    /// witness (or inflate if spares ran out).
+    pub(crate) fn insert_fallback(&mut self, u: NodeId, v: NodeId) -> RecoveryKind {
+        let spec = self.scheduled_spec();
+        let ctx = [self.step_no, u.0, FLOOD_WORD];
+        let res = self.flood_scheduled(&spec, v, Some(WalkGoal::Spare), &ctx, spec.flood_retries);
         let n_prev = res.n.saturating_sub(1);
         // Inflate only on *proof* that the spare set is dry: a complete
         // convergecast (exact count) that fails the sufficiency test. A
@@ -421,7 +291,7 @@ impl DexNetwork {
         if res.complete && !self.cfg.spare_sufficient(res.matching, n_prev) {
             self.walk_stats.type2 += 1;
             crate::type2_simple::inflate(self, Some((u, v)));
-            return false;
+            return RecoveryKind::InflateSimple;
         }
         // Partial flood: heal to the best partial witness. When not even
         // one spare was reachable, degrade to a local donation — the
@@ -443,230 +313,32 @@ impl DexNetwork {
         let Some(w) = donor else {
             self.walk_stats.type2 += 1;
             crate::type2_simple::inflate(self, Some((u, v)));
-            return false;
+            return RecoveryKind::InflateSimple;
         };
         self.fault_stats.heal_fallbacks += 1;
         self.walk_stats.hits += 1;
         self.give_vertex_to_new_node(w, u, v);
-        true
-    }
-
-    // ------------------------------------------------------------------
-    // Deletion healing (mirrors `delete_normal_core` /
-    // `heal_one_delete_core`)
-    // ------------------------------------------------------------------
-
-    /// Faulted single-delete recovery: same shape as
-    /// `delete_normal_core` (re-flood after every miss; batched load
-    /// updates at the end), plus the lost-walk fallback.
-    pub(crate) fn delete_normal_core_faulted(
-        &mut self,
-        rescuer: NodeId,
-        zs: &[VertexId],
-        touched: &mut Vec<NodeId>,
-    ) -> RecoveryKind {
-        let spec = self.faults.expect("faulted heal without a fault spec");
-        debug_assert!(!zs.is_empty(), "every node simulates >= 1 vertex");
-        crate::fabric::adopt_vertices(
-            &mut self.net,
-            &mut self.map,
-            &self.cycle,
-            zs,
-            rescuer,
-            &mut self.heal.insts,
-        );
-        self.net.charge_messages(3 * zs.len() as u64);
-        self.net.charge_rounds(1);
-        touched.push(rescuer);
-        for (i, &z) in zs.iter().enumerate() {
-            let mut attempt = 0;
-            let mut lost = 0u32;
-            loop {
-                self.walk_stats.attempts += 1;
-                let out = self.walk_faulted(
-                    rescuer,
-                    None,
-                    WalkGoal::Low,
-                    Purpose::DeleteWalk,
-                    &[self.step_no, i as u64, attempt],
-                );
-                if let Some(w) = out.hit {
-                    self.walk_stats.hits += 1;
-                    self.move_to_low(z, rescuer, w, Some(touched));
-                    break;
-                }
-                if out.lost {
-                    lost += 1;
-                    if lost > spec.fallback_after {
-                        match self.delete_fallback(z, rescuer, Some(touched)) {
-                            true => break,
-                            false => return RecoveryKind::DeflateSimple,
-                        }
-                    }
-                } else {
-                    self.walk_stats.misses += 1;
-                    let res = self.flood_faulted(
-                        rescuer,
-                        WalkGoal::Low,
-                        &[self.step_no, i as u64, attempt],
-                    );
-                    if !self.cfg.low_sufficient(res.matching, res.n) {
-                        // Deflate only on a complete convergecast — a
-                        // partial count undercounts the Low set, and a
-                        // spurious deflation can shrink p below what the
-                        // surviving nodes need. Partial + witness heals
-                        // to the witness; no witness → keep walking.
-                        if res.complete {
-                            self.walk_stats.type2 += 1;
-                            crate::type2_simple::deflate(self, rescuer);
-                            return RecoveryKind::DeflateSimple;
-                        }
-                        if let Some(w) = res.witness {
-                            self.fault_stats.heal_fallbacks += 1;
-                            self.walk_stats.hits += 1;
-                            self.move_to_low(z, rescuer, w, Some(touched));
-                            break;
-                        }
-                    }
-                }
-                attempt += 1;
-                assert!(
-                    attempt < self.cfg.max_walk_retries,
-                    "faulted deletion walk failed {} times",
-                    self.cfg.max_walk_retries
-                );
-            }
-        }
-        touched.sort_unstable();
-        touched.dedup();
-        self.charge_load_updates(touched);
         RecoveryKind::Type1
     }
 
-    /// Faulted batch-delete healing: same shape as
-    /// `heal_one_delete_core` (no load-update batching; deflation
-    /// rehomes the remaining vertices). Returns whether type-2 was
-    /// needed.
-    pub(crate) fn heal_one_delete_core_faulted(
+    /// Walk-free delete fallback: flood for the low set, rehome `z` to
+    /// its witness (or deflate if Low ran out). Returns `true` when
+    /// type-1 healing sufficed.
+    pub(crate) fn delete_fallback(
         &mut self,
-        victim: NodeId,
+        z: VertexId,
         rescuer: NodeId,
-        zs: &[VertexId],
+        touched: Option<&mut Vec<NodeId>>,
     ) -> bool {
-        let spec = self.faults.expect("faulted heal without a fault spec");
-        crate::fabric::adopt_vertices(
-            &mut self.net,
-            &mut self.map,
-            &self.cycle,
-            zs,
+        let spec = self.scheduled_spec();
+        let ctx = [self.step_no, z.0, rescuer.0];
+        let res = self.flood_scheduled(
+            &spec,
             rescuer,
-            &mut self.heal.insts,
+            Some(WalkGoal::Low),
+            &ctx,
+            spec.flood_retries,
         );
-        self.net.charge_messages(3 * zs.len() as u64);
-        self.net.charge_rounds(1);
-        let mut used_type2 = false;
-        for (i, &z) in zs.iter().enumerate() {
-            let mut attempt = 0u64;
-            let mut lost = 0u32;
-            loop {
-                self.walk_stats.attempts += 1;
-                let out = self.walk_faulted(
-                    rescuer,
-                    None,
-                    WalkGoal::Low,
-                    Purpose::DeleteWalk,
-                    &[self.step_no, victim.0, i as u64, attempt],
-                );
-                if let Some(w) = out.hit {
-                    self.walk_stats.hits += 1;
-                    self.move_to_low(z, rescuer, w, None);
-                    break;
-                }
-                if out.lost {
-                    lost += 1;
-                    if lost > spec.fallback_after {
-                        match self.delete_fallback(z, rescuer, None) {
-                            true => break,
-                            false => {
-                                used_type2 = true;
-                                break;
-                            }
-                        }
-                    }
-                } else {
-                    self.walk_stats.misses += 1;
-                    let res = self.flood_faulted(
-                        rescuer,
-                        WalkGoal::Low,
-                        &[self.step_no, victim.0, i as u64, attempt],
-                    );
-                    if !self.cfg.low_sufficient(res.matching, res.n) {
-                        // Same partial-evidence rule as the single-delete
-                        // path: only a complete convergecast may deflate.
-                        if res.complete {
-                            self.walk_stats.type2 += 1;
-                            crate::type2_simple::deflate(self, rescuer);
-                            used_type2 = true;
-                            break;
-                        }
-                        if let Some(w) = res.witness {
-                            self.fault_stats.heal_fallbacks += 1;
-                            self.walk_stats.hits += 1;
-                            self.move_to_low(z, rescuer, w, None);
-                            break;
-                        }
-                    }
-                }
-                attempt += 1;
-                assert!(
-                    attempt < self.cfg.max_walk_retries,
-                    "faulted batch deletion starved"
-                );
-            }
-            if used_type2 {
-                break; // remaining vertices were redistributed by deflate
-            }
-        }
-        used_type2
-    }
-
-    /// Move vertex `z` from `rescuer` to the Low node `w` (no-op when the
-    /// rescuer itself was picked), recording `w` in `touched` when the
-    /// caller batches load updates.
-    fn move_to_low(
-        &mut self,
-        z: VertexId,
-        rescuer: NodeId,
-        w: NodeId,
-        touched: Option<&mut Vec<NodeId>>,
-    ) {
-        if w != rescuer {
-            crate::fabric::move_vertices(
-                &mut self.net,
-                &mut self.map,
-                &self.cycle,
-                &[z],
-                w,
-                &mut self.heal.insts,
-            );
-            self.net.charge_messages(4);
-            self.net.charge_rounds(1);
-            if let Some(t) = touched {
-                t.push(w);
-            }
-        }
-    }
-
-    /// Walk-free delete fallback after repeated walk loss: flood for the
-    /// low set, rehome `z` to its witness (or deflate if Low ran out).
-    /// Returns `true` when type-1 healing sufficed.
-    fn delete_fallback(
-        &mut self,
-        z: VertexId,
-        rescuer: NodeId,
-        touched: Option<&mut Vec<NodeId>>,
-    ) -> bool {
-        let res = self.flood_faulted(rescuer, WalkGoal::Low, &[self.step_no, z.0, rescuer.0]);
         // Deflate when no Low node was reached at all, or when a
         // *complete* convergecast proves the Low set insufficient; a
         // partial count with a witness in hand degrades to healing to
@@ -688,49 +360,22 @@ impl DexNetwork {
     // DHT routing
     // ------------------------------------------------------------------
 
-    /// Route a DHT message on the actual schedule: resolve the virtual
-    /// shortest path exactly as the centralized `route_dht` does, then
-    /// run the physical hop sequence as one [`RouteOp`] (round-trip for
-    /// lookups). Charges the run's makespan and sends; returns `false`
-    /// when the route was abandoned (counted in `dht_abandoned`).
-    pub(crate) fn route_dht_faulted(&mut self, from: NodeId, key: Key, round_trip: bool) -> bool {
-        let spec = self.faults.expect("faulted route without a fault spec");
-        let target = hash_to_vertex(key, self.cycle.p());
-        let start = *self
-            .map
-            .sim(from)
-            .iter()
-            .min()
-            .expect("initiator simulates a vertex");
-        let route = &mut self.heal.route;
-        self.cycle
-            .shortest_path_with(start, target, &mut route.bfs, &mut route.vpath);
-        // Physical node path: the owner sequence of the virtual path with
-        // consecutive duplicates collapsed (same-node virtual hops are
-        // free local computation).
-        let mut path: Vec<NodeId> = Vec::with_capacity(route.vpath.len());
-        path.push(self.map.owner_of(route.vpath[0]));
-        for &zv in &route.vpath[1..] {
-            let cur = self.map.owner_of(zv);
-            if cur != *path.last().expect("path starts non-empty") {
-                debug_assert!(
-                    self.net
-                        .graph()
-                        .contains_edge(*path.last().expect("non-empty"), cur),
-                    "virtual path step not physical"
-                );
-                path.push(cur);
-            }
-        }
+    /// Run the resolved DHT route (`self.heal.route.npath`) as one
+    /// [`RouteOp`] on the message schedule (round-trip for lookups).
+    /// Charges the run's makespan and sends; returns `false` when the
+    /// route was abandoned (counted in `dht_abandoned`).
+    pub(crate) fn route_scheduled(&mut self, spec: &FaultSpec, key: Key, round_trip: bool) -> bool {
         let op_key = splitmix64(
             splitmix64(spec.seed ^ key) ^ (self.net.steps_completed().wrapping_mul(0x9e37)),
         );
         let ops = [RouteOp {
-            path,
+            path: std::mem::take(&mut self.heal.route.npath),
             round_trip,
             op_key,
         }];
-        let (results, report) = msim::run_routes(self.net.graph(), &spec, &ops, self.heal_threads);
+        let (results, report) = msim::run_routes(self.net.graph(), spec, &ops, self.heal_threads);
+        let [op] = ops;
+        self.heal.route.npath = op.path;
         self.net.charge_rounds(report.makespan);
         self.net.charge_messages(report.messages);
         self.fault_stats.merge(&report.stats);
@@ -784,7 +429,7 @@ mod tests {
         let before = snapshot(&dex);
         let dht_before = dex.dht_store().entries_sorted();
         dex.net.begin_step();
-        let out = dex.type2_coordinate_attempt(root, 0);
+        let out = dex.type2_coordinate_attempt(&all_loss(), root, 0);
         dex.net.end_step(StepKind::Insert, RecoveryKind::Type1);
         assert!(!out.complete, "all-loss spec completed a convergecast");
         assert_eq!(snapshot(&dex), before, "failed attempt mutated state");

@@ -12,9 +12,9 @@
 //! Path computation memoizes one BFS tree per routing *target*. A full
 //! permutation has p distinct targets (O(p²) simulator work), so the
 //! one-shot type-2 procedures execute real routing up to
-//! [`EXACT_ROUTING_MAX_P`] and fall back to the analytical charge above it
-//! (DESIGN.md §5); the experiment harness validates the analytical model
-//! against the executed one in the overlap region.
+//! [`EXACT_ROUTING_MAX_P`] and fall back to the analytical charge above
+//! it; the experiment harness validates the analytical model against the
+//! executed one in the overlap region.
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};
@@ -54,6 +54,9 @@ pub struct RouteScratch {
     pub(crate) bfs: dex_graph::pcycle::PathScratch,
     /// Staging buffer for one virtual path (the DHT route).
     pub(crate) vpath: Vec<VertexId>,
+    /// The DHT route's physical node path (`vpath`'s owner sequence with
+    /// consecutive duplicates collapsed).
+    pub(crate) npath: Vec<NodeId>,
 }
 
 impl RouteScratch {

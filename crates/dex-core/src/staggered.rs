@@ -19,7 +19,7 @@
 //! Because staging is keyed to *vertices* (not nodes), type-1 churn during
 //! an operation composes cleanly: a transferred vertex carries its staging
 //! obligations to its new owner, and intermediate edges follow the vertex
-//! they point at (DESIGN.md fidelity note 6).
+//! they point at.
 //!
 //! Deflation additionally runs the *credit* protocol: every node is
 //! guaranteed one vertex of the smaller cycle (its reserve, marked
@@ -75,11 +75,6 @@ impl StaggeredOp {
     /// Is this an inflation?
     pub fn is_inflation(&self) -> bool {
         self.kind == OpKind::Inflate
-    }
-
-    /// The new prime.
-    pub fn new_prime(&self) -> u64 {
-        self.new_cycle.p()
     }
 
     /// Phase 1 still running?

@@ -13,7 +13,7 @@
 //!   *executed* token-by-token on the old virtual graph with per-edge
 //!   congestion up to `p ≤` [`crate::routing::EXACT_ROUTING_MAX_P`]; above
 //!   that it is charged at the analytical cost (`O(p·log p)` messages,
-//!   `O(log p)` rounds) — see DESIGN.md §5;
+//!   `O(log p)` rounds);
 //! * edge churn is the exact multiset difference between the old and new
 //!   contraction fabrics.
 
@@ -24,7 +24,6 @@ use dex_graph::fxhash::{FxHashMap, FxHashSet};
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::{resize, PCycle};
 use dex_graph::primes;
-use dex_sim::flood::flood_count;
 use dex_sim::rng::Purpose;
 use dex_sim::tokens::random_walk_search;
 use rand::Rng;
@@ -93,13 +92,8 @@ pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
     // Under a fault spec the announcement flood plus its convergecast
     // (reservations + commit acks) run on the message schedule and may
     // roll back and re-initiate; nothing below executes until a
-    // coordination round completes. Fault-free runs keep the exact
-    // centralized flood charge.
-    if dex.faults.is_some() {
-        dex.type2_coordinate(root);
-    } else {
-        flood_count(&mut dex.net, root, |_| false);
-    }
+    // coordination round completes.
+    dex.type2_coordinate(root);
 
     // Phase 1: every node locally replaces each owned vertex x by its
     // cloud (Eq. 6–8). Local computation is free in the model; the
@@ -170,11 +164,7 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
 
     // Same coordination contract as `inflate`: commit only after a
     // complete announcement/reservation/ack round.
-    if dex.faults.is_some() {
-        dex.type2_coordinate(root);
-    } else {
-        flood_count(&mut dex.net, root, |_| false);
-    }
+    dex.type2_coordinate(root);
 
     // Phase 1: dominating vertices survive (y = ⌊x/α⌋, smallest preimage
     // keeps it); everything else is contracted away. As in `inflate`, the

@@ -1,0 +1,292 @@
+//! Golden digests for the paths `tests/batch.rs`'s golden does not reach:
+//! single-op steps in simplified and in staggered mode, and a mixed
+//! script under a lossy fault spec. Recorded on cf379e9, the last commit
+//! where each of the insert and delete heal loops existed four times
+//! (single/batch × centralized/faulted); the merged `heal_insert` /
+//! `heal_delete` must reproduce every value at executor threads 1/3/8.
+
+use dex_core::{invariants, DexConfig, DexNetwork, FaultSpec, FaultStats};
+use dex_graph::ids::NodeId;
+use dex_sim::rng::splitmix64;
+
+/// What a golden pins: Φ, the metered totals, the walk counters and the
+/// fault-layer counters (all zero when no spec is installed).
+#[derive(Debug, PartialEq, Eq)]
+struct Digest {
+    /// Hash of `map.entries_sorted()`.
+    phi: u64,
+    rounds: u64,
+    messages: u64,
+    topology_changes: u64,
+    /// `walk_stats` as `[attempts, hits, misses, type2]`.
+    walks: [u64; 4],
+    faults: FaultStats,
+}
+
+fn digest(dex: &DexNetwork) -> Digest {
+    let phi = dex
+        .map
+        .entries_sorted()
+        .iter()
+        .fold(0, |h, &(z, u)| splitmix64(splitmix64(h ^ z.0) ^ u.0));
+    let t = dex.net.totals();
+    let w = dex.walk_stats;
+    Digest {
+        phi,
+        rounds: t.rounds,
+        messages: t.messages,
+        topology_changes: t.topology_changes,
+        walks: [w.attempts, w.hits, w.misses, w.type2],
+        faults: dex.fault_stats(),
+    }
+}
+
+/// Deterministic request source over the live-node list (the same
+/// bookkeeping as `tests/batch.rs`'s driver).
+struct Script {
+    live: Vec<NodeId>,
+    next_id: u64,
+    state: u64,
+}
+
+impl Script {
+    fn new(dex: &DexNetwork, seed: u64) -> Self {
+        let live = dex.node_ids();
+        let next_id = live.iter().map(|u| u.0).max().unwrap_or(0) + 1;
+        Script {
+            live,
+            next_id,
+            state: splitmix64(seed),
+        }
+    }
+
+    fn rnd(&mut self) -> u64 {
+        self.state = splitmix64(self.state);
+        self.state
+    }
+
+    fn pick_live(&mut self) -> NodeId {
+        let i = (self.rnd() % self.live.len() as u64) as usize;
+        self.live[i]
+    }
+
+    fn insert(&mut self, dex: &mut DexNetwork) {
+        let attach = self.pick_live();
+        let u = NodeId(self.next_id);
+        self.next_id += 1;
+        dex.insert(u, attach);
+        self.live.push(u);
+    }
+
+    fn delete(&mut self, dex: &mut DexNetwork) {
+        let idx = (self.rnd() % self.live.len() as u64) as usize;
+        let victim = self.live.swap_remove(idx);
+        dex.delete(victim);
+    }
+
+    fn insert_batch(&mut self, dex: &mut DexNetwork, k: usize) {
+        let mut joins: Vec<(NodeId, NodeId)> = Vec::with_capacity(k);
+        for _ in 0..k {
+            let attach = loop {
+                let v = self.pick_live();
+                if joins.iter().filter(|&&(_, a)| a == v).count() < 8 {
+                    break v;
+                }
+            };
+            joins.push((NodeId(self.next_id), attach));
+            self.next_id += 1;
+        }
+        dex.insert_batch(&joins);
+        self.live.extend(joins.iter().map(|&(u, _)| u));
+    }
+
+    fn delete_batch(&mut self, dex: &mut DexNetwork, k: usize) {
+        let mut victims: Vec<NodeId> = Vec::with_capacity(k);
+        while victims.len() < k {
+            let v = self.pick_live();
+            if !victims.contains(&v) {
+                victims.push(v);
+            }
+        }
+        self.live.retain(|u| !victims.contains(u));
+        dex.delete_batch(&victims);
+    }
+}
+
+/// Single-op script: 200 steps of mixed churn, inserts until the cycle
+/// has grown (an inflation ran to completion), then deletes until it has
+/// shrunk again (a deflation ran to completion).
+fn run_single_op_script(cfg: DexConfig, threads: usize) -> DexNetwork {
+    let mut dex = DexNetwork::bootstrap(cfg, 64);
+    dex.set_heal_threads(threads);
+    let mut script = Script::new(&dex, 0x5106);
+    for _ in 0..200 {
+        if script.rnd().is_multiple_of(2) {
+            script.insert(&mut dex);
+        } else {
+            script.delete(&mut dex);
+        }
+    }
+    let p0 = dex.cycle.p();
+    let mut steps = 0;
+    while dex.cycle.p() <= p0 || dex.type2_in_progress() {
+        script.insert(&mut dex);
+        steps += 1;
+        assert!(steps < 4_000, "growth phase must complete an inflation");
+    }
+    let p1 = dex.cycle.p();
+    while dex.cycle.p() >= p1 || dex.type2_in_progress() {
+        assert!(dex.n() > 8, "ran out of nodes before a deflation completed");
+        script.delete(&mut dex);
+        steps += 1;
+        assert!(steps < 8_000, "shrink phase must complete a deflation");
+    }
+    invariants::assert_ok(&dex);
+    dex
+}
+
+const GOLDEN_SIMPLIFIED: Digest = Digest {
+    phi: 4951634934777399712,
+    rounds: 10_567,
+    messages: 121_325,
+    topology_changes: 20_702,
+    walks: [2_281, 2_252, 29, 2],
+    faults: NO_FAULTS,
+};
+
+const GOLDEN_STAGGERED: Digest = Digest {
+    phi: 6947582991771896879,
+    rounds: 24_090,
+    messages: 104_210,
+    topology_changes: 23_109,
+    walks: [2_151, 2_155, 3, 0],
+    faults: NO_FAULTS,
+};
+
+const NO_FAULTS: FaultStats = FaultStats {
+    sent: 0,
+    delivered: 0,
+    lost_random: 0,
+    lost_burst: 0,
+    lost_partition: 0,
+    timeouts: 0,
+    reinitiations: 0,
+    walks_lost: 0,
+    routes_lost: 0,
+    heal_fallbacks: 0,
+    dht_abandoned: 0,
+    flood_retries: 0,
+    floods_partial: 0,
+    type2_rollbacks: 0,
+    type2_reinitiations: 0,
+};
+
+#[test]
+fn single_op_simplified_digest_is_unchanged_at_every_thread_count() {
+    for threads in [1, 3, 8] {
+        let dex = run_single_op_script(DexConfig::new(0x601d_0001).simplified(), threads);
+        assert!(dex.walk_stats.type2 >= 2, "script never ran both type-2s");
+        assert!(dex.walk_stats.misses >= 1, "script never flooded");
+        assert_eq!(digest(&dex), GOLDEN_SIMPLIFIED, "heal_threads={threads}");
+    }
+}
+
+#[test]
+fn single_op_staggered_digest_is_unchanged_at_every_thread_count() {
+    for threads in [1, 3, 8] {
+        let dex = run_single_op_script(DexConfig::new(0x601d_0001).staggered(), threads);
+        assert_eq!(digest(&dex), GOLDEN_STAGGERED, "heal_threads={threads}");
+    }
+}
+
+/// Mixed script under Bernoulli loss, with the spec's budgets small
+/// enough that lost walks reach the heal fallbacks, floods close partial
+/// and routes are abandoned: batches of 64 with single ops and DHT
+/// puts/gets between them, growing until an inflation has run and then
+/// shrinking until a deflation has run (walks are long, and so get lost,
+/// only near those two boundaries).
+fn run_lossy_script(threads: usize) -> DexNetwork {
+    let spec = FaultSpec::zero()
+        .with_loss(30)
+        .with_latency(1, 2)
+        .with_retries(1, 1)
+        .with_fallback(1)
+        .with_flood_retries(1)
+        .with_seed(0x1055);
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(0x601d_0003).simplified(), 128);
+    dex.set_heal_threads(threads);
+    dex.set_faults(Some(spec));
+    let mut script = Script::new(&dex, 0x1055);
+    let mut batches = 0;
+    while dex.walk_stats.type2 < 2 {
+        let growing = dex.walk_stats.type2 == 0;
+        if growing {
+            script.insert_batch(&mut dex, 64);
+        } else {
+            assert!(dex.n() > 96, "ran out of nodes before a deflation ran");
+            script.delete_batch(&mut dex, 64);
+        }
+        for _ in 0..16 {
+            // Singles lean the way the batches go, so they meet the same
+            // scarce target set.
+            if script.rnd().is_multiple_of(4) {
+                script.insert(&mut dex);
+                script.delete(&mut dex);
+            } else if growing {
+                script.insert(&mut dex);
+            } else {
+                script.delete(&mut dex);
+            }
+            let from = script.pick_live();
+            let (key, value) = (script.rnd() % 256, script.rnd());
+            dex.dht_insert(from, key, value);
+            let from = script.pick_live();
+            let key = script.rnd() % 256;
+            dex.dht_lookup(from, key);
+        }
+        batches += 1;
+        assert!(
+            batches < 64,
+            "script must cross an inflation and a deflation"
+        );
+    }
+    invariants::assert_ok(&dex);
+    dex
+}
+
+const GOLDEN_LOSSY: Digest = Digest {
+    phi: 1090048683831991131,
+    rounds: 144_113,
+    messages: 580_932,
+    topology_changes: 37_849,
+    walks: [4_135, 4_015, 15, 2],
+    faults: FaultStats {
+        sent: 509_883,
+        delivered: 494_457,
+        lost_random: 15_426,
+        lost_burst: 0,
+        lost_partition: 0,
+        timeouts: 814,
+        reinitiations: 541,
+        walks_lost: 143,
+        routes_lost: 23,
+        heal_fallbacks: 38,
+        dht_abandoned: 23,
+        flood_retries: 49,
+        floods_partial: 58,
+        type2_rollbacks: 9,
+        type2_reinitiations: 8,
+    },
+};
+
+#[test]
+fn lossy_mixed_digest_is_unchanged_at_every_thread_count() {
+    for threads in [1, 3, 8] {
+        let dex = run_lossy_script(threads);
+        let fs = dex.fault_stats();
+        assert!(fs.heal_fallbacks > 0, "no heal ever fell back");
+        assert!(fs.floods_partial > 0, "no flood ever closed partial");
+        assert!(fs.dht_abandoned > 0, "no DHT op was ever abandoned");
+        assert_eq!(digest(&dex), GOLDEN_LOSSY, "heal_threads={threads}");
+    }
+}

@@ -10,16 +10,15 @@
 //!   of runtime knobs; a knob that is not declared here cannot be read.
 //! * **Determinism auditing** — every knob is either resolved once per
 //!   process and latched (the consumers cache), or feeds only
-//!   *scheduling* (thread counts, pipeline depth), never *results*: the
+//!   *scheduling* (thread counts), never *results*: the
 //!   repo's bit-identity contract says flipping any knob may change the
 //!   execution schedule but never a computed byte.
 //! * **No typo'd knobs** — consumers name a [`Knob`] from the registry,
 //!   so a misspelled variable name is a compile error, not a silently
 //!   ignored setting.
 //!
-//! Consumers keep their own one-shot caches (atomics in
-//! `dex_graph::par`, [`crate::thread_budget`]'s `BUDGET`): this module
-//! is the read point, not the cache.
+//! Consumers keep their own one-shot caches ([`crate::thread_budget`]'s
+//! `BUDGET`): this module is the read point, not the cache.
 
 /// One declared environment knob.
 #[derive(Debug, Clone, Copy)]
@@ -29,9 +28,9 @@ pub struct Knob {
     /// Human-readable default, for docs and `--help`-style listings.
     pub default: &'static str,
     /// What the knob controls. A knob is one of two kinds, and the doc
-    /// must make clear which: a **scheduling** knob (thread counts,
-    /// pipeline depth — may change the execution schedule but never a
-    /// computed byte, the bit-identity contract), or a **bench-harness
+    /// must make clear which: a **scheduling** knob (thread counts — may
+    /// change the execution schedule but never a computed byte, the
+    /// bit-identity contract), or a **bench-harness
     /// experiment input** (e.g. an extra fault-curve point) that library
     /// crates never read — only `dex-bench` binaries consume it, and its
     /// value is recorded in the output's config header so the run stays
@@ -77,44 +76,6 @@ pub const DEX_FAULT_SEED: Knob = Knob {
           unaffected); library crates never read it",
 };
 
-/// Memory-level-parallel kernel switch (`dex_graph::par::mlp_enabled`).
-pub const DEX_MLP_KERNELS: Knob = Knob {
-    name: "DEX_MLP_KERNELS",
-    default: "on (anything but `0`/`off`/`false`)",
-    doc: "enable the K-way interleaved walk engine and blocked SpMV; both \
-          paths are bit-identical by construction, so this only changes \
-          the memory access schedule (benchmarking / CI byte-diff knob)",
-};
-
-/// Ingestion-queue bound override for `bench_serve` (experiment input).
-pub const DEX_SERVE_QUEUE_CAP: Knob = Knob {
-    name: "DEX_SERVE_QUEUE_CAP",
-    default: "unset (bench_serve uses its --queue-cap flag, default 4096)",
-    doc: "bench-harness experiment input: overrides the bounded per-shard \
-          ingestion-queue capacity of every serving-harness run bench_serve \
-          launches (arrivals beyond it are deterministically shed); library \
-          crates never read it, and its value lands in the output config \
-          header",
-};
-
-/// Shard-count override for `bench_serve` (experiment input).
-pub const DEX_SERVE_SHARDS: Knob = Knob {
-    name: "DEX_SERVE_SHARDS",
-    default: "unset (bench_serve uses its --shards flag, default 4)",
-    doc: "bench-harness experiment input: overrides the number of key-space \
-          shards (independent DexNetwork instances) bench_serve spreads \
-          traffic over; library crates never read it, and its value lands \
-          in the output config header",
-};
-
-/// Walk-pipeline depth (`dex_graph::par::walk_pipeline_k`).
-pub const DEX_WALK_K: Knob = Knob {
-    name: "DEX_WALK_K",
-    default: "8, clamped to [1, 64]",
-    doc: "interleaved walk engine pipeline depth (lanes in flight); results \
-          are K-invariant, only the prefetch schedule changes",
-};
-
 /// Every knob the workspace honors. Keep sorted by name; the registry
 /// test asserts uniqueness.
 pub const REGISTRY: &[Knob] = &[
@@ -122,10 +83,6 @@ pub const REGISTRY: &[Knob] = &[
     DEX_FAULT_LOSS,
     DEX_FAULT_RETRIES,
     DEX_FAULT_SEED,
-    DEX_MLP_KERNELS,
-    DEX_SERVE_QUEUE_CAP,
-    DEX_SERVE_SHARDS,
-    DEX_WALK_K,
 ];
 
 /// Read a declared knob from the process environment. This is the single
@@ -149,24 +106,6 @@ pub fn exec_threads() -> Option<usize> {
         .filter(|&n| n > 0)
 }
 
-/// `DEX_MLP_KERNELS` parsed: `Some(false)` for `0`/`off`/`false`,
-/// `Some(true)` for any other set value, `None` when unset (consumers
-/// default to on).
-pub fn mlp_kernels() -> Option<bool> {
-    let v = raw(&DEX_MLP_KERNELS)?;
-    Some(!matches!(v.as_str(), "0" | "off" | "false"))
-}
-
-/// `DEX_WALK_K` parsed: a positive integer, else `None` (consumers
-/// default to 8 and clamp to their documented range).
-pub fn walk_k() -> Option<usize> {
-    raw(&DEX_WALK_K)?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&k| k > 0)
-}
-
 /// `DEX_FAULT_LOSS` parsed: a loss probability in 1/1000 units, clamped
 /// to the valid `0..=1000` range; `None` when unset or malformed.
 pub fn fault_loss() -> Option<u32> {
@@ -186,26 +125,6 @@ pub fn fault_retries() -> Option<u32> {
 /// `DEX_FAULT_SEED` parsed: a u64 fault-stream seed, else `None`.
 pub fn fault_seed() -> Option<u64> {
     raw(&DEX_FAULT_SEED)?.trim().parse::<u64>().ok()
-}
-
-/// `DEX_SERVE_SHARDS` parsed: a positive shard count, else `None`
-/// (bench_serve falls back to its `--shards` flag).
-pub fn serve_shards() -> Option<usize> {
-    raw(&DEX_SERVE_SHARDS)?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&s| s > 0)
-}
-
-/// `DEX_SERVE_QUEUE_CAP` parsed: a positive per-shard queue bound, else
-/// `None` (bench_serve falls back to its `--queue-cap` flag).
-pub fn serve_queue_cap() -> Option<usize> {
-    raw(&DEX_SERVE_QUEUE_CAP)?
-        .trim()
-        .parse::<usize>()
-        .ok()
-        .filter(|&c| c > 0)
 }
 
 #[cfg(test)]
@@ -239,21 +158,11 @@ mod tests {
         if let Some(n) = exec_threads() {
             assert!(n > 0);
         }
-        if let Some(k) = walk_k() {
-            assert!(k > 0);
-        }
-        let _ = mlp_kernels();
         if let Some(m) = fault_loss() {
             assert!(m <= 1000);
         }
         let _ = fault_retries();
         let _ = fault_seed();
-        if let Some(s) = serve_shards() {
-            assert!(s > 0);
-        }
-        if let Some(c) = serve_queue_cap() {
-            assert!(c > 0);
-        }
     }
 
     #[test]

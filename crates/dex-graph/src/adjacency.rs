@@ -215,35 +215,6 @@ impl MultiGraph {
         self.slots.get(slot as usize).is_some_and(|s| s.alive)
     }
 
-    /// Prefetch `slot`'s arena record (id + adjacency header) toward L1.
-    /// Batch engines call this one pipeline stage before touching the slot
-    /// so the dependent-miss chain of a pointer chase overlaps across
-    /// items (see [`crate::par::prefetch_read`]).
-    #[inline(always)]
-    pub fn prefetch_slot(&self, slot: u32) {
-        if let Some(s) = self.slots.get(slot as usize) {
-            crate::par::prefetch_read(s as *const Slot);
-        }
-    }
-
-    /// Prefetch the first cache lines of `slot`'s adjacency data. Requires
-    /// the slot record itself to be resident (issue [`Self::prefetch_slot`]
-    /// a stage earlier); the adjacency floor capacity is two lines, which
-    /// covers nearly every DEX node.
-    #[inline(always)]
-    pub fn prefetch_slot_adj(&self, slot: u32) {
-        if let Some(s) = self.slots.get(slot as usize) {
-            let ptr = s.adj.as_ptr();
-            crate::par::prefetch_read(ptr);
-            // Degree > 16 spills past one 64-byte line; fetch the second.
-            if s.adj.len() > 16 {
-                // SAFETY: len > 16, so ptr+16 is in bounds of the same
-                // allocation (and prefetch never dereferences anyway).
-                crate::par::prefetch_read(unsafe { ptr.add(16) });
-            }
-        }
-    }
-
     /// Degree of `slot`.
     #[inline]
     pub fn degree_of_slot(&self, slot: u32) -> usize {
@@ -851,12 +822,6 @@ impl<'g> Neighbors<'g> {
     pub fn iter(&self) -> impl Iterator<Item = NodeId> + 'g {
         let graph = self.graph;
         self.slots.iter().map(move |&s| graph.id_of_slot(s))
-    }
-
-    /// Underlying slot indices (for loops that stay in slot space).
-    #[inline]
-    pub fn slot_indices(&self) -> &'g [u32] {
-        self.slots
     }
 
     /// Does the multiset contain `v`?

@@ -21,7 +21,6 @@
 //!   cycles (the Law–Siu baseline substrate), rings, cliques, hypercubes.
 //! * [`walks`] — a random-walk engine and mixing-time estimation.
 //! * [`connectivity`] — BFS/DFS, components, diameter.
-//! * [`par`] — deterministic chunked parallelism for the numeric engines.
 //!
 //! # Storage and snapshot model
 //!
@@ -46,7 +45,6 @@ pub mod expansion;
 pub mod fxhash;
 pub mod generators;
 pub mod ids;
-pub mod par;
 pub mod pcycle;
 pub mod primes;
 pub mod spectral;

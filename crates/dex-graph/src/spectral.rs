@@ -29,29 +29,27 @@
 //! bit-identical for every thread count (including 1) — a determinism test
 //! enforces that parallel and sequential runs agree.
 //!
-//! # Memory-level-parallel kernels
+//! # The blocked SpMV
 //!
 //! The iteration's hot loop is a CSR SpMV whose gathers (`x[target]`) are
-//! random on DRAM-resident graphs. The solver's default kernel
-//! ([`lazy_spmv`] with `blocked = true`) restructures the row loop into
-//! 4-row blocks with independent accumulator chains and software-prefetches
-//! gather targets a fixed distance ahead along the u32 column stream, so
-//! misses overlap instead of serializing; the two reduction+rewrite
-//! passes that follow each SpMV (deflation numerator; subtract + Rayleigh
-//! quotient + norm) are fused into the same streaming pass via
-//! [`dex_exec::for_chunks_fold_mut`]. **No arithmetic is reordered**: per-row
-//! entry order, reduction chunking, and partial-combination order are
-//! unchanged, so the MLP path is bit-identical to the scalar path at
-//! every thread count — differential tests assert byte equality, and the
-//! `DEX_MLP_KERNELS` knob ([`par::mlp_enabled`]) only changes the memory
-//! access schedule. This stacks multiplicatively with pool parallelism:
-//! each worker's chunk runs the blocked kernel on its own core.
+//! random on DRAM-resident graphs. The kernel ([`lazy_spmv`]) restructures
+//! the row loop into 4-row blocks with independent accumulator chains and
+//! software-prefetches gather targets a fixed distance ahead along the u32
+//! column stream, so misses overlap instead of serializing; the two
+//! reduction+rewrite passes that follow each SpMV (deflation numerator;
+//! subtract + Rayleigh quotient + norm) are fused into the same streaming
+//! pass via [`dex_exec::for_chunks_fold_mut`]. **No arithmetic is
+//! reordered**: per-row entry order, reduction chunking, and
+//! partial-combination order are those of the plain row loop, so the
+//! output is bit-identical to it at every thread count — a differential
+//! test asserts byte equality against the scalar row kernel. This stacks
+//! multiplicatively with pool parallelism: each worker's chunk runs the
+//! blocked kernel on its own core.
 
 // Dense linear-algebra kernels read clearer with explicit index loops.
 #![allow(clippy::needless_range_loop)]
 
 use crate::adjacency::{Csr, MultiGraph};
-use crate::par;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -68,11 +66,6 @@ impl Spectrum {
     /// Spectral gap `1 − λ₂` — the quantity Theorem 1 keeps constant.
     pub fn gap(&self) -> f64 {
         1.0 - self.lambda2
-    }
-
-    /// `max(|λ₂|, |λ_min|)` — governs mixing of the non-lazy walk.
-    pub fn lambda_max_abs(&self) -> f64 {
-        self.lambda2.abs().max(self.lambda_min.abs())
     }
 }
 
@@ -178,7 +171,7 @@ pub fn dense_spectrum(g: &MultiGraph) -> Spectrum {
 }
 
 // ----------------------------------------------------------------------
-// The SpMV kernel: y = 0.5·x ± 0.5·(P x), scalar and blocked variants
+// The SpMV kernel: y = 0.5·x ± 0.5·(P x)
 // ----------------------------------------------------------------------
 //
 // The power iteration's cost is one CSR SpMV per iteration, and on
@@ -197,8 +190,8 @@ pub fn dense_spectrum(g: &MultiGraph) -> Spectrum {
 //   flight or resident.
 //
 // Per-row entry order is untouched and each `y[i]` is the same expression
-// as the scalar kernel, so the blocked variant is bit-identical — tests
-// assert byte equality, and the solver exposes both paths.
+// as the scalar kernel, so the blocked variant is bit-identical — a test
+// asserts byte equality.
 
 /// Flat adjacency entries to prefetch ahead of the block being summed.
 /// 384 entries ≈ 1.5 KiB of sequential u32 column reads, keeping up to
@@ -206,6 +199,33 @@ pub fn dense_spectrum(g: &MultiGraph) -> Spectrum {
 /// in the `dram_resident` regime (measured best among {192, 384} on the
 /// bench box) while the request stream itself stays hardware-friendly.
 const SPMV_PF_DIST: usize = 384;
+
+/// Hint the CPU to pull the cache line at `p` toward L1 (x86_64
+/// `prefetcht0`, aarch64 `prfm pldl1keep`; a no-op elsewhere). Safe for
+/// any address — prefetches never fault.
+#[inline(always)]
+fn prefetch_read<T>(p: *const T) {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: prefetch hints never fault, for any address including null
+    // and unmapped — the CPU drops invalid prefetches silently.
+    unsafe {
+        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0)
+    }
+    #[cfg(target_arch = "aarch64")]
+    // No stable prefetch intrinsic on aarch64; PLD-keep-to-L1 via inline
+    // asm. `nostack`/`preserves_flags` keep it as cheap as the intrinsic.
+    // SAFETY: PRFM is a hint and never faults, for any address; the asm
+    // reads no memory and clobbers nothing (readonly/nostack).
+    unsafe {
+        core::arch::asm!(
+            "prfm pldl1keep, [{ptr}]",
+            ptr = in(reg) p,
+            options(nostack, preserves_flags, readonly)
+        )
+    }
+    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
+    let _ = p;
+}
 
 /// Scalar reference kernel over one row chunk: `out[k] = 0.5·x[start+k] +
 /// (0.5·sign)·Σ_row x / deg`. `sign = ±1.0` selects the lazy walk
@@ -246,7 +266,7 @@ fn spmv_chunk_blocked(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign:
         // gather targets early. The stream itself reads sequentially.
         let goal = (o4 + SPMV_PF_DIST).min(flat_end);
         while pf < goal {
-            par::prefetch_read(&x[targets[pf] as usize]);
+            prefetch_read(&x[targets[pf] as usize]);
             pf += 1;
         }
         // Four independent accumulator chains; per-row order unchanged.
@@ -277,56 +297,30 @@ fn spmv_chunk_blocked(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign:
     }
 }
 
-#[inline]
-fn spmv_chunk(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign: f64, blocked: bool) {
-    if blocked {
-        spmv_chunk_blocked(csr, x, start, out, sign);
-    } else {
-        spmv_chunk_scalar(csr, x, start, out, sign);
-    }
-}
-
-/// One application of `y = 0.5·x + sign·0.5·(P x)` over the whole vector,
-/// chunk-deterministic. Public entry for the kernel benchmark and
-/// differential tests; `blocked` selects the memory-level-parallel kernel
-/// (bit-identical to scalar — byte-equality is asserted in tests).
-pub fn lazy_spmv(csr: &Csr, x: &[f64], y: &mut [f64], threads: usize, sign: f64, blocked: bool) {
-    assert_eq!(x.len(), csr.n());
-    assert_eq!(y.len(), csr.n());
-    dex_exec::for_chunks_mut(y, threads, |start, chunk| {
-        spmv_chunk(csr, x, start, chunk, sign, blocked);
-    });
-}
-
-/// Apply the lazy walk operator `W = (I + P)/2` to `x`, writing into `y`.
+/// One application of `y = 0.5·x + sign·0.5·(P x)` over the whole vector.
 /// Rows are processed in fixed chunks, optionally across threads; each
 /// `y[i]` is computed from the same inputs in the same order regardless of
 /// the thread count.
-fn apply_lazy(csr: &Csr, x: &[f64], y: &mut [f64], threads: usize, blocked: bool) {
+pub fn lazy_spmv(csr: &Csr, x: &[f64], y: &mut [f64], threads: usize, sign: f64) {
+    assert_eq!(x.len(), csr.n());
+    assert_eq!(y.len(), csr.n());
     dex_exec::for_chunks_mut(y, threads, |start, chunk| {
-        spmv_chunk(csr, x, start, chunk, 1.0, blocked);
+        spmv_chunk_blocked(csr, x, start, chunk, sign);
     });
 }
 
-/// Fused iteration front half (the memory-level-parallel path): apply the
-/// lazy operator *and* fold the deflation numerator `Σ π_i y_i` in the
-/// same streaming pass over `y` — one pass instead of a write pass plus a
-/// re-read reduction. Per-chunk partials combine in chunk order, so the
-/// numerator is bit-identical to [`deflate_top`]'s separate reduction.
-fn apply_lazy_fold_num(
-    csr: &Csr,
-    x: &[f64],
-    y: &mut [f64],
-    pi: &[f64],
-    threads: usize,
-    blocked: bool,
-) -> f64 {
+/// Fused iteration front half: apply the lazy operator `W = (I + P)/2`
+/// *and* fold the deflation numerator `Σ π_i y_i` in the same streaming
+/// pass over `y` — one pass instead of a write pass plus a re-read
+/// reduction. Per-chunk partials combine in chunk order, so the numerator
+/// is bit-identical to [`deflate_top`]'s separate reduction.
+fn apply_lazy_fold_num(csr: &Csr, x: &[f64], y: &mut [f64], pi: &[f64], threads: usize) -> f64 {
     dex_exec::for_chunks_fold_mut(
         y,
         threads,
         0.0f64,
         |start, chunk| {
-            spmv_chunk(csr, x, start, chunk, 1.0, blocked);
+            spmv_chunk_blocked(csr, x, start, chunk, 1.0);
             let mut acc = 0.0;
             for (k, &v) in chunk.iter().enumerate() {
                 acc += pi[start + k] * v;
@@ -391,10 +385,6 @@ pub struct Lambda2Solver {
     y: Vec<f64>,
     pi: Vec<f64>,
     warm: bool,
-    /// Use the memory-level-parallel kernels (blocked SpMV + fused
-    /// deflation/normalization passes). Bit-identical to the scalar path;
-    /// defaults to the process-wide [`par::mlp_enabled`] knob.
-    mlp: bool,
 }
 
 impl Default for Lambda2Solver {
@@ -417,17 +407,7 @@ impl Lambda2Solver {
             y: Vec::new(),
             pi: Vec::new(),
             warm: false,
-            mlp: par::mlp_enabled(),
         }
-    }
-
-    /// Force the memory-level-parallel kernels on or off for this solver
-    /// (default: the process-wide `DEX_MLP_KERNELS` knob). Results are
-    /// bit-identical either way — this is a benchmarking/differential-test
-    /// hook, not a semantic switch.
-    pub fn set_mlp_kernels(&mut self, on: bool) -> &mut Self {
-        self.mlp = on;
-        self
     }
 
     /// Drop the warm-start state (the next call re-seeds from `seed`).
@@ -529,39 +509,30 @@ impl Lambda2Solver {
         let mut prev_delta = f64::NAN;
         let mut prev_extrap = f64::NAN;
         for it in 0..max_iters {
-            // One iteration = SpMV + deflate + Rayleigh quotient + norm.
-            // The MLP path fuses them into two streaming passes over y
-            // (apply⊕numerator, then subtract⊕rq⊕norm); partials combine
-            // in chunk order, so both paths are bit-identical — asserted
-            // by differential tests against the scalar sequence below.
-            let (rq, norm) = if self.mlp {
-                let num = apply_lazy_fold_num(csr, x, y, pi, threads, true);
-                let x_ro: &[f64] = x;
-                let (rq, norm2) = dex_exec::for_chunks_fold_mut(
-                    y,
-                    threads,
-                    (0.0f64, 0.0f64),
-                    |start, chunk| {
-                        let mut rq = 0.0;
-                        let mut n2 = 0.0;
-                        for (k, v) in chunk.iter_mut().enumerate() {
-                            let i = start + k;
-                            *v -= num;
-                            rq += pi[i] * x_ro[i] * *v;
-                            n2 += pi[i] * *v * *v;
-                        }
-                        (rq, n2)
-                    },
-                    |a, b| (a.0 + b.0, a.1 + b.1),
-                );
-                (rq, norm2.sqrt())
-            } else {
-                apply_lazy(csr, x, y, threads, false);
-                deflate_top(pi, y, threads);
-                // Rayleigh quotient in the π inner product: <x, Wx>_π (x
-                // is unit).
-                (dot_pi(pi, x, y, threads), pi_norm(pi, y, threads))
-            };
+            // One iteration = SpMV + deflate + Rayleigh quotient (in the
+            // π inner product: <x, Wx>_π, x is unit) + norm, fused into
+            // two streaming passes over y (apply⊕numerator, then
+            // subtract⊕rq⊕norm); partials combine in chunk order.
+            let num = apply_lazy_fold_num(csr, x, y, pi, threads);
+            let x_ro: &[f64] = x;
+            let (rq, norm2) = dex_exec::for_chunks_fold_mut(
+                y,
+                threads,
+                (0.0f64, 0.0f64),
+                |start, chunk| {
+                    let mut rq = 0.0;
+                    let mut n2 = 0.0;
+                    for (k, v) in chunk.iter_mut().enumerate() {
+                        let i = start + k;
+                        *v -= num;
+                        rq += pi[i] * x_ro[i] * *v;
+                        n2 += pi[i] * *v * *v;
+                    }
+                    (rq, n2)
+                },
+                |a, b| (a.0 + b.0, a.1 + b.1),
+            );
+            let norm = norm2.sqrt();
             if norm < 1e-300 {
                 // x was (numerically) entirely in the top eigenspace.
                 self.warm = false;
@@ -637,11 +608,10 @@ pub fn power_lambda_min(g: &MultiGraph, max_iters: usize, tol: f64, seed: u64) -
     for v in x.iter_mut() {
         *v /= norm0;
     }
-    let blocked = par::mlp_enabled();
     for it in 0..max_iters {
         // y = (x - P x)/2 — the shared SpMV kernel with sign −1
         // (bit-identical to the historical `0.5·x − 0.5·acc/deg` loop).
-        lazy_spmv(&csr, &x, &mut y, threads, -1.0, blocked);
+        lazy_spmv(&csr, &x, &mut y, threads, -1.0);
         let rq = dex_exec::reduce_chunks(n, threads, |lo, hi| {
             let mut acc = 0.0;
             for i in lo..hi {
@@ -1041,8 +1011,8 @@ mod tests {
             for threads in [1, 8] {
                 let mut y_scalar = vec![0.0f64; n];
                 let mut y_blocked = vec![0.0f64; n];
-                lazy_spmv(&csr, &x, &mut y_scalar, threads, sign, false);
-                lazy_spmv(&csr, &x, &mut y_blocked, threads, sign, true);
+                spmv_chunk_scalar(&csr, &x, 0, &mut y_scalar, sign);
+                lazy_spmv(&csr, &x, &mut y_blocked, threads, sign);
                 let same = y_scalar
                     .iter()
                     .zip(&y_blocked)
@@ -1054,22 +1024,31 @@ mod tests {
 
     #[test]
     fn mlp_solver_is_bitwise_equal_to_scalar_solver() {
-        // Full fused iteration (blocked SpMV + fold passes) vs the scalar
-        // sequence, same budget, tol = 0 so both iterate identically.
+        // Full fused iteration (blocked SpMV + fold passes) vs the bits
+        // the scalar sequence (plain row SpMV, separate deflate / Rayleigh
+        // quotient / norm passes) returned on cf379e9, the last commit
+        // that had it; tol = 0 so the budget is iterated in full.
+        const SCALAR_BITS: u64 = 0x3fee_438f_8416_ee36;
         let g = PCycle::new(65537).to_multigraph();
-        let mut scalar = Lambda2Solver::with_threads(2);
-        scalar.set_mlp_kernels(false);
-        let want = scalar.lambda2(&g, 40, 0.0, 42);
         for threads in [1, 8] {
-            let mut mlp = Lambda2Solver::with_threads(threads);
-            mlp.set_mlp_kernels(true);
-            let got = mlp.lambda2(&g, 40, 0.0, 42);
-            assert_eq!(
-                got.to_bits(),
-                want.to_bits(),
-                "threads={threads}: {got} vs {want}"
-            );
+            let got = Lambda2Solver::with_threads(threads).lambda2(&g, 40, 0.0, 42);
+            assert_eq!(got.to_bits(), SCALAR_BITS, "threads={threads}: {got}");
         }
+    }
+
+    #[test]
+    fn prefetch_compiles_and_tolerates_any_address() {
+        // The cfg branches (x86_64 intrinsic / aarch64 asm / portable
+        // no-op) must all build and accept arbitrary addresses without
+        // faulting: live data, one-past-the-end, null, and unmapped.
+        let data = [0u64; 4];
+        prefetch_read(data.as_ptr());
+        // SAFETY: one-past-the-end pointers are valid to *form* for any
+        // allocation; only dereferencing would be UB, and prefetch never
+        // dereferences.
+        prefetch_read(unsafe { data.as_ptr().add(4) });
+        prefetch_read(std::ptr::null::<u64>());
+        prefetch_read(0xdead_beef_0000usize as *const u8);
     }
 
     #[test]

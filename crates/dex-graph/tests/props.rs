@@ -169,48 +169,4 @@ proptest! {
         let r = primes::deflation_prime(q).expect("q >= 23");
         prop_assert!(r > p / 2 && r < 2 * p, "p={} q={} r={}", p, q, r);
     }
-
-    #[test]
-    fn interleaved_walks_match_scalar_bitwise(
-        p in arb_prime(),
-        k in (0usize..3).prop_map(|i| [1usize, 4, 8][i]),
-        seed in any::<u64>(),
-        njobs in 1usize..80,
-    ) {
-        // The K-way engine must agree with the scalar walk on endpoints
-        // AND on RNG stream positions (same number of draws, in the same
-        // per-walk order) at every pipeline depth — interleaving may only
-        // reschedule memory reads, never randomness.
-        use dex_graph::walks::{run_interleaved, EndpointLane, SlotWalkJob};
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let z = PCycle::new(p);
-        let mut g = z.to_multigraph();
-        // Chords for degree variance (the reservoir bound differs by row).
-        let nodes: Vec<NodeId> = g.nodes_sorted();
-        for w in nodes.windows(5).step_by(13) {
-            g.add_edge(w[0], w[4]);
-        }
-        let jobs: Vec<SlotWalkJob> = (0..njobs).map(|i| SlotWalkJob {
-            start: g.slot_of(nodes[(seed as usize ^ (i * 7)) % nodes.len()]).unwrap(),
-            len: (i * 11 + (seed as usize & 7)) % 64, // includes len == 0
-            seed: seed ^ (i as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
-        }).collect();
-        let scalar: Vec<(u32, u64)> = jobs.iter().map(|j| {
-            let mut rng = StdRng::seed_from_u64(j.seed);
-            let end = g.walk_slots(j.start, j.len, &mut rng);
-            (end, rng.random::<u64>()) // next draw = stream position probe
-        }).collect();
-        let mut lanes: Vec<EndpointLane<StdRng>> = jobs.iter()
-            .map(|j| EndpointLane::new(StdRng::seed_from_u64(j.seed), j.len, j.start))
-            .collect();
-        let starts: Vec<u32> = jobs.iter().map(|j| j.start).collect();
-        run_interleaved(&g, &mut lanes, &starts, k);
-        for (i, ((end, pos), lane)) in scalar.iter().zip(lanes).enumerate() {
-            prop_assert_eq!(lane.end, *end, "endpoint {} diverged at k={}", i, k);
-            let mut rng = lane.into_rng();
-            prop_assert_eq!(rng.random::<u64>(), *pos, "stream position {} diverged at k={}", i, k);
-        }
-    }
 }

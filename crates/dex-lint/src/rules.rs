@@ -366,13 +366,13 @@ mod tests {
     #[test]
     fn env_reads_only_in_the_registry() {
         let v = lint_src(
-            "crates/dex-graph/src/par.rs",
-            r#"let x = std::env::var("DEX_WALK_K");"#,
+            "crates/dex-graph/src/spectral.rs",
+            r#"let x = std::env::var("DEX_EXEC_THREADS");"#,
         );
         assert_eq!(rules_of(&v), ["knob-discipline"]);
         assert!(lint_src(
             "crates/dex-exec/src/knobs.rs",
-            r#"let x = std::env::var("DEX_WALK_K");"#,
+            r#"let x = std::env::var("DEX_EXEC_THREADS");"#,
         )
         .is_empty());
         // CLI args are not knobs.

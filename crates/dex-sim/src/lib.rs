@@ -15,9 +15,7 @@
 //!   (the paper's `computeSpare` / `computeLow`, Algorithm 4.4);
 //! * [`rng`] derives deterministic per-purpose RNG streams so whole runs
 //!   replay bit-identically from one master seed (the adaptive adversary is
-//!   entitled to all past random choices — determinism makes that honest);
-//! * [`parallel`] provides a deterministic fork-join `par_map` used by the
-//!   measurement harness (e.g. spectral series over many snapshots).
+//!   entitled to all past random choices — determinism makes that honest).
 //!
 //! Locality discipline: protocol code in `dex-core` reads only per-node
 //! state and the physical adjacency; this crate's helpers take closures so
@@ -27,7 +25,6 @@ pub mod flood;
 pub mod metrics;
 pub mod msim;
 pub mod network;
-pub mod parallel;
 pub mod rng;
 pub mod tokens;
 

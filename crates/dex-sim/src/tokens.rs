@@ -6,20 +6,14 @@
 //! * [`random_walk_search`] — the type-1 recovery walk (Algorithms
 //!   4.2/4.3): forward a token to uniformly random neighbors until an
 //!   accepting node is reached or the length budget runs out;
-//! * [`random_walk_search_batch`] — many independent searches driven
-//!   through the K-way interleaved walk engine, overlapping their DRAM
-//!   misses; bit-identical per walk to calling [`random_walk_search`] in a
-//!   loop, because each query carries its own RNG stream;
 //! * [`route_batch`] — store-and-forward routing of many tokens along
 //!   prescribed paths with a per-edge-per-round capacity; this is the
 //!   congestion discipline under which the paper budgets `ρ = O(log² n)`
 //!   rounds for Phase-2 rebalancing walks and runs permutation routing.
 
 use crate::network::Network;
-use dex_graph::adjacency::MultiGraph;
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::NodeId;
-use dex_graph::walks::WalkLane;
 use rand::Rng;
 
 /// Result of a random-walk search.
@@ -94,128 +88,6 @@ pub fn random_walk_search<R: Rng + ?Sized>(
     net.charge_rounds(hops);
     net.charge_messages(hops);
     WalkOutcome { hit, hops }
-}
-
-/// One pending search of a [`random_walk_search_batch`]: the same inputs as
-/// [`random_walk_search`], with the RNG carried per query. Streams must be
-/// keyed by the operation (seed, op id, …), never by batch position, so a
-/// batch can be split or reordered without changing any walk.
-#[derive(Debug)]
-pub struct WalkQuery<R> {
-    /// Start node (must be in the graph).
-    pub start: NodeId,
-    /// Hop budget.
-    pub max_len: u64,
-    /// Node never stepped onto (missing ids simply never match).
-    pub exclude: Option<NodeId>,
-    /// This walk's own randomness; advanced exactly as the scalar search
-    /// would advance it.
-    pub rng: R,
-}
-
-/// Run many independent [`random_walk_search`]es through the K-way
-/// interleaved walk engine: ~K tokens advance round-robin with each one's
-/// next adjacency row prefetched while the others consume already-resident
-/// lines, so the batch overlaps DRAM misses a sequential loop would
-/// serialize. `accept` is consulted for every walk (it must be a pure
-/// predicate — it sees nodes in interleaved order).
-///
-/// Outcome `i` corresponds to `queries[i]`, and is **bit-identical** to
-/// calling `random_walk_search` with the same inputs: each query's RNG sees
-/// exactly the scalar draw sequence, because interleaving only reschedules
-/// *when* a walk's next hop runs, never what it draws. Charges the same
-/// total rounds and messages (1 + 1 per hop taken) as the sequential loop.
-/// Pipeline depth comes from `DEX_WALK_K`; `DEX_MLP_KERNELS=0` degrades to
-/// depth 1 (results unchanged either way).
-pub fn random_walk_search_batch<R: Rng, F: Fn(NodeId) -> bool>(
-    net: &mut Network,
-    queries: &mut [WalkQuery<R>],
-    accept: F,
-) -> Vec<WalkOutcome> {
-    struct SearchLane<'q, R, F> {
-        rng: &'q mut R,
-        max_len: u64,
-        exclude_slot: Option<u32>,
-        accept: &'q F,
-        hops: u64,
-        hit: Option<NodeId>,
-    }
-    impl<R: Rng, F: Fn(NodeId) -> bool> WalkLane for SearchLane<'_, R, F> {
-        fn choose(&mut self, g: &MultiGraph, _slot: u32, nbrs: &[u32]) -> Option<u32> {
-            if self.hops >= self.max_len {
-                return None;
-            }
-            // Byte-for-byte the reservoir of `random_walk_search`: skip the
-            // excluded slot without drawing, one draw per surviving entry.
-            let mut choice: Option<u32> = None;
-            let mut seen = 0usize;
-            for &v in nbrs {
-                if Some(v) == self.exclude_slot {
-                    continue;
-                }
-                seen += 1;
-                if self.rng.random_range(0..seen) == 0 {
-                    choice = Some(v);
-                    g.prefetch_slot(v);
-                }
-            }
-            if choice.is_some() {
-                self.hops += 1;
-            }
-            choice
-        }
-        fn arrive(&mut self, g: &MultiGraph, slot: u32) -> bool {
-            let id = g.id_of_slot(slot);
-            if (self.accept)(id) {
-                self.hit = Some(id);
-                true
-            } else {
-                false
-            }
-        }
-    }
-    let (outcomes, total_hops) = {
-        let g = net.graph();
-        let starts: Vec<u32> = queries
-            .iter()
-            .map(|q| {
-                g.slot_of(q.start)
-                    .unwrap_or_else(|| panic!("walk start {} missing", q.start))
-            })
-            .collect();
-        let mut lanes: Vec<SearchLane<'_, R, F>> = queries
-            .iter_mut()
-            .map(|q| SearchLane {
-                exclude_slot: q.exclude.and_then(|u| g.slot_of(u)),
-                rng: &mut q.rng,
-                max_len: q.max_len,
-                accept: &accept,
-                hops: 0,
-                hit: None,
-            })
-            .collect();
-        let k = if dex_graph::par::mlp_enabled() {
-            dex_graph::par::walk_pipeline_k()
-        } else {
-            1
-        };
-        dex_graph::walks::run_interleaved(g, &mut lanes, &starts, k);
-        let mut total = 0u64;
-        let outs: Vec<WalkOutcome> = lanes
-            .iter()
-            .map(|l| {
-                total += l.hops;
-                WalkOutcome {
-                    hit: l.hit,
-                    hops: l.hops,
-                }
-            })
-            .collect();
-        (outs, total)
-    };
-    net.charge_rounds(total_hops);
-    net.charge_messages(total_hops);
-    outcomes
 }
 
 /// Send one message along an explicit node path (consecutive entries must
@@ -402,83 +274,6 @@ mod tests {
         let out = random_walk_search(&mut net, NodeId(0), 10, Some(NodeId(1)), |_| true, &mut rng);
         assert_eq!(out.hit, None);
         assert_eq!(out.hops, 0);
-        net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
-    }
-
-    /// Ring of `k` nodes with chords every 7 — enough degree variance to
-    /// exercise reservoir skipping and acceptance at different depths.
-    fn chordal_ring(net: &mut Network, k: u64) {
-        for i in 0..k {
-            net.adversary_add_node(NodeId(i));
-        }
-        for i in 0..k {
-            net.adversary_add_edge(NodeId(i), NodeId((i + 1) % k));
-        }
-        for i in (0..k).step_by(7) {
-            net.adversary_add_edge(NodeId(i), NodeId((i + k / 2) % k));
-        }
-    }
-
-    #[test]
-    fn batch_search_is_bit_identical_to_sequential() {
-        let accept = |u: NodeId| u.0 % 11 == 3;
-        // Sequential reference: one scalar search per query on its own
-        // stream.
-        let mut net_a = Network::new();
-        chordal_ring(&mut net_a, 41);
-        net_a.begin_step();
-        let mut seq = Vec::new();
-        for i in 0..97u64 {
-            let mut rng = StdRng::seed_from_u64(0xbeef ^ i);
-            let exclude = (i % 3 == 0).then_some(NodeId((i + 5) % 41));
-            seq.push(random_walk_search(
-                &mut net_a,
-                NodeId(i % 41),
-                i % 23, // includes 0-budget walks
-                exclude,
-                accept,
-                &mut rng,
-            ));
-        }
-        let counters_a = net_a.current_counters();
-        net_a.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
-
-        // Batch over an identical network: same outcomes, same charges.
-        let mut net_b = Network::new();
-        chordal_ring(&mut net_b, 41);
-        net_b.begin_step();
-        let mut queries: Vec<WalkQuery<StdRng>> = (0..97u64)
-            .map(|i| WalkQuery {
-                start: NodeId(i % 41),
-                max_len: i % 23,
-                exclude: (i % 3 == 0).then_some(NodeId((i + 5) % 41)),
-                rng: StdRng::seed_from_u64(0xbeef ^ i),
-            })
-            .collect();
-        let batch = random_walk_search_batch(&mut net_b, &mut queries, accept);
-        assert_eq!(batch, seq);
-        assert_eq!(net_b.current_counters(), counters_a);
-        net_b.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
-    }
-
-    #[test]
-    fn batch_search_handles_empty_and_stuck() {
-        let mut net = Network::new();
-        line(&mut net, 2);
-        net.begin_step();
-        let none: &mut [WalkQuery<StdRng>] = &mut [];
-        assert!(random_walk_search_batch(&mut net, none, |_| true).is_empty());
-        // Only neighbor excluded ⇒ stuck at 0 hops, exactly like scalar.
-        let mut queries = vec![WalkQuery {
-            start: NodeId(0),
-            max_len: 10,
-            exclude: Some(NodeId(1)),
-            rng: StdRng::seed_from_u64(4),
-        }];
-        let out = random_walk_search_batch(&mut net, &mut queries, |_| true);
-        assert_eq!(out, vec![WalkOutcome { hit: None, hops: 0 }]);
-        let (r, m, _) = net.current_counters();
-        assert_eq!((r, m), (0, 0));
         net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
     }
 

@@ -68,7 +68,6 @@ pub mod prelude {
     pub use dex_graph::spectral::Lambda2Solver;
     pub use dex_graph::MultiGraph;
     pub use dex_sim::msim::{FaultSpec, FaultStats, OpStatus, RouteOp, WalkOp};
-    pub use dex_sim::parallel::{par_walk_endpoints, WalkJob};
     pub use dex_sim::{RecoveryKind, StepAggregate, StepKind, StepMetrics, Summary};
     pub use dex_workload::{
         pool_aggregate, run_trials, Phase, RunOptions, Scenario, Targeting, TrialReport,
