@@ -12,12 +12,20 @@
 //! * **walk throughput**: seed path = per-hop id-space neighbor lookup
 //!   (one hash probe per hop, as the seed's `FxHashMap` adjacency did);
 //!   new path = slot-space walking ([`MultiGraph::walk_slots`]).
+//! * **route**: the DHT's shortest-path search on `Z(p)` at the p of a
+//!   20k-vertex and a 500k-node network — work per route as exact counts
+//!   (vertices expanded, modular inversions; these are in the smoke JSON
+//!   too) and, timed, the route and the two forms of the chord kernel
+//!   under it (scalar [`primes::mod_inverse`], batched
+//!   [`primes::inverse_batch`]).
 //!
 //! Run with `cargo run --release -p dex-bench --bin bench_graph_core`.
 //! `--smoke` emits only deterministic digests (no timings), byte-identical
 //! for any `DEX_EXEC_THREADS` setting. `--out FILE` overrides the output
 //! path.
 
+use dex::graph::pcycle::PathScratch;
+use dex::graph::primes;
 use dex::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -176,6 +184,76 @@ fn walk_slot_path(g: &MultiGraph, hops: usize, seed: u64) -> (f64, u64) {
     (elapsed, g.id_of_slot(end).0)
 }
 
+/// The two cycle sizes routed on: this bench's own graph, and the cycle
+/// of a 500k-node network (`benchmark/`'s `dht` workload).
+const ROUTE_PS: [u64; 2] = [P, 2_000_003];
+const ROUTE_PAIRS: usize = 2000;
+
+/// One `route` row: deterministic work counts, plus wall-clock unit costs
+/// when `timed`.
+fn route_row(p: u64, timed: bool) -> String {
+    let cycle = PCycle::new(p);
+    let mut rng = StdRng::seed_from_u64(0x5eed ^ p);
+    let pairs: Vec<(VertexId, VertexId)> = (0..ROUTE_PAIRS)
+        .map(|_| {
+            (
+                VertexId(rng.random_range(0..p)),
+                VertexId(rng.random_range(0..p)),
+            )
+        })
+        .collect();
+    let mut scratch = PathScratch::new();
+    let mut path = Vec::new();
+    let mut hops = 0usize;
+    let t0 = Instant::now();
+    for &(a, b) in &pairs {
+        cycle.shortest_path_with(a, b, &mut scratch, &mut path);
+        hops += path.len() - 1;
+    }
+    let route_us = t0.elapsed().as_secs_f64() * 1e6 / ROUTE_PAIRS as f64;
+    let (expansions, inversions) = scratch.work();
+    let mut row = format!(
+        "{{\"p\": {p}, \"pairs\": {ROUTE_PAIRS}, \"expansions_per_route\": {:.1}, \
+         \"inversions_per_route\": {:.1}, \"mean_path_len\": {:.3}",
+        expansions as f64 / ROUTE_PAIRS as f64,
+        inversions as f64 / ROUTE_PAIRS as f64,
+        hops as f64 / ROUTE_PAIRS as f64
+    );
+    if timed {
+        let xs: Vec<u32> = (0..1 << 16)
+            .map(|_| rng.random_range(1..p) as u32)
+            .collect();
+        let t0 = Instant::now();
+        let mut acc = 0u64;
+        for &x in &xs {
+            acc ^= primes::mod_inverse(std::hint::black_box(x as u64), p);
+        }
+        let scalar_ns = t0.elapsed().as_secs_f64() * 1e9 / xs.len() as f64;
+        let mut out = vec![0u32; xs.len()];
+        let t0 = Instant::now();
+        primes::inverse_batch(p, std::hint::black_box(&xs), &mut out);
+        let batch_ns = t0.elapsed().as_secs_f64() * 1e9 / xs.len() as f64;
+        std::hint::black_box((acc, &out));
+        println!(
+            "route p={p}: {route_us:.1} us/route, inverse {scalar_ns:.1} ns scalar, \
+             {batch_ns:.2} ns/elt batched"
+        );
+        let _ = write!(
+            row,
+            ", \"route_us\": {route_us:.1}, \"scalar_inverse_ns\": {scalar_ns:.1}, \
+             \"batch_inverse_ns_per_elt\": {batch_ns:.2}"
+        );
+    }
+    row.push('}');
+    row
+}
+
+/// The `"route"` JSON member (no trailing comma or newline).
+fn route_section(timed: bool) -> String {
+    let rows: Vec<String> = ROUTE_PS.iter().map(|&p| route_row(p, timed)).collect();
+    format!("  \"route\": [\n    {}\n  ]", rows.join(",\n    "))
+}
+
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over a u64 stream — the deterministic digest of the smoke JSON.
@@ -222,7 +300,8 @@ fn run_smoke(base: &MultiGraph) -> String {
     let _ = writeln!(json, "  \"digests\": {{");
     let _ = writeln!(json, "    \"spmv_y_fnv\": \"{spmv_fnv:#018x}\",");
     let _ = writeln!(json, "    \"lambda2_bits\": \"{:#018x}\"", last.to_bits());
-    let _ = writeln!(json, "  }}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "{}", route_section(false));
     let _ = writeln!(json, "}}");
     json
 }
@@ -286,7 +365,8 @@ fn run_full(base: &MultiGraph) -> String {
     let _ = writeln!(json, "    \"seed_id_space_mhops_per_s\": {id_mhps:.2},");
     let _ = writeln!(json, "    \"slot_space_mhops_per_s\": {slot_mhps:.2},");
     let _ = writeln!(json, "    \"speedup\": {:.2}", slot_mhps / id_mhps);
-    let _ = writeln!(json, "  }}");
+    let _ = writeln!(json, "  }},");
+    let _ = writeln!(json, "{}", route_section(true));
     let _ = writeln!(json, "}}");
     json
 }

@@ -80,17 +80,16 @@ pub fn materialize_all(net: &mut Network, map: &VirtualMapping, cycle: &PCycle, 
     });
 }
 
-/// Visit every canonical virtual-edge instance of `cycle` exactly once,
-/// without allocating (the fabric-wide analogue of [`canonical_edges_of`]).
+/// Visit every canonical virtual-edge instance of `cycle` exactly once
+/// (the fabric-wide analogue of [`canonical_edges_of`]), chords from the
+/// cycle's block sweep rather than one inversion per vertex.
 pub fn for_each_canonical_edge(cycle: &PCycle, mut f: impl FnMut(VertexId, VertexId)) {
-    for x in 0..cycle.p() {
-        let z = VertexId(x);
+    cycle.for_each_chord(0..cycle.p(), |z, c| {
         f(z, cycle.succ(z));
-        let c = cycle.chord(z);
         if c == z || z < c {
             f(z, c);
         }
-    }
+    });
 }
 
 /// The full expected physical edge multiset (normalized `(min, max)`

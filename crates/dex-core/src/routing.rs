@@ -9,12 +9,13 @@
 //! per-edge-per-round capacity (the CONGEST constraint) along locally
 //! computed shortest paths and measures the real makespan.
 //!
-//! Path computation memoizes one BFS tree per routing *target*. A full
-//! permutation has p distinct targets (O(p²) simulator work), so the
-//! one-shot type-2 procedures execute real routing up to
-//! [`EXACT_ROUTING_MAX_P`] and fall back to the analytical charge above
-//! it; the experiment harness validates the analytical model against the
-//! executed one in the overlap region.
+//! Path computation grows one whole BFS tree per routing *target*: p
+//! queue pops whose chords are loads from the [`PathOracle`]'s inverse
+//! table (p batched inversions, once per oracle). A full permutation has
+//! p distinct targets — O(p²) pops — so the one-shot type-2 procedures
+//! execute real routing up to [`EXACT_ROUTING_MAX_P`] and fall back to
+//! the analytical charge above it; the experiment harness validates the
+//! analytical model against the executed one in the overlap region.
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};
@@ -66,10 +67,12 @@ impl RouteScratch {
     }
 }
 
-/// Pairs per resolution chunk in the parallel fan-out. A chunk is the
-/// unit one worker's `PathOracle` (BFS-tree memo) amortizes over, and
-/// chunk boundaries are fixed, so the spliced buffer is byte-identical
-/// for any thread count.
+/// Pairs per resolution chunk. A chunk is the unit a `PathOracle`'s
+/// BFS-tree memo lives for — it is forgotten at every chunk boundary, so
+/// an oracle never holds more than this many trees (a type-2 permutation
+/// has a distinct target per pair and never hits the memo) — and the
+/// unit of the parallel fan-out: chunk boundaries are fixed, so the
+/// spliced buffer is byte-identical for any thread count.
 const PAIR_CHUNK: usize = 32;
 
 /// Route one token per `(source, target)` vertex pair along virtual
@@ -89,26 +92,29 @@ pub fn route_pairs(
     route_pairs_with(net, map, cycle, pairs, cap, 1, &mut RouteScratch::new())
 }
 
-/// Append `src → dst`'s physical path (the owner of every virtual hop) to
-/// `flat`, recording its `(start, len)` range. Pure per pair: the path is
-/// a function of `(cycle, src, dst)` and the read-only Φ, so resolution
-/// order — and which worker resolved it — never shows in the bytes.
-fn resolve_pair(
+/// Append the physical path (the owner of every virtual hop) of each
+/// `src → dst` in one chunk of pairs to `flat`, recording the `(start,
+/// len)` ranges. Pure per pair: a path is a function of `(cycle, src,
+/// dst)` and the read-only Φ, so resolution order — and which worker
+/// resolved it — never shows in the bytes.
+fn resolve_chunk(
     map: &VirtualMapping,
     oracle: &mut PathOracle,
-    src: VertexId,
-    dst: VertexId,
+    chunk: &[(VertexId, VertexId)],
     flat: &mut Vec<NodeId>,
     ranges: &mut Vec<(usize, usize)>,
 ) {
-    let start = flat.len();
-    flat.push(map.owner_of(src));
-    let mut cur = src;
-    while let Some(next) = oracle.next_hop(cur, dst) {
-        flat.push(map.owner_of(next));
-        cur = next;
+    oracle.forget();
+    for &(src, dst) in chunk {
+        let start = flat.len();
+        flat.push(map.owner_of(src));
+        let mut cur = src;
+        while let Some(next) = oracle.next_hop(cur, dst) {
+            flat.push(map.owner_of(next));
+            cur = next;
+        }
+        ranges.push((start, flat.len() - start));
     }
-    ranges.push((start, flat.len() - start));
 }
 
 /// [`route_pairs`] resolving owners into the caller-provided flat buffer:
@@ -117,7 +123,7 @@ fn resolve_pair(
 ///
 /// The resolution pass (next-hop walks + owner lookups) is read-only bulk
 /// work; with `threads > 1` it fans out over the persistent executor pool
-/// in fixed [`PAIR_CHUNK`]-pair chunks, each worker memoizing BFS trees in
+/// in fixed [`PAIR_CHUNK`]-pair chunks, each worker growing BFS trees in
 /// its own [`PathOracle`], and the per-chunk buffers are spliced in chunk
 /// order — the flat buffer, the charged costs, and the makespan are
 /// bit-identical to the sequential resolution for any thread count (this
@@ -135,12 +141,11 @@ pub fn route_pairs_with(
     scratch.ranges.clear();
     if threads <= 1 || pairs.len() <= 2 * PAIR_CHUNK {
         let mut oracle = PathOracle::new(*cycle);
-        for &(src, dst) in pairs {
-            resolve_pair(
+        for chunk in pairs.chunks(PAIR_CHUNK) {
+            resolve_chunk(
                 map,
                 &mut oracle,
-                src,
-                dst,
+                chunk,
                 &mut scratch.flat,
                 &mut scratch.ranges,
             );
@@ -162,9 +167,7 @@ pub fn route_pairs_with(
                 out.ranges.clear();
                 let lo = ci * PAIR_CHUNK;
                 let hi = (lo + PAIR_CHUNK).min(pairs.len());
-                for &(src, dst) in &pairs[lo..hi] {
-                    resolve_pair(map, oracle, src, dst, &mut out.flat, &mut out.ranges);
-                }
+                resolve_chunk(map, oracle, &pairs[lo..hi], &mut out.flat, &mut out.ranges);
             },
         );
         for chunk in chunks.iter() {
@@ -184,9 +187,9 @@ pub fn route_pairs_with(
 /// an edge) — the non-trivial workload is [`inflation_inverse_pairs`],
 /// which routes the *new* cycle's chords across the *old* cycle.
 pub fn inverse_permutation(cycle: &PCycle) -> Vec<(VertexId, VertexId)> {
-    (0..cycle.p())
-        .map(|x| (VertexId(x), cycle.chord(VertexId(x))))
-        .collect()
+    let mut pairs = Vec::with_capacity(cycle.p() as usize);
+    cycle.for_each_chord(0..cycle.p(), |x, inv| pairs.push((x, inv)));
+    pairs
 }
 
 /// The routing workload of an inflation `Z(p_old) → Z(p_new)`: for every
@@ -196,19 +199,17 @@ pub fn inverse_permutation(cycle: &PCycle) -> Vec<(VertexId, VertexId)> {
 /// vertices, spread over the whole cycle, so paths have Θ(log p) hops.
 pub fn inflation_inverse_pairs(p_old: u64, p_new: u64) -> Vec<(VertexId, VertexId)> {
     use dex_graph::pcycle::resize;
-    let new_cycle = PCycle::new(p_new);
     let mut pairs = Vec::new();
-    for y in 0..p_new {
-        let inv = new_cycle.chord(VertexId(y)).0;
+    PCycle::new(p_new).for_each_chord(0..p_new, |y, inv| {
         if y >= inv {
-            continue;
+            return;
         }
-        let src = resize::inflation_source(y, p_old, p_new);
-        let dst = resize::inflation_source(inv, p_old, p_new);
+        let src = resize::inflation_source(y.0, p_old, p_new);
+        let dst = resize::inflation_source(inv.0, p_old, p_new);
         if src != dst {
             pairs.push((VertexId(src), VertexId(dst)));
         }
-    }
+    });
     pairs
 }
 
@@ -216,19 +217,17 @@ pub fn inflation_inverse_pairs(p_old: u64, p_new: u64) -> Vec<(VertexId, VertexI
 /// between the dominating old sources of `y` and `y⁻¹` on the old cycle.
 pub fn deflation_inverse_pairs(p_old: u64, p_new: u64) -> Vec<(VertexId, VertexId)> {
     use dex_graph::pcycle::resize;
-    let new_cycle = PCycle::new(p_new);
     let mut pairs = Vec::new();
-    for y in 0..p_new {
-        let inv = new_cycle.chord(VertexId(y)).0;
+    PCycle::new(p_new).for_each_chord(0..p_new, |y, inv| {
         if y >= inv {
-            continue;
+            return;
         }
-        let src = resize::deflation_cloud(y, p_old, p_new).start;
-        let dst = resize::deflation_cloud(inv, p_old, p_new).start;
+        let src = resize::deflation_cloud(y.0, p_old, p_new).start;
+        let dst = resize::deflation_cloud(inv.0, p_old, p_new).start;
         if src != dst {
             pairs.push((VertexId(src), VertexId(dst)));
         }
-    }
+    });
     pairs
 }
 

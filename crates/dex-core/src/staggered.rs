@@ -241,28 +241,27 @@ impl StaggeredOp {
     ) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::new();
         // Old remnant.
-        for x in 0..self.p_old {
-            if self.dropped(x) {
-                continue;
+        cycle_old.for_each_chord(0..self.p_old, |z, c| {
+            if self.dropped(z.0) {
+                return;
             }
-            let z = VertexId(x);
             let s = cycle_old.succ(z);
             if !self.dropped(s.0) {
                 let (a, b) = (map.owner_of(z), map.owner_of(s));
                 out.push((a.min(b), a.max(b)));
             }
-            let c = cycle_old.chord(z);
             if (c == z || z < c) && !self.dropped(c.0) {
                 let (a, b) = (map.owner_of(z), map.owner_of(c));
                 out.push((a.min(b), a.max(b)));
             }
-        }
+        });
         // Overlay: enumerate per staged vertex with global (set-free)
         // canonical rules.
         let p = self.new_cycle.p();
-        for y in 0..p {
+        self.new_cycle.for_each_chord(0..p, |y, chord| {
+            let (y, chord) = (y.0, chord.0);
             if !self.staged(y) {
-                continue;
+                return;
             }
             let mut push = |inst: Inst| {
                 let (a, b) = self.endpoints(map, inst);
@@ -278,7 +277,6 @@ impl StaggeredOp {
             if !self.staged(pred) {
                 push(Inst::Inter(y, self.source_old(pred)));
             }
-            let chord = self.new_cycle.chord(VertexId(y)).0;
             if chord == y {
                 push(Inst::Loop(y));
             } else if self.staged(chord) {
@@ -288,7 +286,7 @@ impl StaggeredOp {
             } else {
                 push(Inst::Inter(y, self.source_old(chord)));
             }
-        }
+        });
         out.sort_unstable();
         out
     }

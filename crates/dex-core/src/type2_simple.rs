@@ -319,8 +319,12 @@ fn rebalance_overload(dex: &mut DexNetwork) {
         for _ in 0..walk_len {
             edge_load.clear();
             for (c, rng) in cur.iter_mut().zip(rngs.iter_mut()) {
-                let nbrs = dex.cycle.neighbors(*c);
-                let next = nbrs[rng.random_range(0..3usize)];
+                // Draw first: only a chord step pays an inversion.
+                let next = match rng.random_range(0..3usize) {
+                    0 => dex.cycle.succ(*c),
+                    1 => dex.cycle.pred(*c),
+                    _ => dex.cycle.chord(*c),
+                };
                 let (a, b) = (dex.map.owner_of(*c), dex.map.owner_of(next));
                 if a != b {
                     *edge_load.entry((a, b)).or_insert(0) += 1;

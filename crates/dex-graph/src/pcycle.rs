@@ -19,7 +19,8 @@
 use crate::adjacency::MultiGraph;
 use crate::fxhash::FxHashMap;
 use crate::ids::{NodeId, VertexId};
-use crate::primes::{is_prime, mod_inverse};
+use crate::primes::{inverse_batch, is_prime, mod_inverse};
+use std::ops::Range;
 
 /// The virtual graph `Z(p)` for a prime `p ≥ 5`.
 ///
@@ -36,9 +37,12 @@ impl PCycle {
     ///
     /// # Panics
     /// Panics if `p` is not a prime `≥ 5` (smaller primes degenerate: the
-    /// cycle and chord edge sets collide).
+    /// cycle and chord edge sets collide) or not below 2³² (vertices are
+    /// stored as `u32` by the BFS tables here and by Φ's owner records,
+    /// and the chord kernel's Barrett multiplication needs it).
     pub fn new(p: u64) -> Self {
         assert!(p >= 5, "p-cycle needs p >= 5, got {p}");
+        assert!(p >> 32 == 0, "p-cycle needs p < 2^32, got {p}");
         assert!(is_prime(p), "p-cycle needs prime p, got {p}");
         PCycle { p }
     }
@@ -76,6 +80,11 @@ impl PCycle {
     /// Chord partner: `x⁻¹ mod p` for `x > 0`, and 0 for `x = 0` (the
     /// self-loop of Definition 1). Self-inverse vertices (1 and `p−1`)
     /// return themselves.
+    ///
+    /// One scalar inversion (≈ 1.5·log₂ p modular multiplications) — for
+    /// a handful of vertices. Anything that walks a range, a frontier or
+    /// the whole cycle uses [`PCycle::for_each_chord`] or
+    /// [`inverse_batch`], which pay three multiplications per vertex.
     #[inline]
     pub fn chord(&self, z: VertexId) -> VertexId {
         if z.0 == 0 {
@@ -98,6 +107,43 @@ impl PCycle {
         self.neighbors(a).contains(&b)
     }
 
+    /// Call `f(x, chord(x))` for every vertex `x` of `range`, ascending —
+    /// the block sweep under every full-cycle traversal (fabric
+    /// enumeration, edge lists, type-2 permutation workloads, inverse
+    /// tables): fixed blocks, one [`inverse_batch`] per block.
+    pub fn for_each_chord(&self, range: Range<u64>, mut f: impl FnMut(VertexId, VertexId)) {
+        assert!(
+            range.end <= self.p,
+            "vertex range {range:?} leaves Z({})",
+            self.p
+        );
+        const BLOCK: u64 = 4096;
+        let cap = range.end.saturating_sub(range.start).min(BLOCK) as usize;
+        let (mut xs, mut inv) = (Vec::with_capacity(cap), Vec::with_capacity(cap));
+        let mut lo = range.start;
+        while lo < range.end {
+            let hi = (lo + BLOCK).min(range.end);
+            xs.clear();
+            xs.extend((lo..hi).map(|x| x as u32));
+            inv.resize(xs.len(), 0);
+            inverse_batch(self.p, &xs, &mut inv);
+            for (&x, &c) in xs.iter().zip(&inv) {
+                f(VertexId(x as u64), VertexId(c as u64));
+            }
+            lo = hi;
+        }
+    }
+
+    /// `x ↦ chord(x)` for every vertex, as one table (4p bytes). Only for
+    /// callers that run whole-cycle BFS anyway ([`PathOracle`], the
+    /// distance/diameter oracles); nothing long-lived holds one at
+    /// DHT-scale p.
+    fn chord_table(&self) -> Box<[u32]> {
+        let mut table = vec![0u32; self.p as usize].into_boxed_slice();
+        self.for_each_chord(0..self.p, |x, c| table[x.0 as usize] = c.0 as u32);
+        table
+    }
+
     /// All undirected edges, each exactly once (self-loops included once).
     /// `p` cycle edges, `(p−3)/2` chords, 3 self-loops.
     pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
@@ -107,12 +153,11 @@ impl PCycle {
             out.push((VertexId(x), VertexId((x + 1) % p)));
         }
         out.push((VertexId(0), VertexId(0)));
-        for x in 1..p {
-            let inv = mod_inverse(x, p);
+        self.for_each_chord(1..p, |x, inv| {
             if inv >= x {
-                out.push((VertexId(x), VertexId(inv)));
+                out.push((x, inv));
             }
-        }
+        });
         out
     }
 
@@ -129,45 +174,54 @@ impl PCycle {
         g
     }
 
-    /// BFS distances from `src` to every vertex. O(p) time/space.
-    pub fn bfs_distances(&self, src: VertexId) -> Vec<u32> {
-        let p = self.p as usize;
-        let mut dist = vec![u32::MAX; p];
-        let mut queue = std::collections::VecDeque::with_capacity(p);
-        dist[src.0 as usize] = 0;
-        queue.push_back(src);
+    /// Full BFS from `root` in the fixed (succ, pred, chord) neighbor
+    /// order, chords read from `chords` ([`PCycle::chord_table`]). Every
+    /// vertex gets one `u32` label: the root `root_label`, any other
+    /// vertex `label(labels, parent)` at the moment it is discovered.
+    fn bfs_labels(
+        &self,
+        chords: &[u32],
+        root: VertexId,
+        root_label: u32,
+        label: impl Fn(&[u32], u32) -> u32,
+    ) -> Vec<u32> {
+        assert!(self.contains(root), "{root} is not a vertex of {self:?}");
+        let p = self.p as u32;
+        let mut labels = vec![u32::MAX; p as usize];
+        let mut queue = std::collections::VecDeque::with_capacity(p as usize);
+        labels[root.0 as usize] = root_label;
+        queue.push_back(root.0 as u32);
         while let Some(u) = queue.pop_front() {
-            let du = dist[u.0 as usize];
-            for v in self.neighbors(u) {
-                let dv = &mut dist[v.0 as usize];
-                if *dv == u32::MAX {
-                    *dv = du + 1;
+            let succ = if u + 1 == p { 0 } else { u + 1 };
+            let pred = if u == 0 { p - 1 } else { u - 1 };
+            for v in [succ, pred, chords[u as usize]] {
+                if labels[v as usize] == u32::MAX {
+                    labels[v as usize] = label(&labels, u);
                     queue.push_back(v);
                 }
             }
         }
-        dist
+        labels
+    }
+
+    /// BFS distances from `src` to every vertex. O(p) time/space.
+    pub fn bfs_distances(&self, src: VertexId) -> Vec<u32> {
+        self.bfs_distances_on(&self.chord_table(), src)
+    }
+
+    fn bfs_distances_on(&self, chords: &[u32], src: VertexId) -> Vec<u32> {
+        self.bfs_labels(chords, src, 0, |dist, u| dist[u as usize] + 1)
     }
 
     /// BFS parent array oriented *toward* `target`: following
     /// `parent[x]` repeatedly reaches `target` along a shortest path.
     /// `parent[target] == target`.
     pub fn bfs_parents_toward(&self, target: VertexId) -> Vec<u32> {
-        let p = self.p as usize;
-        let mut parent = vec![u32::MAX; p];
-        let mut queue = std::collections::VecDeque::with_capacity(p);
-        parent[target.0 as usize] = target.0 as u32;
-        queue.push_back(target);
-        while let Some(u) = queue.pop_front() {
-            for v in self.neighbors(u) {
-                let pv = &mut parent[v.0 as usize];
-                if *pv == u32::MAX {
-                    *pv = u.0 as u32;
-                    queue.push_back(v);
-                }
-            }
-        }
-        parent
+        self.bfs_parents_on(&self.chord_table(), target)
+    }
+
+    fn bfs_parents_on(&self, chords: &[u32], target: VertexId) -> Vec<u32> {
+        self.bfs_labels(chords, target, target.0 as u32, |_, u| u)
     }
 
     /// Shortest path from `from` to `to` (inclusive of both endpoints).
@@ -192,15 +246,33 @@ impl PCycle {
     ///
     /// [`PCycle::shortest_path`] runs a *full* O(p) BFS and allocates per
     /// call — ruinous for per-operation routing (the DHT) at p ≈ 10⁶.
-    /// Meeting in the middle visits O(3^(d/2)) ≈ O(√p) vertices instead,
-    /// and every buffer lives in `scratch`, so a warmed-up caller
-    /// allocates nothing. Fully deterministic: frontiers expand in
-    /// insertion order with the fixed (succ, pred, chord) neighbor order,
-    /// sides alternate strictly starting forward, and the first shortest
-    /// meeting found in that order wins. The returned path length always
-    /// equals [`PCycle::distance`] (a proptest enforces this); the path
+    /// Meeting in the middle expands O(3^(d/2)) ≈ O(√p) vertices instead,
+    /// and what an expansion costs is its chord — a modular inversion —
+    /// not the visited-table probes around it. So the search is
+    /// level-synchronous and inverts a frontier block at a time through
+    /// [`inverse_batch`]; a vertex that was itself reached over a chord
+    /// needs no inversion at all (its chord is its parent), and no vertex
+    /// probes its own parent. Every buffer lives in `scratch`: a
+    /// warmed-up caller allocates nothing.
+    ///
+    /// Fully deterministic: frontiers expand in insertion order with the
+    /// fixed (succ, pred, chord) neighbor order, sides alternate strictly
+    /// starting forward, and the search stops at the first vertex reached
+    /// from both sides. That first meeting is a shortest one: as long as
+    /// the two balls (radii `d_f`, `d_b`, both complete) are disjoint,
+    /// `dist(from, to) > d_f + d_b`, so a meeting found while growing one
+    /// of them by a level has length `≥ d_f + d_b + 1`, and it joins a
+    /// depth-`d_f + 1` vertex to one of depth `≤ d_b` — length exactly
+    /// `d_f + d_b + 1`. Every meeting of that level is therefore equally
+    /// short, and the first in expansion order is the one a search that
+    /// finishes the level and keeps the earliest minimum would return
+    /// (`tests/route_diff.rs` pins path equality against that search).
+    /// The path's length always equals [`PCycle::distance`]; the path
     /// itself may differ from the unidirectional one — any shortest path
     /// is a valid route (Sect. 4.4).
+    ///
+    /// # Panics
+    /// Panics if `from` or `to` is not a vertex of this cycle.
     pub fn shortest_path_with(
         &self,
         from: VertexId,
@@ -208,86 +280,116 @@ impl PCycle {
         scratch: &mut PathScratch,
         out: &mut Vec<VertexId>,
     ) {
+        assert!(
+            self.contains(from) && self.contains(to),
+            "route {from} -> {to} leaves {self:?}"
+        );
         out.clear();
         if from == to {
             out.push(from);
             return;
         }
+        let p = self.p as u32;
         let PathScratch {
-            fwd,
-            bwd,
-            fq,
-            bq,
+            seen,
+            queues: [fq, bq],
             next,
+            xs,
+            inv,
+            expansions,
+            inversions,
         } = scratch;
-        fwd.clear();
-        bwd.clear();
+        seen.begin_search();
         fq.clear();
         bq.clear();
-        next.clear();
-        fwd.insert(from.0, (from.0, 0));
-        bwd.insert(to.0, (to.0, 0));
-        fq.push(from.0);
-        bq.push(to.0);
-        let (mut df, mut db) = (0u32, 0u32);
-        let mut best: u32 = u32::MAX;
-        let mut meet: u64 = u64::MAX;
-        let mut forward = true;
-        while (best as u64) > (df + db) as u64 {
-            // Expand one full level of the chosen side (alternating;
-            // falling back to the other side if this one is exhausted).
-            let go_forward = (forward && !fq.is_empty()) || bq.is_empty();
-            let (this, other, queue, depth) = if go_forward {
-                (&mut *fwd, &*bwd, &mut *fq, &mut df)
-            } else {
-                (&mut *bwd, &*fwd, &mut *bq, &mut db)
+        for (root, side, queue) in [(from, Side::Fwd, &mut *fq), (to, Side::Bwd, &mut *bq)] {
+            seen.visit_or_get(root.0 as u32, side, Via::Root);
+            queue.push((root.0 as u32, Via::Root));
+        }
+        let mut side = Side::Fwd;
+        // (last vertex of the expanding side, first vertex of the other).
+        let (near, far) = 'search: loop {
+            let queue = match side {
+                Side::Fwd => &mut *fq,
+                Side::Bwd => &mut *bq,
             };
-            if queue.is_empty() {
-                break; // both exhausted: unreachable vertex (not on Z(p))
-            }
-            *depth += 1;
+            assert!(!queue.is_empty(), "Z(p) is connected");
             next.clear();
-            for &x in queue.iter() {
-                for v in self.neighbors(VertexId(x)) {
-                    if let std::collections::hash_map::Entry::Vacant(e) = this.entry(v.0) {
-                        e.insert((x, *depth));
-                        next.push(v.0);
-                        if let Some(&(_, do_)) = other.get(&v.0) {
-                            let cand = *depth + do_;
-                            if cand < best {
-                                best = cand;
-                                meet = v.0;
-                            }
+            for block in queue.chunks(FRONTIER_BLOCK) {
+                xs.clear();
+                xs.extend(block.iter().filter(|e| e.1 != Via::Chord).map(|e| e.0));
+                inv.resize(xs.len(), 0);
+                inverse_batch(self.p, xs, inv);
+                *inversions += xs.len() as u64;
+                seen.reserve(3 * block.len());
+                let mut chords = inv.iter();
+                // Reach `v` from the vertex being expanded: true iff the
+                // other side already holds it (the meeting).
+                let mut reach = |v: u32, how: Via| match seen.visit_or_get(v, side, how) {
+                    None => {
+                        next.push((v, how));
+                        false
+                    }
+                    Some(holder) => holder != side,
+                };
+                for &(x, via) in block {
+                    *expansions += 1;
+                    // The neighbor `x` was discovered from is already
+                    // seen on this side: skip it, and with it the
+                    // inversion when that neighbor is the chord.
+                    let succ = if x + 1 == p { 0 } else { x + 1 };
+                    if via != Via::Pred && reach(succ, Via::Succ) {
+                        break 'search (x, succ);
+                    }
+                    let pred = if x == 0 { p - 1 } else { x - 1 };
+                    if via != Via::Succ && reach(pred, Via::Pred) {
+                        break 'search (x, pred);
+                    }
+                    if via != Via::Chord {
+                        let chord = *chords.next().expect("one inverse per non-chord vertex");
+                        if reach(chord, Via::Chord) {
+                            break 'search (x, chord);
                         }
                     }
                 }
             }
             std::mem::swap(queue, next);
-            forward = !forward;
-        }
-        assert!(meet != u64::MAX, "Z(p) is connected");
-        // Reconstruct: forward half reversed, then the backward chain.
-        out.push(VertexId(meet));
-        let mut cur = meet;
-        while cur != from.0 {
-            cur = fwd[&cur].0;
-            out.push(VertexId(cur));
-        }
+            side = side.other();
+        };
+        let (fwd_end, bwd_end) = match side {
+            Side::Fwd => (near, far),
+            Side::Bwd => (far, near),
+        };
+        // Forward half back to `from`, reversed; then the backward chain.
+        self.climb(seen, fwd_end, out);
         out.reverse();
-        cur = meet;
-        while cur != to.0 {
-            cur = bwd[&cur].0;
-            out.push(VertexId(cur));
+        self.climb(seen, bwd_end, out);
+    }
+
+    /// Append `x` and its chain of BFS parents up to the search root.
+    /// A parent is recovered from how the vertex was reached; the chord
+    /// case pays a scalar inversion, a few per path.
+    fn climb(&self, seen: &SeenTable, mut x: u32, out: &mut Vec<VertexId>) {
+        loop {
+            out.push(VertexId(x as u64));
+            let z = VertexId(x as u64);
+            x = match seen.via(x) {
+                Via::Root => return,
+                Via::Succ => self.pred(z).0 as u32,
+                Via::Pred => self.succ(z).0 as u32,
+                Via::Chord => self.chord(z).0 as u32,
+            };
         }
     }
 
     /// Exact diameter by all-pairs BFS — O(p²); use for small `p`
     /// (tests and the Figure-1 harness only).
     pub fn diameter(&self) -> u32 {
+        let chords = self.chord_table();
         (0..self.p)
             .map(|x| {
                 *self
-                    .bfs_distances(VertexId(x))
+                    .bfs_distances_on(&chords, VertexId(x))
                     .iter()
                     .max()
                     .expect("nonempty")
@@ -303,19 +405,151 @@ impl std::fmt::Debug for PCycle {
     }
 }
 
+/// Frontier vertices inverted per [`inverse_batch`] call: large enough
+/// that the one scalar inversion per batch vanishes, small enough that
+/// stopping at the first meeting wastes at most this many inversions.
+const FRONTIER_BLOCK: usize = 256;
+
+/// Which search ball a visited vertex belongs to.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Side {
+    Fwd = 0,
+    Bwd = 1,
+}
+
+impl Side {
+    fn other(self) -> Side {
+        match self {
+            Side::Fwd => Side::Bwd,
+            Side::Bwd => Side::Fwd,
+        }
+    }
+}
+
+/// How a visited vertex was reached from its BFS parent — which is
+/// enough to recover the parent (`pred`, `succ`, `chord` respectively).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Via {
+    Succ = 0,
+    Pred = 1,
+    Chord = 2,
+    Root = 3,
+}
+
+/// Visited table of one bidirectional search: open addressing, linear
+/// probing, 8-byte entries `(vertex, generation << 3 | side << 2 | via)`.
+/// An entry whose generation is not the current one is empty, so starting
+/// a search is one counter bump — nothing is cleared, and nothing here
+/// scales with p, only with the O(√p) vertices a search visits.
+#[derive(Default)]
+struct SeenTable {
+    /// Power-of-two length (or empty before first use).
+    slots: Vec<(u32, u32)>,
+    /// Entries of the current generation; kept ≤ half of `slots`.
+    live: usize,
+    /// Current generation, in `1..2²⁹`.
+    generation: u32,
+}
+
+impl SeenTable {
+    const TAG_BITS: u32 = 3;
+    const MIN_SLOTS: usize = 1 << 10;
+
+    /// Forget every entry (and make sure there is a table at all).
+    fn begin_search(&mut self) {
+        self.live = 0;
+        self.generation += 1;
+        if self.generation >> (32 - Self::TAG_BITS) != 0 {
+            self.slots.fill((0, 0));
+            self.generation = 1;
+        }
+        self.reserve(0);
+    }
+
+    #[inline]
+    fn home(&self, key: u32) -> usize {
+        // Fibonacci hashing: the top bits of key·⌊2³²/φ⌋.
+        let shift = 32 - self.slots.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9) >> shift) as usize
+    }
+
+    /// Slot holding `key`, or the empty slot where it belongs.
+    #[inline]
+    fn find(&self, key: u32) -> (usize, bool) {
+        let mask = self.slots.len() - 1;
+        let mut i = self.home(key);
+        loop {
+            let (k, tag) = self.slots[i];
+            if tag >> Self::TAG_BITS != self.generation {
+                return (i, false);
+            }
+            if k == key {
+                return (i, true);
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Make room for `extra` more entries at load ≤ ½.
+    fn reserve(&mut self, extra: usize) {
+        let need = (2 * (self.live + extra)).max(Self::MIN_SLOTS);
+        if need <= self.slots.len() {
+            return;
+        }
+        let old = std::mem::replace(&mut self.slots, vec![(0, 0); need.next_power_of_two()]);
+        for (k, tag) in old {
+            if tag >> Self::TAG_BITS == self.generation {
+                let (i, _) = self.find(k);
+                self.slots[i] = (k, tag);
+            }
+        }
+    }
+
+    /// Record `key` as reached on `side` via `via` unless it is already
+    /// visited, in which case nothing changes and the side that holds it
+    /// is returned. Room must have been [`reserve`](Self::reserve)d.
+    #[inline]
+    fn visit_or_get(&mut self, key: u32, side: Side, via: Via) -> Option<Side> {
+        let (i, present) = self.find(key);
+        if present {
+            let held = self.slots[i].1 >> 2 & 1;
+            return Some(if held == 0 { Side::Fwd } else { Side::Bwd });
+        }
+        let tag = self.generation << Self::TAG_BITS | (side as u32) << 2 | via as u32;
+        self.slots[i] = (key, tag);
+        self.live += 1;
+        None
+    }
+
+    /// How visited vertex `key` was reached.
+    fn via(&self, key: u32) -> Via {
+        let (i, present) = self.find(key);
+        assert!(present, "vertex {key} was never visited");
+        match self.slots[i].1 & 3 {
+            0 => Via::Succ,
+            1 => Via::Pred,
+            2 => Via::Chord,
+            _ => Via::Root,
+        }
+    }
+}
+
 /// Pooled buffers for [`PCycle::shortest_path_with`] (bidirectional BFS):
-/// two parent/depth maps, two frontiers, and a staging queue. One instance
-/// serves unbounded routing operations with no steady-state allocation —
-/// the maps retain their high-water capacity across calls.
+/// one visited table for both balls, two frontiers and a staging queue,
+/// and the batch-inversion input/output of one frontier block. One
+/// instance serves unbounded routing operations — on any mix of cycles —
+/// with no steady-state allocation: the buffers keep their high-water
+/// capacity across calls.
 #[derive(Default)]
 pub struct PathScratch {
-    /// Forward side: vertex → (parent toward `from`, depth).
-    fwd: FxHashMap<u64, (u64, u32)>,
-    /// Backward side: vertex → (parent toward `to`, depth).
-    bwd: FxHashMap<u64, (u64, u32)>,
-    fq: Vec<u64>,
-    bq: Vec<u64>,
-    next: Vec<u64>,
+    seen: SeenTable,
+    /// Forward and backward frontier: `(vertex, how it was reached)`.
+    queues: [Vec<(u32, Via)>; 2],
+    next: Vec<(u32, Via)>,
+    xs: Vec<u32>,
+    inv: Vec<u32>,
+    expansions: u64,
+    inversions: u64,
 }
 
 impl PathScratch {
@@ -323,15 +557,29 @@ impl PathScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Work done by every search on this scratch so far: `(vertices
+    /// expanded, modular inversions among them)` — deterministic counts,
+    /// the unit a route's cost is stated in.
+    pub fn work(&self) -> (u64, u64) {
+        (self.expansions, self.inversions)
+    }
 }
 
-/// Caching next-hop oracle for routing on a fixed `Z(p)`.
+/// Next-hop oracle for routing many pairs on a fixed `Z(p)` by whole
+/// BFS trees.
 ///
 /// Local routing in DEX ("node v can locally compute a shortest path in the
-/// virtual graph", Sect. 4.4) is free in the model; this cache keeps the
-/// *simulator* cost manageable by memoizing one BFS tree per routing target.
+/// virtual graph", Sect. 4.4) is free in the model; here a tree costs one
+/// O(p) BFS whose chords are loads from the oracle's inverse table (built
+/// once, p batched inversions), and trees are memoized per routing target
+/// until the caller [`forget`](PathOracle::forget)s them — the caller
+/// bounds the memo, since a permutation has a distinct target per pair
+/// and would otherwise hold p trees of 4p bytes.
 pub struct PathOracle {
     cycle: PCycle,
+    /// `x ↦ chord(x)`.
+    chords: Box<[u32]>,
     toward: FxHashMap<u64, Box<[u32]>>,
 }
 
@@ -340,6 +588,7 @@ impl PathOracle {
     pub fn new(cycle: PCycle) -> Self {
         PathOracle {
             cycle,
+            chords: cycle.chord_table(),
             toward: FxHashMap::default(),
         }
     }
@@ -349,15 +598,21 @@ impl PathOracle {
         self.cycle
     }
 
+    /// Drop every memoized tree (the inverse table stays).
+    pub fn forget(&mut self) {
+        self.toward.clear();
+    }
+
     /// Next hop on a shortest path `from → to`; `None` if already there.
     pub fn next_hop(&mut self, from: VertexId, to: VertexId) -> Option<VertexId> {
         if from == to {
             return None;
         }
-        let parents = self
-            .toward
-            .entry(to.0)
-            .or_insert_with(|| self.cycle.bfs_parents_toward(to).into_boxed_slice());
+        let parents = self.toward.entry(to.0).or_insert_with(|| {
+            self.cycle
+                .bfs_parents_on(&self.chords, to)
+                .into_boxed_slice()
+        });
         Some(VertexId(parents[from.0 as usize] as u64))
     }
 
@@ -641,6 +896,79 @@ mod tests {
     #[should_panic(expected = "prime")]
     fn rejects_composite() {
         PCycle::new(21);
+    }
+
+    #[test]
+    #[should_panic(expected = "p < 2^32")]
+    fn rejects_primes_that_do_not_fit_u32() {
+        PCycle::new(4_294_967_311);
+    }
+
+    #[test]
+    fn block_sweep_matches_scalar_chords() {
+        // 20011 spans several sweep blocks; ranges start and end off the
+        // block grid, and may be empty.
+        let z = PCycle::new(20_011);
+        for range in [0..20_011u64, 1..20_011, 4_095..4_097, 8_192..12_289, 77..77] {
+            let mut want = range.clone();
+            z.for_each_chord(range.clone(), |x, c| {
+                assert_eq!(Some(x.0), want.next(), "ascending, each once ({range:?})");
+                assert_eq!(c, z.chord(x));
+            });
+            assert_eq!(want.next(), None, "{range:?} swept short");
+        }
+    }
+
+    #[test]
+    fn path_oracle_trees_are_the_plain_bfs_trees() {
+        // 100 distinct targets with the memo forgotten in between, as the
+        // type-2 permutation resolution drives it.
+        let z = PCycle::new(499);
+        let mut oracle = PathOracle::new(z);
+        for t in 0..100u64 {
+            let to = VertexId((t * 211 + 5) % 499);
+            if t % 32 == 0 {
+                oracle.forget();
+                assert!(oracle.toward.is_empty());
+            }
+            let parents = z.bfs_parents_toward(to);
+            for x in 0..499u64 {
+                let hop = oracle.next_hop(VertexId(x), to);
+                let want = (x != to.0).then(|| VertexId(parents[x as usize] as u64));
+                assert_eq!(hop, want, "{x} -> {to}");
+            }
+            assert!(oracle.toward.len() <= 32);
+        }
+    }
+
+    #[test]
+    fn bfs_tree_neighbor_order_is_succ_pred_chord() {
+        // Z(23) toward 0: 1 and 22 hang off 0 directly; 12 = 2⁻¹ is
+        // reached from 2 over the chord only after 2's cycle neighbors.
+        let parents = PCycle::new(23).bfs_parents_toward(VertexId(0));
+        assert_eq!(parents[0], 0);
+        assert_eq!((parents[1], parents[22]), (0, 0));
+        assert_eq!((parents[2], parents[21]), (1, 22));
+        assert_eq!(parents[12], 2);
+    }
+
+    #[test]
+    fn visited_table_survives_generation_wraparound() {
+        let z = PCycle::new(499);
+        let (mut cold, mut want, mut got) = (PathScratch::new(), Vec::new(), Vec::new());
+        let mut warm = PathScratch::new();
+        z.shortest_path_with(VertexId(1), VertexId(300), &mut warm, &mut got);
+        // Jump to the last generations before the 29-bit counter wraps:
+        // stale entries of the searches before and across the wrap must
+        // read as empty.
+        warm.seen.generation = (1 << 29) - 3;
+        for i in 0..6u64 {
+            let (a, b) = (VertexId(17 + i), VertexId(481 - 3 * i));
+            z.shortest_path_with(a, b, &mut warm, &mut got);
+            z.shortest_path_with(a, b, &mut cold, &mut want);
+            assert_eq!(got, want, "{a}->{b} at generation {}", warm.seen.generation);
+        }
+        assert!(warm.seen.generation < 8, "counter wrapped");
     }
 
     #[test]

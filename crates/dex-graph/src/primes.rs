@@ -53,31 +53,123 @@ pub fn mod_mul(a: u64, b: u64, m: u64) -> u64 {
 }
 
 /// `(base ^ exp) mod m` by square-and-multiply. `m` must be nonzero.
-pub fn mod_pow(mut base: u64, mut exp: u64, m: u64) -> u64 {
+pub fn mod_pow(base: u64, exp: u64, m: u64) -> u64 {
     debug_assert!(m > 0);
     if m == 1 {
         return 0;
     }
+    pow_by(|a, b| mod_mul(a, b, m), base % m, exp)
+}
+
+/// Square-and-multiply over any associative `mul` with identity 1.
+#[inline]
+fn pow_by(mul: impl Fn(u64, u64) -> u64, mut base: u64, mut exp: u64) -> u64 {
     let mut acc = 1u64;
-    base %= m;
     while exp > 0 {
         if exp & 1 == 1 {
-            acc = mod_mul(acc, base, m);
+            acc = mul(acc, base);
         }
-        base = mod_mul(base, base, m);
+        base = mul(base, base);
         exp >>= 1;
     }
     acc
 }
 
+/// Multiplication modulo a fixed `p < 2³²` by Barrett reduction: both
+/// factors are `< 2³²`, so the product fits a `u64` and one 64×64→128
+/// multiply by `m = ⌊2⁶⁴/p⌋` estimates the quotient to within one — no
+/// `u128 %` (a library call on x86-64). This is the multiplication under
+/// every chord of `Z(p)`; [`mod_mul`] stays the general-`u64` one that
+/// [`is_prime`] needs.
+#[derive(Clone, Copy)]
+struct Barrett {
+    p: u64,
+    m: u64,
+}
+
+impl Barrett {
+    fn new(p: u64) -> Self {
+        assert!(
+            p > 1 && p >> 32 == 0,
+            "Barrett modulus {p} not in [2, 2^32)"
+        );
+        Barrett { p, m: u64::MAX / p }
+    }
+
+    /// `a·b mod p` for `a, b < 2³²`.
+    #[inline]
+    fn mul(self, a: u64, b: u64) -> u64 {
+        let z = a * b;
+        // q ∈ {⌊z/p⌋ − 1, ⌊z/p⌋}, so z − q·p ∈ [0, 2p).
+        let q = ((z as u128 * self.m as u128) >> 64) as u64;
+        let r = z - q * self.p;
+        if r >= self.p {
+            r - self.p
+        } else {
+            r
+        }
+    }
+
+    /// `x⁻¹ = x^(p−2) mod p` (Fermat) for prime `p` and `x ≢ 0`.
+    fn inverse(self, x: u64) -> u64 {
+        pow_by(|a, b| self.mul(a, b), x % self.p, self.p - 2)
+    }
+}
+
 /// Multiplicative inverse of `x` modulo prime `p` via Fermat's little
-/// theorem: `x⁻¹ = x^(p−2) mod p`.
+/// theorem: `x⁻¹ = x^(p−2) mod p`. Below 2³² — every p-cycle — the
+/// powering runs on [`Barrett`] multiplication.
 ///
 /// # Panics
 /// Panics if `x % p == 0` (zero has no inverse).
 pub fn mod_inverse(x: u64, p: u64) -> u64 {
     assert!(!x.is_multiple_of(p), "0 has no inverse mod {p}");
-    mod_pow(x, p - 2, p)
+    if p >> 32 == 0 {
+        Barrett::new(p).inverse(x)
+    } else {
+        mod_pow(x, p - 2, p)
+    }
+}
+
+/// Invert a whole slice modulo prime `p < 2³²`: `out[i] = xs[i]⁻¹ mod p`,
+/// and `0 ↦ 0` (the self-loop of Definition 1, so a slice of p-cycle
+/// vertices maps to their chord partners). Elements must be reduced
+/// (`< p`).
+///
+/// Montgomery's trick: one scalar [`mod_inverse`]-cost inversion of the
+/// running product plus three multiplications per element, instead of a
+/// ≈ 1.5·log₂ p-multiplication powering each. This is the chord kernel:
+/// every traversal of `Z(p)` that touches more than a handful of
+/// vertices (route BFS frontiers, full-cycle sweeps, inverse tables)
+/// goes through it.
+///
+/// # Panics
+/// Panics if the slices differ in length or `p ≥ 2³²`.
+pub fn inverse_batch(p: u64, xs: &[u32], out: &mut [u32]) {
+    assert_eq!(xs.len(), out.len(), "inverse_batch: length mismatch");
+    if xs.is_empty() {
+        return;
+    }
+    let b = Barrett::new(p);
+    // Forward: out[i] = product of the nonzero elements before i.
+    let mut acc = 1u64;
+    for (o, &x) in out.iter_mut().zip(xs) {
+        debug_assert!((x as u64) < p, "unreduced element {x} mod {p}");
+        *o = acc as u32;
+        if x != 0 {
+            acc = b.mul(acc, x as u64);
+        }
+    }
+    // Backward: `inv` is the inverse of the product of elements ≤ i.
+    let mut inv = b.inverse(acc);
+    for (o, &x) in out.iter_mut().zip(xs).rev() {
+        if x == 0 {
+            *o = 0;
+        } else {
+            *o = b.mul(inv, *o as u64) as u32;
+            inv = b.mul(inv, x as u64);
+        }
+    }
 }
 
 /// Smallest prime strictly inside the open interval `(lo, hi)`, or `None`.
@@ -166,6 +258,54 @@ mod tests {
                 assert_eq!(mod_mul(x, inv, p), 1, "x={x} p={p}");
             }
         }
+    }
+
+    #[test]
+    fn barrett_inverse_matches_u128_powering() {
+        // 4294967291 is the largest prime below 2³² (the Barrett limit).
+        for p in [2u64, 3, 5, 23, 65537, 2_000_003, 4_294_967_291] {
+            for x in [1u64, 2, 3, p / 2, p - 2, p - 1, p + 1, 3 * p + 2] {
+                if x % p != 0 {
+                    assert_eq!(mod_inverse(x, p), mod_pow(x, p - 2, p), "x={x} p={p}");
+                }
+            }
+        }
+        // Above the limit the general multiplication still serves.
+        let p = 4_294_967_311u64;
+        assert!(is_prime(p));
+        assert_eq!(mod_mul(12345, mod_inverse(12345, p), p), 1);
+    }
+
+    #[test]
+    fn inverse_batch_matches_scalar() {
+        let check = |p: u64, xs: &[u32]| {
+            let mut out = vec![u32::MAX; xs.len()];
+            inverse_batch(p, xs, &mut out);
+            for (&x, &inv) in xs.iter().zip(&out) {
+                let want = if x == 0 { 0 } else { mod_inverse(x as u64, p) };
+                assert_eq!(inv as u64, want, "x={x} p={p} in {xs:?}");
+            }
+        };
+        for p in [5u64, 23, 2_000_003, 4_294_967_291] {
+            let top = (p - 1) as u32;
+            check(p, &[]);
+            check(p, &[0]);
+            check(p, &[1]);
+            check(p, &[top]);
+            // Zeros interleaved (0 ↦ 0), leading and trailing.
+            check(p, &[0, 2, 0, 0, top, 1, 3, 0]);
+            // Every vertex of a small cycle / a long run on a large one.
+            let run: Vec<u32> = (0..p.min(5000) as u32).collect();
+            check(p, &run);
+            let high: Vec<u32> = (0..1000).map(|i| top - i % (top.min(977))).collect();
+            check(p, &high);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "length mismatch")]
+    fn inverse_batch_rejects_mismatched_output() {
+        inverse_batch(23, &[1, 2], &mut [0]);
     }
 
     #[test]
