@@ -40,6 +40,7 @@
 use dex::prelude::*;
 use dex::sim::msim;
 use dex::sim::rng::splitmix64;
+use dex_bench::summary_json;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fmt::Write as _;
@@ -111,13 +112,6 @@ fn spec_for(loss: u32, seed: u64) -> FaultSpec {
         .with_seed(fseed)
 }
 
-fn summary_json(s: &Summary) -> String {
-    format!(
-        "{{\"count\": {}, \"mean\": {:.4}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}",
-        s.count, s.mean, s.p50, s.p95, s.p99, s.p999, s.max
-    )
-}
-
 fn fault_stats_json(fs: &FaultStats) -> String {
     format!(
         "{{\"sent\": {}, \"delivered\": {}, \"lost_random\": {}, \"lost_burst\": {}, \
@@ -147,13 +141,7 @@ fn fault_stats_json(fs: &FaultStats) -> String {
 
 /// Engine-level percolation point: `n_ops` walks (to a sparse accept set)
 /// and `n_ops` fixed-length routes on a frozen bootstrap topology.
-fn percolation_point(
-    g: &dex::graph::MultiGraph,
-    loss: u32,
-    seed: u64,
-    n_ops: usize,
-    threads: usize,
-) -> String {
+fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: usize) -> String {
     let spec = spec_for(loss, seed);
     let nodes = g.nodes_sorted();
     let pick = |x: u64| nodes[(splitmix64(x) % nodes.len() as u64) as usize];
@@ -173,7 +161,7 @@ fn percolation_point(
             seed ^ 0x77a1 ^ (i as u64) ^ ((retry as u64) << 40),
         ))
     };
-    let (walk_results, walk_report) = msim::run_walks(g, &spec, &walk_ops, accept, mk_rng, threads);
+    let (walk_results, walk_report) = msim::run_walks(g, &spec, &walk_ops, accept, mk_rng);
     let walk_hits = walk_results.iter().filter(|r| r.hit.is_some()).count();
     let walk_lost = walk_results
         .iter()
@@ -199,7 +187,7 @@ fn percolation_point(
             }
         })
         .collect();
-    let (route_results, route_report) = msim::run_routes(g, &spec, &route_ops, threads);
+    let (route_results, route_report) = msim::run_routes(g, &spec, &route_ops);
     let route_delivered = route_results
         .iter()
         .filter(|r| r.status == msim::OpStatus::Delivered)
@@ -278,13 +266,7 @@ fn degradation_point(loss: u32, opts: &RunOptions, smoke: bool) -> (String, Step
 /// re-flood budget. Reports how gracefully the count degrades: complete
 /// rate, mean partial-count error vs the true size, witness-found rate,
 /// and the new flood counters.
-fn flood_point(
-    g: &dex::graph::MultiGraph,
-    loss: u32,
-    seed: u64,
-    k: usize,
-    threads: usize,
-) -> String {
+fn flood_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, k: usize) -> String {
     let spec = spec_for(loss, seed);
     let nodes = g.nodes_sorted();
     let n = nodes.len() as f64;
@@ -295,8 +277,7 @@ fn flood_point(
     for i in 0..k {
         let root = nodes[(splitmix64(seed ^ 0xf10d ^ i as u64) % nodes.len() as u64) as usize];
         let op_key = splitmix64(seed ^ 0xf1f1 ^ i as u64);
-        let (out, report) =
-            msim::run_flood(g, &spec, root, pred, op_key, spec.flood_retries, threads);
+        let (out, report) = msim::run_flood(g, &spec, root, pred, op_key, spec.flood_retries);
         if out.complete {
             complete += 1;
         }
@@ -328,12 +309,11 @@ fn flood_point(
 /// message-scheduled coordination must roll back and re-initiate under
 /// loss. `rollback_rate` is failed coordination attempts per attempt
 /// (completions + rollbacks).
-fn type2_point(loss: u32, seed: u64, smoke: bool, threads: usize) -> String {
+fn type2_point(loss: u32, seed: u64, smoke: bool) -> String {
     let n0 = 16u64;
     let inserts = if smoke { 120 } else { 280 };
     let cfg = DexConfig::new(splitmix64(seed ^ 0x7209)).simplified();
     let mut dex = DexNetwork::bootstrap(cfg, n0);
-    dex.set_heal_threads(threads);
     dex.set_faults(Some(spec_for(loss, seed)));
     let mut live = dex.node_ids();
     let first = live.iter().map(|u| u.0).max().unwrap_or(0) + 1;
@@ -446,7 +426,7 @@ fn main() {
     let _ = writeln!(json, "  \"percolation\": [");
     for (i, &loss) in losses.iter().enumerate() {
         let t0 = std::time::Instant::now();
-        let point = percolation_point(frozen.graph(), loss, args.seed, n_ops, args.threads);
+        let point = percolation_point(frozen.graph(), loss, args.seed, n_ops);
         println!(
             "percolation loss {loss:>4}  ({:.2}s)",
             t0.elapsed().as_secs_f64()
@@ -484,7 +464,7 @@ fn main() {
     let _ = writeln!(json, "  \"flood_degradation\": [");
     for (i, &loss) in losses.iter().enumerate() {
         let t0 = std::time::Instant::now();
-        let point = flood_point(frozen.graph(), loss, args.seed, flood_k, args.threads);
+        let point = flood_point(frozen.graph(), loss, args.seed, flood_k);
         println!("flood loss {loss:>4}  ({:.2}s)", t0.elapsed().as_secs_f64());
         let _ = writeln!(
             json,
@@ -498,7 +478,7 @@ fn main() {
     let _ = writeln!(json, "  \"type2_degradation\": [");
     for (i, &loss) in losses.iter().enumerate() {
         let t0 = std::time::Instant::now();
-        let point = type2_point(loss, args.seed, args.smoke, args.threads);
+        let point = type2_point(loss, args.seed, args.smoke);
         println!("type2 loss {loss:>4}  ({:.2}s)", t0.elapsed().as_secs_f64());
         let _ = writeln!(
             json,

@@ -15,6 +15,7 @@
 //! ```
 
 use dex::prelude::*;
+use dex_bench::summary_json;
 use std::fmt::Write as _;
 
 struct Args {
@@ -111,13 +112,6 @@ fn lineup(full: bool) -> Vec<Scenario> {
             floor: 8,
         }),
     ]
-}
-
-fn summary_json(s: &Summary) -> String {
-    format!(
-        "{{\"count\": {}, \"mean\": {:.4}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}",
-        s.count, s.mean, s.p50, s.p95, s.p99, s.p999, s.max
-    )
 }
 
 fn main() {

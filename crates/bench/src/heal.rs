@@ -27,6 +27,7 @@
 //! the JSON is **byte-identical** across thread counts; the
 //! `heal_determinism` test runs threads ∈ {1, 3, 8} and diffs the bytes.
 
+use crate::summary_json;
 use dex::core::mapping::oracle::HashMapping;
 use dex::core::VirtualMapping;
 use dex::exec::par_map;
@@ -637,13 +638,6 @@ fn churn_measure(
 // ======================================================================
 // Assembly
 // ======================================================================
-
-fn summary_json(s: &Summary) -> String {
-    format!(
-        "{{\"count\": {}, \"mean\": {:.4}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}",
-        s.count, s.mean, s.p50, s.p95, s.p99, s.p999, s.max
-    )
-}
 
 /// Derive the seed of churn trial `t` at scale `n`.
 fn scale_trial_seed(master: u64, n: u64, t: usize) -> u64 {

@@ -96,6 +96,14 @@ pub fn exec_header_json() -> String {
     )
 }
 
+/// One [`Summary`] as the JSON object every `BENCH_*.json` emitter uses.
+pub fn summary_json(s: &Summary) -> String {
+    format!(
+        "{{\"count\": {}, \"mean\": {:.4}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}",
+        s.count, s.mean, s.p50, s.p95, s.p99, s.p999, s.max
+    )
+}
+
 /// Render a plain-text table.
 pub fn print_table(title: &str, headers: &[&str], rows: &[Vec<String>]) {
     println!("\n== {title} ==");

@@ -27,7 +27,7 @@
 //! are omitted and the JSON is **byte-identical** across thread counts
 //! (CI runs `--exec-threads 1/3/8` and diffs the files).
 
-use dex::prelude::*;
+use crate::summary_json;
 use dex::workload::serve::ServeReport;
 use dex::workload::{Arrivals, ServeOptions};
 use std::fmt::Write as _;
@@ -61,13 +61,6 @@ impl Default for ServeBenchOptions {
             queue_cap: 4096,
         }
     }
-}
-
-fn summary_json(s: &Summary) -> String {
-    format!(
-        "{{\"count\": {}, \"mean\": {:.4}, \"p50\": {}, \"p95\": {}, \"p99\": {}, \"p999\": {}, \"max\": {}}}",
-        s.count, s.mean, s.p50, s.p95, s.p99, s.p999, s.max
-    )
 }
 
 /// Sanity every run must satisfy regardless of scale or load.
@@ -112,7 +105,7 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> String {
         batch_max,
         seed: opts.seed,
         threads: opts.threads,
-        heal_threads: opts.threads.max(1),
+        ..ServeOptions::default()
     };
 
     // Stage 1: closed-loop capacity calibration (virtual time only).

@@ -99,10 +99,6 @@ pub struct DexNetwork {
     /// paths) — with these, steady-state type-1 recovery allocates
     /// nothing per operation.
     pub(crate) heal: HealScratch,
-    /// Executor fan-out width of the type-2 rebuild and of the
-    /// message-level simulator's delivery loops (1 = inline). Results are
-    /// bit-identical for every value.
-    pub(crate) heal_threads: usize,
     /// Always zero; see [`crate::batch::BatchHealStats`].
     pub batch_stats: crate::batch::BatchHealStats,
     /// When set, walks, floods, type-2 coordination and DHT routes run on
@@ -148,27 +144,16 @@ impl DexNetwork {
             step_no: 0,
             flood_scratch: FloodScratch::new(),
             heal: HealScratch::new(),
-            heal_threads: 1,
             batch_stats: crate::batch::BatchHealStats::default(),
             faults: None,
             fault_stats: dex_sim::msim::FaultStats::default(),
         }
     }
 
-    /// Set the executor fan-out width used inside this network: the
-    /// type-2 rebuild (permutation resolution, cloud staging) and, under a
-    /// fault spec, the message-level simulator's walk/flood/route
-    /// delivery. Purely a throughput knob: results are bit-identical for
-    /// any value (`tests/batch.rs` and the `bench_faults --smoke` CI job
-    /// enforce it).
-    pub fn set_heal_threads(&mut self, threads: usize) {
-        self.heal_threads = threads.max(1);
-    }
-
-    /// Current executor fan-out width (see [`DexNetwork::set_heal_threads`]).
-    pub fn heal_threads(&self) -> usize {
-        self.heal_threads
-    }
+    /// No-op, kept only because the frozen `benchmark/` crate calls it: a
+    /// `DexNetwork` is a sequential object and fans nothing out. Goes
+    /// with the next `benchmark` PR (ROADMAP).
+    pub fn set_heal_threads(&mut self, _threads: usize) {}
 
     /// Current network size.
     pub fn n(&self) -> usize {

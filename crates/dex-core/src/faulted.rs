@@ -16,7 +16,7 @@
 //! scheduling charges one round and one message per hop, so a **zero**
 //! fault spec is bit-identical to no spec at all: same end state, same
 //! per-step rounds and messages (`tests/msim_diff.rs` runs the two
-//! transports under the one loop at several thread counts).
+//! transports under the one loop).
 //!
 //! Under real faults, three robustness layers engage:
 //!
@@ -171,7 +171,7 @@ impl DexNetwork {
                     seeds.stream(purpose, &ext)
                 }
             };
-            msim::run_walks(g, spec, &ops, accept, mk_rng, self.heal_threads)
+            msim::run_walks(g, spec, &ops, accept, mk_rng)
         };
         self.net.charge_rounds(report.makespan);
         self.net.charge_messages(report.messages);
@@ -206,7 +206,7 @@ impl DexNetwork {
             let g = self.net.graph();
             let map = &self.map;
             let pred = move |w: NodeId| goal.is_some_and(|goal| goal.accepts(map, w));
-            msim::run_flood(g, spec, root, pred, op_key, retries, self.heal_threads)
+            msim::run_flood(g, spec, root, pred, op_key, retries)
         };
         self.net.charge_rounds(report.makespan);
         self.net.charge_messages(report.messages);
@@ -373,7 +373,7 @@ impl DexNetwork {
             round_trip,
             op_key,
         }];
-        let (results, report) = msim::run_routes(self.net.graph(), spec, &ops, self.heal_threads);
+        let (results, report) = msim::run_routes(self.net.graph(), spec, &ops);
         let [op] = ops;
         self.heal.route.npath = op.path;
         self.net.charge_rounds(report.makespan);

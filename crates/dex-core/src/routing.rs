@@ -26,17 +26,6 @@ use dex_sim::Network;
 /// Largest p for which one-shot type-2 executes real permutation routing.
 pub const EXACT_ROUTING_MAX_P: u64 = 2500;
 
-/// Per-chunk staging for the parallel permutation resolution: one worker
-/// resolves one chunk of pairs into its own flat buffer, and the chunks
-/// are spliced sequentially in chunk order — byte-identical to the
-/// sequential resolution for any thread count.
-#[derive(Default)]
-struct ChunkPaths {
-    flat: Vec<NodeId>,
-    /// Chunk-local `(start, len)` ranges into `flat`.
-    ranges: Vec<(usize, usize)>,
-}
-
 /// Reusable path-resolution buffers for [`route_pairs_with`] and the DHT
 /// hop counter: all token paths live in one flat node buffer addressed by
 /// `(start, len)` ranges, so resolving a permutation allocates nothing per
@@ -48,9 +37,6 @@ pub struct RouteScratch {
     flat: Vec<NodeId>,
     /// `(start, len)` of each token's path within `flat`.
     ranges: Vec<(usize, usize)>,
-    /// Per-chunk staging for the parallel resolution fan-out (capacities
-    /// persist across type-2 events).
-    chunks: Vec<ChunkPaths>,
     /// Bidirectional-BFS scratch for per-message virtual shortest paths.
     pub(crate) bfs: dex_graph::pcycle::PathScratch,
     /// Staging buffer for one virtual path (the DHT route).
@@ -70,9 +56,7 @@ impl RouteScratch {
 /// Pairs per resolution chunk. A chunk is the unit a `PathOracle`'s
 /// BFS-tree memo lives for — it is forgotten at every chunk boundary, so
 /// an oracle never holds more than this many trees (a type-2 permutation
-/// has a distinct target per pair and never hits the memo) — and the
-/// unit of the parallel fan-out: chunk boundaries are fixed, so the
-/// spliced buffer is byte-identical for any thread count.
+/// has a distinct target per pair and never hits the memo).
 const PAIR_CHUNK: usize = 32;
 
 /// Route one token per `(source, target)` vertex pair along virtual
@@ -89,14 +73,12 @@ pub fn route_pairs(
     pairs: &[(VertexId, VertexId)],
     cap: usize,
 ) -> u64 {
-    route_pairs_with(net, map, cycle, pairs, cap, 1, &mut RouteScratch::new())
+    route_pairs_with(net, map, cycle, pairs, cap, &mut RouteScratch::new())
 }
 
 /// Append the physical path (the owner of every virtual hop) of each
 /// `src → dst` in one chunk of pairs to `flat`, recording the `(start,
-/// len)` ranges. Pure per pair: a path is a function of `(cycle, src,
-/// dst)` and the read-only Φ, so resolution order — and which worker
-/// resolved it — never shows in the bytes.
+/// len)` ranges.
 fn resolve_chunk(
     map: &VirtualMapping,
     oracle: &mut PathOracle,
@@ -120,63 +102,25 @@ fn resolve_chunk(
 /// [`route_pairs`] resolving owners into the caller-provided flat buffer:
 /// each virtual path is walked hop by hop and its owners appended to one
 /// shared `Vec<NodeId>` — no per-pair `Vec`.
-///
-/// The resolution pass (next-hop walks + owner lookups) is read-only bulk
-/// work; with `threads > 1` it fans out over the persistent executor pool
-/// in fixed [`PAIR_CHUNK`]-pair chunks, each worker growing BFS trees in
-/// its own [`PathOracle`], and the per-chunk buffers are spliced in chunk
-/// order — the flat buffer, the charged costs, and the makespan are
-/// bit-identical to the sequential resolution for any thread count (this
-/// is the type-2 rebuild's permutation-resolution fan-out).
 pub fn route_pairs_with(
     net: &mut Network,
     map: &VirtualMapping,
     cycle: &PCycle,
     pairs: &[(VertexId, VertexId)],
     cap: usize,
-    threads: usize,
     scratch: &mut RouteScratch,
 ) -> u64 {
     scratch.flat.clear();
     scratch.ranges.clear();
-    if threads <= 1 || pairs.len() <= 2 * PAIR_CHUNK {
-        let mut oracle = PathOracle::new(*cycle);
-        for chunk in pairs.chunks(PAIR_CHUNK) {
-            resolve_chunk(
-                map,
-                &mut oracle,
-                chunk,
-                &mut scratch.flat,
-                &mut scratch.ranges,
-            );
-        }
-    } else {
-        let n_chunks = pairs.len().div_ceil(PAIR_CHUNK);
-        if scratch.chunks.len() < n_chunks {
-            scratch.chunks.resize_with(n_chunks, ChunkPaths::default);
-        }
-        let chunks = &mut scratch.chunks[..n_chunks];
-        dex_exec::for_chunks_state_mut(
-            chunks,
-            threads,
-            1,
-            || PathOracle::new(*cycle),
-            |ci, out, oracle| {
-                let out = &mut out[0];
-                out.flat.clear();
-                out.ranges.clear();
-                let lo = ci * PAIR_CHUNK;
-                let hi = (lo + PAIR_CHUNK).min(pairs.len());
-                resolve_chunk(map, oracle, &pairs[lo..hi], &mut out.flat, &mut out.ranges);
-            },
+    let mut oracle = PathOracle::new(*cycle);
+    for chunk in pairs.chunks(PAIR_CHUNK) {
+        resolve_chunk(
+            map,
+            &mut oracle,
+            chunk,
+            &mut scratch.flat,
+            &mut scratch.ranges,
         );
-        for chunk in chunks.iter() {
-            let base = scratch.flat.len();
-            scratch.flat.extend_from_slice(&chunk.flat);
-            scratch
-                .ranges
-                .extend(chunk.ranges.iter().map(|&(s, l)| (base + s, l)));
-        }
     }
     route_batch_flat(net, &scratch.flat, &scratch.ranges, cap)
 }
@@ -364,29 +308,6 @@ mod tests {
             rounds <= bound,
             "random permutation took {rounds} > {bound}"
         );
-    }
-
-    #[test]
-    fn parallel_resolution_is_bit_identical_to_sequential() {
-        // The type-2 permutation-resolution fan-out must charge the exact
-        // same rounds/messages for any thread count (chunked per-worker
-        // oracles + chunk-order splice).
-        let p = 1009u64;
-        let pairs = inflation_inverse_pairs(p, primes::inflation_prime(p));
-        assert!(pairs.len() > 2 * 32, "workload must exercise the fan-out");
-        let mut baseline = None;
-        for threads in [1usize, 3, 8] {
-            let (mut net, map, cycle) = world(p, p / 5);
-            net.begin_step();
-            let mut scratch = RouteScratch::new();
-            let rounds = route_pairs_with(&mut net, &map, &cycle, &pairs, 1, threads, &mut scratch);
-            let counters = net.current_counters();
-            net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
-            match baseline {
-                None => baseline = Some((rounds, counters)),
-                Some(b) => assert_eq!(b, (rounds, counters), "threads={threads}"),
-            }
-        }
     }
 
     #[test]

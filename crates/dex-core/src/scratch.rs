@@ -33,11 +33,6 @@ pub struct HealScratch {
     pub insts: Vec<(VertexId, VertexId)>,
     /// Path-resolution buffers for type-2 permutation routing.
     pub route: RouteScratch,
-    /// Staged `(start-or-vertex, len-or-keep, owner)` runs for the type-2
-    /// rebuild's entry re-scan: the dense Φ scan is staged here, the cloud
-    /// arithmetic fans out over the executor pool, and the runs are
-    /// applied to the new Φ sequentially (see [`crate::type2_simple`]).
-    pub cloud_runs: Vec<(u64, u64, NodeId)>,
     /// Batch-validation map: attach-point fan-in counts.
     pub fan_in: FxHashMap<NodeId, usize>,
     /// Batch-validation set: newcomer / victim uniqueness.

@@ -52,24 +52,19 @@ fn inverse_edge_routing(dex: &mut DexNetwork, inflating: bool, new_cycle: &PCycl
         return;
     }
     let p_old = dex.cycle.p();
-    let pairs = if inflating {
+    let mut pairs = if inflating {
         crate::routing::inflation_inverse_pairs(p_old, p_new)
     } else {
         crate::routing::deflation_inverse_pairs(p_old, p_new)
     };
     // Pairs whose sources live on the same node are local and free.
-    let mut pairs = pairs;
     pairs.retain(|&(a, b)| dex.map.owner_of(a) != dex.map.owner_of(b));
-    // The permutation resolution fans out over the executor pool (the
-    // bulk of the rebuild's simulator work); charges are bit-identical
-    // for any thread count.
     crate::routing::route_pairs_with(
         &mut dex.net,
         &dex.map,
         &dex.cycle,
         &pairs,
         1,
-        dex.heal_threads,
         &mut dex.heal.route,
     );
 }
@@ -96,28 +91,15 @@ pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
     dex.type2_coordinate(root);
 
     // Phase 1: every node locally replaces each owned vertex x by its
-    // cloud (Eq. 6–8). Local computation is free in the model; the
-    // simulator stages the dense Φ entry re-scan and fans the per-entry
-    // cloud arithmetic over the executor pool, then applies the runs to
-    // the new Φ sequentially in canonical (vertex-ascending) order —
-    // bit-identical to the inline scan for any thread count. Clouds are
-    // contiguous (Eq. 7): one run assignment per old vertex — a single
-    // owner-slot resolution and sequential dense writes instead of α
-    // separate assigns.
-    let mut runs = std::mem::take(&mut dex.heal.cloud_runs);
-    runs.clear();
-    runs.extend(dex.map.entries().map(|(z, owner)| (z.0, 0u64, owner)));
-    dex_exec::for_chunks_mut(&mut runs, dex.heal_threads, |_, chunk| {
-        for r in chunk {
-            let (start, len) = resize::inflation_cloud_range(r.0, p_old, p_new);
-            (r.0, r.1) = (start, len);
-        }
-    });
+    // cloud (Eq. 6–8), in canonical (vertex-ascending) order. Local
+    // computation is free in the model. Clouds are contiguous (Eq. 7):
+    // one run assignment per old vertex — a single owner-slot resolution
+    // and sequential dense writes instead of α separate assigns.
     let mut new_map = VirtualMapping::with_vertex_capacity(dex.cfg.zeta, p_new);
-    for &(start, len, owner) in &runs {
+    for (z, owner) in dex.map.entries() {
+        let (start, len) = resize::inflation_cloud_range(z.0, p_old, p_new);
         new_map.assign_run(VertexId(start), len, owner);
     }
-    dex.heal.cloud_runs = runs;
     // Cycle edges come from the old cycle's edges: O(1) rounds, one
     // message per old cycle edge per direction.
     dex.net.charge_rounds(2);
@@ -167,27 +149,15 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     dex.type2_coordinate(root);
 
     // Phase 1: dominating vertices survive (y = ⌊x/α⌋, smallest preimage
-    // keeps it); everything else is contracted away. As in `inflate`, the
-    // entry re-scan is staged and the dominating-image arithmetic fans
-    // out over the executor pool; survivors are assigned sequentially in
-    // canonical order (bit-identical for any thread count).
-    let mut runs = std::mem::take(&mut dex.heal.cloud_runs);
-    runs.clear();
-    runs.extend(dex.map.entries().map(|(z, owner)| (z.0, 0u64, owner)));
-    dex_exec::for_chunks_mut(&mut runs, dex.heal_threads, |_, chunk| {
-        for r in chunk {
-            if resize::is_dominating(r.0, p_old, p_new) {
-                (r.0, r.1) = (resize::deflation_image(r.0, p_old, p_new), 1);
-            }
-        }
-    });
+    // keeps it), assigned in canonical order; everything else is
+    // contracted away.
     let mut new_map = VirtualMapping::with_vertex_capacity(dex.cfg.zeta, p_new);
-    for &(image, keep, owner) in &runs {
-        if keep == 1 {
+    for (z, owner) in dex.map.entries() {
+        if resize::is_dominating(z.0, p_old, p_new) {
+            let image = resize::deflation_image(z.0, p_old, p_new);
             new_map.assign(VertexId(image), owner);
         }
     }
-    dex.heal.cloud_runs = runs;
     dex.net.charge_rounds(2);
     dex.net.charge_messages(2 * p_old);
     inverse_edge_routing(dex, false, &new_cycle);

@@ -9,9 +9,7 @@
 //! * the structural invariants after **every** step of random batch
 //!   scripts (mixed batch inserts/deletes, chained and clique attaches,
 //!   neighborhood deletes, interleaved single ops);
-//! * bit-identity across `heal_threads` (the fan-out width of the type-2
-//!   rebuild a batch may trigger), and no thread spawns once the executor
-//!   pool is warm.
+//! * replaying a script reproduces the network bit for bit.
 
 use dex_core::{invariants, DexConfig, DexNetwork};
 use dex_graph::ids::NodeId;
@@ -295,11 +293,9 @@ fn assert_networks_identical(a: &DexNetwork, b: &DexNetwork) {
     assert_eq!(ta.type2_steps, tb.type2_steps);
 }
 
-fn bootstrap(n0: u64, seed: u64, threads: usize) -> DexNetwork {
+fn bootstrap(n0: u64, seed: u64) -> DexNetwork {
     let cfg = DexConfig::new(splitmix64(seed ^ 0xd5c0)).simplified();
-    let mut dex = DexNetwork::bootstrap(cfg, n0);
-    dex.set_heal_threads(threads);
-    dex
+    DexNetwork::bootstrap(cfg, n0)
 }
 
 // ----------------------------------------------------------------------
@@ -338,8 +334,8 @@ fn digest(dex: &DexNetwork) -> Digest {
 /// The fixed script: n0 = 2,000; 200 alternating `insert_batch` /
 /// `delete_batch` steps of 64; then batches of 64 growing through an
 /// inflation and shrinking through a deflation.
-fn run_golden_script(threads: usize) -> DexNetwork {
-    let mut dex = bootstrap(2_000, 0x601d, threads);
+fn run_golden_script() -> DexNetwork {
+    let mut dex = bootstrap(2_000, 0x601d);
     let mut script = Script::new(&dex, 0x601d);
     for i in 0..200 {
         let step = if i % 2 == 0 {
@@ -356,7 +352,7 @@ fn run_golden_script(threads: usize) -> DexNetwork {
 
 /// Recorded at the last commit that had the wave engine (3e77e6d),
 /// where `insert_batch`/`delete_batch` ran through the wave engine at
-/// `heal_threads` 1, 3 and 8 and all three agreed. The one test that
+/// 1, 3 and 8 executor threads and all three agreed. The one test that
 /// fails if the surviving per-op path ever drifts from what the engine
 /// produced.
 const GOLDEN: Digest = Digest {
@@ -369,11 +365,9 @@ const GOLDEN: Digest = Digest {
 
 #[test]
 fn golden_script_digest_is_unchanged_at_every_thread_count() {
-    for threads in [1, 3, 8] {
-        let dex = run_golden_script(threads);
-        assert_eq!(digest(&dex), GOLDEN, "heal_threads={threads}");
-        invariants::assert_ok(&dex);
-    }
+    let dex = run_golden_script();
+    assert_eq!(digest(&dex), GOLDEN);
+    invariants::assert_ok(&dex);
 }
 
 // ----------------------------------------------------------------------
@@ -382,14 +376,8 @@ fn golden_script_digest_is_unchanged_at_every_thread_count() {
 
 /// Drive `steps` through one network; with `check_every_step` the full
 /// invariant check runs after every applied step.
-fn run_script(
-    n0: u64,
-    seed: u64,
-    steps: &[Step],
-    threads: usize,
-    check_every_step: bool,
-) -> DexNetwork {
-    let mut dex = bootstrap(n0, seed, threads);
+fn run_script(n0: u64, seed: u64, steps: &[Step], check_every_step: bool) -> DexNetwork {
+    let mut dex = bootstrap(n0, seed);
     let mut script = Script::new(&dex, seed ^ 0x5c71);
     for &step in steps {
         if script.apply(&mut dex, step).is_some() && check_every_step {
@@ -407,7 +395,7 @@ proptest! {
         seed in any::<u64>(),
         steps in proptest::collection::vec(arb_step(), 4..24),
     ) {
-        run_script(160, seed, &steps, 1, true);
+        run_script(160, seed, &steps, true);
     }
 
     #[test]
@@ -415,10 +403,10 @@ proptest! {
         seed in any::<u64>(),
         steps in proptest::collection::vec(arb_step(), 4..12),
     ) {
-        let base = run_script(160, seed, &steps, 1, false);
-        for threads in [3, 8] {
-            assert_networks_identical(&run_script(160, seed, &steps, threads, false), &base);
-        }
+        // A network is sequential, so this is the replay contract: the
+        // same script twice gives the same bits.
+        let base = run_script(160, seed, &steps, false);
+        assert_networks_identical(&run_script(160, seed, &steps, false), &base);
     }
 }
 
@@ -427,7 +415,7 @@ proptest! {
 /// fabric must come back intact.
 #[test]
 fn neighborhood_deletes_heal_and_preserve_invariants() {
-    let mut dex = bootstrap(400, 0xfeed, 1);
+    let mut dex = bootstrap(400, 0xfeed);
     let mut script = Script::new(&dex, 0xfeed);
     for _ in 0..6 {
         if let Some(m) = script.apply(&mut dex, Step::NeighborhoodDeletes(12)) {
@@ -438,49 +426,4 @@ fn neighborhood_deletes_heal_and_preserve_invariants() {
         script.apply(&mut dex, Step::Inserts(12));
         invariants::assert_ok(&dex);
     }
-}
-
-// ----------------------------------------------------------------------
-// Type-2 inside batch steps, and the warm pool
-// ----------------------------------------------------------------------
-
-/// Batches that trigger the type-2 switchover: inflate via spare
-/// exhaustion under pure growth, then deflate under pure shrink. The
-/// rebuild fans out over the executor pool (permutation resolution,
-/// cloud-assignment staging) at width `threads`.
-fn run_type2_script(threads: usize) -> DexNetwork {
-    let mut dex = bootstrap(48, 0x7e2, threads);
-    let mut script = Script::new(&dex, 0x7e2);
-    script.grow_through_inflation(&mut dex, 16);
-    script.shrink_through_deflation(&mut dex, 8);
-    invariants::assert_ok(&dex);
-    dex
-}
-
-#[test]
-fn type2_triggering_batches_are_bit_identical_across_thread_counts() {
-    let base = run_type2_script(1);
-    for threads in [3, 8] {
-        assert_networks_identical(&run_type2_script(threads), &base);
-    }
-}
-
-/// Warm-pool contract: once the executor pool is saturated, whole batch
-/// steps — type-2 rebuild fan-out included — spawn zero threads.
-#[test]
-fn warm_pool_batch_steps_spawn_no_threads() {
-    dex_exec::prewarm(dex_exec::MAX_WORKERS);
-    let spawned = dex_exec::total_spawns();
-    run_type2_script(8);
-    let mut dex = bootstrap(512, 0x90a, 8);
-    let mut script = Script::new(&dex, 0x90a);
-    for _ in 0..6 {
-        script.apply(&mut dex, Step::Inserts(24));
-        script.apply(&mut dex, Step::Deletes(16));
-    }
-    assert_eq!(
-        dex_exec::total_spawns(),
-        spawned,
-        "batch steps on a warm pool must not spawn threads"
-    );
 }

@@ -3,7 +3,7 @@
 //! script under a lossy fault spec. Recorded on cf379e9, the last commit
 //! where each of the insert and delete heal loops existed four times
 //! (single/batch × centralized/faulted); the merged `heal_insert` /
-//! `heal_delete` must reproduce every value at executor threads 1/3/8.
+//! `heal_delete` must reproduce every value.
 
 use dex_core::{invariants, DexConfig, DexNetwork, FaultSpec, FaultStats};
 use dex_graph::ids::NodeId;
@@ -116,9 +116,8 @@ impl Script {
 /// Single-op script: 200 steps of mixed churn, inserts until the cycle
 /// has grown (an inflation ran to completion), then deletes until it has
 /// shrunk again (a deflation ran to completion).
-fn run_single_op_script(cfg: DexConfig, threads: usize) -> DexNetwork {
+fn run_single_op_script(cfg: DexConfig) -> DexNetwork {
     let mut dex = DexNetwork::bootstrap(cfg, 64);
-    dex.set_heal_threads(threads);
     let mut script = Script::new(&dex, 0x5106);
     for _ in 0..200 {
         if script.rnd().is_multiple_of(2) {
@@ -183,20 +182,16 @@ const NO_FAULTS: FaultStats = FaultStats {
 
 #[test]
 fn single_op_simplified_digest_is_unchanged_at_every_thread_count() {
-    for threads in [1, 3, 8] {
-        let dex = run_single_op_script(DexConfig::new(0x601d_0001).simplified(), threads);
-        assert!(dex.walk_stats.type2 >= 2, "script never ran both type-2s");
-        assert!(dex.walk_stats.misses >= 1, "script never flooded");
-        assert_eq!(digest(&dex), GOLDEN_SIMPLIFIED, "heal_threads={threads}");
-    }
+    let dex = run_single_op_script(DexConfig::new(0x601d_0001).simplified());
+    assert!(dex.walk_stats.type2 >= 2, "script never ran both type-2s");
+    assert!(dex.walk_stats.misses >= 1, "script never flooded");
+    assert_eq!(digest(&dex), GOLDEN_SIMPLIFIED);
 }
 
 #[test]
 fn single_op_staggered_digest_is_unchanged_at_every_thread_count() {
-    for threads in [1, 3, 8] {
-        let dex = run_single_op_script(DexConfig::new(0x601d_0001).staggered(), threads);
-        assert_eq!(digest(&dex), GOLDEN_STAGGERED, "heal_threads={threads}");
-    }
+    let dex = run_single_op_script(DexConfig::new(0x601d_0001).staggered());
+    assert_eq!(digest(&dex), GOLDEN_STAGGERED);
 }
 
 /// Mixed script under Bernoulli loss, with the spec's budgets small
@@ -205,7 +200,7 @@ fn single_op_staggered_digest_is_unchanged_at_every_thread_count() {
 /// puts/gets between them, growing until an inflation has run and then
 /// shrinking until a deflation has run (walks are long, and so get lost,
 /// only near those two boundaries).
-fn run_lossy_script(threads: usize) -> DexNetwork {
+fn run_lossy_script() -> DexNetwork {
     let spec = FaultSpec::zero()
         .with_loss(30)
         .with_latency(1, 2)
@@ -214,7 +209,6 @@ fn run_lossy_script(threads: usize) -> DexNetwork {
         .with_flood_retries(1)
         .with_seed(0x1055);
     let mut dex = DexNetwork::bootstrap(DexConfig::new(0x601d_0003).simplified(), 128);
-    dex.set_heal_threads(threads);
     dex.set_faults(Some(spec));
     let mut script = Script::new(&dex, 0x1055);
     let mut batches = 0;
@@ -281,12 +275,10 @@ const GOLDEN_LOSSY: Digest = Digest {
 
 #[test]
 fn lossy_mixed_digest_is_unchanged_at_every_thread_count() {
-    for threads in [1, 3, 8] {
-        let dex = run_lossy_script(threads);
-        let fs = dex.fault_stats();
-        assert!(fs.heal_fallbacks > 0, "no heal ever fell back");
-        assert!(fs.floods_partial > 0, "no flood ever closed partial");
-        assert!(fs.dht_abandoned > 0, "no DHT op was ever abandoned");
-        assert_eq!(digest(&dex), GOLDEN_LOSSY, "heal_threads={threads}");
-    }
+    let dex = run_lossy_script();
+    let fs = dex.fault_stats();
+    assert!(fs.heal_fallbacks > 0, "no heal ever fell back");
+    assert!(fs.floods_partial > 0, "no flood ever closed partial");
+    assert!(fs.dht_abandoned > 0, "no DHT op was ever abandoned");
+    assert_eq!(digest(&dex), GOLDEN_LOSSY);
 }

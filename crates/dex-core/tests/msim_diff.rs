@@ -8,9 +8,8 @@
 //! round and one message per hop.
 //!
 //! Random scripts mix single ops, batches, flood- and type-2-triggering
-//! churn, and DHT puts/gets. The subject runs at simulator fan-out 1, 3
-//! and 8 workers; everything must match the oracle bit-for-bit in all
-//! three.
+//! churn, and DHT puts/gets; everything must match the oracle
+//! bit-for-bit.
 
 use dex_core::{invariants, DexConfig, DexNetwork, FaultSpec};
 use dex_graph::ids::NodeId;
@@ -157,11 +156,10 @@ fn assert_networks_identical(a: &DexNetwork, b: &DexNetwork) {
 /// Drive the same script through a zero-fault message-level subject and
 /// the centralized oracle. Returns the subject so callers can assert on
 /// what the script actually exercised (misses, type-2 steps, …).
-fn run_script(n0: u64, seed: u64, steps: &[Step], threads: usize) -> DexNetwork {
+fn run_script(n0: u64, seed: u64, steps: &[Step]) -> DexNetwork {
     let cfg = DexConfig::new(splitmix64(seed ^ 0xfa17)).simplified();
     let mut subject = DexNetwork::bootstrap(cfg, n0);
     let mut oracle = DexNetwork::bootstrap(cfg, n0);
-    subject.set_heal_threads(threads);
     subject.set_faults(Some(FaultSpec::zero()));
     let mut script = Script::new(&subject, seed ^ 0x51ff);
     for (i, &step) in steps.iter().enumerate() {
@@ -243,7 +241,7 @@ proptest! {
         seed in any::<u64>(),
         steps in proptest::collection::vec(arb_step(), 6..20),
     ) {
-        run_script(160, seed, &steps, 1);
+        run_script(160, seed, &steps);
     }
 
     #[test]
@@ -251,11 +249,9 @@ proptest! {
         seed in any::<u64>(),
         steps in proptest::collection::vec(arb_step(), 4..12),
     ) {
-        // Simulator delivery fan-out at 3 and 8 workers: the message
-        // schedule must be thread-count invariant, so both still match
-        // the centralized oracle bit-for-bit.
-        run_script(160, seed, &steps, 3);
-        run_script(160, seed, &steps, 8);
+        // Short scripts: a second sample of the property above (the
+        // simulator no longer has a fan-out width to vary).
+        run_script(160, seed, &steps);
     }
 }
 
@@ -275,16 +271,14 @@ fn zero_fault_fixed_script_matches() {
         Step::DhtGet,
         Step::Deletes(9),
     ];
-    for threads in [1usize, 3, 8] {
-        run_script(120, 0xbeef, &steps, threads);
-    }
+    run_script(120, 0xbeef, &steps);
 }
 
 /// Flood- and type-2-triggering script: a tiny bootstrap (p ∈ (64, 128))
 /// flooded with insert-heavy churn runs the spare pool dry, forcing walk
 /// misses (→ message-scheduled flood counts) and at least one inflation
 /// (→ message-scheduled type-2 coordination). The zero-fault subject
-/// must still match the centralized oracle bit-for-bit at every fan-out.
+/// must still match the centralized oracle bit-for-bit.
 #[test]
 fn zero_fault_flood_and_type2_script_matches() {
     let mut steps = Vec::new();
@@ -292,20 +286,18 @@ fn zero_fault_flood_and_type2_script_matches() {
         steps.push(Step::Inserts(19));
     }
     steps.extend([Step::Deletes(10), Step::DhtPut, Step::DhtGet]);
-    for threads in [1usize, 3, 8] {
-        let subject = run_script(16, 0xf100d, &steps, threads);
-        assert!(subject.walk_stats.type2 >= 1, "script never ran a type-2");
-        assert!(
-            subject.walk_stats.misses >= 1,
-            "script never missed → never flooded"
-        );
-    }
+    let subject = run_script(16, 0xf100d, &steps);
+    assert!(subject.walk_stats.type2 >= 1, "script never ran a type-2");
+    assert!(
+        subject.walk_stats.misses >= 1,
+        "script never missed → never flooded"
+    );
 }
 
 /// Under real faults there is no centralized oracle to compare against —
 /// instead: structural invariants must hold after every healing step,
 /// the fault machinery must actually engage, and the whole run must be
-/// deterministic and thread-count invariant.
+/// deterministic.
 #[test]
 fn faulted_run_is_deterministic_and_invariant_preserving() {
     let spec = FaultSpec::zero()
@@ -327,10 +319,9 @@ fn faulted_run_is_deterministic_and_invariant_preserving() {
         Step::DhtGet,
         Step::Deletes(7),
     ];
-    let run = |threads: usize| {
+    let run = || {
         let cfg = DexConfig::new(0x600d_5eed).simplified();
         let mut dex = DexNetwork::bootstrap(cfg, 120);
-        dex.set_heal_threads(threads);
         dex.set_faults(Some(spec));
         let mut script = Script::new(&dex, 0x7357);
         for &step in &steps {
@@ -381,9 +372,5 @@ fn faulted_run_is_deterministic_and_invariant_preserving() {
             fs,
         )
     };
-    let a = run(1);
-    let b = run(3);
-    let c = run(8);
-    assert_eq!(a, b, "faulted run diverged between 1 and 3 workers");
-    assert_eq!(a, c, "faulted run diverged between 1 and 8 workers");
+    assert_eq!(run(), run(), "faulted run diverged on replay");
 }

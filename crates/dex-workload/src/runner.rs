@@ -36,11 +36,11 @@ pub struct RunOptions {
     pub seed: u64,
     /// Sample λ₂ every this many actions (0 disables the trajectory).
     pub lambda_every: usize,
-    /// The one executor knob: worker threads for **both** the trial
-    /// fan-out and every trial network's internal fan-out
-    /// ([`DexNetwork::set_heal_threads`]), resolved through the shared
-    /// [`dex_exec`] pool (`ExecConfig::AUTO` → the global thread budget).
-    /// Purely a throughput knob — results are bit-identical for any value.
+    /// The one executor knob: worker threads of the trial fan-out (trials
+    /// share nothing; each network inside one is sequential), resolved
+    /// through the shared [`dex_exec`] pool (`ExecConfig::AUTO` → the
+    /// global thread budget). Purely a throughput knob — results are
+    /// bit-identical for any value.
     pub exec: dex_exec::ExecConfig,
     /// Assert the full structural invariants after every action
     /// (O(n) per step — test-scale only).
@@ -163,7 +163,6 @@ pub fn run_scenario(
     // The trial streams its own compact log; the inner network need not
     // hold a second copy of every step.
     t.dex.net.set_history_mode(HistoryMode::Off);
-    t.dex.set_heal_threads(opts.exec.resolve());
     t.sample_lambda();
     for phase in &sc.phases {
         t.run_phase(phase);

@@ -46,7 +46,7 @@ fn arb_opts() -> impl Strategy<Value = ServeOptions> {
                     batch_max,
                     seed,
                     threads: 1,
-                    heal_threads: 1,
+                    ..ServeOptions::default()
                 }
             },
         )
