@@ -3,7 +3,12 @@
 //! script under a lossy fault spec. Recorded on cf379e9, the last commit
 //! where each of the insert and delete heal loops existed four times
 //! (single/batch × centralized/faulted); the merged `heal_insert` /
-//! `heal_delete` must reproduce every value.
+//! `heal_delete` must reproduce every value. The simplified and lossy
+//! scripts execute a type-2 permutation routing, so their `rounds` and
+//! `messages` were re-recorded once since (41a5916 → next commit) when
+//! that routing moved from whole-BFS-tree paths to
+//! `PCycle::shortest_path_with`: equally short paths, a different
+//! tie-break among them; Φ, topology changes and every counter kept.
 
 use dex_core::{invariants, DexConfig, DexNetwork, FaultSpec, FaultStats};
 use dex_graph::ids::NodeId;
@@ -146,8 +151,8 @@ fn run_single_op_script(cfg: DexConfig) -> DexNetwork {
 
 const GOLDEN_SIMPLIFIED: Digest = Digest {
     phi: 4951634934777399712,
-    rounds: 10_567,
-    messages: 121_325,
+    rounds: 10_568,
+    messages: 121_320,
     topology_changes: 20_702,
     walks: [2_281, 2_252, 29, 2],
     faults: NO_FAULTS,
@@ -250,8 +255,8 @@ fn run_lossy_script() -> DexNetwork {
 
 const GOLDEN_LOSSY: Digest = Digest {
     phi: 1090048683831991131,
-    rounds: 144_113,
-    messages: 580_932,
+    rounds: 144_110,
+    messages: 580_934,
     topology_changes: 37_849,
     walks: [4_135, 4_015, 15, 2],
     faults: FaultStats {

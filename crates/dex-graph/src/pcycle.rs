@@ -17,7 +17,6 @@
 //! properties of Lemmas 4 and 6 verified by tests.
 
 use crate::adjacency::MultiGraph;
-use crate::fxhash::FxHashMap;
 use crate::ids::{NodeId, VertexId};
 use crate::primes::{inverse_batch, is_prime, mod_inverse};
 use std::ops::Range;
@@ -135,9 +134,8 @@ impl PCycle {
     }
 
     /// `x ↦ chord(x)` for every vertex, as one table (4p bytes). Only for
-    /// callers that run whole-cycle BFS anyway ([`PathOracle`], the
-    /// distance/diameter oracles); nothing long-lived holds one at
-    /// DHT-scale p.
+    /// the whole-cycle BFS references below (parents, distances,
+    /// diameter); nothing long-lived holds one at DHT-scale p.
     fn chord_table(&self) -> Box<[u32]> {
         let mut table = vec![0u32; self.p as usize].into_boxed_slice();
         self.for_each_chord(0..self.p, |x, c| table[x.0 as usize] = c.0 as u32);
@@ -217,11 +215,7 @@ impl PCycle {
     /// `parent[x]` repeatedly reaches `target` along a shortest path.
     /// `parent[target] == target`.
     pub fn bfs_parents_toward(&self, target: VertexId) -> Vec<u32> {
-        self.bfs_parents_on(&self.chord_table(), target)
-    }
-
-    fn bfs_parents_on(&self, chords: &[u32], target: VertexId) -> Vec<u32> {
-        self.bfs_labels(chords, target, target.0 as u32, |_, u| u)
+        self.bfs_labels(&self.chord_table(), target, target.0 as u32, |_, u| u)
     }
 
     /// Shortest path from `from` to `to` (inclusive of both endpoints).
@@ -566,68 +560,6 @@ impl PathScratch {
     }
 }
 
-/// Next-hop oracle for routing many pairs on a fixed `Z(p)` by whole
-/// BFS trees.
-///
-/// Local routing in DEX ("node v can locally compute a shortest path in the
-/// virtual graph", Sect. 4.4) is free in the model; here a tree costs one
-/// O(p) BFS whose chords are loads from the oracle's inverse table (built
-/// once, p batched inversions), and trees are memoized per routing target
-/// until the caller [`forget`](PathOracle::forget)s them — the caller
-/// bounds the memo, since a permutation has a distinct target per pair
-/// and would otherwise hold p trees of 4p bytes.
-pub struct PathOracle {
-    cycle: PCycle,
-    /// `x ↦ chord(x)`.
-    chords: Box<[u32]>,
-    toward: FxHashMap<u64, Box<[u32]>>,
-}
-
-impl PathOracle {
-    /// New oracle for `cycle`.
-    pub fn new(cycle: PCycle) -> Self {
-        PathOracle {
-            cycle,
-            chords: cycle.chord_table(),
-            toward: FxHashMap::default(),
-        }
-    }
-
-    /// The cycle this oracle routes on.
-    pub fn cycle(&self) -> PCycle {
-        self.cycle
-    }
-
-    /// Drop every memoized tree (the inverse table stays).
-    pub fn forget(&mut self) {
-        self.toward.clear();
-    }
-
-    /// Next hop on a shortest path `from → to`; `None` if already there.
-    pub fn next_hop(&mut self, from: VertexId, to: VertexId) -> Option<VertexId> {
-        if from == to {
-            return None;
-        }
-        let parents = self.toward.entry(to.0).or_insert_with(|| {
-            self.cycle
-                .bfs_parents_on(&self.chords, to)
-                .into_boxed_slice()
-        });
-        Some(VertexId(parents[from.0 as usize] as u64))
-    }
-
-    /// Distance `from → to` (hops along the cached tree).
-    pub fn distance(&mut self, from: VertexId, to: VertexId) -> u32 {
-        let mut d = 0;
-        let mut cur = from;
-        while let Some(next) = self.next_hop(cur, to) {
-            cur = next;
-            d += 1;
-        }
-        d
-    }
-}
-
 /// Pure arithmetic of p-cycle inflation and deflation (paper Eq. 6–8 and
 /// Sect. 4.2.2). All functions are total and deterministic; the protocol
 /// crates call these to compute clouds locally.
@@ -883,16 +815,6 @@ mod tests {
     }
 
     #[test]
-    fn path_oracle_matches_bfs() {
-        let z = PCycle::new(101);
-        let mut oracle = PathOracle::new(z);
-        for (a, b) in [(0u64, 50), (7, 93), (13, 13), (100, 1)] {
-            let (a, b) = (VertexId(a), VertexId(b));
-            assert_eq!(oracle.distance(a, b), z.distance(a, b));
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "prime")]
     fn rejects_composite() {
         PCycle::new(21);
@@ -916,28 +838,6 @@ mod tests {
                 assert_eq!(c, z.chord(x));
             });
             assert_eq!(want.next(), None, "{range:?} swept short");
-        }
-    }
-
-    #[test]
-    fn path_oracle_trees_are_the_plain_bfs_trees() {
-        // 100 distinct targets with the memo forgotten in between, as the
-        // type-2 permutation resolution drives it.
-        let z = PCycle::new(499);
-        let mut oracle = PathOracle::new(z);
-        for t in 0..100u64 {
-            let to = VertexId((t * 211 + 5) % 499);
-            if t % 32 == 0 {
-                oracle.forget();
-                assert!(oracle.toward.is_empty());
-            }
-            let parents = z.bfs_parents_toward(to);
-            for x in 0..499u64 {
-                let hop = oracle.next_hop(VertexId(x), to);
-                let want = (x != to.0).then(|| VertexId(parents[x as usize] as u64));
-                assert_eq!(hop, want, "{x} -> {to}");
-            }
-            assert!(oracle.toward.len() <= 32);
         }
     }
 
