@@ -26,15 +26,11 @@
 //! Determinism contract: everything in the JSON except the executor
 //! header is **byte-identical** for a given `--seed` regardless of
 //! `--exec-threads` (CI byte-diffs the smoke output across 1/3/8).
-//! Nothing in the JSON reads the wall clock. The `DEX_FAULT_*` knobs are
-//! bench-harness experiment inputs (extra loss point, retry budget, fault
-//! seed); their resolved values land in the config header, and CI leaves
-//! them unset.
+//! Nothing in the JSON reads the wall clock.
 //!
 //! ```sh
 //! cargo run --release -p dex-bench --bin bench_faults            # full
 //! cargo run --release -p dex-bench --bin bench_faults -- --smoke # CI-sized
-//! DEX_FAULT_LOSS=900 cargo run --release -p dex-bench --bin bench_faults
 //! ```
 
 use dex::prelude::*;
@@ -86,30 +82,17 @@ fn parse_args() -> Args {
     args
 }
 
-/// The loss grid, in 1/1000 units: the fixed acceptance curve plus the
-/// optional `DEX_FAULT_LOSS` experiment point (deduplicated, sorted).
-fn loss_grid() -> Vec<u32> {
-    let mut grid = vec![0, 250, 500, 800];
-    if let Some(extra) = dex::exec::knobs::fault_loss() {
-        if !grid.contains(&extra) {
-            grid.push(extra);
-        }
-    }
-    grid.sort_unstable();
-    grid
-}
+/// The loss grid, in 1/1000 units.
+const LOSS_GRID: [u32; 4] = [0, 250, 500, 800];
 
-/// The fault spec for one loss point: loss plus mild latency skew, retry
-/// budgets and fault seed overridable through the experiment knobs.
+/// The fault spec for one loss point: loss plus mild latency skew.
 fn spec_for(loss: u32, seed: u64) -> FaultSpec {
-    let retries = dex::exec::knobs::fault_retries().unwrap_or(6);
-    let fseed = dex::exec::knobs::fault_seed().unwrap_or(splitmix64(seed ^ 0xfa57));
     FaultSpec::zero()
         .with_loss(loss)
         .with_latency(1, 3)
-        .with_retries(retries, retries)
+        .with_retries(6, 6)
         .with_fallback(2)
-        .with_seed(fseed)
+        .with_seed(splitmix64(seed ^ 0xfa57))
 }
 
 fn fault_stats_json(fs: &FaultStats) -> String {
@@ -378,7 +361,7 @@ fn main() {
     } else {
         3
     };
-    let losses = loss_grid();
+    let losses = LOSS_GRID;
     let out = args
         .out
         .clone()
@@ -402,8 +385,7 @@ fn main() {
     let _ = writeln!(
         json,
         "  \"config\": {{\"n0\": {n0}, \"trials\": {trials}, \"seed\": {}, \"smoke\": {}, \
-         \"loss_grid\": [{}], \"fault_loss_knob\": {}, \"fault_retries_knob\": {}, \
-         \"fault_seed_knob\": {}}},",
+         \"loss_grid\": [{}]}},",
         args.seed,
         args.smoke,
         losses
@@ -411,9 +393,6 @@ fn main() {
             .map(|l| l.to_string())
             .collect::<Vec<_>>()
             .join(", "),
-        dex::exec::knobs::fault_loss().map_or("null".into(), |v| v.to_string()),
-        dex::exec::knobs::fault_retries().map_or("null".into(), |v| v.to_string()),
-        dex::exec::knobs::fault_seed().map_or("null".into(), |v| v.to_string()),
     );
     let _ = writeln!(json, "  {},", dex_bench::exec_header_json());
 

@@ -40,8 +40,8 @@ const SWEEP_FRACS: &[f64] = &[0.25, 0.5, 0.75, 1.0, 1.25];
 pub struct ServeBenchOptions {
     /// Toy scale, no timing fields, byte-identical across thread counts.
     pub smoke: bool,
-    /// Executor fan-out width for the shard map and inside each shard's
-    /// network (results are bit-identical for any value).
+    /// Executor fan-out width of the shard map (results are bit-identical
+    /// for any value).
     pub threads: usize,
     /// Master seed.
     pub seed: u64,

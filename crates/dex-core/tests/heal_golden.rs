@@ -5,8 +5,8 @@
 //! (single/batch × centralized/faulted); the merged `heal_insert` /
 //! `heal_delete` must reproduce every value. The simplified and lossy
 //! scripts execute a type-2 permutation routing, so their `rounds` and
-//! `messages` were re-recorded once since (41a5916 → next commit) when
-//! that routing moved from whole-BFS-tree paths to
+//! `messages` were re-recorded once since (PR 17, CHANGES.md), when that
+//! routing moved from whole-BFS-tree paths to
 //! `PCycle::shortest_path_with`: equally short paths, a different
 //! tie-break among them; Φ, topology changes and every counter kept.
 

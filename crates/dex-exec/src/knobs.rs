@@ -27,15 +27,9 @@ pub struct Knob {
     pub name: &'static str,
     /// Human-readable default, for docs and `--help`-style listings.
     pub default: &'static str,
-    /// What the knob controls. A knob is one of two kinds, and the doc
-    /// must make clear which: a **scheduling** knob (thread counts — may
-    /// change the execution schedule but never a computed byte, the
-    /// bit-identity contract), or a **bench-harness
-    /// experiment input** (e.g. an extra fault-curve point) that library
-    /// crates never read — only `dex-bench` binaries consume it, and its
-    /// value is recorded in the output's config header so the run stays
-    /// reproducible. CI leaves experiment inputs unset, so byte-diff
-    /// checks are unaffected.
+    /// What the knob controls. Every knob is a **scheduling** knob
+    /// (thread counts): it may change the execution schedule but never a
+    /// computed byte — the bit-identity contract.
     pub doc: &'static str,
 }
 
@@ -48,42 +42,9 @@ pub const DEX_EXEC_THREADS: Knob = Knob {
           knobs across the workspace; explicit per-call counts bypass it",
 };
 
-/// Extra loss-curve point for `bench_faults` (experiment input).
-pub const DEX_FAULT_LOSS: Knob = Knob {
-    name: "DEX_FAULT_LOSS",
-    default: "unset (curve uses the built-in loss grid only)",
-    doc: "bench-harness experiment input: an extra per-send loss probability \
-          (in 1/1000 units, 0..=1000) appended to bench_faults' loss grid; \
-          library crates never read it, and its value lands in the output \
-          config header",
-};
-
-/// Retry-budget override for `bench_faults` (experiment input).
-pub const DEX_FAULT_RETRIES: Knob = Knob {
-    name: "DEX_FAULT_RETRIES",
-    default: "unset (FaultSpec::zero's budgets: 6 walk / 6 route)",
-    doc: "bench-harness experiment input: overrides both the walk and route \
-          re-initiation budgets of every fault spec bench_faults builds; \
-          library crates never read it",
-};
-
-/// Fault-stream seed override for `bench_faults` (experiment input).
-pub const DEX_FAULT_SEED: Knob = Knob {
-    name: "DEX_FAULT_SEED",
-    default: "unset (bench_faults derives fault seeds from --seed)",
-    doc: "bench-harness experiment input: overrides the fault-stream seed of \
-          every fault spec bench_faults builds (the protocol's SeedSpace is \
-          unaffected); library crates never read it",
-};
-
 /// Every knob the workspace honors. Keep sorted by name; the registry
 /// test asserts uniqueness.
-pub const REGISTRY: &[Knob] = &[
-    DEX_EXEC_THREADS,
-    DEX_FAULT_LOSS,
-    DEX_FAULT_RETRIES,
-    DEX_FAULT_SEED,
-];
+pub const REGISTRY: &[Knob] = &[DEX_EXEC_THREADS];
 
 /// Read a declared knob from the process environment. This is the single
 /// `std::env::var` call in the workspace (enforced by `dex-lint`'s
@@ -104,27 +65,6 @@ pub fn exec_threads() -> Option<usize> {
         .parse::<usize>()
         .ok()
         .filter(|&n| n > 0)
-}
-
-/// `DEX_FAULT_LOSS` parsed: a loss probability in 1/1000 units, clamped
-/// to the valid `0..=1000` range; `None` when unset or malformed.
-pub fn fault_loss() -> Option<u32> {
-    raw(&DEX_FAULT_LOSS)?
-        .trim()
-        .parse::<u32>()
-        .ok()
-        .map(|m| m.min(1000))
-}
-
-/// `DEX_FAULT_RETRIES` parsed: a retry budget (0 disables re-initiation),
-/// else `None`.
-pub fn fault_retries() -> Option<u32> {
-    raw(&DEX_FAULT_RETRIES)?.trim().parse::<u32>().ok()
-}
-
-/// `DEX_FAULT_SEED` parsed: a u64 fault-stream seed, else `None`.
-pub fn fault_seed() -> Option<u64> {
-    raw(&DEX_FAULT_SEED)?.trim().parse::<u64>().ok()
 }
 
 #[cfg(test)]
@@ -158,11 +98,6 @@ mod tests {
         if let Some(n) = exec_threads() {
             assert!(n > 0);
         }
-        if let Some(m) = fault_loss() {
-            assert!(m <= 1000);
-        }
-        let _ = fault_retries();
-        let _ = fault_seed();
     }
 
     #[test]

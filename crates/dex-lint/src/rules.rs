@@ -166,8 +166,8 @@ fn no_random_state(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
 
 /// Rule 3 — `knob-discipline`: the process environment is read in
 /// exactly one place, `dex_exec::knobs` — the complete, documented
-/// registry of runtime knobs. A stray `env::var` is an undocumented
-/// knob.
+/// registry of runtime knobs, all of them scheduling knobs (today one,
+/// `DEX_EXEC_THREADS`). A stray `env::var` is an undocumented knob.
 fn knob_discipline(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     if ctx.rel_path == config::KNOB_MODULE {
         return;

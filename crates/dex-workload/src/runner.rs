@@ -545,8 +545,7 @@ mod tests {
             );
             assert!(fs.timeouts > 0, "trial {}: no stall detected", r.trial);
         }
-        // Bit-identical across executor widths (trial fan-out and the
-        // message-level simulator's delivery fan-out).
+        // Bit-identical across trial fan-out widths.
         o.check_invariants = false;
         o.exec = dex_exec::ExecConfig::with_threads(1);
         let seq = run_trials(&sc, &o);
