@@ -46,6 +46,7 @@
 use crate::fxhash::FxHashMap;
 use crate::ids::NodeId;
 use rand::Rng;
+use std::collections::hash_map::Entry;
 use std::sync::{RwLock, RwLockReadGuard};
 
 /// Sentinel generation meaning "snapshot never built".
@@ -285,9 +286,16 @@ impl MultiGraph {
 
     /// Insert an isolated node. Returns `false` if it already existed.
     pub fn add_node(&mut self, u: NodeId) -> bool {
-        if self.index.contains_key(&u) {
-            return false;
-        }
+        self.insert_node(u).is_some()
+    }
+
+    /// Insert an isolated node and return its slot (`None` if it already
+    /// existed): the most recently vacated slot, else a fresh one. One
+    /// probe of the id index serves the membership test and the insertion.
+    pub fn insert_node(&mut self, u: NodeId) -> Option<u32> {
+        let Entry::Vacant(entry) = self.index.entry(u) else {
+            return None;
+        };
         let slot = match self.free.pop() {
             Some(s) => {
                 let cell = &mut self.slots[s as usize];
@@ -309,11 +317,11 @@ impl MultiGraph {
                 s
             }
         };
-        self.index.insert(u, slot);
+        entry.insert(slot);
         self.live += 1;
         self.generation += 1;
         self.mark_membership_dirty();
-        true
+        Some(slot)
     }
 
     /// Remove `u` and all incident edges (including parallel copies and
@@ -1058,8 +1066,10 @@ mod tests {
         assert_eq!(g.slot_bound(), 4);
         g.remove_node(n(1)).unwrap();
         g.remove_node(n(3)).unwrap();
-        g.add_node(n(10));
-        g.add_node(n(11));
+        // LIFO: the most recently vacated slot first; an existing id gets none.
+        assert_eq!(g.insert_node(n(10)), Some(3));
+        assert_eq!(g.insert_node(n(11)), Some(1));
+        assert_eq!(g.insert_node(n(10)), None);
         // Freed slots were recycled: the arena did not grow.
         assert_eq!(g.slot_bound(), 4);
         assert_eq!(g.num_nodes(), 4);

@@ -11,9 +11,11 @@
 //! buffers ([`FloodScratch`]): after the one-time buffer sizing, a flood
 //! performs no hashing and no per-node heap allocation. DEX floods the
 //! network on every type-2 step, so callers that flood repeatedly should
-//! hold a scratch and use [`flood_count_with`].
+//! hold a scratch and use [`flood_count_with`] — or, when they already
+//! hold slots, the kernel under it, [`flood_count_slots`].
 
 use crate::network::Network;
+use dex_graph::adjacency::MultiGraph;
 use dex_graph::ids::NodeId;
 use std::collections::VecDeque;
 
@@ -65,78 +67,100 @@ pub fn flood_count(net: &mut Network, root: NodeId, pred: impl Fn(NodeId) -> boo
 }
 
 /// Flood from `root` using caller-provided scratch buffers. See
-/// [`flood_count`] for semantics and cost accounting.
+/// [`flood_count`] for semantics and cost accounting. Thin wrapper over
+/// the slot kernel ([`flood_count_slots`]): the root is resolved once and
+/// the predicate sees `id_of_slot`.
 pub fn flood_count_with(
     net: &mut Network,
     root: NodeId,
     pred: impl Fn(NodeId) -> bool,
     scratch: &mut FloodScratch,
 ) -> FloodResult {
-    let (n, matching, ecc, broadcast_msgs, witness) = {
-        let g = net.graph();
-        let root_slot = g
-            .slot_of(root)
-            .unwrap_or_else(|| panic!("flood root {root} missing"));
-        scratch.dist.clear();
-        scratch.dist.resize(g.slot_bound(), UNSEEN);
-        scratch.queue.clear();
-        scratch.dist[root_slot as usize] = 0;
-        scratch.queue.push_back(root_slot);
-        let mut reached = 0usize;
-        let mut ecc = 0u32;
-        let mut broadcast_msgs = 0u64;
-        let mut matching = 0usize;
-        let mut witness: Option<(u32, NodeId)> = None;
-        while let Some(u) = scratch.queue.pop_front() {
-            let du = scratch.dist[u as usize];
-            ecc = ecc.max(du);
-            reached += 1;
-            if pred(g.id_of_slot(u)) {
-                matching += 1;
-                let cand = (du, g.id_of_slot(u));
-                if witness.is_none_or(|best| cand < best) {
-                    witness = Some(cand);
-                }
-            }
-            // On first receipt a node forwards to all neighbors (except the
-            // sender); we charge its full degree minus one for non-roots,
-            // the full degree for the root. Parallel edges each carry a
-            // copy (the node cannot know its parallel edges lead to the
-            // same peer without extra protocol).
-            let nbrs = g.neighbor_slots(u);
-            let deg = nbrs.len() as u64;
-            broadcast_msgs += if u == root_slot {
-                deg
-            } else {
-                deg.saturating_sub(1)
-            };
-            for &v in nbrs {
-                if scratch.dist[v as usize] == UNSEEN {
-                    scratch.dist[v as usize] = du + 1;
-                    scratch.queue.push_back(v);
-                }
+    let g = net.graph();
+    let root = g
+        .slot_of(root)
+        .unwrap_or_else(|| panic!("flood root {root} missing"));
+    let res = flood_bfs(g, root, |s| pred(g.id_of_slot(s)), scratch);
+    charge(net, res)
+}
+
+/// [`flood_count_with`] in the graph's dense slot space: `root` and the
+/// predicate's argument are arena slots, so a predicate that reads a
+/// slot-indexed table (Φ's per-slot loads) costs no hashing per node. The
+/// witness is still the matching node minimizing (BFS distance, node
+/// *id*), reported as an id.
+pub fn flood_count_slots(
+    net: &mut Network,
+    root: u32,
+    pred: impl Fn(u32) -> bool,
+    scratch: &mut FloodScratch,
+) -> FloodResult {
+    let res = flood_bfs(net.graph(), root, pred, scratch);
+    charge(net, res)
+}
+
+/// The BFS and its cost, uncharged (the graph is borrowed shared so the
+/// id-speaking wrapper's predicate can read it).
+fn flood_bfs(
+    g: &MultiGraph,
+    root_slot: u32,
+    pred: impl Fn(u32) -> bool,
+    scratch: &mut FloodScratch,
+) -> FloodResult {
+    scratch.dist.clear();
+    scratch.dist.resize(g.slot_bound(), UNSEEN);
+    scratch.queue.clear();
+    scratch.dist[root_slot as usize] = 0;
+    scratch.queue.push_back(root_slot);
+    let mut reached = 0usize;
+    let mut ecc = 0u32;
+    let mut broadcast_msgs = 0u64;
+    let mut matching = 0usize;
+    let mut witness: Option<(u32, NodeId)> = None;
+    while let Some(u) = scratch.queue.pop_front() {
+        let du = scratch.dist[u as usize];
+        ecc = ecc.max(du);
+        reached += 1;
+        if pred(u) {
+            matching += 1;
+            let cand = (du, g.id_of_slot(u));
+            if witness.is_none_or(|best| cand < best) {
+                witness = Some(cand);
             }
         }
-        (
-            reached,
-            matching,
-            ecc,
-            broadcast_msgs,
-            witness.map(|(_, id)| id),
-        )
-    };
-    let convergecast_msgs = (n as u64).saturating_sub(1);
-    let rounds = 2 * ecc as u64;
-    let messages = broadcast_msgs + convergecast_msgs;
-    net.charge_rounds(rounds);
-    net.charge_messages(messages);
-    FloodResult {
-        n,
-        matching,
-        rounds,
-        messages,
-        witness,
+        // On first receipt a node forwards to all neighbors (except the
+        // sender); we charge its full degree minus one for non-roots,
+        // the full degree for the root. Parallel edges each carry a
+        // copy (the node cannot know its parallel edges lead to the
+        // same peer without extra protocol).
+        let nbrs = g.neighbor_slots(u);
+        let deg = nbrs.len() as u64;
+        broadcast_msgs += if u == root_slot {
+            deg
+        } else {
+            deg.saturating_sub(1)
+        };
+        for &v in nbrs {
+            if scratch.dist[v as usize] == UNSEEN {
+                scratch.dist[v as usize] = du + 1;
+                scratch.queue.push_back(v);
+            }
+        }
     }
+    let convergecast_msgs = (reached as u64).saturating_sub(1);
+    FloodResult {
+        n: reached,
+        matching,
+        rounds: 2 * ecc as u64,
+        messages: broadcast_msgs + convergecast_msgs,
+        witness: witness.map(|(_, id)| id),
+    }
+}
+
+fn charge(net: &mut Network, res: FloodResult) -> FloodResult {
+    net.charge_rounds(res.rounds);
+    net.charge_messages(res.messages);
+    res
 }
 
 #[cfg(test)]
@@ -234,6 +258,48 @@ mod tests {
         // Root matches: the witness is the root itself (distance 0).
         let r3 = flood_count(&mut net, NodeId(4), |_| true);
         assert_eq!(r3.witness, Some(NodeId(4)));
+        net.end_step(StepKind::Insert, RecoveryKind::Type1);
+    }
+
+    /// The `NodeId` form is the slot kernel plus id resolution: the same
+    /// `FloodResult` — witness included — and the same charge.
+    #[test]
+    fn id_wrapper_equals_slot_kernel() {
+        let mut net = ring_net(14);
+        // Recycle slots so ids and slots disagree, and split the witness
+        // tie on ids rather than slots.
+        net.adversary_remove_node(NodeId(2));
+        net.adversary_remove_node(NodeId(9));
+        for (id, a, b) in [(30, 1, 3), (20, 8, 10)] {
+            net.adversary_add_node(NodeId(id));
+            net.adversary_add_edge(NodeId(id), NodeId(a));
+            net.adversary_add_edge(NodeId(id), NodeId(b));
+        }
+        let ids = net.graph().nodes_sorted();
+        let mut scratch = FloodScratch::new();
+        net.begin_step();
+        for (case, &root) in ids.iter().enumerate() {
+            let pred = |u: NodeId| u.0 % 5 == case as u64 % 5 || u.0 >= 20;
+            let before = net.current_counters();
+            let by_id = flood_count_with(&mut net, root, pred, &mut scratch);
+            let mid = net.current_counters();
+            let g = net.graph();
+            let ids_of: Vec<NodeId> = (0..g.slot_bound() as u32)
+                .map(|s| g.id_of_slot(s))
+                .collect();
+            let root_slot = g.slot_of(root).unwrap();
+            let by_slot = flood_count_slots(
+                &mut net,
+                root_slot,
+                |s| pred(ids_of[s as usize]),
+                &mut scratch,
+            );
+            let after = net.current_counters();
+            assert_eq!(by_id, by_slot, "case {case}");
+            assert!(by_id.witness.is_some());
+            assert_eq!(mid.0 - before.0, after.0 - mid.0, "rounds, case {case}");
+            assert_eq!(mid.1 - before.1, after.1 - mid.1, "messages, case {case}");
+        }
         net.end_step(StepKind::Insert, RecoveryKind::Type1);
     }
 }

@@ -124,18 +124,22 @@ impl Network {
 
     // ---- adversarial (uncharged) mutations -------------------------------
 
-    /// Adversary inserts an isolated node.
-    pub fn adversary_add_node(&mut self, u: NodeId) {
-        assert!(
-            self.graph.add_node(u),
-            "adversary inserted existing node {u}"
-        );
+    /// Adversary inserts an isolated node; returns its arena slot.
+    pub fn adversary_add_node(&mut self, u: NodeId) -> u32 {
+        self.graph
+            .insert_node(u)
+            .unwrap_or_else(|| panic!("adversary inserted existing node {u}"))
     }
 
     /// Adversary attaches an edge (e.g. the initial connection of an
     /// inserted node). Not charged to the algorithm.
     pub fn adversary_add_edge(&mut self, u: NodeId, v: NodeId) {
         self.graph.add_edge(u, v);
+    }
+
+    /// [`Self::adversary_add_edge`] between two live slots.
+    pub fn adversary_add_edge_slots(&mut self, su: u32, sv: u32) {
+        self.graph.add_edge_slots(su, sv);
     }
 
     /// Adversary (or uncharged bootstrap code) removes one edge copy.
@@ -154,15 +158,40 @@ impl Network {
     // ---- algorithm (charged) mutations ------------------------------------
 
     /// Healing code adds an edge: one topology change.
+    ///
+    /// # Panics
+    /// Panics if either endpoint is missing.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        self.graph.add_edge(u, v);
+        let slot = |w: NodeId| {
+            self.graph
+                .slot_of(w)
+                .unwrap_or_else(|| panic!("add_edge: missing endpoint {w}"))
+        };
+        let (su, sv) = (slot(u), slot(v));
+        self.add_edge_slots(su, sv);
+    }
+
+    /// [`Self::add_edge`] between two live slots — the form the type-1
+    /// healing path uses (it holds slots from the walk and from Φ).
+    #[inline]
+    pub fn add_edge_slots(&mut self, su: u32, sv: u32) {
+        self.graph.add_edge_slots(su, sv);
         self.topology_changes += 1;
     }
 
     /// Healing code removes one edge copy: one topology change.
     /// Returns whether an edge was present.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        let removed = self.graph.remove_edge(u, v);
+        match (self.graph.slot_of(u), self.graph.slot_of(v)) {
+            (Some(su), Some(sv)) => self.remove_edge_slots(su, sv),
+            _ => false,
+        }
+    }
+
+    /// [`Self::remove_edge`] between two live slots.
+    #[inline]
+    pub fn remove_edge_slots(&mut self, su: u32, sv: u32) -> bool {
+        let removed = self.graph.remove_edge_slots(su, sv);
         if removed {
             self.topology_changes += 1;
         }

@@ -5,13 +5,16 @@
 //!
 //! * [`random_walk_search`] — the type-1 recovery walk (Algorithms
 //!   4.2/4.3): forward a token to uniformly random neighbors until an
-//!   accepting node is reached or the length budget runs out;
+//!   accepting node is reached or the length budget runs out. The kernel
+//!   is [`random_walk_search_slots`], on arena slots end to end; the
+//!   `NodeId` form resolves its two ids and wraps it;
 //! * [`route_batch`] — store-and-forward routing of many tokens along
 //!   prescribed paths with a per-edge-per-round capacity; this is the
 //!   congestion discipline under which the paper budgets `ρ = O(log² n)`
 //!   rounds for Phase-2 rebalancing walks and runs permutation routing.
 
 use crate::network::Network;
+use dex_graph::adjacency::MultiGraph;
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::NodeId;
 use rand::Rng;
@@ -21,6 +24,15 @@ use rand::Rng;
 pub struct WalkOutcome {
     /// Accepting node the token reached, if any.
     pub hit: Option<NodeId>,
+    /// Hops actually taken (= messages = rounds charged).
+    pub hops: u64,
+}
+
+/// Result of [`random_walk_search_slots`]: [`WalkOutcome`] in slot space.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SlotWalkOutcome {
+    /// Slot of the accepting node the token reached, if any.
+    pub hit: Option<u32>,
     /// Hops actually taken (= messages = rounds charged).
     pub hops: u64,
 }
@@ -35,9 +47,9 @@ pub struct WalkOutcome {
 ///
 /// Charges 1 round + 1 message per hop.
 ///
-/// The walk runs in the graph's dense slot space: ids are resolved to
-/// slots once up front, and each hop is a reservoir pass over a contiguous
-/// `&[u32]` — no hashing and no heap allocation per hop.
+/// Thin wrapper over the slot kernel ([`random_walk_search_slots`]): the
+/// two ids are resolved to slots once up front and the predicate sees
+/// `id_of_slot` — same draws, same hops, same hit.
 pub fn random_walk_search<R: Rng + ?Sized>(
     net: &mut Network,
     start: NodeId,
@@ -46,48 +58,87 @@ pub fn random_walk_search<R: Rng + ?Sized>(
     accept: impl Fn(NodeId) -> bool,
     rng: &mut R,
 ) -> WalkOutcome {
+    let g = net.graph();
+    let start = g
+        .slot_of(start)
+        .unwrap_or_else(|| panic!("walk start {start} missing"));
+    // The excluded node may have been deleted already (the paper's
+    // type-1 deletion walk excludes the *vanished* node); a missing id
+    // simply never matches.
+    let exclude = exclude.and_then(|u| g.slot_of(u));
+    let out = walk_search(g, start, max_len, exclude, |s| accept(g.id_of_slot(s)), rng);
+    let hit = out.hit.map(|s| g.id_of_slot(s));
+    charge_hops(net, out.hops);
+    WalkOutcome {
+        hit,
+        hops: out.hops,
+    }
+}
+
+/// [`random_walk_search`] in the graph's dense slot space: `start`,
+/// `exclude`, the predicate's argument and the hit are all arena slots, so
+/// a caller that already holds slots (the type-1 healing path, whose
+/// predicate is a per-slot load read) pays no id translation at all. Each
+/// hop is a reservoir pass over a contiguous `&[u32]` — no hashing and no
+/// heap allocation.
+pub fn random_walk_search_slots<R: Rng + ?Sized>(
+    net: &mut Network,
+    start: u32,
+    max_len: u64,
+    exclude: Option<u32>,
+    accept: impl Fn(u32) -> bool,
+    rng: &mut R,
+) -> SlotWalkOutcome {
+    let out = walk_search(net.graph(), start, max_len, exclude, accept, rng);
+    charge_hops(net, out.hops);
+    out
+}
+
+/// The walk itself, uncharged (the graph is borrowed shared so the
+/// id-speaking wrapper's predicate can read it).
+#[inline]
+fn walk_search<R: Rng + ?Sized>(
+    g: &MultiGraph,
+    start: u32,
+    max_len: u64,
+    exclude: Option<u32>,
+    accept: impl Fn(u32) -> bool,
+    rng: &mut R,
+) -> SlotWalkOutcome {
+    let mut cur = start;
     let mut hops = 0u64;
-    let hit = {
-        let g = net.graph();
-        let mut cur = g
-            .slot_of(start)
-            .unwrap_or_else(|| panic!("walk start {start} missing"));
-        // The excluded node may have been deleted already (the paper's
-        // type-1 deletion walk excludes the *vanished* node); a missing id
-        // simply never matches.
-        let exclude_slot = exclude.and_then(|u| g.slot_of(u));
-        let mut hit = None;
-        while hops < max_len {
-            let nbrs = g.neighbor_slots(cur);
-            // Reservoir-pick a uniformly random neighbor entry, skipping
-            // the excluded node.
-            let mut choice: Option<u32> = None;
-            let mut seen = 0usize;
-            for &v in nbrs {
-                if Some(v) == exclude_slot {
-                    continue;
-                }
-                seen += 1;
-                if rng.random_range(0..seen) == 0 {
-                    choice = Some(v);
-                }
+    let mut hit = None;
+    while hops < max_len {
+        // Reservoir-pick a uniformly random neighbor entry, skipping
+        // the excluded node.
+        let mut choice: Option<u32> = None;
+        let mut seen = 0usize;
+        for &v in g.neighbor_slots(cur) {
+            if Some(v) == exclude {
+                continue;
             }
-            let Some(next) = choice else {
-                // Only the excluded node is adjacent — the walk is stuck.
-                break;
-            };
-            hops += 1;
-            cur = next;
-            if accept(g.id_of_slot(cur)) {
-                hit = Some(g.id_of_slot(cur));
-                break;
+            seen += 1;
+            if rng.random_range(0..seen) == 0 {
+                choice = Some(v);
             }
         }
-        hit
-    };
+        let Some(next) = choice else {
+            // Only the excluded node is adjacent — the walk is stuck.
+            break;
+        };
+        hops += 1;
+        cur = next;
+        if accept(cur) {
+            hit = Some(cur);
+            break;
+        }
+    }
+    SlotWalkOutcome { hit, hops }
+}
+
+fn charge_hops(net: &mut Network, hops: u64) {
     net.charge_rounds(hops);
     net.charge_messages(hops);
-    WalkOutcome { hit, hops }
 }
 
 /// Send one message along an explicit node path (consecutive entries must
@@ -274,6 +325,75 @@ mod tests {
         let out = random_walk_search(&mut net, NodeId(0), 10, Some(NodeId(1)), |_| true, &mut rng);
         assert_eq!(out.hit, None);
         assert_eq!(out.hops, 0);
+        net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
+    }
+
+    /// The `NodeId` form is the slot kernel plus id resolution: same hit,
+    /// same hops, same charge, and the RNG left in the same state.
+    #[test]
+    fn id_wrapper_equals_slot_kernel() {
+        // A ring with chords, parallel edges and a loop; node 3 deleted and
+        // 40 inserted so slots and ids disagree.
+        let mut net = Network::new();
+        for i in 0..12 {
+            net.adversary_add_node(NodeId(i));
+        }
+        for i in 0..12 {
+            net.adversary_add_edge(NodeId(i), NodeId((i + 1) % 12));
+            net.adversary_add_edge(NodeId(i), NodeId((i * 5 + 2) % 12));
+        }
+        net.adversary_remove_node(NodeId(3));
+        net.adversary_add_node(NodeId(40));
+        net.adversary_add_edge(NodeId(40), NodeId(2));
+        net.adversary_add_edge(NodeId(40), NodeId(4));
+        net.adversary_add_edge(NodeId(40), NodeId(40));
+        let ids = net.graph().nodes_sorted();
+        net.begin_step();
+        for (case, &start) in ids.iter().enumerate() {
+            let exclude = (case % 3 != 0).then(|| ids[(case + 5) % ids.len()]);
+            let accept = |u: NodeId| u.0 % 7 == case as u64 % 7;
+            let mut rng_a = StdRng::seed_from_u64(case as u64);
+            let mut rng_b = rng_a.clone();
+            let before = net.current_counters();
+            let by_id = random_walk_search(&mut net, start, 9, exclude, accept, &mut rng_a);
+            let mid = net.current_counters();
+            let g = net.graph();
+            let ids_of: Vec<NodeId> = (0..g.slot_bound() as u32)
+                .map(|s| {
+                    if g.slot_alive(s) {
+                        g.id_of_slot(s)
+                    } else {
+                        NodeId(u64::MAX)
+                    }
+                })
+                .collect();
+            let (s_start, s_excl) = (
+                g.slot_of(start).unwrap(),
+                exclude.map(|u| g.slot_of(u).unwrap()),
+            );
+            let by_slot = random_walk_search_slots(
+                &mut net,
+                s_start,
+                9,
+                s_excl,
+                |s| accept(ids_of[s as usize]),
+                &mut rng_b,
+            );
+            let after = net.current_counters();
+            assert_eq!(by_id.hops, by_slot.hops, "case {case}");
+            assert_eq!(
+                by_id.hit,
+                by_slot.hit.map(|s| ids_of[s as usize]),
+                "case {case}"
+            );
+            assert_eq!(mid.0 - before.0, after.0 - mid.0, "rounds, case {case}");
+            assert_eq!(mid.1 - before.1, after.1 - mid.1, "messages, case {case}");
+            assert_eq!(
+                rng_a.random::<u64>(),
+                rng_b.random::<u64>(),
+                "rng, case {case}"
+            );
+        }
         net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
     }
 
