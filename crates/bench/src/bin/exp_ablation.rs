@@ -15,9 +15,7 @@
 
 use dex::core::fabric;
 use dex::core::routing;
-use dex::core::VirtualMapping;
 use dex::prelude::*;
-use dex::sim::Network;
 use dex_bench::{print_table, sss, Schedule};
 
 fn theta_sweep() {
@@ -97,15 +95,7 @@ fn routing_validation() {
     for p in [101u64, 499, 1009, 2003] {
         let cycle = PCycle::new(p);
         let n = (p / 5).max(4);
-        let mut map = VirtualMapping::new(8);
-        let mut net = Network::new();
-        for i in 0..n {
-            net.adversary_add_node(NodeId(i));
-        }
-        for x in 0..p {
-            map.assign(VertexId(x), NodeId(x % n));
-        }
-        fabric::materialize_all(&mut net, &map, &cycle, false);
+        let (mut net, map) = fabric::deal_round_robin(8, &cycle, n);
         net.begin_step();
         let p_new = dex::graph::primes::inflation_prime(p);
         let pairs = routing::inflation_inverse_pairs(p, p_new);

@@ -7,9 +7,7 @@
 //! ```
 
 use dex::core::fabric;
-use dex::core::VirtualMapping;
 use dex::prelude::*;
-use dex::sim::Network;
 use dex_bench::print_table;
 
 fn main() {
@@ -30,15 +28,7 @@ fn main() {
 
     // The paper's right-hand side: 7 nodes, vertex x ↦ node x mod 7.
     let names = ["A", "B", "C", "D", "E", "F", "G"];
-    let mut map = VirtualMapping::new(8);
-    let mut net = Network::new();
-    for i in 0..7 {
-        net.adversary_add_node(NodeId(i));
-    }
-    for x in 0..23 {
-        map.assign(VertexId(x), NodeId(x % 7));
-    }
-    fabric::materialize_all(&mut net, &map, &z, false);
+    let (net, map) = fabric::deal_round_robin(8, &z, 7);
     let g = net.graph();
     rows.push(vec![
         "G_t = Φ(Z(23))".to_string(),

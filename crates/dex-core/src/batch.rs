@@ -49,10 +49,12 @@ impl DexNetwork {
         self.step_no += 1;
         self.net.begin_step();
         let mut used_type2 = false;
-        for &(u, v) in joins {
-            self.net.adversary_add_node(u);
-            self.net.adversary_add_edge(u, v);
-            used_type2 |= self.heal_insert(u, v, HealScope::BatchOp) != RecoveryKind::Type1;
+        for (i, &(u, v)) in joins.iter().enumerate() {
+            let su = self.net.adversary_add_node(u);
+            // Resolved at validation unless `v` joined earlier in this batch.
+            let sv = self.heal.batch_slots[i].unwrap_or_else(|| self.slot(v));
+            self.net.adversary_add_edge_slots(su, sv);
+            used_type2 |= self.heal_insert(su, sv, HealScope::BatchOp) != RecoveryKind::Type1;
         }
         self.net.end_step(
             StepKind::BatchInsert(joins.len() as u32),
@@ -71,7 +73,8 @@ impl DexNetwork {
     /// live node or an *earlier newcomer of the same batch* (healing
     /// runs pair-by-pair, so chained joins are well-defined). A
     /// mid-batch panic after partial mutation would leave the fabric
-    /// unhealable.
+    /// unhealable. Each attach point is translated here, once:
+    /// `heal.batch_slots[i]` is its slot, `None` for an earlier newcomer.
     fn validate_insert_batch(&mut self, joins: &[(NodeId, NodeId)]) {
         assert_eq!(
             self.cfg.mode,
@@ -81,6 +84,7 @@ impl DexNetwork {
         assert!(!joins.is_empty());
         self.heal.fan_in.clear();
         self.heal.seen.clear();
+        self.heal.batch_slots.clear();
         for &(u, v) in joins {
             let fan = self.heal.fan_in.entry(v).or_insert(0);
             *fan += 1;
@@ -89,10 +93,12 @@ impl DexNetwork {
                 fan <= MAX_ATTACH_FAN_IN,
                 "attach fan-in {fan} at {v} violates O(1) bound"
             );
+            let sv = self.net.graph().slot_of(v);
             assert!(
-                self.net.graph().has_node(v) || self.heal.seen.contains(&v),
+                sv.is_some() || self.heal.seen.contains(&v),
                 "attach point {v} missing"
             );
+            self.heal.batch_slots.push(sv);
             assert!(self.heal.seen.insert(u), "duplicate newcomer {u} in batch");
             assert!(
                 !self.net.graph().has_node(u),
@@ -110,16 +116,17 @@ impl DexNetwork {
         self.step_no += 1;
         self.net.begin_step();
         let mut used_type2 = false;
-        for &victim in victims {
+        for (i, &victim) in victims.iter().enumerate() {
+            let victim_slot = self.heal.batch_slots[i].expect("validated live");
             // Every victim must keep one surviving neighbor (paper's
             // condition); because healing runs victim-by-victim, the
             // previous victims' vertices have already been rehomed.
             let rescuer = self
-                .rescuer_of(victim)
+                .rescuer_of(victim_slot)
                 .unwrap_or_else(|| panic!("victim {victim} lost all neighbors"));
             self.net.adversary_remove_node(victim);
-            used_type2 |=
-                self.heal_delete(victim, rescuer, HealScope::BatchOp) != RecoveryKind::Type1;
+            used_type2 |= self.heal_delete(victim, victim_slot, rescuer, HealScope::BatchOp)
+                != RecoveryKind::Type1;
         }
         self.net.end_step(
             StepKind::BatchDelete(victims.len() as u32),
@@ -131,7 +138,8 @@ impl DexNetwork {
         )
     }
 
-    /// Validate before mutating: victims must be live and distinct.
+    /// Validate before mutating: victims must be live and distinct. Each
+    /// is translated here, once: `heal.batch_slots[i]` is its slot.
     fn validate_delete_batch(&mut self, victims: &[NodeId]) {
         assert_eq!(self.cfg.mode, RecoveryMode::Simplified);
         assert!(!victims.is_empty());
@@ -140,8 +148,11 @@ impl DexNetwork {
             "batch would empty the network"
         );
         self.heal.seen.clear();
+        self.heal.batch_slots.clear();
         for &victim in victims {
-            assert!(self.net.graph().has_node(victim), "victim {victim} missing");
+            let slot = self.net.graph().slot_of(victim);
+            assert!(slot.is_some(), "victim {victim} missing");
+            self.heal.batch_slots.push(slot);
             assert!(
                 self.heal.seen.insert(victim),
                 "duplicate victim {victim} in batch"

@@ -10,10 +10,10 @@ use crate::staggered::StaggeredOp;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
-use dex_sim::flood::{flood_count_with, FloodScratch};
+use dex_sim::flood::{flood_count_slots, FloodScratch};
 use dex_sim::msim::FloodOutcome;
 use dex_sim::rng::{Purpose, SeedSpace};
-use dex_sim::tokens::random_walk_search;
+use dex_sim::tokens::random_walk_search_slots;
 use dex_sim::{Network, RecoveryKind, StepKind, StepMetrics};
 
 /// Counters for walk behaviour (experiment E7).
@@ -46,6 +46,15 @@ impl WalkGoal {
             WalkGoal::Low => map.is_low(w),
         }
     }
+
+    /// [`Self::accepts`] for the node in `slot`: one load read, no id.
+    #[inline]
+    pub(crate) fn accepts_at(self, map: &VirtualMapping, slot: u32) -> bool {
+        match self {
+            WalkGoal::Spare => map.is_spare_at(slot),
+            WalkGoal::Low => map.is_low_at(slot),
+        }
+    }
 }
 
 /// Whether a heal is its step's only op or one op of a batch. The
@@ -62,8 +71,8 @@ pub(crate) enum HealScope {
 
 /// Outcome of one healing walk attempt.
 pub(crate) struct HealWalk {
-    /// Accepting node, if the walk hit.
-    pub(crate) hit: Option<NodeId>,
+    /// Slot of the accepting node, if the walk hit.
+    pub(crate) hit: Option<u32>,
     /// The walk was abandoned: every transport retry lost its token.
     /// (`false` + `hit: None` is a genuine protocol miss.)
     pub(crate) lost: bool,
@@ -121,17 +130,9 @@ impl DexNetwork {
         assert!(n0 >= 2, "need at least 2 initial nodes");
         let p0 = primes::initial_prime(n0);
         let cycle = PCycle::new(p0);
-        let mut map = VirtualMapping::with_vertex_capacity(cfg.zeta, p0);
-        let mut net = Network::new();
-        for i in 0..n0 {
-            net.adversary_add_node(NodeId(i));
-        }
         // Deal vertices round-robin: every load is ⌈p₀/n₀⌉ or ⌊p₀/n₀⌋,
         // i.e. within [4, 8] — comfortably 4ζ-balanced and all in Spare/Low.
-        for x in 0..p0 {
-            map.assign(VertexId(x), NodeId(x % n0));
-        }
-        fabric::materialize_all(&mut net, &map, &cycle, false);
+        let (net, map) = fabric::deal_round_robin(cfg.zeta, &cycle, n0);
         DexNetwork {
             cfg,
             net,
@@ -210,21 +211,23 @@ impl DexNetwork {
     /// Adversary inserts node `u` attached to existing node `v`; the
     /// algorithm heals and the step's cost is returned.
     pub fn insert(&mut self, u: NodeId, v: NodeId) -> StepMetrics {
+        // The step's only id translations: from here on it runs on slots.
         assert!(!self.net.graph().has_node(u), "insert: {u} already present");
-        assert!(
-            self.net.graph().has_node(v),
-            "insert: attach point {v} missing"
-        );
+        let sv = self
+            .net
+            .graph()
+            .slot_of(v)
+            .unwrap_or_else(|| panic!("insert: attach point {v} missing"));
         self.step_no += 1;
         self.net.begin_step();
-        self.net.adversary_add_node(u);
-        self.net.adversary_add_edge(u, v);
+        let su = self.net.adversary_add_node(u);
+        self.net.adversary_add_edge_slots(su, sv);
 
         let recovery = if self.stag.is_some() {
             crate::staggered::insert_during_staggered(self, u, v);
             RecoveryKind::Type1Staggered
         } else {
-            self.heal_insert(u, v, HealScope::SingleOp)
+            self.heal_insert(su, sv, HealScope::SingleOp)
         };
         // Worst-case mode: coordinator bookkeeping + window advance.
         if self.cfg.mode == RecoveryMode::Staggered {
@@ -234,14 +237,16 @@ impl DexNetwork {
         self.net.end_step(StepKind::Insert, recovery)
     }
 
-    /// Insertion recovery (Algorithm 4.2) for newcomer `u` attached at `v`,
-    /// inside an open step. The one type-1 insert loop: a single-op step
-    /// and a batch op run it with different data (see [`HealScope`]), and
-    /// the centralized and the message-scheduled execution differ only in
-    /// the transport behind [`Self::heal_walk`] / [`Self::heal_flood`] —
-    /// on the centralized one no walk is ever `lost` and every count is
-    /// `complete`, so the fallback branches are dead there.
-    pub(crate) fn heal_insert(&mut self, u: NodeId, v: NodeId, scope: HealScope) -> RecoveryKind {
+    /// Insertion recovery (Algorithm 4.2) for the newcomer in slot `u`
+    /// attached at the node in slot `v`, inside an open step. The one
+    /// type-1 insert loop: a single-op step and a batch op run it with
+    /// different data (see [`HealScope`]), and the centralized and the
+    /// message-scheduled execution differ only in the transport behind
+    /// [`Self::heal_walk`] / [`Self::heal_flood`] — on the centralized one
+    /// no walk is ever `lost` and every count is `complete`, so the
+    /// fallback branches are dead there.
+    pub(crate) fn heal_insert(&mut self, u: u32, v: u32, scope: HealScope) -> RecoveryKind {
+        let u_id = self.net.graph().id_of_slot(u);
         let mut flooded = false;
         let mut lost = 0u32;
         for attempt in 0..self.cfg.max_walk_retries {
@@ -252,7 +257,7 @@ impl DexNetwork {
                     &single
                 }
                 HealScope::BatchOp => {
-                    batch = [self.step_no, u.0, attempt];
+                    batch = [self.step_no, u_id.0, attempt];
                     &batch
                 }
             };
@@ -292,9 +297,10 @@ impl DexNetwork {
                 // the best partial witness; no witness → keep walking.
                 if res.complete {
                     self.walk_stats.type2 += 1;
+                    let v_id = self.net.graph().id_of_slot(v);
                     return match self.cfg.mode {
                         RecoveryMode::Simplified => {
-                            crate::type2_simple::inflate(self, Some((u, v)));
+                            crate::type2_simple::inflate(self, Some((u_id, v_id)));
                             RecoveryKind::InflateSimple
                         }
                         RecoveryMode::Staggered => {
@@ -303,7 +309,7 @@ impl DexNetwork {
                             // now, and the new node is served from the
                             // first staged window.
                             crate::staggered::begin_inflation(self);
-                            crate::staggered::insert_during_staggered(self, u, v);
+                            crate::staggered::insert_during_staggered(self, u_id, v_id);
                             RecoveryKind::InflateStaggered
                         }
                     };
@@ -311,7 +317,7 @@ impl DexNetwork {
                 if let Some(w) = res.witness {
                     self.fault_stats.heal_fallbacks += 1;
                     self.walk_stats.hits += 1;
-                    self.give_vertex_to_new_node(w, u, v);
+                    self.give_vertex_to_new_node(self.slot(w), u, v);
                     return RecoveryKind::Type1;
                 }
             }
@@ -327,14 +333,15 @@ impl DexNetwork {
     }
 
     /// Transfer one vertex from spare node `w` to the fresh node `u`, then
-    /// drop the adversarial attach edge (the fabric edge set re-creates a
-    /// `(u, v)` edge if and only if the virtual graph requires one).
-    pub(crate) fn give_vertex_to_new_node(&mut self, w: NodeId, u: NodeId, v: NodeId) {
-        debug_assert!(self.map.load(w) >= 2);
+    /// drop the adversarial attach edge to `v` (the fabric edge set
+    /// re-creates a `(u, v)` edge if and only if the virtual graph requires
+    /// one). All three are slots.
+    pub(crate) fn give_vertex_to_new_node(&mut self, w: u32, u: u32, v: u32) {
+        debug_assert!(self.map.load_at(w) >= 2);
         // Deterministic pick: the largest vertex id at w.
         let z = *self
             .map
-            .sim(w)
+            .sim_at(w)
             .iter()
             .max()
             .expect("spare node must simulate a vertex");
@@ -343,6 +350,7 @@ impl DexNetwork {
             &mut self.map,
             &self.cycle,
             &[z],
+            &[self.cycle.chord(z)],
             u,
             &mut self.heal.insts,
         );
@@ -352,7 +360,7 @@ impl DexNetwork {
         self.charge_load_updates(&[w, u]);
         // Remove the adversary's temporary attach edge (one extra instance
         // beyond the fabric).
-        self.net.remove_edge(u, v);
+        self.net.remove_edge_slots(u, v);
     }
 
     // ------------------------------------------------------------------
@@ -362,26 +370,29 @@ impl DexNetwork {
     /// Adversary deletes `victim`; the algorithm heals and the step cost is
     /// returned.
     pub fn delete(&mut self, victim: NodeId) -> StepMetrics {
-        assert!(
-            self.net.graph().has_node(victim),
-            "delete: {victim} missing"
-        );
+        // The step's only id translation: from here on it runs on slots.
+        let victim_slot = self
+            .net
+            .graph()
+            .slot_of(victim)
+            .unwrap_or_else(|| panic!("delete: {victim} missing"));
         assert!(self.n() > 2, "refusing to delete below 2 nodes");
         self.step_no += 1;
 
         // Former neighbors learn of the attack in the same time step.
         let rescuer = self
-            .rescuer_of(victim)
+            .rescuer_of(victim_slot)
             .expect("deleted node had no neighbors — network was disconnected");
 
         self.net.begin_step();
         self.net.adversary_remove_node(victim);
 
         let recovery = if self.stag.is_some() {
+            let rescuer = self.net.graph().id_of_slot(rescuer);
             crate::staggered::delete_during_staggered(self, victim, rescuer);
             RecoveryKind::Type1Staggered
         } else {
-            self.heal_delete(victim, rescuer, HealScope::SingleOp)
+            self.heal_delete(victim, victim_slot, rescuer, HealScope::SingleOp)
         };
         if self.cfg.mode == RecoveryMode::Staggered {
             crate::staggered::after_step(self);
@@ -390,23 +401,32 @@ impl DexNetwork {
         self.net.end_step(StepKind::Delete, recovery)
     }
 
-    /// Deletion recovery (Algorithm 4.3) for `victim`, healed by
-    /// `rescuer`, inside an open step. Detaches the pooled vertex/touched
-    /// buffers from `self`, runs the loop, and reattaches them so their
-    /// capacity survives across steps (including the early type-2 return).
+    /// Deletion recovery (Algorithm 4.3) for `victim` — already gone from
+    /// the graph, its `Sim` still in Φ under its freed slot `victim_slot` —
+    /// healed by the node in slot `rescuer`, inside an open step. Detaches
+    /// the pooled vertex/chord/touched buffers from `self`, runs the loop,
+    /// and reattaches them so their capacity survives across steps
+    /// (including the early type-2 return). The victim's whole vertex set
+    /// is inverted here, once: adoption and every redistribution move read
+    /// their chords from it.
     pub(crate) fn heal_delete(
         &mut self,
         victim: NodeId,
-        rescuer: NodeId,
+        victim_slot: u32,
+        rescuer: u32,
         scope: HealScope,
     ) -> RecoveryKind {
         let mut zs = std::mem::take(&mut self.heal.zs);
+        let mut chords = std::mem::take(&mut self.heal.chords);
         let mut touched = std::mem::take(&mut self.heal.touched);
         zs.clear();
-        zs.extend_from_slice(self.map.sim(victim));
+        zs.extend_from_slice(self.map.sim_at(victim_slot));
+        self.cycle
+            .chords_into(&zs, &mut self.heal.inverse, &mut chords);
         touched.clear();
-        let kind = self.heal_delete_loop(victim, rescuer, &zs, scope, &mut touched);
+        let kind = self.heal_delete_loop(victim, rescuer, &zs, &chords, scope, &mut touched);
         self.heal.zs = zs;
+        self.heal.chords = chords;
         self.heal.touched = touched;
         kind
     }
@@ -416,10 +436,11 @@ impl DexNetwork {
     fn heal_delete_loop(
         &mut self,
         victim: NodeId,
-        rescuer: NodeId,
+        rescuer: u32,
         zs: &[VertexId],
+        chords: &[VertexId],
         scope: HealScope,
-        touched: &mut Vec<NodeId>,
+        touched: &mut Vec<u32>,
     ) -> RecoveryKind {
         // A single-op step batches load updates: each touched node informs
         // its neighbors once at the end of the recovery. A batch op
@@ -432,6 +453,7 @@ impl DexNetwork {
             &mut self.map,
             &self.cycle,
             zs,
+            chords,
             rescuer,
             &mut self.heal.insts,
         );
@@ -445,7 +467,8 @@ impl DexNetwork {
         // re-run after every failed walk (Alg. 4.3 lines 6–11): our own
         // transfers within the step can shrink Low, so the threshold must
         // be re-checked before deciding between retry and deflation.
-        for (i, &z) in zs.iter().enumerate() {
+        for (i, (&z, &chord)) in zs.iter().zip(chords).enumerate() {
+            let z = (z, chord);
             let mut attempt = 0u64;
             let mut lost = 0u32;
             loop {
@@ -490,6 +513,7 @@ impl DexNetwork {
                             self.walk_stats.type2 += 1;
                             return match self.cfg.mode {
                                 RecoveryMode::Simplified => {
+                                    let rescuer = self.net.graph().id_of_slot(rescuer);
                                     crate::type2_simple::deflate(self, rescuer);
                                     RecoveryKind::DeflateSimple
                                 }
@@ -502,7 +526,7 @@ impl DexNetwork {
                         if let Some(w) = res.witness {
                             self.fault_stats.heal_fallbacks += 1;
                             self.walk_stats.hits += 1;
-                            self.move_to_low(z, rescuer, w, touched.as_deref_mut());
+                            self.move_to_low(z, rescuer, self.slot(w), touched.as_deref_mut());
                             break;
                         }
                     }
@@ -523,15 +547,15 @@ impl DexNetwork {
         RecoveryKind::Type1
     }
 
-    /// Move vertex `z` from `rescuer` to the Low node `w` (no-op when the
-    /// rescuer itself was picked), recording `w` in `touched` when the
-    /// caller batches load updates.
+    /// Move vertex `z` (with its chord partner) from `rescuer` to the Low
+    /// node `w` — both slots; no-op when the rescuer itself was picked —
+    /// recording `w` in `touched` when the caller batches load updates.
     pub(crate) fn move_to_low(
         &mut self,
-        z: VertexId,
-        rescuer: NodeId,
-        w: NodeId,
-        touched: Option<&mut Vec<NodeId>>,
+        (z, chord): (VertexId, VertexId),
+        rescuer: u32,
+        w: u32,
+        touched: Option<&mut Vec<u32>>,
     ) {
         if w != rescuer {
             fabric::move_vertices(
@@ -539,6 +563,7 @@ impl DexNetwork {
                 &mut self.map,
                 &self.cycle,
                 &[z],
+                &[chord],
                 w,
                 &mut self.heal.insts,
             );
@@ -554,16 +579,17 @@ impl DexNetwork {
     // Transports
     // ------------------------------------------------------------------
 
-    /// One healing walk from `start`, keyed by `(purpose, ctx)`. Without a
-    /// fault spec it is a single centralized token that cannot be lost;
-    /// with one it runs on the message schedule
+    /// One healing walk from slot `start`, keyed by `(purpose, ctx)`.
+    /// Without a fault spec it is a single centralized token that cannot be
+    /// lost, walking the arena with a per-slot load read as its predicate;
+    /// with one it runs on the message schedule, which speaks ids
     /// ([`Self::walk_scheduled`]). Inlined into the two loops so the
     /// caller's constant goal and exclusion reach the walk's inner loop.
     #[inline]
     fn heal_walk(
         &mut self,
-        start: NodeId,
-        exclude: Option<NodeId>,
+        start: u32,
+        exclude: Option<u32>,
         goal: WalkGoal,
         purpose: Purpose,
         ctx: &[u64],
@@ -575,15 +601,19 @@ impl DexNetwork {
                 // direct call.
                 let hit = match goal {
                     WalkGoal::Spare => {
-                        self.walk_central(start, exclude, VirtualMapping::is_spare, &mut rng)
+                        self.walk_central(start, exclude, VirtualMapping::is_spare_at, &mut rng)
                     }
                     WalkGoal::Low => {
-                        self.walk_central(start, exclude, VirtualMapping::is_low, &mut rng)
+                        self.walk_central(start, exclude, VirtualMapping::is_low_at, &mut rng)
                     }
                 };
                 HealWalk { hit, lost: false }
             }
-            Some(spec) => self.walk_scheduled(&spec, start, exclude, goal, purpose, ctx),
+            Some(spec) => {
+                let g = self.net.graph();
+                let (start, exclude) = (g.id_of_slot(start), exclude.map(|s| g.id_of_slot(s)));
+                self.walk_scheduled(&spec, start, exclude, goal, purpose, ctx)
+            }
         }
     }
 
@@ -591,14 +621,14 @@ impl DexNetwork {
     #[inline]
     fn walk_central(
         &mut self,
-        start: NodeId,
-        exclude: Option<NodeId>,
-        accept: impl Fn(&VirtualMapping, NodeId) -> bool,
+        start: u32,
+        exclude: Option<u32>,
+        accept: impl Fn(&VirtualMapping, u32) -> bool,
         rng: &mut impl rand::Rng,
-    ) -> Option<NodeId> {
+    ) -> Option<u32> {
         let walk_len = self.cfg.walk_len(self.cycle.p());
         let map = &self.map;
-        random_walk_search(
+        random_walk_search_slots(
             &mut self.net,
             start,
             walk_len,
@@ -609,18 +639,19 @@ impl DexNetwork {
         .hit
     }
 
-    /// One deterministic count of `goal`'s set from `root` (Algorithm
-    /// 4.4). Without a fault spec the centralized flood always covers the
-    /// whole component; with one it runs on the message schedule and may
-    /// close on a partial count ([`Self::flood_scheduled`]).
-    fn heal_flood(&mut self, root: NodeId, goal: WalkGoal, ctx: &[u64]) -> FloodOutcome {
+    /// One deterministic count of `goal`'s set from the node in slot
+    /// `root` (Algorithm 4.4). Without a fault spec the centralized flood
+    /// always covers the whole component, reading one load per slot; with
+    /// one it runs on the message schedule and may close on a partial
+    /// count ([`Self::flood_scheduled`]).
+    fn heal_flood(&mut self, root: u32, goal: WalkGoal, ctx: &[u64]) -> FloodOutcome {
         match self.faults {
             None => {
                 let map = &self.map;
-                let res = flood_count_with(
+                let res = flood_count_slots(
                     &mut self.net,
                     root,
-                    |w| goal.accepts(map, w),
+                    |w| goal.accepts_at(map, w),
                     &mut self.flood_scratch,
                 );
                 FloodOutcome {
@@ -632,7 +663,10 @@ impl DexNetwork {
                     close_round: res.rounds,
                 }
             }
-            Some(spec) => self.flood_scheduled(&spec, root, Some(goal), ctx, spec.flood_retries),
+            Some(spec) => {
+                let root = self.net.graph().id_of_slot(root);
+                self.flood_scheduled(&spec, root, Some(goal), ctx, spec.flood_retries)
+            }
         }
     }
 
@@ -640,26 +674,37 @@ impl DexNetwork {
     // Shared helpers
     // ------------------------------------------------------------------
 
-    /// The neighbor that heals `victim`'s deletion: its smallest-id neighbor
-    /// other than itself (`None` when it has none).
-    pub(crate) fn rescuer_of(&self, victim: NodeId) -> Option<NodeId> {
+    /// The neighbor that heals the deletion of the node in slot `victim`:
+    /// its smallest-id neighbor other than itself, as a slot (`None` when
+    /// it has none).
+    pub(crate) fn rescuer_of(&self, victim: u32) -> Option<u32> {
+        let g = self.net.graph();
+        g.neighbor_slots(victim)
+            .iter()
+            .copied()
+            .filter(|&w| w != victim)
+            .min_by_key(|&w| g.id_of_slot(w))
+    }
+
+    /// Slot of a live node named by a transport that speaks ids (a
+    /// scheduled walk's hit, a flood's witness).
+    pub(crate) fn slot(&self, u: NodeId) -> u32 {
         self.net
             .graph()
-            .neighbors(victim)
-            .iter()
-            .filter(|&w| w != victim)
-            .min()
+            .slot_of(u)
+            .unwrap_or_else(|| panic!("{u} is not in the network"))
     }
 
     /// Nodes advertise load changes to their neighbors (constant overhead,
-    /// Sect. 4.1); charged as one message per incident edge.
-    pub(crate) fn charge_load_updates(&mut self, nodes: &[NodeId]) {
-        let mut msgs = 0u64;
-        for &u in nodes {
-            if self.net.graph().has_node(u) {
-                msgs += self.net.graph().degree(u) as u64;
-            }
-        }
+    /// Sect. 4.1); charged as one message per incident edge. `slots` may
+    /// name a node the step has since lost; it advertises nothing.
+    pub(crate) fn charge_load_updates(&mut self, slots: &[u32]) {
+        let g = self.net.graph();
+        let msgs = slots
+            .iter()
+            .filter(|&&s| g.slot_alive(s))
+            .map(|&s| g.degree_of_slot(s) as u64)
+            .sum();
         self.net.charge_messages(msgs);
     }
 
@@ -726,18 +771,79 @@ mod tests {
         let mut misses = 0;
         for (i, &start) in nodes.iter().cycle().take(256).enumerate() {
             let goal = [WalkGoal::Spare, WalkGoal::Low][i % 2];
-            let out = dex.heal_walk(start, None, goal, Purpose::InsertWalk, &[i as u64]);
+            let out = dex.heal_walk(
+                dex.slot(start),
+                None,
+                goal,
+                Purpose::InsertWalk,
+                &[i as u64],
+            );
             assert!(!out.lost, "centralized walk {i} reported lost");
-            assert!(out.hit.is_none_or(|w| goal.accepts(&dex.map, w)));
+            assert!(out.hit.is_none_or(|w| goal.accepts_at(&dex.map, w)));
+            assert!(out
+                .hit
+                .is_none_or(|w| goal.accepts(&dex.map, dex.graph().id_of_slot(w))));
             misses += out.hit.is_none() as usize;
         }
         assert!((1..256).contains(&misses), "misses={misses}");
         for goal in [WalkGoal::Spare, WalkGoal::Low] {
-            let res = dex.heal_flood(nodes[0], goal, &[0]);
+            let res = dex.heal_flood(dex.slot(nodes[0]), goal, &[0]);
             let matching = nodes.iter().filter(|&&w| goal.accepts(&dex.map, w)).count();
             assert!(res.complete);
             assert_eq!((res.n, res.matching), (dex.n(), matching));
         }
         dex.net.end_step(StepKind::Insert, RecoveryKind::Type1);
+    }
+
+    /// Φ shares the graph's node arena: a delete frees the victim's slot in
+    /// both, and the next insert recycles it in both.
+    #[test]
+    fn phi_follows_the_graph_slot_a_delete_and_insert_recycle() {
+        for cfg in [DexConfig::new(0x5107).simplified(), DexConfig::new(0x5107)] {
+            let mut dex = DexNetwork::bootstrap(cfg, 24);
+            let victim = NodeId(5);
+            let slot = dex.slot(victim);
+            assert_eq!(dex.map.sim_at(slot), dex.map.sim(victim));
+            assert!(dex.map.load_at(slot) >= 1);
+            dex.delete(victim);
+            assert!(!dex.graph().slot_alive(slot));
+            assert_eq!(dex.map.load_at(slot), 0, "victim's Sim left its slot");
+            crate::invariants::assert_ok(&dex);
+            let newcomer = NodeId(100);
+            dex.insert(newcomer, NodeId(6));
+            assert_eq!(dex.slot(newcomer), slot, "LIFO arena recycles the slot");
+            assert_eq!(dex.map.sim_at(slot), dex.map.sim(newcomer));
+            assert!(dex.map.load_at(slot) >= 1);
+            assert!(dex
+                .map
+                .sim_at(slot)
+                .iter()
+                .all(|&z| dex.map.owner_slot_of(z) == slot && dex.map.owner_of(z) == newcomer));
+            crate::invariants::assert_ok(&dex);
+        }
+    }
+
+    /// A batch newcomer may attach to an earlier newcomer of the same
+    /// batch: its attach slot is resolved when its turn comes, the others'
+    /// at validation.
+    #[test]
+    fn batch_newcomer_attaches_to_an_earlier_newcomer_of_the_batch() {
+        let mut dex = DexNetwork::bootstrap(DexConfig::new(0xba7c).simplified(), 24);
+        dex.delete(NodeId(3)); // a hole for the first newcomer to recycle
+        let joins = [
+            (NodeId(50), NodeId(7)),
+            (NodeId(51), NodeId(50)),
+            (NodeId(52), NodeId(51)),
+            (NodeId(53), NodeId(8)),
+        ];
+        let m = dex.insert_batch(&joins);
+        assert_eq!(m.kind, StepKind::BatchInsert(4));
+        for (u, _) in joins {
+            assert!(dex.map.load_at(dex.slot(u)) >= 1, "{u} simulates nothing");
+        }
+        crate::invariants::assert_ok(&dex);
+        let m = dex.delete_batch(&[NodeId(51), NodeId(7), NodeId(50)]);
+        assert_eq!(m.kind, StepKind::BatchDelete(3));
+        crate::invariants::assert_ok(&dex);
     }
 }

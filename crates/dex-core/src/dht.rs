@@ -124,9 +124,12 @@ impl DexNetwork {
     /// about 3.3k per route at p = 2,000,003, taken a frontier block at a
     /// time through the batched chord kernel (≈ 8 ns each instead of a
     /// ≈ 160 ns scalar powering); the visited-table probes around them
-    /// are the smaller half. Each path vertex then resolves through the
-    /// slot Φ's dense owner records ([`crate::VirtualMapping::owner_of`],
-    /// one array load), and every buffer lives in the pooled
+    /// are the smaller half. The initiator's own `Sim` set is the call's
+    /// one id translation (`from`, through Φ's index of held nodes); each
+    /// path vertex then resolves through Φ's dense owner records
+    /// ([`crate::VirtualMapping::owner_of`], one array load — the path is
+    /// kept as ids because the message-scheduled transport and the
+    /// callers' reports speak ids), and every buffer lives in the pooled
     /// [`crate::routing::RouteScratch`] — zero allocation per operation
     /// once warm, and nothing of size p is kept.
     fn route_dht(&mut self, from: NodeId, key: Key, round_trip: bool) -> bool {

@@ -8,6 +8,14 @@
 //! canonically (each undirected virtual edge counted exactly once), applies
 //! vertex moves with O(1) topology changes, and rebuilds the fabric by
 //! multiset diff after a one-shot type-2 recovery.
+//!
+//! The per-step paths — [`move_vertices`], [`adopt_vertices`] and the
+//! bootstrap's [`materialize_all`] — never see a `NodeId`: Φ is slotted by
+//! the network's node arena (`mapping` module docs), so the owner *slot*
+//! Φ stores for a vertex is the adjacency row to edit. Only the whole-
+//! fabric passes ([`expected_edge_multiset`], [`rewire_to_target`],
+//! [`verify_fabric`]) speak ids: their sort order is by id, and the
+//! adjacency order every golden digest pins follows from it.
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};
@@ -32,7 +40,9 @@ pub fn canonical_edges_of(cycle: &PCycle, z: VertexId) -> Vec<(VertexId, VertexI
 
 /// All virtual-edge instances with at least one endpoint in `set`, each
 /// exactly once, appended to the caller's buffer (`out` is cleared first).
-/// `set` must be duplicate-free.
+/// `set` must be duplicate-free and `chords[i]` the chord partner of
+/// `set[i]` — the caller inverts the whole set once
+/// ([`PCycle::chords_into`]; a single vertex pays one [`PCycle::chord`]).
 ///
 /// Dedup rules: the successor edge is sourced at `z`; the predecessor edge
 /// is included only when `pred(z) ∉ set` (otherwise it is the predecessor's
@@ -41,16 +51,22 @@ pub fn canonical_edges_of(cycle: &PCycle, z: VertexId) -> Vec<(VertexId, VertexI
 ///
 /// The healing hot path calls this for every vertex move; threading the
 /// buffer from [`crate::scratch::HealScratch`] keeps it allocation-free.
-pub fn incident_edges_into(cycle: &PCycle, set: &[VertexId], out: &mut Vec<(VertexId, VertexId)>) {
+pub fn incident_edges_into(
+    cycle: &PCycle,
+    set: &[VertexId],
+    chords: &[VertexId],
+    out: &mut Vec<(VertexId, VertexId)>,
+) {
+    debug_assert_eq!(set.len(), chords.len());
     out.clear();
     let in_set = |v: VertexId| set.contains(&v);
-    for &z in set {
+    for (&z, &c) in set.iter().zip(chords) {
+        debug_assert_eq!(c, cycle.chord(z));
         out.push((z, cycle.succ(z)));
         let p = cycle.pred(z);
         if !in_set(p) {
             out.push((p, z));
         }
-        let c = cycle.chord(z);
         if c == z {
             out.push((z, z));
         } else if !in_set(c) || z < c {
@@ -61,21 +77,50 @@ pub fn incident_edges_into(cycle: &PCycle, set: &[VertexId], out: &mut Vec<(Vert
 
 /// Allocating convenience wrapper over [`incident_edges_into`].
 pub fn incident_edges_of_set(cycle: &PCycle, set: &[VertexId]) -> Vec<(VertexId, VertexId)> {
+    let mut chords = Vec::with_capacity(set.len());
+    cycle.chords_into(set, &mut Vec::new(), &mut chords);
     let mut out = Vec::with_capacity(set.len() * 3);
-    incident_edges_into(cycle, set, &mut out);
+    incident_edges_into(cycle, set, &chords, &mut out);
     out
+}
+
+/// Both endpoints' slots of the virtual-edge instance `(a, b)`. Inside a
+/// `DexNetwork` a node's Φ slot is its graph slot, so these index the
+/// network's adjacency rows directly.
+#[inline]
+fn owner_slots(map: &VirtualMapping, (a, b): (VertexId, VertexId)) -> (u32, u32) {
+    (map.owner_slot_of(a), map.owner_slot_of(b))
+}
+
+/// The bootstrap object for nodes `0..n`: the vertices of `cycle` dealt
+/// round-robin (vertex `x` to node `x mod n`) into a Φ slotted by the
+/// network's node arena, and the contraction fabric materialized
+/// uncharged.
+pub fn deal_round_robin(zeta: u64, cycle: &PCycle, n: u64) -> (Network, VirtualMapping) {
+    let mut net = Network::new();
+    for i in 0..n {
+        let slot = net.adversary_add_node(NodeId(i));
+        assert_eq!(slot as u64, i, "a fresh arena numbers slots in order");
+    }
+    let mut map = VirtualMapping::with_caller_slots(zeta, cycle.p());
+    for x in 0..cycle.p() {
+        let i = x % n;
+        map.assign_at(VertexId(x), NodeId(i), i as u32);
+    }
+    materialize_all(&mut net, &map, cycle, false);
+    (net, map)
 }
 
 /// Materialize the entire contraction fabric from scratch. `charged`
 /// selects whether edges count as algorithm topology changes (bootstrap
-/// passes `false`).
+/// passes `false`). `map` must be slotted by `net`'s node arena.
 pub fn materialize_all(net: &mut Network, map: &VirtualMapping, cycle: &PCycle, charged: bool) {
     for_each_canonical_edge(cycle, |a, b| {
-        let (ua, ub) = (map.owner_of(a), map.owner_of(b));
+        let (sa, sb) = owner_slots(map, (a, b));
         if charged {
-            net.add_edge(ua, ub);
+            net.add_edge_slots(sa, sb);
         } else {
-            net.adversary_add_edge(ua, ub);
+            net.adversary_add_edge_slots(sa, sb);
         }
     });
 }
@@ -105,55 +150,66 @@ pub fn expected_edge_multiset(map: &VirtualMapping, cycle: &PCycle) -> Vec<(Node
     out
 }
 
-/// Move the vertex set `zs` (all owned by a live node) to node `to`:
-/// removes every incident physical instance, retargets the mapping, and
-/// re-adds the instances under the new owners. All edge churn is charged.
-/// O(|zs|) topology changes. `insts` is a reusable instance buffer
-/// (typically [`crate::scratch::HealScratch::insts`]); its prior contents
-/// are discarded.
+/// Move the vertex set `zs` (all owned by a live node; `chords` their
+/// chord partners) to the node in slot `to`: removes every incident
+/// physical instance, retargets the mapping, and re-adds the instances
+/// under the new owners — all by slot, Φ's being the network's. All edge
+/// churn is charged. O(|zs|) topology changes. `insts` is a reusable
+/// instance buffer (typically [`crate::scratch::HealScratch::insts`]); its
+/// prior contents are discarded.
 pub fn move_vertices(
     net: &mut Network,
     map: &mut VirtualMapping,
     cycle: &PCycle,
     zs: &[VertexId],
-    to: NodeId,
+    chords: &[VertexId],
+    to: u32,
     insts: &mut Vec<(VertexId, VertexId)>,
 ) {
-    incident_edges_into(cycle, zs, insts);
-    for &(a, b) in insts.iter() {
-        let (ua, ub) = (map.owner_of(a), map.owner_of(b));
+    incident_edges_into(cycle, zs, chords, insts);
+    for &inst in insts.iter() {
+        let (sa, sb) = owner_slots(map, inst);
         assert!(
-            net.remove_edge(ua, ub),
-            "fabric desync: missing instance {a}->{b} at ({ua},{ub})"
+            net.remove_edge_slots(sa, sb),
+            "fabric desync: missing instance {}->{} at slots ({sa},{sb})",
+            inst.0,
+            inst.1
         );
     }
+    let to_id = net.graph().id_of_slot(to);
     for &z in zs {
-        map.transfer(z, to);
+        map.transfer_at(z, to_id, to);
     }
-    for &(a, b) in insts.iter() {
-        net.add_edge(map.owner_of(a), map.owner_of(b));
+    for &inst in insts.iter() {
+        let (sa, sb) = owner_slots(map, inst);
+        net.add_edge_slots(sa, sb);
     }
 }
 
-/// After the adversary deleted node `dead` (taking all its physical edges
-/// with it), node `to` adopts the vertex set `zs` that `dead` simulated:
-/// retarget the mapping and re-add the lost instances. Additions are
-/// charged; nothing is removed (the attack already removed it). `insts`
-/// is a reusable instance buffer; its prior contents are discarded.
+/// After the adversary deleted a node (taking all its physical edges with
+/// it), the node in slot `to` adopts the vertex set `zs` the dead node
+/// simulated (`chords` their chord partners): retarget the mapping and
+/// re-add the lost instances. Until this runs, the dead node's `Sim`
+/// still sits in its — already freed — graph slot. Additions are charged;
+/// nothing is removed (the attack already removed it). `insts` is a
+/// reusable instance buffer; its prior contents are discarded.
 pub fn adopt_vertices(
     net: &mut Network,
     map: &mut VirtualMapping,
     cycle: &PCycle,
     zs: &[VertexId],
-    to: NodeId,
+    chords: &[VertexId],
+    to: u32,
     insts: &mut Vec<(VertexId, VertexId)>,
 ) {
+    let to_id = net.graph().id_of_slot(to);
     for &z in zs {
-        map.transfer(z, to);
+        map.transfer_at(z, to_id, to);
     }
-    incident_edges_into(cycle, zs, insts);
-    for &(a, b) in insts.iter() {
-        net.add_edge(map.owner_of(a), map.owner_of(b));
+    incident_edges_into(cycle, zs, chords, insts);
+    for &inst in insts.iter() {
+        let (sa, sb) = owner_slots(map, inst);
+        net.add_edge_slots(sa, sb);
     }
 }
 
@@ -264,16 +320,16 @@ mod tests {
     /// `n` nodes.
     fn world(p: u64, n: u64) -> (Network, VirtualMapping, PCycle) {
         let cycle = PCycle::new(p);
-        let mut map = VirtualMapping::new(8);
-        let mut net = Network::new();
-        for i in 0..n {
-            net.adversary_add_node(NodeId(i));
-        }
-        for x in 0..p {
-            map.assign(VertexId(x), NodeId(x % n));
-        }
-        materialize_all(&mut net, &map, &cycle, false);
+        let (net, map) = deal_round_robin(8, &cycle, n);
         (net, map, cycle)
+    }
+
+    fn slot(net: &Network, u: u64) -> u32 {
+        net.graph().slot_of(NodeId(u)).unwrap()
+    }
+
+    fn chords(cycle: &PCycle, zs: &[VertexId]) -> Vec<VertexId> {
+        zs.iter().map(|&z| cycle.chord(z)).collect()
     }
 
     #[test]
@@ -307,14 +363,18 @@ mod tests {
             vec![VertexId(2), VertexId(12)], // chord pair (2·12 ≡ 1)
             vec![VertexId(0), VertexId(22), VertexId(1)],
         ] {
-            let got = incident_edges_of_set(&cycle, &set);
+            // Scalar chords and the batched form the delete path uses.
+            let mut scalar = Vec::new();
+            incident_edges_into(&cycle, &set, &chords(&cycle, &set), &mut scalar);
+            let batched = incident_edges_of_set(&cycle, &set);
+            assert_eq!(scalar, batched, "set {set:?}");
             // Brute force: all undirected edges of Z(p) touching the set.
             let all = cycle.edges();
             let expect = all
                 .iter()
                 .filter(|(a, b)| set.contains(a) || set.contains(b))
                 .count();
-            assert_eq!(got.len(), expect, "set {set:?}");
+            assert_eq!(batched.len(), expect, "set {set:?}");
         }
     }
 
@@ -322,12 +382,14 @@ mod tests {
     fn move_vertex_keeps_fabric_exact() {
         let (mut net, mut map, cycle) = world(23, 5);
         net.begin_step();
+        let to = slot(&net, 0);
         move_vertices(
             &mut net,
             &mut map,
             &cycle,
             &[VertexId(7)],
-            NodeId(0),
+            &[cycle.chord(VertexId(7))],
+            to,
             &mut Vec::new(),
         );
         let m = net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
@@ -346,12 +408,15 @@ mod tests {
         let (mut net, mut map, cycle) = world(23, 5);
         net.begin_step();
         // 3,4,5 are consecutive: internal cycle edges must not double count.
+        let zs = [VertexId(3), VertexId(4), VertexId(5)];
+        let to = slot(&net, 1);
         move_vertices(
             &mut net,
             &mut map,
             &cycle,
-            &[VertexId(3), VertexId(4), VertexId(5)],
-            NodeId(1),
+            &zs,
+            &chords(&cycle, &zs),
+            to,
             &mut Vec::new(),
         );
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
@@ -366,7 +431,16 @@ mod tests {
         let zs: Vec<VertexId> = map.sim(NodeId(2)).to_vec();
         net.adversary_remove_node(NodeId(2));
         net.begin_step();
-        adopt_vertices(&mut net, &mut map, &cycle, &zs, NodeId(3), &mut Vec::new());
+        let to = slot(&net, 3);
+        adopt_vertices(
+            &mut net,
+            &mut map,
+            &cycle,
+            &zs,
+            &chords(&cycle, &zs),
+            to,
+            &mut Vec::new(),
+        );
         net.end_step(dex_sim::StepKind::Delete, dex_sim::RecoveryKind::Type1);
         let expected = expected_edge_multiset(&map, &cycle);
         verify_fabric(&net, &expected).unwrap();

@@ -138,7 +138,8 @@ impl DexNetwork {
     /// the context the centralized transport keys its stream with;
     /// generation 0 replays that stream, so at zero faults the outcome
     /// (hit, hops, charge) is bit-identical to
-    /// [`dex_sim::tokens::random_walk_search`].
+    /// [`dex_sim::tokens::random_walk_search`]. The schedule speaks ids;
+    /// the hit goes back to the heal loop as a slot.
     pub(crate) fn walk_scheduled(
         &mut self,
         spec: &FaultSpec,
@@ -178,7 +179,7 @@ impl DexNetwork {
         self.fault_stats.merge(&report.stats);
         let r = &results[0];
         HealWalk {
-            hit: r.hit,
+            hit: r.hit.map(|w| self.slot(w)),
             lost: r.status == OpStatus::Lost,
         }
     }
@@ -275,9 +276,14 @@ impl DexNetwork {
     // Fallbacks after repeated walk loss
     // ------------------------------------------------------------------
 
-    /// Walk-free insert fallback: flood for the spare set, heal to its
-    /// witness (or inflate if spares ran out).
-    pub(crate) fn insert_fallback(&mut self, u: NodeId, v: NodeId) -> RecoveryKind {
+    /// Walk-free insert fallback for the newcomer in slot `su` attached at
+    /// slot `sv`: flood for the spare set, heal to its witness (or inflate
+    /// if spares ran out).
+    pub(crate) fn insert_fallback(&mut self, su: u32, sv: u32) -> RecoveryKind {
+        let (u, v) = {
+            let g = self.net.graph();
+            (g.id_of_slot(su), g.id_of_slot(sv))
+        };
         let spec = self.scheduled_spec();
         let ctx = [self.step_no, u.0, FLOOD_WORD];
         let res = self.flood_scheduled(&spec, v, Some(WalkGoal::Spare), &ctx, spec.flood_retries);
@@ -317,21 +323,23 @@ impl DexNetwork {
         };
         self.fault_stats.heal_fallbacks += 1;
         self.walk_stats.hits += 1;
-        self.give_vertex_to_new_node(w, u, v);
+        self.give_vertex_to_new_node(self.slot(w), su, sv);
         RecoveryKind::Type1
     }
 
-    /// Walk-free delete fallback: flood for the low set, rehome `z` to
-    /// its witness (or deflate if Low ran out). Returns `true` when
-    /// type-1 healing sufficed.
+    /// Walk-free delete fallback: flood for the low set, rehome `z` (with
+    /// its chord partner) from the rescuer in slot `rescuer_slot` to the
+    /// witness (or deflate if Low ran out). Returns `true` when type-1
+    /// healing sufficed.
     pub(crate) fn delete_fallback(
         &mut self,
-        z: VertexId,
-        rescuer: NodeId,
-        touched: Option<&mut Vec<NodeId>>,
+        z: (VertexId, VertexId),
+        rescuer_slot: u32,
+        touched: Option<&mut Vec<u32>>,
     ) -> bool {
+        let rescuer = self.net.graph().id_of_slot(rescuer_slot);
         let spec = self.scheduled_spec();
-        let ctx = [self.step_no, z.0, rescuer.0];
+        let ctx = [self.step_no, z.0 .0, rescuer.0];
         let res = self.flood_scheduled(
             &spec,
             rescuer,
@@ -352,7 +360,7 @@ impl DexNetwork {
         let w = res.witness.expect("checked above");
         self.fault_stats.heal_fallbacks += 1;
         self.walk_stats.hits += 1;
-        self.move_to_low(z, rescuer, w, touched);
+        self.move_to_low(z, rescuer_slot, self.slot(w), touched);
         true
     }
 

@@ -5,7 +5,10 @@
 //! O(n) and not part of the protocol cost.
 //!
 //! Checked invariants:
-//! 1. internal consistency of the graph and the mapping;
+//! 1. internal consistency of the graph and the mapping, and their shared
+//!    node arena: every node Φ holds (in the live map and in a staged
+//!    one) sits in the slot the graph gave it, under the same id — at a
+//!    step boundary Φ has no ghost owner and no stale slot;
 //! 2. Φ is surjective (every node simulates ≥ 1 vertex — counting staged
 //!    vertices while a staggered type-2 operation is mid-flight);
 //! 3. load bounds: ≤ 4ζ steady state, ≤ 8ζ during a staggered operation
@@ -26,7 +29,21 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
         .graph()
         .validate()
         .map_err(|e| format!("graph: {e}"))?;
-    dex.map.validate().map_err(|e| format!("mapping: {e}"))?;
+
+    // Φ slot == graph slot and Φ id == graph id for every mapped node
+    // (which also rules out ghost owners).
+    let staged = dex.stag.as_ref().map(|op| op.staged_map());
+    for map in std::iter::once(&dex.map).chain(staged) {
+        map.validate().map_err(|e| format!("mapping: {e}"))?;
+        for (u, slot) in map.nodes_at() {
+            if dex.net.graph().slot_of(u) != Some(slot) {
+                return Err(format!(
+                    "mapping owner {u} in Φ slot {slot}, graph slot {:?}",
+                    dex.net.graph().slot_of(u)
+                ));
+            }
+        }
+    }
 
     let staggering = dex.stag.is_some();
     let max_load = if staggering {
@@ -58,13 +75,6 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
                 "node {u} degree {deg} exceeds {deg_factor}·load = {}",
                 deg_factor * total
             ));
-        }
-    }
-
-    // Mapping must not point at ghost nodes.
-    for u in dex.map.nodes() {
-        if !dex.net.graph().has_node(u) {
-            return Err(format!("mapping owner {u} not in network"));
         }
     }
 

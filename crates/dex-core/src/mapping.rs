@@ -16,9 +16,10 @@
 //!   the p-cycle vertex index (`z.0`): the owner's *node slot* (`NO_OWNER`
 //!   when unassigned), the vertex's index inside its owner's `Sim`
 //!   segment, and a mirror of the owner's `NodeId`. One cache line
-//!   therefore serves `owner_of` — called ~12 times per fabric vertex
-//!   move — the unassign half of a transfer, and the swap-remove pos
-//!   fix-up, with no hashing and no indirection through the node arena.
+//!   therefore serves `owner_slot_of` — called ~12 times per fabric
+//!   vertex move — `owner_of`, the unassign half of a transfer, and the
+//!   swap-remove pos fix-up, with no hashing and no indirection through
+//!   the node arena.
 //! * **per-node `Sim` sets** are contiguous segments carved from one
 //!   pooled `Vec<VertexId>`. Segments come in power-of-two capacity
 //!   classes (8, 16, 32, …). A node starts in the smallest ("inline")
@@ -28,13 +29,47 @@
 //!   segment from the per-class free list when one exists), the entries
 //!   are copied, and the old segment is pushed onto its class's free list.
 //!   `sim(u)` is therefore always one contiguous `&[VertexId]` slice.
-//! * **node slots** use a LIFO free list exactly like the graph arena; the
-//!   `NodeId ↔ slot` translation is one `FxHashMap` lookup at the API
-//!   edge, and per-slot loads live in a compact 4-byte-per-node `lens`
-//!   array so walk predicates (`is_spare` / `is_low`, one read per hop)
-//!   touch a near-cache-resident structure. A node occupies a slot iff it
+//! * **node slots** index a per-node record array and a compact
+//!   4-byte-per-node `lens` array of loads, so walk and flood predicates
+//!   ([`VirtualMapping::load_at`], one read per node visited) touch a
+//!   near-cache-resident structure. A node occupies a slot iff it
 //!   simulates ≥ 1 vertex (`Φ` prunes empty nodes, matching the paper's
-//!   surjectivity).
+//!   surjectivity); a slot with load 0 is *vacant*. **Who numbers the
+//!   slots is decided once, at construction:**
+//!   - [`VirtualMapping::new`] / [`VirtualMapping::with_vertex_capacity`]
+//!     build a *self-allocating* map: a node new to the map gets the most
+//!     recently vacated slot (LIFO free list, like the graph arena) or a
+//!     fresh one. This is the stand-alone Φ of unit tests and benches.
+//!   - [`VirtualMapping::with_caller_slots`] builds a *caller-slotted*
+//!     map: every mutation names the node's slot, the map keeps no free
+//!     list, and a vacated slot is simply the caller's to name again.
+//!     Every Φ inside a [`crate::DexNetwork`] — the live map, a type-2
+//!     rebuild's new map, a staggered operation's staged map — is
+//!     slotted by the physical graph's node arena
+//!     ([`dex_graph::adjacency`]): **a node's Φ slot is its graph slot.**
+//!     The owner slot a vertex record stores is therefore the adjacency
+//!     row to edit, a walk's current slot is the load to read, and a
+//!     type-1 step translates each id the adversary names once, at
+//!     [`crate::DexNetwork::insert`] / [`crate::DexNetwork::delete`], and
+//!     never again.
+//!
+//!   The slot-explicit entry points ([`VirtualMapping::assign_at`],
+//!   [`VirtualMapping::assign_run_at`], [`VirtualMapping::transfer_at`];
+//!   readers [`VirtualMapping::owner_slot_of`],
+//!   [`VirtualMapping::load_at`], [`VirtualMapping::sim_at`]) *are* the
+//!   implementation. The `NodeId` methods resolve `u` through one
+//!   `FxHashMap` (held nodes only) and call them; on a caller-slotted map
+//!   a `NodeId` mutator can reach only a node the map already holds and
+//!   panics on any other. An `*_at` call asserts its slot is vacant or
+//!   already that node's.
+//!
+//!   *Step-boundary invariant* (checked by [`crate::invariants::check`]):
+//!   every node a `DexNetwork`'s Φ holds sits in the slot the graph gave
+//!   it, under the same id. Inside a deletion the invariant is suspended
+//!   for exactly one node: the graph has freed the victim's slot while Φ
+//!   still keeps its `Sim` there, until the rescuer adopts it
+//!   (`fabric::adopt_vertices`) — and no node is added in between, so
+//!   the slot cannot be recycled under it.
 //! * `|Spare|` / `|Low|` are maintained incrementally in place on every
 //!   load transition (Eqs. 1–2), as before.
 //!
@@ -42,8 +77,8 @@
 //! (vertex-ascending) order *for free* — see [`VirtualMapping::entries`];
 //! the old collect-and-sort path survives only as a test oracle. Type-2
 //! inflation assigns whole clouds of consecutive vertices in one call via
-//! [`VirtualMapping::assign_run`] (one slot resolution per cloud,
-//! sequential dense writes).
+//! [`VirtualMapping::assign_run_at`] (sequential dense writes into the
+//! owner's slot, which the new Φ shares with the old).
 //!
 //! The previous `FxHashMap`-backed implementation lives on verbatim as
 //! [`oracle::HashMapping`]: the differential proptests drive long random
@@ -101,6 +136,13 @@ const VERTEX_FREE: VertexRec = VertexRec {
     owner: NodeId(u64::MAX),
 };
 
+/// A node slot nobody holds (load 0 in [`VirtualMapping::lens`]).
+const NODE_VACANT: NodeRec = NodeRec {
+    id: NodeId(u64::MAX),
+    start: 0,
+    class: 0,
+};
+
 /// Surjective map `Φ : V(Z) → V(G)` with per-node `Sim` sets and
 /// incremental `|Spare|` / `|Low|` counters. See module docs for the
 /// storage model.
@@ -131,10 +173,16 @@ pub struct VirtualMapping {
     /// paper's `Low`).
     low_count: usize,
     zeta: u64,
+    /// Who numbers the node slots, fixed at construction: this map
+    /// (`false`: LIFO `free_slots`, as a stand-alone Φ) or the caller
+    /// (`true`: inside a `DexNetwork` a node's Φ slot *is* its graph slot,
+    /// and `free_slots` stays empty).
+    caller_slots: bool,
 }
 
 impl VirtualMapping {
-    /// Empty mapping with the given ζ (for the `Low` threshold 2ζ).
+    /// Empty self-allocating mapping with the given ζ (for the `Low`
+    /// threshold 2ζ).
     pub fn new(zeta: u64) -> Self {
         VirtualMapping {
             meta: Vec::new(),
@@ -148,15 +196,28 @@ impl VirtualMapping {
             spare_count: 0,
             low_count: 0,
             zeta,
+            caller_slots: false,
         }
     }
 
-    /// Empty mapping pre-sized for vertices `0..p` (avoids dense-array
-    /// regrowth during bootstrap / type-2 rebuilds).
+    /// Empty self-allocating mapping pre-sized for vertices `0..p` (avoids
+    /// dense-array regrowth during bootstrap / type-2 rebuilds).
     pub fn with_vertex_capacity(zeta: u64, p: u64) -> Self {
         let mut m = Self::new(zeta);
         m.meta = vec![VERTEX_FREE; p as usize];
         m
+    }
+
+    /// Empty mapping, pre-sized for vertices `0..p`, whose node slots are
+    /// the caller's: every mutation names the slot (the `*_at` forms), the
+    /// map never allocates or recycles one, and its `NodeId` mutators only
+    /// resolve nodes it already holds. This is every Φ inside a
+    /// `DexNetwork`, slotted by the graph's node arena.
+    pub fn with_caller_slots(zeta: u64, p: u64) -> Self {
+        VirtualMapping {
+            caller_slots: true,
+            ..Self::with_vertex_capacity(zeta, p)
+        }
     }
 
     /// Number of vertices assigned.
@@ -190,12 +251,29 @@ impl VirtualMapping {
         rec.owner
     }
 
+    /// Slot of the owner of vertex `z`; panics when unassigned, like
+    /// [`Self::owner_of`].
+    #[inline]
+    pub fn owner_slot_of(&self, z: VertexId) -> u32 {
+        let rec = &self.meta[z.0 as usize];
+        assert!(rec.slot != NO_OWNER, "vertex {z} not assigned");
+        rec.slot
+    }
+
     /// The `Sim` set of node `u` (empty slice if `u` simulates nothing).
     pub fn sim(&self, u: NodeId) -> &[VertexId] {
         match self.slot_of.get(&u) {
-            Some(&s) => {
-                let rec = &self.nodes[s as usize];
-                let len = self.lens[s as usize];
+            Some(&s) => self.sim_at(s),
+            None => &[],
+        }
+    }
+
+    /// The `Sim` set held in `slot` (empty for a vacant or unseen slot).
+    #[inline]
+    pub fn sim_at(&self, slot: u32) -> &[VertexId] {
+        match self.nodes.get(slot as usize) {
+            Some(rec) => {
+                let len = self.lens[slot as usize];
                 &self.pool[rec.start as usize..(rec.start + len) as usize]
             }
             None => &[],
@@ -209,6 +287,13 @@ impl VirtualMapping {
             Some(&s) => self.lens[s as usize] as u64,
             None => 0,
         }
+    }
+
+    /// Load held in `slot` (0 for a vacant or unseen slot) — the walk and
+    /// flood predicates' one read per node.
+    #[inline]
+    pub fn load_at(&self, slot: u32) -> u64 {
+        self.lens.get(slot as usize).map_or(0, |&l| l as u64)
     }
 
     /// `|Spare|` (nodes with load ≥ 2).
@@ -231,6 +316,19 @@ impl VirtualMapping {
     #[inline]
     pub fn is_low(&self, u: NodeId) -> bool {
         let l = self.load(u);
+        l >= 1 && l <= 2 * self.zeta
+    }
+
+    /// Is the node in `slot` in Spare?
+    #[inline]
+    pub fn is_spare_at(&self, slot: u32) -> bool {
+        self.load_at(slot) >= 2
+    }
+
+    /// Is the node in `slot` in Low?
+    #[inline]
+    pub fn is_low_at(&self, slot: u32) -> bool {
+        let l = self.load_at(slot);
         l >= 1 && l <= 2 * self.zeta
     }
 
@@ -263,33 +361,46 @@ impl VirtualMapping {
         start as u32
     }
 
-    /// Resolve or create the slot for `u`.
+    /// Slot for a `NodeId` mutator: the one `u` holds, else — on a
+    /// self-allocating map — the most recently vacated or a fresh one.
+    ///
+    /// # Panics
+    /// Panics on a caller-slotted map that does not hold `u`: only the
+    /// caller knows the slot, so it must use the `*_at` form.
     fn slot_for(&mut self, u: NodeId) -> u32 {
         if let Some(&s) = self.slot_of.get(&u) {
             return s;
         }
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                assert!(self.nodes.len() < NO_OWNER as usize, "node arena overflow");
-                self.nodes.push(NodeRec {
-                    id: u,
-                    start: 0,
-                    class: 0,
-                });
-                self.lens.push(0);
-                self.nodes.len() as u32 - 1
-            }
-        };
-        let start = self.alloc_seg(0);
-        self.nodes[slot as usize] = NodeRec {
-            id: u,
-            start,
-            class: 0,
-        };
-        self.lens[slot as usize] = 0;
-        self.slot_of.insert(u, slot);
-        slot
+        assert!(
+            !self.caller_slots,
+            "node {u} is not in this caller-slotted Φ: name its slot"
+        );
+        self.free_slots.pop().unwrap_or(self.nodes.len() as u32)
+    }
+
+    /// Make `slot` ready to take a vertex for `u`: a vacant slot is claimed
+    /// (inline segment, id index entry), an occupied one must be `u`'s.
+    #[inline]
+    fn claim(&mut self, u: NodeId, slot: u32) {
+        let i = slot as usize;
+        if i >= self.nodes.len() {
+            assert!(slot != NO_OWNER, "node arena overflow");
+            self.nodes.resize(i + 1, NODE_VACANT);
+            self.lens.resize(i + 1, 0);
+        }
+        if self.lens[i] == 0 {
+            let start = self.alloc_seg(0);
+            self.nodes[i] = NodeRec {
+                id: u,
+                start,
+                class: 0,
+            };
+            let prev = self.slot_of.insert(u, slot);
+            assert!(prev.is_none(), "{u} claims slot {slot} but holds {prev:?}");
+        } else {
+            let held = self.nodes[i].id;
+            assert!(held == u, "slot {slot} belongs to {held}, not {u}");
+        }
     }
 
     /// Spill `slot`'s segment to the next capacity class.
@@ -315,6 +426,17 @@ impl VirtualMapping {
     /// # Panics
     /// Panics if `z` is already assigned.
     pub fn assign(&mut self, z: VertexId, u: NodeId) {
+        let slot = self.slot_for(u);
+        self.assign_at(z, u, slot);
+    }
+
+    /// Assign an unowned vertex `z` to node `u` living in `slot`. On a
+    /// self-allocating map `slot` must be one the map handed out (its own
+    /// `NodeId` methods are the only expected callers there).
+    ///
+    /// # Panics
+    /// Panics if `z` is already assigned, or `slot` holds another node.
+    pub fn assign_at(&mut self, z: VertexId, u: NodeId, slot: u32) {
         let idx = z.0 as usize;
         if idx >= self.meta.len() {
             self.meta.resize(idx + 1, VERTEX_FREE);
@@ -324,17 +446,17 @@ impl VirtualMapping {
             "vertex {z} already owned by {:?}",
             self.owner(z)
         );
-        let slot = self.slot_for(u);
+        self.claim(u, slot);
         let len = self.lens[slot as usize];
         if len == class_cap(self.nodes[slot as usize].class) {
             self.grow_seg(slot);
         }
         let rec = &self.nodes[slot as usize];
         self.pool[(rec.start + len) as usize] = z;
-        self.meta[z.0 as usize] = VertexRec {
+        self.meta[idx] = VertexRec {
             slot,
             pos: len,
-            owner: rec.id,
+            owner: u,
         };
         self.lens[slot as usize] = len + 1;
         let after = (len + 1) as u64;
@@ -342,7 +464,9 @@ impl VirtualMapping {
         self.count_delta(after - 1, after);
     }
 
-    /// Remove vertex `z` from the mapping; returns its former owner.
+    /// Remove vertex `z` from the mapping; returns its former owner. A
+    /// node left with no vertex leaves the map (its slot goes back on the
+    /// free list only when the map allocates its own).
     ///
     /// # Panics
     /// Panics if `z` is unassigned.
@@ -369,7 +493,9 @@ impl VirtualMapping {
         if after == 0 {
             self.free_segs[rec.class as usize].push(rec.start);
             self.slot_of.remove(&u);
-            self.free_slots.push(slot);
+            if !self.caller_slots {
+                self.free_slots.push(slot);
+            }
         }
         u
     }
@@ -378,6 +504,14 @@ impl VirtualMapping {
     pub fn transfer(&mut self, z: VertexId, to: NodeId) -> NodeId {
         let from = self.unassign(z);
         self.assign(z, to);
+        from
+    }
+
+    /// Move vertex `z` to node `to` living in `slot`; returns the former
+    /// owner. See [`Self::assign_at`] for the slot contract.
+    pub fn transfer_at(&mut self, z: VertexId, to: NodeId, slot: u32) -> NodeId {
+        let from = self.unassign(z);
+        self.assign_at(z, to, slot);
         from
     }
 
@@ -393,12 +527,22 @@ impl VirtualMapping {
         if count == 0 {
             return;
         }
+        let slot = self.slot_for(u);
+        self.assign_run_at(z_start, count, u, slot);
+    }
+
+    /// [`Self::assign_run`] for node `u` living in `slot`. See
+    /// [`Self::assign_at`] for the slot contract.
+    pub fn assign_run_at(&mut self, z_start: VertexId, count: u64, u: NodeId, slot: u32) {
+        if count == 0 {
+            return;
+        }
         let lo = z_start.0 as usize;
         let hi = lo + count as usize;
         if hi > self.meta.len() {
             self.meta.resize(hi, VERTEX_FREE);
         }
-        let slot = self.slot_for(u);
+        self.claim(u, slot);
         let mut len = self.lens[slot as usize];
         let before = len as u64;
         while (len + count as u32) > class_cap(self.nodes[slot as usize].class) {
@@ -415,7 +559,7 @@ impl VirtualMapping {
             self.meta[idx] = VertexRec {
                 slot,
                 pos: len,
-                owner: rec.id,
+                owner: u,
             };
             len += 1;
         }
@@ -427,11 +571,16 @@ impl VirtualMapping {
     /// All `(vertex, owner)` pairs in canonical (vertex-ascending) order —
     /// a plain scan of the dense owner array, no allocation, no sort.
     pub fn entries(&self) -> impl Iterator<Item = (VertexId, NodeId)> + '_ {
+        self.entries_at().map(|(z, u, _)| (z, u))
+    }
+
+    /// [`Self::entries`] with each owner's slot: `(vertex, owner, slot)`.
+    pub fn entries_at(&self) -> impl Iterator<Item = (VertexId, NodeId, u32)> + '_ {
         self.meta
             .iter()
             .enumerate()
             .filter(|&(_, rec)| rec.slot != NO_OWNER)
-            .map(|(z, rec)| (VertexId(z as u64), rec.owner))
+            .map(|(z, rec)| (VertexId(z as u64), rec.owner, rec.slot))
     }
 
     /// All `(vertex, owner)` pairs, sorted by vertex (canonical order).
@@ -445,11 +594,17 @@ impl VirtualMapping {
     /// Nodes simulating at least one vertex, in slot order (deterministic
     /// for a given operation history; not sorted by id).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.nodes_at().map(|(u, _)| u)
+    }
+
+    /// [`Self::nodes`] with each node's slot: `(node, slot)`.
+    pub fn nodes_at(&self) -> impl Iterator<Item = (NodeId, u32)> + '_ {
         self.nodes
             .iter()
             .zip(&self.lens)
-            .filter(|&(_, &len)| len > 0)
-            .map(|(rec, _)| rec.id)
+            .enumerate()
+            .filter(|&(_, (_, &len))| len > 0)
+            .map(|(slot, (rec, _))| (rec.id, slot as u32))
     }
 
     /// Maximum load over all mapped nodes.
@@ -474,8 +629,26 @@ impl VirtualMapping {
         (spare, low)
     }
 
-    /// Internal consistency check (dense arrays, segments, counters).
+    /// Internal consistency check (dense arrays, segments, counters, and
+    /// the vacant slots: all on the free list of a self-allocating map, on
+    /// no list — the caller's to reuse — in a caller-slotted one).
     pub fn validate(&self) -> Result<(), String> {
+        if let Some(&f) = self
+            .free_slots
+            .iter()
+            .find(|&&f| self.lens[f as usize] != 0)
+        {
+            return Err(format!("free list contains occupied slot {f}"));
+        }
+        let vacant = self.lens.iter().filter(|&&len| len == 0).count();
+        let listed = if self.caller_slots { 0 } else { vacant };
+        if self.free_slots.len() != listed {
+            return Err(format!(
+                "{} free-listed slots, expected {listed} of {vacant} vacant (caller_slots={})",
+                self.free_slots.len(),
+                self.caller_slots
+            ));
+        }
         let mut total = 0usize;
         for (&u, &s) in &self.slot_of {
             let rec = self
@@ -845,6 +1018,66 @@ mod tests {
         }
         a.validate().unwrap();
         assert_eq!(a.sim(n(7)), b.sim(n(7)));
+    }
+
+    #[test]
+    fn caller_slotted_map_takes_slots_and_keeps_no_free_list() {
+        let mut m = VirtualMapping::with_caller_slots(8, 16);
+        m.assign_at(z(0), n(7), 5);
+        m.assign_at(z(1), n(7), 5);
+        m.assign_run_at(z(2), 3, n(9), 2);
+        assert_eq!((m.load_at(5), m.load_at(2), m.load_at(3)), (2, 3, 0));
+        assert_eq!(m.owner_slot_of(z(3)), 2);
+        assert_eq!(m.sim_at(2), m.sim(n(9)));
+        assert_eq!(m.load_at(1000), 0);
+        assert!(m.sim_at(1000).is_empty());
+        // `NodeId` mutators resolve the nodes the map holds.
+        for i in 2..5 {
+            assert_eq!(m.transfer(z(i), n(7)), n(9));
+        }
+        // n9 left: its slot is vacant and on no list — the caller's to reuse.
+        assert!(m.free_slots.is_empty());
+        assert_eq!(m.num_nodes(), 1);
+        m.validate().unwrap();
+        m.assign_at(z(9), n(11), 2);
+        assert_eq!(m.sim_at(2), &[z(9)]);
+        assert_eq!(
+            m.nodes_at().collect::<Vec<_>>(),
+            vec![(n(11), 2), (n(7), 5)]
+        );
+        m.validate().unwrap();
+    }
+
+    #[test]
+    #[should_panic(expected = "name its slot")]
+    fn caller_slotted_map_cannot_place_an_unknown_node() {
+        let mut m = VirtualMapping::with_caller_slots(8, 16);
+        m.assign_at(z(0), n(0), 0);
+        m.assign(z(1), n(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "belongs to")]
+    fn at_forms_reject_a_slot_held_by_another_node() {
+        let mut m = VirtualMapping::with_caller_slots(8, 16);
+        m.assign_run_at(z(0), 2, n(0), 3);
+        m.transfer_at(z(0), n(1), 3);
+    }
+
+    #[test]
+    fn validate_checks_the_free_list_of_a_self_allocating_map() {
+        let mut m = VirtualMapping::new(8);
+        m.assign(z(0), n(0));
+        m.assign(z(1), n(1));
+        m.unassign(z(0));
+        m.validate().unwrap();
+        m.free_slots.clear();
+        assert!(m.validate().unwrap_err().contains("free-listed"));
+    }
+
+    #[test]
+    fn vertex_record_stays_16_bytes() {
+        assert_eq!(std::mem::size_of::<VertexRec>(), 16);
     }
 
     #[test]

@@ -173,15 +173,7 @@ mod tests {
     /// A DEX-shaped world: Z(p) dealt round-robin onto n nodes.
     fn world(p: u64, n: u64) -> (Network, VirtualMapping, PCycle) {
         let cycle = PCycle::new(p);
-        let mut map = VirtualMapping::new(8);
-        let mut net = Network::new();
-        for i in 0..n {
-            net.adversary_add_node(NodeId(i));
-        }
-        for x in 0..p {
-            map.assign(VertexId(x), NodeId(x % n));
-        }
-        fabric::materialize_all(&mut net, &map, &cycle, false);
+        let (net, map) = fabric::deal_round_robin(8, &cycle, n);
         (net, map, cycle)
     }
 

@@ -26,8 +26,15 @@ use dex_graph::ids::{NodeId, VertexId};
 pub struct HealScratch {
     /// Vertex set being rehomed (a victim's `Sim` copy, a move set, …).
     pub zs: Vec<VertexId>,
-    /// Nodes whose load changed this step (batched load-update charge).
-    pub touched: Vec<NodeId>,
+    /// Chord partners of `zs`, index for index (one batched inversion per
+    /// deletion).
+    pub chords: Vec<VertexId>,
+    /// `u32` workspace of that inversion
+    /// ([`dex_graph::pcycle::PCycle::chords_into`]).
+    pub inverse: Vec<u32>,
+    /// Slots of the nodes whose load changed this step (batched
+    /// load-update charge).
+    pub touched: Vec<u32>,
     /// Virtual-edge instance buffer for fabric moves
     /// ([`crate::fabric::incident_edges_into`]).
     pub insts: Vec<(VertexId, VertexId)>,
@@ -37,6 +44,9 @@ pub struct HealScratch {
     pub fan_in: FxHashMap<NodeId, usize>,
     /// Batch-validation set: newcomer / victim uniqueness.
     pub seen: FxHashSet<NodeId>,
+    /// Batch-validation output, one entry per op: the slot of a victim, or
+    /// of an attach point (`None`: an earlier newcomer of the same batch).
+    pub batch_slots: Vec<Option<u32>>,
 }
 
 impl HealScratch {

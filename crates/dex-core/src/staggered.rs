@@ -87,6 +87,12 @@ impl StaggeredOp {
         self.staged_map.load(u)
     }
 
+    /// Φ of the new cycle so far (slotted by the graph's arena, like the
+    /// live one it replaces at switchover).
+    pub(crate) fn staged_map(&self) -> &VirtualMapping {
+        &self.staged_map
+    }
+
     /// Is new vertex `y` staged yet?
     fn staged(&self, y: u64) -> bool {
         self.source_old(y) < self.stage_cursor
@@ -357,7 +363,7 @@ pub fn begin_inflation(dex: &mut DexNetwork) {
         kind: OpKind::Inflate,
         p_old,
         new_cycle: PCycle::new(p_new),
-        staged_map: VirtualMapping::new(dex.cfg.zeta),
+        staged_map: VirtualMapping::with_caller_slots(dex.cfg.zeta, 0),
         stage_cursor: 0,
         drop_cursor: 0,
         window: window_size(p_old, dex.cfg.theta_inv, dex.n()),
@@ -384,7 +390,7 @@ pub fn begin_deflation(dex: &mut DexNetwork) {
         kind: OpKind::Deflate,
         p_old,
         new_cycle: PCycle::new(p_new),
-        staged_map: VirtualMapping::new(dex.cfg.zeta),
+        staged_map: VirtualMapping::with_caller_slots(dex.cfg.zeta, 0),
         stage_cursor: 0,
         drop_cursor: 0,
         window: window_size(p_old, dex.cfg.theta_inv, dex.n()),
@@ -487,7 +493,9 @@ fn stage_one(dex: &mut DexNetwork, x: u64) {
                 }
             })
             .unwrap_or(owner_old);
-        op.staged_map.assign(VertexId(y), target);
+        let slot = dex.slot(target);
+        let op = op_mut(dex);
+        op.staged_map.assign_at(VertexId(y), target, slot);
         if is_deflate && op.staged_map.load(target) == 1 {
             op.taken.insert(VertexId(y)); // the node's reserve
         }
@@ -771,11 +779,8 @@ fn move_staged_vertex(dex: &mut DexNetwork, y: u64, to: NodeId) {
             "missing overlay instance {inst:?} at ({a},{b})"
         );
     }
-    dex.stag
-        .as_mut()
-        .unwrap()
-        .staged_map
-        .transfer(VertexId(y), to);
+    let slot = dex.slot(to);
+    op_mut(dex).staged_map.transfer_at(VertexId(y), to, slot);
     for &inst in &insts {
         let (a, b) = {
             let op = op_ref(dex);
@@ -810,7 +815,7 @@ fn move_old_vertex(dex: &mut DexNetwork, x: u64, to: NodeId) {
         };
         assert!(dex.net.remove_edge(a, from), "missing inter at old {x}");
     }
-    dex.map.transfer(z, to);
+    dex.map.transfer_at(z, to, dex.slot(to));
     {
         let op = op_mut(dex);
         if !op.is_inflation() && x >= op.stage_cursor {
@@ -949,7 +954,7 @@ pub fn insert_during_staggered(dex: &mut DexNetwork, u: NodeId, v: NodeId) {
         }
         dex.net.charge_messages(4);
         dex.net.charge_rounds(1);
-        dex.charge_load_updates(&[w, u]);
+        dex.charge_load_updates(&[dex.slot(w), dex.slot(u)]);
         dex.net.remove_edge(u, v);
         return;
     }
@@ -972,13 +977,15 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
     };
 
     // Retarget ownership.
+    let rescuer_slot = dex.slot(rescuer);
     for &z in &old_zs {
-        dex.map.transfer(z, rescuer);
+        dex.map.transfer_at(z, rescuer, rescuer_slot);
     }
     {
         let op = op_mut(dex);
         for &y in &staged_zs {
-            op.staged_map.transfer(VertexId(y), rescuer);
+            op.staged_map
+                .transfer_at(VertexId(y), rescuer, rescuer_slot);
         }
         // Preassignments and unprocessed counts follow the rescuer.
         let moved: Vec<u64> = op
@@ -1031,7 +1038,7 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
     dex.net
         .charge_messages(3 * (old_zs.len() + staged_zs.len()) as u64 + 2);
     dex.net.charge_rounds(1);
-    dex.charge_load_updates(&[rescuer]);
+    dex.charge_load_updates(&[rescuer_slot]);
 
     // Redistribute: old vertices to Low(old), staged ones to nodes with
     // staged load below the balance cap. Mid-operation the target sets can

@@ -93,12 +93,13 @@ pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
     // Phase 1: every node locally replaces each owned vertex x by its
     // cloud (Eq. 6–8), in canonical (vertex-ascending) order. Local
     // computation is free in the model. Clouds are contiguous (Eq. 7):
-    // one run assignment per old vertex — a single owner-slot resolution
-    // and sequential dense writes instead of α separate assigns.
-    let mut new_map = VirtualMapping::with_vertex_capacity(dex.cfg.zeta, p_new);
-    for (z, owner) in dex.map.entries() {
+    // one run assignment per old vertex — sequential dense writes instead
+    // of α separate assigns — into the owner's slot, which the new Φ
+    // shares with the old one (both are slotted by the graph's arena).
+    let mut new_map = VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new);
+    for (z, owner, slot) in dex.map.entries_at() {
         let (start, len) = resize::inflation_cloud_range(z.0, p_old, p_new);
-        new_map.assign_run(VertexId(start), len, owner);
+        new_map.assign_run_at(VertexId(start), len, owner, slot);
     }
     // Cycle edges come from the old cycle's edges: O(1) rounds, one
     // message per old cycle edge per direction.
@@ -112,7 +113,7 @@ pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
     if let Some((u, v)) = pending {
         debug_assert!(new_map.load(v) >= 4, "cloud sizes are >= 4 (α > 4)");
         let z = *new_map.sim(v).iter().max().expect("nonempty");
-        new_map.transfer(z, u);
+        new_map.transfer_at(z, u, dex.slot(u));
         dex.net.charge_messages(4);
         dex.net.charge_rounds(1);
     }
@@ -151,11 +152,11 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     // Phase 1: dominating vertices survive (y = ⌊x/α⌋, smallest preimage
     // keeps it), assigned in canonical order; everything else is
     // contracted away.
-    let mut new_map = VirtualMapping::with_vertex_capacity(dex.cfg.zeta, p_new);
-    for (z, owner) in dex.map.entries() {
+    let mut new_map = VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new);
+    for (z, owner, slot) in dex.map.entries_at() {
         if resize::is_dominating(z.0, p_old, p_new) {
             let image = resize::deflation_image(z.0, p_old, p_new);
-            new_map.assign(VertexId(image), owner);
+            new_map.assign_at(VertexId(image), owner, slot);
         }
     }
     dex.net.charge_rounds(2);
@@ -207,7 +208,7 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
                     .filter(|z| !taken.contains(z))
                     .max()
                     .expect("load >= 2 implies a non-taken vertex");
-                new_map.transfer(z, c);
+                new_map.transfer_at(z, c, dex.slot(c));
                 taken.insert(z);
                 dex.net.charge_messages(4);
                 dex.net.charge_rounds(1);
@@ -316,7 +317,7 @@ fn rebalance_overload(dex: &mut DexNetwork) {
         let mut next_surplus = Vec::new();
         for (i, &z) in surplus.iter().enumerate() {
             let land = cur[i];
-            let host = dex.map.owner_of(land);
+            let (host, host_slot) = (dex.map.owner_of(land), dex.map.owner_slot_of(land));
             let origin = dex.map.owner_of(z);
             if landing_count[&land] == 1 && !full.contains(&host) && host != origin {
                 fabric::move_vertices(
@@ -324,7 +325,8 @@ fn rebalance_overload(dex: &mut DexNetwork) {
                     &mut dex.map,
                     &dex.cycle,
                     &[z],
-                    host,
+                    &[dex.cycle.chord(z)],
+                    host_slot,
                     &mut dex.heal.insts,
                 );
                 dex.net.charge_messages(4);

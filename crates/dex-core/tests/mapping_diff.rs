@@ -6,6 +6,10 @@
 //! implementations use push + swap-remove, so slices must match exactly),
 //! load, `|Spare|`, `|Low|`, node and vertex counts — must be identical,
 //! and the slot implementation's internal structures must validate.
+//!
+//! The same scripts also run through the slot-explicit `*_at` forms on a
+//! caller-slotted Φ — what every Φ inside a `DexNetwork` is — under an
+//! injective node → slot table with holes drawn by the proptest.
 
 use dex_core::mapping::oracle::HashMapping;
 use dex_core::VirtualMapping;
@@ -43,18 +47,26 @@ fn arb_op() -> impl Strategy<Value = Op> {
 }
 
 /// Apply `op` to both implementations, asserting identical behaviour.
-fn apply_both(fast: &mut VirtualMapping, slow: &mut HashMapping, op: Op) {
+/// With a slot table the fast side is driven through its `*_at` forms.
+fn apply_both(fast: &mut VirtualMapping, slow: &mut HashMapping, op: Op, slots: Option<&[u32]>) {
     let one = |fast: &mut VirtualMapping, slow: &mut HashMapping, z: u64, u: Option<u64>| {
         let z = VertexId(z);
         let owned = slow.owner(z).is_some();
         assert_eq!(fast.owner(z), slow.owner(z));
         match (u, owned) {
             (Some(u), false) => {
-                fast.assign(z, NodeId(u));
+                match slots {
+                    Some(slots) => fast.assign_at(z, NodeId(u), slots[u as usize]),
+                    None => fast.assign(z, NodeId(u)),
+                }
                 slow.assign(z, NodeId(u));
             }
             (Some(u), true) => {
-                assert_eq!(fast.transfer(z, NodeId(u)), slow.transfer(z, NodeId(u)));
+                let from = match slots {
+                    Some(slots) => fast.transfer_at(z, NodeId(u), slots[u as usize]),
+                    None => fast.transfer(z, NodeId(u)),
+                };
+                assert_eq!(from, slow.transfer(z, NodeId(u)));
             }
             (None, true) => {
                 assert_eq!(fast.unassign(z), slow.unassign(z));
@@ -74,6 +86,17 @@ fn apply_both(fast: &mut VirtualMapping, slow: &mut HashMapping, op: Op) {
             }
         }
         Op::Unassign(z) => one(fast, slow, z, None),
+        Op::AssignRun(z, u, k) if slots.is_some() => {
+            // The type-2 shape proper: the longest free run from `z`, all
+            // to one node, by a single `assign_run_at`.
+            let len = (0..k as u64)
+                .take_while(|i| z + i < VERTS && slow.owner(VertexId(z + i)).is_none())
+                .count() as u64;
+            fast.assign_run_at(VertexId(z), len, NodeId(u), slots.unwrap()[u as usize]);
+            for i in 0..len {
+                slow.assign(VertexId(z + i), NodeId(u));
+            }
+        }
         Op::AssignRun(z, u, k) => {
             for i in 0..k as u64 {
                 let zi = (z + i) % VERTS;
@@ -115,8 +138,71 @@ fn assert_same(fast: &VirtualMapping, slow: &HashMapping) {
     assert_eq!(scanned, slow.entries_sorted());
 }
 
+/// An injective node → slot table with holes: a shuffle of the nodes,
+/// spread three slots apart, each nudged by 0 or 1.
+fn slot_table(seed: u64) -> Vec<u32> {
+    let mut s = seed | 1;
+    let mut next = move || {
+        s = s
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        s >> 33
+    };
+    let mut order: Vec<u32> = (0..NODES as u32).collect();
+    for i in (1..order.len()).rev() {
+        order.swap(i, next() as usize % (i + 1));
+    }
+    order.iter().map(|&r| 3 * r + (next() & 1) as u32).collect()
+}
+
+/// The slot readers agree with the oracle through the table, and every
+/// node sits in the slot the caller named.
+fn assert_slots(fast: &VirtualMapping, slow: &HashMapping, slots: &[u32]) {
+    for u in 0..NODES {
+        let slot = slots[u as usize];
+        assert_eq!(fast.load_at(slot), slow.load(NodeId(u)), "load_at({slot})");
+        assert_eq!(fast.sim_at(slot), slow.sim(NodeId(u)), "sim_at({slot})");
+    }
+    for z in (0..VERTS).map(VertexId) {
+        if let Some(u) = slow.owner(z) {
+            assert_eq!(
+                fast.owner_slot_of(z),
+                slots[u.0 as usize],
+                "owner_slot_of({z})"
+            );
+        }
+    }
+    let held: Vec<_> = fast.nodes_at().collect();
+    assert!(held.iter().all(|&(u, slot)| slots[u.0 as usize] == slot));
+    assert_eq!(held.len(), slow.num_nodes());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn caller_slotted_phi_matches_hashmap_phi_on_random_scripts(
+        ops in proptest::collection::vec(arb_op(), 1..400),
+        table_seed in any::<u64>()
+    ) {
+        let slots = slot_table(table_seed);
+        let mut fast = VirtualMapping::with_caller_slots(8, 0);
+        let mut slow = HashMapping::new(8);
+        for (i, &op) in ops.iter().enumerate() {
+            apply_both(&mut fast, &mut slow, op, Some(&slots));
+            prop_assert_eq!(fast.num_vertices(), slow.num_vertices());
+            prop_assert_eq!(fast.spare_count(), slow.spare_count());
+            prop_assert_eq!(fast.low_count(), slow.low_count());
+            if i % 16 == 0 {
+                fast.validate().map_err(proptest::prelude::TestCaseError::fail)?;
+                assert_same(&fast, &slow);
+                assert_slots(&fast, &slow, &slots);
+            }
+        }
+        fast.validate().map_err(proptest::prelude::TestCaseError::fail)?;
+        assert_same(&fast, &slow);
+        assert_slots(&fast, &slow, &slots);
+    }
 
     #[test]
     fn slot_phi_matches_hashmap_phi_on_random_scripts(
@@ -125,7 +211,7 @@ proptest! {
         let mut fast = VirtualMapping::new(8);
         let mut slow = HashMapping::new(8);
         for (i, &op) in ops.iter().enumerate() {
-            apply_both(&mut fast, &mut slow, op);
+            apply_both(&mut fast, &mut slow, op, None);
             // Counters/owners after every op; full deep compare periodically
             // (the deep compare is O(V + N·load)).
             prop_assert_eq!(fast.num_vertices(), slow.num_vertices());

@@ -10,15 +10,25 @@
 //! # Storage model: slots
 //!
 //! Nodes live in dense `u32` **slots** with a free-list: inserting a node
-//! reuses the most recently vacated slot (LIFO) or appends a new one, and the
-//! `NodeId ↔ slot` translation is kept at the edge of the API. Neighbor
-//! lists are stored per slot as contiguous `Vec<u32>` of *slot indices*, so
-//! every hot loop — random walks, floods, spectral mat-vecs, expansion
-//! checks — runs on dense indices with no hashing and no per-step heap
-//! allocation. Public entry points still speak [`NodeId`]; use
+//! reuses the most recently vacated slot (LIFO) or appends a new one
+//! ([`MultiGraph::insert_node`] returns it). Neighbor lists are stored per
+//! slot as contiguous `Vec<u32>` of *slot indices*, so every hot loop —
+//! random walks, floods, spectral mat-vecs, expansion checks — runs on
+//! dense indices with no hashing and no per-step heap allocation.
+//!
+//! The `NodeId → slot` translation (one `FxHashMap` probe) belongs to the
+//! edge of a *caller's* work, not to every call: the `NodeId`-speaking
+//! entry points (`add_edge`, `remove_edge`, `degree`, `neighbors`, …) each
+//! pay it per argument, while the slot-space API —
 //! [`MultiGraph::slot_of`] / [`MultiGraph::id_of_slot`] /
-//! [`MultiGraph::neighbor_slots`] to stay in slot space across a whole loop
-//! (one id→slot resolution, then array reads only).
+//! [`MultiGraph::neighbor_slots`] / [`MultiGraph::add_edge_slots`] /
+//! [`MultiGraph::remove_edge_slots`] — lets a caller resolve an id once
+//! and then read and edit rows by index. DEX's healing path goes one step
+//! further: its virtual mapping Φ is slotted by *this* arena (a node's Φ
+//! slot is its graph slot — `dex_core::mapping`), so the owner slot Φ
+//! stores for a vertex is already the row to edit, and a type-1 step
+//! translates only the ids the adversary names. A slot stays valid until
+//! its node is removed; a removed node's slot is dead until recycled.
 //!
 //! # Snapshot model: generation-stamped cached CSR
 //!

@@ -133,6 +133,20 @@ impl PCycle {
         }
     }
 
+    /// `out[i] = chord(zs[i])` for an arbitrary vertex set, by one
+    /// [`inverse_batch`] (`out` is cleared first; `scratch` is the kernel's
+    /// `u32` workspace, reusable across calls). A deletion's rescuer
+    /// inverts the victim's whole `Sim` set this way, once.
+    pub fn chords_into(&self, zs: &[VertexId], scratch: &mut Vec<u32>, out: &mut Vec<VertexId>) {
+        scratch.clear();
+        scratch.extend(zs.iter().map(|z| z.0 as u32));
+        scratch.resize(2 * zs.len(), 0);
+        let (xs, inv) = scratch.split_at_mut(zs.len());
+        inverse_batch(self.p, xs, inv);
+        out.clear();
+        out.extend(inv.iter().map(|&c| VertexId(c as u64)));
+    }
+
     /// `x ↦ chord(x)` for every vertex, as one table (4p bytes). Only for
     /// the whole-cycle BFS references below (parents, distances,
     /// diameter); nothing long-lived holds one at DHT-scale p.

@@ -7,9 +7,7 @@
 //! ```
 
 use dex::core::fabric;
-use dex::core::VirtualMapping;
 use dex::prelude::*;
-use dex::sim::Network;
 
 fn main() {
     let z = PCycle::new(23);
@@ -26,15 +24,7 @@ fn main() {
     // Right half: a 4-balanced mapping onto 7 nodes A..G
     // (vertex x is simulated by node x mod 7 — every load is 3 or 4 ≤ 4).
     let names = ["A", "B", "C", "D", "E", "F", "G"];
-    let mut map = VirtualMapping::new(8);
-    let mut net = Network::new();
-    for i in 0..7 {
-        net.adversary_add_node(NodeId(i));
-    }
-    for x in 0..23 {
-        map.assign(VertexId(x), NodeId(x % 7));
-    }
-    fabric::materialize_all(&mut net, &map, &z, false);
+    let (net, map) = fabric::deal_round_robin(8, &z, 7);
 
     println!();
     println!("// Figure 1 (right): the network graph G_t — the contraction");
