@@ -97,12 +97,14 @@ fn owner_slots(map: &VirtualMapping, (a, b): (VertexId, VertexId)) -> (u32, u32)
 /// network's node arena, and the contraction fabric materialized
 /// uncharged.
 pub fn deal_round_robin(zeta: u64, cycle: &PCycle, n: u64) -> (Network, VirtualMapping) {
+    // No slot pre-sizing: Φ's node arrays grow with the arena, node by
+    // node, the way the graph's own do.
+    let mut map = VirtualMapping::with_caller_slots(zeta, cycle.p(), 0);
     let mut net = Network::new();
     for i in 0..n {
         let slot = net.adversary_add_node(NodeId(i));
         assert_eq!(slot as u64, i, "a fresh arena numbers slots in order");
     }
-    let mut map = VirtualMapping::with_caller_slots(zeta, cycle.p());
     for x in 0..cycle.p() {
         let i = x % n;
         map.assign_at(VertexId(x), NodeId(i), i as u32);

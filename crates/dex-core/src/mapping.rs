@@ -208,13 +208,16 @@ impl VirtualMapping {
         m
     }
 
-    /// Empty mapping, pre-sized for vertices `0..p`, whose node slots are
-    /// the caller's: every mutation names the slot (the `*_at` forms), the
-    /// map never allocates or recycles one, and its `NodeId` mutators only
-    /// resolve nodes it already holds. This is every Φ inside a
-    /// `DexNetwork`, slotted by the graph's node arena.
-    pub fn with_caller_slots(zeta: u64, p: u64) -> Self {
+    /// Empty mapping, pre-sized for vertices `0..p` and node slots
+    /// `0..slots`, whose node slots are the caller's: every mutation names
+    /// the slot (the `*_at` forms), the map never allocates or recycles
+    /// one, and its `NodeId` mutators only resolve nodes it already holds.
+    /// This is every Φ inside a `DexNetwork`, slotted by the graph's node
+    /// arena (`slots` = its current bound; later slots grow the arrays).
+    pub fn with_caller_slots(zeta: u64, p: u64, slots: usize) -> Self {
         VirtualMapping {
+            nodes: Vec::with_capacity(slots),
+            lens: Vec::with_capacity(slots),
             caller_slots: true,
             ..Self::with_vertex_capacity(zeta, p)
         }
@@ -1022,7 +1025,7 @@ mod tests {
 
     #[test]
     fn caller_slotted_map_takes_slots_and_keeps_no_free_list() {
-        let mut m = VirtualMapping::with_caller_slots(8, 16);
+        let mut m = VirtualMapping::with_caller_slots(8, 16, 0);
         m.assign_at(z(0), n(7), 5);
         m.assign_at(z(1), n(7), 5);
         m.assign_run_at(z(2), 3, n(9), 2);
@@ -1051,7 +1054,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "name its slot")]
     fn caller_slotted_map_cannot_place_an_unknown_node() {
-        let mut m = VirtualMapping::with_caller_slots(8, 16);
+        let mut m = VirtualMapping::with_caller_slots(8, 16, 0);
         m.assign_at(z(0), n(0), 0);
         m.assign(z(1), n(1));
     }
@@ -1059,7 +1062,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "belongs to")]
     fn at_forms_reject_a_slot_held_by_another_node() {
-        let mut m = VirtualMapping::with_caller_slots(8, 16);
+        let mut m = VirtualMapping::with_caller_slots(8, 16, 0);
         m.assign_run_at(z(0), 2, n(0), 3);
         m.transfer_at(z(0), n(1), 3);
     }

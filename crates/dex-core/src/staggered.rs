@@ -363,7 +363,11 @@ pub fn begin_inflation(dex: &mut DexNetwork) {
         kind: OpKind::Inflate,
         p_old,
         new_cycle: PCycle::new(p_new),
-        staged_map: VirtualMapping::with_caller_slots(dex.cfg.zeta, 0),
+        staged_map: VirtualMapping::with_caller_slots(
+            dex.cfg.zeta,
+            0,
+            dex.net.graph().slot_bound(),
+        ),
         stage_cursor: 0,
         drop_cursor: 0,
         window: window_size(p_old, dex.cfg.theta_inv, dex.n()),
@@ -390,7 +394,11 @@ pub fn begin_deflation(dex: &mut DexNetwork) {
         kind: OpKind::Deflate,
         p_old,
         new_cycle: PCycle::new(p_new),
-        staged_map: VirtualMapping::with_caller_slots(dex.cfg.zeta, 0),
+        staged_map: VirtualMapping::with_caller_slots(
+            dex.cfg.zeta,
+            0,
+            dex.net.graph().slot_bound(),
+        ),
         stage_cursor: 0,
         drop_cursor: 0,
         window: window_size(p_old, dex.cfg.theta_inv, dex.n()),

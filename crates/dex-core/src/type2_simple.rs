@@ -96,7 +96,8 @@ pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
     // one run assignment per old vertex — sequential dense writes instead
     // of α separate assigns — into the owner's slot, which the new Φ
     // shares with the old one (both are slotted by the graph's arena).
-    let mut new_map = VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new);
+    let mut new_map =
+        VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new, dex.net.graph().slot_bound());
     for (z, owner, slot) in dex.map.entries_at() {
         let (start, len) = resize::inflation_cloud_range(z.0, p_old, p_new);
         new_map.assign_run_at(VertexId(start), len, owner, slot);
@@ -152,7 +153,8 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     // Phase 1: dominating vertices survive (y = ⌊x/α⌋, smallest preimage
     // keeps it), assigned in canonical order; everything else is
     // contracted away.
-    let mut new_map = VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new);
+    let mut new_map =
+        VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new, dex.net.graph().slot_bound());
     for (z, owner, slot) in dex.map.entries_at() {
         if resize::is_dominating(z.0, p_old, p_new) {
             let image = resize::deflation_image(z.0, p_old, p_new);

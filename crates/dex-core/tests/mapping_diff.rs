@@ -186,7 +186,7 @@ proptest! {
         table_seed in any::<u64>()
     ) {
         let slots = slot_table(table_seed);
-        let mut fast = VirtualMapping::with_caller_slots(8, 0);
+        let mut fast = VirtualMapping::with_caller_slots(8, 0, 0);
         let mut slow = HashMapping::new(8);
         for (i, &op) in ops.iter().enumerate() {
             apply_both(&mut fast, &mut slow, op, Some(&slots));

@@ -158,17 +158,9 @@ impl Network {
     // ---- algorithm (charged) mutations ------------------------------------
 
     /// Healing code adds an edge: one topology change.
-    ///
-    /// # Panics
-    /// Panics if either endpoint is missing.
     pub fn add_edge(&mut self, u: NodeId, v: NodeId) {
-        let slot = |w: NodeId| {
-            self.graph
-                .slot_of(w)
-                .unwrap_or_else(|| panic!("add_edge: missing endpoint {w}"))
-        };
-        let (su, sv) = (slot(u), slot(v));
-        self.add_edge_slots(su, sv);
+        self.graph.add_edge(u, v);
+        self.topology_changes += 1;
     }
 
     /// [`Self::add_edge`] between two live slots — the form the type-1
@@ -182,10 +174,11 @@ impl Network {
     /// Healing code removes one edge copy: one topology change.
     /// Returns whether an edge was present.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
-        match (self.graph.slot_of(u), self.graph.slot_of(v)) {
-            (Some(su), Some(sv)) => self.remove_edge_slots(su, sv),
-            _ => false,
+        let removed = self.graph.remove_edge(u, v);
+        if removed {
+            self.topology_changes += 1;
         }
+        removed
     }
 
     /// [`Self::remove_edge`] between two live slots.
@@ -299,9 +292,15 @@ mod tests {
         net.adversary_add_edge(n(0), n(1)); // attack: free
         net.add_edge(n(0), n(1)); // healing: charged
         net.remove_edge(n(0), n(1)); // healing: charged
+                                     // The slot forms meter the same way.
+        let (s0, s1) = (net.graph().slot_of(n(0)), net.graph().slot_of(n(1)));
+        let (s0, s1) = (s0.unwrap(), s1.unwrap());
+        net.adversary_add_edge_slots(s0, s1);
+        net.add_edge_slots(s0, s1);
+        assert!(net.remove_edge_slots(s1, s0));
         let m = net.end_step(StepKind::Insert, RecoveryKind::Type1);
-        assert_eq!(m.topology_changes, 2);
-        assert_eq!(net.graph().num_edges(), 1);
+        assert_eq!(m.topology_changes, 4);
+        assert_eq!(net.graph().num_edges(), 2);
     }
 
     #[test]
