@@ -276,7 +276,7 @@ fn run_smoke(base: &MultiGraph) -> String {
     let rows = csr.n();
     let x: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.618).sin()).collect();
     let mut y = vec![0.0f64; rows];
-    spectral::lazy_spmv(&csr, &x, &mut y, 1, -1.0);
+    spectral::lazy_spmv(&csr, &x, &mut y, -1.0);
     let spmv_fnv = y.iter().fold(FNV_SEED, |h, v| fnv1a(h, v.to_bits()));
 
     let mut g = base.clone();

@@ -80,8 +80,8 @@ pub fn lineup(seed: u64, n0: u64) -> Vec<Box<dyn Overlay>> {
 }
 
 /// Executor-environment header fragment for every `BENCH_*.json` emitter:
-/// the machine's `available_parallelism`, the executor's effective thread
-/// budget, and the pool mode. This is what makes a re-run on a bigger box
+/// the machine's `available_parallelism`, the effective thread budget,
+/// and the thread model (`pool_mode`). This is what makes a re-run on a bigger box
 /// machine-distinguishable. Deliberately independent of
 /// any `--exec-threads` flag so smoke outputs stay byte-identical across
 /// thread sweeps on one machine.

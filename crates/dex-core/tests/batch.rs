@@ -399,7 +399,7 @@ proptest! {
     }
 
     #[test]
-    fn random_batch_scripts_are_bit_identical_across_thread_counts(
+    fn random_batch_scripts_replay_bit_identically(
         seed in any::<u64>(),
         steps in proptest::collection::vec(arb_step(), 4..12),
     ) {

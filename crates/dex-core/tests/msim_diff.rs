@@ -243,16 +243,6 @@ proptest! {
     ) {
         run_script(160, seed, &steps);
     }
-
-    #[test]
-    fn zero_fault_simulator_matches_at_higher_fanout(
-        seed in any::<u64>(),
-        steps in proptest::collection::vec(arb_step(), 4..12),
-    ) {
-        // Short scripts: a second sample of the property above (the
-        // simulator no longer has a fan-out width to vary).
-        run_script(160, seed, &steps);
-    }
 }
 
 /// A fixed deterministic spot check that stays cheap enough for `--smoke`

@@ -19,9 +19,10 @@ pub fn crate_key(rel_path: &str) -> String {
     }
 }
 
-/// The only crate allowed to create or scope threads: the persistent
-/// deterministic executor. Everything else must fan out through it so
-/// the zero-spawn / chunk-determinism contracts hold workspace-wide.
+/// The only crate allowed to create or scope threads: it holds
+/// `par_map`, the scoped order-preserving map. Everything else must fan
+/// out through it, so input-order results at any thread count are
+/// argued in one function.
 pub const EXEC_CRATE: &str = "dex-exec";
 
 /// Crates whose computed results are covered by the bit-identity

@@ -9,7 +9,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `no-raw-threads` | all parallelism flows through the proven `dex-exec` pool |
+//! | `no-raw-threads` | all parallelism flows through `dex_exec::par_map` |
 //! | `no-random-state` | results-bearing crates never iterate RandomState maps |
 //! | `knob-discipline` | the environment is read only in the `dex_exec::knobs` registry |
 //! | `unsafe-hygiene` | every `unsafe` carries a `// SAFETY:` argument |

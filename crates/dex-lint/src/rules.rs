@@ -113,9 +113,9 @@ fn push(
 
 /// Rule 1 — `no-raw-threads`: thread creation (`thread::spawn`,
 /// `thread::scope`, `thread::Builder`) and third-party runtimes
-/// (`rayon`) are forbidden outside `dex-exec`. The executor is the one
-/// place the bit-identity contract is proven; a raw thread anywhere else
-/// is unproven parallelism.
+/// (`rayon`) are forbidden outside `dex-exec`. Its `par_map` is the one
+/// place the order-preserving fan-out is argued; a raw thread anywhere
+/// else is unproven parallelism.
 fn no_raw_threads(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
     if ctx.crate_key == config::EXEC_CRATE {
         return;
@@ -128,8 +128,8 @@ fn no_raw_threads(ctx: &FileCtx<'_>, out: &mut Vec<Violation>) {
                     out,
                     idx + 1,
                     "no-raw-threads",
-                    format!("`{pat}` bypasses the deterministic executor"),
-                    "fan out through dex_exec (run_workers / for_chunks_* / par_map); \
+                    format!("`{pat}` bypasses dex_exec::par_map"),
+                    "fan out over independent items with dex_exec::par_map; \
                      only dex-exec may create threads",
                 );
             }
@@ -396,8 +396,8 @@ mod tests {
         .is_empty());
         // One comment covers a short run of consecutive unsafe lines.
         assert!(lint_src(
-            "crates/dex-exec/src/lib.rs",
-            "// SAFETY: both pointees outlive the job (latch).\nlet f = unsafe { &*a };\nlet l = unsafe { &*b };",
+            "crates/dex-graph/src/x.rs",
+            "// SAFETY: both pointees outlive this frame.\nlet f = unsafe { &*a };\nlet l = unsafe { &*b };",
         )
         .is_empty());
         // …but not past the window.

@@ -36,10 +36,10 @@ pub struct RunOptions {
     pub seed: u64,
     /// Sample λ₂ every this many actions (0 disables the trajectory).
     pub lambda_every: usize,
-    /// The one executor knob: worker threads of the trial fan-out (trials
-    /// share nothing; each network inside one is sequential), resolved
-    /// through the shared [`dex_exec`] pool (`ExecConfig::AUTO` → the
-    /// global thread budget). Purely a throughput knob — results are
+    /// The one thread knob: width of the trial fan-out over
+    /// [`dex_exec::par_map`] (trials share nothing; each network inside
+    /// one is sequential; `ExecConfig::AUTO` → the global thread
+    /// budget). Purely a throughput knob — results are
     /// bit-identical for any value.
     pub exec: dex_exec::ExecConfig,
     /// Assert the full structural invariants after every action

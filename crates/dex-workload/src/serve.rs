@@ -20,8 +20,8 @@
 //!   `delete_batch`: k joins heal in one step scope instead of k), and
 //!   an arrival that finds the queue full is **shed** — deterministic
 //!   backpressure, visible in the report;
-//! * shard execution fans out over the shared `dex-exec` pool via the
-//!   order-preserving `par_map`. Shards are fully independent (own RNG
+//! * shard execution fans out over the order-preserving
+//!   `dex_exec::par_map`. Shards are fully independent (own RNG
 //!   stream, own heal queue, own [`StepLog`]), so the whole run is
 //!   **bit-identical at any thread count**.
 //!
@@ -100,7 +100,7 @@ pub struct ServeOptions {
     pub batch_max: usize,
     /// Master seed; every stream derives from it via splitmix64.
     pub seed: u64,
-    /// Shard fan-out width over the `dex-exec` pool (0 → the global
+    /// Shard fan-out width of the `par_map` (0 → the global
     /// thread budget). Pure throughput knob: results are bit-identical
     /// for any value.
     pub threads: usize,
@@ -290,7 +290,7 @@ pub struct ServeReport {
 }
 
 /// Run the full sharded harness: build the schedule, serve every shard
-/// over the `dex-exec` pool, pool the results. Bit-identical for any
+/// over `dex_exec::par_map`, pool the results. Bit-identical for any
 /// `threads` value.
 pub fn run_serve(opts: &ServeOptions) -> ServeReport {
     let schedule = build_schedule(opts);

@@ -13,8 +13,8 @@
 //!   spectral analysis, exact expansion;
 //! * [`sim`] — the synchronous CONGEST simulator substrate (metered
 //!   rounds / messages / topology changes);
-//! * [`exec`] — the persistent deterministic executor every parallel
-//!   section in the stack fans out over (worker pool, thread budget);
+//! * [`exec`] — the scoped, order-preserving `par_map` the trial and
+//!   shard fan-outs run on, and the thread budget that sizes it;
 //! * [`core`] — the DEX algorithm: type-1 recovery, simplified and
 //!   staggered type-2 recovery, the DHT, batch churn, invariant checkers;
 //! * [`adversary`] — adaptive attack strategies and churn traces;
