@@ -18,6 +18,16 @@
 //!   too) and, timed, the route and the two forms of the chord kernel
 //!   under it (scalar [`primes::mod_inverse`], batched
 //!   [`primes::inverse_batch`]).
+//! * **flood**: `computeSpare` (Algorithm 4.4, `dex_sim::flood`) along one
+//!   run of `benchmark/`'s `resize` script (real `insert` / `delete`,
+//!   2k → 40k → 500 nodes), at the two regimes that script floods in — n
+//!   within 5 % of p (load ≈ 1, degree ≈ 3) and n ≈ p/16 with four dead
+//!   arena slots per live one (degree ≈ 45). Work per flood as exact
+//!   counts ([`FloodScratch::work`]; in the smoke JSON too, at toy scale),
+//!   every result asserted equal to the queue BFS the kernel replaced,
+//!   and, timed, ns per node and per adjacency entry. The `script` row is
+//!   the network's own floods over the whole script and, timed, the share
+//!   of its wall time spent in steps that flooded.
 //!
 //! Run with `cargo run --release -p dex-bench --bin bench_graph_core`.
 //! `--smoke` emits only deterministic digests (no timings), byte-identical
@@ -27,6 +37,7 @@
 use dex::graph::pcycle::PathScratch;
 use dex::graph::primes;
 use dex::prelude::*;
+use dex::sim::flood::{flood_count_slots, FloodResult, FloodScratch, FloodWork};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -254,6 +265,262 @@ fn route_section(timed: bool) -> String {
     format!("  \"route\": [\n    {}\n  ]", rows.join(",\n    "))
 }
 
+/// The queue BFS the flood kernel replaced, kept as its reference: every
+/// adjacency entry of every reached node is examined.
+fn reference_flood(g: &MultiGraph, root: u32, pred: impl Fn(u32) -> bool) -> FloodResult {
+    let mut dist = vec![u32::MAX; g.slot_bound()];
+    let mut queue = std::collections::VecDeque::from([root]);
+    dist[root as usize] = 0;
+    let (mut n, mut matching, mut ecc, mut messages) = (0usize, 0usize, 0u32, 0u64);
+    let mut witness: Option<(u32, NodeId)> = None;
+    while let Some(u) = queue.pop_front() {
+        let du = dist[u as usize];
+        ecc = ecc.max(du);
+        n += 1;
+        if pred(u) {
+            matching += 1;
+            let cand = (du, g.id_of_slot(u));
+            if witness.is_none_or(|best| cand < best) {
+                witness = Some(cand);
+            }
+        }
+        let nbrs = g.neighbor_slots(u);
+        let deg = nbrs.len() as u64;
+        messages += if u == root {
+            deg
+        } else {
+            deg.saturating_sub(1)
+        };
+        for &v in nbrs {
+            if dist[v as usize] == u32::MAX {
+                dist[v as usize] = du + 1;
+                queue.push_back(v);
+            }
+        }
+    }
+    FloodResult {
+        n,
+        matching,
+        rounds: 2 * ecc as u64,
+        messages: messages + (n as u64).saturating_sub(1),
+        witness: witness.map(|(_, id)| id),
+    }
+}
+
+/// Floods per regime.
+const FLOODS: usize = 64;
+
+/// The work members of a `flood` row: `after − before`, per flood.
+fn work_members(after: FloodWork, before: FloodWork) -> String {
+    let floods = after.floods - before.floods;
+    let per_flood = |after: u64, before: u64| (after - before) as f64 / floods as f64;
+    format!(
+        "\"floods\": {floods}, \"levels_per_flood\": {:.2}, \"rows_top_down_per_flood\": {:.1}, \
+         \"rows_bottom_up_per_flood\": {:.1}, \"entries_per_flood\": {:.1}",
+        per_flood(after.levels, before.levels),
+        per_flood(after.rows_top_down, before.rows_top_down),
+        per_flood(after.rows_bottom_up, before.rows_bottom_up),
+        per_flood(after.entries, before.entries),
+    )
+}
+
+/// A network driven the way `benchmark/`'s `resize` drives one: inserts
+/// attached to a uniformly random live node, deletes of one. Every step
+/// is timed, and the steps that missed a walk — the ones that flooded —
+/// are summed apart, so the script's flood share needs no timer inside
+/// the library.
+struct Grown {
+    net: DexNetwork,
+    live: Vec<NodeId>,
+    next_id: u64,
+    rng: StdRng,
+    steps: u64,
+    steps_s: f64,
+    flood_steps: u64,
+    flood_steps_s: f64,
+}
+
+impl Grown {
+    fn bootstrap(n0: u64) -> Self {
+        let net = DexNetwork::bootstrap(DexConfig::new(1).simplified(), n0);
+        let live = net.node_ids();
+        let next_id = live.iter().map(|u| u.0).max().expect("n0 > 0") + 1;
+        Grown {
+            net,
+            live,
+            next_id,
+            rng: StdRng::seed_from_u64(0xf100d),
+            steps: 0,
+            steps_s: 0.0,
+            flood_steps: 0,
+            flood_steps_s: 0.0,
+        }
+    }
+
+    fn step(&mut self, op: impl FnOnce(&mut DexNetwork)) {
+        let misses = self.net.walk_stats.misses;
+        let t0 = Instant::now();
+        op(&mut self.net);
+        let dt = t0.elapsed().as_secs_f64();
+        self.steps += 1;
+        self.steps_s += dt;
+        if self.net.walk_stats.misses > misses {
+            self.flood_steps += 1;
+            self.flood_steps_s += dt;
+        }
+    }
+
+    fn insert(&mut self) {
+        let v = self.live[self.rng.random_range(0..self.live.len())];
+        let u = NodeId(self.next_id);
+        self.next_id += 1;
+        self.step(|net| {
+            net.insert(u, v);
+        });
+        self.live.push(u);
+    }
+
+    fn delete(&mut self) {
+        let i = self.rng.random_range(0..self.live.len());
+        let victim = self.live.swap_remove(i);
+        self.step(|net| {
+            net.delete(victim);
+        });
+    }
+
+    /// The `script` row: what the network's own floods cost over every
+    /// step so far.
+    fn script_row(&self, timed: bool) -> String {
+        let work = self.net.flood_work();
+        let mut row = format!(
+            "{{\"steps\": {}, \"flood_steps\": {}, \"walk_misses\": {}, {}",
+            self.steps,
+            self.flood_steps,
+            self.net.walk_stats.misses,
+            work_members(work, FloodWork::default()),
+        );
+        if timed {
+            println!(
+                "resize script: {} steps {:.3} s, of which {} flooded ({} floods): {:.3} s = {:.0} %",
+                self.steps,
+                self.steps_s,
+                self.flood_steps,
+                work.floods,
+                self.flood_steps_s,
+                100.0 * self.flood_steps_s / self.steps_s
+            );
+            let _ = write!(
+                row,
+                ", \"steps_s\": {:.3}, \"flood_steps_s\": {:.3}",
+                self.steps_s, self.flood_steps_s
+            );
+        }
+        row.push('}');
+        row
+    }
+
+    /// One `flood` row: [`FLOODS`] `computeSpare` counts from random
+    /// roots, each asserted equal to the reference BFS.
+    fn flood_row(&mut self, regime: &str, timed: bool) -> String {
+        let roots: Vec<u32> = (0..FLOODS)
+            .map(|_| {
+                let u = self.live[self.rng.random_range(0..self.live.len())];
+                self.net.graph().slot_of(u).expect("live node")
+            })
+            .collect();
+        let map = &self.net.map;
+        let spare = |s: u32| map.is_spare_at(s);
+        let mut scratch = FloodScratch::new();
+        // Sizes the buffers; timed floods reuse them, as the healer's do.
+        flood_count_slots(&mut self.net.net, roots[0], spare, &mut scratch);
+        let before = scratch.work();
+        let t0 = Instant::now();
+        let results: Vec<FloodResult> = roots
+            .iter()
+            .map(|&r| flood_count_slots(&mut self.net.net, r, spare, &mut scratch))
+            .collect();
+        let kernel_ns = t0.elapsed().as_secs_f64() * 1e9 / FLOODS as f64;
+        let work = scratch.work();
+        let g = self.net.graph();
+        let t0 = Instant::now();
+        let expected: Vec<FloodResult> = roots
+            .iter()
+            .map(|&r| reference_flood(g, r, spare))
+            .collect();
+        let reference_ns = t0.elapsed().as_secs_f64() * 1e9 / FLOODS as f64;
+        assert_eq!(
+            results, expected,
+            "{regime}: kernel and reference BFS differ"
+        );
+
+        let entries = (work.entries - before.entries) as f64 / FLOODS as f64;
+        let (n, degree_sum) = (g.num_nodes(), g.degree_sum());
+        // The reference examines every entry: Σ degree per flood.
+        assert!(
+            entries < degree_sum as f64,
+            "{regime}: {entries} entries examined per flood, Σ degree {degree_sum}"
+        );
+        let mut row = format!(
+            "{{\"regime\": \"{regime}\", \"n\": {n}, \"p\": {}, \"dead_slots\": {}, \
+             \"degree_sum\": {degree_sum}, {}",
+            self.net.cycle.p(),
+            g.free_slots().len(),
+            work_members(work, before),
+        );
+        if timed {
+            println!(
+                "flood {regime}: n={n} Σdeg={degree_sum} entries/flood={entries:.0}: kernel \
+                 {:.0} us, reference BFS {:.0} us",
+                kernel_ns / 1e3,
+                reference_ns / 1e3
+            );
+            let _ = write!(
+                row,
+                ", \"kernel_ns_per_node\": {:.1}, \"kernel_ns_per_entry\": {:.2}, \
+                 \"reference_ns_per_node\": {:.1}, \"reference_ns_per_entry\": {:.2}",
+                kernel_ns / n as f64,
+                kernel_ns / entries,
+                reference_ns / n as f64,
+                reference_ns / degree_sum as f64
+            );
+        }
+        row.push('}');
+        row
+    }
+}
+
+/// The `"flood"` JSON member (no trailing comma or newline), from one run
+/// of `resize`'s script: grow from `n0` through one inflation to within
+/// 5 % of the next, flood; grow to `peak`, shrink until n ≤ p/16 with four
+/// dead slots per live node, flood; shrink to `n0 / 4`. Smoke runs the
+/// same script at toy scale.
+fn flood_section(timed: bool) -> String {
+    let (n0, peak) = if timed { (2_000, 40_000) } else { (100, 2_000) };
+    let mut grown = Grown::bootstrap(n0);
+    let p0 = grown.net.cycle.p();
+    while grown.net.cycle.p() == p0 || grown.net.n() as u64 * 100 < grown.net.cycle.p() * 95 {
+        grown.insert();
+    }
+    let low = grown.flood_row("load_1", timed);
+    while grown.net.n() < peak {
+        grown.insert();
+    }
+    while grown.net.n() as u64 * 16 > grown.net.cycle.p()
+        || grown.net.graph().free_slots().len() < 4 * grown.net.n()
+    {
+        grown.delete();
+    }
+    let high = grown.flood_row("load_16", timed);
+    while grown.net.n() as u64 > n0 / 4 {
+        grown.delete();
+    }
+    let script = grown.script_row(timed);
+    format!(
+        "  \"flood\": {{\n    \"regimes\": [\n      {low},\n      {high}\n    ],\n    \
+         \"script\": {script}\n  }}"
+    )
+}
+
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over a u64 stream — the deterministic digest of the smoke JSON.
@@ -301,7 +568,8 @@ fn run_smoke(base: &MultiGraph) -> String {
     let _ = writeln!(json, "    \"spmv_y_fnv\": \"{spmv_fnv:#018x}\",");
     let _ = writeln!(json, "    \"lambda2_bits\": \"{:#018x}\"", last.to_bits());
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "{}", route_section(false));
+    let _ = writeln!(json, "{},", route_section(false));
+    let _ = writeln!(json, "{}", flood_section(false));
     let _ = writeln!(json, "}}");
     json
 }
@@ -366,7 +634,8 @@ fn run_full(base: &MultiGraph) -> String {
     let _ = writeln!(json, "    \"slot_space_mhops_per_s\": {slot_mhps:.2},");
     let _ = writeln!(json, "    \"speedup\": {:.2}", slot_mhps / id_mhps);
     let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "{}", route_section(true));
+    let _ = writeln!(json, "{},", route_section(true));
+    let _ = writeln!(json, "{}", flood_section(true));
     let _ = writeln!(json, "}}");
     json
 }

@@ -11,7 +11,7 @@ use crate::Overlay;
 use dex_graph::adjacency::MultiGraph;
 use dex_graph::generators::random_regular;
 use dex_graph::ids::NodeId;
-use dex_sim::flood::flood_count;
+use dex_sim::flood::{flood_count_with, FloodScratch};
 use dex_sim::{Network, RecoveryKind, StepKind, StepMetrics};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,6 +21,8 @@ pub struct Flooding {
     net: Network,
     d: usize,
     rng: StdRng,
+    /// Every step floods; the buffers are sized once.
+    flood_scratch: FloodScratch,
 }
 
 impl Flooding {
@@ -36,6 +38,7 @@ impl Flooding {
             net,
             d,
             rng: StdRng::seed_from_u64(0),
+            flood_scratch: FloodScratch::new(),
         };
         s.rewire_fresh(&mut rng, false);
         s.rng = rng;
@@ -135,7 +138,7 @@ impl Overlay for Flooding {
         self.net.adversary_add_node(id);
         self.net.adversary_add_edge(id, attach);
         // Flood the change to everyone.
-        flood_count(&mut self.net, attach, |_| false);
+        flood_count_with(&mut self.net, attach, |_| false, &mut self.flood_scratch);
         self.net.adversary_remove_edge(id, attach);
         let mut rng = self.rng.clone();
         self.rewire_fresh(&mut rng, true);
@@ -153,7 +156,7 @@ impl Overlay for Flooding {
             .expect("victim had a neighbor");
         self.net.begin_step();
         self.net.adversary_remove_node(victim);
-        flood_count(&mut self.net, nbr, |_| false);
+        flood_count_with(&mut self.net, nbr, |_| false, &mut self.flood_scratch);
         let mut rng = self.rng.clone();
         self.rewire_fresh(&mut rng, true);
         self.rng = rng;

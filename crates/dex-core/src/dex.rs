@@ -10,7 +10,7 @@ use crate::staggered::StaggeredOp;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
-use dex_sim::flood::{flood_count_slots, FloodScratch};
+use dex_sim::flood::{flood_count_slots, FloodScratch, FloodWork};
 use dex_sim::msim::FloodOutcome;
 use dex_sim::rng::{Purpose, SeedSpace};
 use dex_sim::tokens::random_walk_search_slots;
@@ -101,8 +101,8 @@ pub struct DexNetwork {
     /// DHT storage (keys live with the vertex they hash to).
     pub(crate) dht: crate::dht::DhtStore,
     pub(crate) step_no: u64,
-    /// Reusable BFS scratch for the type-2 decision floods (one flood per
-    /// type-2 step; reusing the buffers keeps the hot path allocation-free).
+    /// Reusable buffers for the walk-miss floods (one flood per missed
+    /// walk; reusing them keeps the hot path allocation-free).
     pub(crate) flood_scratch: FloodScratch,
     /// Pooled healing buffers (vertex sets, fabric instances, routing
     /// paths) — with these, steady-state type-1 recovery allocates
@@ -181,6 +181,13 @@ impl DexNetwork {
             .map(|u| self.map.load(u) + extra.map_or(0, |s| s.staged_load(u)))
             .max()
             .unwrap_or(0)
+    }
+
+    /// Work done by every centralized flood count so far (a deletion
+    /// floods on each walk miss, an insertion on its first), as
+    /// deterministic counts ([`FloodScratch::work`]).
+    pub fn flood_work(&self) -> FloodWork {
+        self.flood_scratch.work()
     }
 
     /// Maximum physical degree.

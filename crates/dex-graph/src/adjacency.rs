@@ -226,6 +226,14 @@ impl MultiGraph {
         self.slots.get(slot as usize).is_some_and(|s| s.alive)
     }
 
+    /// The dead slots below [`Self::slot_bound`], each once, in the order
+    /// the free list will recycle them (last first). Lets a slot-indexed
+    /// pass tell dead slots from live ones without reading the arena.
+    #[inline]
+    pub fn free_slots(&self) -> &[u32] {
+        &self.free
+    }
+
     /// Degree of `slot`.
     #[inline]
     pub fn degree_of_slot(&self, slot: u32) -> usize {
