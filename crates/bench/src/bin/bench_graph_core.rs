@@ -1,17 +1,15 @@
-//! Graph-core before/after benchmark: emits `BENCH_graph_core.json`.
+//! Graph-core unit costs: emits `BENCH_graph_core.json`.
 //!
-//! Reproduces the experiment loop the arena/snapshot refactor targets —
-//! "mutate the multigraph, then re-measure" — and times the seed
-//! implementation's path against the new engine on the same workload:
+//! Each section is an absolute cost of one graph-layer operation on the
+//! shipped code path:
 //!
-//! * **λ₂ under churn** (n ≈ 20k): per epoch, a few edges churn, then λ₂
-//!   is measured. Seed path = from-scratch CSR rebuild
-//!   ([`MultiGraph::to_csr`]) + cold-start power iteration; new path =
-//!   cached incremental snapshot ([`MultiGraph::csr`]) + warm-started
-//!   [`Lambda2Solver`].
-//! * **walk throughput**: seed path = per-hop id-space neighbor lookup
-//!   (one hash probe per hop, as the seed's `FxHashMap` adjacency did);
-//!   new path = slot-space walking ([`MultiGraph::walk_slots`]).
+//! * **λ₂ under churn** (n ≈ 20k): the "mutate the multigraph, then
+//!   re-measure" loop — per epoch a few edges churn, then λ₂ is measured
+//!   through the cached incremental snapshot ([`MultiGraph::csr`]) and a
+//!   warm-started [`Lambda2Solver`]; seconds over all epochs and per
+//!   epoch.
+//! * **walk throughput**: slot-space random-walk hops per second
+//!   ([`MultiGraph::walk_slots`]).
 //! * **route**: the DHT's shortest-path search on `Z(p)` at the p of a
 //!   20k-vertex and a 500k-node network — work per route as exact counts
 //!   (vertices expanded, modular inversions; these are in the smoke JSON
@@ -66,95 +64,9 @@ struct Lambda2Outcome {
     last_lambda: f64,
 }
 
-// ---------------------------------------------------------------------
-// Faithful copy of the SEED implementation's measurement path (the code
-// this PR replaced): from-scratch CSR rebuild per call, cold random start,
-// drift-based stopping. Kept verbatim here so the "before" timing is the
-// seed's actual algorithm, not an emulation.
-// ---------------------------------------------------------------------
-
-fn seed_apply_lazy(csr: &dex::graph::Csr, x: &[f64], y: &mut [f64]) {
-    for i in 0..csr.n() {
-        let deg = csr.degree(i);
-        let mut acc = 0.0;
-        for &j in csr.row(i) {
-            acc += x[j as usize];
-        }
-        y[i] = 0.5 * x[i] + 0.5 * acc / deg as f64;
-    }
-}
-
-fn seed_deflate_top(pi: &[f64], x: &mut [f64]) {
-    let num: f64 = pi.iter().zip(x.iter()).map(|(p, v)| p * v).sum();
-    for v in x.iter_mut() {
-        *v -= num;
-    }
-}
-
-fn seed_pi_norm(pi: &[f64], x: &[f64]) -> f64 {
-    pi.iter()
-        .zip(x.iter())
-        .map(|(p, v)| p * v * v)
-        .sum::<f64>()
-        .sqrt()
-}
-
-fn seed_power_lambda2(g: &MultiGraph, max_iters: usize, tol: f64, seed: u64) -> f64 {
-    let csr = g.to_csr(); // the seed's per-call rebuild
-    let n = csr.n();
-    let deg_sum: f64 = (0..n).map(|i| csr.degree(i) as f64).sum();
-    let pi: Vec<f64> = (0..n).map(|i| csr.degree(i) as f64 / deg_sum).collect();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut x: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
-    seed_deflate_top(&pi, &mut x);
-    let norm = seed_pi_norm(&pi, &x);
-    for v in x.iter_mut() {
-        *v /= norm;
-    }
-    let mut y = vec![0.0f64; n];
-    let mut prev = f64::NAN;
-    for it in 0..max_iters {
-        seed_apply_lazy(&csr, &x, &mut y);
-        seed_deflate_top(&pi, &mut y);
-        let rq: f64 = pi
-            .iter()
-            .zip(x.iter().zip(y.iter()))
-            .map(|(p, (xv, yv))| p * xv * yv)
-            .sum();
-        let norm = seed_pi_norm(&pi, &y);
-        if norm < 1e-300 {
-            return 0.0;
-        }
-        for (xv, yv) in x.iter_mut().zip(y.iter()) {
-            *xv = yv / norm;
-        }
-        if it > 16 && (rq - prev).abs() < tol {
-            return (2.0 * rq - 1.0).clamp(-1.0, 1.0);
-        }
-        prev = rq;
-    }
-    (2.0 * prev - 1.0).clamp(-1.0, 1.0)
-}
-
-/// Seed path: every measurement rebuilds the CSR from scratch and runs the
-/// seed's cold-start drift-stopped power iteration.
-fn lambda2_seed_path(mut g: MultiGraph, seed: u64) -> Lambda2Outcome {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut last = 0.0;
-    let t0 = Instant::now();
-    for _ in 0..EPOCHS {
-        churn_edges(&mut g, &mut rng);
-        last = seed_power_lambda2(&g, MAX_ITERS, TOL, 0xdecafbad);
-    }
-    Lambda2Outcome {
-        total_s: t0.elapsed().as_secs_f64(),
-        last_lambda: last,
-    }
-}
-
-/// New path: the graph's cached snapshot refreshes dirty rows only, and a
-/// persistent solver warm-starts from the previous eigenvector.
-fn lambda2_cached_path(mut g: MultiGraph, seed: u64) -> Lambda2Outcome {
+/// λ₂ under churn: the graph's cached snapshot refreshes dirty rows only,
+/// and a persistent solver warm-starts from the previous eigenvector.
+fn lambda2_under_churn(mut g: MultiGraph, seed: u64) -> Lambda2Outcome {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut solver = Lambda2Solver::new();
     let mut last = 0.0;
@@ -167,22 +79,6 @@ fn lambda2_cached_path(mut g: MultiGraph, seed: u64) -> Lambda2Outcome {
         total_s: t0.elapsed().as_secs_f64(),
         last_lambda: last,
     }
-}
-
-/// Seed-path walk: one id→slot hash probe per hop (the seed's
-/// `FxHashMap<NodeId, Vec<NodeId>>` adjacency did exactly one hash probe
-/// per `neighbors()` call).
-fn walk_seed_path(g: &MultiGraph, hops: usize, seed: u64) -> (f64, u64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut cur = NodeId(0);
-    let mut acc = 0u64;
-    let t0 = Instant::now();
-    for _ in 0..hops {
-        let nbrs = g.neighbors(cur);
-        cur = nbrs.at(rng.random_range(0..nbrs.len()));
-        acc = acc.wrapping_add(cur.0);
-    }
-    (t0.elapsed().as_secs_f64(), acc)
 }
 
 /// Slot-space walk: two array reads per hop, ids resolved once.
@@ -575,34 +471,19 @@ fn run_smoke(base: &MultiGraph) -> String {
 }
 
 fn run_full(base: &MultiGraph) -> String {
-    // λ₂ under churn — identical churn stream for both paths.
-    let seed_out = lambda2_seed_path(base.clone(), 99);
+    let lambda = lambda2_under_churn(base.clone(), 99);
+    let per_epoch_ms = lambda.total_s * 1e3 / EPOCHS as f64;
     println!(
-        "lambda2 seed path:   {:.3} s over {EPOCHS} epochs (λ₂ = {:.6})",
-        seed_out.total_s, seed_out.last_lambda
-    );
-    let cached_out = lambda2_cached_path(base.clone(), 99);
-    println!(
-        "lambda2 cached path: {:.3} s over {EPOCHS} epochs (λ₂ = {:.6})",
-        cached_out.total_s, cached_out.last_lambda
-    );
-    let lambda_speedup = seed_out.total_s / cached_out.total_s;
-    println!("lambda2 speedup: {lambda_speedup:.2}x");
-    assert!(
-        (seed_out.last_lambda - cached_out.last_lambda).abs() < 1e-4,
-        "paths disagree: {} vs {}",
-        seed_out.last_lambda,
-        cached_out.last_lambda
+        "lambda2 under churn: {:.4} s over {EPOCHS} epochs, {per_epoch_ms:.2} ms each (λ₂ = {:.6})",
+        lambda.total_s, lambda.last_lambda
     );
 
     // Walk throughput.
     let hops = 4_000_000usize;
-    let (t_id, sink_a) = walk_seed_path(base, hops, 7);
-    let (t_slot, sink_b) = walk_slot_path(base, hops, 7);
-    std::hint::black_box((sink_a, sink_b));
-    let id_mhps = hops as f64 / t_id / 1e6;
+    let (t_slot, sink) = walk_slot_path(base, hops, 7);
+    std::hint::black_box(sink);
     let slot_mhps = hops as f64 / t_slot / 1e6;
-    println!("walks: id-space {id_mhps:.2} Mhops/s, slot-space {slot_mhps:.2} Mhops/s");
+    println!("walks: slot-space {slot_mhps:.2} Mhops/s");
 
     let mut json = String::new();
     let _ = writeln!(json, "{{");
@@ -616,23 +497,13 @@ fn run_full(base: &MultiGraph) -> String {
     let _ = writeln!(json, "  \"lambda2_under_churn\": {{");
     let _ = writeln!(json, "    \"epochs\": {EPOCHS},");
     let _ = writeln!(json, "    \"edge_churn_per_epoch\": {CHURN_PER_EPOCH},");
-    let _ = writeln!(
-        json,
-        "    \"seed_rebuild_per_call_s\": {:.4},",
-        seed_out.total_s
-    );
-    let _ = writeln!(
-        json,
-        "    \"cached_warm_start_s\": {:.4},",
-        cached_out.total_s
-    );
-    let _ = writeln!(json, "    \"speedup\": {lambda_speedup:.2}");
+    let _ = writeln!(json, "    \"cached_warm_start_s\": {:.4},", lambda.total_s);
+    let _ = writeln!(json, "    \"ms_per_epoch\": {per_epoch_ms:.3},");
+    let _ = writeln!(json, "    \"lambda2\": {:.6}", lambda.last_lambda);
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "  \"walk_throughput\": {{");
     let _ = writeln!(json, "    \"hops\": {hops},");
-    let _ = writeln!(json, "    \"seed_id_space_mhops_per_s\": {id_mhps:.2},");
-    let _ = writeln!(json, "    \"slot_space_mhops_per_s\": {slot_mhps:.2},");
-    let _ = writeln!(json, "    \"speedup\": {:.2}", slot_mhps / id_mhps);
+    let _ = writeln!(json, "    \"slot_space_mhops_per_s\": {slot_mhps:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "{},", route_section(true));
     let _ = writeln!(json, "{}", flood_section(true));

@@ -1,6 +1,6 @@
-//! Healing-throughput benchmark: the slot-arena Φ vs the legacy HashMap Φ
-//! on the heal access pattern, plus end-to-end insert/delete/batch churn
-//! on full DEX networks at n ∈ {20k, 200k, 1M}. Emits `BENCH_heal.json`.
+//! Healing-throughput benchmark: the slot-arena Φ's ops/s on the heal
+//! access pattern, plus end-to-end insert/delete/batch churn on full DEX
+//! networks at n ∈ {20k, 200k, 1M}. Emits `BENCH_heal.json`.
 //!
 //! A counting global allocator measures **bytes allocated per healing
 //! operation** in the single-threaded measurement pass — steady-state

@@ -23,7 +23,7 @@ fn main() {
         format!("{}", zg.num_edges()),
         "3".to_string(),
         format!("{:.4}", spectral::spectral_gap(&zg)),
-        format!("{}", z.diameter()),
+        format!("{}", dex::graph::connectivity::diameter(&zg).unwrap()),
     ]);
 
     // The paper's right-hand side: 7 nodes, vertex x ↦ node x mod 7.

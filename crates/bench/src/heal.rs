@@ -1,16 +1,17 @@
 //! The healing-throughput benchmark behind `bench_heal` (and its CI
-//! smoke + determinism tests): measures the slot-arena Φ against the
-//! legacy HashMap Φ on the heal access pattern, and drives end-to-end
-//! insert/delete/batch churn on full `DexNetwork`s up to n ≈ 1M.
+//! smoke + determinism tests): times the slot-arena Φ on the heal access
+//! pattern, and drives end-to-end insert/delete/batch churn on full
+//! `DexNetwork`s up to n ≈ 1M.
 //!
 //! Two sections, both emitted into `BENCH_heal.json`:
 //!
 //! 1. **Φ heal kernel** — the exact mapping-op sequence type-1 healing
 //!    performs (probe a spare node, pick the max vertex of its `Sim` set,
 //!    transfer it, resolve the owners of the incident vertices; then the
-//!    deletion mirror) replayed against both implementations of Φ. The
-//!    sequences are identical and the final checksums are asserted equal,
-//!    so the speedup is apples-to-apples.
+//!    deletion mirror) plus one synthetic inflate/deflate rebuild, replayed
+//!    against Φ. The op count and a checksum over every owner and load the
+//!    replay observed are deterministic; timed runs add Φ ops/s overall,
+//!    in the steady section and in the rebuild.
 //! 2. **End-to-end churn** — full DEX networks at n ∈ {20k, 200k, 1M}
 //!    under a deterministic 45/45/5/5 single-insert / single-delete /
 //!    batch-insert / batch-delete mix, with trials fanned out over the
@@ -21,14 +22,13 @@
 //!    buffer is pooled in `HealScratch`.
 //!
 //! Determinism contract: everything except the clearly-labelled timing
-//! fields (`*_ops_per_sec`, `speedup`, `wall_s`) is a pure function of
+//! fields (`*_ops_per_sec`, `*wall_s`) is a pure function of
 //! `(smoke, seed, trials)` — independent of `--exec-threads` and of machine
 //! speed. In `--smoke` mode the timing fields are omitted entirely and
 //! the JSON is **byte-identical** across thread counts; the
 //! `heal_determinism` test runs threads ∈ {1, 3, 8} and diffs the bytes.
 
 use crate::summary_json;
-use dex::core::mapping::oracle::HashMapping;
 use dex::core::VirtualMapping;
 use dex::exec::par_map;
 use dex::prelude::*;
@@ -69,105 +69,6 @@ impl Default for HealBenchOptions {
 // Section 1: the Φ heal kernel
 // ======================================================================
 
-/// The mapping operations the healing hot path performs, abstracted so the
-/// identical op sequence drives both implementations.
-trait Phi: Sized {
-    fn assign(&mut self, z: VertexId, u: NodeId);
-    /// Assign a contiguous run (an inflation cloud). The slot Φ has a
-    /// genuine batch path; the legacy Φ can only do α separate inserts,
-    /// exactly as the seed's inflate did.
-    fn assign_cloud(&mut self, z_start: VertexId, count: u64, u: NodeId);
-    fn transfer(&mut self, z: VertexId, to: NodeId) -> NodeId;
-    fn owner_of(&self, z: VertexId) -> NodeId;
-    fn sim(&self, u: NodeId) -> &[VertexId];
-    fn load(&self, u: NodeId) -> u64;
-    fn spare_count(&self) -> usize;
-    fn low_count(&self) -> usize;
-    /// Fresh empty mapping pre-sized for `p` vertices (the type-2 rebuild
-    /// target; the legacy implementation has no pre-sizing to offer).
-    fn fresh(zeta: u64, p: u64) -> Self;
-    /// Canonical-order `(vertex, owner)` iteration — what type-2 Phase 1
-    /// reads. The slot Φ scans its dense array; the legacy Φ must collect
-    /// and sort (hash iteration order is nondeterministic), exactly as the
-    /// seed's `entries_sorted()` hot path did.
-    fn for_each_entry(&self, f: &mut dyn FnMut(VertexId, NodeId));
-}
-
-impl Phi for VirtualMapping {
-    fn assign(&mut self, z: VertexId, u: NodeId) {
-        VirtualMapping::assign(self, z, u)
-    }
-    fn assign_cloud(&mut self, z_start: VertexId, count: u64, u: NodeId) {
-        VirtualMapping::assign_run(self, z_start, count, u)
-    }
-    fn transfer(&mut self, z: VertexId, to: NodeId) -> NodeId {
-        VirtualMapping::transfer(self, z, to)
-    }
-    fn owner_of(&self, z: VertexId) -> NodeId {
-        VirtualMapping::owner_of(self, z)
-    }
-    fn sim(&self, u: NodeId) -> &[VertexId] {
-        VirtualMapping::sim(self, u)
-    }
-    fn load(&self, u: NodeId) -> u64 {
-        VirtualMapping::load(self, u)
-    }
-    fn spare_count(&self) -> usize {
-        VirtualMapping::spare_count(self)
-    }
-    fn low_count(&self) -> usize {
-        VirtualMapping::low_count(self)
-    }
-    fn fresh(zeta: u64, p: u64) -> Self {
-        VirtualMapping::with_vertex_capacity(zeta, p)
-    }
-    fn for_each_entry(&self, f: &mut dyn FnMut(VertexId, NodeId)) {
-        for (z, u) in self.entries() {
-            f(z, u);
-        }
-    }
-}
-
-impl Phi for HashMapping {
-    fn assign(&mut self, z: VertexId, u: NodeId) {
-        HashMapping::assign(self, z, u)
-    }
-    fn assign_cloud(&mut self, z_start: VertexId, count: u64, u: NodeId) {
-        // The seed's inflate materialized each cloud as a Vec
-        // (`resize::inflation_cloud`) before assigning its members.
-        let cloud: Vec<u64> = (0..count).map(|i| z_start.0 + i).collect();
-        for y in cloud {
-            HashMapping::assign(self, VertexId(y), u);
-        }
-    }
-    fn transfer(&mut self, z: VertexId, to: NodeId) -> NodeId {
-        HashMapping::transfer(self, z, to)
-    }
-    fn owner_of(&self, z: VertexId) -> NodeId {
-        HashMapping::owner_of(self, z)
-    }
-    fn sim(&self, u: NodeId) -> &[VertexId] {
-        HashMapping::sim(self, u)
-    }
-    fn load(&self, u: NodeId) -> u64 {
-        HashMapping::load(self, u)
-    }
-    fn spare_count(&self) -> usize {
-        HashMapping::spare_count(self)
-    }
-    fn low_count(&self) -> usize {
-        HashMapping::low_count(self)
-    }
-    fn fresh(zeta: u64, _p: u64) -> Self {
-        HashMapping::new(zeta)
-    }
-    fn for_each_entry(&self, f: &mut dyn FnMut(VertexId, NodeId)) {
-        for (z, u) in self.entries_sorted() {
-            f(z, u);
-        }
-    }
-}
-
 /// Outcome of one kernel replay: op counts, a checksum folding every
 /// owner/load the kernel observed, and per-section wall time.
 struct KernelOutcome {
@@ -190,9 +91,9 @@ const KERNEL_CLOUD: u64 = 4;
 /// amortized part of healing: with θ = 1/64 the trigger can fire as often
 /// as every θn steps, and Lemma 8 bounds the gap below by Ω(γn) — one
 /// inflation and one deflation per n/2 heals sits inside that band).
-/// Deterministic in `seed`; both implementations see the exact same
-/// sequence (the driver consults only values both return identically).
-fn run_kernel<P: Phi>(phi: &mut P, n: u64, p0: u64, steps: u64, seed: u64) -> KernelOutcome {
+/// The op sequence, op count and checksum are pure functions of
+/// `(n, p0, steps, seed)`.
+fn run_kernel(phi: &mut VirtualMapping, n: u64, p0: u64, steps: u64, seed: u64) -> KernelOutcome {
     // Bootstrap: vertices dealt round-robin, like `DexNetwork::bootstrap`.
     for z in 0..p0 {
         phi.assign(VertexId(z), NodeId(z % n));
@@ -212,7 +113,7 @@ fn run_kernel<P: Phi>(phi: &mut P, n: u64, p0: u64, steps: u64, seed: u64) -> Ke
     };
     // Cheap mod-p reduction (multiply-shift) and a 2-op checksum fold:
     // the kernel must time Φ, not the driver's ALU (divisions and hash
-    // folds would add equal overhead to both sides and blur the ratio).
+    // folds would blur Φ's unit cost).
     #[inline(always)]
     fn reduce(x: u64, p: u64) -> u64 {
         ((x as u128 * p as u128) >> 64) as u64
@@ -240,7 +141,7 @@ fn run_kernel<P: Phi>(phi: &mut P, n: u64, p0: u64, steps: u64, seed: u64) -> Ke
     // The incident vertices whose owners a one-vertex move resolves
     // (cycle succ/pred plus a chord-distributed partner: uniformly
     // scattered, like the real modular inverse).
-    let resolve = |phi: &P, z: u64, p: u64, checksum: &mut u64, ops: &mut u64| {
+    let resolve = |phi: &VirtualMapping, z: u64, p: u64, checksum: &mut u64, ops: &mut u64| {
         let h = reduce(splitmix64(z), p);
         for v in [succ(z, p), pred(z, p), z, h, succ(h, p), pred(h, p)] {
             fold(checksum, phi.owner_of(VertexId(v)).0);
@@ -250,17 +151,21 @@ fn run_kernel<P: Phi>(phi: &mut P, n: u64, p0: u64, steps: u64, seed: u64) -> Ke
     // One vertex move = `fabric::move_vertices`: enumerate the incident
     // instances, resolve their owners (edge removal), transfer, resolve
     // again under the new owner (edge re-add).
-    let moved =
-        |phi: &mut P, z: VertexId, to: NodeId, p: u64, checksum: &mut u64, ops: &mut u64| {
-            resolve(phi, z.0, p, checksum, ops);
-            phi.transfer(z, to);
-            *ops += 1;
-            resolve(phi, z.0, p, checksum, ops);
-        };
+    let moved = |phi: &mut VirtualMapping,
+                 z: VertexId,
+                 to: NodeId,
+                 p: u64,
+                 checksum: &mut u64,
+                 ops: &mut u64| {
+        resolve(phi, z.0, p, checksum, ops);
+        phi.transfer(z, to);
+        *ops += 1;
+        resolve(phi, z.0, p, checksum, ops);
+    };
     // Post-rebuild fabric pass: resolve the owner of every canonical edge
     // endpoint (succ sequential, chord scattered), mirroring
     // `expected_edge_multiset` after `rewire_to_target`.
-    let resolve_fabric = |phi: &P, p: u64, checksum: &mut u64, ops: &mut u64| {
+    let resolve_fabric = |phi: &VirtualMapping, p: u64, checksum: &mut u64, ops: &mut u64| {
         for z in 0..p {
             let chord = reduce(splitmix64(z), p);
             fold(checksum, phi.owner_of(VertexId(z)).0);
@@ -292,7 +197,7 @@ fn run_kernel<P: Phi>(phi: &mut P, n: u64, p0: u64, steps: u64, seed: u64) -> Ke
         // synthetic inflation loads quadruple, as they do transiently in
         // the real protocol before rebalancing spreads them).
         let low_cap = (4 * p / n).max(16);
-        let low_probe = |phi: &P, from: u64, ops: &mut u64| {
+        let low_probe = |phi: &VirtualMapping, from: u64, ops: &mut u64| {
             let mut w = from % n;
             while {
                 let l = phi.load(NodeId(w));
@@ -347,10 +252,10 @@ fn run_kernel<P: Phi>(phi: &mut P, n: u64, p0: u64, steps: u64, seed: u64) -> Ke
             let ops_before = ops;
             debug_assert_eq!(p, p0);
             let p_new = p * KERNEL_CLOUD;
-            let mut next = P::fresh(8, p_new);
-            phi.for_each_entry(&mut |z, owner| {
-                next.assign_cloud(VertexId(z.0 * KERNEL_CLOUD), KERNEL_CLOUD, owner);
-            });
+            let mut next = VirtualMapping::with_vertex_capacity(8, p_new);
+            for (z, owner) in phi.entries() {
+                next.assign_run(VertexId(z.0 * KERNEL_CLOUD), KERNEL_CLOUD, owner);
+            }
             ops += p + p_new; // p entry reads + p_new assigns
             *phi = next;
             p = p_new;
@@ -365,12 +270,12 @@ fn run_kernel<P: Phi>(phi: &mut P, n: u64, p0: u64, steps: u64, seed: u64) -> Ke
             let ops_before = ops;
             debug_assert_eq!(p, p0 * KERNEL_CLOUD);
             let p_new = p0;
-            let mut next = P::fresh(8, p_new);
-            phi.for_each_entry(&mut |z, owner| {
+            let mut next = VirtualMapping::with_vertex_capacity(8, p_new);
+            for (z, owner) in phi.entries() {
                 if z.0 % KERNEL_CLOUD == 0 {
                     next.assign(VertexId(z.0 / KERNEL_CLOUD), owner);
                 }
-            });
+            }
             ops += p + p_new;
             *phi = next;
             p = p_new;
@@ -394,40 +299,18 @@ struct KernelReport {
     n: u64,
     p: u64,
     steps: u64,
-    ops: u64,
-    checksum: u64,
-    /// `(slot outcome, hash outcome)` — carries section timings; only
-    /// reported in full (timed) mode.
-    timing: Option<(KernelOutcome, KernelOutcome)>,
+    outcome: KernelOutcome,
 }
 
-fn phi_kernel_scale(n: u64, seed: u64, timed: bool) -> KernelReport {
+fn phi_kernel_scale(n: u64, seed: u64) -> KernelReport {
     let p = dex::graph::primes::initial_prime(n);
     let steps = n / 2;
-
-    // Scoped so the slot mapping is dropped before the hash side runs
-    // (the inflated 1M-scale states are hundreds of MB each).
-    let a = {
-        let mut slot = VirtualMapping::with_vertex_capacity(8, p);
-        run_kernel(&mut slot, n, p, steps, seed)
-    };
-    let b = {
-        let mut hash = HashMapping::new(8);
-        run_kernel(&mut hash, n, p, steps, seed)
-    };
-
-    assert_eq!(a.ops, b.ops, "kernel op counts diverged at n={n}");
-    assert_eq!(
-        a.checksum, b.checksum,
-        "slot Φ and HashMap Φ disagree at n={n} — implementations diverged"
-    );
+    let mut phi = VirtualMapping::with_vertex_capacity(8, p);
     KernelReport {
         n,
         p,
         steps,
-        ops: a.ops,
-        checksum: a.checksum,
-        timing: timed.then_some((a, b)),
+        outcome: run_kernel(&mut phi, n, p, steps, seed),
     }
 }
 
@@ -670,43 +553,28 @@ pub fn run_heal_bench(opts: &HealBenchOptions) -> String {
     // --- Φ heal kernel -------------------------------------------------
     let _ = writeln!(json, "  \"phi_kernel\": [");
     for (i, &n) in kernel_ns.iter().enumerate() {
-        let r = phi_kernel_scale(n, splitmix64(opts.seed ^ n), !opts.smoke);
+        let r = phi_kernel_scale(n, splitmix64(opts.seed ^ n));
+        let k = &r.outcome;
         let mut line = format!(
-            "    {{\"n\": {}, \"p\": {}, \"steps\": {}, \"mapping_ops\": {}, \"checksum\": \"{:#018x}\", \"checksum_match\": true",
-            r.n, r.p, r.steps, r.ops, r.checksum
+            "    {{\"n\": {}, \"p\": {}, \"steps\": {}, \"mapping_ops\": {}, \"checksum\": \"{:#018x}\"",
+            r.n, r.p, r.steps, k.ops, k.checksum
         );
-        if let Some((slot, hash)) = &r.timing {
-            let slot_total = slot.steady_s + slot.type2_s;
-            let hash_total = hash.steady_s + hash.type2_s;
-            let slot_ops = r.ops as f64 / slot_total;
-            let hash_ops = r.ops as f64 / hash_total;
-            let steady_speedup =
-                (slot.steady_ops as f64 / slot.steady_s) / (hash.steady_ops as f64 / hash.steady_s);
-            let type2_speedup =
-                (slot.type2_ops as f64 / slot.type2_s) / (hash.type2_ops as f64 / hash.type2_s);
-            let _ = write!(
-                line,
-                ", \"slot_ops_per_sec\": {:.0}, \"hash_ops_per_sec\": {:.0}, \"speedup\": {:.2}, \"steady_speedup\": {:.2}, \"type2_rebuild_speedup\": {:.2}",
-                slot_ops,
-                hash_ops,
-                slot_ops / hash_ops,
-                steady_speedup,
-                type2_speedup
-            );
+        if opts.smoke {
             println!(
-                "phi_kernel n={:<9} ops {:>10}  slot {:>12.0}/s  hash {:>12.0}/s  speedup {:.2}x (steady {:.2}x, type2 {:.2}x)",
-                r.n,
-                r.ops,
-                slot_ops,
-                hash_ops,
-                slot_ops / hash_ops,
-                steady_speedup,
-                type2_speedup
+                "phi_kernel n={:<9} ops {:>10}  (smoke: untimed)",
+                r.n, k.ops
             );
         } else {
+            let all_ops = k.ops as f64 / (k.steady_s + k.type2_s);
+            let steady_ops = k.steady_ops as f64 / k.steady_s;
+            let type2_ops = k.type2_ops as f64 / k.type2_s;
+            let _ = write!(
+                line,
+                ", \"slot_ops_per_sec\": {all_ops:.0}, \"steady_ops_per_sec\": {steady_ops:.0}, \"type2_rebuild_ops_per_sec\": {type2_ops:.0}"
+            );
             println!(
-                "phi_kernel n={:<9} ops {:>10}  checksum ok (smoke: untimed)",
-                r.n, r.ops
+                "phi_kernel n={:<9} ops {:>10}  slot Φ {all_ops:>12.0}/s (steady {steady_ops:.0}/s, type-2 rebuild {type2_ops:.0}/s)",
+                r.n, k.ops
             );
         }
         line.push('}');

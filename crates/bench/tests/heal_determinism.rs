@@ -29,9 +29,10 @@ fn smoke_output_is_byte_identical_across_thread_counts() {
     let one = smoke_json(1);
     assert!(one.contains("\"phi_kernel\""), "kernel section missing");
     assert!(one.contains("\"churn\""), "churn section missing");
-    assert!(
-        one.contains("\"checksum_match\": true"),
-        "Φ implementations must agree"
+    assert_eq!(
+        one.matches("\"checksum\": \"0x").count(),
+        2,
+        "each smoke kernel row must carry its checksum"
     );
     assert!(
         !one.contains("ops_per_sec"),

@@ -74,15 +74,14 @@
 //!   load transition (Eqs. 1–2), as before.
 //!
 //! Iterating `(vertex, owner)` pairs over the dense array yields canonical
-//! (vertex-ascending) order *for free* — see [`VirtualMapping::entries`];
-//! the old collect-and-sort path survives only as a test oracle. Type-2
-//! inflation assigns whole clouds of consecutive vertices in one call via
-//! [`VirtualMapping::assign_run_at`] (sequential dense writes into the
-//! owner's slot, which the new Φ shares with the old).
+//! (vertex-ascending) order *for free* — see [`VirtualMapping::entries`].
+//! Type-2 inflation assigns whole clouds of consecutive vertices in one
+//! call via [`VirtualMapping::assign_run_at`] (sequential dense writes into
+//! the owner's slot, which the new Φ shares with the old).
 //!
-//! The previous `FxHashMap`-backed implementation lives on verbatim as
-//! [`oracle::HashMapping`]: the differential proptests drive long random
-//! op sequences through both and assert identical owner / `Sim` / counter
+//! The previous `FxHashMap`-backed implementation is the differential
+//! oracle of `tests/mapping_diff.rs`: its proptests drive long random op
+//! sequences through both and assert identical owner / `Sim` / counter
 //! state after every operation.
 
 use dex_graph::fxhash::FxHashMap;
@@ -726,156 +725,6 @@ impl std::fmt::Debug for VirtualMapping {
     }
 }
 
-pub mod oracle {
-    //! The previous `FxHashMap`-backed Φ, kept verbatim as the
-    //! differential-test oracle (and the "before" side of `bench_heal`'s
-    //! Φ-kernel comparison). Semantics are identical to
-    //! [`VirtualMapping`](super::VirtualMapping), including `Sim` slice
-    //! order (push + swap-remove).
-
-    use dex_graph::fxhash::FxHashMap;
-    use dex_graph::ids::{NodeId, VertexId};
-
-    /// HashMap-backed Φ with the same API surface as the slot-arena
-    /// implementation.
-    #[derive(Clone)]
-    pub struct HashMapping {
-        owner: FxHashMap<VertexId, NodeId>,
-        sim: FxHashMap<NodeId, Vec<VertexId>>,
-        spare_count: usize,
-        low_count: usize,
-        zeta: u64,
-    }
-
-    impl HashMapping {
-        /// Empty mapping with the given ζ.
-        pub fn new(zeta: u64) -> Self {
-            HashMapping {
-                owner: FxHashMap::default(),
-                sim: FxHashMap::default(),
-                spare_count: 0,
-                low_count: 0,
-                zeta,
-            }
-        }
-
-        /// Number of vertices assigned.
-        pub fn num_vertices(&self) -> usize {
-            self.owner.len()
-        }
-
-        /// Number of nodes simulating at least one vertex.
-        pub fn num_nodes(&self) -> usize {
-            self.sim.len()
-        }
-
-        /// Owner of vertex `z`, if assigned.
-        #[inline]
-        pub fn owner(&self, z: VertexId) -> Option<NodeId> {
-            self.owner.get(&z).copied()
-        }
-
-        /// Owner of vertex `z`; panics when unassigned.
-        #[inline]
-        pub fn owner_of(&self, z: VertexId) -> NodeId {
-            self.owner[&z]
-        }
-
-        /// The `Sim` set of node `u`.
-        pub fn sim(&self, u: NodeId) -> &[VertexId] {
-            self.sim.get(&u).map(Vec::as_slice).unwrap_or(&[])
-        }
-
-        /// Load of `u`.
-        #[inline]
-        pub fn load(&self, u: NodeId) -> u64 {
-            self.sim.get(&u).map(|v| v.len() as u64).unwrap_or(0)
-        }
-
-        /// `|Spare|`.
-        pub fn spare_count(&self) -> usize {
-            self.spare_count
-        }
-
-        /// `|Low|`.
-        pub fn low_count(&self) -> usize {
-            self.low_count
-        }
-
-        fn count_delta(&mut self, load_before: u64, load_after: u64) {
-            let spare = |l: u64| l >= 2;
-            let low = |l: u64| l >= 1 && l <= 2 * self.zeta;
-            match (spare(load_before), spare(load_after)) {
-                (false, true) => self.spare_count += 1,
-                (true, false) => self.spare_count -= 1,
-                _ => {}
-            }
-            match (low(load_before), low(load_after)) {
-                (false, true) => self.low_count += 1,
-                (true, false) => self.low_count -= 1,
-                _ => {}
-            }
-        }
-
-        /// Assign an unowned vertex `z` to `u`.
-        pub fn assign(&mut self, z: VertexId, u: NodeId) {
-            let prev = self.owner.insert(z, u);
-            assert!(prev.is_none(), "vertex {z} already owned by {:?}", prev);
-            let list = self.sim.entry(u).or_default();
-            list.push(z);
-            let after = list.len() as u64;
-            self.count_delta(after - 1, after);
-        }
-
-        /// Remove vertex `z`; returns its former owner.
-        pub fn unassign(&mut self, z: VertexId) -> NodeId {
-            let u = self
-                .owner
-                .remove(&z)
-                .unwrap_or_else(|| panic!("vertex {z} not assigned"));
-            let after = {
-                let list = self.sim.get_mut(&u).expect("sim list missing");
-                let pos = list
-                    .iter()
-                    .position(|&w| w == z)
-                    .expect("sim entry missing");
-                list.swap_remove(pos);
-                list.len() as u64
-            };
-            self.count_delta(after + 1, after);
-            if after == 0 {
-                self.sim.remove(&u);
-            }
-            u
-        }
-
-        /// Move vertex `z` to node `to`; returns the former owner.
-        pub fn transfer(&mut self, z: VertexId, to: NodeId) -> NodeId {
-            let from = self.unassign(z);
-            self.assign(z, to);
-            from
-        }
-
-        /// All `(vertex, owner)` pairs, sorted by vertex — the original
-        /// collect-and-sort path, kept as the canonical-order oracle.
-        pub fn entries_sorted(&self) -> Vec<(VertexId, NodeId)> {
-            let mut v: Vec<(VertexId, NodeId)> = self.owner.iter().map(|(&z, &u)| (z, u)).collect();
-            v.sort_unstable();
-            v
-        }
-
-        /// Nodes simulating at least one vertex (unsorted).
-        pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-            self.sim.keys().copied()
-        }
-
-        /// Maximum load over all mapped nodes.
-        pub fn max_load(&self) -> u64 {
-            self.sim.values().map(|v| v.len() as u64).max().unwrap_or(0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1092,53 +941,5 @@ mod tests {
         let got: Vec<u64> = m.entries().map(|(z, _)| z.0).collect();
         assert_eq!(got, vec![0, 2, 5, 7, 9]);
         assert_eq!(m.entries_sorted().len(), 5);
-    }
-
-    #[test]
-    fn matches_hashmap_oracle_under_random_churn() {
-        use oracle::HashMapping;
-        let mut fast = VirtualMapping::new(8);
-        let mut slow = HashMapping::new(8);
-        let mut state = 0x5eedu64;
-        let mut rnd = || {
-            // splitmix64 step — self-contained deterministic stream.
-            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            let mut x = state;
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        };
-        let mut live: Vec<u64> = Vec::new();
-        for step in 0..4000u64 {
-            let r = rnd();
-            if live.len() < 40 || r % 3 != 0 {
-                // assign or transfer
-                let v = r % 512;
-                let u = n(rnd() % 37);
-                if fast.owner(z(v)).is_some() {
-                    assert_eq!(fast.transfer(z(v), u), slow.transfer(z(v), u));
-                } else {
-                    fast.assign(z(v), u);
-                    slow.assign(z(v), u);
-                    live.push(v);
-                }
-            } else if let Some(&v) = live.get((r / 7) as usize % live.len().max(1)) {
-                if fast.owner(z(v)).is_some() {
-                    assert_eq!(fast.unassign(z(v)), slow.unassign(z(v)));
-                    live.retain(|&w| w != v);
-                }
-            }
-            if step % 64 == 0 {
-                fast.validate().unwrap();
-            }
-            assert_eq!(fast.num_vertices(), slow.num_vertices());
-            assert_eq!(fast.num_nodes(), slow.num_nodes());
-            assert_eq!(fast.spare_count(), slow.spare_count());
-            assert_eq!(fast.low_count(), slow.low_count());
-        }
-        for u in 0..37u64 {
-            assert_eq!(fast.sim(n(u)), slow.sim(n(u)), "sim({u}) diverged");
-        }
-        assert_eq!(fast.entries_sorted(), slow.entries_sorted());
     }
 }

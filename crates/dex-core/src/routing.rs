@@ -165,6 +165,7 @@ pub fn deflation_inverse_pairs(p_old: u64, p_new: u64) -> Vec<(VertexId, VertexI
 mod tests {
     use super::*;
     use crate::fabric;
+    use dex_graph::connectivity::bfs_distances;
     use dex_graph::primes;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
@@ -199,6 +200,7 @@ mod tests {
             // Identity Φ (vertex x on node x): a resolved owner path *is*
             // the virtual path.
             let cycle = PCycle::new(p);
+            let graph = cycle.to_multigraph();
             let mut map = VirtualMapping::new(8);
             for x in 0..p {
                 map.assign(VertexId(x), NodeId(x));
@@ -212,6 +214,7 @@ mod tests {
                 // 1,000 pairs (the executed ones) and for an even sample
                 // of 1,000 of a larger one.
                 let stride = pairs.len().div_ceil(1000);
+                let mut sampled = Vec::new();
                 for (i, (&(src, dst), &(start, len))) in
                     pairs.iter().zip(&scratch.ranges).enumerate()
                 {
@@ -228,9 +231,16 @@ mod tests {
                         );
                     }
                     if i % stride == 0 {
+                        sampled.push((path[0], path[len - 1], len as u32 - 1));
+                    }
+                }
+                // One reference BFS per distinct source.
+                sampled.sort_unstable();
+                for run in sampled.chunk_by(|a, b| a.0 == b.0) {
+                    let dist = bfs_distances(&graph, run[0].0);
+                    for &(src, dst, hops) in run {
                         assert_eq!(
-                            len as u32 - 1,
-                            cycle.distance(src, dst),
+                            hops, dist[&dst],
                             "{name} of Z({p}), {src} -> {dst} not shortest"
                         );
                     }
@@ -286,11 +296,19 @@ mod tests {
             "too few pairs: {}",
             pairs.len()
         );
-        let cycle = PCycle::new(p_old);
-        let far = pairs
-            .iter()
-            .filter(|&&(a, b)| cycle.distance(a, b) >= 3)
-            .count();
+        // One BFS per distinct source.
+        let graph = PCycle::new(p_old).to_multigraph();
+        let mut by_source = pairs.clone();
+        by_source.sort_unstable();
+        let far: usize = by_source
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|run| {
+                let dist = bfs_distances(&graph, NodeId(run[0].0 .0));
+                run.iter()
+                    .filter(|&&(_, b)| dist[&NodeId(b.0)] >= 3)
+                    .count()
+            })
+            .sum();
         assert!(
             far * 2 > pairs.len(),
             "inflation routing workload is mostly trivial ({far}/{})",

@@ -1,7 +1,8 @@
 //! Differential tests: the slot-arena Φ against the legacy HashMap Φ.
 //!
 //! A long random insert/delete/batch-style op sequence is driven through
-//! both implementations; after *every* operation the observable state —
+//! both implementations (the HashMap one lives here, [`HashMapping`]: it
+//! is test scaffolding, not API); after *every* operation the observable state —
 //! owner of every touched vertex, every `Sim` slice (order included: both
 //! implementations use push + swap-remove, so slices must match exactly),
 //! load, `|Spare|`, `|Low|`, node and vertex counts — must be identical,
@@ -10,11 +11,127 @@
 //! The same scripts also run through the slot-explicit `*_at` forms on a
 //! caller-slotted Φ — what every Φ inside a `DexNetwork` is — under an
 //! injective node → slot table with holes drawn by the proptest.
+//!
+//! One op kind piles vertex runs onto a single hot node, so its `Sim` set
+//! grows through the slot Φ's 8 → 16 → 32 → 64 → 128 segment-class spills
+//! while both sides are compared.
 
-use dex_core::mapping::oracle::HashMapping;
 use dex_core::VirtualMapping;
+use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::{NodeId, VertexId};
 use proptest::prelude::*;
+
+/// The previous `FxHashMap`-backed Φ, the oracle. Semantics are identical
+/// to [`VirtualMapping`], including `Sim` slice order (push +
+/// swap-remove).
+struct HashMapping {
+    owner: FxHashMap<VertexId, NodeId>,
+    sim: FxHashMap<NodeId, Vec<VertexId>>,
+    spare_count: usize,
+    low_count: usize,
+    zeta: u64,
+}
+
+impl HashMapping {
+    fn new(zeta: u64) -> Self {
+        HashMapping {
+            owner: FxHashMap::default(),
+            sim: FxHashMap::default(),
+            spare_count: 0,
+            low_count: 0,
+            zeta,
+        }
+    }
+
+    fn num_vertices(&self) -> usize {
+        self.owner.len()
+    }
+
+    fn num_nodes(&self) -> usize {
+        self.sim.len()
+    }
+
+    fn owner(&self, z: VertexId) -> Option<NodeId> {
+        self.owner.get(&z).copied()
+    }
+
+    fn sim(&self, u: NodeId) -> &[VertexId] {
+        self.sim.get(&u).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    fn load(&self, u: NodeId) -> u64 {
+        self.sim(u).len() as u64
+    }
+
+    fn spare_count(&self) -> usize {
+        self.spare_count
+    }
+
+    fn low_count(&self) -> usize {
+        self.low_count
+    }
+
+    fn count_delta(&mut self, load_before: u64, load_after: u64) {
+        let spare = |l: u64| l >= 2;
+        let low = |l: u64| l >= 1 && l <= 2 * self.zeta;
+        match (spare(load_before), spare(load_after)) {
+            (false, true) => self.spare_count += 1,
+            (true, false) => self.spare_count -= 1,
+            _ => {}
+        }
+        match (low(load_before), low(load_after)) {
+            (false, true) => self.low_count += 1,
+            (true, false) => self.low_count -= 1,
+            _ => {}
+        }
+    }
+
+    fn assign(&mut self, z: VertexId, u: NodeId) {
+        let prev = self.owner.insert(z, u);
+        assert!(prev.is_none(), "vertex {z} already owned by {prev:?}");
+        let list = self.sim.entry(u).or_default();
+        list.push(z);
+        let after = list.len() as u64;
+        self.count_delta(after - 1, after);
+    }
+
+    fn unassign(&mut self, z: VertexId) -> NodeId {
+        let u = self
+            .owner
+            .remove(&z)
+            .unwrap_or_else(|| panic!("vertex {z} not assigned"));
+        let list = self.sim.get_mut(&u).expect("sim list missing");
+        let pos = list
+            .iter()
+            .position(|&w| w == z)
+            .expect("sim entry missing");
+        list.swap_remove(pos);
+        let after = list.len() as u64;
+        self.count_delta(after + 1, after);
+        if after == 0 {
+            self.sim.remove(&u);
+        }
+        u
+    }
+
+    fn transfer(&mut self, z: VertexId, to: NodeId) -> NodeId {
+        let from = self.unassign(z);
+        self.assign(z, to);
+        from
+    }
+
+    /// All `(vertex, owner)` pairs by collect-and-sort: the canonical-order
+    /// oracle for the slot Φ's dense scan.
+    fn entries_sorted(&self) -> Vec<(VertexId, NodeId)> {
+        let mut v: Vec<(VertexId, NodeId)> = self.owner.iter().map(|(&z, &u)| (z, u)).collect();
+        v.sort_unstable();
+        v
+    }
+
+    fn max_load(&self) -> u64 {
+        self.sim.values().map(|v| v.len() as u64).max().unwrap_or(0)
+    }
+}
 
 /// One scripted operation over a bounded vertex/node universe.
 #[derive(Debug, Clone, Copy)]
@@ -31,18 +148,24 @@ enum Op {
     /// Batch: unassign a run of `k` consecutive vertices starting at `z`
     /// (the batch-delete shape).
     UnassignRun(u64, u8),
+    /// Skew: move (or assign) a run of `k` consecutive vertices starting
+    /// at `z` onto node [`HOT`].
+    Pile(u64, u8),
 }
 
 const VERTS: u64 = 512;
 const NODES: u64 = 37;
+/// The node [`Op::Pile`] loads up.
+const HOT: u64 = 0;
 
 fn arb_op() -> impl Strategy<Value = Op> {
-    (0u8..8, 0u64..VERTS, 0u64..NODES, 0u8..9).prop_map(|(kind, z, u, k)| match kind % 8 {
+    (0u8..9, 0u64..VERTS, 0u64..NODES, 0u8..9).prop_map(|(kind, z, u, k)| match kind {
         0 | 1 => Op::Assign(z, u),
         2 => Op::Unassign(z),
         3..=5 => Op::Transfer(z, u),
-        6 => Op::AssignRun(z, u, k % 9 + 1),
-        _ => Op::UnassignRun(z, k % 9 + 1),
+        6 => Op::AssignRun(z, u, k + 1),
+        7 => Op::UnassignRun(z, k + 1),
+        _ => Op::Pile(z, k + 1),
     })
 }
 
@@ -108,6 +231,11 @@ fn apply_both(fast: &mut VirtualMapping, slow: &mut HashMapping, op: Op, slots: 
         Op::UnassignRun(z, k) => {
             for i in 0..k as u64 {
                 one(fast, slow, (z + i) % VERTS, None);
+            }
+        }
+        Op::Pile(z, k) => {
+            for i in 0..k as u64 {
+                one(fast, slow, (z + i) % VERTS, Some(HOT));
             }
         }
     }

@@ -41,8 +41,8 @@
 //! rebuild only when nodes were added or removed. Repeated measurement of
 //! an unchanged graph — the dominant pattern in "mutate, then re-measure
 //! λ₂ / expansion / mixing" experiment loops — reuses the snapshot with no
-//! work beyond a generation compare. [`MultiGraph::to_csr`] still builds an
-//! owned from-scratch copy (the benchmark baseline and test oracle).
+//! work beyond a generation compare. The unit tests hold every snapshot
+//! against a from-scratch rebuild (`to_csr`, test-only).
 //!
 //! Conventions:
 //! * a self-loop at `u` appears **once** in `adj[u]` and contributes **1** to
@@ -771,11 +771,10 @@ impl MultiGraph {
     }
 
     /// Compressed sparse row form (dense indices) built from scratch into
-    /// an owned value, bypassing the cache. This is the seed
-    /// implementation's rebuild-per-call path — kept as the benchmark
-    /// baseline and as the oracle the cache-coherence tests compare
-    /// against. Prefer [`MultiGraph::csr`].
-    pub fn to_csr(&self) -> Csr {
+    /// an owned value, bypassing the cache: the oracle the
+    /// snapshot-coherence tests compare [`MultiGraph::csr`] against.
+    #[cfg(test)]
+    fn to_csr(&self) -> Csr {
         let mut order: Vec<NodeId> = self.nodes().collect();
         order.sort_unstable();
         let mut dense_of_slot = vec![NO_DENSE; self.slots.len()];
@@ -952,6 +951,7 @@ impl std::ops::Deref for CsrRef<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn n(i: u64) -> NodeId {
         NodeId(i)
@@ -1176,6 +1176,42 @@ mod tests {
         assert_eq!(*h.csr(), h.to_csr());
         g.remove_edge(n(1), n(2));
         assert_eq!(*g.csr(), g.to_csr());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn csr_cache_coherent_under_random_churn(
+            script in proptest::collection::vec((0u8..4, 0u64..12, 0u64..12), 1..250),
+            check_every in 1usize..8
+        ) {
+            // The generation-stamped CSR snapshot must be indistinguishable
+            // from a from-scratch rebuild — same order, offsets, targets
+            // (and hence degrees) — after any add/remove node/edge
+            // sequence. Checking every `check_every` ops (not every op)
+            // makes sure the incremental rebuild handles *batches* of
+            // dirty rows, and the final check catches anything the
+            // cadence skipped.
+            let mut g = MultiGraph::new();
+            for (i, &(op, a, b)) in script.iter().enumerate() {
+                let (u, v) = (n(a), n(b));
+                match op {
+                    0 => { g.add_node(u); }
+                    1 => { g.remove_node(u); }
+                    2 => {
+                        if g.has_node(u) && g.has_node(v) {
+                            g.add_edge(u, v);
+                        }
+                    }
+                    _ => { g.remove_edge(u, v); }
+                }
+                if i % check_every == 0 {
+                    prop_assert_eq!(&*g.csr(), &g.to_csr(), "snapshot diverged at op {}", i);
+                }
+            }
+            prop_assert_eq!(&*g.csr(), &g.to_csr(), "snapshot diverged at end");
+        }
     }
 
     #[test]

@@ -3,27 +3,38 @@
 use crate::adjacency::MultiGraph;
 use crate::fxhash::FxHashMap;
 use crate::ids::NodeId;
-use std::collections::VecDeque;
 
-/// BFS distances from `src` (unreachable nodes are absent from the map).
-pub fn bfs_distances(g: &MultiGraph, src: NodeId) -> FxHashMap<NodeId, u32> {
-    let mut dist = FxHashMap::default();
-    if !g.has_node(src) {
-        return dist;
-    }
-    let mut queue = VecDeque::new();
-    dist.insert(src, 0);
-    queue.push_back(src);
-    while let Some(u) = queue.pop_front() {
-        let du = dist[&u];
-        for v in g.neighbors(u) {
-            if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(v) {
-                e.insert(du + 1);
-                queue.push_back(v);
+/// BFS from slot `root` in slot space: the reached slots in discovery
+/// order, and every slot's hop distance (`u32::MAX` where unreached).
+fn bfs_slots(g: &MultiGraph, root: u32) -> (Vec<u32>, Vec<u32>) {
+    let mut dist = vec![u32::MAX; g.slot_bound()];
+    // The unread tail of `order` is the BFS queue.
+    let mut order = vec![root];
+    dist[root as usize] = 0;
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        let du = dist[u as usize];
+        for &v in g.neighbor_slots(u) {
+            if dist[v as usize] == u32::MAX {
+                dist[v as usize] = du + 1;
+                order.push(v);
             }
         }
     }
-    dist
+    (order, dist)
+}
+
+/// BFS distances from `src` (unreachable nodes are absent from the map).
+pub fn bfs_distances(g: &MultiGraph, src: NodeId) -> FxHashMap<NodeId, u32> {
+    let Some(root) = g.slot_of(src) else {
+        return FxHashMap::default();
+    };
+    let (order, dist) = bfs_slots(g, root);
+    order
+        .iter()
+        .map(|&s| (g.id_of_slot(s), dist[s as usize]))
+        .collect()
 }
 
 /// Is the graph connected? (The empty graph and singletons count as
@@ -32,7 +43,8 @@ pub fn is_connected(g: &MultiGraph) -> bool {
     let Some(start) = g.nodes().next() else {
         return true;
     };
-    bfs_distances(g, start).len() == g.num_nodes()
+    let root = g.slot_of(start).expect("a listed node has a slot");
+    bfs_slots(g, root).0.len() == g.num_nodes()
 }
 
 /// Connected components as sorted vectors of node ids, largest first

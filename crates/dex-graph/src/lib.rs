@@ -9,10 +9,13 @@
 //! * [`primes`] — deterministic Miller–Rabin primality and Bertrand-range
 //!   prime search, used to pick the p-cycle size `p ∈ (4n, 8n)`.
 //! * [`pcycle`] — the 3-regular p-cycle expander family `Z(p)`
-//!   (paper, Definition 1; Lubotzky's construction).
-//! * [`spectral`] — matrix-free power iteration for the second eigenvalue of
-//!   the lazy random-walk operator, plus a dense Jacobi eigensolver used as a
-//!   test oracle; Cheeger-inequality helpers (paper, Theorem 2).
+//!   (paper, Definition 1; Lubotzky's construction) and its one route
+//!   search, a bidirectional BFS. Whole-cycle distances and diameters are
+//!   [`connectivity`] over [`pcycle::PCycle::to_multigraph`].
+//! * [`spectral`] — matrix-free power iteration (one plain CSR row loop)
+//!   for the second eigenvalue of the lazy random-walk operator, plus a
+//!   dense Jacobi eigensolver for small graphs and as the test oracle;
+//!   Cheeger-inequality helpers (paper, Theorem 2).
 //! * [`expansion`] — exact edge expansion `h(G)` by subset enumeration for
 //!   small graphs (paper, Definition 5).
 //! * [`contraction`] — vertex contraction, used both to *build* the real
@@ -34,9 +37,9 @@
 //! per-step allocation; see the `adjacency` module docs for the
 //! conventions.
 //!
-//! All structures are deterministic given an RNG seed, **including** the
-//! parallel numeric paths: chunked reductions make results bit-identical
-//! for every thread count.
+//! All structures are deterministic given an RNG seed, and everything here
+//! is sequential: numeric reductions sum fixed-size chunks in chunk order,
+//! so their bits do not depend on how a caller fans out around them.
 
 pub mod adjacency;
 pub mod connectivity;

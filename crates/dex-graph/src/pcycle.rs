@@ -37,7 +37,7 @@ impl PCycle {
     /// # Panics
     /// Panics if `p` is not a prime `≥ 5` (smaller primes degenerate: the
     /// cycle and chord edge sets collide) or not below 2³² (vertices are
-    /// stored as `u32` by the BFS tables here and by Φ's owner records,
+    /// stored as `u32` by the route search here and by Φ's owner records,
     /// and the chord kernel's Barrett multiplication needs it).
     pub fn new(p: u64) -> Self {
         assert!(p >= 5, "p-cycle needs p >= 5, got {p}");
@@ -147,15 +147,6 @@ impl PCycle {
         out.extend(inv.iter().map(|&c| VertexId(c as u64)));
     }
 
-    /// `x ↦ chord(x)` for every vertex, as one table (4p bytes). Only for
-    /// the whole-cycle BFS references below (parents, distances,
-    /// diameter); nothing long-lived holds one at DHT-scale p.
-    fn chord_table(&self) -> Box<[u32]> {
-        let mut table = vec![0u32; self.p as usize].into_boxed_slice();
-        self.for_each_chord(0..self.p, |x, c| table[x.0 as usize] = c.0 as u32);
-        table
-    }
-
     /// All undirected edges, each exactly once (self-loops included once).
     /// `p` cycle edges, `(p−3)/2` chords, 3 self-loops.
     pub fn edges(&self) -> Vec<(VertexId, VertexId)> {
@@ -174,7 +165,9 @@ impl PCycle {
     }
 
     /// Materialize `Z(p)` as a [`MultiGraph`] whose node ids are the raw
-    /// vertex values. Used by spectral tests and the Figure-1 harness.
+    /// vertex values. Used by spectral tests, the Figure-1 harness, and as
+    /// the graph the whole-cycle BFS of [`crate::connectivity`] runs on
+    /// (distances and diameter in tests).
     pub fn to_multigraph(&self) -> MultiGraph {
         let mut g = MultiGraph::with_capacity(self.p as usize);
         for x in 0..self.p {
@@ -186,76 +179,12 @@ impl PCycle {
         g
     }
 
-    /// Full BFS from `root` in the fixed (succ, pred, chord) neighbor
-    /// order, chords read from `chords` ([`PCycle::chord_table`]). Every
-    /// vertex gets one `u32` label: the root `root_label`, any other
-    /// vertex `label(labels, parent)` at the moment it is discovered.
-    fn bfs_labels(
-        &self,
-        chords: &[u32],
-        root: VertexId,
-        root_label: u32,
-        label: impl Fn(&[u32], u32) -> u32,
-    ) -> Vec<u32> {
-        assert!(self.contains(root), "{root} is not a vertex of {self:?}");
-        let p = self.p as u32;
-        let mut labels = vec![u32::MAX; p as usize];
-        let mut queue = std::collections::VecDeque::with_capacity(p as usize);
-        labels[root.0 as usize] = root_label;
-        queue.push_back(root.0 as u32);
-        while let Some(u) = queue.pop_front() {
-            let succ = if u + 1 == p { 0 } else { u + 1 };
-            let pred = if u == 0 { p - 1 } else { u - 1 };
-            for v in [succ, pred, chords[u as usize]] {
-                if labels[v as usize] == u32::MAX {
-                    labels[v as usize] = label(&labels, u);
-                    queue.push_back(v);
-                }
-            }
-        }
-        labels
-    }
-
-    /// BFS distances from `src` to every vertex. O(p) time/space.
-    pub fn bfs_distances(&self, src: VertexId) -> Vec<u32> {
-        self.bfs_distances_on(&self.chord_table(), src)
-    }
-
-    fn bfs_distances_on(&self, chords: &[u32], src: VertexId) -> Vec<u32> {
-        self.bfs_labels(chords, src, 0, |dist, u| dist[u as usize] + 1)
-    }
-
-    /// BFS parent array oriented *toward* `target`: following
-    /// `parent[x]` repeatedly reaches `target` along a shortest path.
-    /// `parent[target] == target`.
-    pub fn bfs_parents_toward(&self, target: VertexId) -> Vec<u32> {
-        self.bfs_labels(&self.chord_table(), target, target.0 as u32, |_, u| u)
-    }
-
-    /// Shortest path from `from` to `to` (inclusive of both endpoints).
-    pub fn shortest_path(&self, from: VertexId, to: VertexId) -> Vec<VertexId> {
-        let parent = self.bfs_parents_toward(to);
-        let mut path = vec![from];
-        let mut cur = from;
-        while cur != to {
-            cur = VertexId(parent[cur.0 as usize] as u64);
-            path.push(cur);
-        }
-        path
-    }
-
-    /// Graph distance between two vertices.
-    pub fn distance(&self, a: VertexId, b: VertexId) -> u32 {
-        self.bfs_distances(a)[b.0 as usize]
-    }
-
     /// Shortest path `from → to` (inclusive) into a caller buffer, by
     /// bidirectional BFS over pooled scratch.
     ///
-    /// [`PCycle::shortest_path`] runs a *full* O(p) BFS and allocates per
-    /// call — ruinous for per-operation routing (the DHT) at p ≈ 10⁶.
-    /// Meeting in the middle expands O(3^(d/2)) ≈ O(√p) vertices instead,
-    /// and what an expansion costs is its chord — a modular inversion —
+    /// A full O(p) BFS per route would be ruinous for per-operation
+    /// routing (the DHT) at p ≈ 10⁶. Meeting in the middle expands
+    /// O(3^(d/2)) ≈ O(√p) vertices instead, and what an expansion costs is its chord — a modular inversion —
     /// not the visited-table probes around it. So the search is
     /// level-synchronous and inverts a frontier block at a time through
     /// [`inverse_batch`]; a vertex that was itself reached over a chord
@@ -275,9 +204,9 @@ impl PCycle {
     /// short, and the first in expansion order is the one a search that
     /// finishes the level and keeps the earliest minimum would return
     /// (`tests/route_diff.rs` pins path equality against that search).
-    /// The path's length always equals [`PCycle::distance`]; the path
-    /// itself may differ from the unidirectional one — any shortest path
-    /// is a valid route (Sect. 4.4).
+    /// The path's length always equals the BFS distance; the path itself
+    /// may differ from a unidirectional search's — any shortest path is a
+    /// valid route (Sect. 4.4).
     ///
     /// # Panics
     /// Panics if `from` or `to` is not a vertex of this cycle.
@@ -388,22 +317,6 @@ impl PCycle {
                 Via::Chord => self.chord(z).0 as u32,
             };
         }
-    }
-
-    /// Exact diameter by all-pairs BFS — O(p²); use for small `p`
-    /// (tests and the Figure-1 harness only).
-    pub fn diameter(&self) -> u32 {
-        let chords = self.chord_table();
-        (0..self.p)
-            .map(|x| {
-                *self
-                    .bfs_distances_on(&chords, VertexId(x))
-                    .iter()
-                    .max()
-                    .expect("nonempty")
-            })
-            .max()
-            .expect("nonempty")
     }
 }
 
@@ -747,6 +660,7 @@ pub mod resize {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::connectivity::{bfs_distances, diameter};
 
     #[test]
     fn every_vertex_has_degree_three() {
@@ -806,14 +720,15 @@ mod tests {
     #[test]
     fn bfs_and_paths() {
         let z = PCycle::new(23);
-        let d = z.bfs_distances(VertexId(0));
-        assert_eq!(d[0], 0);
-        assert_eq!(d[1], 1);
-        assert_eq!(d[22], 1);
-        let path = z.shortest_path(VertexId(7), VertexId(0));
+        let d = bfs_distances(&z.to_multigraph(), NodeId(0));
+        assert_eq!(d[&NodeId(0)], 0);
+        assert_eq!(d[&NodeId(1)], 1);
+        assert_eq!(d[&NodeId(22)], 1);
+        let mut path = Vec::new();
+        z.shortest_path_with(VertexId(7), VertexId(0), &mut PathScratch::new(), &mut path);
         assert_eq!(*path.first().unwrap(), VertexId(7));
         assert_eq!(*path.last().unwrap(), VertexId(0));
-        assert_eq!(path.len() as u32 - 1, z.distance(VertexId(7), VertexId(0)));
+        assert_eq!(path.len() as u32 - 1, d[&NodeId(7)]);
         // every consecutive pair is an edge
         for w in path.windows(2) {
             assert!(z.adjacent(w[0], w[1]));
@@ -823,9 +738,10 @@ mod tests {
     #[test]
     fn diameter_is_logarithmic() {
         // Expander: diameter should be O(log p). Spot-check concrete values.
-        assert!(PCycle::new(23).diameter() <= 6);
-        assert!(PCycle::new(101).diameter() <= 10);
-        assert!(PCycle::new(499).diameter() <= 14);
+        for (p, bound) in [(23u64, 6), (101, 10), (499, 14)] {
+            let d = diameter(&PCycle::new(p).to_multigraph()).expect("Z(p) is connected");
+            assert!(d <= bound, "diam Z({p}) = {d}");
+        }
     }
 
     #[test]
@@ -856,17 +772,6 @@ mod tests {
     }
 
     #[test]
-    fn bfs_tree_neighbor_order_is_succ_pred_chord() {
-        // Z(23) toward 0: 1 and 22 hang off 0 directly; 12 = 2⁻¹ is
-        // reached from 2 over the chord only after 2's cycle neighbors.
-        let parents = PCycle::new(23).bfs_parents_toward(VertexId(0));
-        assert_eq!(parents[0], 0);
-        assert_eq!((parents[1], parents[22]), (0, 0));
-        assert_eq!((parents[2], parents[21]), (1, 22));
-        assert_eq!(parents[12], 2);
-    }
-
-    #[test]
     fn visited_table_survives_generation_wraparound() {
         let z = PCycle::new(499);
         let (mut cold, mut want, mut got) = (PathScratch::new(), Vec::new(), Vec::new());
@@ -891,15 +796,18 @@ mod tests {
         let mut out = Vec::new();
         for p in [5u64, 101, 499] {
             let z = PCycle::new(p);
+            let g = z.to_multigraph();
             for a in 0..p.min(40) {
+                let dist = bfs_distances(&g, NodeId(a));
                 for b in [0, 1, p - 1, (a * 7 + 3) % p, p / 2] {
+                    let want = dist[&NodeId(b)];
                     let (a, b) = (VertexId(a), VertexId(b));
                     z.shortest_path_with(a, b, &mut scratch, &mut out);
                     assert_eq!(out.first(), Some(&a), "{a}->{b} on Z({p})");
                     assert_eq!(out.last(), Some(&b));
                     assert_eq!(
                         out.len() as u32 - 1,
-                        z.distance(a, b),
+                        want,
                         "{a}->{b} on Z({p}) not shortest"
                     );
                     for w in out.windows(2) {

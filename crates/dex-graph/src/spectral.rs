@@ -29,19 +29,12 @@
 //! (`SCALAR_BITS` in the tests) were produced with, so it is part of the
 //! result, not a scheduling detail.
 //!
-//! # The blocked SpMV
-//!
-//! The iteration's hot loop is a CSR SpMV whose gathers (`x[target]`) are
-//! random on DRAM-resident graphs. The kernel ([`lazy_spmv`]) restructures
-//! the row loop into 4-row blocks with independent accumulator chains and
-//! software-prefetches gather targets a fixed distance ahead along the u32
-//! column stream, so misses overlap instead of serializing; the two
-//! reduction+rewrite passes that follow each SpMV (deflation numerator;
-//! subtract + Rayleigh quotient + norm) are fused into the same streaming
-//! pass over each chunk. **No arithmetic is reordered**: per-row entry
-//! order, reduction chunking, and partial-combination order are those of
-//! the plain row loop, so the output is bit-identical to it — a
-//! differential test asserts byte equality against the scalar row kernel.
+//! The iteration's hot loop is a plain CSR row loop ([`lazy_spmv`]); the
+//! reduction that follows each SpMV (the deflation numerator) is folded
+//! into the same pass over each chunk. Every caller measures λ₂ at
+//! n ≤ 65,537, where `x` stays cache-resident and this loop beat a
+//! 4-row-blocked, software-prefetched variant 1.6–2.2× (that variant won
+//! only at n ≈ 1M, a size nothing measures).
 
 // Dense linear-algebra kernels read clearer with explicit index loops.
 #![allow(clippy::needless_range_loop)]
@@ -167,69 +160,12 @@ pub fn dense_spectrum(g: &MultiGraph) -> Spectrum {
     }
 }
 
-// ----------------------------------------------------------------------
-// The SpMV kernel: y = 0.5·x ± 0.5·(P x)
-// ----------------------------------------------------------------------
-//
-// The power iteration's cost is one CSR SpMV per iteration, and on
-// DRAM-resident graphs that SpMV is gather-bound: `x[targets[k]]` misses
-// are random, and the scalar row loop exposes only one miss at a time.
-// The blocked kernel recovers memory-level parallelism two ways without
-// changing any arithmetic order:
-//
-// * **4-row blocks** — four independent accumulator chains per block, so
-//   the out-of-order window holds gathers from four rows at once instead
-//   of serializing on one row's `acc` dependency;
-// * **streamed gather prefetch** — the u32 column stream `targets[..]` is
-//   read ahead of the block being summed (a sequential, hardware-friendly
-//   read) and `x[target]` lines are software-prefetched `SPMV_PF_DIST`
-//   entries early, so by the time a row is summed its gathers are in
-//   flight or resident.
-//
-// Per-row entry order is untouched and each `y[i]` is the same expression
-// as the scalar kernel, so the blocked variant is bit-identical — a test
-// asserts byte equality.
-
-/// Flat adjacency entries to prefetch ahead of the block being summed.
-/// 384 entries ≈ 1.5 KiB of sequential u32 column reads, keeping up to
-/// ~384 gather targets in flight — deep enough to cover a full DRAM miss
-/// in the `dram_resident` regime (measured best among {192, 384} on the
-/// bench box) while the request stream itself stays hardware-friendly.
-const SPMV_PF_DIST: usize = 384;
-
-/// Hint the CPU to pull the cache line at `p` toward L1 (x86_64
-/// `prefetcht0`, aarch64 `prfm pldl1keep`; a no-op elsewhere). Safe for
-/// any address — prefetches never fault.
-#[inline(always)]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch hints never fault, for any address including null
-    // and unmapped — the CPU drops invalid prefetches silently.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(p as *const i8, core::arch::x86_64::_MM_HINT_T0)
-    }
-    #[cfg(target_arch = "aarch64")]
-    // No stable prefetch intrinsic on aarch64; PLD-keep-to-L1 via inline
-    // asm. `nostack`/`preserves_flags` keep it as cheap as the intrinsic.
-    // SAFETY: PRFM is a hint and never faults, for any address; the asm
-    // reads no memory and clobbers nothing (readonly/nostack).
-    unsafe {
-        core::arch::asm!(
-            "prfm pldl1keep, [{ptr}]",
-            ptr = in(reg) p,
-            options(nostack, preserves_flags, readonly)
-        )
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    let _ = p;
-}
-
-/// Scalar reference kernel over one row chunk: `out[k] = 0.5·x[start+k] +
+/// The SpMV kernel over one row chunk: `out[k] = 0.5·x[start+k] +
 /// (0.5·sign)·Σ_row x / deg`. `sign = ±1.0` selects the lazy walk
 /// operator `(I + P)/2` or its reflection `(I − P)/2`; the multiplication
 /// by `0.5·sign` is exact for both values, so the minus path is
 /// bit-identical to the historical `0.5·x − 0.5·acc/deg` form.
-fn spmv_chunk_scalar(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign: f64) {
+fn spmv_chunk(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign: f64) {
     let h = 0.5 * sign;
     for (k, yi) in out.iter_mut().enumerate() {
         let i = start + k;
@@ -239,58 +175,6 @@ fn spmv_chunk_scalar(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign: 
             acc += x[j as usize];
         }
         *yi = 0.5 * x[i] + h * acc / row.len() as f64;
-    }
-}
-
-/// Blocked kernel: same chunk, same per-row arithmetic, restructured for
-/// memory-level parallelism (see the section comment above).
-fn spmv_chunk_blocked(csr: &Csr, x: &[f64], start: usize, out: &mut [f64], sign: f64) {
-    let offsets = &csr.offsets;
-    let targets = &csr.targets;
-    let rows = out.len();
-    let flat_end = offsets[start + rows] as usize;
-    let mut pf = offsets[start] as usize;
-    let h = 0.5 * sign;
-    let mut r = 0usize;
-    while r + 4 <= rows {
-        let i = start + r;
-        let o0 = offsets[i] as usize;
-        let o1 = offsets[i + 1] as usize;
-        let o2 = offsets[i + 2] as usize;
-        let o3 = offsets[i + 3] as usize;
-        let o4 = offsets[i + 4] as usize;
-        // Walk the column stream ahead of the block, requesting the
-        // gather targets early. The stream itself reads sequentially.
-        let goal = (o4 + SPMV_PF_DIST).min(flat_end);
-        while pf < goal {
-            prefetch_read(&x[targets[pf] as usize]);
-            pf += 1;
-        }
-        // Four independent accumulator chains; per-row order unchanged.
-        let mut a0 = 0.0;
-        for &j in &targets[o0..o1] {
-            a0 += x[j as usize];
-        }
-        let mut a1 = 0.0;
-        for &j in &targets[o1..o2] {
-            a1 += x[j as usize];
-        }
-        let mut a2 = 0.0;
-        for &j in &targets[o2..o3] {
-            a2 += x[j as usize];
-        }
-        let mut a3 = 0.0;
-        for &j in &targets[o3..o4] {
-            a3 += x[j as usize];
-        }
-        out[r] = 0.5 * x[i] + h * a0 / (o1 - o0) as f64;
-        out[r + 1] = 0.5 * x[i + 1] + h * a1 / (o2 - o1) as f64;
-        out[r + 2] = 0.5 * x[i + 2] + h * a2 / (o3 - o2) as f64;
-        out[r + 3] = 0.5 * x[i + 3] + h * a3 / (o4 - o3) as f64;
-        r += 4;
-    }
-    if r < rows {
-        spmv_chunk_scalar(csr, x, start + r, &mut out[r..], sign);
     }
 }
 
@@ -312,7 +196,7 @@ pub fn lazy_spmv(csr: &Csr, x: &[f64], y: &mut [f64], sign: f64) {
     assert_eq!(x.len(), csr.n());
     assert_eq!(y.len(), csr.n());
     for (c, chunk) in y.chunks_mut(CHUNK).enumerate() {
-        spmv_chunk_blocked(csr, x, c * CHUNK, chunk, sign);
+        spmv_chunk(csr, x, c * CHUNK, chunk, sign);
     }
 }
 
@@ -325,7 +209,7 @@ fn apply_lazy_fold_num(csr: &Csr, x: &[f64], y: &mut [f64], pi: &[f64]) -> f64 {
     let mut num = 0.0;
     for (c, chunk) in y.chunks_mut(CHUNK).enumerate() {
         let start = c * CHUNK;
-        spmv_chunk_blocked(csr, x, start, chunk, 1.0);
+        spmv_chunk(csr, x, start, chunk, 1.0);
         let mut acc = 0.0;
         for (k, &v) in chunk.iter().enumerate() {
             acc += pi[start + k] * v;
@@ -927,57 +811,16 @@ mod tests {
     // ---- solver engine behaviour ------------------------------------------
 
     #[test]
-    fn blocked_spmv_is_bitwise_equal_to_scalar() {
-        // Both signs, sizes exercising the 4-row remainder and multiple
-        // chunks; irregular degrees via churn.
-        let mut g = PCycle::new(4099).to_multigraph();
-        let nodes = g.nodes_sorted();
-        for w in nodes.windows(3).step_by(97) {
-            g.add_edge(w[0], w[2]);
-        }
-        let csr = g.csr();
-        let n = csr.n();
-        let mut rng = rand::rngs::StdRng::seed_from_u64(0xb10c);
-        let x: Vec<f64> = (0..n).map(|_| rng.random_range(-1.0..1.0)).collect();
-        for sign in [1.0, -1.0] {
-            let mut y_scalar = vec![0.0f64; n];
-            let mut y_blocked = vec![0.0f64; n];
-            spmv_chunk_scalar(&csr, &x, 0, &mut y_scalar, sign);
-            lazy_spmv(&csr, &x, &mut y_blocked, sign);
-            let same = y_scalar
-                .iter()
-                .zip(&y_blocked)
-                .all(|(a, b)| a.to_bits() == b.to_bits());
-            assert!(same, "sign={sign}");
-        }
-    }
-
-    #[test]
     fn mlp_solver_is_bitwise_equal_to_scalar_solver() {
-        // Full fused iteration (blocked SpMV + fold passes) vs the bits
-        // the scalar sequence (plain row SpMV, separate deflate / Rayleigh
-        // quotient / norm passes) returned on cf379e9, the last commit
-        // that had it; tol = 0 so the budget is iterated in full. With
-        // 17 chunks this also pins the chunk-ordered summation.
+        // Full fused iteration (row SpMV + folded numerator) vs the bits
+        // the unfused sequence (separate deflate / Rayleigh quotient /
+        // norm passes) returned on cf379e9, the last commit that had it;
+        // tol = 0 so the budget is iterated in full. With 17 chunks this
+        // also pins the chunk-ordered summation.
         const SCALAR_BITS: u64 = 0x3fee_438f_8416_ee36;
         let g = PCycle::new(65537).to_multigraph();
         let got = Lambda2Solver::new().lambda2(&g, 40, 0.0, 42);
         assert_eq!(got.to_bits(), SCALAR_BITS, "{got}");
-    }
-
-    #[test]
-    fn prefetch_compiles_and_tolerates_any_address() {
-        // The cfg branches (x86_64 intrinsic / aarch64 asm / portable
-        // no-op) must all build and accept arbitrary addresses without
-        // faulting: live data, one-past-the-end, null, and unmapped.
-        let data = [0u64; 4];
-        prefetch_read(data.as_ptr());
-        // SAFETY: one-past-the-end pointers are valid to *form* for any
-        // allocation; only dereferencing would be UB, and prefetch never
-        // dereferences.
-        prefetch_read(unsafe { data.as_ptr().add(4) });
-        prefetch_read(std::ptr::null::<u64>());
-        prefetch_read(0xdead_beef_0000usize as *const u8);
     }
 
     #[test]

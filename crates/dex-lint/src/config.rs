@@ -53,11 +53,7 @@ pub const KNOB_MODULE: &str = "crates/dex-exec/src/knobs.rs";
 
 /// Crates that may read wall-clock time: measurement is their purpose,
 /// and nothing they emit feeds back into protocol results.
-pub const WALLCLOCK_CRATES: &[&str] = &[
-    "bench",
-    // The vendored criterion shim is a timing harness.
-    "shims/criterion",
-];
+pub const WALLCLOCK_CRATES: &[&str] = &["bench"];
 
 /// Directories (workspace-relative prefixes) never walked.
 pub const SKIP_DIRS: &[&str] = &["target", ".git"];

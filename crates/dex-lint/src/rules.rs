@@ -432,7 +432,7 @@ mod tests {
         );
         assert!(lint_src("crates/bench/src/x.rs", src).is_empty());
         assert_eq!(lint_src("crates/dex-core/src/batch.rs", src).len(), 2);
-        assert!(lint_src("shims/criterion/src/lib.rs", src).is_empty());
+        assert!(lint_src("crates/bench/src/bin/bench_heal.rs", src).is_empty());
         // `Instant` as a stored type (no clock read) is fine.
         assert!(lint_src(
             "crates/dex-sim/src/x.rs",
