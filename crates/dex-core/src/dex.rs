@@ -59,10 +59,10 @@ impl WalkGoal {
 
 /// Whether a heal is its step's only op or one op of a batch. The
 /// algorithm is the same (Sect. 5 / Corollary 2 run the single-op recovery
-/// op by op); three pieces of data differ: a batch op's RNG stream keys
-/// carry its node id, a batch insert recounts Spare on every miss where a
-/// single insert counts once per step, and a single delete batches its
-/// neighbors' load updates where a batch delete charges none.
+/// op by op); two pieces of data differ: a batch op's RNG stream keys
+/// carry its node id, and a batch op recounts Spare / Low on every miss
+/// where a single op counts once per step (a single delete carries its
+/// count forward by its own moves).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum HealScope {
     SingleOp,
@@ -101,8 +101,8 @@ pub struct DexNetwork {
     /// DHT storage (keys live with the vertex they hash to).
     pub(crate) dht: crate::dht::DhtStore,
     pub(crate) step_no: u64,
-    /// Reusable buffers for the walk-miss floods (one flood per missed
-    /// walk; reusing them keeps the hot path allocation-free).
+    /// Reusable buffers for the walk-miss floods (reusing them keeps the
+    /// hot path allocation-free).
     pub(crate) flood_scratch: FloodScratch,
     /// Pooled healing buffers (vertex sets, fabric instances, routing
     /// paths) — with these, steady-state type-1 recovery allocates
@@ -117,6 +117,11 @@ pub struct DexNetwork {
     pub(crate) faults: Option<dex_sim::msim::FaultSpec>,
     /// Fault-layer counters accumulated while `faults` is set.
     pub(crate) fault_stats: dex_sim::msim::FaultStats,
+    /// Test twin: when `Some`, a deletion step that holds a carried Low
+    /// count floods anyway at every miss, asserts the two counts agree,
+    /// and counts the check here.
+    #[cfg(test)]
+    pub(crate) twin_checks: Option<u64>,
 }
 
 impl DexNetwork {
@@ -148,6 +153,8 @@ impl DexNetwork {
             batch_stats: crate::batch::BatchHealStats::default(),
             faults: None,
             fault_stats: dex_sim::msim::FaultStats::default(),
+            #[cfg(test)]
+            twin_checks: None,
         }
     }
 
@@ -183,8 +190,8 @@ impl DexNetwork {
             .unwrap_or(0)
     }
 
-    /// Work done by every centralized flood count so far (a deletion
-    /// floods on each walk miss, an insertion on its first), as
+    /// Work done by every centralized flood count so far (a single-op
+    /// step floods on its first walk miss, a batch op on every miss), as
     /// deterministic counts ([`FloodScratch::work`]).
     pub fn flood_work(&self) -> FloodWork {
         self.flood_scratch.work()
@@ -411,11 +418,11 @@ impl DexNetwork {
     /// Deletion recovery (Algorithm 4.3) for `victim` — already gone from
     /// the graph, its `Sim` still in Φ under its freed slot `victim_slot` —
     /// healed by the node in slot `rescuer`, inside an open step. Detaches
-    /// the pooled vertex/chord/touched buffers from `self`, runs the loop,
-    /// and reattaches them so their capacity survives across steps
-    /// (including the early type-2 return). The victim's whole vertex set
-    /// is inverted here, once: adoption and every redistribution move read
-    /// their chords from it.
+    /// the pooled vertex/chord buffers from `self`, runs the loop, and
+    /// reattaches them so their capacity survives across steps (including
+    /// the early type-2 return). The victim's whole vertex set is inverted
+    /// here, once: adoption and every redistribution move read their
+    /// chords from it.
     pub(crate) fn heal_delete(
         &mut self,
         victim: NodeId,
@@ -425,16 +432,13 @@ impl DexNetwork {
     ) -> RecoveryKind {
         let mut zs = std::mem::take(&mut self.heal.zs);
         let mut chords = std::mem::take(&mut self.heal.chords);
-        let mut touched = std::mem::take(&mut self.heal.touched);
         zs.clear();
         zs.extend_from_slice(self.map.sim_at(victim_slot));
         self.cycle
             .chords_into(&zs, &mut self.heal.inverse, &mut chords);
-        touched.clear();
-        let kind = self.heal_delete_loop(victim, rescuer, &zs, &chords, scope, &mut touched);
+        let kind = self.heal_delete_loop(victim, rescuer, &zs, &chords, scope);
         self.heal.zs = zs;
         self.heal.chords = chords;
-        self.heal.touched = touched;
         kind
     }
 
@@ -447,12 +451,7 @@ impl DexNetwork {
         zs: &[VertexId],
         chords: &[VertexId],
         scope: HealScope,
-        touched: &mut Vec<u32>,
     ) -> RecoveryKind {
-        // A single-op step batches load updates: each touched node informs
-        // its neighbors once at the end of the recovery. A batch op
-        // charges none.
-        let mut touched = (scope == HealScope::SingleOp).then_some(touched);
         // Rescuer adopts the victim's vertices and restores their edges.
         debug_assert!(!zs.is_empty(), "every node simulates >= 1 vertex");
         fabric::adopt_vertices(
@@ -466,14 +465,17 @@ impl DexNetwork {
         );
         self.net.charge_messages(3 * zs.len() as u64);
         self.net.charge_rounds(1);
-        if let Some(t) = touched.as_deref_mut() {
-            t.push(rescuer);
-        }
 
-        // Redistribute each adopted vertex to a node in Low. The count is
-        // re-run after every failed walk (Alg. 4.3 lines 6–11): our own
-        // transfers within the step can shrink Low, so the threshold must
-        // be re-checked before deciding between retry and deflation.
+        // Redistribute each adopted vertex to a node in Low. Algorithm 4.3
+        // (lines 6–11) re-counts Low after every failed walk, because the
+        // step's own transfers can shrink it. In a single-op step those
+        // transfers are the rescuer's own and it knows what each did to
+        // |Low| (`move_to_low`), so the step's first complete count is
+        // carried forward by those deltas instead of re-run: every decision
+        // is the one a fresh count would give. A batch op re-counts on every
+        // miss (earlier ops moved loads it never saw), and so does a step
+        // whose count so far is partial.
+        let mut carried: Option<FloodOutcome> = None;
         for (i, (&z, &chord)) in zs.iter().zip(chords).enumerate() {
             let z = (z, chord);
             let mut attempt = 0u64;
@@ -494,14 +496,25 @@ impl DexNetwork {
                 let out = self.heal_walk(rescuer, None, WalkGoal::Low, Purpose::DeleteWalk, ctx);
                 if let Some(w) = out.hit {
                     self.walk_stats.hits += 1;
-                    self.move_to_low(z, rescuer, w, touched.as_deref_mut());
+                    let delta = self.move_to_low(z, rescuer, w);
+                    if let Some(count) = carried.as_mut() {
+                        count.matching = count
+                            .matching
+                            .checked_add_signed(delta)
+                            .expect("|Low| counts the rescuer and w, whose loads moved");
+                    }
                     break;
                 }
                 if out.lost {
                     lost += 1;
                     if lost > self.scheduled_spec().fallback_after {
-                        match self.delete_fallback(z, rescuer, touched.as_deref_mut()) {
-                            true => break,
+                        match self.delete_fallback(z, rescuer) {
+                            // Healed to a flood's witness: the next miss
+                            // counts afresh.
+                            true => {
+                                carried = None;
+                                break;
+                            }
                             // The deflation rehomed this vertex and every
                             // remaining one.
                             false => return RecoveryKind::DeflateSimple,
@@ -509,7 +522,7 @@ impl DexNetwork {
                     }
                 } else {
                     self.walk_stats.misses += 1;
-                    let res = self.heal_flood(rescuer, WalkGoal::Low, ctx);
+                    let res = self.count_low(rescuer, scope, ctx, &mut carried);
                     if !self.cfg.low_sufficient(res.matching, res.n) {
                         // Deflate only on a complete convergecast — a
                         // partial count undercounts the Low set, and a
@@ -530,10 +543,12 @@ impl DexNetwork {
                                 }
                             };
                         }
+                        // A partial count is never carried, so this move
+                        // has no count to adjust.
                         if let Some(w) = res.witness {
                             self.fault_stats.heal_fallbacks += 1;
                             self.walk_stats.hits += 1;
-                            self.move_to_low(z, rescuer, self.slot(w), touched.as_deref_mut());
+                            self.move_to_low(z, rescuer, self.slot(w));
                             break;
                         }
                     }
@@ -546,40 +561,69 @@ impl DexNetwork {
                 );
             }
         }
-        if let Some(t) = touched {
-            t.sort_unstable();
-            t.dedup();
-            self.charge_load_updates(t);
-        }
         RecoveryKind::Type1
     }
 
+    /// The Low count a missed deletion walk decides on (Algorithm 4.4):
+    /// the step's carried count when it holds one, else a flood from the
+    /// rescuer, which a single-op step carries from then on when it is
+    /// complete.
+    fn count_low(
+        &mut self,
+        rescuer: u32,
+        scope: HealScope,
+        ctx: &[u64],
+        carried: &mut Option<FloodOutcome>,
+    ) -> FloodOutcome {
+        if let Some(count) = *carried {
+            #[cfg(test)]
+            if self.twin_checks.is_some() {
+                let fresh = self.heal_flood(rescuer, WalkGoal::Low, ctx);
+                assert_eq!(
+                    (count.n, count.matching),
+                    (fresh.n, fresh.matching),
+                    "step {}: carried |Low| differs from a fresh count",
+                    self.step_no
+                );
+                self.twin_checks = self.twin_checks.map(|k| k + 1);
+            }
+            return count;
+        }
+        let res = self.heal_flood(rescuer, WalkGoal::Low, ctx);
+        if res.complete && scope == HealScope::SingleOp {
+            *carried = Some(res);
+        }
+        res
+    }
+
     /// Move vertex `z` (with its chord partner) from `rescuer` to the Low
-    /// node `w` — both slots; no-op when the rescuer itself was picked —
-    /// recording `w` in `touched` when the caller batches load updates.
+    /// node `w` — both slots; no-op when the rescuer itself was picked.
+    /// Returns what the move did to |Low|, which the rescuer knows: its own
+    /// load, and `w`'s, acknowledged in the handoff.
     pub(crate) fn move_to_low(
         &mut self,
         (z, chord): (VertexId, VertexId),
         rescuer: u32,
         w: u32,
-        touched: Option<&mut Vec<u32>>,
-    ) {
-        if w != rescuer {
-            fabric::move_vertices(
-                &mut self.net,
-                &mut self.map,
-                &self.cycle,
-                &[z],
-                &[chord],
-                w,
-                &mut self.heal.insts,
-            );
-            self.net.charge_messages(4);
-            self.net.charge_rounds(1);
-            if let Some(t) = touched {
-                t.push(w);
-            }
+    ) -> isize {
+        if w == rescuer {
+            return 0;
         }
+        let low =
+            |map: &VirtualMapping| map.is_low_at(rescuer) as isize + map.is_low_at(w) as isize;
+        let before = low(&self.map);
+        fabric::move_vertices(
+            &mut self.net,
+            &mut self.map,
+            &self.cycle,
+            &[z],
+            &[chord],
+            w,
+            &mut self.heal.insts,
+        );
+        self.net.charge_messages(4);
+        self.net.charge_rounds(1);
+        low(&self.map) - before
     }
 
     // ------------------------------------------------------------------
@@ -760,6 +804,7 @@ impl std::fmt::Debug for DexNetwork {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dex_sim::rng::splitmix64;
 
     /// The centralized transports cannot lose a token or miss a report:
     /// hit or miss, no walk is `lost`, and every count is `complete` and
@@ -800,6 +845,77 @@ mod tests {
             assert_eq!((res.n, res.matching), (dex.n(), matching));
         }
         dex.net.end_step(StepKind::Insert, RecoveryKind::Type1);
+    }
+
+    /// One script step on both networks — an insert attached to a random
+    /// live node, or the deletion of one — which must take the same
+    /// recovery with the same topology changes.
+    fn step_both(nets: &mut [DexNetwork; 2], live: &mut Vec<NodeId>, r: &mut u64, grow: bool) {
+        *r = splitmix64(*r);
+        let pick = (*r % live.len() as u64) as usize;
+        let [a, b] = if grow {
+            let (u, v) = (nets[0].fresh_node_id(), live[pick]);
+            live.push(u);
+            nets.each_mut().map(|dex| dex.insert(u, v))
+        } else {
+            let victim = live.swap_remove(pick);
+            nets.each_mut().map(|dex| dex.delete(victim))
+        };
+        assert_eq!(
+            (a.recovery, a.topology_changes),
+            (b.recovery, b.topology_changes),
+            "step {}",
+            nets[0].step_no
+        );
+    }
+
+    /// A deletion step decides on its carried |Low| exactly as on a fresh
+    /// count. A twin that floods anyway at every miss (asserting the two
+    /// counts agree) takes the same recovery kind and topology changes at
+    /// every step and ends on the same Φ, through grow-then-shrink scripts
+    /// whose shrink phase runs up to deflations, where deleting walks miss
+    /// several times a step — on the centralized transport and on the
+    /// message schedule with a zero fault spec.
+    #[test]
+    fn carried_low_count_equals_a_fresh_flood_at_every_miss() {
+        let simplified = DexConfig::new(0x601d_0001).simplified();
+        let scripts = [
+            (simplified, None, 1_500, 24),
+            (simplified, Some(dex_sim::msim::FaultSpec::zero()), 600, 24),
+            (DexConfig::new(0x601d_0001).staggered(), None, 600, 32),
+        ];
+        let mut checks = 0;
+        for (cfg, faults, peak, floor) in scripts {
+            let mut nets = [
+                DexNetwork::bootstrap(cfg, 64),
+                DexNetwork::bootstrap(cfg, 64),
+            ];
+            nets.iter_mut().for_each(|dex| dex.set_faults(faults));
+            nets[1].twin_checks = Some(0);
+            let mut live = nets[0].node_ids();
+            let mut r = 0x0ca7_71ed;
+            while live.len() < peak {
+                step_both(&mut nets, &mut live, &mut r, true);
+            }
+            while live.len() > floor {
+                step_both(&mut nets, &mut live, &mut r, false);
+            }
+            let [carry, twin] = &nets;
+            assert_eq!(carry.map.entries_sorted(), twin.map.entries_sorted());
+            assert_eq!(carry.walk_stats.misses, twin.walk_stats.misses);
+            let k = twin.twin_checks.expect("twin");
+            // A scheduled count is not a centralized flood.
+            if faults.is_none() {
+                assert_eq!(
+                    twin.flood_work().floods - carry.flood_work().floods,
+                    k,
+                    "{:?}: one flood saved per carried miss",
+                    cfg.mode
+                );
+            }
+            checks += k;
+        }
+        assert!(checks > 0, "no deletion step ever reused its count");
     }
 
     /// Φ shares the graph's node arena: a delete frees the victim's slot in

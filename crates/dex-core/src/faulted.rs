@@ -331,12 +331,7 @@ impl DexNetwork {
     /// its chord partner) from the rescuer in slot `rescuer_slot` to the
     /// witness (or deflate if Low ran out). Returns `true` when type-1
     /// healing sufficed.
-    pub(crate) fn delete_fallback(
-        &mut self,
-        z: (VertexId, VertexId),
-        rescuer_slot: u32,
-        touched: Option<&mut Vec<u32>>,
-    ) -> bool {
+    pub(crate) fn delete_fallback(&mut self, z: (VertexId, VertexId), rescuer_slot: u32) -> bool {
         let rescuer = self.net.graph().id_of_slot(rescuer_slot);
         let spec = self.scheduled_spec();
         let ctx = [self.step_no, z.0 .0, rescuer.0];
@@ -360,7 +355,7 @@ impl DexNetwork {
         let w = res.witness.expect("checked above");
         self.fault_stats.heal_fallbacks += 1;
         self.walk_stats.hits += 1;
-        self.move_to_low(z, rescuer_slot, self.slot(w), touched);
+        self.move_to_low(z, rescuer_slot, self.slot(w));
         true
     }
 

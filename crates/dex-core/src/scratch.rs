@@ -32,9 +32,6 @@ pub struct HealScratch {
     /// `u32` workspace of that inversion
     /// ([`dex_graph::pcycle::PCycle::chords_into`]).
     pub inverse: Vec<u32>,
-    /// Slots of the nodes whose load changed this step (batched
-    /// load-update charge).
-    pub touched: Vec<u32>,
     /// Virtual-edge instance buffer for fabric moves
     /// ([`crate::fabric::incident_edges_into`]).
     pub insts: Vec<(VertexId, VertexId)>,

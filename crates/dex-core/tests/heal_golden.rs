@@ -9,6 +9,12 @@
 //! routing moved from whole-BFS-tree paths to
 //! `PCycle::shortest_path_with`: equally short paths, a different
 //! tie-break among them; Φ, topology changes and every counter kept.
+//! All three were re-recorded once more when a single-op deletion stopped
+//! re-flooding after every missed walk (it carries its first complete Low
+//! count forward by its own moves) and stopped charging neighbor load
+//! updates, which a batch deletion never charged: fewer rounds and
+//! messages, with Φ, topology changes, the walk counters and every fault
+//! counter unchanged.
 
 use dex_core::{invariants, DexConfig, DexNetwork, FaultSpec, FaultStats};
 use dex_graph::ids::NodeId;
@@ -151,8 +157,8 @@ fn run_single_op_script(cfg: DexConfig) -> DexNetwork {
 
 const GOLDEN_SIMPLIFIED: Digest = Digest {
     phi: 4951634934777399712,
-    rounds: 10_568,
-    messages: 121_320,
+    rounds: 10_540,
+    messages: 57_612,
     topology_changes: 20_702,
     walks: [2_281, 2_252, 29, 2],
     faults: NO_FAULTS,
@@ -160,8 +166,8 @@ const GOLDEN_SIMPLIFIED: Digest = Digest {
 
 const GOLDEN_STAGGERED: Digest = Digest {
     phi: 6947582991771896879,
-    rounds: 24_090,
-    messages: 104_210,
+    rounds: 24_086,
+    messages: 57_085,
     topology_changes: 23_109,
     walks: [2_151, 2_155, 3, 0],
     faults: NO_FAULTS,
@@ -256,7 +262,7 @@ fn run_lossy_script() -> DexNetwork {
 const GOLDEN_LOSSY: Digest = Digest {
     phi: 1090048683831991131,
     rounds: 144_110,
-    messages: 580_934,
+    messages: 562_559,
     topology_changes: 37_849,
     walks: [4_135, 4_015, 15, 2],
     faults: FaultStats {

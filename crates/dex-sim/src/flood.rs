@@ -7,9 +7,9 @@
 //! directed edge during the broadcast (`degree sum`), one message per
 //! non-root node during the convergecast, and `2·ecc(root)` rounds.
 //!
-//! DEX floods on every *walk miss* — type-1 recovery falls back to this
-//! count whenever a random walk finds no Spare / Low node, which near a
-//! type-2 threshold is most steps — so callers hold a [`FloodScratch`] and
+//! DEX floods on a step's first *walk miss* — type-1 recovery falls back
+//! to this count when a random walk finds no Spare / Low node, which near
+//! a type-2 threshold is most steps — so callers hold a [`FloodScratch`] and
 //! use [`flood_count_with`] or, when they already hold slots, the kernel
 //! under it, [`flood_count_slots`].
 //!
