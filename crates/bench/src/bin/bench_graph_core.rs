@@ -26,6 +26,11 @@
 //!   and, timed, ns per node and per adjacency entry. The `script` row is
 //!   the network's own floods over the whole script and, timed, the share
 //!   of its wall time spent in steps that flooded.
+//! * **bootstrap**: [`DexNetwork::bootstrap`] at n ∈ {20k, 200k, 1M} — a
+//!   digest of every adjacency row and `Sim` segment in slot order (in
+//!   the smoke JSON too, at toy n), and, timed, ns per node (median of
+//!   the builds) and the rise of the peak RSS (`VmHWM`, reset first) over
+//!   the RSS before the first build.
 //!
 //! Run with `cargo run --release -p dex-bench --bin bench_graph_core`.
 //! `--smoke` emits only deterministic digests (no timings), byte-identical
@@ -417,6 +422,93 @@ fn flood_section(timed: bool) -> String {
     )
 }
 
+/// Bootstrap sizes: timed, and at toy scale in the smoke JSON.
+const BOOTSTRAP_NS: [u64; 3] = [20_000, 200_000, 1_000_000];
+const BOOTSTRAP_SMOKE_NS: [u64; 3] = [2, 7, 2_000];
+
+/// FNV-1a over the bootstrapped network in slot order: every adjacency row
+/// (order included) and `Sim` segment, then the edge count, `|Spare|` and
+/// `|Low|`.
+fn bootstrap_digest(dex: &DexNetwork) -> u64 {
+    let (g, map) = (dex.graph(), &dex.map);
+    let mut h = FNV_SEED;
+    for slot in 0..g.slot_bound() as u32 {
+        let (row, sim) = (g.neighbor_slots(slot), map.sim_at(slot));
+        h = fnv1a(h, row.len() as u64);
+        h = row.iter().fold(h, |h, &v| fnv1a(h, v as u64));
+        h = fnv1a(h, sim.len() as u64);
+        h = sim.iter().fold(h, |h, z| fnv1a(h, z.0));
+    }
+    [g.num_edges(), map.spare_count(), map.low_count()]
+        .iter()
+        .fold(h, |h, &c| fnv1a(h, c as u64))
+}
+
+/// A `/proc/self/status` field in MB (`None` off Linux).
+fn status_mb(field: &str) -> Option<f64> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    let kb = status.lines().find_map(|l| l.strip_prefix(field))?;
+    let kb: f64 = kb.trim().trim_end_matches("kB").trim().parse().ok()?;
+    Some(kb / 1024.0)
+}
+
+/// One bootstrap row; timed, `reps` builds.
+fn bootstrap_row(n: u64, timed: bool) -> String {
+    let cfg = DexConfig::new(1);
+    let mut row = format!("{{\"n\": {n}");
+    if timed {
+        // Writing 5 to clear_refs resets VmHWM to the current RSS.
+        let reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
+        let before = status_mb("VmRSS:");
+        let reps = (2_000_000 / n).clamp(3, 21);
+        let mut ns = Vec::with_capacity(reps as usize);
+        let mut hwm = None;
+        for rep in 0..reps {
+            let t0 = Instant::now();
+            let dex = DexNetwork::bootstrap(cfg, n);
+            ns.push(t0.elapsed().as_secs_f64() * 1e9 / n as f64);
+            if rep == 0 {
+                hwm = status_mb("VmHWM:").filter(|_| reset);
+            }
+            std::hint::black_box(&dex);
+        }
+        ns.sort_by(f64::total_cmp);
+        let median = ns[ns.len() / 2];
+        let rise = match (hwm, before) {
+            (Some(h), Some(b)) => format!("{:.1}", h - b),
+            _ => "null".into(),
+        };
+        println!("bootstrap n={n}: {median:.0} ns/node (median of {reps}), VmHWM +{rise} MB");
+        let _ = write!(
+            row,
+            ", \"reps\": {reps}, \"ns_per_node\": {median:.1}, \"ns_per_node_min\": {:.1}, \
+             \"ns_per_node_max\": {:.1}, \"hwm_rise_mb\": {rise}",
+            ns[0],
+            ns[ns.len() - 1]
+        );
+    }
+    let dex = DexNetwork::bootstrap(cfg, n);
+    let _ = write!(
+        row,
+        ", \"p\": {}, \"edges\": {}, \"digest\": \"{:#018x}\"}}",
+        dex.cycle.p(),
+        dex.graph().num_edges(),
+        bootstrap_digest(&dex)
+    );
+    row
+}
+
+/// The `"bootstrap"` JSON member (no trailing comma or newline).
+fn bootstrap_section(timed: bool) -> String {
+    let ns = if timed {
+        BOOTSTRAP_NS
+    } else {
+        BOOTSTRAP_SMOKE_NS
+    };
+    let rows: Vec<String> = ns.iter().map(|&n| bootstrap_row(n, timed)).collect();
+    format!("  \"bootstrap\": [\n    {}\n  ]", rows.join(",\n    "))
+}
+
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 
 /// FNV-1a over a u64 stream — the deterministic digest of the smoke JSON.
@@ -465,12 +557,15 @@ fn run_smoke(base: &MultiGraph) -> String {
     let _ = writeln!(json, "    \"lambda2_bits\": \"{:#018x}\"", last.to_bits());
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "{},", route_section(false));
-    let _ = writeln!(json, "{}", flood_section(false));
+    let _ = writeln!(json, "{},", flood_section(false));
+    let _ = writeln!(json, "{}", bootstrap_section(false));
     let _ = writeln!(json, "}}");
     json
 }
 
 fn run_full(base: &MultiGraph) -> String {
+    // First, while the heap holds little else to recycle.
+    let bootstrap = bootstrap_section(true);
     let lambda = lambda2_under_churn(base.clone(), 99);
     let per_epoch_ms = lambda.total_s * 1e3 / EPOCHS as f64;
     println!(
@@ -506,7 +601,8 @@ fn run_full(base: &MultiGraph) -> String {
     let _ = writeln!(json, "    \"slot_space_mhops_per_s\": {slot_mhps:.2}");
     let _ = writeln!(json, "  }},");
     let _ = writeln!(json, "{},", route_section(true));
-    let _ = writeln!(json, "{}", flood_section(true));
+    let _ = writeln!(json, "{},", flood_section(true));
+    let _ = writeln!(json, "{bootstrap}");
     let _ = writeln!(json, "}}");
     json
 }

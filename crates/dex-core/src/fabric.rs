@@ -9,17 +9,19 @@
 //! vertex moves with O(1) topology changes, and rebuilds the fabric by
 //! multiset diff after a one-shot type-2 recovery.
 //!
-//! The per-step paths — [`move_vertices`], [`adopt_vertices`] and the
-//! bootstrap's [`materialize_all`] — never see a `NodeId`: Φ is slotted by
-//! the network's node arena (`mapping` module docs), so the owner *slot*
-//! Φ stores for a vertex is the adjacency row to edit. Only the whole-
-//! fabric passes ([`expected_edge_multiset`], [`rewire_to_target`],
-//! [`verify_fabric`]) speak ids: their sort order is by id, and the
-//! adjacency order every golden digest pins follows from it.
+//! The per-step paths — [`move_vertices`], [`adopt_vertices`] — and the
+//! bootstrap's row-order sweep ([`deal_round_robin`]) never see a
+//! `NodeId`: Φ is slotted by the network's node arena (`mapping` module
+//! docs), so the owner *slot* Φ stores for a vertex is the adjacency row
+//! to edit. Only the whole-fabric passes ([`expected_edge_multiset`],
+//! [`rewire_to_target`], [`verify_fabric`]) speak ids: their sort order
+//! is by id, and the adjacency order every golden digest pins follows
+//! from it.
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::PCycle;
+use dex_graph::primes::inverse_batch;
 use dex_sim::Network;
 
 /// The canonical virtual-edge instances "sourced" at vertex `z`:
@@ -94,37 +96,158 @@ fn owner_slots(map: &VirtualMapping, (a, b): (VertexId, VertexId)) -> (u32, u32)
 
 /// The bootstrap object for nodes `0..n`: the vertices of `cycle` dealt
 /// round-robin (vertex `x` to node `x mod n`) into a Φ slotted by the
-/// network's node arena, and the contraction fabric materialized
-/// uncharged.
+/// network's node arena, and the contraction fabric, uncharged.
+///
+/// Each node computes its own neighbourhood (Sect. 4): node `i` simulates
+/// `{i, i+n, i+2n, …}`, so its adjacency row and its `Sim` segment follow
+/// from that set alone, and one pass in slot order writes each of them
+/// once ([`RoundRobinDeal`]). The rows are entry for entry those of the
+/// edge-by-edge build over [`for_each_canonical_edge`] (kept as the
+/// oracle of `tests/bootstrap_diff.rs`).
 pub fn deal_round_robin(zeta: u64, cycle: &PCycle, n: u64) -> (Network, VirtualMapping) {
-    // No slot pre-sizing: Φ's node arrays grow with the arena, node by
-    // node, the way the graph's own do.
+    // Two memory traps (peak RSS follows allocation order, not only live
+    // bytes). The arena and Φ's node arrays grow node by node and are never
+    // sized to exactly `n`: sized so, the first insertion past `n` would
+    // double every per-slot array at once. And the sweep's scratch is
+    // allocated first, at its final size: carved out between the arena's
+    // growth and Φ's, it left a hole that cost `serve` 0.8 MB of peak.
+    let mut deal = RoundRobinDeal::new(cycle.p(), n);
     let mut map = VirtualMapping::with_caller_slots(zeta, cycle.p(), 0);
     let mut net = Network::new();
     for i in 0..n {
         let slot = net.adversary_add_node(NodeId(i));
         assert_eq!(slot as u64, i, "a fresh arena numbers slots in order");
     }
-    for x in 0..cycle.p() {
-        let i = x % n;
-        map.assign_at(VertexId(x), NodeId(i), i as u32);
-    }
-    materialize_all(&mut net, &map, cycle, false);
+    net.adversary_fill_rows(|slot, row| deal.node(slot, row, &mut map));
     (net, map)
 }
 
-/// Materialize the entire contraction fabric from scratch. `charged`
-/// selects whether edges count as algorithm topology changes (bootstrap
-/// passes `false`). `map` must be slotted by `net`'s node arena.
-pub fn materialize_all(net: &mut Network, map: &VirtualMapping, cycle: &PCycle, charged: bool) {
-    for_each_canonical_edge(cycle, |a, b| {
-        let (sa, sb) = owner_slots(map, (a, b));
-        if charged {
-            net.add_edge_slots(sa, sb);
-        } else {
-            net.adversary_add_edge_slots(sa, sb);
+/// The row-order sweep behind [`deal_round_robin`]. Node `i`'s edge
+/// instances are those of its vertices `v`, each keyed by its place in the
+/// canonical sequence: the successor edge `(v, v+1)` by `2v`, the
+/// predecessor edge by `2·pred(v)`, the chord by `2·min(v, v⁻¹) + 1`. An
+/// edge-by-edge build appends to a row in key order, so writing the
+/// neighbour slots in key order reproduces its rows exactly; a key seen
+/// twice is an edge with both ends in the node — the `(p−1, 0)` wrap or a
+/// chord between two of its vertices — and is a single entry, as
+/// `add_edge_slots` writes a loop once.
+struct RoundRobinDeal {
+    p: u64,
+    n: u64,
+    /// Most vertices a node holds, ⌈p/n⌉.
+    k: u64,
+    /// The block of node slots whose chords are inverted.
+    lo: u64,
+    hi: u64,
+    /// The block's vertices, `k` contiguous ranges `[lo+j·n, hi+j·n)`
+    /// clipped to `p`; range `j` starts at `starts[j]`.
+    xs: Vec<u32>,
+    starts: Vec<usize>,
+    /// `inv[t]` is the chord partner of `xs[t]`.
+    inv: Vec<u32>,
+    /// The node's `(key, neighbour slot)` entries: cycle edges (already in
+    /// key order) and chords.
+    cyc: Vec<(u64, u32)>,
+    chords: Vec<(u64, u32)>,
+    /// The node's vertices, ascending.
+    sim: Vec<VertexId>,
+}
+
+impl RoundRobinDeal {
+    /// Node slots per chord block.
+    const BLOCK: u64 = 2048;
+
+    fn new(p: u64, n: u64) -> Self {
+        let k = p.div_ceil(n);
+        let block_len = (Self::BLOCK.min(n) * k).min(p) as usize;
+        RoundRobinDeal {
+            p,
+            n,
+            k,
+            lo: 0,
+            hi: 0,
+            xs: Vec::with_capacity(block_len),
+            starts: Vec::with_capacity(k as usize),
+            inv: Vec::with_capacity(block_len),
+            cyc: Vec::with_capacity(2 * k as usize + 1),
+            chords: Vec::with_capacity(k as usize),
+            sim: Vec::with_capacity(k as usize),
         }
-    });
+    }
+
+    /// Invert the chords of the vertices of node slots `[lo, lo+BLOCK)`.
+    fn next_block(&mut self, lo: u64) {
+        self.lo = lo;
+        self.hi = (lo + Self::BLOCK).min(self.n);
+        self.xs.clear();
+        self.starts.clear();
+        for j in 0..self.k {
+            self.starts.push(self.xs.len());
+            let a = lo + j * self.n;
+            let b = (self.hi + j * self.n).min(self.p);
+            self.xs.extend((a..b.max(a)).map(|x| x as u32));
+        }
+        self.inv.resize(self.xs.len(), 0);
+        inverse_batch(self.p, &self.xs, &mut self.inv);
+    }
+
+    /// Write node `slot`'s row and deal it its vertices in Φ, both in
+    /// ascending order.
+    fn node(&mut self, slot: u32, row: &mut Vec<u32>, map: &mut VirtualMapping) {
+        let (p, n, i) = (self.p, self.n, slot as u64);
+        if i >= self.hi {
+            self.next_block(i);
+        }
+        let owner = |x: u64| (x as u32) % (n as u32);
+        let prev = if i == 0 { n - 1 } else { i - 1 } as u32;
+        let next = if i + 1 == n { 0 } else { i + 1 } as u32;
+        self.cyc.clear();
+        self.chords.clear();
+        self.sim.clear();
+        let mut v = i;
+        for start in &self.starts {
+            if v >= p {
+                break;
+            }
+            if v > 0 {
+                self.cyc.push((2 * (v - 1), prev));
+            }
+            self.cyc.push((2 * v, if v + 1 == p { 0 } else { next }));
+            let c = self.inv[start + (i - self.lo) as usize] as u64;
+            self.chords.push((2 * v.min(c) + 1, owner(c)));
+            self.sim.push(VertexId(v));
+            v += n;
+        }
+        map.assign_all_at(&self.sim, NodeId(i), slot);
+        if i == 0 {
+            // Vertex 0's predecessor edge (p−1, 0) is the last cycle key.
+            self.cyc.push((2 * (p - 1), owner(p - 1)));
+        }
+        self.chords.sort_unstable();
+        let (mut a, mut b, mut last) = (0, 0, u64::MAX);
+        loop {
+            // Cycle keys are even and chord keys odd: never tied.
+            let (key, to) = match (self.cyc.get(a), self.chords.get(b)) {
+                (Some(&x), Some(&y)) if x.0 < y.0 => {
+                    a += 1;
+                    x
+                }
+                (_, Some(&y)) => {
+                    b += 1;
+                    y
+                }
+                (Some(&x), None) => {
+                    a += 1;
+                    x
+                }
+                (None, None) => break,
+            };
+            if key != last {
+                row.push(to);
+                last = key;
+            }
+        }
+    }
 }
 
 /// Visit every canonical virtual-edge instance of `cycle` exactly once

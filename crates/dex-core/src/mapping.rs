@@ -536,28 +536,49 @@ impl VirtualMapping {
     /// [`Self::assign_run`] for node `u` living in `slot`. See
     /// [`Self::assign_at`] for the slot contract.
     pub fn assign_run_at(&mut self, z_start: VertexId, count: u64, u: NodeId, slot: u32) {
-        if count == 0 {
-            return;
+        if count > 0 {
+            let lo = z_start.0;
+            self.append_at((lo..lo + count).map(VertexId), count as u32, u, slot);
         }
-        let lo = z_start.0 as usize;
-        let hi = lo + count as usize;
-        if hi > self.meta.len() {
-            self.meta.resize(hi, VERTEX_FREE);
+    }
+
+    /// Assign the unowned vertices `zs`, in order, to node `u` living in
+    /// `slot` — the bootstrap deals a node its whole `Sim` set this way.
+    /// See [`Self::assign_at`] for the slot contract.
+    ///
+    /// # Panics
+    /// Panics if any vertex of `zs` is already assigned.
+    pub fn assign_all_at(&mut self, zs: &[VertexId], u: NodeId, slot: u32) {
+        if !zs.is_empty() {
+            self.append_at(zs.iter().copied(), zs.len() as u32, u, slot);
         }
+    }
+
+    /// Append the `count ≥ 1` unowned vertices `zs` to the `Sim` segment
+    /// of `u` in `slot`, the body of [`Self::assign_run_at`] and
+    /// [`Self::assign_all_at`]: one claim, one capacity check and one
+    /// counter update for the whole run, the vertex records written in
+    /// order. (`assign_at`, the healing path's single vertex, keeps its
+    /// own straight-line body.)
+    fn append_at(&mut self, zs: impl Iterator<Item = VertexId>, count: u32, u: NodeId, slot: u32) {
         self.claim(u, slot);
         let mut len = self.lens[slot as usize];
         let before = len as u64;
-        while (len + count as u32) > class_cap(self.nodes[slot as usize].class) {
+        while (len + count) > class_cap(self.nodes[slot as usize].class) {
             self.grow_seg(slot);
         }
-        let rec = self.nodes[slot as usize];
-        for idx in lo..hi {
+        let start = self.nodes[slot as usize].start;
+        for z in zs {
+            let idx = z.0 as usize;
+            if idx >= self.meta.len() {
+                self.meta.resize(idx + 1, VERTEX_FREE);
+            }
             assert!(
                 self.meta[idx].slot == NO_OWNER,
-                "vertex z{idx} already owned by {:?}",
+                "vertex {z} already owned by {:?}",
                 self.meta[idx].owner
             );
-            self.pool[(rec.start + len) as usize] = VertexId(idx as u64);
+            self.pool[(start + len) as usize] = z;
             self.meta[idx] = VertexRec {
                 slot,
                 pos: len,

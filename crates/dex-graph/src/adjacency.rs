@@ -429,6 +429,34 @@ impl MultiGraph {
         }
     }
 
+    /// Write every live row of an edgeless graph in one slot-order pass:
+    /// `fill(slot, row)` appends the slot's neighbour multiset to its
+    /// empty row (a self-loop once, a parallel edge once per copy). A bulk
+    /// builder that knows each node's neighbourhood writes every row once,
+    /// in its final order, instead of pushing each edge onto two rows.
+    /// The caller owns symmetry: each entry `v ≠ u` in row `u` needs an
+    /// entry `u` in row `v`, as many times. The edge count follows from
+    /// the rows, (entries + loops) / 2; the snapshot rebuilds in full.
+    ///
+    /// # Panics
+    /// Panics if the graph already has an edge.
+    pub fn fill_rows(&mut self, mut fill: impl FnMut(u32, &mut Vec<u32>)) {
+        assert_eq!(self.num_edges, 0, "fill_rows needs an edgeless graph");
+        let mut ends = 0usize;
+        for (slot, cell) in self.slots.iter_mut().enumerate() {
+            if !cell.alive {
+                continue;
+            }
+            let slot = slot as u32;
+            fill(slot, &mut cell.adj);
+            ends += cell.adj.len() + cell.adj.iter().filter(|&&v| v == slot).count();
+        }
+        debug_assert!(ends.is_multiple_of(2), "fill_rows: asymmetric rows");
+        self.num_edges = ends / 2;
+        self.generation += 1;
+        self.mark_membership_dirty();
+    }
+
     /// Remove one copy of the undirected edge `{u, v}`. Returns `true` if a
     /// copy existed and was removed.
     pub fn remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {

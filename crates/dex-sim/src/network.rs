@@ -142,6 +142,12 @@ impl Network {
         self.graph.add_edge_slots(su, sv);
     }
 
+    /// Bootstrap writes every row of the still edgeless network at once
+    /// ([`MultiGraph::fill_rows`]). Not charged.
+    pub fn adversary_fill_rows(&mut self, fill: impl FnMut(u32, &mut Vec<u32>)) {
+        self.graph.fill_rows(fill);
+    }
+
     /// Adversary (or uncharged bootstrap code) removes one edge copy.
     /// Not charged. Returns whether a copy existed.
     pub fn adversary_remove_edge(&mut self, u: NodeId, v: NodeId) -> bool {
