@@ -12,10 +12,10 @@
 //!   ([`MultiGraph::walk_slots`]).
 //! * **route**: the DHT's shortest-path search on `Z(p)` at the p of a
 //!   20k-vertex and a 500k-node network — work per route as exact counts
-//!   (vertices expanded, modular inversions; these are in the smoke JSON
-//!   too) and, timed, the route and the two forms of the chord kernel
-//!   under it (scalar [`primes::mod_inverse`], batched
-//!   [`primes::inverse_batch`]).
+//!   (vertices expanded, modular inversions) and a splitmix64 digest of
+//!   every returned path (these are in the smoke JSON too) and, timed,
+//!   the route and the two forms of the chord kernel under it (scalar
+//!   [`primes::mod_inverse`], batched [`primes::inverse_batch`]).
 //! * **flood**: `computeSpare` (Algorithm 4.4, `dex_sim::flood`) along one
 //!   run of `benchmark/`'s `resize` script (real `insert` / `delete`,
 //!   2k → 40k → 500 nodes), at the two regimes that script floods in — n
@@ -41,6 +41,7 @@ use dex::graph::pcycle::PathScratch;
 use dex::graph::primes;
 use dex::prelude::*;
 use dex::sim::flood::{flood_count_slots, FloodResult, FloodScratch, FloodWork};
+use dex::sim::rng::splitmix64;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::fmt::Write as _;
@@ -116,17 +117,22 @@ fn route_row(p: u64, timed: bool) -> String {
         .collect();
     let mut scratch = PathScratch::new();
     let mut path = Vec::new();
-    let mut hops = 0usize;
+    let (mut hops, mut digest) = (0usize, 0u64);
     let t0 = Instant::now();
     for &(a, b) in &pairs {
         cycle.shortest_path_with(a, b, &mut scratch, &mut path);
         hops += path.len() - 1;
+        digest = splitmix64(digest ^ path.len() as u64);
+        for z in &path {
+            digest = splitmix64(digest ^ z.0);
+        }
     }
     let route_us = t0.elapsed().as_secs_f64() * 1e6 / ROUTE_PAIRS as f64;
     let (expansions, inversions) = scratch.work();
     let mut row = format!(
         "{{\"p\": {p}, \"pairs\": {ROUTE_PAIRS}, \"expansions_per_route\": {:.1}, \
-         \"inversions_per_route\": {:.1}, \"mean_path_len\": {:.3}",
+         \"inversions_per_route\": {:.1}, \"mean_path_len\": {:.3}, \
+         \"path_digest\": \"{digest:#018x}\"",
         expansions as f64 / ROUTE_PAIRS as f64,
         inversions as f64 / ROUTE_PAIRS as f64,
         hops as f64 / ROUTE_PAIRS as f64

@@ -119,19 +119,21 @@ impl DexNetwork {
     /// ([`Self::route_scheduled`]) and may be abandoned.
     ///
     /// Hot path: the virtual path comes from the pooled bidirectional BFS
-    /// ([`dex_graph::pcycle::PCycle::shortest_path_with`]). Its cost is
-    /// counted in modular inversions — the chord of each expanded vertex —
-    /// about 3.3k per route at p = 2,000,003, taken a frontier block at a
-    /// time through the batched chord kernel (≈ 8 ns each instead of a
-    /// ≈ 160 ns scalar powering); the visited-table probes around them
-    /// are the smaller half. The initiator's own `Sim` set is the call's
+    /// ([`dex_graph::pcycle::PCycle::shortest_path_with`]). At
+    /// p = 2,000,003 a route expands ≈ 4.9k vertices and inverts the
+    /// chords of ≈ 3.3k of them, a frontier block at a time through the
+    /// four-lane chord kernel (≈ 6 ns each on a 2.1 GHz Xeon, against
+    /// ≈ 160 ns for a scalar powering); each expansion also probes three
+    /// one-byte visited marks, two of them on its own cache line. The
+    /// initiator's own `Sim` set is the call's
     /// one id translation (`from`, through Φ's index of held nodes); each
     /// path vertex then resolves through Φ's dense owner records
     /// ([`crate::VirtualMapping::owner_of`], one array load — the path is
     /// kept as ids because the message-scheduled transport and the
     /// callers' reports speak ids), and every buffer lives in the pooled
     /// [`crate::routing::RouteScratch`] — zero allocation per operation
-    /// once warm, and nothing of size p is kept.
+    /// once warm. The one buffer of size p is the search's visited marks,
+    /// p bytes (under 8 B per node, as p < 8n).
     fn route_dht(&mut self, from: NodeId, key: Key, round_trip: bool) -> bool {
         let target = hash_to_vertex(key, self.cycle.p());
         let start = *self

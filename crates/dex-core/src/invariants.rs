@@ -17,7 +17,10 @@
 //!    graph under Φ (multiset of edges, Definition 2);
 //! 5. degree bound: deg(u) = Θ(load(u)) ≤ 3·load (plus staged/intermediate
 //!    edges during staggering);
-//! 6. the network is connected.
+//! 6. the network is connected;
+//! 7. during a deflation every reserve is a staged vertex and no node
+//!    holds two (the credit protocol's lemma: credit ≥ 1 implies a
+//!    donatable unit).
 
 use crate::dex::DexNetwork;
 use crate::fabric;
@@ -86,6 +89,7 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
         }
         Some(op) => {
             op.verify_fabric(dex)?;
+            op.verify_reserves()?;
         }
     }
 

@@ -33,7 +33,8 @@ pub const EXACT_ROUTING_MAX_P: u64 = 2500;
 /// route: one bidirectional-BFS scratch and one vertex-path buffer serve
 /// every search, and all token paths of a permutation live in one flat
 /// node buffer addressed by `(start, len)` ranges, so resolving a pair
-/// allocates nothing.
+/// allocates nothing. The BFS scratch holds one visited mark per vertex
+/// of the largest cycle searched: p bytes, under 8 B per node.
 #[derive(Default)]
 pub struct RouteScratch {
     /// Flattened physical paths, one range per token.

@@ -302,6 +302,24 @@ impl StaggeredOp {
         let expected = self.expected_multiset(&dex.map, &dex.cycle);
         crate::fabric::verify_fabric(&dex.net, &expected)
     }
+
+    /// A deflation's reserves: every reserve is a staged vertex, and no
+    /// node holds two. With one reserve per node, `credit(w) ≥ 1` means
+    /// `w` holds a staged vertex beyond its reserve or has a future one to
+    /// promise, so [`donate`] always has a unit to give.
+    pub(crate) fn verify_reserves(&self) -> Result<(), String> {
+        let mut holders = FxHashSet::default();
+        for &y in &self.taken {
+            if !self.staged(y.0) {
+                return Err(format!("reserve {y} is not staged"));
+            }
+            let u = self.staged_map.owner_of(y);
+            if !holders.insert(u) {
+                return Err(format!("node {u} holds two reserves"));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// One overlay edge instance.
@@ -994,6 +1012,20 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
         for &y in &staged_zs {
             op.staged_map
                 .transfer_at(VertexId(y), rescuer, rescuer_slot);
+        }
+        // The victim's reserve came along: the rescuer keeps its smallest
+        // reserve and releases the rest as credit, so it holds one.
+        let keep = op
+            .staged_map
+            .sim(rescuer)
+            .iter()
+            .filter(|z| op.taken.contains(z))
+            .min()
+            .copied();
+        for z in op.staged_map.sim(rescuer) {
+            if Some(*z) != keep {
+                op.taken.remove(z);
+            }
         }
         // Preassignments and unprocessed counts follow the rescuer.
         let moved: Vec<u64> = op

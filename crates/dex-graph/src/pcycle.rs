@@ -184,13 +184,15 @@ impl PCycle {
     ///
     /// A full O(p) BFS per route would be ruinous for per-operation
     /// routing (the DHT) at p ≈ 10⁶. Meeting in the middle expands
-    /// O(3^(d/2)) ≈ O(√p) vertices instead, and what an expansion costs is its chord — a modular inversion —
-    /// not the visited-table probes around it. So the search is
-    /// level-synchronous and inverts a frontier block at a time through
-    /// [`inverse_batch`]; a vertex that was itself reached over a chord
-    /// needs no inversion at all (its chord is its parent), and no vertex
-    /// probes its own parent. Every buffer lives in `scratch`: a
-    /// warmed-up caller allocates nothing.
+    /// O(3^(d/2)) ≈ O(√p) vertices instead. An expansion costs its chord
+    /// — a modular inversion — and three visited-mark probes. So the
+    /// search is level-synchronous and inverts a frontier block at a time
+    /// through [`inverse_batch`]; a vertex that was itself reached over a
+    /// chord needs no inversion at all (its chord is its parent), and no
+    /// vertex probes its own parent. The marks are one byte per vertex,
+    /// indexed directly, so succ and pred share the cache line of the
+    /// vertex expanded and only the chord's probe is scattered. Every
+    /// buffer lives in `scratch`: a warmed-up caller allocates nothing.
     ///
     /// Fully deterministic: frontiers expand in insertion order with the
     /// fixed (succ, pred, chord) neighbor order, sides alternate strictly
@@ -228,7 +230,7 @@ impl PCycle {
         }
         let p = self.p as u32;
         let PathScratch {
-            seen,
+            marks,
             queues: [fq, bq],
             next,
             xs,
@@ -236,11 +238,11 @@ impl PCycle {
             expansions,
             inversions,
         } = scratch;
-        seen.begin_search();
+        marks.begin_search(self.p as usize);
         fq.clear();
         bq.clear();
         for (root, side, queue) in [(from, Side::Fwd, &mut *fq), (to, Side::Bwd, &mut *bq)] {
-            seen.visit_or_get(root.0 as u32, side, Via::Root);
+            marks.visit_or_get(root.0 as u32, side, Via::Root);
             queue.push((root.0 as u32, Via::Root));
         }
         let mut side = Side::Fwd;
@@ -258,11 +260,10 @@ impl PCycle {
                 inv.resize(xs.len(), 0);
                 inverse_batch(self.p, xs, inv);
                 *inversions += xs.len() as u64;
-                seen.reserve(3 * block.len());
                 let mut chords = inv.iter();
                 // Reach `v` from the vertex being expanded: true iff the
                 // other side already holds it (the meeting).
-                let mut reach = |v: u32, how: Via| match seen.visit_or_get(v, side, how) {
+                let mut reach = |v: u32, how: Via| match marks.visit_or_get(v, side, how) {
                     None => {
                         next.push((v, how));
                         false
@@ -298,19 +299,19 @@ impl PCycle {
             Side::Bwd => (far, near),
         };
         // Forward half back to `from`, reversed; then the backward chain.
-        self.climb(seen, fwd_end, out);
+        self.climb(marks, fwd_end, out);
         out.reverse();
-        self.climb(seen, bwd_end, out);
+        self.climb(marks, bwd_end, out);
     }
 
     /// Append `x` and its chain of BFS parents up to the search root.
     /// A parent is recovered from how the vertex was reached; the chord
     /// case pays a scalar inversion, a few per path.
-    fn climb(&self, seen: &SeenTable, mut x: u32, out: &mut Vec<VertexId>) {
+    fn climb(&self, marks: &Marks, mut x: u32, out: &mut Vec<VertexId>) {
         loop {
             out.push(VertexId(x as u64));
             let z = VertexId(x as u64);
-            x = match seen.via(x) {
+            x = match marks.via(x) {
                 Via::Root => return,
                 Via::Succ => self.pred(z).0 as u32,
                 Via::Pred => self.succ(z).0 as u32,
@@ -357,96 +358,56 @@ enum Via {
     Root = 3,
 }
 
-/// Visited table of one bidirectional search: open addressing, linear
-/// probing, 8-byte entries `(vertex, generation << 3 | side << 2 | via)`.
-/// An entry whose generation is not the current one is empty, so starting
-/// a search is one counter bump — nothing is cleared, and nothing here
-/// scales with p, only with the O(√p) vertices a search visits.
+/// Visited marks of one bidirectional search, indexed by vertex: one byte
+/// per vertex of the largest cycle searched so far, `visited << 3 |
+/// side << 2 | via` (0 = unvisited), plus a log of the vertices marked.
+/// Starting a search zeroes exactly the logged entries, so its cost is the
+/// O(√p) vertices the previous search visited; a smaller cycle reads a
+/// prefix of the array, a larger one grows it.
 #[derive(Default)]
-struct SeenTable {
-    /// Power-of-two length (or empty before first use).
-    slots: Vec<(u32, u32)>,
-    /// Entries of the current generation; kept ≤ half of `slots`.
-    live: usize,
-    /// Current generation, in `1..2²⁹`.
-    generation: u32,
+struct Marks {
+    mark: Vec<u8>,
+    touched: Vec<u32>,
 }
 
-impl SeenTable {
-    const TAG_BITS: u32 = 3;
-    const MIN_SLOTS: usize = 1 << 10;
+impl Marks {
+    const VISITED: u8 = 1 << 3;
+    const SIDE: u8 = 1 << 2;
 
-    /// Forget every entry (and make sure there is a table at all).
-    fn begin_search(&mut self) {
-        self.live = 0;
-        self.generation += 1;
-        if self.generation >> (32 - Self::TAG_BITS) != 0 {
-            self.slots.fill((0, 0));
-            self.generation = 1;
+    /// Forget every mark and make room for the vertices of `Z(p)`.
+    fn begin_search(&mut self, p: usize) {
+        for &v in &self.touched {
+            self.mark[v as usize] = 0;
         }
-        self.reserve(0);
-    }
-
-    #[inline]
-    fn home(&self, key: u32) -> usize {
-        // Fibonacci hashing: the top bits of key·⌊2³²/φ⌋.
-        let shift = 32 - self.slots.len().trailing_zeros();
-        (key.wrapping_mul(0x9E37_79B9) >> shift) as usize
-    }
-
-    /// Slot holding `key`, or the empty slot where it belongs.
-    #[inline]
-    fn find(&self, key: u32) -> (usize, bool) {
-        let mask = self.slots.len() - 1;
-        let mut i = self.home(key);
-        loop {
-            let (k, tag) = self.slots[i];
-            if tag >> Self::TAG_BITS != self.generation {
-                return (i, false);
-            }
-            if k == key {
-                return (i, true);
-            }
-            i = (i + 1) & mask;
+        self.touched.clear();
+        if self.mark.len() < p {
+            self.mark.resize(p, 0);
         }
     }
 
-    /// Make room for `extra` more entries at load ≤ ½.
-    fn reserve(&mut self, extra: usize) {
-        let need = (2 * (self.live + extra)).max(Self::MIN_SLOTS);
-        if need <= self.slots.len() {
-            return;
-        }
-        let old = std::mem::replace(&mut self.slots, vec![(0, 0); need.next_power_of_two()]);
-        for (k, tag) in old {
-            if tag >> Self::TAG_BITS == self.generation {
-                let (i, _) = self.find(k);
-                self.slots[i] = (k, tag);
-            }
-        }
-    }
-
-    /// Record `key` as reached on `side` via `via` unless it is already
+    /// Record `v` as reached on `side` via `via` unless it is already
     /// visited, in which case nothing changes and the side that holds it
-    /// is returned. Room must have been [`reserve`](Self::reserve)d.
+    /// is returned.
     #[inline]
-    fn visit_or_get(&mut self, key: u32, side: Side, via: Via) -> Option<Side> {
-        let (i, present) = self.find(key);
-        if present {
-            let held = self.slots[i].1 >> 2 & 1;
-            return Some(if held == 0 { Side::Fwd } else { Side::Bwd });
+    fn visit_or_get(&mut self, v: u32, side: Side, via: Via) -> Option<Side> {
+        let m = &mut self.mark[v as usize];
+        if *m != 0 {
+            return Some(if *m & Self::SIDE == 0 {
+                Side::Fwd
+            } else {
+                Side::Bwd
+            });
         }
-        let tag = self.generation << Self::TAG_BITS | (side as u32) << 2 | via as u32;
-        self.slots[i] = (key, tag);
-        self.live += 1;
+        *m = Self::VISITED | (side as u8) << 2 | via as u8;
+        self.touched.push(v);
         None
     }
 
-    /// How visited vertex `key` was reached.
-    fn via(&self, key: u32) -> Via {
-        let (i, present) = self.find(key);
-        assert!(present, "vertex {key} was never visited");
-        match self.slots[i].1 & 3 {
+    /// How visited vertex `v` was reached.
+    fn via(&self, v: u32) -> Via {
+        let m = self.mark[v as usize];
+        assert!(m & Self::VISITED != 0, "vertex {v} was never visited");
+        match m & 3 {
             0 => Via::Succ,
             1 => Via::Pred,
             2 => Via::Chord,
@@ -456,14 +417,17 @@ impl SeenTable {
 }
 
 /// Pooled buffers for [`PCycle::shortest_path_with`] (bidirectional BFS):
-/// one visited table for both balls, two frontiers and a staging queue,
-/// and the batch-inversion input/output of one frontier block. One
+/// one visited-mark array for both balls, two frontiers and a staging
+/// queue, and the batch-inversion input/output of one frontier block. One
 /// instance serves unbounded routing operations — on any mix of cycles —
 /// with no steady-state allocation: the buffers keep their high-water
-/// capacity across calls.
+/// capacity across calls. The marks are the one buffer that scales with
+/// p: p bytes for the largest cycle searched. A DEX network keeps
+/// p < 8n, so that is under 8 B per node, against ≈ 640 B per node for
+/// the network itself.
 #[derive(Default)]
 pub struct PathScratch {
-    seen: SeenTable,
+    marks: Marks,
     /// Forward and backward frontier: `(vertex, how it was reached)`.
     queues: [Vec<(u32, Via)>; 2],
     next: Vec<(u32, Via)>,
@@ -772,22 +736,32 @@ mod tests {
     }
 
     #[test]
-    fn visited_table_survives_generation_wraparound() {
-        let z = PCycle::new(499);
-        let (mut cold, mut want, mut got) = (PathScratch::new(), Vec::new(), Vec::new());
+    fn begin_search_clears_exactly_the_previous_marks() {
+        // Large, small (a prefix of the same array), large again: after
+        // each search the only nonzero marks are the ones it logged, and
+        // the warm scratch routes as a cold one does.
         let mut warm = PathScratch::new();
-        z.shortest_path_with(VertexId(1), VertexId(300), &mut warm, &mut got);
-        // Jump to the last generations before the 29-bit counter wraps:
-        // stale entries of the searches before and across the wrap must
-        // read as empty.
-        warm.seen.generation = (1 << 29) - 3;
-        for i in 0..6u64 {
-            let (a, b) = (VertexId(17 + i), VertexId(481 - 3 * i));
-            z.shortest_path_with(a, b, &mut warm, &mut got);
-            z.shortest_path_with(a, b, &mut cold, &mut want);
-            assert_eq!(got, want, "{a}->{b} at generation {}", warm.seen.generation);
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (p, a, b) in [
+            (2_000_003u64, 5u64, 1_234_567u64),
+            (101, 3, 77),
+            (2_000_003, 999_999, 17),
+        ] {
+            let z = PCycle::new(p);
+            z.shortest_path_with(VertexId(a), VertexId(b), &mut warm, &mut got);
+            z.shortest_path_with(VertexId(a), VertexId(b), &mut PathScratch::new(), &mut want);
+            assert_eq!(got, want, "{a}->{b} on Z({p})");
+            let Marks { mark, touched } = &warm.marks;
+            assert_eq!(mark.len(), 2_000_003, "sized to the largest cycle");
+            let mut logged = vec![false; mark.len()];
+            for &v in touched {
+                assert_ne!(mark[v as usize], 0, "logged vertex {v} unmarked");
+                logged[v as usize] = true;
+            }
+            for (v, (&m, &l)) in mark.iter().zip(&logged).enumerate() {
+                assert!(l || m == 0, "stale mark {m:#x} at {v} after Z({p})");
+            }
         }
-        assert!(warm.seen.generation < 8, "counter wrapped");
     }
 
     #[test]
