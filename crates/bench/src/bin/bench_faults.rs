@@ -7,7 +7,8 @@
 //! * `percolation` — engine-level delivery curve: many walk and route
 //!   operations on a frozen bootstrap topology, swept over the loss grid
 //!   {0, 0.25, 0.5, 0.8} via [`dex::sim::msim`] directly (no protocol on
-//!   top), showing raw delivery rate, retries, and makespan stretch;
+//!   top), showing raw delivery rate, op-level retries, hop-level
+//!   retransmissions, and makespan stretch;
 //! * `degradation` — protocol-level curve: the scenario engine runs a
 //!   churn+DHT workload with a [`Phase::Faults`] span at each loss point;
 //!   pooled per-step percentiles, λ₂ before/after, delivery rate, and
@@ -98,8 +99,8 @@ fn spec_for(loss: u32, seed: u64) -> FaultSpec {
 fn fault_stats_json(fs: &FaultStats) -> String {
     format!(
         "{{\"sent\": {}, \"delivered\": {}, \"lost_random\": {}, \"lost_burst\": {}, \
-         \"lost_partition\": {}, \"timeouts\": {}, \"reinitiations\": {}, \"walks_lost\": {}, \
-         \"routes_lost\": {}, \"heal_fallbacks\": {}, \"dht_abandoned\": {}, \
+         \"lost_partition\": {}, \"retransmits\": {}, \"timeouts\": {}, \"reinitiations\": {}, \
+         \"walks_lost\": {}, \"routes_lost\": {}, \"heal_fallbacks\": {}, \"dht_abandoned\": {}, \
          \"flood_retries\": {}, \"floods_partial\": {}, \"type2_rollbacks\": {}, \
          \"type2_reinitiations\": {}, \
          \"delivery_rate\": {:.6}}}",
@@ -108,6 +109,7 @@ fn fault_stats_json(fs: &FaultStats) -> String {
         fs.lost_random,
         fs.lost_burst,
         fs.lost_partition,
+        fs.retransmits,
         fs.timeouts,
         fs.reinitiations,
         fs.walks_lost,
@@ -184,7 +186,7 @@ fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: us
          \"walk_delivery_rate\": {:.6}, \"walk_makespan\": {}, \
          \"route_delivery_rate\": {:.6}, \"route_token_delivery_rate\": {:.6}, \
          \"route_mean_retries\": {mean_retries:.4}, \"route_makespan\": {}, \
-         \"sends\": {}}}",
+         \"sends\": {}, \"retransmits\": {}}}",
         walk_hits as f64 / walk_ops.len() as f64,
         walk_report.stats.delivery_rate(),
         walk_report.makespan,
@@ -192,6 +194,7 @@ fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: us
         route_report.stats.delivery_rate(),
         route_report.makespan,
         walk_report.messages + route_report.messages,
+        walk_report.stats.retransmits + route_report.stats.retransmits,
     )
 }
 

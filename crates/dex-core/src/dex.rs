@@ -308,7 +308,9 @@ impl DexNetwork {
                 // dry: a partial count is a lower bound, and inflating on
                 // it compounds under sustained loss until the mapping can
                 // no longer balance. Partial + insufficient degrades to
-                // the best partial witness; no witness → keep walking.
+                // the best partial witness; no witness → the walk-free
+                // fallback, since a single-op step never re-floods and
+                // walks that complete keep missing an empty spare set.
                 if res.complete {
                     self.walk_stats.type2 += 1;
                     let v_id = self.net.graph().id_of_slot(v);
@@ -334,6 +336,7 @@ impl DexNetwork {
                     self.give_vertex_to_new_node(self.slot(w), u, v);
                     return RecoveryKind::Type1;
                 }
+                return self.insert_fallback(u, v);
             }
             // Enough spares exist; the walk was simply unlucky — retry.
         }

@@ -20,12 +20,18 @@
 //!
 //! Under real faults, three robustness layers engage:
 //!
-//! 1. **transport retries** — inside the simulator, a lost token fires
-//!    its timeout and the operation relaunches with deterministic
-//!    exponential backoff, up to the spec's retry budget (each
-//!    re-initiation draws a fresh RNG stream keyed by the retry index);
+//! 1. **transport retries** — inside the simulator, walks and routes run
+//!    hop-level ARQ: a lost hop is retransmitted on the same link after
+//!    the per-hop timeout, up to the spec's budget (`walk_retries` /
+//!    `route_retries`), so under independent loss a walk takes exactly
+//!    the centralized walk's hops. Only a hop that spends its budget (a
+//!    burst or partition outlasting it) loses the token; the operation's
+//!    timeout then fires and it relaunches with deterministic
+//!    exponential backoff, up to the same budget (each re-initiation
+//!    draws a fresh RNG stream keyed by the retry index);
 //! 2. **heal fallback** — a heal step whose walks keep getting lost
-//!    (more than `fallback_after` abandoned walks) stops walking and
+//!    (more than `fallback_after` abandoned walks), or an insertion whose
+//!    miss-path count closed partial with no witness, stops walking and
 //!    heals to the flood's witness node — the best member of the target
 //!    set the (possibly partial) flood reported — so a heal step always
 //!    terminates with the invariants intact;
@@ -129,7 +135,8 @@ impl DexNetwork {
         self.fault_stats
     }
 
-    /// The installed spec, for code only a lost walk can lead to.
+    /// The installed spec, for code only a lost walk or a partial count
+    /// can lead to.
     pub(crate) fn scheduled_spec(&self) -> FaultSpec {
         self.faults.expect("reached only under a fault spec")
     }
@@ -277,7 +284,8 @@ impl DexNetwork {
     // ------------------------------------------------------------------
 
     /// Walk-free insert fallback for the newcomer in slot `su` attached at
-    /// slot `sv`: flood for the spare set, heal to its witness (or inflate
+    /// slot `sv`, after repeated lost walks or a partial count with no
+    /// witness: flood for the spare set, heal to its witness (or inflate
     /// if spares ran out).
     pub(crate) fn insert_fallback(&mut self, su: u32, sv: u32) -> RecoveryKind {
         let (u, v) = {
@@ -442,6 +450,32 @@ mod tests {
             "failed attempt mutated the DHT"
         );
         assert!(dex.fault_stats.floods_partial > 0);
+        invariants::assert_ok(&dex);
+    }
+
+    /// Growth until n reaches p empties the spare set. Hop-level ARQ
+    /// lets the insertion walks complete and miss, and the miss path's
+    /// flood closes partial under heavy loss with no witness — proof of
+    /// nothing. The step must fall back rather than walk until the retry
+    /// cap, and growth must go on through type-2 rebuilds.
+    #[test]
+    fn growth_past_an_empty_spare_set_terminates_under_loss() {
+        let cfg = DexConfig::new(0x7e57_0003).simplified();
+        let mut dex = DexNetwork::bootstrap(cfg, 16);
+        dex.set_faults(Some(
+            FaultSpec::zero()
+                .with_loss(250)
+                .with_latency(1, 3)
+                .with_seed(0x5bad),
+        ));
+        let mut live = dex.node_ids();
+        for i in 0..120u64 {
+            let attach = live[(splitmix64(0xa77 ^ i) % live.len() as u64) as usize];
+            let u = NodeId(1_000 + i);
+            dex.insert(u, attach);
+            live.push(u);
+        }
+        assert!(dex.walk_stats.type2 >= 1, "growth never forced a type-2");
         invariants::assert_ok(&dex);
     }
 

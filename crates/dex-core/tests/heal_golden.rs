@@ -179,6 +179,7 @@ const NO_FAULTS: FaultStats = FaultStats {
     lost_random: 0,
     lost_burst: 0,
     lost_partition: 0,
+    retransmits: 0,
     timeouts: 0,
     reinitiations: 0,
     walks_lost: 0,
@@ -205,16 +206,20 @@ fn single_op_staggered_digest_is_unchanged_at_every_thread_count() {
     assert_eq!(digest(&dex), GOLDEN_STAGGERED);
 }
 
-/// Mixed script under Bernoulli loss, with the spec's budgets small
-/// enough that lost walks reach the heal fallbacks, floods close partial
-/// and routes are abandoned: batches of 64 with single ops and DHT
-/// puts/gets between them, growing until an inflation has run and then
-/// shrinking until a deflation has run (walks are long, and so get lost,
-/// only near those two boundaries).
+/// Mixed script under Bernoulli loss and rare per-link burst windows,
+/// with the spec's budgets small enough that lost walks reach the heal
+/// fallbacks, floods close partial and routes are abandoned. Hop-level
+/// ARQ rides out independent loss, so a walk or route token is lost
+/// mostly to a bad window that outlasts its hop's budget (32 rounds
+/// against one retransmission after τ = 5). Batches of 64 with single
+/// ops and DHT puts/gets between them, growing until an inflation has
+/// run and then shrinking until a deflation has run (walks are long, and
+/// so get lost, only near those two boundaries).
 fn run_lossy_script() -> DexNetwork {
     let spec = FaultSpec::zero()
         .with_loss(30)
         .with_latency(1, 2)
+        .with_burst(32, 10)
         .with_retries(1, 1)
         .with_fallback(1)
         .with_flood_retries(1)
@@ -260,27 +265,28 @@ fn run_lossy_script() -> DexNetwork {
 }
 
 const GOLDEN_LOSSY: Digest = Digest {
-    phi: 1090048683831991131,
-    rounds: 144_110,
-    messages: 562_559,
-    topology_changes: 37_849,
-    walks: [4_135, 4_015, 15, 2],
+    phi: 11255324475236437600,
+    rounds: 153_812,
+    messages: 446_316,
+    topology_changes: 39_501,
+    walks: [4_271, 4_220, 40, 2],
     faults: FaultStats {
-        sent: 509_883,
-        delivered: 494_457,
-        lost_random: 15_426,
-        lost_burst: 0,
+        sent: 392_332,
+        delivered: 376_835,
+        lost_random: 11_772,
+        lost_burst: 3_725,
         lost_partition: 0,
-        timeouts: 814,
-        reinitiations: 541,
-        walks_lost: 143,
-        routes_lost: 23,
-        heal_fallbacks: 38,
-        dht_abandoned: 23,
-        flood_retries: 49,
-        floods_partial: 58,
-        type2_rollbacks: 9,
-        type2_reinitiations: 8,
+        retransmits: 905,
+        timeouts: 317,
+        reinitiations: 194,
+        walks_lost: 28,
+        routes_lost: 4,
+        heal_fallbacks: 17,
+        dht_abandoned: 4,
+        flood_retries: 43,
+        floods_partial: 48,
+        type2_rollbacks: 5,
+        type2_reinitiations: 4,
     },
 };
 

@@ -19,13 +19,27 @@
 //!   is active, cross-side sends are dropped, and when the window ends
 //!   the sides rejoin mid-protocol.
 //!
-//! Protocol-level robustness rides on top: every operation schedules a
-//! timeout when it launches a token, sized so it can only fire after the
-//! token has provably been lost; a firing timeout re-initiates the
-//! operation from scratch (bounded retries, deterministic exponential
-//! backoff), and an operation that exhausts its retry budget is closed
-//! as abandoned and counted in [`FaultStats`] — graceful degradation,
-//! never a hang.
+//! Protocol-level robustness rides on top, in two layers:
+//!
+//! * **hop-level ARQ** — a walk or route token is retransmitted per
+//!   link, not per path. The receiver of each hop acks it; a sender that
+//!   has heard no ack τ = 2·`lat_hi` + 1 rounds after a send (the
+//!   longest round trip an ack can take, so only loss fires it) resends
+//!   the same token on the same link, a charged send with its own fate
+//!   draw, up to the spec's budget (`walk_retries` / `route_retries`)
+//!   retransmissions per hop. Acks are not charged as messages — a hop
+//!   costs 1/(1−ℓ) sends in expectation — but τ charges their latency in
+//!   rounds. Only a hop that exhausts its budget loses the token;
+//! * **op-level re-initiation** — every operation schedules a timeout
+//!   when it launches a token, sized to the ARQ lifetime of the whole
+//!   path so it can only fire after the token has provably been lost
+//!   (a partition that outlasts a hop's budget); a firing timeout
+//!   re-initiates the operation from scratch (the same budget bounds the
+//!   re-initiations, deterministic exponential backoff), and an
+//!   operation that exhausts it is closed as abandoned and counted in
+//!   [`FaultStats`] — graceful degradation, never a hang.
+//!
+//! A zero spec never loses a send, so it never retransmits.
 //!
 //! # Determinism
 //!
@@ -106,9 +120,11 @@ pub struct FaultSpec {
     pub partition_period: u32,
     /// Rounds the partition stays up at the start of each period.
     pub partition_len: u32,
-    /// Re-initiation budget for walk operations.
+    /// Walk budget: both the retransmissions per hop (hop-level ARQ) and
+    /// the re-initiations per walk operation.
     pub walk_retries: u32,
-    /// Re-initiation budget for route operations.
+    /// Route budget: both the retransmissions per hop (hop-level ARQ) and
+    /// the re-initiations per route operation.
     pub route_retries: u32,
     /// After this many *lost* walks for one heal step, `dex-core` falls
     /// back to a flood-discovered candidate instead of walking again.
@@ -170,6 +186,14 @@ impl FaultSpec {
         self.lat_max.max(self.lat_lo())
     }
 
+    /// Per-hop retransmission timeout τ in rounds: the longest round
+    /// trip a send and its ack can take, plus one, so a retransmission
+    /// fires only once the send is provably lost.
+    #[inline]
+    pub fn hop_timeout(&self) -> u64 {
+        2 * self.lat_hi() as u64 + 1
+    }
+
     /// Set Bernoulli loss probability (per-1000).
     pub fn with_loss(mut self, milli: u32) -> Self {
         self.loss_milli = milli;
@@ -199,7 +223,8 @@ impl FaultSpec {
         self
     }
 
-    /// Set re-initiation budgets for walks and routes.
+    /// Set the walk and route budgets; each bounds both the
+    /// retransmissions per hop and the re-initiations per operation.
     pub fn with_retries(mut self, walk: u32, route: u32) -> Self {
         self.walk_retries = walk;
         self.route_retries = route;
@@ -243,7 +268,8 @@ impl Default for FaultSpec {
 /// into it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FaultStats {
-    /// Sends attempted (every hop of every token, all generations).
+    /// Sends attempted (every hop of every token, all generations,
+    /// retransmissions included).
     pub sent: u64,
     /// Sends that reached their destination inbox.
     pub delivered: u64,
@@ -253,6 +279,9 @@ pub struct FaultStats {
     pub lost_burst: u64,
     /// Sends dropped across an active partition cut.
     pub lost_partition: u64,
+    /// Hop-level retransmissions: walk or route sends repeated on the
+    /// same link after the per-hop timeout (counted in `sent` too).
+    pub retransmits: u64,
     /// Timeouts that fired on a still-open operation.
     pub timeouts: u64,
     /// Operations re-initiated after a timeout.
@@ -289,6 +318,7 @@ impl FaultStats {
         self.lost_random += other.lost_random;
         self.lost_burst += other.lost_burst;
         self.lost_partition += other.lost_partition;
+        self.retransmits += other.retransmits;
         self.timeouts += other.timeouts;
         self.reinitiations += other.reinitiations;
         self.walks_lost += other.walks_lost;
@@ -299,6 +329,18 @@ impl FaultStats {
         self.floods_partial += other.floods_partial;
         self.type2_rollbacks += other.type2_rollbacks;
         self.type2_reinitiations += other.type2_reinitiations;
+    }
+
+    /// Charge one send with the given fate: `sent`, plus `delivered`
+    /// or the loss counter of its fault family.
+    fn charge(&mut self, fate: SendFate) {
+        self.sent += 1;
+        match fate {
+            SendFate::Deliver { .. } => self.delivered += 1,
+            SendFate::LostRandom => self.lost_random += 1,
+            SendFate::LostBurst => self.lost_burst += 1,
+            SendFate::LostPartition => self.lost_partition += 1,
+        }
     }
 
     /// Fraction of sends delivered (1.0 when nothing was sent).
@@ -372,8 +414,8 @@ pub fn burst_bad(spec: &FaultSpec, a: u64, b: u64, round: u64) -> bool {
 ///
 /// `op_key` names the operation (so two ops between the same nodes in
 /// the same round draw independently) and `send_tag` names the send
-/// within the operation (retry generation and hop index), so every
-/// physical send gets its own Bernoulli draw.
+/// within the operation (retry generation, retransmission index and hop
+/// index), so every physical send gets its own Bernoulli draw.
 pub fn send_fate(
     spec: &FaultSpec,
     src: u64,
@@ -451,8 +493,11 @@ pub struct OpResult {
     pub status: OpStatus,
     /// Hops taken by the generation that closed the op.
     pub hops: u64,
-    /// Sends attempted across all generations of this op.
+    /// Sends attempted across all generations of this op,
+    /// retransmissions included.
     pub sends: u64,
+    /// Hop-level retransmissions across all generations of this op.
+    pub retransmits: u64,
     /// Round at which the operation closed.
     pub close_round: u64,
     /// Re-initiations consumed (0 = first generation closed it).
@@ -483,6 +528,9 @@ const TIMER_SLOT: u32 = u32::MAX;
 enum EvKind {
     /// Token `tok` arrives at `slot`.
     Deliver(u32),
+    /// The sender at `slot`, still holding token `tok`, heard no ack for
+    /// its send to `dst`: it transmits again, as retransmission `k` ≥ 1.
+    Resend { tok: u32, dst: u32, k: u32 },
     /// Timeout for op `op`, generation `retry`.
     Timer { op: u32, retry: u32 },
 }
@@ -513,11 +561,20 @@ enum MetaKind {
 #[derive(Debug)]
 struct OpMeta {
     key: u64,
-    /// Base timeout in rounds: strictly more than the longest possible
-    /// in-flight lifetime of one token generation, so a firing timer
-    /// proves the token was lost (and zero-fault runs never retry).
+    /// Base timeout in rounds (see [`generation_timeout`]).
     timeout: u64,
+    /// Retransmissions per hop, and re-initiations per op.
+    budget: u32,
     kind: MetaKind,
+}
+
+/// Base generation timeout for a token of up to `len` hops: strictly
+/// more than the longest in-flight lifetime of one generation — every
+/// hop spending its whole retransmission budget, then the slowest link —
+/// so a firing timer proves the token was lost (and zero-fault runs
+/// never re-initiate).
+fn generation_timeout(spec: &FaultSpec, len: u64, budget: u32) -> u64 {
+    (len + 2) * (spec.lat_hi() as u64 + budget as u64 * spec.hop_timeout()) + 1
 }
 
 #[derive(Debug)]
@@ -525,6 +582,7 @@ struct OpState {
     retry: u32,
     done: bool,
     sends: u64,
+    retransmits: u64,
     result_hops: u64,
     hit: Option<NodeId>,
     status: OpStatus,
@@ -537,6 +595,16 @@ enum TokBody {
     Route { pos: u32 },
 }
 
+impl TokBody {
+    /// Index of the hop the token last took (0 before its first send).
+    fn hop(&self) -> u64 {
+        match self {
+            TokBody::Walk { hops, .. } => *hops,
+            TokBody::Route { pos } => *pos as u64,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Token {
     op: u32,
@@ -544,42 +612,49 @@ struct Token {
     body: TokBody,
 }
 
+/// Fault-draw tag of transmission `k` of hop `hop` in generation
+/// `retry`. A first transmission (`k = 0`) keeps the tag it had before
+/// hops retransmitted, so a token that loses nothing draws exactly the
+/// same fates; hop indices stay below 2^24.
+#[inline]
+fn send_tag(retry: u32, k: u32, hop: u64) -> u64 {
+    ((retry as u64) << 32) | ((k as u64) << 24) | hop
+}
+
 /// What one delivered token decided to do.
 #[derive(Debug)]
 enum Intent {
-    /// Forward to `dst` (a slot); the send's fate is already drawn.
-    Send { dst: u32, fate: SendFate },
-    /// Walk accepted this node.
-    Hit(NodeId),
-    /// Walk exhausted its budget or got stuck.
-    Miss,
-    /// Route reached the end of its path.
-    Done,
+    /// Forward the token to `dst` (a slot).
+    Forward(u32),
+    /// Close the op: a walk hit (with the accepting node), a walk that
+    /// exhausted its budget or got stuck (`Miss`), or a route that
+    /// reached the end of its path (`Delivered`).
+    Close(OpStatus, Option<NodeId>),
 }
 
 struct Work {
-    /// Arena index the token came from (returned there on `Send`).
+    /// Arena index of the token (returned there when it is sent).
     tok_idx: u32,
-    /// Slot the token was delivered to (the event's slot key).
-    arrival: u32,
+    /// Slot the token is at (the event's slot key): where it was
+    /// delivered, or the sender awaiting an ack.
+    at: u32,
+    /// `Some((dst, k))` for retransmission `k` to `dst`, `None` for a
+    /// delivery.
+    resend: Option<(u32, u32)>,
     tok: Token,
 }
 
-/// Decide what token `tok`, delivered at `slot` in `round`, does next.
-/// Reads the graph, the spec and the op metadata, mutates only the token
-/// (RNG, hop/pos counters).
+/// Decide what token `tok`, delivered at `slot`, does next. Reads the
+/// graph and the op metadata, mutates only the token (RNG, hop/pos
+/// counters).
 fn decide<A: Fn(NodeId) -> bool>(
     g: &MultiGraph,
-    spec: &FaultSpec,
     metas: &[OpMeta],
     accept: &A,
-    round: u64,
     slot: u32,
     tok: &mut Token,
 ) -> Intent {
-    let meta = &metas[tok.op as usize];
-    let retry = tok.retry;
-    match (&meta.kind, &mut tok.body) {
+    match (&metas[tok.op as usize].kind, &mut tok.body) {
         (
             MetaKind::Walk {
                 max_len,
@@ -594,56 +669,34 @@ fn decide<A: Fn(NodeId) -> bool>(
             // pass over the adjacency multiset skipping the excluded
             // node (which consumes no draw).
             if *hops > 0 && accept(g.id_of_slot(slot)) {
-                Intent::Hit(g.id_of_slot(slot))
-            } else if *hops >= *max_len {
-                Intent::Miss
-            } else {
-                let mut choice: Option<u32> = None;
-                let mut seen = 0usize;
-                for &v in g.neighbor_slots(slot) {
-                    if Some(v) == *exclude_slot {
-                        continue;
-                    }
-                    seen += 1;
-                    if rng.random_range(0..seen) == 0 {
-                        choice = Some(v);
-                    }
+                return Intent::Close(OpStatus::Hit, Some(g.id_of_slot(slot)));
+            }
+            if *hops >= *max_len {
+                return Intent::Close(OpStatus::Miss, None);
+            }
+            let mut choice: Option<u32> = None;
+            let mut seen = 0usize;
+            for &v in g.neighbor_slots(slot) {
+                if Some(v) == *exclude_slot {
+                    continue;
                 }
-                match choice {
-                    None => Intent::Miss,
-                    Some(next) => {
-                        *hops += 1;
-                        let tag = ((retry as u64) << 32) | *hops;
-                        let fate = send_fate(
-                            spec,
-                            g.id_of_slot(slot).0,
-                            g.id_of_slot(next).0,
-                            round,
-                            meta.key,
-                            tag,
-                        );
-                        Intent::Send { dst: next, fate }
-                    }
+                seen += 1;
+                if rng.random_range(0..seen) == 0 {
+                    choice = Some(v);
                 }
             }
+            let Some(next) = choice else {
+                return Intent::Close(OpStatus::Miss, None);
+            };
+            *hops += 1;
+            Intent::Forward(next)
         }
         (MetaKind::Route { path }, TokBody::Route { pos }) => {
             if *pos as usize + 1 >= path.len() {
-                Intent::Done
-            } else {
-                let next = path[*pos as usize + 1];
-                *pos += 1;
-                let tag = ((retry as u64) << 32) | *pos as u64;
-                let fate = send_fate(
-                    spec,
-                    g.id_of_slot(slot).0,
-                    g.id_of_slot(next).0,
-                    round,
-                    meta.key,
-                    tag,
-                );
-                Intent::Send { dst: next, fate }
+                return Intent::Close(OpStatus::Delivered, None);
             }
+            *pos += 1;
+            Intent::Forward(path[*pos as usize])
         }
         _ => unreachable!("token body does not match op kind"),
     }
@@ -731,6 +784,7 @@ where
             retry: 0,
             done: false,
             sends: 0,
+            retransmits: 0,
             result_hops: 0,
             hit: None,
             status: OpStatus::Lost,
@@ -751,37 +805,44 @@ where
             .round;
 
         // Phase A: drain every event of this round, in (slot, seq)
-        // order. Deliveries of closed ops are freed on the spot; the
-        // rest become the round's work list. Timers are deferred to
-        // phase C.
+        // order. Tokens of closed ops are freed on the spot; the rest
+        // (deliveries and retransmissions) become the round's work list.
+        // Timers are deferred to phase C.
         work.clear();
         timers.clear();
         while heap.peek().is_some_and(|e| e.0.round == round) {
             let ev = heap.pop().expect("peeked event vanished").0;
-            match ev.kind {
-                EvKind::Deliver(idx) => {
-                    let tok = arena[idx as usize]
-                        .take()
-                        .expect("delivery for a freed token");
-                    if states[tok.op as usize].done {
-                        // A slow token of an earlier generation arriving
-                        // after its op already closed: drop it.
-                        free.push(idx);
-                    } else {
-                        work.push(Work {
-                            tok_idx: idx,
-                            arrival: ev.slot,
-                            tok,
-                        });
-                    }
+            let (tok_idx, resend) = match ev.kind {
+                EvKind::Deliver(idx) => (idx, None),
+                EvKind::Resend { tok, dst, k } => (tok, Some((dst, k))),
+                EvKind::Timer { .. } => {
+                    timers.push(ev);
+                    continue;
                 }
-                EvKind::Timer { .. } => timers.push(ev),
+            };
+            let tok = arena[tok_idx as usize]
+                .take()
+                .expect("event for a freed token");
+            if states[tok.op as usize].done {
+                // A slow token of an earlier generation after its op
+                // already closed: drop it.
+                free.push(tok_idx);
+            } else {
+                work.push(Work {
+                    tok_idx,
+                    at: ev.slot,
+                    resend,
+                    tok,
+                });
             }
         }
 
-        // Phase B: decide and commit every delivery, in heap order. A
-        // decision reads only its own token and state no commit changes
-        // (graph, spec, op metadata).
+        // Phase B: decide and commit every delivery and retransmission,
+        // in heap order. A decision reads only its own token and state
+        // no commit changes (graph, op metadata). A retransmission resends
+        // the same token (a walk draws nothing new) with a fresh fate; a
+        // lost send waits τ for the ack that never comes, and only a hop
+        // that has spent its budget loses the token.
         for mut w in work.drain(..) {
             let op = w.tok.op as usize;
             let st = &mut states[op];
@@ -791,77 +852,66 @@ where
                 free.push(w.tok_idx);
                 continue;
             }
-            match decide(g, spec, &metas, &accept, round, w.arrival, &mut w.tok) {
-                Intent::Hit(id) => {
-                    st.done = true;
-                    st.hit = Some(id);
-                    st.status = OpStatus::Hit;
-                    st.close_round = round;
-                    st.result_hops = match &w.tok.body {
-                        TokBody::Walk { hops, .. } => *hops,
-                        TokBody::Route { pos } => *pos as u64,
-                    };
-                    st.retry = w.tok.retry;
-                    makespan = makespan.max(round);
-                    open -= 1;
-                    free.push(w.tok_idx);
-                }
-                Intent::Miss => {
-                    st.done = true;
-                    st.status = OpStatus::Miss;
-                    st.close_round = round;
-                    st.result_hops = match &w.tok.body {
-                        TokBody::Walk { hops, .. } => *hops,
-                        TokBody::Route { pos } => *pos as u64,
-                    };
-                    st.retry = w.tok.retry;
-                    makespan = makespan.max(round);
-                    open -= 1;
-                    free.push(w.tok_idx);
-                }
-                Intent::Done => {
-                    st.done = true;
-                    st.status = OpStatus::Delivered;
-                    st.close_round = round;
-                    st.result_hops = match &w.tok.body {
-                        TokBody::Walk { hops, .. } => *hops,
-                        TokBody::Route { pos } => *pos as u64,
-                    };
-                    st.retry = w.tok.retry;
-                    makespan = makespan.max(round);
-                    open -= 1;
-                    free.push(w.tok_idx);
-                }
-                Intent::Send { dst, fate } => {
-                    stats.sent += 1;
-                    st.sends += 1;
-                    match fate {
-                        SendFate::Deliver { latency } => {
-                            stats.delivered += 1;
-                            arena[w.tok_idx as usize] = Some(w.tok);
-                            heap.push(Reverse(Event {
-                                round: round + latency as u64,
-                                slot: dst,
-                                seq,
-                                kind: EvKind::Deliver(w.tok_idx),
-                            }));
-                            seq += 1;
-                        }
-                        SendFate::LostRandom => {
-                            stats.lost_random += 1;
-                            free.push(w.tok_idx);
-                        }
-                        SendFate::LostBurst => {
-                            stats.lost_burst += 1;
-                            free.push(w.tok_idx);
-                        }
-                        SendFate::LostPartition => {
-                            stats.lost_partition += 1;
-                            free.push(w.tok_idx);
-                        }
+            let (dst, k) = match w.resend {
+                Some(resend) => resend,
+                None => match decide(g, &metas, &accept, w.at, &mut w.tok) {
+                    Intent::Forward(dst) => (dst, 0),
+                    Intent::Close(status, hit) => {
+                        st.done = true;
+                        st.hit = hit;
+                        st.status = status;
+                        st.close_round = round;
+                        st.result_hops = w.tok.body.hop();
+                        st.retry = w.tok.retry;
+                        makespan = makespan.max(round);
+                        open -= 1;
+                        free.push(w.tok_idx);
+                        continue;
                     }
-                }
+                },
+            };
+            let fate = send_fate(
+                spec,
+                g.id_of_slot(w.at).0,
+                g.id_of_slot(dst).0,
+                round,
+                metas[op].key,
+                send_tag(w.tok.retry, k, w.tok.body.hop()),
+            );
+            stats.charge(fate);
+            st.sends += 1;
+            if k > 0 {
+                stats.retransmits += 1;
+                st.retransmits += 1;
             }
+            let (at, slot, kind) = match fate {
+                SendFate::Deliver { latency } => {
+                    (round + latency as u64, dst, EvKind::Deliver(w.tok_idx))
+                }
+                _ if k < metas[op].budget => (
+                    round + spec.hop_timeout(),
+                    w.at,
+                    EvKind::Resend {
+                        tok: w.tok_idx,
+                        dst,
+                        k: k + 1,
+                    },
+                ),
+                _ => {
+                    // The hop spent its budget: the token is lost, which
+                    // only the op's timer proves.
+                    free.push(w.tok_idx);
+                    continue;
+                }
+            };
+            arena[w.tok_idx as usize] = Some(w.tok);
+            heap.push(Reverse(Event {
+                round: at,
+                slot,
+                seq,
+                kind,
+            }));
+            seq += 1;
         }
 
         // Phase C: timers, in the order they were drained. A timer for
@@ -877,11 +927,7 @@ where
                 continue;
             }
             stats.timeouts += 1;
-            let budget = match &metas[opi].kind {
-                MetaKind::Walk { .. } => spec.walk_retries,
-                MetaKind::Route { .. } => spec.route_retries,
-            };
-            if retry >= budget {
+            if retry >= metas[opi].budget {
                 let st = &mut states[opi];
                 st.done = true;
                 st.status = OpStatus::Lost;
@@ -908,6 +954,7 @@ where
             status: st.status,
             hops: st.result_hops,
             sends: st.sends,
+            retransmits: st.retransmits,
             close_round: st.close_round,
             retries: st.retry,
         })
@@ -927,7 +974,9 @@ where
 /// generation `retry` — generation 0 must use exactly the stream the
 /// centralized walk would use, so a zero [`FaultSpec`] reproduces
 /// [`crate::tokens::random_walk_search`] bit-for-bit (same hit, same
-/// hops, `makespan == hops` for a single op).
+/// hops, `makespan == hops` for a single op). Hop-level retransmissions
+/// draw nothing, so under loss a walk still takes the centralized walk's
+/// hops unless one of them spends its whole budget.
 pub fn run_walks<A, M>(
     g: &MultiGraph,
     spec: &FaultSpec,
@@ -948,7 +997,8 @@ where
             let exclude_slot = op.exclude.and_then(|u| g.slot_of(u));
             OpMeta {
                 key: op.op_key,
-                timeout: (op.max_len + 2) * spec.lat_hi() as u64 + 1,
+                timeout: generation_timeout(spec, op.max_len, spec.walk_retries),
+                budget: spec.walk_retries,
                 kind: MetaKind::Walk {
                     start_slot,
                     max_len: op.max_len,
@@ -982,7 +1032,8 @@ pub fn run_routes(g: &MultiGraph, spec: &FaultSpec, ops: &[RouteOp]) -> (Vec<OpR
             }
             OpMeta {
                 key: op.op_key,
-                timeout: (slots.len() as u64 + 2) * spec.lat_hi() as u64 + 1,
+                timeout: generation_timeout(spec, slots.len() as u64, spec.route_retries),
+                budget: spec.route_retries,
                 kind: MetaKind::Route { path: slots },
             }
         })
@@ -1163,31 +1214,26 @@ pub fn run_flood<P: Fn(NodeId) -> bool>(
                     }
                     let tag = ((gen as u64) << 32) | snd;
                     snd += 1;
-                    stats.sent += 1;
-                    // A forward lands at least one round later, so it
-                    // never joins the round being drained.
-                    match send_fate(
+                    let fate = send_fate(
                         spec,
                         g.id_of_slot(ev.slot).0,
                         g.id_of_slot(v).0,
                         round,
                         op_key,
                         tag,
-                    ) {
-                        SendFate::Deliver { latency } => {
-                            stats.delivered += 1;
-                            heap.push(Reverse(FloodEv {
-                                round: round + latency as u64,
-                                slot: v,
-                                seq,
-                                from: ev.slot,
-                                depth: ev.depth + 1,
-                            }));
-                            seq += 1;
-                        }
-                        SendFate::LostRandom => stats.lost_random += 1,
-                        SendFate::LostBurst => stats.lost_burst += 1,
-                        SendFate::LostPartition => stats.lost_partition += 1,
+                    );
+                    stats.charge(fate);
+                    // A forward lands at least one round later, so it
+                    // never joins the round being drained.
+                    if let SendFate::Deliver { latency } = fate {
+                        heap.push(Reverse(FloodEv {
+                            round: round + latency as u64,
+                            slot: v,
+                            seq,
+                            from: ev.slot,
+                            depth: ev.depth + 1,
+                        }));
+                        seq += 1;
                     }
                 }
             }
@@ -1233,37 +1279,33 @@ pub fn run_flood<P: Fn(NodeId) -> bool>(
             }
             let tag = ((gen as u64) << 32) | snd;
             snd += 1;
-            stats.sent += 1;
-            match send_fate(
+            let fate = send_fate(
                 spec,
                 g.id_of_slot(s).0,
                 g.id_of_slot(p).0,
                 send_round,
                 op_key,
                 tag,
-            ) {
-                SendFate::Deliver { latency } => {
-                    stats.delivered += 1;
-                    let arr = send_round + latency as u64;
-                    if p == root_slot && arr > timer {
-                        // Arrived after the initiator gave up.
-                        continue;
-                    }
-                    acc_cnt[p as usize] += acc_cnt[s as usize];
-                    acc_mat[p as usize] += acc_mat[s as usize];
-                    if let Some(cand) = acc_wit[s as usize] {
-                        if acc_wit[p as usize].is_none_or(|bw| cand < bw) {
-                            acc_wit[p as usize] = Some(cand);
-                        }
-                    }
-                    ready[p as usize] = ready[p as usize].max(arr);
-                    if p == root_slot {
-                        root_done = root_done.max(arr);
-                    }
+            );
+            stats.charge(fate);
+            let SendFate::Deliver { latency } = fate else {
+                continue;
+            };
+            let arr = send_round + latency as u64;
+            if p == root_slot && arr > timer {
+                // Arrived after the initiator gave up.
+                continue;
+            }
+            acc_cnt[p as usize] += acc_cnt[s as usize];
+            acc_mat[p as usize] += acc_mat[s as usize];
+            if let Some(cand) = acc_wit[s as usize] {
+                if acc_wit[p as usize].is_none_or(|bw| cand < bw) {
+                    acc_wit[p as usize] = Some(cand);
                 }
-                SendFate::LostRandom => stats.lost_random += 1,
-                SendFate::LostBurst => stats.lost_burst += 1,
-                SendFate::LostPartition => stats.lost_partition += 1,
+            }
+            ready[p as usize] = ready[p as usize].max(arr);
+            if p == root_slot {
+                root_done = root_done.max(arr);
             }
         }
 
@@ -1365,16 +1407,17 @@ mod tests {
             lost_random: base + 3,
             lost_burst: base + 4,
             lost_partition: base + 5,
-            timeouts: base + 6,
-            reinitiations: base + 7,
-            walks_lost: base + 8,
-            routes_lost: base + 9,
-            heal_fallbacks: base + 10,
-            dht_abandoned: base + 11,
-            flood_retries: base + 12,
-            floods_partial: base + 13,
-            type2_rollbacks: base + 14,
-            type2_reinitiations: base + 15,
+            retransmits: base + 6,
+            timeouts: base + 7,
+            reinitiations: base + 8,
+            walks_lost: base + 9,
+            routes_lost: base + 10,
+            heal_fallbacks: base + 11,
+            dht_abandoned: base + 12,
+            flood_retries: base + 13,
+            floods_partial: base + 14,
+            type2_rollbacks: base + 15,
+            type2_reinitiations: base + 16,
         };
         let mut acc = FaultStats::default();
         acc.merge(&fill(100));
@@ -1407,7 +1450,78 @@ mod tests {
             assert_eq!(report.makespan, scalar.hops, "trial {trial}");
             assert_eq!(report.stats.sent, report.stats.delivered);
             assert_eq!(report.stats.reinitiations, 0);
+            assert_eq!(report.stats.retransmits, 0);
+            assert_eq!(res[0].retransmits, 0);
         }
+    }
+
+    /// Hop-level ARQ under Bernoulli loss alone: a retransmission resends
+    /// the token without a new RNG draw, so every walk takes the zero-spec
+    /// walk's hops and hits the same node, and each extra send is one
+    /// counted retransmission. The budget is wide enough that no hop
+    /// spends it (12 straight losses at 20 %: p ≈ 4·10⁻⁹).
+    #[test]
+    fn lossy_walks_take_the_zero_fault_hops() {
+        let net = test_net(96);
+        let ops = walk_ops(96, 40, 50);
+        let mk =
+            |i: usize, retry: u32| StdRng::seed_from_u64(fold(0xbbb, &[i as u64, retry as u64]));
+        let (clean, _) = run_walks(net.graph(), &FaultSpec::zero(), &ops, accept_mod7, mk);
+        let spec = FaultSpec::zero()
+            .with_loss(200)
+            .with_latency(1, 3)
+            .with_retries(12, 12)
+            .with_seed(0xa7a7);
+        let (lossy, rep) = run_walks(net.graph(), &spec, &ops, accept_mod7, mk);
+        assert!(rep.stats.retransmits > 0, "20 % loss never retransmitted");
+        for (i, (c, l)) in clean.iter().zip(&lossy).enumerate() {
+            assert_eq!(l.retries, 0, "op {i} re-initiated");
+            assert_eq!(l.status, c.status, "op {i}");
+            assert_eq!(l.hit, c.hit, "op {i}");
+            assert_eq!(l.hops, c.hops, "op {i}");
+            assert_eq!(l.sends, l.hops + l.retransmits, "op {i}");
+        }
+        let retransmits: u64 = lossy.iter().map(|r| r.retransmits).sum();
+        assert_eq!(rep.stats.retransmits, retransmits);
+        // Every lost send was retransmitted once, and no op timed out.
+        assert_eq!(rep.stats.lost_random, rep.stats.retransmits);
+        assert_eq!(rep.stats.timeouts, 0);
+    }
+
+    /// A route under loss closes at the sum of its link latencies plus
+    /// one per-hop timeout τ per retransmission: a lost send costs the
+    /// sender exactly τ before it tries the same link again.
+    #[test]
+    fn lossy_route_pays_one_hop_timeout_per_retransmission() {
+        let net = test_net(64);
+        let path: Vec<NodeId> = (0..12).map(NodeId).collect();
+        let spec = FaultSpec::zero()
+            .with_loss(300)
+            .with_latency(1, 4)
+            .with_retries(12, 12)
+            .with_seed(0x70a7);
+        let ops = [RouteOp {
+            path: path.clone(),
+            round_trip: true,
+            op_key: 21,
+        }];
+        let (res, rep) = run_routes(net.graph(), &spec, &ops);
+        let r = res[0];
+        assert_eq!(r.status, OpStatus::Delivered);
+        assert_eq!(r.retries, 0);
+        assert!(r.retransmits > 0, "30 % loss never retransmitted");
+        // Latency is symmetric, so the reply pays the request's links.
+        let one_way: u64 = path
+            .windows(2)
+            .map(|w| link_latency(&spec, w[0].0, w[1].0) as u64)
+            .sum();
+        assert_eq!(
+            r.close_round,
+            2 * one_way + r.retransmits * spec.hop_timeout()
+        );
+        assert_eq!(r.sends, 22 + r.retransmits);
+        assert_eq!(rep.stats.retransmits, r.retransmits);
+        assert_eq!(rep.stats.reinitiations, 0);
     }
 
     #[test]
@@ -1428,6 +1542,7 @@ mod tests {
             prev_rate = rate;
             if loss == 0 {
                 assert_eq!(rate, 1.0);
+                assert_eq!(rep.stats.retransmits, 0);
             }
             if loss >= 800 {
                 assert!(rep.stats.walks_lost > 0, "heavy loss must abandon some ops");
@@ -1452,6 +1567,7 @@ mod tests {
         assert_eq!(res[0].sends, 5);
         assert_eq!(res[0].close_round, 15);
         assert_eq!(rep.makespan, 15);
+        assert_eq!(rep.stats.retransmits, 0);
     }
 
     #[test]
@@ -1463,44 +1579,70 @@ mod tests {
             round_trip: true,
             op_key: 11,
         }];
-        let (res, _) = run_routes(net.graph(), &FaultSpec::zero(), &ops);
+        let (res, rep) = run_routes(net.graph(), &FaultSpec::zero(), &ops);
         assert_eq!(res[0].status, OpStatus::Delivered);
         // 3 hops out + 3 hops back.
         assert_eq!(res[0].sends, 6);
         assert_eq!(res[0].close_round, 6);
+        assert_eq!(rep.stats.retransmits, 0);
+    }
+
+    /// A ring edge that crosses the partition cut of `spec`.
+    fn cross_edge(spec: &FaultSpec, n: u64) -> (NodeId, NodeId) {
+        (0..n)
+            .map(|i| (NodeId(i), NodeId((i + 1) % n)))
+            .find(|(a, b)| partition_side(spec, a.0) != partition_side(spec, b.0))
+            .expect("hash split leaves no crossing ring edge")
     }
 
     #[test]
     fn partition_blocks_then_rejoins() {
         let net = test_net(64);
-        // Find an edge that crosses the partition cut.
         let spec = FaultSpec::zero()
             .with_partition(1 << 20, 12)
             .with_retries(6, 30)
             .with_seed(0xcafe);
-        let g = net.graph();
-        let mut cross = None;
-        'outer: for i in 0..64u64 {
-            let a = NodeId(i);
-            let b = NodeId((i + 1) % 64);
-            if partition_side(&spec, a.0) != partition_side(&spec, b.0) {
-                cross = Some((a, b));
-                break 'outer;
-            }
-        }
-        let (a, b) = cross.expect("hash split leaves no crossing ring edge");
+        let (a, b) = cross_edge(&spec, 64);
         let ops = [RouteOp {
             path: vec![a, b],
             round_trip: false,
             op_key: 3,
         }];
-        let (res, rep) = run_routes(g, &spec, &ops);
-        // The partition is up for rounds 0..12; the op must stall, retry
-        // with backoff, and complete after the rejoin.
+        let (res, rep) = run_routes(net.graph(), &spec, &ops);
+        // The partition is up for rounds 0..12: the hop's send stalls,
+        // the sender retransmits it every τ rounds, and the first one
+        // after the rejoin gets across — the hop's budget outlasts the
+        // cut, so the op never re-initiates.
         assert_eq!(res[0].status, OpStatus::Delivered);
-        assert!(res[0].retries > 0);
         assert!(res[0].close_round >= 12, "closed at {}", res[0].close_round);
         assert!(rep.stats.lost_partition > 0);
+        assert!(rep.stats.retransmits > 0);
+        assert_eq!(rep.stats.reinitiations, 0);
+    }
+
+    #[test]
+    fn partition_outlasting_the_hop_budget_reinitiates() {
+        let net = test_net(64);
+        // A hop budget of 2 retransmissions (τ = 3) spans rounds 0..7,
+        // well inside the 40-round cut: the token is lost, and only the
+        // op-level timer, re-initiating with backoff, outlasts the
+        // partition.
+        let spec = FaultSpec::zero()
+            .with_partition(1 << 20, 40)
+            .with_retries(6, 2)
+            .with_seed(0xcafe);
+        let (a, b) = cross_edge(&spec, 64);
+        let ops = [RouteOp {
+            path: vec![a, b],
+            round_trip: false,
+            op_key: 3,
+        }];
+        let (res, rep) = run_routes(net.graph(), &spec, &ops);
+        assert_eq!(res[0].status, OpStatus::Delivered);
+        assert!(res[0].retries > 0);
+        assert!(res[0].close_round >= 40, "closed at {}", res[0].close_round);
+        assert!(rep.stats.lost_partition > 0);
+        assert!(rep.stats.retransmits > 0);
         assert!(rep.stats.reinitiations > 0);
     }
 
@@ -1574,6 +1716,7 @@ mod tests {
             assert_eq!(rep.makespan, central.rounds, "trial {trial}");
             assert_eq!(rep.messages, central.messages, "trial {trial}");
             assert_eq!(rep.stats.sent, rep.stats.delivered);
+            assert_eq!(rep.stats.retransmits, 0);
             assert_eq!(rep.stats.timeouts, 0);
             assert_eq!(rep.stats.flood_retries, 0);
             assert_eq!(rep.stats.floods_partial, 0);
