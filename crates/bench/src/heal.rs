@@ -163,8 +163,8 @@ fn run_kernel(phi: &mut VirtualMapping, n: u64, p0: u64, steps: u64, seed: u64) 
         resolve(phi, z.0, p, checksum, ops);
     };
     // Post-rebuild fabric pass: resolve the owner of every canonical edge
-    // endpoint (succ sequential, chord scattered), mirroring
-    // `expected_edge_multiset` after `rewire_to_target`.
+    // endpoint (succ sequential, chord scattered), mirroring the
+    // type-2 rewire's row sweep (`fabric::rewire_diff`).
     let resolve_fabric = |phi: &VirtualMapping, p: u64, checksum: &mut u64, ops: &mut u64| {
         for z in 0..p {
             let chord = reduce(splitmix64(z), p);

@@ -9,14 +9,20 @@
 //! vertex moves with O(1) topology changes, and rebuilds the fabric by
 //! multiset diff after a one-shot type-2 recovery.
 //!
-//! The per-step paths — [`move_vertices`], [`adopt_vertices`] — and the
-//! bootstrap's row-order sweep ([`deal_round_robin`]) never see a
-//! `NodeId`: Φ is slotted by the network's node arena (`mapping` module
-//! docs), so the owner *slot* Φ stores for a vertex is the adjacency row
-//! to edit. Only the whole-fabric passes ([`expected_edge_multiset`],
-//! [`rewire_to_target`], [`verify_fabric`]) speak ids: their sort order
-//! is by id, and the adjacency order every golden digest pins follows
-//! from it.
+//! Φ is slotted by the network's node arena (`mapping` module docs), so
+//! the owner *slot* Φ stores for a vertex is the adjacency row to edit or
+//! read. The per-step paths — [`move_vertices`],
+//! [`adopt_vertices`] — and the bootstrap's row-order sweep
+//! ([`deal_round_robin`]) never see a `NodeId`. The whole-fabric passes
+//! sweep the rows in slot order (`ContractionRows`): the invariant
+//! checker compares each node's row with the one Φ implies, and the
+//! simplified type-2 rewire ([`rewire_diff`], [`rewire_to_map`]) diffs
+//! them. Neither builds a whole-network edge list. The rewire's edit
+//! lists alone speak ids: they are sorted by `(min id, max id)` and
+//! applied in that order, because an edit's swap-remove fixes where the
+//! other entries of a row land, and every golden digest pins that order
+//! (a walk indexes rows). The staggered overlay's check
+//! ([`verify_fabric`]) still compares id-sorted edge lists.
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};
@@ -262,19 +268,6 @@ pub fn for_each_canonical_edge(cycle: &PCycle, mut f: impl FnMut(VertexId, Verte
     });
 }
 
-/// The full expected physical edge multiset (normalized `(min, max)`
-/// pairs, sorted) for the contraction of `cycle` under `map`. Used by the
-/// invariant checker and by [`rewire_to_target`].
-pub fn expected_edge_multiset(map: &VirtualMapping, cycle: &PCycle) -> Vec<(NodeId, NodeId)> {
-    let mut out = Vec::with_capacity(cycle.p() as usize * 2);
-    for_each_canonical_edge(cycle, |a, b| {
-        let (ua, ub) = (map.owner_of(a), map.owner_of(b));
-        out.push((ua.min(ub), ua.max(ub)));
-    });
-    out.sort_unstable();
-    out
-}
-
 /// Move the vertex set `zs` (all owned by a live node; `chords` their
 /// chord partners) to the node in slot `to`: removes every incident
 /// physical instance, retargets the mapping, and re-adds the instances
@@ -338,58 +331,225 @@ pub fn adopt_vertices(
     }
 }
 
-/// Rewire the physical graph to exactly `target` (a normalized sorted edge
-/// multiset): removes instances not in the target, adds missing ones.
-/// Returns `(removed, added)`. Only the multiset difference is charged —
-/// edges shared between the old and new fabric are untouched, which is
-/// what keeps one-shot type-2 recovery at O(n) topology changes.
-pub fn rewire_to_target(net: &mut Network, target: &[(NodeId, NodeId)]) -> (u64, u64) {
-    let mut current: Vec<(NodeId, NodeId)> = net
-        .graph()
-        .edges()
-        .into_iter()
-        .map(|(a, b)| (a.min(b), a.max(b)))
-        .collect();
-    current.sort_unstable();
-    // Multiset difference by merge.
-    let mut to_remove = Vec::new();
-    let mut to_add = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < current.len() || j < target.len() {
-        match (current.get(i), target.get(j)) {
-            (Some(&c), Some(&t)) => {
-                if c == t {
-                    i += 1;
-                    j += 1;
-                } else if c < t {
-                    to_remove.push(c);
-                    i += 1;
-                } else {
-                    to_add.push(t);
-                    j += 1;
-                }
-            }
-            (Some(&c), None) => {
-                to_remove.push(c);
-                i += 1;
-            }
-            (None, Some(&t)) => {
-                to_add.push(t);
-                j += 1;
-            }
-            (None, None) => unreachable!(),
-        }
-    }
-    for &(a, b) in &to_remove {
-        assert!(net.remove_edge(a, b), "rewire: missing edge ({a},{b})");
-    }
-    for &(a, b) in &to_add {
-        net.add_edge(a, b);
-    }
-    (to_remove.len() as u64, to_add.len() as u64)
+/// The adjacency rows of the contraction of `cycle` under `map`, one node
+/// at a time: [`Self::row`] is the neighbour-slot multiset Φ implies for
+/// the node in a slot, sorted. Ask for slots in ascending order: chords
+/// are inverted a block of node slots at a time, so the scratch is
+/// O(block · max load), never O(p).
+///
+/// A row holds the node's incident edge instances by the dedup rule of
+/// [`incident_edges_into`], with "owned by this node" as the set test: an
+/// edge with both ends in the node is one self-loop entry, each parallel
+/// copy one entry. Those are the network's own row conventions, so once
+/// Φ's node set is the network's, equal rows at every live node mean equal
+/// edge multisets.
+pub(crate) struct ContractionRows<'a> {
+    map: &'a VirtualMapping,
+    cycle: &'a PCycle,
+    /// The node slots `[lo, hi)` whose chords are inverted: their `Sim`
+    /// sets concatenated in slot order, slot `lo + i`'s at
+    /// `xs[starts[i]..starts[i + 1]]`, and `inv[t]` the chord of `xs[t]`.
+    lo: u32,
+    hi: u32,
+    starts: Vec<u32>,
+    xs: Vec<u32>,
+    inv: Vec<u32>,
+    row: Vec<u32>,
 }
 
-/// Compare the physical graph against the expected contraction multiset.
+impl<'a> ContractionRows<'a> {
+    /// Node slots per chord block.
+    const BLOCK: u32 = 1024;
+
+    /// Rows of the contraction of `cycle` under `map` (which must assign
+    /// every vertex of `cycle`).
+    pub(crate) fn new(map: &'a VirtualMapping, cycle: &'a PCycle) -> Self {
+        ContractionRows {
+            map,
+            cycle,
+            lo: 0,
+            hi: 0,
+            starts: Vec::new(),
+            xs: Vec::new(),
+            inv: Vec::new(),
+            row: Vec::new(),
+        }
+    }
+
+    /// Invert the chords of the vertices held in slots `[lo, lo+BLOCK)`.
+    fn next_block(&mut self, lo: u32) {
+        self.lo = lo;
+        self.hi = lo.saturating_add(Self::BLOCK);
+        self.starts.clear();
+        self.xs.clear();
+        for slot in lo..self.hi {
+            self.starts.push(self.xs.len() as u32);
+            self.xs
+                .extend(self.map.sim_at(slot).iter().map(|z| z.0 as u32));
+        }
+        self.starts.push(self.xs.len() as u32);
+        self.inv.resize(self.xs.len(), 0);
+        inverse_batch(self.cycle.p(), &self.xs, &mut self.inv);
+    }
+
+    /// The row Φ implies for the node in `slot`, sorted (empty for a slot
+    /// Φ does not hold).
+    pub(crate) fn row(&mut self, slot: u32) -> &[u32] {
+        if !(self.lo..self.hi).contains(&slot) {
+            self.next_block(slot);
+        }
+        let i = (slot - self.lo) as usize;
+        let span = self.starts[i] as usize..self.starts[i + 1] as usize;
+        let (map, cycle) = (self.map, self.cycle);
+        self.row.clear();
+        for (&x, &c) in self.xs[span.clone()].iter().zip(&self.inv[span]) {
+            let (z, c) = (VertexId(x as u64), VertexId(c as u64));
+            self.row.push(map.owner_slot_of(cycle.succ(z)));
+            let pred = map.owner_slot_of(cycle.pred(z));
+            if pred != slot {
+                self.row.push(pred);
+            }
+            if c == z {
+                self.row.push(slot);
+            } else {
+                let to = map.owner_slot_of(c);
+                if to != slot || z < c {
+                    self.row.push(to);
+                }
+            }
+        }
+        self.row.sort_unstable();
+        &self.row
+    }
+}
+
+/// Merge two sorted slot multisets: `f(t, true)` for each entry of `have`
+/// beyond `want`, `f(t, false)` for each entry of `want` beyond `have`.
+fn diff_sorted(have: &[u32], want: &[u32], mut f: impl FnMut(u32, bool)) {
+    let (mut i, mut j) = (0, 0);
+    loop {
+        match (have.get(i), want.get(j)) {
+            (Some(&h), Some(&w)) if h == w => {
+                i += 1;
+                j += 1;
+            }
+            (Some(&h), Some(&w)) if h < w => {
+                f(h, true);
+                i += 1;
+            }
+            (Some(&h), None) => {
+                f(h, true);
+                i += 1;
+            }
+            (_, Some(&w)) => {
+                f(w, false);
+                j += 1;
+            }
+            (None, None) => break,
+        }
+    }
+}
+
+/// The network's row at `slot`, sorted into `have` (cleared first).
+fn sorted_row(net: &Network, slot: u32, have: &mut Vec<u32>) {
+    have.clear();
+    have.extend_from_slice(net.graph().neighbor_slots(slot));
+    have.sort_unstable();
+}
+
+/// Compare the network's row at the live `slot` with `want` (sorted, as
+/// `ContractionRows::row` returns it); `have` is scratch. The error
+/// names the first few extra and missing neighbours.
+pub(crate) fn check_row(
+    net: &Network,
+    slot: u32,
+    want: &[u32],
+    have: &mut Vec<u32>,
+) -> Result<(), String> {
+    sorted_row(net, slot, have);
+    if have == want {
+        return Ok(());
+    }
+    let g = net.graph();
+    let name = |t: u32| {
+        if g.slot_alive(t) {
+            g.id_of_slot(t).to_string()
+        } else {
+            format!("dead slot {t}")
+        }
+    };
+    let mut msg = format!("fabric mismatch at node {}:", g.id_of_slot(slot));
+    let mut shown = 0;
+    diff_sorted(have, want, |t, extra| {
+        shown += 1;
+        if shown <= 6 {
+            let kind = if extra { "extra" } else { "missing" };
+            msg.push_str(&format!(" {kind}({})", name(t)));
+        }
+    });
+    Err(msg)
+}
+
+/// Undirected edges as `(min id, max id)` pairs.
+pub type EdgeList = Vec<(NodeId, NodeId)>;
+
+/// The edits that turn the network into the contraction of `cycle` under
+/// `map` (a Φ slotted by the network's arena, assigning every vertex):
+/// `(remove, add)`, the multiset differences current − target and
+/// target − current as `(min id, max id)` pairs, each sorted. One slot-order
+/// sweep diffs every live row against `ContractionRows` and lists each
+/// edge from its smaller-id end (a loop from its node), so the lists are
+/// those of a sorted merge of the two whole edge lists, in the same order,
+/// in O(diff) memory.
+pub fn rewire_diff(net: &Network, map: &VirtualMapping, cycle: &PCycle) -> (EdgeList, EdgeList) {
+    let g = net.graph();
+    let mut rows = ContractionRows::new(map, cycle);
+    let mut have = Vec::new();
+    let (mut remove, mut add) = (Vec::new(), Vec::new());
+    for slot in 0..g.slot_bound() as u32 {
+        if !g.slot_alive(slot) {
+            continue;
+        }
+        let u = g.id_of_slot(slot);
+        let pair = |t: u32| {
+            let v = g.id_of_slot(t);
+            (u <= v).then_some((u, v))
+        };
+        sorted_row(net, slot, &mut have);
+        diff_sorted(&have, rows.row(slot), |t, extra| {
+            if let Some(e) = pair(t) {
+                if extra {
+                    remove.push(e)
+                } else {
+                    add.push(e)
+                }
+            }
+        });
+    }
+    remove.sort_unstable();
+    add.sort_unstable();
+    (remove, add)
+}
+
+/// Rewire the physical graph to exactly the contraction of `cycle` under
+/// `map`: apply [`rewire_diff`]'s removals, then its additions, each in
+/// list order. Returns `(removed, added)`. Only the multiset difference is
+/// charged — edges shared between the old and new fabric are untouched,
+/// which is what keeps one-shot type-2 recovery at O(n) topology changes.
+pub fn rewire_to_map(net: &mut Network, map: &VirtualMapping, cycle: &PCycle) -> (u64, u64) {
+    let (remove, add) = rewire_diff(net, map, cycle);
+    for &(a, b) in &remove {
+        assert!(net.remove_edge(a, b), "rewire: missing edge ({a},{b})");
+    }
+    for &(a, b) in &add {
+        net.add_edge(a, b);
+    }
+    (remove.len() as u64, add.len() as u64)
+}
+
+/// Compare the physical graph with an expected edge multiset (normalized
+/// `(min, max)` pairs, sorted) — the staggered overlay's check
+/// (`StaggeredOp::verify_fabric`).
 pub fn verify_fabric(net: &Network, expected: &[(NodeId, NodeId)]) -> Result<(), String> {
     let mut current: Vec<(NodeId, NodeId)> = net
         .graph()
@@ -457,11 +617,24 @@ mod tests {
         zs.iter().map(|&z| cycle.chord(z)).collect()
     }
 
+    /// Every live row is the one Φ implies, and the rewire has nothing to
+    /// do.
+    fn assert_exact(net: &Network, map: &VirtualMapping, cycle: &PCycle) {
+        let mut rows = ContractionRows::new(map, cycle);
+        let mut have = Vec::new();
+        for slot in 0..net.graph().slot_bound() as u32 {
+            if net.graph().slot_alive(slot) {
+                check_row(net, slot, rows.row(slot), &mut have).unwrap();
+            }
+        }
+        let (remove, add) = rewire_diff(net, map, cycle);
+        assert!(remove.is_empty() && add.is_empty(), "-{remove:?} +{add:?}");
+    }
+
     #[test]
     fn materialized_fabric_matches_expected() {
         let (net, map, cycle) = world(23, 5);
-        let expected = expected_edge_multiset(&map, &cycle);
-        verify_fabric(&net, &expected).unwrap();
+        assert_exact(&net, &map, &cycle);
         // Total instances = p cycle edges + (p-3)/2 chords + 3 loops.
         assert_eq!(net.graph().num_edges(), 23 + 10 + 3);
         net.graph().validate().unwrap();
@@ -523,8 +696,7 @@ mod tests {
             "O(1) changes, got {}",
             m.topology_changes
         );
-        let expected = expected_edge_multiset(&map, &cycle);
-        verify_fabric(&net, &expected).unwrap();
+        assert_exact(&net, &map, &cycle);
         assert_eq!(map.owner_of(VertexId(7)), NodeId(0));
     }
 
@@ -545,8 +717,7 @@ mod tests {
             &mut Vec::new(),
         );
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
-        let expected = expected_edge_multiset(&map, &cycle);
-        verify_fabric(&net, &expected).unwrap();
+        assert_exact(&net, &map, &cycle);
     }
 
     #[test]
@@ -567,32 +738,41 @@ mod tests {
             &mut Vec::new(),
         );
         net.end_step(dex_sim::StepKind::Delete, dex_sim::RecoveryKind::Type1);
-        let expected = expected_edge_multiset(&map, &cycle);
-        verify_fabric(&net, &expected).unwrap();
+        assert_exact(&net, &map, &cycle);
     }
 
     #[test]
     fn rewire_diff_is_minimal() {
         let (mut net, mut map, cycle) = world(23, 5);
-        // Target: same fabric but vertex 7 moved — diff must be ≤ 6+6.
+        // Target: same fabric but vertex 7 moved — diff must be ≤ 3+3.
         let mut target_map = map.clone();
         target_map.transfer(VertexId(7), NodeId(0));
-        let target = expected_edge_multiset(&target_map, &cycle);
         net.begin_step();
-        let (rm, add) = rewire_to_target(&mut net, &target);
+        let (rm, add) = rewire_to_map(&mut net, &target_map, &cycle);
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
         assert!(rm <= 3 && add <= 3, "diff too large: -{rm} +{add}");
-        verify_fabric(&net, &target).unwrap();
         map.transfer(VertexId(7), NodeId(0));
-        verify_fabric(&net, &expected_edge_multiset(&map, &cycle)).unwrap();
+        assert_exact(&net, &map, &cycle);
     }
 
     #[test]
     fn verify_fabric_reports_mismatch() {
         let (mut net, map, cycle) = world(23, 5);
         net.adversary_add_edge(NodeId(0), NodeId(1));
-        let expected = expected_edge_multiset(&map, &cycle);
+        let mut expected = Vec::new();
+        for_each_canonical_edge(&cycle, |a, b| {
+            let (ua, ub) = (map.owner_of(a), map.owner_of(b));
+            expected.push((ua.min(ub), ua.max(ub)));
+        });
+        expected.sort_unstable();
         let err = verify_fabric(&net, &expected).unwrap_err();
-        assert!(err.contains("extra"), "{err}");
+        assert!(err.contains("extra(n0,n1)"), "{err}");
+        // The row check names the same edge from both of its ends.
+        let mut rows = ContractionRows::new(&map, &cycle);
+        for (u, v) in [(0, 1), (1, 0)] {
+            let s = slot(&net, u);
+            let err = check_row(&net, s, rows.row(s), &mut Vec::new()).unwrap_err();
+            assert!(err.contains(&format!("extra({})", NodeId(v))), "{err}");
+        }
     }
 }

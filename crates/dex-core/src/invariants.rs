@@ -2,7 +2,11 @@
 //!
 //! Theorem 1's deterministic guarantees, checked directly on the live
 //! structure. Tests call [`check`] after *every* adversarial step; it is
-//! O(n) and not part of the protocol cost.
+//! not part of the protocol cost. It takes O(p) time and O(n + max degree)
+//! extra memory: every per-node check below runs in one sweep over the
+//! node slots, each node's row against the row Φ implies
+//! (`fabric::ContractionRows`), and only the connectivity BFS keeps a
+//! per-node array. No whole-network edge list is built.
 //!
 //! Checked invariants:
 //! 1. internal consistency of the graph and the mapping, and their shared
@@ -14,7 +18,10 @@
 //! 3. load bounds: ≤ 4ζ steady state, ≤ 8ζ during a staggered operation
 //!    (Lemma 3(a) / Lemma 9(a));
 //! 4. the physical network is *exactly* the contraction of the virtual
-//!    graph under Φ (multiset of edges, Definition 2);
+//!    graph under Φ (multiset of edges, Definition 2): with Φ's node set
+//!    the graph's (1 and 2), each node's sorted row equals the row Φ
+//!    implies; during a staggered operation the overlay oracle
+//!    (`StaggeredOp::verify_fabric`) compares edge lists instead;
 //! 5. degree bound: deg(u) = Θ(load(u)) ≤ 3·load (plus staged/intermediate
 //!    edges during staggering);
 //! 6. the network is connected;
@@ -28,38 +35,59 @@ use dex_graph::connectivity::is_connected;
 
 /// Check all structural invariants; `Err` describes the first violation.
 pub fn check(dex: &DexNetwork) -> Result<(), String> {
-    dex.net
-        .graph()
-        .validate()
-        .map_err(|e| format!("graph: {e}"))?;
-
-    // Φ slot == graph slot and Φ id == graph id for every mapped node
-    // (which also rules out ghost owners).
+    let g = dex.net.graph();
+    g.validate().map_err(|e| format!("graph: {e}"))?;
     let staged = dex.stag.as_ref().map(|op| op.staged_map());
     for map in std::iter::once(&dex.map).chain(staged) {
         map.validate().map_err(|e| format!("mapping: {e}"))?;
-        for (u, slot) in map.nodes_at() {
-            if dex.net.graph().slot_of(u) != Some(slot) {
-                return Err(format!(
-                    "mapping owner {u} in Φ slot {slot}, graph slot {:?}",
-                    dex.net.graph().slot_of(u)
-                ));
-            }
-        }
     }
 
-    let staggering = dex.stag.is_some();
+    let staggering = staged.is_some();
     let max_load = if staggering {
         dex.cfg.max_load_staggered()
     } else {
         dex.cfg.max_load()
     };
+    // Each simulated vertex contributes ≤ 3 incident edge instances;
+    // during staggering an old vertex can additionally attract up to
+    // ζ + 2 intermediate edges (its cloud's boundary + chords).
+    let deg_factor = if staggering { 3 + dex.cfg.zeta + 2 } else { 3 };
 
-    // Surjectivity + load bounds + degree bounds.
-    for u in dex.net.graph().nodes() {
-        let old_load = dex.map.load(u);
-        let staged = dex.stag.as_ref().map_or(0, |s| s.staged_load(u));
-        let total = old_load + staged;
+    // Outside a staggered operation the fabric is checked row by row,
+    // which needs every vertex of Z(p) assigned.
+    let mut rows = if staggering {
+        None
+    } else {
+        let p = dex.cycle.p();
+        if dex.map.num_vertices() as u64 != p {
+            return Err(format!(
+                "Φ assigns {} of the {p} vertices",
+                dex.map.num_vertices()
+            ));
+        }
+        Some(fabric::ContractionRows::new(&dex.map, &dex.cycle))
+    };
+    let mut have = Vec::new();
+
+    let bound = std::iter::once(&dex.map)
+        .chain(staged)
+        .map(|m| m.slot_bound())
+        .fold(g.slot_bound(), usize::max);
+    for slot in 0..bound as u32 {
+        let id = g.slot_alive(slot).then(|| g.id_of_slot(slot));
+        // Φ slot == graph slot and Φ id == graph id for every mapped node
+        // (which also rules out ghost owners).
+        for map in std::iter::once(&dex.map).chain(staged) {
+            if let Some(u) = map.node_at(slot).filter(|&u| Some(u) != id) {
+                return Err(format!(
+                    "mapping owner {u} in Φ slot {slot}, graph slot {:?}",
+                    g.slot_of(u)
+                ));
+            }
+        }
+        let Some(u) = id else { continue };
+
+        let total = dex.map.load_at(slot) + staged.map_or(0, |s| s.load_at(slot));
         if total == 0 {
             return Err(format!("node {u} simulates nothing (Φ not surjective)"));
         }
@@ -68,11 +96,10 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
                 "node {u} load {total} exceeds bound {max_load} (staggering={staggering})"
             ));
         }
-        let deg = dex.net.graph().degree(u) as u64;
-        // Each simulated vertex contributes ≤ 3 incident edge instances;
-        // during staggering an old vertex can additionally attract up to
-        // ζ + 2 intermediate edges (its cloud's boundary + chords).
-        let deg_factor = if staggering { 3 + dex.cfg.zeta + 2 } else { 3 };
+        if let Some(rows) = &mut rows {
+            fabric::check_row(&dex.net, slot, rows.row(slot), &mut have)?;
+        }
+        let deg = g.degree_of_slot(slot) as u64;
         if deg > deg_factor * total {
             return Err(format!(
                 "node {u} degree {deg} exceeds {deg_factor}·load = {}",
@@ -81,19 +108,12 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
         }
     }
 
-    // Exact contraction fabric.
-    match &dex.stag {
-        None => {
-            let expected = fabric::expected_edge_multiset(&dex.map, &dex.cycle);
-            fabric::verify_fabric(&dex.net, &expected)?;
-        }
-        Some(op) => {
-            op.verify_fabric(dex)?;
-            op.verify_reserves()?;
-        }
+    if let Some(op) = &dex.stag {
+        op.verify_fabric(dex)?;
+        op.verify_reserves()?;
     }
 
-    if !is_connected(dex.net.graph()) {
+    if !is_connected(g) {
         return Err("network disconnected".into());
     }
     Ok(())

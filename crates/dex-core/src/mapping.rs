@@ -282,6 +282,19 @@ impl VirtualMapping {
         }
     }
 
+    /// The node held in `slot` (`None` for a vacant or unseen slot).
+    #[inline]
+    pub(crate) fn node_at(&self, slot: u32) -> Option<NodeId> {
+        (self.load_at(slot) > 0).then(|| self.nodes[slot as usize].id)
+    }
+
+    /// Exclusive upper bound on the node slots this map has seen (vacant
+    /// ones included).
+    #[inline]
+    pub(crate) fn slot_bound(&self) -> usize {
+        self.lens.len()
+    }
+
     /// Load of `u` = `|Sim(u)|`.
     #[inline]
     pub fn load(&self, u: NodeId) -> u64 {

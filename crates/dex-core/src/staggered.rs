@@ -591,14 +591,17 @@ fn rebalance_staged(dex: &mut DexNetwork, u: NodeId) {
             )
         };
         if let Some(w) = out.hit {
+            // A reserve never moves: with at most one a node, load > cap
+            // leaves another to give.
             let y = {
                 let op = op_ref(dex);
                 op.staged_map
                     .sim(u)
                     .iter()
+                    .filter(|z| !op.taken.contains(z))
                     .map(|z| z.0)
                     .max()
-                    .expect("load > cap")
+                    .expect("load > cap leaves a vertex beyond the reserve")
             };
             move_staged_vertex(dex, y, w);
         }
@@ -1120,12 +1123,19 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
     }
     let cap = dex.cfg.max_load();
     for (i, &y) in staged_zs.iter().enumerate() {
-        let keep = {
+        let (done, reserve) = {
             let op = op_ref(dex);
-            op.staged_map.load(rescuer) <= cap
+            (
+                op.staged_map.load(rescuer) <= cap,
+                op.taken.contains(&VertexId(y)),
+            )
         };
-        if keep {
+        if done {
             break;
+        }
+        // The victim's reserve, if the rescuer kept it, stays put.
+        if reserve {
+            continue;
         }
         let mut attempt = 0u64;
         loop {

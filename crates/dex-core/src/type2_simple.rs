@@ -122,8 +122,7 @@ pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
     // Install the new fabric (exact multiset diff — shared edges are
     // untouched). The adversarial attach edge disappears here unless the
     // new virtual graph requires a (u, v) edge.
-    let target = fabric::expected_edge_multiset(&new_map, &new_cycle);
-    fabric::rewire_to_target(&mut dex.net, &target);
+    fabric::rewire_to_map(&mut dex.net, &new_map, &new_cycle);
     dex.map = new_map;
     dex.cycle = new_cycle;
 
@@ -225,8 +224,7 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     }
 
     // Install the new fabric and switch over.
-    let target = fabric::expected_edge_multiset(&new_map, &new_cycle);
-    fabric::rewire_to_target(&mut dex.net, &target);
+    fabric::rewire_to_map(&mut dex.net, &new_map, &new_cycle);
     dex.map = new_map;
     dex.cycle = new_cycle;
 

@@ -15,6 +15,12 @@
 //! updates, which a batch deletion never charged: fewer rounds and
 //! messages, with Φ, topology changes, the walk counters and every fault
 //! counter unchanged.
+//!
+//! The staggered resize script (two inflations, then two deflations with
+//! deletions landing mid-deflation, `invariants::check` after every step)
+//! was recorded once, when staged rebalancing and a deletion's
+//! redistribution stopped moving reserves; the code before that change
+//! gives the same digest, so the script reaches neither guarded path.
 
 use dex_core::{invariants, DexConfig, DexNetwork, FaultSpec, FaultStats};
 use dex_graph::ids::NodeId;
@@ -204,6 +210,61 @@ fn single_op_simplified_digest_is_unchanged_at_every_thread_count() {
 fn single_op_staggered_digest_is_unchanged_at_every_thread_count() {
     let dex = run_single_op_script(DexConfig::new(0x601d_0001).staggered());
     assert_eq!(digest(&dex), GOLDEN_STAGGERED);
+}
+
+/// Staggered grow-then-shrink script: from 64 nodes, inserts until two
+/// inflations have switched over, then deletes until two deflations have
+/// — so every deletion of the shrink phase lands while a deflation stages
+/// or between two, reserves and credit donations in play.
+/// `invariants::check` runs after every step.
+fn run_staggered_resize_script() -> DexNetwork {
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(0x601d_0004).staggered(), 64);
+    let mut script = Script::new(&dex, 0x5a66);
+    let mut steps = 0;
+    let mut checked_step = |dex: &DexNetwork| {
+        steps += 1;
+        assert!(
+            steps < 20_000,
+            "script must cross two inflations and two deflations"
+        );
+        if let Err(e) = invariants::check(dex) {
+            panic!("step {steps} (n = {}): {e}", dex.n());
+        }
+    };
+    for _ in 0..2 {
+        let p = dex.cycle.p();
+        while dex.cycle.p() <= p {
+            script.insert(&mut dex);
+            checked_step(&dex);
+        }
+    }
+    let mut staged_deletions = 0;
+    for _ in 0..2 {
+        let p = dex.cycle.p();
+        while dex.cycle.p() >= p {
+            staged_deletions += u64::from(dex.type2_in_progress());
+            script.delete(&mut dex);
+            checked_step(&dex);
+        }
+    }
+    assert!(staged_deletions > 0, "no deletion landed mid-deflation");
+    dex
+}
+
+const GOLDEN_STAGGERED_RESIZE: Digest = Digest {
+    phi: 2050997079920403584,
+    rounds: 95_861,
+    messages: 256_956,
+    topology_changes: 88_862,
+    walks: [7_721, 7_731, 26, 0],
+    faults: NO_FAULTS,
+};
+
+#[test]
+fn staggered_resize_digest_is_unchanged_at_every_thread_count() {
+    let dex = run_staggered_resize_script();
+    assert!(!dex.type2_in_progress());
+    assert_eq!(digest(&dex), GOLDEN_STAGGERED_RESIZE);
 }
 
 /// Mixed script under Bernoulli loss and rare per-link burst windows,
