@@ -97,30 +97,36 @@ fn walk_slot_path(g: &MultiGraph, hops: usize, seed: u64) -> (f64, u64) {
     (elapsed, g.id_of_slot(end).0)
 }
 
-/// The two cycle sizes routed on: this bench's own graph, and the cycle
-/// of a 500k-node network (`benchmark/`'s `dht` workload).
-const ROUTE_PS: [u64; 2] = [P, 2_000_003];
+/// The route rows, `(p, roots)`: this bench's own graph and the cycle of
+/// a 500k-node network (`benchmark/`'s `dht` workload) point to point,
+/// and that cycle again from four roots a quarter-cycle apart — the `Sim`
+/// set `{i, i+n, i+2n, i+3n}` a bootstrap node holds at n = 500k, which a
+/// DHT route starts from.
+const ROUTE_ROWS: [(u64, u64); 3] = [(P, 1), (2_000_003, 1), (2_000_003, 4)];
 const ROUTE_PAIRS: usize = 2000;
 
 /// One `route` row: deterministic work counts, plus wall-clock unit costs
-/// when `timed`.
-fn route_row(p: u64, timed: bool) -> String {
+/// when `timed` (and the inversion kernel's, on the one-root rows).
+fn route_row(p: u64, roots: u64, timed: bool) -> String {
     let cycle = PCycle::new(p);
+    let stride = p / roots;
     let mut rng = StdRng::seed_from_u64(0x5eed ^ p);
     let pairs: Vec<(VertexId, VertexId)> = (0..ROUTE_PAIRS)
         .map(|_| {
             (
-                VertexId(rng.random_range(0..p)),
+                VertexId(rng.random_range(0..stride)),
                 VertexId(rng.random_range(0..p)),
             )
         })
         .collect();
     let mut scratch = PathScratch::new();
-    let mut path = Vec::new();
+    let (mut sources, mut path) = (Vec::new(), Vec::new());
     let (mut hops, mut digest) = (0usize, 0u64);
     let t0 = Instant::now();
     for &(a, b) in &pairs {
-        cycle.shortest_path_with(a, b, &mut scratch, &mut path);
+        sources.clear();
+        sources.extend((0..roots).map(|j| VertexId(a.0 + j * stride)));
+        cycle.shortest_path_from_any(&sources, b, &mut scratch, &mut path);
         hops += path.len() - 1;
         digest = splitmix64(digest ^ path.len() as u64);
         for z in &path {
@@ -130,14 +136,18 @@ fn route_row(p: u64, timed: bool) -> String {
     let route_us = t0.elapsed().as_secs_f64() * 1e6 / ROUTE_PAIRS as f64;
     let (expansions, inversions) = scratch.work();
     let mut row = format!(
-        "{{\"p\": {p}, \"pairs\": {ROUTE_PAIRS}, \"expansions_per_route\": {:.1}, \
-         \"inversions_per_route\": {:.1}, \"mean_path_len\": {:.3}, \
-         \"path_digest\": \"{digest:#018x}\"",
+        "{{\"p\": {p}, \"roots\": {roots}, \"pairs\": {ROUTE_PAIRS}, \
+         \"expansions_per_route\": {:.1}, \"inversions_per_route\": {:.1}, \
+         \"mean_path_len\": {:.3}, \"path_digest\": \"{digest:#018x}\"",
         expansions as f64 / ROUTE_PAIRS as f64,
         inversions as f64 / ROUTE_PAIRS as f64,
         hops as f64 / ROUTE_PAIRS as f64
     );
     if timed {
+        println!("route p={p} roots={roots}: {route_us:.1} us/route");
+        let _ = write!(row, ", \"route_us\": {route_us:.1}");
+    }
+    if timed && roots == 1 {
         let xs: Vec<u32> = (0..1 << 16)
             .map(|_| rng.random_range(1..p) as u32)
             .collect();
@@ -152,14 +162,10 @@ fn route_row(p: u64, timed: bool) -> String {
         primes::inverse_batch(p, std::hint::black_box(&xs), &mut out);
         let batch_ns = t0.elapsed().as_secs_f64() * 1e9 / xs.len() as f64;
         std::hint::black_box((acc, &out));
-        println!(
-            "route p={p}: {route_us:.1} us/route, inverse {scalar_ns:.1} ns scalar, \
-             {batch_ns:.2} ns/elt batched"
-        );
+        println!("inverse p={p}: {scalar_ns:.1} ns scalar, {batch_ns:.2} ns/elt batched");
         let _ = write!(
             row,
-            ", \"route_us\": {route_us:.1}, \"scalar_inverse_ns\": {scalar_ns:.1}, \
-             \"batch_inverse_ns_per_elt\": {batch_ns:.2}"
+            ", \"scalar_inverse_ns\": {scalar_ns:.1}, \"batch_inverse_ns_per_elt\": {batch_ns:.2}"
         );
     }
     row.push('}');
@@ -168,7 +174,10 @@ fn route_row(p: u64, timed: bool) -> String {
 
 /// The `"route"` JSON member (no trailing comma or newline).
 fn route_section(timed: bool) -> String {
-    let rows: Vec<String> = ROUTE_PS.iter().map(|&p| route_row(p, timed)).collect();
+    let rows: Vec<String> = ROUTE_ROWS
+        .iter()
+        .map(|&(p, roots)| route_row(p, roots, timed))
+        .collect();
     format!("  \"route\": [\n    {}\n  ]", rows.join(",\n    "))
 }
 

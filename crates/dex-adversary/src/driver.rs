@@ -88,6 +88,59 @@ mod tests {
         }
     }
 
+    /// Every adversary against the paper's default (staggered) mode at
+    /// n0 = 64, `invariants::check` after each of 800 steps. The
+    /// oscillation (32 ↔ 400 nodes) runs inflations and deflations — p
+    /// goes 257 → 1,031 → 131 → 541 — so staggered windows are open while
+    /// the others hunt loads, coordinators and cuts.
+    fn staggered_sweep(seed: u64) {
+        let advs: Vec<Box<dyn Adversary>> = vec![
+            Box::new(RandomChurn::new(1, 0.5)),
+            Box::new(HighLoadHunter::new(2)),
+            Box::new(CoordinatorHunter::new(3)),
+            Box::new(CutAttacker::new(4)),
+            Box::new(OscillatingSize::new(5, 32, 400)),
+        ];
+        for mut adv in advs {
+            let mut dex = DexNetwork::bootstrap(DexConfig::new(seed).staggered(), 64);
+            let mut cycles = vec![dex.cycle.p()];
+            let mut staging_steps = 0;
+            for s in 0..800 {
+                step(&mut dex, adv.as_mut());
+                if let Err(e) = invariants::check(&dex) {
+                    panic!("{} seed {seed} step {s}: {e}", adv.name());
+                }
+                staging_steps += dex.type2_in_progress() as u32;
+                if cycles.last() != Some(&dex.cycle.p()) {
+                    cycles.push(dex.cycle.p());
+                }
+            }
+            if adv.name() == "oscillating-size" {
+                assert!(staging_steps > 0, "seed {seed}: no staggered window");
+                assert!(
+                    cycles.windows(2).any(|w| w[1] > w[0])
+                        && cycles.windows(2).any(|w| w[1] < w[0]),
+                    "seed {seed}: p went {cycles:?}, not up and down"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn staggered_mode_survives_every_adversary_seed_9() {
+        staggered_sweep(9);
+    }
+
+    #[test]
+    fn staggered_mode_survives_every_adversary_seed_10() {
+        staggered_sweep(10);
+    }
+
+    #[test]
+    fn staggered_mode_survives_every_adversary_seed_11() {
+        staggered_sweep(11);
+    }
+
     #[test]
     fn staggered_mode_survives_coordinator_hunting() {
         let mut dex = DexNetwork::bootstrap(DexConfig::new(6).staggered(), 16);

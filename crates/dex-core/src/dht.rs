@@ -82,6 +82,10 @@ impl DexNetwork {
     /// Store `(key, value)`, initiated by node `from`. Returns the metered
     /// cost (recorded in history as its own step).
     pub fn dht_insert(&mut self, from: NodeId, key: Key, value: Value) -> StepMetrics {
+        assert!(
+            self.net.graph().has_node(from),
+            "dht_insert: initiator {from} missing"
+        );
         self.net.begin_step();
         self.migrate_if_rehashed();
         // An abandoned put is simply not applied (graceful degradation,
@@ -95,6 +99,10 @@ impl DexNetwork {
     /// Look up `key`, initiated by node `from`. The reply routes back along
     /// the same path, so the cost is twice the one-way routing cost.
     pub fn dht_lookup(&mut self, from: NodeId, key: Key) -> (Option<Value>, StepMetrics) {
+        assert!(
+            self.net.graph().has_node(from),
+            "dht_lookup: initiator {from} missing"
+        );
         self.net.begin_step();
         self.migrate_if_rehashed();
         // Request + reply as one round-trip route; an abandoned lookup
@@ -110,41 +118,47 @@ impl DexNetwork {
 
     /// Route one message from `from` to the node owning `h(key)` (and,
     /// for a `round_trip`, the reply back along the same path): the
-    /// initiator computes a shortest path in the virtual graph from one of
-    /// its own vertices and forwards hop by hop; hops between vertices
-    /// simulated by the same node are free local computation. Returns
-    /// whether the message was delivered. The path is resolved once;
-    /// without a fault spec every hop arrives and costs one round and one
-    /// message, with one the hop sequence runs on the message schedule
+    /// initiator computes a shortest path in the virtual graph from the
+    /// nearest of its own vertices — it knows p and its `Sim` set, so
+    /// choosing the start is local computation (Sect. 4.4.4) — and
+    /// forwards hop by hop; hops between vertices simulated by the same
+    /// node are free local computation, and a key hashed to one of the
+    /// initiator's own vertices costs nothing. Returns whether the
+    /// message was delivered. The path is resolved once; without a fault
+    /// spec every hop arrives and costs one round and one message, with
+    /// one the hop sequence runs on the message schedule
     /// ([`Self::route_scheduled`]) and may be abandoned.
     ///
-    /// Hot path: the virtual path comes from the pooled bidirectional BFS
-    /// ([`dex_graph::pcycle::PCycle::shortest_path_with`]). At
-    /// p = 2,000,003 a route expands ≈ 4.9k vertices and inverts the
-    /// chords of ≈ 3.3k of them, a frontier block at a time through the
-    /// four-lane chord kernel (≈ 6 ns each on a 2.1 GHz Xeon, against
-    /// ≈ 160 ns for a scalar powering); each expansion also probes three
-    /// one-byte visited marks, two of them on its own cache line. The
-    /// initiator's own `Sim` set is the call's
-    /// one id translation (`from`, through Φ's index of held nodes); each
-    /// path vertex then resolves through Φ's dense owner records
-    /// ([`crate::VirtualMapping::owner_of`], one array load — the path is
-    /// kept as ids because the message-scheduled transport and the
-    /// callers' reports speak ids), and every buffer lives in the pooled
+    /// Hot path: the virtual path comes from the pooled multi-source
+    /// bidirectional BFS
+    /// ([`dex_graph::pcycle::PCycle::shortest_path_from_any`]), whose
+    /// forward side starts from the whole `Sim` set (≈ p/n vertices).
+    /// At p = 2,000,003 a route from the four vertices of a bootstrap
+    /// node is 21.4 virtual hops (24.2 from one of them); it expands
+    /// ≈ 4.7k vertices and inverts the chords of ≈ 3.2k of them, a
+    /// frontier block at a time through the four-lane chord kernel
+    /// (≈ 6 ns each on a 2.1 GHz Xeon, against 70–110 ns for a scalar
+    /// inversion); each expansion also probes three one-byte visited
+    /// marks, two of them on its own cache line. The initiator's
+    /// own `Sim` set is the call's one id translation (`from`, through
+    /// Φ's index of held nodes); each path vertex then resolves through
+    /// Φ's dense owner records ([`crate::VirtualMapping::owner_of`], one
+    /// array load — the path is kept as ids because the
+    /// message-scheduled transport and the callers' reports speak ids),
+    /// and every buffer lives in the pooled
     /// [`crate::routing::RouteScratch`] — zero allocation per operation
-    /// once warm. The one buffer of size p is the search's visited marks,
-    /// p bytes (under 8 B per node, as p < 8n).
+    /// once warm. The one buffer of size p is the search's
+    /// epoch-stamped visited marks, p bytes (under 8 B per node, as
+    /// p < 8n), zeroed once every 31 searches.
     fn route_dht(&mut self, from: NodeId, key: Key, round_trip: bool) -> bool {
         let target = hash_to_vertex(key, self.cycle.p());
-        let start = *self
-            .map
-            .sim(from)
-            .iter()
-            .min()
-            .expect("initiator simulates a vertex");
         let route = &mut self.heal.route;
-        self.cycle
-            .shortest_path_with(start, target, &mut route.bfs, &mut route.vpath);
+        self.cycle.shortest_path_from_any(
+            self.map.sim(from),
+            target,
+            &mut route.bfs,
+            &mut route.vpath,
+        );
         let mut prev = self.map.owner_of(route.vpath[0]);
         route.npath.clear();
         route.npath.push(prev);

@@ -107,7 +107,7 @@ fn owner_slots(map: &VirtualMapping, (a, b): (VertexId, VertexId)) -> (u32, u32)
 /// Each node computes its own neighbourhood (Sect. 4): node `i` simulates
 /// `{i, i+n, i+2n, …}`, so its adjacency row and its `Sim` segment follow
 /// from that set alone, and one pass in slot order writes each of them
-/// once ([`RoundRobinDeal`]). The rows are entry for entry those of the
+/// once (`RoundRobinDeal`). The rows are entry for entry those of the
 /// edge-by-edge build over [`for_each_canonical_edge`] (kept as the
 /// oracle of `tests/bootstrap_diff.rs`).
 pub fn deal_round_robin(zeta: u64, cycle: &PCycle, n: u64) -> (Network, VirtualMapping) {

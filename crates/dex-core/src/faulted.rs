@@ -50,7 +50,7 @@
 //! unsoundness: every path still terminates with the invariants intact.
 //!
 //! Type-2 rebuilds coordinate on the schedule too
-//! ([`DexNetwork::type2_coordinate`]): the announcement flood's
+//! (`DexNetwork::type2_coordinate`): the announcement flood's
 //! broadcast carries the cloud-range announcement, and its convergecast
 //! reports double as permutation-route reservations and commit acks. The
 //! initiator releases the rebuild only after a *complete* convergecast;

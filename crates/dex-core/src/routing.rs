@@ -11,7 +11,8 @@
 //!
 //! A path is the one [`PCycle::shortest_path_with`] returns — the same
 //! bidirectional search, over the same pooled scratch, that resolves a
-//! DHT route: "node v can locally compute a shortest path in the virtual
+//! DHT route (there from the initiator's whole `Sim` set, here vertex to
+//! vertex): "node v can locally compute a shortest path in the virtual
 //! graph" (Sect. 4.4) has one implementation. It expands O(√p) vertices
 //! per pair, so resolving a permutation is not what bounds executed
 //! routing; the store-and-forward simulation of its ≈ p·log p token hops
@@ -31,10 +32,12 @@ pub const EXACT_ROUTING_MAX_P: u64 = 2500;
 
 /// Reusable path-resolution buffers for [`route_pairs_with`] and the DHT
 /// route: one bidirectional-BFS scratch and one vertex-path buffer serve
-/// every search, and all token paths of a permutation live in one flat
-/// node buffer addressed by `(start, len)` ranges, so resolving a pair
-/// allocates nothing. The BFS scratch holds one visited mark per vertex
-/// of the largest cycle searched: p bytes, under 8 B per node.
+/// every search — vertex to vertex for a permutation pair, from the
+/// initiator's whole `Sim` set for a DHT route — and all token paths of a
+/// permutation live in one flat node buffer addressed by `(start, len)`
+/// ranges, so resolving a pair allocates nothing. The BFS scratch holds
+/// one epoch-stamped visited mark per vertex of the largest cycle
+/// searched: p bytes, under 8 B per node, zeroed once every 31 searches.
 #[derive(Default)]
 pub struct RouteScratch {
     /// Flattened physical paths, one range per token.

@@ -1,5 +1,6 @@
 //! DHT (Sect. 4.4.4) and batch-churn (Sect. 5) end-to-end tests.
 
+use dex_core::dht::hash_to_vertex;
 use dex_core::{invariants, DexConfig, DexNetwork};
 use dex_graph::ids::NodeId;
 use rand::rngs::StdRng;
@@ -19,6 +20,46 @@ fn dht_store_and_lookup() {
     }
     let (v, _) = dex.dht_lookup(ids[0], 10_000);
     assert_eq!(v, None);
+}
+
+#[test]
+#[should_panic(expected = "dht_insert: initiator n999 missing")]
+fn dht_insert_from_a_missing_node_is_rejected_at_entry() {
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(1).simplified(), 16);
+    dex.dht_insert(NodeId(999), 7, 70);
+}
+
+#[test]
+#[should_panic(expected = "dht_lookup: initiator n999 missing")]
+fn dht_lookup_from_a_missing_node_is_rejected_at_entry() {
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(1).simplified(), 16);
+    dex.dht_lookup(NodeId(999), 7);
+}
+
+#[test]
+fn lookup_of_a_key_on_an_initiators_own_vertex_is_free() {
+    // The route starts from the nearest of the initiator's vertices, so a
+    // key hashed to any of them — not only the smallest — is answered
+    // locally: 0 rounds, 0 messages. Every other key costs at least a hop.
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(4).simplified(), 64);
+    let from = dex.node_ids()[5];
+    let p = dex.cycle.p();
+    let own = dex.map.sim(from).to_vec();
+    assert!(own.len() > 1, "{from} holds one vertex");
+    let mut hit = vec![false; own.len()];
+    for k in 0..4_000u64 {
+        dex.dht_insert(from, k, k + 1);
+        let (v, m) = dex.dht_lookup(from, k);
+        assert_eq!(v, Some(k + 1), "key {k}");
+        match own.iter().position(|&z| z == hash_to_vertex(k, p)) {
+            Some(i) => {
+                hit[i] = true;
+                assert_eq!((m.rounds, m.messages), (0, 0), "key {k} on own vertex");
+            }
+            None => assert!(m.rounds >= 2, "key {k} owned by {}", dex.dht_owner(k)),
+        }
+    }
+    assert!(hit.iter().all(|&h| h), "a vertex of {from} drew no key");
 }
 
 #[test]

@@ -53,7 +53,7 @@ pub fn hypercube(dim: u32) -> MultiGraph {
 }
 
 /// Union of `k` independent uniformly random Hamiltonian cycles on ids
-/// `0..n` — the graph family Law–Siu [18] maintains (degree `2k`).
+/// `0..n` — the graph family Law–Siu \[18\] maintains (degree `2k`).
 /// Parallel edges are kept (it is a multigraph union).
 pub fn hamiltonian_union<R: Rng + ?Sized>(n: u64, k: usize, rng: &mut R) -> MultiGraph {
     assert!(n >= 3);

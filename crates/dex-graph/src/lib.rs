@@ -10,8 +10,8 @@
 //!   prime search, used to pick the p-cycle size `p ∈ (4n, 8n)`.
 //! * [`pcycle`] — the 3-regular p-cycle expander family `Z(p)`
 //!   (paper, Definition 1; Lubotzky's construction) and its one route
-//!   search, a bidirectional BFS. Whole-cycle distances and diameters are
-//!   [`connectivity`] over [`pcycle::PCycle::to_multigraph`].
+//!   search, a multi-source bidirectional BFS. Whole-cycle distances and
+//!   diameters are [`connectivity`] over [`pcycle::PCycle::to_multigraph`].
 //! * [`spectral`] — matrix-free power iteration (one plain CSR row loop)
 //!   for the second eigenvalue of the lazy random-walk operator, plus a
 //!   dense Jacobi eigensolver for small graphs and as the test oracle;

@@ -179,36 +179,8 @@ impl PCycle {
         g
     }
 
-    /// Shortest path `from → to` (inclusive) into a caller buffer, by
-    /// bidirectional BFS over pooled scratch.
-    ///
-    /// A full O(p) BFS per route would be ruinous for per-operation
-    /// routing (the DHT) at p ≈ 10⁶. Meeting in the middle expands
-    /// O(3^(d/2)) ≈ O(√p) vertices instead. An expansion costs its chord
-    /// — a modular inversion — and three visited-mark probes. So the
-    /// search is level-synchronous and inverts a frontier block at a time
-    /// through [`inverse_batch`]; a vertex that was itself reached over a
-    /// chord needs no inversion at all (its chord is its parent), and no
-    /// vertex probes its own parent. The marks are one byte per vertex,
-    /// indexed directly, so succ and pred share the cache line of the
-    /// vertex expanded and only the chord's probe is scattered. Every
-    /// buffer lives in `scratch`: a warmed-up caller allocates nothing.
-    ///
-    /// Fully deterministic: frontiers expand in insertion order with the
-    /// fixed (succ, pred, chord) neighbor order, sides alternate strictly
-    /// starting forward, and the search stops at the first vertex reached
-    /// from both sides. That first meeting is a shortest one: as long as
-    /// the two balls (radii `d_f`, `d_b`, both complete) are disjoint,
-    /// `dist(from, to) > d_f + d_b`, so a meeting found while growing one
-    /// of them by a level has length `≥ d_f + d_b + 1`, and it joins a
-    /// depth-`d_f + 1` vertex to one of depth `≤ d_b` — length exactly
-    /// `d_f + d_b + 1`. Every meeting of that level is therefore equally
-    /// short, and the first in expansion order is the one a search that
-    /// finishes the level and keeps the earliest minimum would return
-    /// (`tests/route_diff.rs` pins path equality against that search).
-    /// The path's length always equals the BFS distance; the path itself
-    /// may differ from a unidirectional search's — any shortest path is a
-    /// valid route (Sect. 4.4).
+    /// Shortest path `from → to` (inclusive) into a caller buffer: the
+    /// one-root case of [`PCycle::shortest_path_from_any`].
     ///
     /// # Panics
     /// Panics if `from` or `to` is not a vertex of this cycle.
@@ -219,13 +191,69 @@ impl PCycle {
         scratch: &mut PathScratch,
         out: &mut Vec<VertexId>,
     ) {
-        assert!(
-            self.contains(from) && self.contains(to),
-            "route {from} -> {to} leaves {self:?}"
-        );
+        self.shortest_path_from_any(&[from], to, scratch, out)
+    }
+
+    /// A shortest path from the nearest of `roots` to `to` (inclusive:
+    /// it starts at that root and ends at `to`) into a caller buffer, by
+    /// multi-source bidirectional BFS over pooled scratch. A DHT
+    /// initiator passes its whole `Sim` set: it knows p and which
+    /// vertices it simulates, so starting from the one nearest `h(k)`
+    /// costs only local computation (Sect. 4.4.4).
+    ///
+    /// A full O(p) BFS per route would be ruinous for per-operation
+    /// routing (the DHT) at p ≈ 10⁶. Meeting in the middle expands
+    /// O(3^(d/2)) ≈ O(√p) vertices instead. An expansion costs its chord
+    /// — a modular inversion — and three visited-mark probes. So the
+    /// search is level-synchronous and inverts a frontier block at a time
+    /// through [`inverse_batch`]; a vertex that was itself reached over a
+    /// chord needs no inversion at all (its chord is its parent), and no
+    /// vertex probes its own parent. The marks are one byte per vertex,
+    /// indexed directly and stamped with the search's epoch, so succ and
+    /// pred share the cache line of the vertex expanded, only the chord's
+    /// probe is scattered, and no search clears what the last one
+    /// marked. Every buffer lives in `scratch`: a warmed-up caller
+    /// allocates nothing.
+    ///
+    /// Fully deterministic: the forward frontier starts as `roots` in the
+    /// given order (duplicates once), frontiers expand in insertion order
+    /// with the fixed (succ, pred, chord) neighbor order, the side with
+    /// the smaller frontier expands the next level (the forward one on a
+    /// tie), and the search stops at the first vertex reached from both
+    /// sides. That first meeting is a shortest one: as long as the two
+    /// balls — radius `d_f` around the root set, `d_b` around `to`, both
+    /// complete — are disjoint, every root is more than `d_f + d_b` from
+    /// `to`, so a meeting found while growing one of them by a level (say
+    /// the forward one) has length `≥ d_f + d_b + 1`, and it joins a
+    /// depth-`d_f + 1` vertex to one of depth `≤ d_b` — length exactly
+    /// `d_f + d_b + 1`. Every meeting of that level is therefore equally
+    /// short, and the first in expansion order is the one a search that
+    /// finishes the level and keeps the earliest minimum would return
+    /// (`tests/route_diff.rs` pins path equality against that search).
+    /// The path's length always equals the BFS distance from the nearest
+    /// root; the path itself may differ from a unidirectional search's —
+    /// any shortest path is a valid route (Sect. 4.4).
+    ///
+    /// # Panics
+    /// Panics if `roots` is empty or a root or `to` is not a vertex of
+    /// this cycle.
+    pub fn shortest_path_from_any(
+        &self,
+        roots: &[VertexId],
+        to: VertexId,
+        scratch: &mut PathScratch,
+        out: &mut Vec<VertexId>,
+    ) {
+        assert!(!roots.is_empty(), "route to {to} has no root");
+        for &from in roots {
+            assert!(
+                self.contains(from) && self.contains(to),
+                "route {from} -> {to} leaves {self:?}"
+            );
+        }
         out.clear();
-        if from == to {
-            out.push(from);
+        if roots.contains(&to) {
+            out.push(to);
             return;
         }
         let p = self.p as u32;
@@ -241,16 +269,22 @@ impl PCycle {
         marks.begin_search(self.p as usize);
         fq.clear();
         bq.clear();
-        for (root, side, queue) in [(from, Side::Fwd, &mut *fq), (to, Side::Bwd, &mut *bq)] {
-            marks.visit_or_get(root.0 as u32, side, Via::Root);
-            queue.push((root.0 as u32, Via::Root));
+        for root in roots {
+            if marks
+                .visit_or_get(root.0 as u32, Side::Fwd, Via::Root)
+                .is_none()
+            {
+                fq.push((root.0 as u32, Via::Root));
+            }
         }
-        let mut side = Side::Fwd;
-        // (last vertex of the expanding side, first vertex of the other).
-        let (near, far) = 'search: loop {
-            let queue = match side {
-                Side::Fwd => &mut *fq,
-                Side::Bwd => &mut *bq,
+        marks.visit_or_get(to.0 as u32, Side::Bwd, Via::Root);
+        bq.push((to.0 as u32, Via::Root));
+        // (expanding side, its last vertex, the other side's first vertex).
+        let (side, near, far) = 'search: loop {
+            let (side, queue) = if fq.len() <= bq.len() {
+                (Side::Fwd, &mut *fq)
+            } else {
+                (Side::Bwd, &mut *bq)
             };
             assert!(!queue.is_empty(), "Z(p) is connected");
             next.clear();
@@ -277,28 +311,27 @@ impl PCycle {
                     // inversion when that neighbor is the chord.
                     let succ = if x + 1 == p { 0 } else { x + 1 };
                     if via != Via::Pred && reach(succ, Via::Succ) {
-                        break 'search (x, succ);
+                        break 'search (side, x, succ);
                     }
                     let pred = if x == 0 { p - 1 } else { x - 1 };
                     if via != Via::Succ && reach(pred, Via::Pred) {
-                        break 'search (x, pred);
+                        break 'search (side, x, pred);
                     }
                     if via != Via::Chord {
                         let chord = *chords.next().expect("one inverse per non-chord vertex");
                         if reach(chord, Via::Chord) {
-                            break 'search (x, chord);
+                            break 'search (side, x, chord);
                         }
                     }
                 }
             }
             std::mem::swap(queue, next);
-            side = side.other();
         };
         let (fwd_end, bwd_end) = match side {
             Side::Fwd => (near, far),
             Side::Bwd => (far, near),
         };
-        // Forward half back to `from`, reversed; then the backward chain.
+        // Forward half back to its root, reversed; then the backward chain.
         self.climb(marks, fwd_end, out);
         out.reverse();
         self.climb(marks, bwd_end, out);
@@ -339,15 +372,6 @@ enum Side {
     Bwd = 1,
 }
 
-impl Side {
-    fn other(self) -> Side {
-        match self {
-            Side::Fwd => Side::Bwd,
-            Side::Bwd => Side::Fwd,
-        }
-    }
-}
-
 /// How a visited vertex was reached from its BFS parent — which is
 /// enough to recover the parent (`pred`, `succ`, `chord` respectively).
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -359,54 +383,60 @@ enum Via {
 }
 
 /// Visited marks of one bidirectional search, indexed by vertex: one byte
-/// per vertex of the largest cycle searched so far, `visited << 3 |
-/// side << 2 | via` (0 = unvisited), plus a log of the vertices marked.
-/// Starting a search zeroes exactly the logged entries, so its cost is the
-/// O(√p) vertices the previous search visited; a smaller cycle reads a
-/// prefix of the array, a larger one grows it.
+/// per vertex of the largest cycle searched so far, `epoch << 3 | side << 2
+/// | via`. A mark counts only if its epoch is the current search's, so
+/// starting a search is one increment; the 5-bit epoch runs 1..=31, and
+/// when it would wrap the whole array is zeroed — once every 31 searches.
+/// A smaller cycle reads a prefix of the array, a larger one grows it
+/// with zeros (never visited).
 #[derive(Default)]
 struct Marks {
     mark: Vec<u8>,
-    touched: Vec<u32>,
+    /// Stamp of the current search (0 before the first one).
+    epoch: u8,
 }
 
 impl Marks {
-    const VISITED: u8 = 1 << 3;
+    const EPOCH_SHIFT: u32 = 3;
+    const MAX_EPOCH: u8 = 31;
     const SIDE: u8 = 1 << 2;
 
     /// Forget every mark and make room for the vertices of `Z(p)`.
     fn begin_search(&mut self, p: usize) {
-        for &v in &self.touched {
-            self.mark[v as usize] = 0;
+        if self.epoch == Self::MAX_EPOCH {
+            self.mark.fill(0);
+            self.epoch = 0;
         }
-        self.touched.clear();
+        self.epoch += 1;
         if self.mark.len() < p {
             self.mark.resize(p, 0);
         }
     }
 
-    /// Record `v` as reached on `side` via `via` unless it is already
-    /// visited, in which case nothing changes and the side that holds it
-    /// is returned.
+    /// Record `v` as reached on `side` via `via` unless this search has
+    /// already visited it, in which case nothing changes and the side that
+    /// holds it is returned.
     #[inline]
     fn visit_or_get(&mut self, v: u32, side: Side, via: Via) -> Option<Side> {
         let m = &mut self.mark[v as usize];
-        if *m != 0 {
+        if *m >> Self::EPOCH_SHIFT == self.epoch {
             return Some(if *m & Self::SIDE == 0 {
                 Side::Fwd
             } else {
                 Side::Bwd
             });
         }
-        *m = Self::VISITED | (side as u8) << 2 | via as u8;
-        self.touched.push(v);
+        *m = self.epoch << Self::EPOCH_SHIFT | (side as u8) << 2 | via as u8;
         None
     }
 
-    /// How visited vertex `v` was reached.
+    /// How `v`, visited by this search, was reached.
     fn via(&self, v: u32) -> Via {
         let m = self.mark[v as usize];
-        assert!(m & Self::VISITED != 0, "vertex {v} was never visited");
+        assert!(
+            m >> Self::EPOCH_SHIFT == self.epoch,
+            "vertex {v} was never visited"
+        );
         match m & 3 {
             0 => Via::Succ,
             1 => Via::Pred,
@@ -416,15 +446,16 @@ impl Marks {
     }
 }
 
-/// Pooled buffers for [`PCycle::shortest_path_with`] (bidirectional BFS):
-/// one visited-mark array for both balls, two frontiers and a staging
-/// queue, and the batch-inversion input/output of one frontier block. One
-/// instance serves unbounded routing operations — on any mix of cycles —
-/// with no steady-state allocation: the buffers keep their high-water
-/// capacity across calls. The marks are the one buffer that scales with
-/// p: p bytes for the largest cycle searched. A DEX network keeps
-/// p < 8n, so that is under 8 B per node, against ≈ 640 B per node for
-/// the network itself.
+/// Pooled buffers for [`PCycle::shortest_path_from_any`] (multi-source
+/// bidirectional BFS): one epoch-stamped visited-mark array for both
+/// balls, two frontiers and a staging queue, and the batch-inversion
+/// input/output of one frontier block. One instance serves unbounded
+/// routing operations — on any mix of cycles — with no steady-state
+/// allocation: the buffers keep their high-water capacity across calls.
+/// The marks are the one buffer that scales with p: p bytes for the
+/// largest cycle searched, zeroed once every 31 searches. A DEX network
+/// keeps p < 8n, so that is under 8 B per node, against ≈ 640 B per node
+/// for the network itself.
 #[derive(Default)]
 pub struct PathScratch {
     marks: Marks,
@@ -736,30 +767,27 @@ mod tests {
     }
 
     #[test]
-    fn begin_search_clears_exactly_the_previous_marks() {
-        // Large, small (a prefix of the same array), large again: after
-        // each search the only nonzero marks are the ones it logged, and
-        // the warm scratch routes as a cold one does.
+    fn epoch_wrap_clears_stale_marks() {
+        // Large, small (a prefix of the same array), large again, 40
+        // searches in all: the warm scratch routes as a cold one does, and
+        // right after the 32nd search (the first of the second epoch
+        // cycle) every nonzero mark carries that search's epoch.
         let mut warm = PathScratch::new();
         let (mut got, mut want) = (Vec::new(), Vec::new());
-        for (p, a, b) in [
-            (2_000_003u64, 5u64, 1_234_567u64),
-            (101, 3, 77),
-            (2_000_003, 999_999, 17),
-        ] {
+        for i in 0..40u64 {
+            let p = [2_000_003u64, 101, 20_011][(i % 3) as usize];
             let z = PCycle::new(p);
+            let (a, b) = ((i * 7_919 + 5) % p, (i * 104_729 + p / 2) % p);
             z.shortest_path_with(VertexId(a), VertexId(b), &mut warm, &mut got);
             z.shortest_path_with(VertexId(a), VertexId(b), &mut PathScratch::new(), &mut want);
             assert_eq!(got, want, "{a}->{b} on Z({p})");
-            let Marks { mark, touched } = &warm.marks;
+            let Marks { mark, epoch } = &warm.marks;
             assert_eq!(mark.len(), 2_000_003, "sized to the largest cycle");
-            let mut logged = vec![false; mark.len()];
-            for &v in touched {
-                assert_ne!(mark[v as usize], 0, "logged vertex {v} unmarked");
-                logged[v as usize] = true;
-            }
-            for (v, (&m, &l)) in mark.iter().zip(&logged).enumerate() {
-                assert!(l || m == 0, "stale mark {m:#x} at {v} after Z({p})");
+            assert_eq!(*epoch as u64, i % 31 + 1);
+            if i == 31 {
+                for (v, &m) in mark.iter().enumerate() {
+                    assert!(m == 0 || m >> 3 == 1, "stale mark {m:#x} at {v}");
+                }
             }
         }
     }

@@ -118,7 +118,7 @@ impl Barrett {
 
 /// Multiplicative inverse of `x` modulo prime `p` via Fermat's little
 /// theorem: `x⁻¹ = x^(p−2) mod p`. Below 2³² — every p-cycle — the
-/// powering runs on [`Barrett`] multiplication.
+/// powering runs on Barrett multiplication.
 ///
 /// # Panics
 /// Panics if `x % p == 0` (zero has no inverse).

@@ -1,24 +1,30 @@
-//! Differential oracle for [`PCycle::shortest_path_with`].
+//! Differential oracle for [`PCycle::shortest_path_from_any`] and its
+//! one-root form [`PCycle::shortest_path_with`].
 //!
 //! The route's *bytes* are protocol state: which physical nodes a DHT
 //! message crosses decides its rounds and messages, so every benchmark's
 //! deterministic metrics pin the exact path, not just its length.
-//! [`reference_bidirectional_path`] is the search as it was before the
-//! chord kernel — a scalar inversion per expansion, two hash maps, every
-//! level finished and the earliest minimum kept — moved here verbatim.
-//! The shipped search batches the inversions, never inverts a
-//! chord-discovered vertex, never probes a parent and stops at the first
-//! meeting; these tests hold it to the same path for every input.
+//! [`reference_path`] is the search with a scalar inversion per
+//! expansion, two hash maps, every level finished and the earliest
+//! minimum kept, expanding by the shipped rule: the forward side starts
+//! from the whole root set, and the side with the smaller frontier grows
+//! next (the forward one on a tie). The shipped search batches the
+//! inversions, never inverts a chord-discovered vertex, never probes a
+//! parent, stamps its marks with an epoch and stops at the first meeting;
+//! these tests hold it to the same path for every input, and hold both to
+//! the whole-cycle BFS distance from the nearest root.
 
+use dex_graph::connectivity::bfs_distances;
 use dex_graph::fxhash::FxHashMap;
-use dex_graph::ids::VertexId;
+use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::{PCycle, PathScratch};
 use dex_graph::primes;
 use proptest::prelude::*;
 
 #[derive(Default)]
 struct ReferenceScratch {
-    /// Forward side: vertex → (parent toward `from`, depth).
+    /// Forward side: vertex → (parent toward its root, depth); a root is
+    /// its own parent.
     fwd: FxHashMap<u64, (u64, u32)>,
     /// Backward side: vertex → (parent toward `to`, depth).
     bwd: FxHashMap<u64, (u64, u32)>,
@@ -27,16 +33,16 @@ struct ReferenceScratch {
     next: Vec<u64>,
 }
 
-fn reference_bidirectional_path(
+fn reference_path(
     cycle: &PCycle,
-    from: VertexId,
+    roots: &[VertexId],
     to: VertexId,
     scratch: &mut ReferenceScratch,
     out: &mut Vec<VertexId>,
 ) {
     out.clear();
-    if from == to {
-        out.push(from);
+    if roots.contains(&to) {
+        out.push(to);
         return;
     }
     let ReferenceScratch {
@@ -51,25 +57,25 @@ fn reference_bidirectional_path(
     fq.clear();
     bq.clear();
     next.clear();
-    fwd.insert(from.0, (from.0, 0));
+    for r in roots {
+        if fwd.insert(r.0, (r.0, 0)).is_none() {
+            fq.push(r.0);
+        }
+    }
     bwd.insert(to.0, (to.0, 0));
-    fq.push(from.0);
     bq.push(to.0);
     let (mut df, mut db) = (0u32, 0u32);
     let mut best: u32 = u32::MAX;
     let mut meet: u64 = u64::MAX;
-    let mut forward = true;
     while (best as u64) > (df + db) as u64 {
-        // Expand one full level of the chosen side (alternating;
-        // falling back to the other side if this one is exhausted).
-        let go_forward = (forward && !fq.is_empty()) || bq.is_empty();
-        let (this, other, queue, depth) = if go_forward {
+        // Expand one full level of the side with the smaller frontier.
+        let (this, other, queue, depth) = if fq.len() <= bq.len() {
             (&mut *fwd, &*bwd, &mut *fq, &mut df)
         } else {
             (&mut *bwd, &*fwd, &mut *bq, &mut db)
         };
         if queue.is_empty() {
-            break; // both exhausted: unreachable vertex (not on Z(p))
+            break; // exhausted: unreachable vertex (not on Z(p))
         }
         *depth += 1;
         next.clear();
@@ -89,13 +95,13 @@ fn reference_bidirectional_path(
             }
         }
         std::mem::swap(queue, next);
-        forward = !forward;
     }
     assert!(meet != u64::MAX, "Z(p) is connected");
-    // Reconstruct: forward half reversed, then the backward chain.
-    out.push(VertexId(meet));
+    // Reconstruct: forward half back to its root, reversed; then the
+    // backward chain.
     let mut cur = meet;
-    while cur != from.0 {
+    out.push(VertexId(cur));
+    while fwd[&cur].0 != cur {
         cur = fwd[&cur].0;
         out.push(VertexId(cur));
     }
@@ -107,8 +113,25 @@ fn reference_bidirectional_path(
     }
 }
 
-/// Both searches on one pair; the shipped one on a caller-owned (warm)
-/// scratch *and* on a cold one.
+/// Both searches on one root set; the shipped one on a caller-owned
+/// (warm) scratch *and* on a cold one. Returns the path.
+fn assert_same_path_from(
+    cycle: &PCycle,
+    roots: &[VertexId],
+    to: VertexId,
+    warm: &mut PathScratch,
+    reference: &mut ReferenceScratch,
+) -> Vec<VertexId> {
+    let (mut want, mut got, mut cold) = (Vec::new(), Vec::new(), Vec::new());
+    reference_path(cycle, roots, to, reference, &mut want);
+    cycle.shortest_path_from_any(roots, to, warm, &mut got);
+    assert_eq!(got, want, "{roots:?} -> {to} on {cycle:?} (warm scratch)");
+    cycle.shortest_path_from_any(roots, to, &mut PathScratch::new(), &mut cold);
+    assert_eq!(cold, want, "{roots:?} -> {to} on {cycle:?} (cold scratch)");
+    got
+}
+
+/// [`assert_same_path_from`] for one root, through the one-root wrapper.
 fn assert_same_path(
     cycle: &PCycle,
     from: u64,
@@ -117,12 +140,13 @@ fn assert_same_path(
     reference: &mut ReferenceScratch,
 ) {
     let (from, to) = (VertexId(from), VertexId(to));
-    let (mut want, mut got, mut cold) = (Vec::new(), Vec::new(), Vec::new());
-    reference_bidirectional_path(cycle, from, to, reference, &mut want);
-    cycle.shortest_path_with(from, to, warm, &mut got);
-    assert_eq!(got, want, "{from} -> {to} on {cycle:?} (warm scratch)");
-    cycle.shortest_path_with(from, to, &mut PathScratch::new(), &mut cold);
-    assert_eq!(cold, want, "{from} -> {to} on {cycle:?} (cold scratch)");
+    let got = assert_same_path_from(cycle, &[from], to, warm, reference);
+    let mut single = Vec::new();
+    cycle.shortest_path_with(from, to, warm, &mut single);
+    assert_eq!(
+        single, got,
+        "{from} -> {to} on {cycle:?} (one-root wrapper)"
+    );
 }
 
 #[test]
@@ -170,10 +194,40 @@ fn off_cycle_endpoint_is_rejected_at_entry() {
     );
 }
 
+#[test]
+#[should_panic(expected = "has no root")]
+fn empty_root_set_is_rejected_at_entry() {
+    let mut out = Vec::new();
+    PCycle::new(23).shortest_path_from_any(&[], VertexId(3), &mut PathScratch::new(), &mut out);
+}
+
+#[test]
+fn warm_scratch_matches_cold_across_epoch_wraps() {
+    // 160 searches on one scratch — five epoch wraps, each zeroing the
+    // whole mark array — over cycles of mixed size, one to four roots
+    // each: every path equals the reference and a cold scratch's.
+    let mut warm = PathScratch::new();
+    let mut reference = ReferenceScratch::default();
+    let mut roots = Vec::new();
+    for i in 0..160u64 {
+        let p = [1_009u64, 200_003, 5, 20_011, 101][(i % 5) as usize];
+        let cycle = PCycle::new(p);
+        roots.clear();
+        roots.extend((0..=i % 4).map(|j| VertexId((i * 7_919 + j * 104_729 + 3) % p)));
+        let to = VertexId((i * i * 15_485_863 + p / 2) % p);
+        assert_same_path_from(&cycle, &roots, to, &mut warm, &mut reference);
+    }
+}
+
 /// Random primes in [5, 10⁶]: the smallest prime above a random point
 /// (Bertrand: it is below twice the point).
 fn arb_prime() -> impl Strategy<Value = u64> {
     (4u64..1_000_000).prop_map(|lo| primes::smallest_prime_in(lo, 2 * lo + 2).expect("Bertrand"))
+}
+
+/// Random primes in [5, 1,009].
+fn arb_small_prime() -> impl Strategy<Value = u64> {
+    (4u64..505).prop_map(|lo| primes::smallest_prime_in(lo, 2 * lo + 2).expect("Bertrand"))
 }
 
 proptest! {
@@ -189,6 +243,33 @@ proptest! {
         let mut reference = ReferenceScratch::default();
         for (a, b) in ends {
             assert_same_path(&cycle, a % p, b % p, &mut warm, &mut reference);
+        }
+    }
+
+    #[test]
+    fn multi_source_routes_start_at_the_nearest_root(
+        p in arb_small_prime(),
+        ends in proptest::collection::vec(
+            (proptest::collection::vec(any::<u64>(), 1..9), any::<u64>()),
+            1..6,
+        ),
+    ) {
+        let cycle = PCycle::new(p);
+        let g = cycle.to_multigraph();
+        let mut warm = PathScratch::new();
+        let mut reference = ReferenceScratch::default();
+        for (raw, b) in ends {
+            let roots: Vec<VertexId> = raw.iter().map(|&a| VertexId(a % p)).collect();
+            let to = VertexId(b % p);
+            let path = assert_same_path_from(&cycle, &roots, to, &mut warm, &mut reference);
+            let dist = bfs_distances(&g, NodeId(to.0));
+            let nearest = roots.iter().map(|r| dist[&NodeId(r.0)]).min().unwrap();
+            prop_assert_eq!(path.len() as u32 - 1, nearest, "{:?} -> {} on Z({})", roots, to, p);
+            prop_assert!(roots.contains(&path[0]), "path starts off the root set");
+            prop_assert_eq!(*path.last().unwrap(), to);
+            for w in path.windows(2) {
+                prop_assert!(cycle.adjacent(w[0], w[1]), "non-edge step {:?}", w);
+            }
         }
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * a [`Scenario`] is a named sequence of [`Phase`]s;
 //! * each phase compiles — against the live network state — into a stream
-//!   of [`Action`]s (the extended grammar: single events, Sect. 5 batches,
+//!   of [`Action`](dex_adversary::Action)s (the extended grammar: single events, Sect. 5 batches,
 //!   DHT puts/gets) applied through the existing `DexNetwork` entry
 //!   points;
 //! * [`run_trials`] runs R independent trials in parallel over
@@ -17,7 +17,7 @@
 //!   splitmix64-derived stream, so results are **bit-identical for any
 //!   thread count**;
 //! * every trial records its full action trace (replayable through
-//!   [`dex_adversary::trace`]), per-step [`StepMetrics`], and a sampled
+//!   [`dex_adversary::trace`]), per-step [`StepMetrics`](dex_sim::StepMetrics), and a sampled
 //!   λ₂ trajectory.
 //!
 //! # Example

@@ -94,7 +94,7 @@ pub struct TrialReport {
     /// installed fault spec are excluded — see [`dex_core::FaultStats`]).
     pub dht_mismatches: u64,
     /// Message-level fault counters accumulated across every
-    /// [`Phase::Faults`](crate::Phase::Faults) span of the trial (all
+    /// [`Phase::Faults`] span of the trial (all
     /// zero for fault-free scenarios).
     pub fault_stats: dex_core::FaultStats,
     /// Network size at the end of the run.
