@@ -406,7 +406,7 @@ impl DexNetwork {
 
         let recovery = if self.stag.is_some() {
             let rescuer = self.net.graph().id_of_slot(rescuer);
-            crate::staggered::delete_during_staggered(self, victim, rescuer);
+            crate::staggered::delete_during_staggered(self, victim, victim_slot, rescuer);
             RecoveryKind::Type1Staggered
         } else {
             self.heal_delete(victim, victim_slot, rescuer, HealScope::SingleOp)

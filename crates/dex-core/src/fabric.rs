@@ -15,36 +15,21 @@
 //! [`adopt_vertices`] — and the bootstrap's row-order sweep
 //! ([`deal_round_robin`]) never see a `NodeId`. The whole-fabric passes
 //! sweep the rows in slot order (`ContractionRows`): the invariant
-//! checker compares each node's row with the one Φ implies, and the
-//! simplified type-2 rewire ([`rewire_diff`], [`rewire_to_map`]) diffs
-//! them. Neither builds a whole-network edge list. The rewire's edit
-//! lists alone speak ids: they are sorted by `(min id, max id)` and
-//! applied in that order, because an edit's swap-remove fixes where the
-//! other entries of a row land, and every golden digest pins that order
-//! (a walk indexes rows). The staggered overlay's check
-//! ([`verify_fabric`]) still compares id-sorted edge lists.
+//! checker compares each node's row with the one Φ implies — during a
+//! staggered type-2 operation the old remnant plus the overlay of staged
+//! vertices and intermediate edges — and the simplified type-2 rewire
+//! ([`rewire_diff`], [`rewire_to_map`]) diffs them. Neither builds a
+//! whole-network edge list. The rewire's edit lists alone speak ids: they
+//! are sorted by `(min id, max id)` and applied in that order, because an
+//! edit's swap-remove fixes where the other entries of a row land, and
+//! every golden digest pins that order (a walk indexes rows).
 
 use crate::mapping::VirtualMapping;
+use crate::staggered::StaggeredOp;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes::inverse_batch;
 use dex_sim::Network;
-
-/// The canonical virtual-edge instances "sourced" at vertex `z`:
-/// * the successor cycle edge `(z, z+1)` — always sourced at `z`;
-/// * the chord `(z, z⁻¹)` — sourced at `min(z, z⁻¹)`; self-inverse
-///   vertices (0, 1, p−1) source their own loop.
-///
-/// Iterating this over all `z ∈ Z_p` yields each virtual edge exactly once.
-pub fn canonical_edges_of(cycle: &PCycle, z: VertexId) -> Vec<(VertexId, VertexId)> {
-    let mut out = Vec::with_capacity(2);
-    out.push((z, cycle.succ(z)));
-    let c = cycle.chord(z);
-    if c == z || z < c {
-        out.push((z, c));
-    }
-    out
-}
 
 /// All virtual-edge instances with at least one endpoint in `set`, each
 /// exactly once, appended to the caller's buffer (`out` is cleared first).
@@ -81,15 +66,6 @@ pub fn incident_edges_into(
             out.push((z, c));
         }
     }
-}
-
-/// Allocating convenience wrapper over [`incident_edges_into`].
-pub fn incident_edges_of_set(cycle: &PCycle, set: &[VertexId]) -> Vec<(VertexId, VertexId)> {
-    let mut chords = Vec::with_capacity(set.len());
-    cycle.chords_into(set, &mut Vec::new(), &mut chords);
-    let mut out = Vec::with_capacity(set.len() * 3);
-    incident_edges_into(cycle, set, &chords, &mut out);
-    out
 }
 
 /// Both endpoints' slots of the virtual-edge instance `(a, b)`. Inside a
@@ -256,9 +232,10 @@ impl RoundRobinDeal {
     }
 }
 
-/// Visit every canonical virtual-edge instance of `cycle` exactly once
-/// (the fabric-wide analogue of [`canonical_edges_of`]), chords from the
-/// cycle's block sweep rather than one inversion per vertex.
+/// Visit every virtual edge of `cycle` exactly once: the successor edge
+/// `(z, z+1)` from `z`, the chord `(z, z⁻¹)` from `min(z, z⁻¹)` (the
+/// self-inverse vertices 0, 1 and p−1 give their own loop), chords from
+/// the cycle's block sweep rather than one inversion per vertex.
 pub fn for_each_canonical_edge(cycle: &PCycle, mut f: impl FnMut(VertexId, VertexId)) {
     cycle.for_each_chord(0..cycle.p(), |z, c| {
         f(z, cycle.succ(z));
@@ -335,7 +312,7 @@ pub fn adopt_vertices(
 /// at a time: [`Self::row`] is the neighbour-slot multiset Φ implies for
 /// the node in a slot, sorted. Ask for slots in ascending order: chords
 /// are inverted a block of node slots at a time, so the scratch is
-/// O(block · max load), never O(p).
+/// O(block + max load), never O(p).
 ///
 /// A row holds the node's incident edge instances by the dedup rule of
 /// [`incident_edges_into`], with "owned by this node" as the set test: an
@@ -343,9 +320,14 @@ pub fn adopt_vertices(
 /// copy one entry. Those are the network's own row conventions, so once
 /// Φ's node set is the network's, equal rows at every live node mean equal
 /// edge multisets.
+///
+/// During a staggered type-2 operation `map` holds the old vertices not
+/// yet dropped, and a row is the old remnant (edges to dropped vertices
+/// are gone) plus the overlay's entries (`StaggeredOp::push_overlay_row`).
 pub(crate) struct ContractionRows<'a> {
     map: &'a VirtualMapping,
     cycle: &'a PCycle,
+    stag: Option<&'a StaggeredOp>,
     /// The node slots `[lo, hi)` whose chords are inverted: their `Sim`
     /// sets concatenated in slot order, slot `lo + i`'s at
     /// `xs[starts[i]..starts[i + 1]]`, and `inv[t]` the chord of `xs[t]`.
@@ -358,34 +340,48 @@ pub(crate) struct ContractionRows<'a> {
 }
 
 impl<'a> ContractionRows<'a> {
-    /// Node slots per chord block.
-    const BLOCK: u32 = 1024;
+    /// A chord block ends with the first slot that takes it to this many
+    /// vertices.
+    const BLOCK: usize = 256;
 
-    /// Rows of the contraction of `cycle` under `map` (which must assign
-    /// every vertex of `cycle`).
-    pub(crate) fn new(map: &'a VirtualMapping, cycle: &'a PCycle) -> Self {
+    /// Rows of the contraction of `cycle` under `map`, with the overlay of
+    /// `stag` if an operation is in flight. `map` must assign exactly the
+    /// vertices of `cycle` not yet dropped, and the staged map exactly the
+    /// staged ones.
+    pub(crate) fn new(
+        map: &'a VirtualMapping,
+        cycle: &'a PCycle,
+        stag: Option<&'a StaggeredOp>,
+    ) -> Self {
         ContractionRows {
             map,
             cycle,
+            stag,
             lo: 0,
             hi: 0,
             starts: Vec::new(),
-            xs: Vec::new(),
-            inv: Vec::new(),
+            // A block overshoots `BLOCK` by less than one node's load.
+            xs: Vec::with_capacity(2 * Self::BLOCK),
+            inv: Vec::with_capacity(2 * Self::BLOCK),
             row: Vec::new(),
         }
     }
 
-    /// Invert the chords of the vertices held in slots `[lo, lo+BLOCK)`.
+    /// Invert the chords of the vertices held in the slots from `lo` on,
+    /// a block of at least one slot.
     fn next_block(&mut self, lo: u32) {
         self.lo = lo;
-        self.hi = lo.saturating_add(Self::BLOCK);
+        self.hi = lo;
         self.starts.clear();
         self.xs.clear();
-        for slot in lo..self.hi {
+        loop {
             self.starts.push(self.xs.len() as u32);
             self.xs
-                .extend(self.map.sim_at(slot).iter().map(|z| z.0 as u32));
+                .extend(self.map.sim_at(self.hi).iter().map(|z| z.0 as u32));
+            self.hi += 1;
+            if self.xs.len() >= Self::BLOCK || self.hi as usize >= self.map.slot_bound() {
+                break;
+            }
         }
         self.starts.push(self.xs.len() as u32);
         self.inv.resize(self.xs.len(), 0);
@@ -401,22 +397,34 @@ impl<'a> ContractionRows<'a> {
         let i = (slot - self.lo) as usize;
         let span = self.starts[i] as usize..self.starts[i + 1] as usize;
         let (map, cycle) = (self.map, self.cycle);
+        // Old vertices below the drop cursor are gone, with their edges.
+        let dropped = self.stag.map_or(0, |op| op.old_live().start);
+        let live = |z: VertexId| z.0 >= dropped;
         self.row.clear();
         for (&x, &c) in self.xs[span.clone()].iter().zip(&self.inv[span]) {
             let (z, c) = (VertexId(x as u64), VertexId(c as u64));
-            self.row.push(map.owner_slot_of(cycle.succ(z)));
-            let pred = map.owner_slot_of(cycle.pred(z));
-            if pred != slot {
-                self.row.push(pred);
+            let succ = cycle.succ(z);
+            if live(succ) {
+                self.row.push(map.owner_slot_of(succ));
+            }
+            let pred = cycle.pred(z);
+            if live(pred) {
+                let from = map.owner_slot_of(pred);
+                if from != slot {
+                    self.row.push(from);
+                }
             }
             if c == z {
                 self.row.push(slot);
-            } else {
+            } else if live(c) {
                 let to = map.owner_slot_of(c);
                 if to != slot || z < c {
                     self.row.push(to);
                 }
             }
+        }
+        if let Some(op) = self.stag {
+            op.push_overlay_row(map, slot, &mut self.row);
         }
         self.row.sort_unstable();
         &self.row
@@ -503,7 +511,7 @@ pub type EdgeList = Vec<(NodeId, NodeId)>;
 /// in O(diff) memory.
 pub fn rewire_diff(net: &Network, map: &VirtualMapping, cycle: &PCycle) -> (EdgeList, EdgeList) {
     let g = net.graph();
-    let mut rows = ContractionRows::new(map, cycle);
+    let mut rows = ContractionRows::new(map, cycle, None);
     let mut have = Vec::new();
     let (mut remove, mut add) = (Vec::new(), Vec::new());
     for slot in 0..g.slot_bound() as u32 {
@@ -547,56 +555,6 @@ pub fn rewire_to_map(net: &mut Network, map: &VirtualMapping, cycle: &PCycle) ->
     (remove.len() as u64, add.len() as u64)
 }
 
-/// Compare the physical graph with an expected edge multiset (normalized
-/// `(min, max)` pairs, sorted) — the staggered overlay's check
-/// (`StaggeredOp::verify_fabric`).
-pub fn verify_fabric(net: &Network, expected: &[(NodeId, NodeId)]) -> Result<(), String> {
-    let mut current: Vec<(NodeId, NodeId)> = net
-        .graph()
-        .edges()
-        .into_iter()
-        .map(|(a, b)| (a.min(b), a.max(b)))
-        .collect();
-    current.sort_unstable();
-    if current != expected {
-        // Report the first few discrepancies for debugging.
-        let mut msg = String::from("fabric mismatch:");
-        let mut shown = 0;
-        let (mut i, mut j) = (0usize, 0usize);
-        while (i < current.len() || j < expected.len()) && shown < 6 {
-            match (current.get(i), expected.get(j)) {
-                (Some(&c), Some(&t)) if c == t => {
-                    i += 1;
-                    j += 1;
-                }
-                (Some(&c), Some(&t)) if c < t => {
-                    msg.push_str(&format!(" extra({},{})", c.0, c.1));
-                    i += 1;
-                    shown += 1;
-                }
-                (Some(_), Some(&t)) => {
-                    msg.push_str(&format!(" missing({},{})", t.0, t.1));
-                    j += 1;
-                    shown += 1;
-                }
-                (Some(&c), None) => {
-                    msg.push_str(&format!(" extra({},{})", c.0, c.1));
-                    i += 1;
-                    shown += 1;
-                }
-                (None, Some(&t)) => {
-                    msg.push_str(&format!(" missing({},{})", t.0, t.1));
-                    j += 1;
-                    shown += 1;
-                }
-                (None, None) => break,
-            }
-        }
-        return Err(msg);
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -620,7 +578,7 @@ mod tests {
     /// Every live row is the one Φ implies, and the rewire has nothing to
     /// do.
     fn assert_exact(net: &Network, map: &VirtualMapping, cycle: &PCycle) {
-        let mut rows = ContractionRows::new(map, cycle);
+        let mut rows = ContractionRows::new(map, cycle, None);
         let mut have = Vec::new();
         for slot in 0..net.graph().slot_bound() as u32 {
             if net.graph().slot_alive(slot) {
@@ -644,9 +602,7 @@ mod tests {
     fn canonical_enumeration_counts_each_edge_once() {
         let cycle = PCycle::new(23);
         let mut count = 0;
-        for x in 0..23 {
-            count += canonical_edges_of(&cycle, VertexId(x)).len();
-        }
+        for_each_canonical_edge(&cycle, |_, _| count += 1);
         assert_eq!(count, 23 + 10 + 3);
     }
 
@@ -661,18 +617,21 @@ mod tests {
             vec![VertexId(2), VertexId(12)], // chord pair (2·12 ≡ 1)
             vec![VertexId(0), VertexId(22), VertexId(1)],
         ] {
-            // Scalar chords and the batched form the delete path uses.
-            let mut scalar = Vec::new();
-            incident_edges_into(&cycle, &set, &chords(&cycle, &set), &mut scalar);
-            let batched = incident_edges_of_set(&cycle, &set);
-            assert_eq!(scalar, batched, "set {set:?}");
-            // Brute force: all undirected edges of Z(p) touching the set.
-            let all = cycle.edges();
-            let expect = all
-                .iter()
+            let mut got = Vec::new();
+            incident_edges_into(&cycle, &set, &chords(&cycle, &set), &mut got);
+            // Brute force: all undirected edges of Z(p) touching the set,
+            // each once.
+            let norm = |(a, b): (VertexId, VertexId)| (a.min(b), a.max(b));
+            let mut got: Vec<_> = got.into_iter().map(norm).collect();
+            let mut expect: Vec<_> = cycle
+                .edges()
+                .into_iter()
                 .filter(|(a, b)| set.contains(a) || set.contains(b))
-                .count();
-            assert_eq!(batched.len(), expect, "set {set:?}");
+                .map(norm)
+                .collect();
+            got.sort_unstable();
+            expect.sort_unstable();
+            assert_eq!(got, expect, "set {set:?}");
         }
     }
 
@@ -759,20 +718,17 @@ mod tests {
     fn verify_fabric_reports_mismatch() {
         let (mut net, map, cycle) = world(23, 5);
         net.adversary_add_edge(NodeId(0), NodeId(1));
-        let mut expected = Vec::new();
-        for_each_canonical_edge(&cycle, |a, b| {
-            let (ua, ub) = (map.owner_of(a), map.owner_of(b));
-            expected.push((ua.min(ub), ua.max(ub)));
-        });
-        expected.sort_unstable();
-        let err = verify_fabric(&net, &expected).unwrap_err();
-        assert!(err.contains("extra(n0,n1)"), "{err}");
-        // The row check names the same edge from both of its ends.
-        let mut rows = ContractionRows::new(&map, &cycle);
+        // The row check names the extra edge from both of its ends, and
+        // finds nothing wrong elsewhere.
+        let mut rows = ContractionRows::new(&map, &cycle, None);
         for (u, v) in [(0, 1), (1, 0)] {
             let s = slot(&net, u);
             let err = check_row(&net, s, rows.row(s), &mut Vec::new()).unwrap_err();
             assert!(err.contains(&format!("extra({})", NodeId(v))), "{err}");
+        }
+        for u in 2..5 {
+            let s = slot(&net, u);
+            check_row(&net, s, rows.row(s), &mut Vec::new()).unwrap();
         }
     }
 }

@@ -3,10 +3,10 @@
 //! Theorem 1's deterministic guarantees, checked directly on the live
 //! structure. Tests call [`check`] after *every* adversarial step; it is
 //! not part of the protocol cost. It takes O(p) time and O(n + max degree)
-//! extra memory: every per-node check below runs in one sweep over the
-//! node slots, each node's row against the row Φ implies
-//! (`fabric::ContractionRows`), and only the connectivity BFS keeps a
-//! per-node array. No whole-network edge list is built.
+//! extra memory in both type-2 modes: every per-node check below runs in
+//! one sweep over the node slots, each node's row against the row Φ
+//! implies (`fabric::ContractionRows`), and only the connectivity BFS
+//! keeps a per-node array. No whole-network edge list is built.
 //!
 //! Checked invariants:
 //! 1. internal consistency of the graph and the mapping, and their shared
@@ -20,18 +20,20 @@
 //! 4. the physical network is *exactly* the contraction of the virtual
 //!    graph under Φ (multiset of edges, Definition 2): with Φ's node set
 //!    the graph's (1 and 2), each node's sorted row equals the row Φ
-//!    implies; during a staggered operation the overlay oracle
-//!    (`StaggeredOp::verify_fabric`) compares edge lists instead;
+//!    implies — during a staggered operation the old remnant plus the
+//!    overlay of staged vertices and intermediate edges;
 //! 5. degree bound: deg(u) = Θ(load(u)) ≤ 3·load (plus staged/intermediate
 //!    edges during staggering);
 //! 6. the network is connected;
-//! 7. during a deflation every reserve is a staged vertex and no node
-//!    holds two (the credit protocol's lemma: credit ≥ 1 implies a
-//!    donatable unit).
+//! 7. during a deflation each node's reserve, if it has one (one per node
+//!    slot, so never two), is a staged vertex it holds (the credit
+//!    protocol's lemma: credit ≥ 1 implies a donatable unit).
 
 use crate::dex::DexNetwork;
 use crate::fabric;
+use crate::mapping::VirtualMapping;
 use dex_graph::connectivity::is_connected;
+use std::ops::Range;
 
 /// Check all structural invariants; `Err` describes the first violation.
 pub fn check(dex: &DexNetwork) -> Result<(), String> {
@@ -53,20 +55,18 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
     // ζ + 2 intermediate edges (its cloud's boundary + chords).
     let deg_factor = if staggering { 3 + dex.cfg.zeta + 2 } else { 3 };
 
-    // Outside a staggered operation the fabric is checked row by row,
-    // which needs every vertex of Z(p) assigned.
-    let mut rows = if staggering {
-        None
-    } else {
-        let p = dex.cycle.p();
-        if dex.map.num_vertices() as u64 != p {
-            return Err(format!(
-                "Φ assigns {} of the {p} vertices",
-                dex.map.num_vertices()
-            ));
-        }
-        Some(fabric::ContractionRows::new(&dex.map, &dex.cycle))
-    };
+    // The rows read Φ of exactly the vertices that carry edges: all of
+    // Z(p), or during an operation the old vertices not yet dropped and
+    // the staged new ones.
+    let old_live = dex
+        .stag
+        .as_ref()
+        .map_or(0..dex.cycle.p(), |op| op.old_live());
+    holds_exactly(&dex.map, old_live)?;
+    if let Some(op) = &dex.stag {
+        holds_exactly(op.staged_map(), 0..op.staged_end())?;
+    }
+    let mut rows = fabric::ContractionRows::new(&dex.map, &dex.cycle, dex.stag.as_ref());
     let mut have = Vec::new();
 
     let bound = std::iter::once(&dex.map)
@@ -85,6 +85,9 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
                 ));
             }
         }
+        if let Some(op) = &dex.stag {
+            op.check_reserve(slot)?;
+        }
         let Some(u) = id else { continue };
 
         let total = dex.map.load_at(slot) + staged.map_or(0, |s| s.load_at(slot));
@@ -96,9 +99,7 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
                 "node {u} load {total} exceeds bound {max_load} (staggering={staggering})"
             ));
         }
-        if let Some(rows) = &mut rows {
-            fabric::check_row(&dex.net, slot, rows.row(slot), &mut have)?;
-        }
+        fabric::check_row(&dex.net, slot, rows.row(slot), &mut have)?;
         let deg = g.degree_of_slot(slot) as u64;
         if deg > deg_factor * total {
             return Err(format!(
@@ -108,13 +109,17 @@ pub fn check(dex: &DexNetwork) -> Result<(), String> {
         }
     }
 
-    if let Some(op) = &dex.stag {
-        op.verify_fabric(dex)?;
-        op.verify_reserves()?;
-    }
-
     if !is_connected(g) {
         return Err("network disconnected".into());
+    }
+    Ok(())
+}
+
+/// `map` assigns exactly the vertices `range`.
+fn holds_exactly(map: &VirtualMapping, range: Range<u64>) -> Result<(), String> {
+    let n = map.num_vertices() as u64;
+    if n != range.end - range.start || map.entries().any(|(z, _)| !range.contains(&z.0)) {
+        return Err(format!("Φ assigns {n} vertices, not exactly {range:?}"));
     }
     Ok(())
 }

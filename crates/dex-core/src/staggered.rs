@@ -22,20 +22,25 @@
 //! they point at.
 //!
 //! Deflation additionally runs the *credit* protocol: every node is
-//! guaranteed one vertex of the smaller cycle (its reserve, marked
-//! `taken`); nodes whose old vertices yield nothing walk to a node with
+//! guaranteed one vertex of the smaller cycle (its reserve, one per node
+//! slot); nodes whose old vertices yield nothing walk to a node with
 //! spare credit and either receive a staged vertex or a *preassignment* of
 //! a not-yet-staged one (the paper's "generate such vertices on the fly").
+//!
+//! The coordinator's entry points take the operation out of
+//! `DexNetwork::stag` for the call and hand `&mut StaggeredOp` down
+//! explicitly; nothing they call on the network reads `stag`.
 
 use crate::config::RecoveryMode;
 use crate::dex::DexNetwork;
 use crate::mapping::VirtualMapping;
-use dex_graph::fxhash::{FxHashMap, FxHashSet};
+use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::{resize, PCycle};
 use dex_graph::primes;
 use dex_sim::rng::Purpose;
-use dex_sim::tokens::random_walk_search;
+use dex_sim::tokens::{random_walk_search, random_walk_search_slots};
+use std::ops::Range;
 
 /// Inflation or deflation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,25 +58,52 @@ pub struct StaggeredOp {
     new_cycle: PCycle,
     /// Owners of already-staged new vertices.
     staged_map: VirtualMapping,
-    /// Old vertices `x < stage_cursor` have been processed (Phase 1).
+    /// Old vertices `x < stage_cursor` have been processed (Phase 1). A
+    /// node still holding an old vertex `≥ stage_cursor` has work ahead.
     stage_cursor: u64,
     /// Old vertices `x < drop_cursor` have been discarded (Phase 2).
     drop_cursor: u64,
     /// Old vertices activated per step (O(1) in n).
     window: u64,
-    // --- deflation-only state ---
-    /// Reserved new vertices (one per node; never given away).
-    taken: FxHashSet<VertexId>,
+    // --- deflation-only state, indexed by node slot like Φ ---
+    /// Each node's reserve: the one staged vertex it never gives away.
+    reserve: Vec<Option<VertexId>>,
     /// Future owners of not-yet-staged new vertices (credit donations).
     preassigned: FxHashMap<u64, NodeId>,
-    /// Per-node count of entries in `preassigned`.
-    preassigned_count: FxHashMap<NodeId, u64>,
-    /// Per-node count of old vertices not yet processed by the stage
-    /// cursor (drives contention detection).
-    unprocessed: FxHashMap<NodeId, u64>,
+    /// Per node, the entries of `preassigned` naming it.
+    preassigned_count: Vec<u32>,
+}
+
+/// `v[slot]`, growing `v` with defaults to reach it.
+fn at_mut<T: Clone + Default>(v: &mut Vec<T>, slot: u32) -> &mut T {
+    let i = slot as usize;
+    if v.len() <= i {
+        v.resize(i + 1, T::default());
+    }
+    &mut v[i]
 }
 
 impl StaggeredOp {
+    fn new(dex: &DexNetwork, kind: OpKind, p_new: u64) -> Self {
+        let p_old = dex.cycle.p();
+        StaggeredOp {
+            kind,
+            p_old,
+            new_cycle: PCycle::new(p_new),
+            staged_map: VirtualMapping::with_caller_slots(
+                dex.cfg.zeta,
+                0,
+                dex.net.graph().slot_bound(),
+            ),
+            stage_cursor: 0,
+            drop_cursor: 0,
+            window: window_size(p_old, dex.cfg.theta_inv, dex.n()),
+            reserve: Vec::new(),
+            preassigned: FxHashMap::default(),
+            preassigned_count: Vec::new(),
+        }
+    }
+
     /// Is this an inflation?
     pub fn is_inflation(&self) -> bool {
         self.kind == OpKind::Inflate
@@ -93,6 +125,24 @@ impl StaggeredOp {
         &self.staged_map
     }
 
+    /// The old vertices not yet dropped — the ones the live Φ holds.
+    pub(crate) fn old_live(&self) -> Range<u64> {
+        self.drop_cursor..self.p_old
+    }
+
+    /// The staged new vertices, `0..staged_end()`: `source_old` is
+    /// monotone, so the stage cursor has generated a prefix of the new
+    /// cycle.
+    pub(crate) fn staged_end(&self) -> u64 {
+        let Some(x) = self.stage_cursor.checked_sub(1) else {
+            return 0;
+        };
+        match self.kind {
+            OpKind::Inflate => self.generated_by(x).end,
+            OpKind::Deflate => resize::deflation_image(x, self.p_old, self.new_cycle.p()) + 1,
+        }
+    }
+
     /// Is new vertex `y` staged yet?
     fn staged(&self, y: u64) -> bool {
         self.source_old(y) < self.stage_cursor
@@ -111,19 +161,40 @@ impl StaggeredOp {
         x < self.drop_cursor
     }
 
-    /// The new vertices generated by old vertex `x` (empty for
-    /// non-dominating vertices under deflation).
-    fn generated_by(&self, x: u64) -> Vec<u64> {
+    /// The new vertices generated by old vertex `x`, a contiguous range
+    /// (empty for non-dominating vertices under deflation).
+    fn generated_by(&self, x: u64) -> Range<u64> {
+        let p_new = self.new_cycle.p();
         match self.kind {
-            OpKind::Inflate => resize::inflation_cloud(x, self.p_old, self.new_cycle.p()),
-            OpKind::Deflate => {
-                if resize::is_dominating(x, self.p_old, self.new_cycle.p()) {
-                    vec![resize::deflation_image(x, self.p_old, self.new_cycle.p())]
-                } else {
-                    Vec::new()
-                }
+            OpKind::Inflate => {
+                let (base, len) = resize::inflation_cloud_range(x, self.p_old, p_new);
+                base..base + len
             }
+            OpKind::Deflate if resize::is_dominating(x, self.p_old, p_new) => {
+                let y = resize::deflation_image(x, self.p_old, p_new);
+                y..y + 1
+            }
+            OpKind::Deflate => 0..0,
         }
+    }
+
+    /// The reserve of the node in `slot`.
+    fn reserve_at(&self, slot: u32) -> Option<VertexId> {
+        self.reserve.get(slot as usize).copied().flatten()
+    }
+
+    /// Preassignments promised to the node in `slot`.
+    fn preassigned_at(&self, slot: u32) -> u64 {
+        self.preassigned_count
+            .get(slot as usize)
+            .map_or(0, |&c| c as u64)
+    }
+
+    /// Record `y` as the reserve of the node in `slot`, which has none.
+    fn set_reserve(&mut self, slot: u32, y: u64) {
+        let r = at_mut(&mut self.reserve, slot);
+        debug_assert!(r.is_none(), "slot {slot} already holds reserve {r:?}");
+        *r = Some(VertexId(y));
     }
 
     // ------------------------------------------------------------------
@@ -184,32 +255,37 @@ impl StaggeredOp {
         out
     }
 
+    /// Staged vertices whose intermediate edges point at the unprocessed
+    /// old vertex `x`, one call of `f` per instance (a repeated vertex
+    /// means parallel instances): the staged cycle neighbours and chord
+    /// partners of the vertices `x` will generate.
+    fn for_each_inter_source(&self, x: u64, mut f: impl FnMut(u64)) {
+        debug_assert!(x >= self.stage_cursor);
+        let p = self.new_cycle.p();
+        for t in self.generated_by(x) {
+            let c = self.new_cycle.chord(VertexId(t)).0;
+            let chord = (c != t).then_some(c);
+            for y in [(t + p - 1) % p, (t + 1) % p].into_iter().chain(chord) {
+                if self.staged(y) {
+                    f(y);
+                }
+            }
+        }
+    }
+
     /// Staged vertices whose intermediate edges point at old vertex `x`
     /// (one entry per instance; duplicates mean parallel instances).
     /// `exclude` suppresses sources in a set being handled elsewhere.
     fn inter_sources_at_old(&self, x: u64, exclude: &[u64]) -> Vec<u64> {
         let mut out = Vec::new();
-        let p = self.new_cycle.p();
         if self.stage_cursor > x {
             return out; // x processed: nothing points at it
         }
-        let gens = self.generated_by(x);
-        for &t in &gens {
-            // Boundary cycle edges into the unstaged region.
-            let before = (t + p - 1) % p;
-            if self.staged(before) && self.source_old(before) != x && !exclude.contains(&before) {
-                out.push(before); // before's succ-slot intermediate
+        self.for_each_inter_source(x, |y| {
+            if !exclude.contains(&y) {
+                out.push(y);
             }
-            let after = (t + 1) % p;
-            if self.staged(after) && self.source_old(after) != x && !exclude.contains(&after) {
-                out.push(after); // after's pred-slot intermediate
-            }
-            // Chords from staged vertices into this cloud.
-            let c = self.new_cycle.chord(VertexId(t)).0;
-            if c != t && self.staged(c) && !exclude.contains(&c) {
-                out.push(c);
-            }
-        }
+        });
         out
     }
 
@@ -238,87 +314,65 @@ impl StaggeredOp {
         out
     }
 
-    /// Expected full physical edge multiset (old remnant + overlay),
-    /// normalized and sorted — the staggered fabric oracle.
-    pub fn expected_multiset(
-        &self,
-        map: &VirtualMapping,
-        cycle_old: &PCycle,
-    ) -> Vec<(NodeId, NodeId)> {
-        let mut out = Vec::new();
-        // Old remnant.
-        cycle_old.for_each_chord(0..self.p_old, |z, c| {
-            if self.dropped(z.0) {
-                return;
-            }
-            let s = cycle_old.succ(z);
-            if !self.dropped(s.0) {
-                let (a, b) = (map.owner_of(z), map.owner_of(s));
-                out.push((a.min(b), a.max(b)));
-            }
-            if (c == z || z < c) && !self.dropped(c.0) {
-                let (a, b) = (map.owner_of(z), map.owner_of(c));
-                out.push((a.min(b), a.max(b)));
-            }
-        });
-        // Overlay: enumerate per staged vertex with global (set-free)
-        // canonical rules.
+    /// Append the overlay's entries of the row of the node in `slot`, by
+    /// the row conventions of `fabric::ContractionRows` (an instance with
+    /// both ends in the node is one entry): the instances of its staged
+    /// vertices, then the intermediate edges other nodes' staged vertices
+    /// point at its unprocessed old vertices. `map` is the live Φ.
+    pub(crate) fn push_overlay_row(&self, map: &VirtualMapping, slot: u32, row: &mut Vec<u32>) {
         let p = self.new_cycle.p();
-        self.new_cycle.for_each_chord(0..p, |y, chord| {
-            let (y, chord) = (y.0, chord.0);
-            if !self.staged(y) {
-                return;
-            }
-            let mut push = |inst: Inst| {
-                let (a, b) = self.endpoints(map, inst);
-                out.push((a.min(b), a.max(b)));
-            };
-            let succ = (y + 1) % p;
-            if self.staged(succ) {
-                push(Inst::Real(y, succ));
+        let staged_slot = |y: u64| self.staged_map.owner_slot_of(VertexId(y));
+        // Where an instance from a staged vertex toward `t` lands: `t`'s
+        // owner, or the intermediate edge's old source's owner.
+        let far = |t: u64| {
+            if self.staged(t) {
+                staged_slot(t)
             } else {
-                push(Inst::Inter(y, self.source_old(succ)));
+                map.owner_slot_of(VertexId(self.source_old(t)))
             }
+        };
+        for &y in self.staged_map.sim_at(slot) {
+            let y = y.0;
+            row.push(far((y + 1) % p));
             let pred = (y + p - 1) % p;
-            if !self.staged(pred) {
-                push(Inst::Inter(y, self.source_old(pred)));
+            if !self.staged(pred) || staged_slot(pred) != slot {
+                row.push(far(pred));
             }
+            let chord = self.new_cycle.chord(VertexId(y)).0;
             if chord == y {
-                push(Inst::Loop(y));
-            } else if self.staged(chord) {
-                if y < chord {
-                    push(Inst::Real(y, chord));
-                }
-            } else {
-                push(Inst::Inter(y, self.source_old(chord)));
-            }
-        });
-        out.sort_unstable();
-        out
-    }
-
-    /// Verify the physical graph against the staggered fabric oracle.
-    pub fn verify_fabric(&self, dex: &DexNetwork) -> Result<(), String> {
-        let expected = self.expected_multiset(&dex.map, &dex.cycle);
-        crate::fabric::verify_fabric(&dex.net, &expected)
-    }
-
-    /// A deflation's reserves: every reserve is a staged vertex, and no
-    /// node holds two. With one reserve per node, `credit(w) ≥ 1` means
-    /// `w` holds a staged vertex beyond its reserve or has a future one to
-    /// promise, so [`donate`] always has a unit to give.
-    pub(crate) fn verify_reserves(&self) -> Result<(), String> {
-        let mut holders = FxHashSet::default();
-        for &y in &self.taken {
-            if !self.staged(y.0) {
-                return Err(format!("reserve {y} is not staged"));
-            }
-            let u = self.staged_map.owner_of(y);
-            if !holders.insert(u) {
-                return Err(format!("node {u} holds two reserves"));
+                row.push(slot);
+            } else if !self.staged(chord) || staged_slot(chord) != slot || y < chord {
+                row.push(far(chord));
             }
         }
-        Ok(())
+        for &x in map.sim_at(slot) {
+            if x.0 >= self.stage_cursor {
+                self.for_each_inter_source(x.0, |y| {
+                    let s = staged_slot(y);
+                    if s != slot {
+                        row.push(s);
+                    }
+                });
+            }
+        }
+    }
+
+    /// A deflation's reserve at `slot` is a staged vertex the node there
+    /// holds. With one reserve per node, `credit(w) ≥ 1` means `w` holds a
+    /// staged vertex beyond its reserve or has a future one to promise,
+    /// so [`donate`] always has a unit to give.
+    pub(crate) fn check_reserve(&self, slot: u32) -> Result<(), String> {
+        match self.reserve_at(slot) {
+            Some(y)
+                if self.staged_map.owner(y).is_none()
+                    || self.staged_map.owner_slot_of(y) != slot =>
+            {
+                Err(format!(
+                    "reserve {y} of node slot {slot} is not a staged vertex it holds"
+                ))
+            }
+            _ => Ok(()),
+        }
     }
 }
 
@@ -348,8 +402,8 @@ pub fn after_step(dex: &mut DexNetwork) {
     dex.net.charge_messages(2 * logp);
     dex.net.charge_rounds(2 * logp);
 
-    if dex.stag.is_some() {
-        advance(dex);
+    if let Some(op) = dex.stag.take() {
+        advance(dex, op);
         return;
     }
     let n = dex.n();
@@ -375,127 +429,60 @@ fn window_size(p_old: u64, theta_inv: u64, n: usize) -> u64 {
 /// Start a staggered inflation and stage its first window.
 pub fn begin_inflation(dex: &mut DexNetwork) {
     debug_assert!(dex.stag.is_none());
-    let p_old = dex.cycle.p();
-    let p_new = primes::inflation_prime(p_old);
-    dex.stag = Some(StaggeredOp {
-        kind: OpKind::Inflate,
-        p_old,
-        new_cycle: PCycle::new(p_new),
-        staged_map: VirtualMapping::with_caller_slots(
-            dex.cfg.zeta,
-            0,
-            dex.net.graph().slot_bound(),
-        ),
-        stage_cursor: 0,
-        drop_cursor: 0,
-        window: window_size(p_old, dex.cfg.theta_inv, dex.n()),
-        taken: FxHashSet::default(),
-        preassigned: FxHashMap::default(),
-        preassigned_count: FxHashMap::default(),
-        unprocessed: FxHashMap::default(),
-    });
-    advance(dex);
+    let p_new = primes::inflation_prime(dex.cycle.p());
+    let op = StaggeredOp::new(dex, OpKind::Inflate, p_new);
+    advance(dex, op);
 }
 
 /// Start a staggered deflation and stage its first window.
 pub fn begin_deflation(dex: &mut DexNetwork) {
     debug_assert!(dex.stag.is_none());
-    let p_old = dex.cycle.p();
-    let p_new = primes::deflation_prime(p_old)
+    let p_new = primes::deflation_prime(dex.cycle.p())
         .filter(|&q| q >= crate::type2_simple::MIN_PRIME)
         .expect("caller checked deflation feasibility");
-    let mut unprocessed: FxHashMap<NodeId, u64> = FxHashMap::default();
-    for u in dex.map.nodes() {
-        unprocessed.insert(u, dex.map.load(u));
-    }
-    dex.stag = Some(StaggeredOp {
-        kind: OpKind::Deflate,
-        p_old,
-        new_cycle: PCycle::new(p_new),
-        staged_map: VirtualMapping::with_caller_slots(
-            dex.cfg.zeta,
-            0,
-            dex.net.graph().slot_bound(),
-        ),
-        stage_cursor: 0,
-        drop_cursor: 0,
-        window: window_size(p_old, dex.cfg.theta_inv, dex.n()),
-        taken: FxHashSet::default(),
-        preassigned: FxHashMap::default(),
-        preassigned_count: FxHashMap::default(),
-        unprocessed,
-    });
-    advance(dex);
+    let op = StaggeredOp::new(dex, OpKind::Deflate, p_new);
+    advance(dex, op);
 }
 
-/// The in-progress staggered operation. `stage_one`/`drop_one` take `&mut
-/// DexNetwork`, so the borrow cannot be held across iterations; each site
-/// re-borrows through this single checked accessor instead of scattering
-/// bare `unwrap()`s.
-const OP_GONE: &str = "staggered type-2 operation vanished while a window was being advanced";
-
-fn op_ref(dex: &DexNetwork) -> &StaggeredOp {
-    dex.stag.as_ref().expect(OP_GONE)
-}
-
-/// Mutable twin of [`op_ref`].
-fn op_mut(dex: &mut DexNetwork) -> &mut StaggeredOp {
-    dex.stag.as_mut().expect(OP_GONE)
-}
-
-/// Advance the in-progress operation by one window (Phase 1 staging or
-/// Phase 2 dropping), switching over when done.
-fn advance(dex: &mut DexNetwork) {
+/// Advance the operation by one window (Phase 1 staging or Phase 2
+/// dropping), then put it back in `dex.stag`, or switch over when done.
+fn advance(dex: &mut DexNetwork, mut op: StaggeredOp) {
     // Activation request routed from the coordinator to the window owners.
     let logp = (64 - dex.cycle.p().leading_zeros() as u64).max(1);
     dex.net.charge_messages(2 * logp);
     dex.net.charge_rounds(2 * logp);
 
-    let (window, staging) = {
-        let op = op_ref(dex);
-        (op.window, op.staging())
-    };
-    if staging {
-        for _ in 0..window {
-            let (cursor, p_old) = {
-                let op = op_ref(dex);
-                (op.stage_cursor, op.p_old)
-            };
-            if cursor >= p_old {
+    if op.staging() {
+        for _ in 0..op.window {
+            let x = op.stage_cursor;
+            if x >= op.p_old {
                 break;
             }
-            stage_one(dex, cursor);
+            stage_one(dex, &mut op, x);
         }
     } else {
-        for _ in 0..window {
-            let (cursor, p_old) = {
-                let op = op_ref(dex);
-                (op.drop_cursor, op.p_old)
-            };
-            if cursor >= p_old {
+        for _ in 0..op.window {
+            let x = op.drop_cursor;
+            if x >= op.p_old {
                 break;
             }
-            drop_one(dex, cursor);
+            drop_one(dex, &mut op, x);
         }
-        let op = op_ref(dex);
         if op.drop_cursor >= op.p_old {
-            switchover(dex);
+            switchover(dex, op);
+            return;
         }
     }
+    dex.stag = Some(op);
 }
 
 /// Phase 1: process old vertex `x` (stage its generated vertices).
-fn stage_one(dex: &mut DexNetwork, x: u64) {
+fn stage_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
     let owner_old = dex.map.owner_of(VertexId(x));
 
     // Remove intermediate instances that currently point at x: they are
     // about to be upgraded to real new-cycle edges.
-    let inters = {
-        let op = op_ref(dex);
-        op.inter_sources_at_old(x, &[])
-    };
-    for &src in &inters {
-        let op = op_ref(dex);
+    for src in op.inter_sources_at_old(x, &[]) {
         let a = op.staged_map.owner_of(VertexId(src));
         assert!(
             dex.net.remove_edge(a, owner_old),
@@ -504,80 +491,56 @@ fn stage_one(dex: &mut DexNetwork, x: u64) {
     }
 
     // Stage the generated vertices.
-    let gens = op_ref(dex).generated_by(x);
-    let is_deflate = !op_ref(dex).is_inflation();
+    let gens: Vec<u64> = op.generated_by(x).collect();
+    let is_deflate = !op.is_inflation();
     for &y in &gens {
-        let op = op_mut(dex);
-        let target = op
-            .preassigned
-            .remove(&y)
-            .inspect(|u| {
-                let c = op.preassigned_count.get_mut(u).expect("count tracked");
-                *c -= 1;
-                if *c == 0 {
-                    op.preassigned_count.remove(u);
-                }
-            })
-            .unwrap_or(owner_old);
+        let target = match op.preassigned.remove(&y) {
+            Some(u) => {
+                *at_mut(&mut op.preassigned_count, dex.slot(u)) -= 1;
+                u
+            }
+            None => owner_old,
+        };
         let slot = dex.slot(target);
-        let op = op_mut(dex);
         op.staged_map.assign_at(VertexId(y), target, slot);
-        if is_deflate && op.staged_map.load(target) == 1 {
-            op.taken.insert(VertexId(y)); // the node's reserve
+        if is_deflate && op.staged_map.load_at(slot) == 1 {
+            op.set_reserve(slot, y); // the node's reserve
         }
     }
     // Advance the cursor before computing the new instances (the staged()
     // predicate must see the fresh vertices).
-    {
-        let op = op_mut(dex);
-        op.stage_cursor = x + 1;
-        if is_deflate {
-            if let Some(c) = op.unprocessed.get_mut(&owner_old) {
-                *c -= 1;
-                if *c == 0 {
-                    op.unprocessed.remove(&owner_old);
-                }
-            }
-        }
-    }
+    op.stage_cursor = x + 1;
     // Materialize the staged vertices' instances (real edges to staged
     // neighbors, intermediate edges into the unstaged region).
-    let insts = {
-        let op = op_ref(dex);
-        op.incident_overlay(&gens)
-    };
-    for inst in insts {
-        let (a, b) = {
-            let op = op_ref(dex);
-            op.endpoints(&dex.map, inst)
-        };
+    for inst in op.incident_overlay(&gens) {
+        let (a, b) = op.endpoints(&dex.map, inst);
         dex.net.add_edge(a, b);
     }
     dex.net.charge_messages(3 * gens.len() as u64 + 2);
     dex.net.charge_rounds(1);
 
     // Inflation: a node holding > 4ζ staged vertices spreads the surplus.
-    if op_ref(dex).is_inflation() {
-        rebalance_staged(dex, owner_old);
+    if op.is_inflation() {
+        rebalance_staged(dex, op, owner_old);
         // Transfers may also have pushed the preassignment recipient over.
     } else {
         // Deflation: contention check for the owner whose old vertices may
         // now all be processed.
-        maybe_contend(dex, owner_old);
+        maybe_contend(dex, op, owner_old);
     }
 }
 
 /// Inflation Phase 1 rebalancing (Algorithm 4.8, line 6): while `u` holds
 /// more than 4ζ staged vertices, walk the real network for nodes with
 /// staged load < 4ζ and hand surplus vertices over.
-fn rebalance_staged(dex: &mut DexNetwork, u: NodeId) {
+fn rebalance_staged(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId) {
     let cap = dex.cfg.max_load();
     let walk_len = dex.cfg.walk_len(dex.cycle.p());
     let mut attempt = 0u64;
-    while op_ref(dex).staged_map.load(u) > cap {
+    while op.staged_map.load(u) > cap {
         let step_no = dex.step_no;
         let out = {
-            let op = dex.stag.as_ref().expect(OP_GONE);
+            let op = &*op;
             let mut rng = dex
                 .seeds
                 .stream(Purpose::RebalanceWalk, &[step_no, u.0, attempt]);
@@ -591,19 +554,15 @@ fn rebalance_staged(dex: &mut DexNetwork, u: NodeId) {
             )
         };
         if let Some(w) = out.hit {
-            // A reserve never moves: with at most one a node, load > cap
-            // leaves another to give.
-            let y = {
-                let op = op_ref(dex);
-                op.staged_map
-                    .sim(u)
-                    .iter()
-                    .filter(|z| !op.taken.contains(z))
-                    .map(|z| z.0)
-                    .max()
-                    .expect("load > cap leaves a vertex beyond the reserve")
-            };
-            move_staged_vertex(dex, y, w);
+            // An inflation has no reserves: any vertex may go.
+            let y = op
+                .staged_map
+                .sim(u)
+                .iter()
+                .map(|z| z.0)
+                .max()
+                .expect("load > cap");
+            move_staged_vertex(dex, op, y, w);
         }
         attempt += 1;
         assert!(
@@ -616,18 +575,15 @@ fn rebalance_staged(dex: &mut DexNetwork, u: NodeId) {
 /// Deflation contention check: if `u` has no processed or future vertex of
 /// the new cycle left, it walks for credit (Algorithm 4.9 + on-the-fly
 /// generation).
-fn maybe_contend(dex: &mut DexNetwork, u: NodeId) {
-    if !dex.net.graph().has_node(u) {
+fn maybe_contend(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId) {
+    let Some(su) = dex.net.graph().slot_of(u) else {
         return;
-    }
+    };
+    if dex.map.sim_at(su).iter().any(|z| z.0 >= op.stage_cursor)
+        || op.staged_map.load_at(su) > 0
+        || op.preassigned_at(su) > 0
     {
-        let op = op_ref(dex);
-        if op.unprocessed.get(&u).copied().unwrap_or(0) > 0
-            || op.staged_map.load(u) > 0
-            || op.preassigned_count.get(&u).copied().unwrap_or(0) > 0
-        {
-            return;
-        }
+        return;
     }
     // u is contending: walk until a node with spare credit donates.
     let walk_len = dex.cfg.walk_len(dex.cycle.p());
@@ -635,22 +591,22 @@ fn maybe_contend(dex: &mut DexNetwork, u: NodeId) {
     let mut attempt = 0u64;
     loop {
         let out = {
-            let op = dex.stag.as_ref().expect(OP_GONE);
-            let map = &dex.map;
+            let (op, map) = (&*op, &dex.map);
             let mut rng = dex
                 .seeds
                 .stream(Purpose::RebalanceWalk, &[step_no, u.0 ^ 0xdef1a7e, attempt]);
-            random_walk_search(
+            random_walk_search_slots(
                 &mut dex.net,
-                u,
+                su,
                 walk_len,
                 None,
-                |w| w != u && credit(op, map, w) >= 1,
+                |w| w != su && credit(op, map, w) >= 1,
                 &mut rng,
             )
         };
         if let Some(w) = out.hit {
-            donate(dex, w, u);
+            let w = dex.net.graph().id_of_slot(w);
+            donate(dex, op, w, u);
             dex.net.charge_messages(4);
             dex.net.charge_rounds(1);
             return;
@@ -663,72 +619,59 @@ fn maybe_contend(dex: &mut DexNetwork, u: NodeId) {
     }
 }
 
-/// Deflation credit of node `w`: guaranteed new vertices beyond its
-/// reserve. Locally computable by `w` (its staged set, its preassignments,
-/// and the dominating status of its own old vertices).
-fn credit(op: &StaggeredOp, map: &VirtualMapping, w: NodeId) -> u64 {
-    let guaranteed = op.staged_map.load(w)
-        + op.preassigned_count.get(&w).copied().unwrap_or(0)
-        + unstaged_dominating_unpreassigned(op, map, w).len() as u64;
+/// Deflation credit of the node in slot `w`: guaranteed new vertices
+/// beyond its reserve. Locally computable by the node (its staged set, its
+/// preassignments, and the dominating status of its own old vertices).
+fn credit(op: &StaggeredOp, map: &VirtualMapping, w: u32) -> u64 {
+    let guaranteed = op.staged_map.load_at(w)
+        + op.preassigned_at(w)
+        + unstaged_dominating_unpreassigned(op, map, w).count() as u64;
     guaranteed.saturating_sub(1)
 }
 
-/// `w`'s old vertices that are unprocessed, dominating, and whose image is
-/// not already promised to someone else.
-fn unstaged_dominating_unpreassigned(
-    op: &StaggeredOp,
-    map: &VirtualMapping,
-    w: NodeId,
-) -> Vec<u64> {
+/// The old vertices of the node in slot `w` that are unprocessed,
+/// dominating, and whose image is not already promised to someone else.
+fn unstaged_dominating_unpreassigned<'a>(
+    op: &'a StaggeredOp,
+    map: &'a VirtualMapping,
+    w: u32,
+) -> impl Iterator<Item = u64> + 'a {
     let p_new = op.new_cycle.p();
-    map.sim(w)
-        .iter()
-        .map(|z| z.0)
-        .filter(|&x| {
-            x >= op.stage_cursor
-                && resize::is_dominating(x, op.p_old, p_new)
-                && !op
-                    .preassigned
-                    .contains_key(&resize::deflation_image(x, op.p_old, p_new))
-        })
-        .collect()
+    map.sim_at(w).iter().map(|z| z.0).filter(move |&x| {
+        x >= op.stage_cursor
+            && resize::is_dominating(x, op.p_old, p_new)
+            && !op
+                .preassigned
+                .contains_key(&resize::deflation_image(x, op.p_old, p_new))
+    })
 }
 
 /// Donate one unit of deflation credit from `w` to `to`: a staged
-/// non-taken vertex if available, else a preassignment of a future one.
-fn donate(dex: &mut DexNetwork, w: NodeId, to: NodeId) {
+/// non-reserve vertex if available, else a preassignment of a future one.
+fn donate(dex: &mut DexNetwork, op: &mut StaggeredOp, w: NodeId, to: NodeId) {
+    let (sw, st) = (dex.slot(w), dex.slot(to));
     // Prefer a physically staged, non-reserved vertex.
-    let staged_pick = {
-        let op = op_ref(dex);
-        op.staged_map
-            .sim(w)
-            .iter()
-            .filter(|z| !op.taken.contains(z))
-            .map(|z| z.0)
-            .max()
-    };
+    let reserve = op.reserve_at(sw);
+    let staged_pick = op
+        .staged_map
+        .sim_at(sw)
+        .iter()
+        .filter(|&&z| Some(z) != reserve)
+        .map(|z| z.0)
+        .max();
     if let Some(y) = staged_pick {
-        move_staged_vertex(dex, y, to);
-        let op = op_mut(dex);
-        op.taken.insert(VertexId(y)); // recipient's reserve
+        move_staged_vertex(dex, op, y, to);
+        op.set_reserve(st, y); // recipient's reserve
         return;
     }
     // Else promise a future vertex from w's dominating stock.
-    let future = {
-        let op = op_ref(dex);
-        unstaged_dominating_unpreassigned(op, &dex.map, w)
-            .into_iter()
-            .max()
-    };
-    if let Some(x) = future {
-        let op = op_mut(dex);
+    if let Some(x) = unstaged_dominating_unpreassigned(op, &dex.map, sw).max() {
         let y = resize::deflation_image(x, op.p_old, op.new_cycle.p());
         op.preassigned.insert(y, to);
-        *op.preassigned_count.entry(to).or_insert(0) += 1;
+        *at_mut(&mut op.preassigned_count, st) += 1;
         return;
     }
     // Last resort: reassign one of w's own preassignments.
-    let op = op_mut(dex);
     let y = *op
         .preassigned
         .iter()
@@ -737,49 +680,45 @@ fn donate(dex: &mut DexNetwork, w: NodeId, to: NodeId) {
         .max()
         .expect("credit >= 1 guaranteed a donatable unit");
     op.preassigned.insert(y, to);
-    let cw = op.preassigned_count.get_mut(&w).expect("tracked");
-    *cw -= 1;
-    if *cw == 0 {
-        op.preassigned_count.remove(&w);
-    }
-    *op.preassigned_count.entry(to).or_insert(0) += 1;
+    op.preassigned_count[sw as usize] -= 1;
+    *at_mut(&mut op.preassigned_count, st) += 1;
 }
 
 /// Phase 2: discard old vertex `x` and its remaining old-cycle edges.
-fn drop_one(dex: &mut DexNetwork, x: u64) {
+fn drop_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
     let z = VertexId(x);
     let u = dex.map.owner_of(z);
     let cycle = dex.cycle;
-    {
-        let op = dex.stag.as_ref().expect(OP_GONE);
-        let s = cycle.succ(z);
-        if !op.dropped(s.0) && s != z {
-            let b = dex.map.owner_of(s);
-            assert!(dex.net.remove_edge(u, b), "missing old succ edge {x}");
-        }
-        let pr = cycle.pred(z);
-        if !op.dropped(pr.0) && pr != z {
-            let b = dex.map.owner_of(pr);
-            assert!(dex.net.remove_edge(u, b), "missing old pred edge {x}");
-        }
-        let c = cycle.chord(z);
-        if c == z {
-            assert!(dex.net.remove_edge(u, u), "missing old loop {x}");
-        } else if !op.dropped(c.0) {
-            let b = dex.map.owner_of(c);
-            assert!(dex.net.remove_edge(u, b), "missing old chord edge {x}");
-        }
+    let s = cycle.succ(z);
+    if !op.dropped(s.0) && s != z {
+        let b = dex.map.owner_of(s);
+        assert!(dex.net.remove_edge(u, b), "missing old succ edge {x}");
+    }
+    let pr = cycle.pred(z);
+    if !op.dropped(pr.0) && pr != z {
+        let b = dex.map.owner_of(pr);
+        assert!(dex.net.remove_edge(u, b), "missing old pred edge {x}");
+    }
+    let c = cycle.chord(z);
+    if c == z {
+        assert!(dex.net.remove_edge(u, u), "missing old loop {x}");
+    } else if !op.dropped(c.0) {
+        let b = dex.map.owner_of(c);
+        assert!(dex.net.remove_edge(u, b), "missing old chord edge {x}");
     }
     dex.map.unassign(z);
-    op_mut(dex).drop_cursor = x + 1;
+    op.drop_cursor = x + 1;
     dex.net.charge_messages(3);
 }
 
 /// All old vertices dropped: switch Φ and Z to the new cycle.
-fn switchover(dex: &mut DexNetwork) {
-    let op = dex.stag.take().expect("operation in progress");
+fn switchover(dex: &mut DexNetwork, op: StaggeredOp) {
     debug_assert_eq!(dex.map.num_vertices(), 0, "old map fully drained");
     debug_assert!(op.preassigned.is_empty(), "all preassignments staged");
+    debug_assert!(
+        op.preassigned_count.iter().all(|&c| c == 0),
+        "preassignment counts drained"
+    );
     dex.cycle = op.new_cycle;
     dex.map = op.staged_map;
     // Coordinator state transfers to the owner of new vertex 0.
@@ -793,28 +732,18 @@ fn switchover(dex: &mut DexNetwork) {
 // ======================================================================
 
 /// Move staged vertex `y` to node `to`, rewiring its overlay instances.
-fn move_staged_vertex(dex: &mut DexNetwork, y: u64, to: NodeId) {
-    let insts = {
-        let op = op_ref(dex);
-        op.incident_overlay(&[y])
-    };
+fn move_staged_vertex(dex: &mut DexNetwork, op: &mut StaggeredOp, y: u64, to: NodeId) {
+    let insts = op.incident_overlay(&[y]);
     for &inst in &insts {
-        let (a, b) = {
-            let op = op_ref(dex);
-            op.endpoints(&dex.map, inst)
-        };
+        let (a, b) = op.endpoints(&dex.map, inst);
         assert!(
             dex.net.remove_edge(a, b),
             "missing overlay instance {inst:?} at ({a},{b})"
         );
     }
-    let slot = dex.slot(to);
-    op_mut(dex).staged_map.transfer_at(VertexId(y), to, slot);
+    op.staged_map.transfer_at(VertexId(y), to, dex.slot(to));
     for &inst in &insts {
-        let (a, b) = {
-            let op = op_ref(dex);
-            op.endpoints(&dex.map, inst)
-        };
+        let (a, b) = op.endpoints(&dex.map, inst);
         dex.net.add_edge(a, b);
     }
     dex.net.charge_messages(4);
@@ -823,56 +752,33 @@ fn move_staged_vertex(dex: &mut DexNetwork, y: u64, to: NodeId) {
 
 /// Move live old vertex `x` to node `to`: old-fabric instances plus any
 /// intermediate instances pointing at `x` follow it.
-fn move_old_vertex(dex: &mut DexNetwork, x: u64, to: NodeId) {
+fn move_old_vertex(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64, to: NodeId) {
     let z = VertexId(x);
     let from = dex.map.owner_of(z);
-    let (old_insts, inters) = {
-        let op = op_ref(dex);
-        (
-            op.old_incident(&dex.cycle, &[z]),
-            op.inter_sources_at_old(x, &[]),
-        )
-    };
+    let old_insts = op.old_incident(&dex.cycle, &[z]);
+    let inters = op.inter_sources_at_old(x, &[]);
     for &(a, b) in &old_insts {
         let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
         assert!(dex.net.remove_edge(ua, ub), "missing old instance {a}-{b}");
     }
     for &src in &inters {
-        let a = {
-            let op = op_ref(dex);
-            op.staged_map.owner_of(VertexId(src))
-        };
+        let a = op.staged_map.owner_of(VertexId(src));
         assert!(dex.net.remove_edge(a, from), "missing inter at old {x}");
     }
     dex.map.transfer_at(z, to, dex.slot(to));
-    {
-        let op = op_mut(dex);
-        if !op.is_inflation() && x >= op.stage_cursor {
-            if let Some(c) = op.unprocessed.get_mut(&from) {
-                *c -= 1;
-                if *c == 0 {
-                    op.unprocessed.remove(&from);
-                }
-            }
-            *op.unprocessed.entry(to).or_insert(0) += 1;
-        }
-    }
     for &(a, b) in &old_insts {
         let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
         dex.net.add_edge(ua, ub);
     }
     for &src in &inters {
-        let a = {
-            let op = op_ref(dex);
-            op.staged_map.owner_of(VertexId(src))
-        };
+        let a = op.staged_map.owner_of(VertexId(src));
         dex.net.add_edge(a, to);
     }
     dex.net.charge_messages(4);
     dex.net.charge_rounds(1);
     // The donor may have become contending (deflation).
-    if !op_ref(dex).is_inflation() {
-        maybe_contend(dex, from);
+    if !op.is_inflation() {
+        maybe_contend(dex, op, from);
     }
 }
 
@@ -883,107 +789,91 @@ fn move_old_vertex(dex: &mut DexNetwork, x: u64, to: NodeId) {
 /// Insertion during a staggered operation (paper Sect. 4.4.1/4.4.2: serve
 /// the newcomer from the new cycle where possible).
 pub fn insert_during_staggered(dex: &mut DexNetwork, u: NodeId, v: NodeId) {
+    let mut op = dex
+        .stag
+        .take()
+        .expect("a staggered operation is in progress");
+    insert_into(dex, &mut op, u, v);
+    dex.stag = Some(op);
+}
+
+fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId, v: NodeId) {
     let walk_len = dex.cfg.walk_len(dex.cycle.p());
     let step_no = dex.step_no;
+    let (su, sv) = (dex.slot(u), dex.slot(v));
     for attempt in 0..dex.cfg.max_walk_retries {
         let out = {
-            let op = dex.stag.as_ref().expect(OP_GONE);
-            let map = &dex.map;
+            let (op, map) = (&*op, &dex.map);
             let mut rng = dex.seeds.stream(Purpose::InsertWalk, &[step_no, attempt]);
-            let accept: Box<dyn Fn(NodeId) -> bool> = match (op.kind, op.staging()) {
+            let accept: Box<dyn Fn(u32) -> bool> = match (op.kind, op.staging()) {
                 (OpKind::Inflate, true) => Box::new(move |w| {
-                    op.staged_map.load(w) >= 2
-                        || (map.load(w) >= 2 && map.sim(w).iter().any(|z| z.0 >= op.stage_cursor))
+                    op.staged_map.load_at(w) >= 2
+                        || (map.load_at(w) >= 2
+                            && map.sim_at(w).iter().any(|z| z.0 >= op.stage_cursor))
                 }),
                 (OpKind::Inflate, false) | (OpKind::Deflate, false) => {
-                    Box::new(move |w| op.staged_map.load(w) >= 2)
+                    Box::new(move |w| op.staged_map.load_at(w) >= 2)
                 }
                 (OpKind::Deflate, true) => {
-                    Box::new(move |w| map.load(w) >= 2 && credit(op, map, w) >= 1)
+                    Box::new(move |w| map.load_at(w) >= 2 && credit(op, map, w) >= 1)
                 }
             };
-            random_walk_search(&mut dex.net, v, walk_len, Some(u), &accept, &mut rng)
+            random_walk_search_slots(&mut dex.net, sv, walk_len, Some(su), &accept, &mut rng)
         };
-        let Some(w) = out.hit else { continue };
+        let Some(sw) = out.hit else { continue };
+        let w = dex.net.graph().id_of_slot(sw);
         dex.walk_stats.hits += 1;
 
-        let (kind, staging) = {
-            let op = op_ref(dex);
-            (op.kind, op.staging())
-        };
-        match (kind, staging) {
+        match (op.kind, op.staging()) {
             (OpKind::Inflate, true) => {
-                let staged_pick = {
-                    let op = op_ref(dex);
-                    if op.staged_map.load(w) >= 2 {
-                        op.staged_map.sim(w).iter().map(|z| z.0).max()
-                    } else {
-                        None
-                    }
-                };
-                if let Some(y) = staged_pick {
-                    move_staged_vertex(dex, y, u);
+                if op.staged_map.load_at(sw) >= 2 {
+                    let y = op.staged_map.sim_at(sw).iter().map(|z| z.0).max();
+                    move_staged_vertex(dex, op, y.expect("load >= 2"), u);
                 } else {
-                    let x = {
-                        let op = op_ref(dex);
-                        dex.map
-                            .sim(w)
-                            .iter()
-                            .map(|z| z.0)
-                            .filter(|&x| x >= op.stage_cursor)
-                            .max()
-                            .expect("acceptance guaranteed an unstaged vertex")
-                    };
-                    move_old_vertex(dex, x, u);
+                    let x = dex
+                        .map
+                        .sim_at(sw)
+                        .iter()
+                        .map(|z| z.0)
+                        .filter(|&x| x >= op.stage_cursor)
+                        .max()
+                        .expect("acceptance guaranteed an unstaged vertex");
+                    move_old_vertex(dex, op, x, u);
                 }
             }
             (OpKind::Inflate, false) | (OpKind::Deflate, false) => {
-                let y = {
-                    let op = op_ref(dex);
-                    let pick = op
-                        .staged_map
-                        .sim(w)
-                        .iter()
-                        .filter(|z| !op.taken.contains(z))
-                        .map(|z| z.0)
-                        .max();
-                    // Inflation has no reserves; deflation keeps one taken.
-                    pick.unwrap_or_else(|| {
-                        op.staged_map
-                            .sim(w)
-                            .iter()
-                            .map(|z| z.0)
-                            .max()
-                            .expect("load >= 2")
-                    })
-                };
-                move_staged_vertex(dex, y, u);
-                let op = op_mut(dex);
+                // Load ≥ 2 leaves a vertex beyond w's reserve (an
+                // inflation has none); a deflation's newcomer keeps it as
+                // its own.
+                let reserve = op.reserve_at(sw);
+                let y = op
+                    .staged_map
+                    .sim_at(sw)
+                    .iter()
+                    .filter(|&&z| Some(z) != reserve)
+                    .map(|z| z.0)
+                    .max()
+                    .expect("load >= 2");
+                move_staged_vertex(dex, op, y, u);
                 if !op.is_inflation() {
-                    op.taken.insert(VertexId(y));
+                    op.set_reserve(su, y);
                 }
             }
             (OpKind::Deflate, true) => {
                 // Give the newcomer an old vertex for connectivity; a
                 // dominating unpromised one carries its future new vertex.
-                let dom_pick = {
-                    let op = op_ref(dex);
-                    unstaged_dominating_unpreassigned(op, &dex.map, w)
-                        .into_iter()
-                        .max()
-                };
-                if let Some(x) = dom_pick {
-                    move_old_vertex(dex, x, u);
+                if let Some(x) = unstaged_dominating_unpreassigned(op, &dex.map, sw).max() {
+                    move_old_vertex(dex, op, x, u);
                 } else {
-                    let x = dex.map.sim(w).iter().map(|z| z.0).max().expect("load >= 2");
-                    move_old_vertex(dex, x, u);
-                    donate(dex, w, u);
+                    let x = dex.map.sim_at(sw).iter().map(|z| z.0).max();
+                    move_old_vertex(dex, op, x.expect("load >= 2"), u);
+                    donate(dex, op, w, u);
                 }
             }
         }
         dex.net.charge_messages(4);
         dex.net.charge_rounds(1);
-        dex.charge_load_updates(&[dex.slot(w), dex.slot(u)]);
+        dex.charge_load_updates(&[sw, su]);
         dex.net.remove_edge(u, v);
         return;
     }
@@ -996,86 +886,86 @@ pub fn insert_during_staggered(dex: &mut DexNetwork, u: NodeId, v: NodeId) {
 }
 
 /// Deletion during a staggered operation: the rescuer adopts everything
-/// the victim simulated (old vertices, staged vertices, preassignments)
-/// and redistributes.
-pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: NodeId) {
-    let old_zs: Vec<VertexId> = dex.map.sim(victim).to_vec();
-    let staged_zs: Vec<u64> = {
-        let op = op_ref(dex);
-        op.staged_map.sim(victim).iter().map(|z| z.0).collect()
-    };
+/// the victim (who held Φ slot `victim_slot`) simulated — old vertices,
+/// staged vertices, preassignments — and redistributes.
+pub fn delete_during_staggered(
+    dex: &mut DexNetwork,
+    victim: NodeId,
+    victim_slot: u32,
+    rescuer: NodeId,
+) {
+    let mut op = dex
+        .stag
+        .take()
+        .expect("a staggered operation is in progress");
+    delete_from(dex, &mut op, victim, victim_slot, rescuer);
+    dex.stag = Some(op);
+}
+
+fn delete_from(
+    dex: &mut DexNetwork,
+    op: &mut StaggeredOp,
+    victim: NodeId,
+    victim_slot: u32,
+    rescuer: NodeId,
+) {
+    let old_zs: Vec<VertexId> = dex.map.sim_at(victim_slot).to_vec();
+    let staged_zs: Vec<u64> = op
+        .staged_map
+        .sim_at(victim_slot)
+        .iter()
+        .map(|z| z.0)
+        .collect();
 
     // Retarget ownership.
     let rescuer_slot = dex.slot(rescuer);
     for &z in &old_zs {
         dex.map.transfer_at(z, rescuer, rescuer_slot);
     }
-    {
-        let op = op_mut(dex);
-        for &y in &staged_zs {
-            op.staged_map
-                .transfer_at(VertexId(y), rescuer, rescuer_slot);
+    for &y in &staged_zs {
+        op.staged_map
+            .transfer_at(VertexId(y), rescuer, rescuer_slot);
+    }
+    // The victim's reserve came along: the rescuer keeps the smaller of
+    // the two and releases the other as credit, so it holds one.
+    let victims = op
+        .reserve
+        .get_mut(victim_slot as usize)
+        .and_then(Option::take);
+    if let Some(y) = victims {
+        let kept = at_mut(&mut op.reserve, rescuer_slot);
+        *kept = Some(kept.map_or(y, |r| r.min(y)));
+    }
+    // Preassignments follow the rescuer.
+    for owner in op.preassigned.values_mut() {
+        if *owner == victim {
+            *owner = rescuer;
         }
-        // The victim's reserve came along: the rescuer keeps its smallest
-        // reserve and releases the rest as credit, so it holds one.
-        let keep = op
-            .staged_map
-            .sim(rescuer)
-            .iter()
-            .filter(|z| op.taken.contains(z))
-            .min()
-            .copied();
-        for z in op.staged_map.sim(rescuer) {
-            if Some(*z) != keep {
-                op.taken.remove(z);
-            }
-        }
-        // Preassignments and unprocessed counts follow the rescuer.
-        let moved: Vec<u64> = op
-            .preassigned
-            .iter()
-            .filter(|&(_, &v)| v == victim)
-            .map(|(&y, _)| y)
-            .collect();
-        for y in moved {
-            op.preassigned.insert(y, rescuer);
-            *op.preassigned_count.entry(rescuer).or_insert(0) += 1;
-        }
-        op.preassigned_count.remove(&victim);
-        if let Some(c) = op.unprocessed.remove(&victim) {
-            *op.unprocessed.entry(rescuer).or_insert(0) += c;
-        }
+    }
+    if let Some(c) = op.preassigned_count.get_mut(victim_slot as usize) {
+        let c = std::mem::take(c);
+        *at_mut(&mut op.preassigned_count, rescuer_slot) += c;
     }
 
     // Restore all physical instances the victim's disappearance destroyed.
-    let (old_insts, staged_insts, inter_insts) = {
-        let op = op_ref(dex);
-        let old_insts = op.old_incident(&dex.cycle, &old_zs);
-        let staged_insts = op.incident_overlay(&staged_zs);
-        let mut inter_insts: Vec<(u64, u64)> = Vec::new(); // (staged src, old x)
-        for &z in &old_zs {
-            for src in op.inter_sources_at_old(z.0, &staged_zs) {
-                inter_insts.push((src, z.0));
-            }
+    let old_insts = op.old_incident(&dex.cycle, &old_zs);
+    let staged_insts = op.incident_overlay(&staged_zs);
+    let mut inter_insts: Vec<(u64, u64)> = Vec::new(); // (staged src, old x)
+    for &z in &old_zs {
+        for src in op.inter_sources_at_old(z.0, &staged_zs) {
+            inter_insts.push((src, z.0));
         }
-        (old_insts, staged_insts, inter_insts)
-    };
+    }
     for (a, b) in old_insts {
         let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
         dex.net.add_edge(ua, ub);
     }
     for inst in staged_insts {
-        let (a, b) = {
-            let op = op_ref(dex);
-            op.endpoints(&dex.map, inst)
-        };
+        let (a, b) = op.endpoints(&dex.map, inst);
         dex.net.add_edge(a, b);
     }
     for (src, x) in inter_insts {
-        let a = {
-            let op = op_ref(dex);
-            op.staged_map.owner_of(VertexId(src))
-        };
+        let a = op.staged_map.owner_of(VertexId(src));
         dex.net.add_edge(a, dex.map.owner_of(VertexId(x)));
     }
     dex.net
@@ -1111,7 +1001,7 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
             };
             if let Some(w) = out.hit {
                 if w != rescuer {
-                    move_old_vertex(dex, z.0, w);
+                    move_old_vertex(dex, op, z.0, w);
                 }
                 break;
             }
@@ -1123,24 +1013,17 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
     }
     let cap = dex.cfg.max_load();
     for (i, &y) in staged_zs.iter().enumerate() {
-        let (done, reserve) = {
-            let op = op_ref(dex);
-            (
-                op.staged_map.load(rescuer) <= cap,
-                op.taken.contains(&VertexId(y)),
-            )
-        };
-        if done {
+        if op.staged_map.load_at(rescuer_slot) <= cap {
             break;
         }
         // The victim's reserve, if the rescuer kept it, stays put.
-        if reserve {
+        if op.reserve_at(rescuer_slot) == Some(VertexId(y)) {
             continue;
         }
         let mut attempt = 0u64;
         loop {
             let out = {
-                let op = dex.stag.as_ref().expect(OP_GONE);
+                let op = &*op;
                 let mut rng = dex
                     .seeds
                     .stream(Purpose::DeleteWalk, &[step_no, 0x57a6 + i as u64, attempt]);
@@ -1154,7 +1037,7 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
                 )
             };
             if let Some(w) = out.hit {
-                move_staged_vertex(dex, y, w);
+                move_staged_vertex(dex, op, y, w);
                 break;
             }
             attempt += 1;
@@ -1164,7 +1047,185 @@ pub fn delete_during_staggered(dex: &mut DexNetwork, victim: NodeId, rescuer: No
         }
     }
     // The rescuer's contention state may have changed (deflation).
-    if !op_ref(dex).is_inflation() {
-        maybe_contend(dex, rescuer);
+    if !op.is_inflation() {
+        maybe_contend(dex, op, rescuer);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    //! Differential test: the overlay rows of `fabric::ContractionRows`
+    //! against the whole-network edge list they replaced.
+
+    use super::*;
+    use crate::config::DexConfig;
+    use crate::invariants;
+    use dex_sim::rng::splitmix64;
+
+    type Edges = Vec<(NodeId, NodeId)>;
+
+    /// The staggered fabric oracle: the full expected edge multiset (old
+    /// remnant + overlay) as `(min id, max id)` pairs, sorted, each
+    /// overlay instance listed once by set-free canonical rules.
+    fn expected_multiset(op: &StaggeredOp, map: &VirtualMapping, cycle_old: &PCycle) -> Edges {
+        let mut out = Vec::new();
+        let mut push = |(a, b): (NodeId, NodeId)| out.push((a.min(b), a.max(b)));
+        // Old remnant.
+        cycle_old.for_each_chord(0..op.p_old, |z, c| {
+            if op.dropped(z.0) {
+                return;
+            }
+            let s = cycle_old.succ(z);
+            if !op.dropped(s.0) {
+                push((map.owner_of(z), map.owner_of(s)));
+            }
+            if (c == z || z < c) && !op.dropped(c.0) {
+                push((map.owner_of(z), map.owner_of(c)));
+            }
+        });
+        // Overlay.
+        let p = op.new_cycle.p();
+        op.new_cycle.for_each_chord(0..p, |y, chord| {
+            let (y, chord) = (y.0, chord.0);
+            if !op.staged(y) {
+                return;
+            }
+            let mut inst = |i: Inst| push(op.endpoints(map, i));
+            let succ = (y + 1) % p;
+            if op.staged(succ) {
+                inst(Inst::Real(y, succ));
+            } else {
+                inst(Inst::Inter(y, op.source_old(succ)));
+            }
+            let pred = (y + p - 1) % p;
+            if !op.staged(pred) {
+                inst(Inst::Inter(y, op.source_old(pred)));
+            }
+            if chord == y {
+                inst(Inst::Loop(y));
+            } else if op.staged(chord) {
+                if y < chord {
+                    inst(Inst::Real(y, chord));
+                }
+            } else {
+                inst(Inst::Inter(y, op.source_old(chord)));
+            }
+        });
+        out.sort_unstable();
+        out
+    }
+
+    fn current_edges(dex: &DexNetwork) -> Edges {
+        let mut out = dex.net.graph().edges();
+        out.sort_unstable();
+        out
+    }
+
+    fn oracle_exact(dex: &DexNetwork) -> bool {
+        let op = dex.stag.as_ref().expect("mid-operation");
+        current_edges(dex) == expected_multiset(op, &dex.map, &dex.cycle)
+    }
+
+    /// The row check's verdict is the oracle's; a mismatch is reported as
+    /// one, not as some other violation. Returns whether it was exact.
+    fn assert_agrees(dex: &DexNetwork, what: &str) -> bool {
+        let verdict = invariants::check(dex);
+        let exact = oracle_exact(dex);
+        if exact {
+            assert!(
+                verdict.is_ok(),
+                "{what}: oracle exact, check says {verdict:?}"
+            );
+        } else {
+            let err = verdict.expect_err(&format!("{what}: oracle finds a mismatch, check none"));
+            assert!(
+                err.starts_with("fabric mismatch"),
+                "{what}: check says {err:?}"
+            );
+        }
+        exact
+    }
+
+    /// Swap the far endpoints of two distinct non-loop edges `(a, b)`,
+    /// `(c, d)` → `(a, d)`, `(c, b)`: every degree stays. Returns the
+    /// swapped pairs for [`unswap`].
+    fn swap(dex: &mut DexNetwork, state: &mut u64) -> [(NodeId, NodeId); 2] {
+        let links: Edges = current_edges(dex)
+            .into_iter()
+            .filter(|(a, b)| a != b)
+            .collect();
+        let mut pick = |len: usize| {
+            *state = splitmix64(*state);
+            (*state % len as u64) as usize
+        };
+        let i = pick(links.len());
+        let j = (i + 1 + pick(links.len() - 1)) % links.len();
+        let ((a, b), (c, d)) = (links[i], links[j]);
+        assert!(dex.net.adversary_remove_edge(a, b) && dex.net.adversary_remove_edge(c, d));
+        dex.net.adversary_add_edge(a, d);
+        dex.net.adversary_add_edge(c, b);
+        [(a, b), (c, d)]
+    }
+
+    fn unswap(dex: &mut DexNetwork, [(a, b), (c, d)]: [(NodeId, NodeId); 2]) {
+        assert!(dex.net.adversary_remove_edge(a, d) && dex.net.adversary_remove_edge(c, b));
+        dex.net.adversary_add_edge(a, b);
+        dex.net.adversary_add_edge(c, d);
+    }
+
+    /// Grow a staggered network from `n0` to `top`, then shrink it to
+    /// `floor` (attach points and victims from SplitMix64). After every
+    /// mid-operation step the row check must agree with the oracle, on
+    /// the network as it is and with two edges' endpoints swapped.
+    /// Returns the steps seen per (inflation?, staging?) and the number
+    /// of swaps the oracle found inexact.
+    fn run(seed: u64, n0: u64, top: usize, floor: usize) -> ([[u32; 2]; 2], u32) {
+        // θ = 1/8 keeps windows small, so an operation spans many steps.
+        let cfg = DexConfig::new(seed).staggered().with_theta_inv(8);
+        let mut dex = DexNetwork::bootstrap(cfg, n0);
+        let mut ids = dex.node_ids();
+        let mut fresh = dex.fresh_node_id().0;
+        let mut state = seed ^ 0x5eed;
+        let (mut seen, mut caught) = ([[0u32; 2]; 2], 0);
+        let mut grow = true;
+        for step in 0.. {
+            grow &= ids.len() < top;
+            if !grow && ids.len() <= floor {
+                break;
+            }
+            state = splitmix64(state);
+            let at = (state % ids.len() as u64) as usize;
+            if grow {
+                dex.insert(NodeId(fresh), ids[at]);
+                ids.push(NodeId(fresh));
+                fresh += 1;
+            } else {
+                dex.delete(ids.swap_remove(at));
+            }
+            let Some(op) = &dex.stag else { continue };
+            seen[op.is_inflation() as usize][op.staging() as usize] += 1;
+            let what = format!("seed {seed}, step {step}");
+            assert!(assert_agrees(&dex, &what), "{what}: clean network inexact");
+            let swapped = swap(&mut dex, &mut state);
+            caught += !assert_agrees(&dex, &format!("{what}, swapped {swapped:?}")) as u32;
+            unswap(&mut dex, swapped);
+        }
+        (seen, caught)
+    }
+
+    #[test]
+    fn overlay_rows_agree_with_the_edge_list_oracle() {
+        for seed in [1, 2] {
+            let (seen, caught) = run(seed, 24, 400, 24);
+            let steps: u32 = seen.iter().flatten().sum();
+            assert!(
+                seen.iter().flatten().all(|&k| k > 0),
+                "seed {seed}: every kind and phase is reached: {seen:?}"
+            );
+            assert!(
+                caught * 10 >= steps * 9,
+                "seed {seed}: {caught} of {steps} swaps caught"
+            );
+        }
     }
 }

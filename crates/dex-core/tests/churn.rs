@@ -2,6 +2,7 @@
 
 use dex_core::{invariants, DexConfig, DexNetwork};
 use dex_graph::ids::NodeId;
+use dex_graph::spectral::spectral_gap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -121,4 +122,43 @@ fn deterministic_replay() {
         (dex.n(), edges, dex.net.history().len())
     };
     assert_eq!(run(42), run(42));
+}
+
+/// Lemma 1 on live networks: the network is the contraction of `Z(p)`
+/// under Φ, and contraction never shrinks the spectral gap (Lemma 10,
+/// Chung), so the network's gap is at least the virtual graph's. Checked
+/// after bootstrap and every 20 steps of churn, outside type-2 operations
+/// (mid-operation the network carries an overlay, not one cycle's
+/// contraction), in both modes.
+#[test]
+fn lemma1_network_gap_is_at_least_the_virtual_gap() {
+    for cfg in [
+        DexConfig::new(3).simplified(),
+        DexConfig::new(3).staggered(),
+    ] {
+        let mut checked = 0;
+        for n0 in [8u64, 16, 30, 64] {
+            let mut dex = DexNetwork::bootstrap(cfg, n0);
+            for round in 0..10 {
+                if !dex.type2_in_progress() {
+                    let virt = spectral_gap(&dex.cycle.to_multigraph());
+                    let gap = dex.spectral_gap();
+                    assert!(
+                        gap >= virt - 1e-6,
+                        "{:?}, n0 {n0}, after {} steps: gap {gap} < Z({}) gap {virt}",
+                        cfg.mode,
+                        20 * round,
+                        dex.cycle.p()
+                    );
+                    checked += 1;
+                }
+                dex = churn(dex, 20, 0.5, n0 + round);
+            }
+        }
+        assert!(
+            checked >= 30,
+            "{:?}: only {checked} of 40 checks outside type-2",
+            cfg.mode
+        );
+    }
 }

@@ -6,8 +6,14 @@
 //! would count a vertex that `donate` may not give, and the next node to
 //! walk to it for credit hit `expect("credit >= 1 guaranteed a donatable
 //! unit")`. These traces panicked there before the rescuer released the
-//! extra reserve; `invariants::check` now also checks one reserve per
-//! node while a deflation runs.
+//! extra reserve; `invariants::check` now also checks each node's reserve
+//! while a deflation runs.
+//!
+//! Two more traces pin the credit protocol's rarest branches, found by a
+//! seed sweep of the same driver with the branches counted: `donate`'s
+//! last resort (the donor's only credit is a preassignment, which it
+//! passes on) and a deletion of a node holding a preassignment (the
+//! rescuer inherits the promise).
 
 use dex_core::{invariants, DexConfig, DexNetwork};
 use dex_graph::ids::NodeId;
@@ -16,8 +22,9 @@ use dex_sim::rng::splitmix64;
 /// Bootstrap `DexConfig::new(seed)` at `n0`, grow to `top` by inserting
 /// each new node at a random live one, then delete random live nodes down
 /// to `floor`. The choices come from the SplitMix64 sequence seeded with
-/// `seed ^ 0xabcdef`. Invariants are checked every 97 steps and at the end.
-fn grow_then_shrink(seed: u64, n0: u64, top: usize, floor: usize) {
+/// `seed ^ 0xabcdef`. Invariants are checked every `every` steps and at
+/// the end.
+fn grow_then_shrink(seed: u64, n0: u64, top: usize, floor: usize, every: u64) {
     let mut dex = DexNetwork::bootstrap(DexConfig::new(seed), n0);
     let mut ids = dex.node_ids();
     let mut state = seed ^ 0xabcdef;
@@ -39,7 +46,7 @@ fn grow_then_shrink(seed: u64, n0: u64, top: usize, floor: usize) {
         ids.push(NodeId(fresh));
         fresh += 1;
         step += 1;
-        if step.is_multiple_of(97) {
+        if step.is_multiple_of(every) {
             check(&dex, step);
         }
     }
@@ -47,7 +54,7 @@ fn grow_then_shrink(seed: u64, n0: u64, top: usize, floor: usize) {
         let victim = ids.swap_remove(pick(ids.len()));
         dex.delete(victim);
         step += 1;
-        if step.is_multiple_of(97) {
+        if step.is_multiple_of(every) {
             check(&dex, step);
         }
     }
@@ -58,12 +65,25 @@ fn grow_then_shrink(seed: u64, n0: u64, top: usize, floor: usize) {
 /// n = 499 during a deflation; the run stops a few deletions past it.
 #[test]
 fn seed_18_deflation_deletions_keep_one_reserve_per_node() {
-    grow_then_shrink(18, 128, 4000, 480);
+    grow_then_shrink(18, 128, 4000, 480, 97);
 }
 
 /// The same failure, shrunk: 64 → 1,000 on seed 101 panicked at step
 /// 1,692, deleting from n = 245.
 #[test]
 fn shrunk_trace_keeps_one_reserve_per_node() {
-    grow_then_shrink(101, 64, 1000, 200);
+    grow_then_shrink(101, 64, 1000, 200, 97);
+}
+
+/// 64 → 1,000 → 16 on seed 36 reaches `donate`'s last resort once.
+#[test]
+fn seed_36_donor_passes_on_a_preassignment() {
+    grow_then_shrink(36, 64, 1000, 16, 1);
+}
+
+/// 64 → 1,000 → 16 on seed 165 deletes a node holding a preassignment
+/// once.
+#[test]
+fn seed_165_rescuer_inherits_a_preassignment() {
+    grow_then_shrink(165, 64, 1000, 16, 1);
 }

@@ -18,8 +18,6 @@
 //!   Cheeger-inequality helpers (paper, Theorem 2).
 //! * [`expansion`] — exact edge expansion `h(G)` by subset enumeration for
 //!   small graphs (paper, Definition 5).
-//! * [`contraction`] — vertex contraction, used both to *build* the real
-//!   network from the virtual graph and to validate Lemma 10 numerically.
 //! * [`generators`] — random regular graphs, unions of random Hamiltonian
 //!   cycles (the Law–Siu baseline substrate), rings, cliques, hypercubes.
 //! * [`walks`] — a random-walk engine and mixing-time estimation.
@@ -43,7 +41,6 @@
 
 pub mod adjacency;
 pub mod connectivity;
-pub mod contraction;
 pub mod expansion;
 pub mod fxhash;
 pub mod generators;
