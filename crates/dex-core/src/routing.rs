@@ -18,8 +18,11 @@
 //! routing; the store-and-forward simulation of its ≈ p·log p token hops
 //! is. The one-shot type-2 procedures execute real routing up to
 //! [`EXACT_ROUTING_MAX_P`] and fall back to the analytical charge above
-//! it; the tests here check that the charge dominates the executed cost
-//! in the overlap region.
+//! it. The charge does not dominate the executed cost in the overlap
+//! region: executed messages are 1.36–1.85× the charged `p·log p` and
+//! executed rounds exceed the charged `6·log p` at p = 499 and 1009
+//! (`bench_paper`'s `ablation.routing` rows). The test here checks only
+//! that executed rounds stay within `6·log² p`.
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};
@@ -384,16 +387,16 @@ mod tests {
 
     #[test]
     fn analytical_charge_upper_bounds_executed_routing() {
-        // The fallback model (6·log p rounds) must dominate reality in the
-        // regime where we can execute both, on both type-2 workloads.
+        // The fallback model charges 6·log p rounds, but executed routing
+        // needs more at p = 499 and 1009 (57 vs 54, 71 vs 60) and 1.36–1.85×
+        // the charged p·log p messages (`bench_paper`'s `ablation.routing`).
+        // So this bounds executed rounds by the charge times log p only.
         for p in [101u64, 499, 1009] {
             for (name, pairs) in type2_workloads(p) {
                 let (mut net, map, cycle) = world(p, p / 5);
                 net.begin_step();
                 let rounds = route_pairs(&mut net, &map, &cycle, &pairs, 1);
                 net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
-                // Executed routing includes congestion; allow log-factor
-                // slack but verify the same order of magnitude.
                 assert!(
                     rounds <= 6 * log2(p) * log2(p),
                     "{name} of Z({p}): executed {rounds} far above model"

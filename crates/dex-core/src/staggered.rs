@@ -421,8 +421,10 @@ pub fn after_step(dex: &mut DexNetwork) {
 }
 
 fn window_size(p_old: u64, theta_inv: u64, n: usize) -> u64 {
-    // Phase 1 must finish within θn steps: window ≥ p·θ⁻¹/n (O(1) in n
-    // since p ≤ 8n).
+    // Phase 1 must finish within θn steps: window ≥ p·θ⁻¹/n. This is not
+    // O(1): deletions outrun the deflation until p/n reaches 16.6 (n ≈ 7.6k
+    // on the resize trace), a window of about 1,080 old vertices per step.
+    // `bench_paper`'s `theorem1.resize_rows` record the cost.
     (p_old * theta_inv).div_ceil(n.max(1) as u64).max(1)
 }
 

@@ -65,7 +65,7 @@ mod tests {
     #[test]
     fn crate_keys() {
         assert_eq!(crate_key("crates/dex-core/src/lib.rs"), "dex-core");
-        assert_eq!(crate_key("crates/bench/src/bin/exp_dht.rs"), "bench");
+        assert_eq!(crate_key("crates/bench/src/bin/bench_paper.rs"), "bench");
         assert_eq!(crate_key("shims/rand/src/lib.rs"), "shims/rand");
         assert_eq!(crate_key("src/lib.rs"), "root");
         assert_eq!(crate_key("tests/determinism.rs"), "root");
