@@ -159,6 +159,8 @@ fn figure1(json: &mut String, _smoke: bool) {
     let zg = z.to_multigraph();
     let (net, map) = fabric::deal_round_robin(8, &z, 7);
     let g = net.graph();
+    // Φ is slotted by the graph's node arena: resolve a name there.
+    let slot = |i: u64| g.slot_of(NodeId(i)).expect("a dealt node");
     let graph = |name: &str, g: &MultiGraph| {
         format!(
             "{{\"graph\": \"{name}\", \"n\": {}, \"edges\": {}, \"max_degree\": {}, \"spectral_gap\": {:.4}, \"diameter\": {}}}",
@@ -172,7 +174,7 @@ fn figure1(json: &mut String, _smoke: bool) {
     let graphs = [graph("Z(23)", &zg), graph("Φ(Z(23))", g)];
     let mapping: Vec<String> = (0..7u64)
         .map(|i| {
-            let mut sim: Vec<u64> = map.sim(NodeId(i)).iter().map(|z| z.raw()).collect();
+            let mut sim: Vec<u64> = map.sim_at(slot(i)).iter().map(|z| z.raw()).collect();
             sim.sort_unstable();
             let name = (b'A' + i as u8) as char;
             format!(
@@ -182,7 +184,7 @@ fn figure1(json: &mut String, _smoke: bool) {
         })
         .collect();
     let lemma1 = spectral::spectral_gap(g) >= spectral::spectral_gap(&zg) - 1e-9;
-    let degree = (0..7).all(|i| g.degree(NodeId(i)) as u64 == 3 * map.load(NodeId(i)));
+    let degree = (0..7).all(|i| g.degree(NodeId(i)) as u64 == 3 * map.load_at(slot(i)));
     let _ = writeln!(json, "    \"graphs\": {},", list(&graphs));
     let _ = writeln!(json, "    \"mapping\": {},", list(&mapping));
     let _ = writeln!(json, "    \"lemma1_gap_not_below_z\": {lemma1},");

@@ -26,7 +26,7 @@ pub fn apply(dex: &mut DexNetwork, action: &Action) -> StepMetrics {
 /// returns the action taken and the step's metered recovery cost.
 pub fn step(dex: &mut DexNetwork, adv: &mut dyn Adversary) -> (Action, StepMetrics) {
     let action = {
-        let load = |u| dex.map.load(u);
+        let load = |u| dex.load(u);
         let owner = |z| dex.map.owner(z);
         let view = View {
             graph: dex.graph(),

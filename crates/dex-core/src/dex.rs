@@ -10,6 +10,7 @@ use crate::staggered::StaggeredOp;
 use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
+use dex_graph::MultiGraph;
 use dex_sim::flood::{flood_count_slots, FloodScratch, FloodWork};
 use dex_sim::msim::FloodOutcome;
 use dex_sim::rng::{Purpose, SeedSpace};
@@ -39,12 +40,10 @@ pub(crate) enum WalkGoal {
 }
 
 impl WalkGoal {
-    /// Is `w` in this goal's set?
-    pub(crate) fn accepts(self, map: &VirtualMapping, w: NodeId) -> bool {
-        match self {
-            WalkGoal::Spare => map.is_spare(w),
-            WalkGoal::Low => map.is_low(w),
-        }
+    /// Is node `w` of `g` in this goal's set? For transports that speak
+    /// ids: one translation, through the graph's arena.
+    pub(crate) fn accepts(self, map: &VirtualMapping, g: &MultiGraph, w: NodeId) -> bool {
+        g.slot_of(w).is_some_and(|s| self.accepts_at(map, s))
     }
 
     /// [`Self::accepts`] for the node in `slot`: one load read, no id.
@@ -181,13 +180,30 @@ impl DexNetwork {
     /// Maximum load (vertices simulated) over all nodes, counting staged
     /// vertices of an in-progress type-2 operation.
     pub fn max_total_load(&self) -> u64 {
-        let extra = self.stag.as_ref();
-        self.net
-            .graph()
-            .nodes()
-            .map(|u| self.map.load(u) + extra.map_or(0, |s| s.staged_load(u)))
+        let (g, extra) = (self.net.graph(), self.stag.as_ref());
+        (0..g.slot_bound() as u32)
+            .filter(|&s| g.slot_alive(s))
+            .map(|s| self.map.load_at(s) + extra.map_or(0, |op| op.staged_load_at(s)))
             .max()
             .unwrap_or(0)
+    }
+
+    /// Load of node `u` in Φ, `|Sim(u)|` (0 for a node not in the
+    /// network).
+    pub fn load(&self, u: NodeId) -> u64 {
+        self.net
+            .graph()
+            .slot_of(u)
+            .map_or(0, |s| self.map.load_at(s))
+    }
+
+    /// `Sim(u)`, the vertices node `u` simulates (empty for a node not in
+    /// the network).
+    pub fn sim(&self, u: NodeId) -> &[VertexId] {
+        self.net
+            .graph()
+            .slot_of(u)
+            .map_or(&[], |s| self.map.sim_at(s))
     }
 
     /// Work done by every centralized flood count so far (a single-op
@@ -210,7 +226,11 @@ impl DexNetwork {
     /// Staged (next-cycle) load of `u` during an in-progress staggered
     /// operation; 0 otherwise.
     pub fn staged_load(&self, u: NodeId) -> u64 {
-        self.stag.as_ref().map_or(0, |s| s.staged_load(u))
+        let slot = self.net.graph().slot_of(u);
+        self.stag
+            .as_ref()
+            .zip(slot)
+            .map_or(0, |(op, s)| op.staged_load_at(s))
     }
 
     /// Node ids currently in the network, ascending.
@@ -835,15 +855,20 @@ mod tests {
             );
             assert!(!out.lost, "centralized walk {i} reported lost");
             assert!(out.hit.is_none_or(|w| goal.accepts_at(&dex.map, w)));
-            assert!(out
-                .hit
-                .is_none_or(|w| goal.accepts(&dex.map, dex.graph().id_of_slot(w))));
+            assert!(out.hit.is_none_or(|w| goal.accepts(
+                &dex.map,
+                dex.graph(),
+                dex.graph().id_of_slot(w)
+            )));
             misses += out.hit.is_none() as usize;
         }
         assert!((1..256).contains(&misses), "misses={misses}");
         for goal in [WalkGoal::Spare, WalkGoal::Low] {
             let res = dex.heal_flood(dex.slot(nodes[0]), goal, &[0]);
-            let matching = nodes.iter().filter(|&&w| goal.accepts(&dex.map, w)).count();
+            let matching = nodes
+                .iter()
+                .filter(|&&w| goal.accepts(&dex.map, dex.graph(), w))
+                .count();
             assert!(res.complete);
             assert_eq!((res.n, res.matching), (dex.n(), matching));
         }
@@ -904,6 +929,8 @@ mod tests {
                 step_both(&mut nets, &mut live, &mut r, false);
             }
             let [carry, twin] = &nets;
+            // The heal paths read Φ by slot only: nothing built an id index.
+            assert!(!carry.map.id_index_built() && !twin.map.id_index_built());
             assert_eq!(carry.map.entries_sorted(), twin.map.entries_sorted());
             assert_eq!(carry.walk_stats.misses, twin.walk_stats.misses);
             let k = twin.twin_checks.expect("twin");
@@ -929,7 +956,7 @@ mod tests {
             let mut dex = DexNetwork::bootstrap(cfg, 24);
             let victim = NodeId(5);
             let slot = dex.slot(victim);
-            assert_eq!(dex.map.sim_at(slot), dex.map.sim(victim));
+            assert_eq!(dex.map.sim_at(slot), dex.sim(victim));
             assert!(dex.map.load_at(slot) >= 1);
             dex.delete(victim);
             assert!(!dex.graph().slot_alive(slot));
@@ -938,7 +965,7 @@ mod tests {
             let newcomer = NodeId(100);
             dex.insert(newcomer, NodeId(6));
             assert_eq!(dex.slot(newcomer), slot, "LIFO arena recycles the slot");
-            assert_eq!(dex.map.sim_at(slot), dex.map.sim(newcomer));
+            assert_eq!(dex.map.sim_at(slot), dex.sim(newcomer));
             assert!(dex.map.load_at(slot) >= 1);
             assert!(dex
                 .map

@@ -82,10 +82,7 @@ impl DexNetwork {
     /// Store `(key, value)`, initiated by node `from`. Returns the metered
     /// cost (recorded in history as its own step).
     pub fn dht_insert(&mut self, from: NodeId, key: Key, value: Value) -> StepMetrics {
-        assert!(
-            self.net.graph().has_node(from),
-            "dht_insert: initiator {from} missing"
-        );
+        let from = self.initiator_slot(from, "dht_insert");
         self.net.begin_step();
         self.migrate_if_rehashed();
         // An abandoned put is simply not applied (graceful degradation,
@@ -99,10 +96,7 @@ impl DexNetwork {
     /// Look up `key`, initiated by node `from`. The reply routes back along
     /// the same path, so the cost is twice the one-way routing cost.
     pub fn dht_lookup(&mut self, from: NodeId, key: Key) -> (Option<Value>, StepMetrics) {
-        assert!(
-            self.net.graph().has_node(from),
-            "dht_lookup: initiator {from} missing"
-        );
+        let from = self.initiator_slot(from, "dht_lookup");
         self.net.begin_step();
         self.migrate_if_rehashed();
         // Request + reply as one round-trip route; an abandoned lookup
@@ -116,14 +110,23 @@ impl DexNetwork {
         (v, m)
     }
 
-    /// Route one message from `from` to the node owning `h(key)` (and,
-    /// for a `round_trip`, the reply back along the same path): the
-    /// initiator computes a shortest path in the virtual graph from the
-    /// nearest of its own vertices — it knows p and its `Sim` set, so
-    /// choosing the start is local computation (Sect. 4.4.4) — and
-    /// forwards hop by hop; hops between vertices simulated by the same
-    /// node are free local computation, and a key hashed to one of the
-    /// initiator's own vertices costs nothing. Returns whether the
+    /// Slot of the initiator `from` of a DHT `op` — the op's one id
+    /// translation, through the graph arena's index.
+    fn initiator_slot(&self, from: NodeId, op: &str) -> u32 {
+        self.net
+            .graph()
+            .slot_of(from)
+            .unwrap_or_else(|| panic!("{op}: initiator {from} missing"))
+    }
+
+    /// Route one message from the node in slot `from` to the node owning
+    /// `h(key)` (and, for a `round_trip`, the reply back along the same
+    /// path): the initiator computes a shortest path in the virtual graph
+    /// from the nearest of its own vertices — it knows p and its `Sim`
+    /// set, so choosing the start is local computation (Sect. 4.4.4) —
+    /// and forwards hop by hop; hops between vertices simulated by the
+    /// same node are free local computation, and a key hashed to one of
+    /// the initiator's own vertices costs nothing. Returns whether the
     /// message was delivered. The path is resolved once; without a fault
     /// spec every hop arrives and costs one round and one message, with
     /// one the hop sequence runs on the message schedule
@@ -140,42 +143,52 @@ impl DexNetwork {
     /// (≈ 6 ns each on a 2.1 GHz Xeon, against 70–110 ns for a scalar
     /// inversion); each expansion also probes three one-byte visited
     /// marks, two of them on its own cache line. The initiator's
-    /// own `Sim` set is the call's one id translation (`from`, through
-    /// Φ's index of held nodes); each path vertex then resolves through
-    /// Φ's dense owner records ([`crate::VirtualMapping::owner_of`], one
-    /// array load — the path is kept as ids because the
-    /// message-scheduled transport and the callers' reports speak ids),
-    /// and every buffer lives in the pooled
+    /// own `Sim` set is read by slot (the caller translated its id once,
+    /// through the graph arena's index); each path vertex then resolves
+    /// to its owner's slot ([`crate::VirtualMapping::owner_slot_of`], one
+    /// load of an 8-byte record), and a change of slot is a physical hop.
+    /// Only the message-scheduled transport, which speaks ids, reads the
+    /// hops' ids from the arena. Every buffer lives in the pooled
     /// [`crate::routing::RouteScratch`] — zero allocation per operation
-    /// once warm. The one buffer of size p is the search's
-    /// epoch-stamped visited marks, p bytes (under 8 B per node, as
-    /// p < 8n), zeroed once every 31 searches.
-    fn route_dht(&mut self, from: NodeId, key: Key, round_trip: bool) -> bool {
+    /// once warm. The one buffer of size p is the search's epoch-stamped
+    /// visited marks, p bytes, zeroed once every 31 searches: under 17 B
+    /// per node, as p/n peaks at 16.9 before a deflation on the `resize`
+    /// trace.
+    fn route_dht(&mut self, from: u32, key: Key, round_trip: bool) -> bool {
         let target = hash_to_vertex(key, self.cycle.p());
         let route = &mut self.heal.route;
         self.cycle.shortest_path_from_any(
-            self.map.sim(from),
+            self.map.sim_at(from),
             target,
             &mut route.bfs,
             &mut route.vpath,
         );
-        let mut prev = self.map.owner_of(route.vpath[0]);
+        // A physical hop is a change of owner slot along the path; only
+        // the message schedule needs the hops' node ids.
+        let (g, scheduled) = (self.net.graph(), self.faults.is_some());
+        let mut prev = self.map.owner_slot_of(route.vpath[0]);
+        let mut hops = 0;
         route.npath.clear();
-        route.npath.push(prev);
+        if scheduled {
+            route.npath.push(g.id_of_slot(prev));
+        }
         for &z in &route.vpath[1..] {
-            let cur = self.map.owner_of(z);
+            let cur = self.map.owner_slot_of(z);
             if cur != prev {
                 debug_assert!(
-                    self.net.graph().contains_edge(prev, cur),
-                    "virtual path step not physical: {prev} {cur}"
+                    g.contains_edge(g.id_of_slot(prev), g.id_of_slot(cur)),
+                    "virtual path step not physical: slots {prev} {cur}"
                 );
-                route.npath.push(cur);
+                hops += 1;
+                if scheduled {
+                    route.npath.push(g.id_of_slot(cur));
+                }
                 prev = cur;
             }
         }
         match self.faults {
             None => {
-                let hops = (route.npath.len() as u64 - 1) * if round_trip { 2 } else { 1 };
+                let hops = hops * if round_trip { 2 } else { 1 };
                 self.net.charge_rounds(hops);
                 self.net.charge_messages(hops);
                 true

@@ -90,12 +90,14 @@ pub fn deal_round_robin(zeta: u64, cycle: &PCycle, n: u64) -> (Network, VirtualM
     // Two memory traps (peak RSS follows allocation order, not only live
     // bytes). The arena and Φ's node arrays grow node by node and are never
     // sized to exactly `n`: sized so, the first insertion past `n` would
-    // double every per-slot array at once. And the sweep's scratch is
+    // double every per-slot array at once. (Only the arena's id index is
+    // sized for `n`, once, instead of growing through every rehash: a hash
+    // table keeps head room of its own.) And the sweep's scratch is
     // allocated first, at its final size: carved out between the arena's
     // growth and Φ's, it left a hole that cost `serve` 0.8 MB of peak.
     let mut deal = RoundRobinDeal::new(cycle.p(), n);
     let mut map = VirtualMapping::with_caller_slots(zeta, cycle.p(), 0);
-    let mut net = Network::new();
+    let mut net = Network::with_id_capacity(n as usize);
     for i in 0..n {
         let slot = net.adversary_add_node(NodeId(i));
         assert_eq!(slot as u64, i, "a fresh arena numbers slots in order");
@@ -683,7 +685,7 @@ mod tests {
     fn adoption_restores_fabric_after_deletion() {
         let (mut net, mut map, cycle) = world(23, 5);
         // Node 2 simulates {2, 7, 12, 17, 22}.
-        let zs: Vec<VertexId> = map.sim(NodeId(2)).to_vec();
+        let zs: Vec<VertexId> = map.sim_at(slot(&net, 2)).to_vec();
         net.adversary_remove_node(NodeId(2));
         net.begin_step();
         let to = slot(&net, 3);
@@ -705,12 +707,13 @@ mod tests {
         let (mut net, mut map, cycle) = world(23, 5);
         // Target: same fabric but vertex 7 moved — diff must be ≤ 3+3.
         let mut target_map = map.clone();
-        target_map.transfer(VertexId(7), NodeId(0));
+        let s0 = slot(&net, 0);
+        target_map.transfer_at(VertexId(7), NodeId(0), s0);
         net.begin_step();
         let (rm, add) = rewire_to_map(&mut net, &target_map, &cycle);
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
         assert!(rm <= 3 && add <= 3, "diff too large: -{rm} +{add}");
-        map.transfer(VertexId(7), NodeId(0));
+        map.transfer_at(VertexId(7), NodeId(0), s0);
         assert_exact(&net, &map, &cycle);
     }
 

@@ -168,7 +168,7 @@ impl DexNetwork {
             let g = self.net.graph();
             let map = &self.map;
             let seeds = &self.seeds;
-            let accept = move |w: NodeId| goal.accepts(map, w);
+            let accept = move |w: NodeId| goal.accepts(map, g, w);
             let mk_rng = |_: usize, retry: u32| {
                 if retry == 0 {
                     seeds.stream(purpose, ctx)
@@ -213,7 +213,7 @@ impl DexNetwork {
         let (outcome, report) = {
             let g = self.net.graph();
             let map = &self.map;
-            let pred = move |w: NodeId| goal.is_some_and(|goal| goal.accepts(map, w));
+            let pred = move |w: NodeId| goal.is_some_and(|goal| goal.accepts(map, g, w));
             msim::run_flood(g, spec, root, pred, op_key, retries)
         };
         self.net.charge_rounds(report.makespan);
@@ -313,16 +313,16 @@ impl DexNetwork {
         // (one ARQ-reliable link away), hands `u` one of its vertices.
         // Only a neighborhood uniformly down to its last vertex — the
         // local signature of n ≈ p — still escalates to inflation.
-        let donor = res.witness.or_else(|| {
-            if self.map.load(v) >= 2 {
-                return Some(v);
+        let donor = res.witness.map(|w| self.slot(w)).or_else(|| {
+            if self.map.load_at(sv) >= 2 {
+                return Some(sv);
             }
-            self.net
-                .graph()
-                .neighbors(v)
+            let g = self.net.graph();
+            g.neighbor_slots(sv)
                 .iter()
-                .filter(|&w| self.map.load(w) >= 2)
-                .min_by_key(|&w| (self.map.load(w), w))
+                .copied()
+                .filter(|&w| self.map.load_at(w) >= 2)
+                .min_by_key(|&w| (self.map.load_at(w), g.id_of_slot(w)))
         });
         let Some(w) = donor else {
             self.walk_stats.type2 += 1;
@@ -331,7 +331,7 @@ impl DexNetwork {
         };
         self.fault_stats.heal_fallbacks += 1;
         self.walk_stats.hits += 1;
-        self.give_vertex_to_new_node(self.slot(w), su, sv);
+        self.give_vertex_to_new_node(w, su, sv);
         RecoveryKind::Type1
     }
 

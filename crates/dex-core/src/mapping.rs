@@ -12,14 +12,17 @@
 //! Every healing operation reads and writes Φ, so its layout *is* the hot
 //! path. Mirroring the graph core's slot arena (`dex_graph::adjacency`):
 //!
-//! * **per-vertex state** is one dense `Vec` of 16-byte records keyed by
+//! * **per-vertex state** is one dense `Vec` of 8-byte records keyed by
 //!   the p-cycle vertex index (`z.0`): the owner's *node slot* (`NO_OWNER`
-//!   when unassigned), the vertex's index inside its owner's `Sim`
-//!   segment, and a mirror of the owner's `NodeId`. One cache line
-//!   therefore serves `owner_slot_of` — called ~12 times per fabric
-//!   vertex move — `owner_of`, the unassign half of a transfer, and the
-//!   swap-remove pos fix-up, with no hashing and no indirection through
-//!   the node arena.
+//!   when unassigned) and the vertex's index inside its owner's `Sim`
+//!   segment. One load therefore serves `owner_slot_of` — called ~12
+//!   times per fabric vertex move — the unassign half of a transfer, and
+//!   the swap-remove pos fix-up, with no hashing. The owner's `NodeId` is
+//!   not mirrored here: [`VirtualMapping::owner_of`] reads it from the
+//!   slot's node record, a second dependent load. At p = 2,000,003 the
+//!   mirror cost 16 MB; its readers are a DHT route's path resolution
+//!   (≈ 20 vertices) and type-2 bookkeeping, while type-1 healing works
+//!   in slots.
 //! * **per-node `Sim` sets** are contiguous segments carved from one
 //!   pooled `Vec<VertexId>`. Segments come in power-of-two capacity
 //!   classes (8, 16, 32, …). A node starts in the smallest ("inline")
@@ -29,7 +32,8 @@
 //!   segment from the per-class free list when one exists), the entries
 //!   are copied, and the old segment is pushed onto its class's free list.
 //!   `sim(u)` is therefore always one contiguous `&[VertexId]` slice.
-//! * **node slots** index a per-node record array and a compact
+//! * **node slots** index a per-node record array — the one copy of each
+//!   held node's id, plus its segment — and a compact
 //!   4-byte-per-node `lens` array of loads, so walk and flood predicates
 //!   ([`VirtualMapping::load_at`], one read per node visited) touch a
 //!   near-cache-resident structure. A node occupies a slot iff it
@@ -39,10 +43,12 @@
 //!   - [`VirtualMapping::new`] / [`VirtualMapping::with_vertex_capacity`]
 //!     build a *self-allocating* map: a node new to the map gets the most
 //!     recently vacated slot (LIFO free list, like the graph arena) or a
-//!     fresh one. This is the stand-alone Φ of unit tests and benches.
+//!     fresh one, and a `NodeId → slot` `FxHashMap` of held nodes finds
+//!     it again. This is the stand-alone Φ of unit tests and benches.
 //!   - [`VirtualMapping::with_caller_slots`] builds a *caller-slotted*
 //!     map: every mutation names the node's slot, the map keeps no free
-//!     list, and a vacated slot is simply the caller's to name again.
+//!     list and no id index, and a vacated slot is simply the caller's to
+//!     name again.
 //!     Every Φ inside a [`crate::DexNetwork`] — the live map, a type-2
 //!     rebuild's new map, a staggered operation's staged map — is
 //!     slotted by the physical graph's node arena
@@ -57,11 +63,19 @@
 //!   [`VirtualMapping::assign_run_at`], [`VirtualMapping::transfer_at`];
 //!   readers [`VirtualMapping::owner_slot_of`],
 //!   [`VirtualMapping::load_at`], [`VirtualMapping::sim_at`]) *are* the
-//!   implementation. The `NodeId` methods resolve `u` through one
-//!   `FxHashMap` (held nodes only) and call them; on a caller-slotted map
-//!   a `NodeId` mutator can reach only a node the map already holds and
-//!   panics on any other. An `*_at` call asserts its slot is vacant or
-//!   already that node's.
+//!   implementation. The `NodeId` methods (`load`, `sim`, `is_spare`,
+//!   `is_low`, `assign`, `assign_run`, `transfer`) resolve `u` through a
+//!   self-allocating map's id index and call them. A caller-slotted map
+//!   maintains no id index, because the graph arena already has one: a
+//!   caller resolves an id there once ([`crate::DexNetwork::load`] and
+//!   [`crate::DexNetwork::sim`] do) and uses the `*_at` forms. Its
+//!   `NodeId` mutators panic; its `NodeId` readers, which nothing in a
+//!   `DexNetwork` calls, build an index of the held nodes on first use
+//!   (one O(n) scan) and drop it at the next change of who holds a slot.
+//!   An `*_at` call asserts its slot is vacant or already that node's.
+//!   Readers that return ids (`owner`, `owner_of`, `entries`, `nodes`)
+//!   read them from the slot's node record, so a recycled slot reports
+//!   its new node.
 //!
 //!   *Step-boundary invariant* (checked by [`crate::invariants::check`]):
 //!   every node a `DexNetwork`'s Φ holds sits in the slot the graph gave
@@ -86,6 +100,7 @@
 
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::{NodeId, VertexId};
+use std::sync::OnceLock;
 
 /// Sentinel slot for unassigned vertices.
 const NO_OWNER: u32 = u32::MAX;
@@ -116,23 +131,23 @@ struct NodeRec {
     class: u8,
 }
 
-/// One vertex's dense record: everything a fabric resolution or a
-/// transfer needs, in a single 16-byte entry (one cache line serves
-/// `owner_of`, the unassign half of a transfer, and the pos fix-up).
+/// One vertex's dense record: its owner's slot and its place in that
+/// owner's `Sim` segment — all a fabric resolution or a transfer reads.
+/// The owner's id is not mirrored here: it lives once, in the slot's
+/// [`NodeRec`].
 #[derive(Clone, Copy)]
 struct VertexRec {
     /// Owner slot ([`NO_OWNER`] = unassigned).
     slot: u32,
     /// Index within the owner's segment.
     pos: u32,
-    /// Owner id, mirrored from the slot record.
-    owner: NodeId,
 }
+
+const _: () = assert!(std::mem::size_of::<VertexRec>() == 8);
 
 const VERTEX_FREE: VertexRec = VertexRec {
     slot: NO_OWNER,
     pos: 0,
-    owner: NodeId(u64::MAX),
 };
 
 /// A node slot nobody holds (load 0 in [`VirtualMapping::lens`]).
@@ -141,6 +156,17 @@ const NODE_VACANT: NodeRec = NodeRec {
     start: 0,
     class: 0,
 };
+
+/// The slot numbering of a self-allocating map: its `NodeId → slot` index
+/// of held nodes and its LIFO free list of vacated slots. A caller-slotted
+/// map has neither — its caller's arena already indexes the ids.
+#[derive(Clone, Default)]
+struct OwnSlots {
+    /// NodeId → slot for held nodes.
+    slot_of: FxHashMap<NodeId, u32>,
+    /// LIFO free list of vacated slots.
+    free: Vec<u32>,
+}
 
 /// Surjective map `Φ : V(Z) → V(G)` with per-node `Sim` sets and
 /// incremental `|Spare|` / `|Low|` counters. See module docs for the
@@ -151,16 +177,14 @@ pub struct VirtualMapping {
     meta: Vec<VertexRec>,
     /// Assigned vertices.
     num_vertices: usize,
-    /// Node slot arena.
+    /// Node slot arena: the one copy of each held node's id.
     nodes: Vec<NodeRec>,
     /// Per-slot load (`|Sim|`); 0 ⇔ the slot is free. Kept apart from
     /// [`NodeRec`] so the array is 4 bytes per node and predicates read a
     /// near-resident structure.
     lens: Vec<u32>,
-    /// NodeId → slot for live nodes.
-    slot_of: FxHashMap<NodeId, u32>,
-    /// LIFO free list of node slots.
-    free_slots: Vec<u32>,
+    /// Nodes held (slots with load ≥ 1).
+    num_nodes: usize,
     /// Segment pool backing every `Sim` set.
     pool: Vec<VertexId>,
     /// Per-class free lists of segment start offsets.
@@ -173,10 +197,15 @@ pub struct VirtualMapping {
     low_count: usize,
     zeta: u64,
     /// Who numbers the node slots, fixed at construction: this map
-    /// (`false`: LIFO `free_slots`, as a stand-alone Φ) or the caller
-    /// (`true`: inside a `DexNetwork` a node's Φ slot *is* its graph slot,
-    /// and `free_slots` stays empty).
-    caller_slots: bool,
+    /// (`Some`, as a stand-alone Φ) or the caller (`None`: inside a
+    /// `DexNetwork` a node's Φ slot *is* its graph slot).
+    own: Option<OwnSlots>,
+    /// Caller-slotted maps only: a `NodeId → slot` index of the held
+    /// nodes, built by the first `NodeId` reader and dropped by the next
+    /// change of who holds a slot. Nothing inside a `DexNetwork` reads Φ
+    /// by id, so there it stays unbuilt; it serves outside code that does
+    /// (`benchmark/`'s layer probes read the live map's `is_spare`).
+    id_cache: OnceLock<FxHashMap<NodeId, u32>>,
 }
 
 impl VirtualMapping {
@@ -188,14 +217,14 @@ impl VirtualMapping {
             num_vertices: 0,
             nodes: Vec::new(),
             lens: Vec::new(),
-            slot_of: FxHashMap::default(),
-            free_slots: Vec::new(),
+            num_nodes: 0,
             pool: Vec::new(),
             free_segs: vec![Vec::new(); NUM_CLASSES],
             spare_count: 0,
             low_count: 0,
             zeta,
-            caller_slots: false,
+            own: Some(OwnSlots::default()),
+            id_cache: OnceLock::new(),
         }
     }
 
@@ -210,14 +239,15 @@ impl VirtualMapping {
     /// Empty mapping, pre-sized for vertices `0..p` and node slots
     /// `0..slots`, whose node slots are the caller's: every mutation names
     /// the slot (the `*_at` forms), the map never allocates or recycles
-    /// one, and its `NodeId` mutators only resolve nodes it already holds.
-    /// This is every Φ inside a `DexNetwork`, slotted by the graph's node
-    /// arena (`slots` = its current bound; later slots grow the arrays).
+    /// one, and it maintains no id index: its `NodeId` mutators panic, and
+    /// its `NodeId` readers index the held nodes on demand. This is every
+    /// Φ inside a `DexNetwork`, slotted by the graph's node arena (`slots`
+    /// = its current bound; later slots grow the arrays).
     pub fn with_caller_slots(zeta: u64, p: u64, slots: usize) -> Self {
         VirtualMapping {
             nodes: Vec::with_capacity(slots),
             lens: Vec::with_capacity(slots),
-            caller_slots: true,
+            own: None,
             ..Self::with_vertex_capacity(zeta, p)
         }
     }
@@ -229,28 +259,54 @@ impl VirtualMapping {
 
     /// Number of nodes simulating at least one vertex.
     pub fn num_nodes(&self) -> usize {
-        self.slot_of.len()
+        self.num_nodes
+    }
+
+    /// The `NodeId → slot` index of the held nodes: a self-allocating
+    /// map's own, or a caller-slotted map's [`Self::id_cache`], built here
+    /// in one O(n) scan when a change of holders dropped it.
+    fn id_index(&self) -> &FxHashMap<NodeId, u32> {
+        match &self.own {
+            Some(own) => &own.slot_of,
+            None => self.id_cache.get_or_init(|| {
+                let mut index =
+                    FxHashMap::with_capacity_and_hasher(self.num_nodes, Default::default());
+                index.extend(self.nodes_at());
+                index
+            }),
+        }
+    }
+
+    /// Has a `NodeId` reader built a caller-slotted map's id index since
+    /// the last change of holders?
+    #[cfg(test)]
+    pub(crate) fn id_index_built(&self) -> bool {
+        self.id_cache.get().is_some()
+    }
+
+    /// The slot `u` holds (`None` if it holds none).
+    #[inline]
+    fn held_slot(&self, u: NodeId) -> Option<u32> {
+        self.id_index().get(&u).copied()
     }
 
     /// Owner of vertex `z`, if assigned.
     #[inline]
     pub fn owner(&self, z: VertexId) -> Option<NodeId> {
         match self.meta.get(z.0 as usize) {
-            Some(rec) if rec.slot != NO_OWNER => Some(rec.owner),
+            Some(rec) if rec.slot != NO_OWNER => Some(self.nodes[rec.slot as usize].id),
             _ => None,
         }
     }
 
     /// Owner of vertex `z`; panics when unassigned (protocol invariant).
-    /// The check is kept in release builds: the owner mirror of an
-    /// unassigned vertex is stale, and returning it silently would turn a
-    /// protocol-invariant violation into fabric corruption. The branch
-    /// tests a field on the cache line the read already loaded.
+    /// Two dependent loads: the vertex record's slot, then that slot's
+    /// node record. The check is kept in release builds: an unassigned
+    /// vertex has no owner slot to read, and the branch tests a field the
+    /// first load already fetched.
     #[inline]
     pub fn owner_of(&self, z: VertexId) -> NodeId {
-        let rec = &self.meta[z.0 as usize];
-        assert!(rec.slot != NO_OWNER, "vertex {z} not assigned");
-        rec.owner
+        self.nodes[self.owner_slot_of(z) as usize].id
     }
 
     /// Slot of the owner of vertex `z`; panics when unassigned, like
@@ -263,9 +319,12 @@ impl VirtualMapping {
     }
 
     /// The `Sim` set of node `u` (empty slice if `u` simulates nothing).
+    /// On a caller-slotted map the first id read after a change of holders
+    /// indexes the held nodes (O(n)); callers that hold slots use
+    /// [`Self::sim_at`].
     pub fn sim(&self, u: NodeId) -> &[VertexId] {
-        match self.slot_of.get(&u) {
-            Some(&s) => self.sim_at(s),
+        match self.held_slot(u) {
+            Some(s) => self.sim_at(s),
             None => &[],
         }
     }
@@ -295,13 +354,10 @@ impl VirtualMapping {
         self.lens.len()
     }
 
-    /// Load of `u` = `|Sim(u)|`.
+    /// Load of `u` = `|Sim(u)|` (see [`Self::sim`] on the id index).
     #[inline]
     pub fn load(&self, u: NodeId) -> u64 {
-        match self.slot_of.get(&u) {
-            Some(&s) => self.lens[s as usize] as u64,
-            None => 0,
-        }
+        self.held_slot(u).map_or(0, |s| self.load_at(s))
     }
 
     /// Load held in `slot` (0 for a vacant or unseen slot) — the walk and
@@ -321,13 +377,14 @@ impl VirtualMapping {
         self.low_count
     }
 
-    /// Is `u ∈ Spare`?
+    /// Is `u ∈ Spare`? (see [`Self::sim`] on the id index)
     #[inline]
     pub fn is_spare(&self, u: NodeId) -> bool {
         self.load(u) >= 2
     }
 
-    /// Is `u ∈ Low`? (requires u to simulate ≥ 1 vertex)
+    /// Is `u ∈ Low`? (requires u to simulate ≥ 1 vertex; see
+    /// [`Self::sim`] on the id index)
     #[inline]
     pub fn is_low(&self, u: NodeId) -> bool {
         let l = self.load(u);
@@ -376,25 +433,26 @@ impl VirtualMapping {
         start as u32
     }
 
-    /// Slot for a `NodeId` mutator: the one `u` holds, else — on a
-    /// self-allocating map — the most recently vacated or a fresh one.
+    /// Slot for a `NodeId` mutator: the one `u` holds, else the most
+    /// recently vacated or a fresh one.
     ///
     /// # Panics
-    /// Panics on a caller-slotted map that does not hold `u`: only the
-    /// caller knows the slot, so it must use the `*_at` form.
+    /// Panics on a caller-slotted map: only the caller knows the slot, so
+    /// it must use the `*_at` form.
     fn slot_for(&mut self, u: NodeId) -> u32 {
-        if let Some(&s) = self.slot_of.get(&u) {
-            return s;
+        let fresh = self.nodes.len() as u32;
+        let Some(own) = &mut self.own else {
+            panic!("node {u}: a caller-slotted Φ numbers no slots: name its slot")
+        };
+        match own.slot_of.get(&u) {
+            Some(&s) => s,
+            None => own.free.pop().unwrap_or(fresh),
         }
-        assert!(
-            !self.caller_slots,
-            "node {u} is not in this caller-slotted Φ: name its slot"
-        );
-        self.free_slots.pop().unwrap_or(self.nodes.len() as u32)
     }
 
     /// Make `slot` ready to take a vertex for `u`: a vacant slot is claimed
-    /// (inline segment, id index entry), an occupied one must be `u`'s.
+    /// (inline segment, plus the id index entry of a self-allocating map),
+    /// an occupied one must be `u`'s.
     #[inline]
     fn claim(&mut self, u: NodeId, slot: u32) {
         let i = slot as usize;
@@ -410,8 +468,12 @@ impl VirtualMapping {
                 start,
                 class: 0,
             };
-            let prev = self.slot_of.insert(u, slot);
-            assert!(prev.is_none(), "{u} claims slot {slot} but holds {prev:?}");
+            self.num_nodes += 1;
+            self.id_cache.take();
+            if let Some(own) = &mut self.own {
+                let prev = own.slot_of.insert(u, slot);
+                assert!(prev.is_none(), "{u} claims slot {slot} but holds {prev:?}");
+            }
         } else {
             let held = self.nodes[i].id;
             assert!(held == u, "slot {slot} belongs to {held}, not {u}");
@@ -468,11 +530,7 @@ impl VirtualMapping {
         }
         let rec = &self.nodes[slot as usize];
         self.pool[(rec.start + len) as usize] = z;
-        self.meta[idx] = VertexRec {
-            slot,
-            pos: len,
-            owner: u,
-        };
+        self.meta[idx] = VertexRec { slot, pos: len };
         self.lens[slot as usize] = len + 1;
         let after = (len + 1) as u64;
         self.num_vertices += 1;
@@ -481,7 +539,7 @@ impl VirtualMapping {
 
     /// Remove vertex `z` from the mapping; returns its former owner. A
     /// node left with no vertex leaves the map (its slot goes back on the
-    /// free list only when the map allocates its own).
+    /// free list only when the map numbers its own).
     ///
     /// # Panics
     /// Panics if `z` is unassigned.
@@ -507,9 +565,11 @@ impl VirtualMapping {
         self.count_delta(after + 1, after);
         if after == 0 {
             self.free_segs[rec.class as usize].push(rec.start);
-            self.slot_of.remove(&u);
-            if !self.caller_slots {
-                self.free_slots.push(slot);
+            self.num_nodes -= 1;
+            self.id_cache.take();
+            if let Some(own) = &mut self.own {
+                own.slot_of.remove(&u);
+                own.free.push(slot);
             }
         }
         u
@@ -589,14 +649,10 @@ impl VirtualMapping {
             assert!(
                 self.meta[idx].slot == NO_OWNER,
                 "vertex {z} already owned by {:?}",
-                self.meta[idx].owner
+                self.owner(z)
             );
             self.pool[(start + len) as usize] = z;
-            self.meta[idx] = VertexRec {
-                slot,
-                pos: len,
-                owner: u,
-            };
+            self.meta[idx] = VertexRec { slot, pos: len };
             len += 1;
         }
         self.lens[slot as usize] = len;
@@ -616,7 +672,13 @@ impl VirtualMapping {
             .iter()
             .enumerate()
             .filter(|&(_, rec)| rec.slot != NO_OWNER)
-            .map(|(z, rec)| (VertexId(z as u64), rec.owner, rec.slot))
+            .map(|(z, rec)| {
+                (
+                    VertexId(z as u64),
+                    self.nodes[rec.slot as usize].id,
+                    rec.slot,
+                )
+            })
     }
 
     /// All `(vertex, owner)` pairs, sorted by vertex (canonical order).
@@ -666,38 +728,45 @@ impl VirtualMapping {
     }
 
     /// Internal consistency check (dense arrays, segments, counters, and
-    /// the vacant slots: all on the free list of a self-allocating map, on
-    /// no list — the caller's to reuse — in a caller-slotted one).
+    /// the slot numbering: on a self-allocating map every vacant slot is on
+    /// the free list; a caller-slotted map has none — a vacant slot is the
+    /// caller's to reuse; an id index, built or kept, names exactly the
+    /// held slots).
     pub fn validate(&self) -> Result<(), String> {
-        if let Some(&f) = self
-            .free_slots
-            .iter()
-            .find(|&&f| self.lens[f as usize] != 0)
-        {
-            return Err(format!("free list contains occupied slot {f}"));
+        let held = self.lens.iter().filter(|&&len| len > 0).count();
+        if held != self.num_nodes {
+            return Err(format!("{held} held slots, node count {}", self.num_nodes));
         }
-        let vacant = self.lens.iter().filter(|&&len| len == 0).count();
-        let listed = if self.caller_slots { 0 } else { vacant };
-        if self.free_slots.len() != listed {
-            return Err(format!(
-                "{} free-listed slots, expected {listed} of {vacant} vacant (caller_slots={})",
-                self.free_slots.len(),
-                self.caller_slots
-            ));
+        if let Some(own) = &self.own {
+            if let Some(&f) = own.free.iter().find(|&&f| self.lens[f as usize] != 0) {
+                return Err(format!("free list contains occupied slot {f}"));
+            }
+            let vacant = self.lens.len() - held;
+            if own.free.len() != vacant {
+                return Err(format!(
+                    "{} free-listed slots, expected {vacant} vacant",
+                    own.free.len()
+                ));
+            }
+        }
+        let index = self.own.as_ref().map(|own| &own.slot_of);
+        if let Some(index) = index.or(self.id_cache.get()) {
+            if index.len() != held {
+                return Err(format!("id index has {} of {held} nodes", index.len()));
+            }
+            for (&u, &s) in index {
+                if self.node_at(s) != Some(u) {
+                    return Err(format!(
+                        "id index puts {u} in slot {s}, which holds {:?}",
+                        self.node_at(s)
+                    ));
+                }
+            }
         }
         let mut total = 0usize;
-        for (&u, &s) in &self.slot_of {
-            let rec = self
-                .nodes
-                .get(s as usize)
-                .ok_or_else(|| format!("slot {s} of {u} out of range"))?;
+        for (u, s) in self.nodes_at() {
+            let rec = self.nodes[s as usize];
             let len = self.lens[s as usize];
-            if rec.id != u {
-                return Err(format!("slot {s} holds {:?}, expected {u}", rec.id));
-            }
-            if len == 0 {
-                return Err(format!("live node {u} has empty Sim"));
-            }
             if len > class_cap(rec.class) {
                 return Err(format!("{u}: len {len} over class cap"));
             }
@@ -709,9 +778,6 @@ impl VirtualMapping {
                 let idx = z.0 as usize;
                 match self.meta.get(idx) {
                     Some(m) if m.slot == s => {
-                        if m.owner != u {
-                            return Err(format!("owner mirror of {z} is {} != {u}", m.owner));
-                        }
                         if m.pos != i {
                             return Err(format!("pos[{z}] = {} != {i}", m.pos));
                         }
@@ -914,15 +980,14 @@ mod tests {
         m.assign_run_at(z(2), 3, n(9), 2);
         assert_eq!((m.load_at(5), m.load_at(2), m.load_at(3)), (2, 3, 0));
         assert_eq!(m.owner_slot_of(z(3)), 2);
-        assert_eq!(m.sim_at(2), m.sim(n(9)));
+        assert_eq!(m.sim_at(2), &[z(2), z(3), z(4)]);
         assert_eq!(m.load_at(1000), 0);
         assert!(m.sim_at(1000).is_empty());
-        // `NodeId` mutators resolve the nodes the map holds.
         for i in 2..5 {
-            assert_eq!(m.transfer(z(i), n(7)), n(9));
+            assert_eq!(m.transfer_at(z(i), n(7), 5), n(9));
         }
         // n9 left: its slot is vacant and on no list — the caller's to reuse.
-        assert!(m.free_slots.is_empty());
+        assert!(m.own.is_none());
         assert_eq!(m.num_nodes(), 1);
         m.validate().unwrap();
         m.assign_at(z(9), n(11), 2);
@@ -931,6 +996,30 @@ mod tests {
             m.nodes_at().collect::<Vec<_>>(),
             vec![(n(11), 2), (n(7), 5)]
         );
+        m.validate().unwrap();
+    }
+
+    #[test]
+    fn caller_slotted_map_indexes_ids_on_demand_and_drops_the_index() {
+        let mut m = VirtualMapping::with_caller_slots(8, 16, 0);
+        m.assign_run_at(z(0), 2, n(4), 3);
+        m.assign_at(z(2), n(5), 0);
+        assert!(m.id_cache.get().is_none(), "built before any id read");
+        assert_eq!(
+            (m.load(n(4)), m.sim(n(5)), m.load(n(6))),
+            (2, &[z(2)][..], 0)
+        );
+        assert!(m.is_spare(n(4)) && m.is_low(n(5)));
+        m.validate().unwrap();
+        // A transfer between held nodes keeps the holders and the index.
+        m.transfer_at(z(1), n(5), 0);
+        assert!(m.id_cache.get().is_some());
+        // Vacating slot 3 and handing it to n6 drops it; the next read
+        // rebuilds it with the new holder.
+        m.transfer_at(z(0), n(5), 0);
+        assert!(m.id_cache.get().is_none());
+        m.assign_at(z(3), n(6), 3);
+        assert_eq!((m.load(n(4)), m.load(n(6)), m.load(n(5))), (0, 1, 3));
         m.validate().unwrap();
     }
 
@@ -957,13 +1046,76 @@ mod tests {
         m.assign(z(1), n(1));
         m.unassign(z(0));
         m.validate().unwrap();
-        m.free_slots.clear();
+        m.own.as_mut().unwrap().free.clear();
         assert!(m.validate().unwrap_err().contains("free-listed"));
     }
 
+    /// How a test places a run of vertices for a node in a slot.
+    type Place = fn(&mut VirtualMapping, VertexId, u64, NodeId, u32);
+
+    /// Drain `old` from slot `s` (every vertex it holds moves to `keep`'s
+    /// slot `k`), then let `new` claim `s` through `place`: every id reader
+    /// must name `new` (or `keep`) and never `old`.
+    fn recycle(
+        m: &mut VirtualMapping,
+        place: Place,
+        [old, new, keep]: [NodeId; 3],
+        s: u32,
+        k: u32,
+    ) {
+        let held: Vec<VertexId> = m.sim_at(s).to_vec();
+        // An id read first: a caller-slotted map indexes its holders now.
+        assert_eq!(m.load(old), held.len() as u64);
+        for &v in &held {
+            assert_eq!(m.owner_of(v), old);
+            assert_eq!(m.transfer_at(v, keep, k), old);
+        }
+        assert_eq!((m.load_at(s), m.load(old)), (0, 0));
+        // One of `old`'s vertices comes back, to the slot's new node.
+        assert_eq!(m.unassign(held[0]), keep);
+        place(m, z(100), 3, new, s);
+        place(m, held[0], 1, new, s);
+        assert_eq!(
+            m.owner_slot_of(z(100)),
+            s,
+            "the vacated slot was not reused"
+        );
+        m.validate().unwrap();
+        for (v, u, slot) in m.entries_at() {
+            assert_ne!(u, old, "entries_at names the vacated node for {v}");
+            assert_eq!(u, if slot == s { new } else { keep });
+            assert_eq!((m.owner_of(v), m.owner(v)), (u, Some(u)));
+        }
+        let mut want = vec![(new, s), (keep, k)];
+        want.sort_unstable_by_key(|&(_, slot)| slot);
+        assert_eq!(m.nodes_at().collect::<Vec<_>>(), want);
+        assert_eq!(m.num_nodes(), 2);
+        assert_eq!((m.load(new), m.load(old)), (4, 0));
+        assert!(m.sim(old).is_empty());
+    }
+
     #[test]
-    fn vertex_record_stays_16_bytes() {
-        assert_eq!(std::mem::size_of::<VertexRec>(), 16);
+    fn a_recycled_slot_reports_its_new_node_in_a_caller_slotted_map() {
+        let mut m = VirtualMapping::with_caller_slots(8, 16, 0);
+        m.assign_run_at(z(0), 4, n(1), 0);
+        m.assign_run_at(z(4), 4, n(2), 1);
+        let place: Place = |m, z, count, u, s| m.assign_run_at(z, count, u, s);
+        recycle(&mut m, place, [n(1), n(3), n(2)], 0, 1);
+    }
+
+    #[test]
+    fn a_recycled_slot_reports_its_new_node_in_a_self_allocating_map() {
+        let mut m = VirtualMapping::new(8);
+        m.assign_run(z(0), 4, n(1));
+        m.assign_run(z(4), 4, n(2));
+        let (s1, s2) = (m.owner_slot_of(z(0)), m.owner_slot_of(z(4)));
+        // The map numbers its own slots: LIFO hands the new node `s1`.
+        let place: Place = |m, z, count, u, _| m.assign_run(z, count, u);
+        recycle(&mut m, place, [n(1), n(3), n(2)], s1, s2);
+        // The old id is new to the map again: it gets a fresh slot.
+        m.assign(z(10), n(1));
+        assert_ne!(m.owner_slot_of(z(10)), s1);
+        m.validate().unwrap();
     }
 
     #[test]

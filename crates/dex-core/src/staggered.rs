@@ -39,7 +39,7 @@ use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::{resize, PCycle};
 use dex_graph::primes;
 use dex_sim::rng::Purpose;
-use dex_sim::tokens::{random_walk_search, random_walk_search_slots};
+use dex_sim::tokens::random_walk_search_slots;
 use std::ops::Range;
 
 /// Inflation or deflation.
@@ -114,9 +114,9 @@ impl StaggeredOp {
         self.stage_cursor < self.p_old
     }
 
-    /// Staged (new-cycle) load of node `u`.
-    pub fn staged_load(&self, u: NodeId) -> u64 {
-        self.staged_map.load(u)
+    /// Staged (new-cycle) load of the node in `slot`.
+    pub fn staged_load_at(&self, slot: u32) -> u64 {
+        self.staged_map.load_at(slot)
     }
 
     /// Φ of the new cycle so far (slotted by the graph's arena, like the
@@ -538,32 +538,34 @@ fn stage_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
 fn rebalance_staged(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId) {
     let cap = dex.cfg.max_load();
     let walk_len = dex.cfg.walk_len(dex.cycle.p());
+    let su = dex.slot(u);
     let mut attempt = 0u64;
-    while op.staged_map.load(u) > cap {
+    while op.staged_map.load_at(su) > cap {
         let step_no = dex.step_no;
         let out = {
             let op = &*op;
             let mut rng = dex
                 .seeds
                 .stream(Purpose::RebalanceWalk, &[step_no, u.0, attempt]);
-            random_walk_search(
+            random_walk_search_slots(
                 &mut dex.net,
-                u,
+                su,
                 walk_len,
                 None,
-                |w| w != u && op.staged_map.load(w) < cap,
+                |w| w != su && op.staged_map.load_at(w) < cap,
                 &mut rng,
             )
         };
-        if let Some(w) = out.hit {
+        if let Some(sw) = out.hit {
             // An inflation has no reserves: any vertex may go.
             let y = op
                 .staged_map
-                .sim(u)
+                .sim_at(su)
                 .iter()
                 .map(|z| z.0)
                 .max()
                 .expect("load > cap");
+            let w = dex.net.graph().id_of_slot(sw);
             move_staged_vertex(dex, op, y, w);
         }
         attempt += 1;
@@ -992,17 +994,18 @@ fn delete_from(
                 let mut rng = dex
                     .seeds
                     .stream(Purpose::DeleteWalk, &[step_no, i as u64, attempt]);
-                random_walk_search(
+                random_walk_search_slots(
                     &mut dex.net,
-                    rescuer,
+                    rescuer_slot,
                     walk_len,
                     None,
-                    |w| map.is_low(w),
+                    |w| map.is_low_at(w),
                     &mut rng,
                 )
             };
-            if let Some(w) = out.hit {
-                if w != rescuer {
+            if let Some(sw) = out.hit {
+                if sw != rescuer_slot {
+                    let w = dex.net.graph().id_of_slot(sw);
                     move_old_vertex(dex, op, z.0, w);
                 }
                 break;
@@ -1029,16 +1032,17 @@ fn delete_from(
                 let mut rng = dex
                     .seeds
                     .stream(Purpose::DeleteWalk, &[step_no, 0x57a6 + i as u64, attempt]);
-                random_walk_search(
+                random_walk_search_slots(
                     &mut dex.net,
-                    rescuer,
+                    rescuer_slot,
                     walk_len,
                     None,
-                    |w| w != rescuer && op.staged_map.load(w) < cap,
+                    |w| w != rescuer_slot && op.staged_map.load_at(w) < cap,
                     &mut rng,
                 )
             };
-            if let Some(w) = out.hit {
+            if let Some(sw) = out.hit {
+                let w = dex.net.graph().id_of_slot(sw);
                 move_staged_vertex(dex, op, y, w);
                 break;
             }

@@ -25,7 +25,7 @@ use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::{resize, PCycle};
 use dex_graph::primes;
 use dex_sim::rng::Purpose;
-use dex_sim::tokens::random_walk_search;
+use dex_sim::tokens::random_walk_search_slots;
 use rand::Rng;
 
 /// Charge the analytical cost of one permutation-routing pass on a
@@ -115,8 +115,9 @@ pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
     // The freshly inserted node receives one newly generated vertex from
     // its attach point (Algorithm 4.5, line 6).
     if let Some((u, v)) = pending {
-        debug_assert!(new_map.load(v) >= 4, "cloud sizes are >= 4 (α > 4)");
-        let z = *new_map.sim(v).iter().max().expect("nonempty");
+        let sv = dex.slot(v);
+        debug_assert!(new_map.load_at(sv) >= 4, "cloud sizes are >= 4 (α > 4)");
+        let z = *new_map.sim_at(sv).iter().max().expect("nonempty");
         new_map.transfer_at(z, u, dex.slot(u));
         dex.net.charge_messages(4);
         dex.net.charge_rounds(1);
@@ -170,10 +171,8 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     // Every node that got at least one new vertex reserves one by marking
     // it `taken` (Algorithm 4.6, line 9).
     let mut taken: FxHashSet<VertexId> = FxHashSet::default();
-    let mut owners: Vec<NodeId> = new_map.nodes().collect();
-    owners.sort_unstable();
-    for u in owners {
-        let reserve = *new_map.sim(u).iter().min().expect("nonempty");
+    for (_, s) in new_map.nodes_at() {
+        let reserve = *new_map.sim_at(s).iter().min().expect("nonempty");
         taken.insert(reserve);
     }
 
@@ -185,11 +184,12 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
         .graph()
         .nodes_sorted()
         .into_iter()
-        .filter(|&u| new_map.load(u) == 0)
+        .filter(|&u| new_map.load_at(dex.slot(u)) == 0)
         .collect();
     let walk_len = dex.cfg.walk_len(p_old);
     let step_no = dex.step_no;
     for (ci, c) in contending.drain(..).enumerate() {
+        let sc = dex.slot(c);
         let mut attempt = 0u64;
         loop {
             let nm = &new_map;
@@ -197,22 +197,22 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
                 .seeds
                 .stream(Purpose::RebalanceWalk, &[step_no, ci as u64, attempt]);
             // Non-taken vertex exists iff new load ≥ 2 (one is reserved).
-            let out = random_walk_search(
+            let out = random_walk_search_slots(
                 &mut dex.net,
-                c,
+                sc,
                 walk_len,
                 None,
-                |w| nm.load(w) >= 2,
+                |w| nm.load_at(w) >= 2,
                 &mut rng,
             );
             if let Some(w) = out.hit {
                 let z = *new_map
-                    .sim(w)
+                    .sim_at(w)
                     .iter()
                     .filter(|z| !taken.contains(z))
                     .max()
                     .expect("load >= 2 implies a non-taken vertex");
-                new_map.transfer_at(z, c, dex.slot(c));
+                new_map.transfer_at(z, c, sc);
                 taken.insert(z);
                 dex.net.charge_messages(4);
                 dex.net.charge_rounds(1);
@@ -251,18 +251,19 @@ fn rebalance_overload(dex: &mut DexNetwork) {
 
     let mut full: FxHashSet<NodeId> = dex
         .map
-        .nodes()
-        .filter(|&u| dex.map.load(u) > two_zeta)
+        .nodes_at()
+        .filter(|&(_, s)| dex.map.load_at(s) > two_zeta)
+        .map(|(u, _)| u)
         .collect();
 
     // Surplus vertices, deterministically the largest ids beyond 4ζ.
     let mut surplus: Vec<VertexId> = Vec::new();
-    let mut nodes: Vec<NodeId> = dex.map.nodes().collect();
+    let mut nodes: Vec<(NodeId, u32)> = dex.map.nodes_at().collect();
     nodes.sort_unstable();
-    for u in nodes {
-        let load = dex.map.load(u);
+    for (_, s) in nodes {
+        let load = dex.map.load_at(s);
         if load > four_zeta {
-            let mut sim: Vec<VertexId> = dex.map.sim(u).to_vec();
+            let mut sim: Vec<VertexId> = dex.map.sim_at(s).to_vec();
             sim.sort_unstable();
             surplus.extend_from_slice(&sim[four_zeta as usize..]);
         }
@@ -334,7 +335,7 @@ fn rebalance_overload(dex: &mut DexNetwork) {
                 );
                 dex.net.charge_messages(4);
                 dex.net.charge_rounds(1);
-                if dex.map.load(host) > two_zeta {
+                if dex.map.load_at(host_slot) > two_zeta {
                     full.insert(host);
                 }
             } else {

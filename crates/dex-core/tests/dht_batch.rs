@@ -44,7 +44,7 @@ fn lookup_of_a_key_on_an_initiators_own_vertex_is_free() {
     let mut dex = DexNetwork::bootstrap(DexConfig::new(4).simplified(), 64);
     let from = dex.node_ids()[5];
     let p = dex.cycle.p();
-    let own = dex.map.sim(from).to_vec();
+    let own = dex.sim(from).to_vec();
     assert!(own.len() > 1, "{from} holds one vertex");
     let mut hit = vec![false; own.len()];
     for k in 0..4_000u64 {

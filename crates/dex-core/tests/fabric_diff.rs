@@ -184,7 +184,7 @@ fn corrupt(dex: &mut DexNetwork, kind: Corruption, state: &mut u64) -> bool {
             let from: Vec<NodeId> = nodes
                 .iter()
                 .copied()
-                .filter(|&u| dex.map.load(u) >= 2)
+                .filter(|&u| dex.load(u) >= 2)
                 .collect();
             if from.is_empty() {
                 return false;
@@ -193,11 +193,12 @@ fn corrupt(dex: &mut DexNetwork, kind: Corruption, state: &mut u64) -> bool {
             let b = *nodes
                 .iter()
                 .filter(|&&u| u != a)
-                .min_by_key(|&&u| dex.map.load(u))
+                .min_by_key(|&&u| dex.load(u))
                 .expect("two nodes");
-            let sim = dex.map.sim(a);
+            let sim = dex.sim(a);
             let z = sim[pick(state, sim.len())];
-            dex.map.transfer(z, b);
+            let sb = dex.net.graph().slot_of(b).expect("live");
+            dex.map.transfer_at(z, b, sb);
         }
     }
     true

@@ -78,9 +78,9 @@ fn hotspot_attachment() {
         }
         // The hotspot must not have accumulated degree or load.
         assert!(
-            net.map.load(hotspot) <= net.cfg.max_load(),
+            net.load(hotspot) <= net.cfg.max_load(),
             "{mode:?}: hotspot load {}",
-            net.map.load(hotspot)
+            net.load(hotspot)
         );
         assert!(net.graph().degree(hotspot) <= 3 * net.cfg.max_load() as usize);
     }
@@ -164,7 +164,7 @@ fn staggered_operation_under_fire() {
         let heavy = net
             .node_ids()
             .into_iter()
-            .max_by_key(|&u| net.staged_load(u) + net.map.load(u))
+            .max_by_key(|&u| net.staged_load(u) + net.load(u))
             .unwrap();
         if net.n() > 6 {
             net.delete(heavy);

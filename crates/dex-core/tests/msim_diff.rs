@@ -132,8 +132,8 @@ fn assert_networks_identical(a: &DexNetwork, b: &DexNetwork) {
         let na: Vec<NodeId> = a.graph().neighbors(u).iter().collect();
         let nb: Vec<NodeId> = b.graph().neighbors(u).iter().collect();
         assert_eq!(na, nb, "adjacency of {u} diverged (order included)");
-        assert_eq!(a.map.sim(u), b.map.sim(u), "Sim({u}) diverged");
-        assert_eq!(a.map.load(u), b.map.load(u));
+        assert_eq!(a.sim(u), b.sim(u), "Sim({u}) diverged");
+        assert_eq!(a.load(u), b.load(u));
     }
     assert_eq!(a.map.entries_sorted(), b.map.entries_sorted());
     assert_eq!(

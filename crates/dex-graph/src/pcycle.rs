@@ -453,9 +453,12 @@ impl Marks {
 /// routing operations — on any mix of cycles — with no steady-state
 /// allocation: the buffers keep their high-water capacity across calls.
 /// The marks are the one buffer that scales with p: p bytes for the
-/// largest cycle searched, zeroed once every 31 searches. A DEX network
-/// keeps p < 8n, so that is under 8 B per node, against ≈ 640 B per node
-/// for the network itself.
+/// largest cycle searched, zeroed once every 31 searches. In a DEX
+/// network p/n starts in (4, 8) but grows as nodes leave, until a
+/// deflation; the largest p/n measured on `benchmark/`'s `resize` trace
+/// (2k → 40k → 500 nodes) is 16.9, so the marks stay under 17 B per
+/// node, against 336 B per node measured for a bootstrapped network at
+/// n = 500k (README, "Memory per node").
 #[derive(Default)]
 pub struct PathScratch {
     marks: Marks,

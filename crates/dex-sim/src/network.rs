@@ -68,8 +68,14 @@ pub struct Network {
 impl Network {
     /// Empty network recording full history.
     pub fn new() -> Self {
+        Self::with_id_capacity(0)
+    }
+
+    /// Empty network recording full history whose graph's id index has
+    /// room for `n` nodes ([`MultiGraph::with_id_capacity`]).
+    pub fn with_id_capacity(n: usize) -> Self {
         Network {
-            graph: MultiGraph::new(),
+            graph: MultiGraph::with_id_capacity(n),
             rounds: 0,
             messages: 0,
             topology_changes: 0,

@@ -108,7 +108,7 @@ pub fn correlated_burst(
         }
         Targeting::HighLoad => {
             let mut by_load: Vec<NodeId> = live;
-            by_load.sort_unstable_by_key(|&u| (std::cmp::Reverse(dex.map.load(u)), u));
+            by_load.sort_unstable_by_key(|&u| (std::cmp::Reverse(dex.load(u)), u));
             by_load.truncate(take);
             by_load
         }

@@ -25,6 +25,8 @@ fn main() {
     // (vertex x is simulated by node x mod 7 — every load is 3 or 4 ≤ 4).
     let names = ["A", "B", "C", "D", "E", "F", "G"];
     let (net, map) = fabric::deal_round_robin(8, &z, 7);
+    // Φ is slotted by the graph's node arena: resolve a name there.
+    let slot = |i: u64| net.graph().slot_of(NodeId(i)).expect("a dealt node");
 
     println!();
     println!("// Figure 1 (right): the network graph G_t — the contraction");
@@ -33,7 +35,7 @@ fn main() {
     println!("  layout=circo;");
     for i in 0..7u64 {
         let sim: Vec<String> = map
-            .sim(NodeId(i))
+            .sim_at(slot(i))
             .iter()
             .map(|z| z.raw().to_string())
             .collect();
@@ -55,7 +57,7 @@ fn main() {
 
     // Validate what the figure claims.
     eprintln!("\n// verification:");
-    let max_load = (0..7).map(|i| map.load(NodeId(i))).max().unwrap();
+    let max_load = (0..7).map(|i| map.load_at(slot(i))).max().unwrap();
     eprintln!("//   balanced: max load = {max_load} (4-balanced ✓)");
     let gap_z = spectral::spectral_gap(&z.to_multigraph());
     let gap_g = spectral::spectral_gap(net.graph());
