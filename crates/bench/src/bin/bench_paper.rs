@@ -30,6 +30,7 @@
 
 use dex::core::{fabric, routing};
 use dex::graph::connectivity;
+use dex::graph::pcycle::resize::Plan;
 use dex::prelude::*;
 use dex::sim::rng::splitmix64;
 use dex::sim::HistoryMode;
@@ -606,7 +607,7 @@ fn ablation(json: &mut String, _smoke: bool) {
             let cycle = PCycle::new(p);
             let (mut net, map) = fabric::deal_round_robin(8, &cycle, (p / 5).max(4));
             net.begin_step();
-            let pairs = routing::inflation_inverse_pairs(p, dex::graph::primes::inflation_prime(p));
+            let pairs = routing::inverse_pairs(&Plan::inflation(p));
             let rounds = routing::route_pairs(&mut net, &map, &cycle, &pairs, 1);
             let (_, messages, _) = net.current_counters();
             net.end_step(StepKind::Insert, RecoveryKind::Type1);

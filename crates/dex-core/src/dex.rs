@@ -8,6 +8,7 @@ use crate::mapping::VirtualMapping;
 use crate::scratch::HealScratch;
 use crate::staggered::StaggeredOp;
 use dex_graph::ids::{NodeId, VertexId};
+use dex_graph::pcycle::resize::Plan;
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
 use dex_graph::MultiGraph;
@@ -336,7 +337,7 @@ impl DexNetwork {
                     let v_id = self.net.graph().id_of_slot(v);
                     return match self.cfg.mode {
                         RecoveryMode::Simplified => {
-                            crate::type2_simple::inflate(self, Some((u_id, v_id)));
+                            crate::type2_simple::inflate(self, (u_id, v_id));
                             RecoveryKind::InflateSimple
                         }
                         RecoveryMode::Staggered => {
@@ -344,7 +345,7 @@ impl DexNetwork {
                             // reaching the hard wall means it must start
                             // now, and the new node is served from the
                             // first staged window.
-                            crate::staggered::begin_inflation(self);
+                            crate::staggered::begin(self, Plan::inflation(self.cycle.p()));
                             crate::staggered::insert_during_staggered(self, u_id, v_id);
                             RecoveryKind::InflateStaggered
                         }
@@ -561,7 +562,9 @@ impl DexNetwork {
                                     RecoveryKind::DeflateSimple
                                 }
                                 RecoveryMode::Staggered => {
-                                    crate::staggered::begin_deflation(self);
+                                    let plan = Plan::deflation(self.cycle.p())
+                                        .expect("network too small for a smaller Z(p)");
+                                    crate::staggered::begin(self, plan);
                                     RecoveryKind::DeflateStaggered
                                 }
                             };

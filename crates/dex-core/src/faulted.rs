@@ -304,7 +304,7 @@ impl DexNetwork {
         // spurious rebuilds compound.
         if res.complete && !self.cfg.spare_sufficient(res.matching, n_prev) {
             self.walk_stats.type2 += 1;
-            crate::type2_simple::inflate(self, Some((u, v)));
+            crate::type2_simple::inflate(self, (u, v));
             return RecoveryKind::InflateSimple;
         }
         // Partial flood: heal to the best partial witness. When not even
@@ -326,7 +326,7 @@ impl DexNetwork {
         });
         let Some(w) = donor else {
             self.walk_stats.type2 += 1;
-            crate::type2_simple::inflate(self, Some((u, v)));
+            crate::type2_simple::inflate(self, (u, v));
             return RecoveryKind::InflateSimple;
         };
         self.fault_stats.heal_fallbacks += 1;

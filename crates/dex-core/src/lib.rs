@@ -14,8 +14,11 @@
 //! (*type-1*, [`dex`]) and occasionally replaces the whole virtual graph
 //! (*type-2*): one-shot ([`type2_simple`], amortized bounds) or staggered
 //! over Θ(n) steps behind a coordinator ([`staggered`], worst-case
-//! bounds). A DHT rides on top ([`dht`]) and a batch extension handles εn
-//! simultaneous insertions/deletions ([`batch`]).
+//! bounds). Both modes, and the permutation router that installs the new
+//! cycle's chords ([`routing`]), read one `dex_graph::pcycle::resize::Plan`
+//! for which new vertices each old vertex generates. A DHT rides on top
+//! ([`dht`]) and a batch extension handles εn simultaneous
+//! insertions/deletions ([`batch`]).
 //!
 //! # Quick start
 //!

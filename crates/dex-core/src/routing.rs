@@ -3,11 +3,12 @@
 //!
 //! Type-2 recovery installs the inverse-chord edges of the new p-cycle by
 //! routing one request per vertex to the owner of its inverse — a
-//! permutation-routing instance. Scheideler's bound says any permutation
-//! on a bounded-degree expander routes in O(log n·(log log n)²/log log
-//! log n) rounds; this module *executes* store-and-forward routing with a
-//! per-edge-per-round capacity (the CONGEST constraint) along locally
-//! computed shortest paths and measures the real makespan.
+//! permutation-routing instance, which [`inverse_pairs`] reads off the
+//! rebuild's [`Plan`] for either kind. Scheideler's bound says any
+//! permutation on a bounded-degree expander routes in O(log n·(log log
+//! n)²/log log log n) rounds; this module *executes* store-and-forward
+//! routing with a per-edge-per-round capacity (the CONGEST constraint)
+//! along locally computed shortest paths and measures the real makespan.
 //!
 //! A path is the one [`PCycle::shortest_path_with`] returns — the same
 //! bidirectional search, over the same pooled scratch, that resolves a
@@ -26,6 +27,7 @@
 
 use crate::mapping::VirtualMapping;
 use dex_graph::ids::{NodeId, VertexId};
+use dex_graph::pcycle::resize::Plan;
 use dex_graph::pcycle::{PCycle, PathScratch};
 use dex_sim::tokens::route_batch_flat;
 use dex_sim::Network;
@@ -120,49 +122,19 @@ pub fn route_pairs_with(
     route_batch_flat(net, &scratch.flat, &scratch.ranges, cap)
 }
 
-/// The inverse-chord permutation of `Z(p)`: vertex `x` routes to `x⁻¹`
-/// (fixed points 0, 1, p−1 route to themselves and cost nothing).
-/// Note that on `Z(p)` itself every such pair is adjacent (the chord *is*
-/// an edge) — the non-trivial workload is [`inflation_inverse_pairs`],
-/// which routes the *new* cycle's chords across the *old* cycle.
-pub fn inverse_permutation(cycle: &PCycle) -> Vec<(VertexId, VertexId)> {
-    let mut pairs = Vec::with_capacity(cycle.p() as usize);
-    cycle.for_each_chord(0..cycle.p(), |x, inv| pairs.push((x, inv)));
-    pairs
-}
-
-/// The routing workload of an inflation `Z(p_old) → Z(p_new)`: for every
-/// new vertex `y < y⁻¹ (mod p_new)`, a request must travel between the
-/// nodes that will simulate them — i.e. between the *old* vertices that
-/// generate `y` and `y⁻¹` (Eq. 7's cloud sources). Endpoints are old-cycle
-/// vertices, spread over the whole cycle, so paths have Θ(log p) hops.
-pub fn inflation_inverse_pairs(p_old: u64, p_new: u64) -> Vec<(VertexId, VertexId)> {
-    use dex_graph::pcycle::resize;
+/// The routing workload of a type-2 rebuild: for every new vertex
+/// `y < y⁻¹ (mod p_new)`, a request travels between the nodes that will
+/// simulate them — between the *old* vertices that generate `y` and `y⁻¹`
+/// ([`Plan::source`]: a cloud's old vertex, an image's dominating one).
+/// Endpoints are old-cycle vertices spread over the whole cycle, so paths
+/// have Θ(log p) hops.
+pub fn inverse_pairs(plan: &Plan) -> Vec<(VertexId, VertexId)> {
     let mut pairs = Vec::new();
-    PCycle::new(p_new).for_each_chord(0..p_new, |y, inv| {
+    PCycle::new(plan.p_new()).for_each_chord(0..plan.p_new(), |y, inv| {
         if y >= inv {
             return;
         }
-        let src = resize::inflation_source(y.0, p_old, p_new);
-        let dst = resize::inflation_source(inv.0, p_old, p_new);
-        if src != dst {
-            pairs.push((VertexId(src), VertexId(dst)));
-        }
-    });
-    pairs
-}
-
-/// The deflation analogue: the surviving new vertex `y`'s request travels
-/// between the dominating old sources of `y` and `y⁻¹` on the old cycle.
-pub fn deflation_inverse_pairs(p_old: u64, p_new: u64) -> Vec<(VertexId, VertexId)> {
-    use dex_graph::pcycle::resize;
-    let mut pairs = Vec::new();
-    PCycle::new(p_new).for_each_chord(0..p_new, |y, inv| {
-        if y >= inv {
-            return;
-        }
-        let src = resize::deflation_cloud(y.0, p_old, p_new).start;
-        let dst = resize::deflation_cloud(inv.0, p_old, p_new).start;
+        let (src, dst) = (plan.source(y.0), plan.source(inv.0));
         if src != dst {
             pairs.push((VertexId(src), VertexId(dst)));
         }
@@ -175,7 +147,6 @@ mod tests {
     use super::*;
     use crate::fabric;
     use dex_graph::connectivity::bfs_distances;
-    use dex_graph::primes;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
@@ -193,13 +164,10 @@ mod tests {
 
     /// The two permutations a type-2 rebuild routes on `Z(p)`.
     fn type2_workloads(p: u64) -> [(&'static str, Vec<(VertexId, VertexId)>); 2] {
-        let p_down = primes::deflation_prime(p).expect("p large enough to deflate");
+        let deflation = Plan::deflation(p).expect("p large enough to deflate");
         [
-            (
-                "inflation",
-                inflation_inverse_pairs(p, primes::inflation_prime(p)),
-            ),
-            ("deflation", deflation_inverse_pairs(p, p_down)),
+            ("inflation", inverse_pairs(&Plan::inflation(p))),
+            ("deflation", inverse_pairs(&deflation)),
         ]
     }
 
@@ -259,24 +227,10 @@ mod tests {
     }
 
     #[test]
-    fn inverse_permutation_is_an_involution() {
-        let cycle = PCycle::new(101);
-        let pairs = inverse_permutation(&cycle);
-        assert_eq!(pairs.len(), 101);
-        for &(x, y) in &pairs {
-            assert_eq!(cycle.chord(y), x);
-        }
-        // It is a permutation: every vertex appears exactly once as target.
-        let mut targets: Vec<u64> = pairs.iter().map(|&(_, y)| y.0).collect();
-        targets.sort_unstable();
-        assert_eq!(targets, (0..101).collect::<Vec<_>>());
-    }
-
-    #[test]
     fn routing_completes_and_charges() {
         let (mut net, map, cycle) = world(101, 25);
         net.begin_step();
-        let pairs = inflation_inverse_pairs(101, primes::inflation_prime(101));
+        let pairs = inverse_pairs(&Plan::inflation(101));
         let rounds = route_pairs(&mut net, &map, &cycle, &pairs, 1);
         let (r, m, _) = net.current_counters();
         assert_eq!(r, rounds);
@@ -286,27 +240,16 @@ mod tests {
     }
 
     #[test]
-    fn inverse_permutation_pairs_are_adjacent() {
-        // On Z(p) itself, x and x⁻¹ share the chord edge — routing them is
-        // a single hop; the real type-2 workload is the cross-cycle one.
-        let cycle = PCycle::new(101);
-        for (a, b) in inverse_permutation(&cycle) {
-            assert!(cycle.adjacent(a, b) || a == b);
-        }
-    }
-
-    #[test]
     fn inflation_pairs_span_the_old_cycle() {
-        let p_old = 499u64;
-        let p_new = primes::inflation_prime(p_old);
-        let pairs = inflation_inverse_pairs(p_old, p_new);
+        let plan = Plan::inflation(499);
+        let pairs = inverse_pairs(&plan);
         assert!(
-            pairs.len() as u64 > p_new / 3,
+            pairs.len() as u64 > plan.p_new() / 3,
             "too few pairs: {}",
             pairs.len()
         );
         // One BFS per distinct source.
-        let graph = PCycle::new(p_old).to_multigraph();
+        let graph = PCycle::new(plan.p_old()).to_multigraph();
         let mut by_source = pairs.clone();
         by_source.sort_unstable();
         let far: usize = by_source
@@ -334,7 +277,7 @@ mod tests {
             let n = p / 4;
             let (mut net, map, cycle) = world(p, n);
             net.begin_step();
-            let pairs = inflation_inverse_pairs(p, primes::inflation_prime(p));
+            let pairs = inverse_pairs(&Plan::inflation(p));
             let rounds = route_pairs(&mut net, &map, &cycle, &pairs, 1);
             net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
             results.push((p, rounds));
@@ -376,7 +319,7 @@ mod tests {
     #[test]
     fn higher_capacity_reduces_makespan() {
         let (mut net, map, cycle) = world(499, 124);
-        let pairs = inflation_inverse_pairs(499, primes::inflation_prime(499));
+        let pairs = inverse_pairs(&Plan::inflation(499));
         net.begin_step();
         let r1 = route_pairs(&mut net, &map, &cycle, &pairs, 1);
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
@@ -388,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn analytical_charge_upper_bounds_executed_routing() {
+    fn executed_type2_rounds_stay_within_six_log_squared_p() {
         // The fallback model charges 6·log p rounds, but executed routing
         // needs more at p = 499 and 1009 (57 vs 54, 71 vs 60) and 1.36–1.85×
         // the charged p·log p messages (`bench_paper`'s `ablation.routing`).

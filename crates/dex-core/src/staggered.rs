@@ -7,11 +7,12 @@
 //! old vertices:
 //!
 //! * **Phase 1 (staging)** — windows sweep the old cycle in ascending
-//!   order; each old vertex generates its piece of the new cycle (its
-//!   inflation cloud, Eq. 7, or its deflation image). New-cycle edges whose
-//!   far endpoint is not yet generated are realized as **intermediate
-//!   edges** to the node owning the far endpoint's *source* old vertex.
-//!   When the far side stages, the intermediate edge is upgraded in place.
+//!   order; each old vertex generates its piece of the new cycle, the
+//!   range the operation's [`Plan`] gives it (its inflation cloud, Eq. 7,
+//!   or, if it dominates, its deflation image). New-cycle edges whose far
+//!   endpoint is not yet generated are realized as **intermediate edges**
+//!   to the node owning the far endpoint's *source* old vertex. When the
+//!   far side stages, the intermediate edge is upgraded in place.
 //! * **Phase 2 (dropping)** — windows sweep again, discarding old-cycle
 //!   edges and vertices; when the cursor completes, the network atomically
 //!   switches `Φ` and `Z` to the new cycle.
@@ -27,34 +28,27 @@
 //! spare credit and either receive a staged vertex or a *preassignment* of
 //! a not-yet-staged one (the paper's "generate such vertices on the fly").
 //!
-//! The coordinator's entry points take the operation out of
-//! `DexNetwork::stag` for the call and hand `&mut StaggeredOp` down
-//! explicitly; nothing they call on the network reads `stag`.
+//! An operation starts at [`begin`] with its plan (either kind); the
+//! coordinator's entry points take it out of `DexNetwork::stag` for the
+//! call and hand `&mut StaggeredOp` down explicitly; nothing they call on
+//! the network reads `stag`.
 
 use crate::config::RecoveryMode;
 use crate::dex::DexNetwork;
+use crate::fabric;
 use crate::mapping::VirtualMapping;
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::{NodeId, VertexId};
-use dex_graph::pcycle::{resize, PCycle};
-use dex_graph::primes;
+use dex_graph::pcycle::resize::{Kind, Plan};
+use dex_graph::pcycle::PCycle;
 use dex_sim::rng::Purpose;
 use dex_sim::tokens::random_walk_search_slots;
 use std::ops::Range;
 
-/// Inflation or deflation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum OpKind {
-    /// Move to the larger cycle `Z(p')`, `p' ∈ (4p, 8p)`.
-    Inflate,
-    /// Move to the smaller cycle `Z(p_s)`, `p_s ∈ (p/8, p/4)`.
-    Deflate,
-}
-
 /// An in-progress staggered type-2 operation.
 pub struct StaggeredOp {
-    kind: OpKind,
-    p_old: u64,
+    /// Which new vertices each old vertex generates.
+    plan: Plan,
     new_cycle: PCycle,
     /// Owners of already-staged new vertices.
     staged_map: VirtualMapping,
@@ -84,12 +78,10 @@ fn at_mut<T: Clone + Default>(v: &mut Vec<T>, slot: u32) -> &mut T {
 }
 
 impl StaggeredOp {
-    fn new(dex: &DexNetwork, kind: OpKind, p_new: u64) -> Self {
-        let p_old = dex.cycle.p();
+    fn new(dex: &DexNetwork, plan: Plan) -> Self {
         StaggeredOp {
-            kind,
-            p_old,
-            new_cycle: PCycle::new(p_new),
+            plan,
+            new_cycle: PCycle::new(plan.p_new()),
             staged_map: VirtualMapping::with_caller_slots(
                 dex.cfg.zeta,
                 0,
@@ -97,7 +89,7 @@ impl StaggeredOp {
             ),
             stage_cursor: 0,
             drop_cursor: 0,
-            window: window_size(p_old, dex.cfg.theta_inv, dex.n()),
+            window: window_size(plan.p_old(), dex.cfg.theta_inv, dex.n()),
             reserve: Vec::new(),
             preassigned: FxHashMap::default(),
             preassigned_count: Vec::new(),
@@ -106,12 +98,12 @@ impl StaggeredOp {
 
     /// Is this an inflation?
     pub fn is_inflation(&self) -> bool {
-        self.kind == OpKind::Inflate
+        self.plan.kind() == Kind::Inflation
     }
 
     /// Phase 1 still running?
     pub fn staging(&self) -> bool {
-        self.stage_cursor < self.p_old
+        self.stage_cursor < self.plan.p_old()
     }
 
     /// Staged (new-cycle) load of the node in `slot`.
@@ -127,55 +119,25 @@ impl StaggeredOp {
 
     /// The old vertices not yet dropped — the ones the live Φ holds.
     pub(crate) fn old_live(&self) -> Range<u64> {
-        self.drop_cursor..self.p_old
+        self.drop_cursor..self.plan.p_old()
     }
 
-    /// The staged new vertices, `0..staged_end()`: `source_old` is
-    /// monotone, so the stage cursor has generated a prefix of the new
-    /// cycle.
+    /// The staged new vertices, `0..staged_end()`: the plan's ranges tile
+    /// the new cycle in order, so the stage cursor has generated a prefix.
     pub(crate) fn staged_end(&self) -> u64 {
-        let Some(x) = self.stage_cursor.checked_sub(1) else {
-            return 0;
-        };
-        match self.kind {
-            OpKind::Inflate => self.generated_by(x).end,
-            OpKind::Deflate => resize::deflation_image(x, self.p_old, self.new_cycle.p()) + 1,
-        }
+        self.stage_cursor
+            .checked_sub(1)
+            .map_or(0, |x| self.plan.generated_by(x).end)
     }
 
     /// Is new vertex `y` staged yet?
     fn staged(&self, y: u64) -> bool {
-        self.source_old(y) < self.stage_cursor
-    }
-
-    /// The old vertex that generates new vertex `y`.
-    fn source_old(&self, y: u64) -> u64 {
-        match self.kind {
-            OpKind::Inflate => resize::inflation_source(y, self.p_old, self.new_cycle.p()),
-            OpKind::Deflate => resize::deflation_cloud(y, self.p_old, self.new_cycle.p()).start,
-        }
+        self.plan.source(y) < self.stage_cursor
     }
 
     /// Has old vertex `x` been dropped (Phase 2)?
     fn dropped(&self, x: u64) -> bool {
         x < self.drop_cursor
-    }
-
-    /// The new vertices generated by old vertex `x`, a contiguous range
-    /// (empty for non-dominating vertices under deflation).
-    fn generated_by(&self, x: u64) -> Range<u64> {
-        let p_new = self.new_cycle.p();
-        match self.kind {
-            OpKind::Inflate => {
-                let (base, len) = resize::inflation_cloud_range(x, self.p_old, p_new);
-                base..base + len
-            }
-            OpKind::Deflate if resize::is_dominating(x, self.p_old, p_new) => {
-                let y = resize::deflation_image(x, self.p_old, p_new);
-                y..y + 1
-            }
-            OpKind::Deflate => 0..0,
-        }
     }
 
     /// The reserve of the node in `slot`.
@@ -231,7 +193,7 @@ impl StaggeredOp {
             if self.staged(succ) {
                 out.push(Inst::Real(y, succ));
             } else {
-                out.push(Inst::Inter(y, self.source_old(succ)));
+                out.push(Inst::Inter(y, self.plan.source(succ)));
             }
             let pred = (y + p - 1) % p;
             if self.staged(pred) {
@@ -239,7 +201,7 @@ impl StaggeredOp {
                     out.push(Inst::Real(pred, y));
                 }
             } else {
-                out.push(Inst::Inter(y, self.source_old(pred)));
+                out.push(Inst::Inter(y, self.plan.source(pred)));
             }
             let chord = self.new_cycle.chord(VertexId(y)).0;
             if chord == y {
@@ -249,7 +211,7 @@ impl StaggeredOp {
                     out.push(Inst::Real(y.min(chord), y.max(chord)));
                 }
             } else {
-                out.push(Inst::Inter(y, self.source_old(chord)));
+                out.push(Inst::Inter(y, self.plan.source(chord)));
             }
         }
         out
@@ -262,7 +224,7 @@ impl StaggeredOp {
     fn for_each_inter_source(&self, x: u64, mut f: impl FnMut(u64)) {
         debug_assert!(x >= self.stage_cursor);
         let p = self.new_cycle.p();
-        for t in self.generated_by(x) {
+        for t in self.plan.generated_by(x) {
             let c = self.new_cycle.chord(VertexId(t)).0;
             let chord = (c != t).then_some(c);
             for y in [(t + p - 1) % p, (t + 1) % p].into_iter().chain(chord) {
@@ -289,28 +251,15 @@ impl StaggeredOp {
         out
     }
 
-    /// Old-fabric instances incident to live old vertex `x`, skipping
-    /// dropped far endpoints (Phase 2) — each instance exactly once.
+    /// Old-fabric instances incident to the live old vertices `xs`, each
+    /// exactly once: [`fabric::incident_edges_into`] minus the instances
+    /// whose far endpoint is dropped (Phase 2).
     fn old_incident(&self, cycle_old: &PCycle, xs: &[VertexId]) -> Vec<(VertexId, VertexId)> {
-        let in_set = |v: VertexId| xs.contains(&v);
+        debug_assert!(xs.iter().all(|z| !self.dropped(z.0)));
+        let chords: Vec<VertexId> = xs.iter().map(|&z| cycle_old.chord(z)).collect();
         let mut out = Vec::new();
-        for &z in xs {
-            debug_assert!(!self.dropped(z.0));
-            let s = cycle_old.succ(z);
-            if !self.dropped(s.0) {
-                out.push((z, s));
-            }
-            let p = cycle_old.pred(z);
-            if !self.dropped(p.0) && !in_set(p) {
-                out.push((p, z));
-            }
-            let c = cycle_old.chord(z);
-            if c == z {
-                out.push((z, z));
-            } else if !self.dropped(c.0) && (!in_set(c) || z < c) {
-                out.push((z, c));
-            }
-        }
+        fabric::incident_edges_into(cycle_old, xs, &chords, &mut out);
+        out.retain(|&(a, b)| !self.dropped(a.0) && !self.dropped(b.0));
         out
     }
 
@@ -328,7 +277,7 @@ impl StaggeredOp {
             if self.staged(t) {
                 staged_slot(t)
             } else {
-                map.owner_slot_of(VertexId(self.source_old(t)))
+                map.owner_slot_of(VertexId(self.plan.source(t)))
             }
         };
         for &y in self.staged_map.sim_at(slot) {
@@ -396,11 +345,8 @@ enum Inst {
 /// a new operation when a threshold is crossed.
 pub fn after_step(dex: &mut DexNetwork) {
     debug_assert_eq!(dex.cfg.mode, RecoveryMode::Staggered);
-    // The recovering node routes its counter delta to the coordinator
-    // along a virtual shortest path: O(diam) = O(log n).
-    let logp = (64 - dex.cycle.p().leading_zeros() as u64).max(1);
-    dex.net.charge_messages(2 * logp);
-    dex.net.charge_rounds(2 * logp);
+    // The recovering node routes its counter delta to the coordinator.
+    charge_coordinator_route(dex);
 
     if let Some(op) = dex.stag.take() {
         advance(dex, op);
@@ -410,39 +356,42 @@ pub fn after_step(dex: &mut DexNetwork) {
     let spare = dex.map.spare_count();
     let low = dex.map.low_count();
     if dex.cfg.staggered_trigger(spare, n) {
-        begin_inflation(dex);
+        begin(dex, Plan::inflation(dex.cycle.p()));
     } else if dex.cfg.staggered_trigger(low, n) {
-        let p = dex.cycle.p();
-        if primes::deflation_prime(p).is_some_and(|q| q >= crate::type2_simple::MIN_PRIME) {
-            begin_deflation(dex);
+        // A constant-size network has no smaller cycle: it stays put.
+        if let Some(plan) = Plan::deflation(dex.cycle.p()) {
+            begin(dex, plan);
         }
-        // else: network is constant-sized; stay on the current cycle.
     }
 }
 
+/// Charge one route between a node and the coordinator (the simulator of
+/// vertex 0) along a virtual shortest path: O(diam) = O(log p) messages
+/// and rounds each way.
+fn charge_coordinator_route(dex: &mut DexNetwork) {
+    let logp = (64 - dex.cycle.p().leading_zeros() as u64).max(1);
+    dex.net.charge_messages(2 * logp);
+    dex.net.charge_rounds(2 * logp);
+}
+
 fn window_size(p_old: u64, theta_inv: u64, n: usize) -> u64 {
-    // Phase 1 must finish within θn steps: window ≥ p·θ⁻¹/n. This is not
-    // O(1): deletions outrun the deflation until p/n reaches 16.6 (n ≈ 7.6k
-    // on the resize trace), a window of about 1,080 old vertices per step.
-    // `bench_paper`'s `theorem1.resize_rows` record the cost.
+    // Phase 1 must finish within θn steps: window ≥ p·θ⁻¹/n, O(1) in n.
+    // An inflation starts when |Spare| < 3θn (`staggered_trigger`), so
+    // nearly every node holds one vertex: p/n ≈ 1, a window of ≈ θ⁻¹. A
+    // deflation starts when |Low| < 3θn, so nearly every node holds more
+    // than 2ζ vertices (`VirtualMapping::is_low_at`): p/n ≈ 2ζ, a window
+    // of ≈ 2ζθ⁻¹ old vertices per step (about 1,080 at p/n = 16.6 with
+    // the default θ⁻¹ = 64 on the resize trace). `bench_paper`'s
+    // `theorem1.resize_rows` record the cost.
     (p_old * theta_inv).div_ceil(n.max(1) as u64).max(1)
 }
 
-/// Start a staggered inflation and stage its first window.
-pub fn begin_inflation(dex: &mut DexNetwork) {
+/// Start the staggered operation `plan` (on the current cycle) and stage
+/// its first window.
+pub fn begin(dex: &mut DexNetwork, plan: Plan) {
     debug_assert!(dex.stag.is_none());
-    let p_new = primes::inflation_prime(dex.cycle.p());
-    let op = StaggeredOp::new(dex, OpKind::Inflate, p_new);
-    advance(dex, op);
-}
-
-/// Start a staggered deflation and stage its first window.
-pub fn begin_deflation(dex: &mut DexNetwork) {
-    debug_assert!(dex.stag.is_none());
-    let p_new = primes::deflation_prime(dex.cycle.p())
-        .filter(|&q| q >= crate::type2_simple::MIN_PRIME)
-        .expect("caller checked deflation feasibility");
-    let op = StaggeredOp::new(dex, OpKind::Deflate, p_new);
+    debug_assert_eq!(plan.p_old(), dex.cycle.p());
+    let op = StaggeredOp::new(dex, plan);
     advance(dex, op);
 }
 
@@ -450,14 +399,13 @@ pub fn begin_deflation(dex: &mut DexNetwork) {
 /// dropping), then put it back in `dex.stag`, or switch over when done.
 fn advance(dex: &mut DexNetwork, mut op: StaggeredOp) {
     // Activation request routed from the coordinator to the window owners.
-    let logp = (64 - dex.cycle.p().leading_zeros() as u64).max(1);
-    dex.net.charge_messages(2 * logp);
-    dex.net.charge_rounds(2 * logp);
+    charge_coordinator_route(dex);
 
+    let p_old = op.plan.p_old();
     if op.staging() {
         for _ in 0..op.window {
             let x = op.stage_cursor;
-            if x >= op.p_old {
+            if x >= p_old {
                 break;
             }
             stage_one(dex, &mut op, x);
@@ -465,12 +413,12 @@ fn advance(dex: &mut DexNetwork, mut op: StaggeredOp) {
     } else {
         for _ in 0..op.window {
             let x = op.drop_cursor;
-            if x >= op.p_old {
+            if x >= p_old {
                 break;
             }
             drop_one(dex, &mut op, x);
         }
-        if op.drop_cursor >= op.p_old {
+        if op.drop_cursor >= p_old {
             switchover(dex, op);
             return;
         }
@@ -493,7 +441,7 @@ fn stage_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
     }
 
     // Stage the generated vertices.
-    let gens: Vec<u64> = op.generated_by(x).collect();
+    let gens: Vec<u64> = op.plan.generated_by(x).collect();
     let is_deflate = !op.is_inflation();
     for &y in &gens {
         let target = match op.preassigned.remove(&y) {
@@ -634,19 +582,19 @@ fn credit(op: &StaggeredOp, map: &VirtualMapping, w: u32) -> u64 {
 }
 
 /// The old vertices of the node in slot `w` that are unprocessed,
-/// dominating, and whose image is not already promised to someone else.
+/// dominating (they generate a vertex), and whose image is not already
+/// promised to someone else.
 fn unstaged_dominating_unpreassigned<'a>(
     op: &'a StaggeredOp,
     map: &'a VirtualMapping,
     w: u32,
 ) -> impl Iterator<Item = u64> + 'a {
-    let p_new = op.new_cycle.p();
     map.sim_at(w).iter().map(|z| z.0).filter(move |&x| {
         x >= op.stage_cursor
-            && resize::is_dominating(x, op.p_old, p_new)
-            && !op
-                .preassigned
-                .contains_key(&resize::deflation_image(x, op.p_old, p_new))
+            && op
+                .plan
+                .generated_by(x)
+                .any(|y| !op.preassigned.contains_key(&y))
     })
 }
 
@@ -670,7 +618,7 @@ fn donate(dex: &mut DexNetwork, op: &mut StaggeredOp, w: NodeId, to: NodeId) {
     }
     // Else promise a future vertex from w's dominating stock.
     if let Some(x) = unstaged_dominating_unpreassigned(op, &dex.map, sw).max() {
-        let y = resize::deflation_image(x, op.p_old, op.new_cycle.p());
+        let y = op.plan.generated_by(x).start;
         op.preassigned.insert(y, to);
         *at_mut(&mut op.preassigned_count, st) += 1;
         return;
@@ -691,24 +639,12 @@ fn donate(dex: &mut DexNetwork, op: &mut StaggeredOp, w: NodeId, to: NodeId) {
 /// Phase 2: discard old vertex `x` and its remaining old-cycle edges.
 fn drop_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
     let z = VertexId(x);
-    let u = dex.map.owner_of(z);
-    let cycle = dex.cycle;
-    let s = cycle.succ(z);
-    if !op.dropped(s.0) && s != z {
-        let b = dex.map.owner_of(s);
-        assert!(dex.net.remove_edge(u, b), "missing old succ edge {x}");
-    }
-    let pr = cycle.pred(z);
-    if !op.dropped(pr.0) && pr != z {
-        let b = dex.map.owner_of(pr);
-        assert!(dex.net.remove_edge(u, b), "missing old pred edge {x}");
-    }
-    let c = cycle.chord(z);
-    if c == z {
-        assert!(dex.net.remove_edge(u, u), "missing old loop {x}");
-    } else if !op.dropped(c.0) {
-        let b = dex.map.owner_of(c);
-        assert!(dex.net.remove_edge(u, b), "missing old chord edge {x}");
+    for (a, b) in op.old_incident(&dex.cycle, &[z]) {
+        let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
+        assert!(
+            dex.net.remove_edge(ua, ub),
+            "missing old instance {a}-{b} at {x}"
+        );
     }
     dex.map.unassign(z);
     op.drop_cursor = x + 1;
@@ -726,9 +662,7 @@ fn switchover(dex: &mut DexNetwork, op: StaggeredOp) {
     dex.cycle = op.new_cycle;
     dex.map = op.staged_map;
     // Coordinator state transfers to the owner of new vertex 0.
-    let logp = (64 - dex.cycle.p().leading_zeros() as u64).max(1);
-    dex.net.charge_messages(2 * logp);
-    dex.net.charge_rounds(2 * logp);
+    charge_coordinator_route(dex);
 }
 
 // ======================================================================
@@ -809,16 +743,14 @@ fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId, v: NodeId)
         let out = {
             let (op, map) = (&*op, &dex.map);
             let mut rng = dex.seeds.stream(Purpose::InsertWalk, &[step_no, attempt]);
-            let accept: Box<dyn Fn(u32) -> bool> = match (op.kind, op.staging()) {
-                (OpKind::Inflate, true) => Box::new(move |w| {
+            let accept: Box<dyn Fn(u32) -> bool> = match (op.plan.kind(), op.staging()) {
+                (Kind::Inflation, true) => Box::new(move |w| {
                     op.staged_map.load_at(w) >= 2
                         || (map.load_at(w) >= 2
                             && map.sim_at(w).iter().any(|z| z.0 >= op.stage_cursor))
                 }),
-                (OpKind::Inflate, false) | (OpKind::Deflate, false) => {
-                    Box::new(move |w| op.staged_map.load_at(w) >= 2)
-                }
-                (OpKind::Deflate, true) => {
+                (_, false) => Box::new(move |w| op.staged_map.load_at(w) >= 2),
+                (Kind::Deflation, true) => {
                     Box::new(move |w| map.load_at(w) >= 2 && credit(op, map, w) >= 1)
                 }
             };
@@ -828,8 +760,8 @@ fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId, v: NodeId)
         let w = dex.net.graph().id_of_slot(sw);
         dex.walk_stats.hits += 1;
 
-        match (op.kind, op.staging()) {
-            (OpKind::Inflate, true) => {
+        match (op.plan.kind(), op.staging()) {
+            (Kind::Inflation, true) => {
                 if op.staged_map.load_at(sw) >= 2 {
                     let y = op.staged_map.sim_at(sw).iter().map(|z| z.0).max();
                     move_staged_vertex(dex, op, y.expect("load >= 2"), u);
@@ -845,7 +777,7 @@ fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId, v: NodeId)
                     move_old_vertex(dex, op, x, u);
                 }
             }
-            (OpKind::Inflate, false) | (OpKind::Deflate, false) => {
+            (_, false) => {
                 // Load ≥ 2 leaves a vertex beyond w's reserve (an
                 // inflation has none); a deflation's newcomer keeps it as
                 // its own.
@@ -863,7 +795,7 @@ fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId, v: NodeId)
                     op.set_reserve(su, y);
                 }
             }
-            (OpKind::Deflate, true) => {
+            (Kind::Deflation, true) => {
                 // Give the newcomer an old vertex for connectivity; a
                 // dominating unpromised one carries its future new vertex.
                 if let Some(x) = unstaged_dominating_unpreassigned(op, &dex.map, sw).max() {
@@ -1077,7 +1009,7 @@ mod tests {
         let mut out = Vec::new();
         let mut push = |(a, b): (NodeId, NodeId)| out.push((a.min(b), a.max(b)));
         // Old remnant.
-        cycle_old.for_each_chord(0..op.p_old, |z, c| {
+        cycle_old.for_each_chord(0..op.plan.p_old(), |z, c| {
             if op.dropped(z.0) {
                 return;
             }
@@ -1101,11 +1033,11 @@ mod tests {
             if op.staged(succ) {
                 inst(Inst::Real(y, succ));
             } else {
-                inst(Inst::Inter(y, op.source_old(succ)));
+                inst(Inst::Inter(y, op.plan.source(succ)));
             }
             let pred = (y + p - 1) % p;
             if !op.staged(pred) {
-                inst(Inst::Inter(y, op.source_old(pred)));
+                inst(Inst::Inter(y, op.plan.source(pred)));
             }
             if chord == y {
                 inst(Inst::Loop(y));
@@ -1114,7 +1046,7 @@ mod tests {
                     inst(Inst::Real(y, chord));
                 }
             } else {
-                inst(Inst::Inter(y, op.source_old(chord)));
+                inst(Inst::Inter(y, op.plan.source(chord)));
             }
         });
         out.sort_unstable();

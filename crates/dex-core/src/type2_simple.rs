@@ -5,6 +5,14 @@
 //! changes and O(n log² n) messages, amortized over the Ω(n) type-1 steps
 //! that separate consecutive type-2 events (Lemma 8 ⇒ Corollary 1).
 //!
+//! Both procedures read one [`Plan`]: a shared Phase 1 (`stage`) gives
+//! every old vertex's owner the new vertices the vertex generates and
+//! builds the new cycle's edges, and a shared switchover (`install`)
+//! rewires, announces and rebalances. Each procedure keeps only its own
+//! middle step: the inflation hands the newcomer a vertex; the deflation
+//! reserves one vertex per node and walks the contending nodes to the
+//! rest.
+//!
 //! Cost accounting:
 //! * the rebuild request flood and the Phase-2 balls-into-bins walks are
 //!   simulated hop-by-hop with real congestion (CONGEST: per-edge
@@ -22,8 +30,8 @@ use crate::fabric;
 use crate::mapping::VirtualMapping;
 use dex_graph::fxhash::{FxHashMap, FxHashSet};
 use dex_graph::ids::{NodeId, VertexId};
-use dex_graph::pcycle::{resize, PCycle};
-use dex_graph::primes;
+use dex_graph::pcycle::resize::Plan;
+use dex_graph::pcycle::PCycle;
 use dex_sim::rng::Purpose;
 use dex_sim::tokens::random_walk_search_slots;
 use rand::Rng;
@@ -48,18 +56,12 @@ fn charge_permutation_routing(dex: &mut DexNetwork, p: u64) {
 /// Requests travel between the old-cycle *source* vertices of `y` and
 /// `y⁻¹` along the old virtual graph, which is still fully materialized
 /// (the paper solves permutation routing on `Z_{t-1}(p_i)`).
-fn inverse_edge_routing(dex: &mut DexNetwork, inflating: bool, new_cycle: &PCycle) {
-    let p_new = new_cycle.p();
-    if p_new > crate::routing::EXACT_ROUTING_MAX_P {
-        charge_permutation_routing(dex, p_new);
+fn inverse_edge_routing(dex: &mut DexNetwork, plan: &Plan) {
+    if plan.p_new() > crate::routing::EXACT_ROUTING_MAX_P {
+        charge_permutation_routing(dex, plan.p_new());
         return;
     }
-    let p_old = dex.cycle.p();
-    let mut pairs = if inflating {
-        crate::routing::inflation_inverse_pairs(p_old, p_new)
-    } else {
-        crate::routing::deflation_inverse_pairs(p_old, p_new)
-    };
+    let mut pairs = crate::routing::inverse_pairs(plan);
     // Pairs whose sources live on the same node are local and free.
     pairs.retain(|&(a, b)| dex.map.owner_of(a) != dex.map.owner_of(b));
     crate::routing::route_pairs_with(
@@ -72,101 +74,86 @@ fn inverse_edge_routing(dex: &mut DexNetwork, inflating: bool, new_cycle: &PCycl
     );
 }
 
-/// Smallest prime we are willing to deflate to (`PCycle` needs p ≥ 5;
-/// below this the network is a constant-size object anyway).
-pub const MIN_PRIME: u64 = 5;
-
-/// Procedure `simplifiedInfl`. `pending` carries the freshly inserted node
-/// and its attach point when the inflation was triggered by an insertion.
-pub fn inflate(dex: &mut DexNetwork, pending: Option<(NodeId, NodeId)>) {
-    let p_old = dex.cycle.p();
-    let p_new = primes::inflation_prime(p_old);
-    let new_cycle = PCycle::new(p_new);
-
+/// Phase 1, shared by both procedures: coordinate the rebuild from `root`,
+/// hand every old vertex's generated run (its inflation cloud, or its
+/// deflation image if it dominates) to the vertex's owner, and build the
+/// new cycle's edges. Returns the new Φ; the old one stays live.
+fn stage(dex: &mut DexNetwork, plan: &Plan, root: NodeId) -> VirtualMapping {
     // Flood the rebuild request so every node switches to the same Z(p').
-    let root = pending
-        .map(|(_, v)| v)
-        .unwrap_or_else(|| dex.net.graph().nodes_sorted()[0]);
     // Under a fault spec the announcement flood plus its convergecast
     // (reservations + commit acks) run on the message schedule and may
     // roll back and re-initiate; nothing below executes until a
     // coordination round completes.
     dex.type2_coordinate(root);
 
-    // Phase 1: every node locally replaces each owned vertex x by its
-    // cloud (Eq. 6–8), in canonical (vertex-ascending) order. Local
-    // computation is free in the model. Clouds are contiguous (Eq. 7):
-    // one run assignment per old vertex — sequential dense writes instead
-    // of α separate assigns — into the owner's slot, which the new Φ
-    // shares with the old one (both are slotted by the graph's arena).
+    // Every node locally replaces each owned vertex by what it generates
+    // (Eq. 6–8), in canonical (vertex-ascending) order. Local computation
+    // is free in the model. A run is contiguous: one run assignment per
+    // old vertex — sequential dense writes — into the owner's slot, which
+    // the new Φ shares with the old one (both are slotted by the graph's
+    // arena).
     let mut new_map =
-        VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new, dex.net.graph().slot_bound());
+        VirtualMapping::with_caller_slots(dex.cfg.zeta, plan.p_new(), dex.net.graph().slot_bound());
     for (z, owner, slot) in dex.map.entries_at() {
-        let (start, len) = resize::inflation_cloud_range(z.0, p_old, p_new);
-        new_map.assign_run_at(VertexId(start), len, owner, slot);
+        let ys = plan.generated_by(z.0);
+        new_map.assign_run_at(VertexId(ys.start), ys.end - ys.start, owner, slot);
     }
     // Cycle edges come from the old cycle's edges: O(1) rounds, one
     // message per old cycle edge per direction.
     dex.net.charge_rounds(2);
-    dex.net.charge_messages(2 * p_old);
+    dex.net.charge_messages(2 * plan.p_old());
     // Inverse-chord edges by permutation routing on the old virtual graph.
-    inverse_edge_routing(dex, true, &new_cycle);
+    inverse_edge_routing(dex, plan);
+    new_map
+}
 
-    // The freshly inserted node receives one newly generated vertex from
-    // its attach point (Algorithm 4.5, line 6).
-    if let Some((u, v)) = pending {
-        let sv = dex.slot(v);
-        debug_assert!(new_map.load_at(sv) >= 4, "cloud sizes are >= 4 (α > 4)");
-        let z = *new_map.sim_at(sv).iter().max().expect("nonempty");
-        new_map.transfer_at(z, u, dex.slot(u));
-        dex.net.charge_messages(4);
-        dex.net.charge_rounds(1);
-    }
-
-    // Install the new fabric (exact multiset diff — shared edges are
-    // untouched). The adversarial attach edge disappears here unless the
-    // new virtual graph requires a (u, v) edge.
+/// Install `new_map` on the new cycle and switch over: rewire the fabric
+/// (exact multiset diff — shared edges are untouched), announce every
+/// node's new load to its neighbours, and spread any overload (> 4ζ) by
+/// random walks on the new virtual graph.
+fn install(dex: &mut DexNetwork, new_map: VirtualMapping, plan: &Plan) {
+    let new_cycle = PCycle::new(plan.p_new());
     fabric::rewire_to_map(&mut dex.net, &new_map, &new_cycle);
     dex.map = new_map;
     dex.cycle = new_cycle;
 
-    // Every node announces its new load to its neighbors once.
     let total_deg = dex.net.graph().degree_sum() as u64;
     dex.net.charge_messages(total_deg);
     dex.net.charge_rounds(1);
 
-    // Phase 2: spread overload (> 4ζ) via random walks on the new virtual
-    // graph until the mapping is 4ζ-balanced again.
+    // Deflation too: adversarial vertex placement can leave a node above
+    // 4ζ even after contraction (the paper's Claim bounds the typical
+    // case).
     rebalance_overload(dex);
+}
+
+/// Procedure `simplifiedInfl`, triggered by the insertion of `u` at the
+/// attach point `v`.
+pub fn inflate(dex: &mut DexNetwork, (u, v): (NodeId, NodeId)) {
+    let plan = Plan::inflation(dex.cycle.p());
+    let mut new_map = stage(dex, &plan, v);
+
+    // The freshly inserted node receives one newly generated vertex from
+    // its attach point (Algorithm 4.5, line 6). The adversarial attach
+    // edge disappears at the rewire unless the new virtual graph requires
+    // a (u, v) edge.
+    let sv = dex.slot(v);
+    debug_assert!(new_map.load_at(sv) >= 4, "cloud sizes are >= 4 (α > 4)");
+    let z = *new_map.sim_at(sv).iter().max().expect("nonempty");
+    new_map.transfer_at(z, u, dex.slot(u));
+    dex.net.charge_messages(4);
+    dex.net.charge_rounds(1);
+
+    install(dex, new_map, &plan);
 }
 
 /// Procedure `simplifiedDefl`. `root` is the node that detected the
 /// failure (the deletion rescuer).
 pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     let p_old = dex.cycle.p();
-    let p_new = primes::deflation_prime(p_old)
-        .filter(|&q| q >= MIN_PRIME)
+    let plan = Plan::deflation(p_old)
         .unwrap_or_else(|| panic!("cannot deflate below p = {p_old}: network too small for Z(p)"));
-    let new_cycle = PCycle::new(p_new);
-
-    // Same coordination contract as `inflate`: commit only after a
-    // complete announcement/reservation/ack round.
-    dex.type2_coordinate(root);
-
-    // Phase 1: dominating vertices survive (y = ⌊x/α⌋, smallest preimage
-    // keeps it), assigned in canonical order; everything else is
-    // contracted away.
-    let mut new_map =
-        VirtualMapping::with_caller_slots(dex.cfg.zeta, p_new, dex.net.graph().slot_bound());
-    for (z, owner, slot) in dex.map.entries_at() {
-        if resize::is_dominating(z.0, p_old, p_new) {
-            let image = resize::deflation_image(z.0, p_old, p_new);
-            new_map.assign_at(VertexId(image), owner, slot);
-        }
-    }
-    dex.net.charge_rounds(2);
-    dex.net.charge_messages(2 * p_old);
-    inverse_edge_routing(dex, false, &new_cycle);
+    let mut new_map = stage(dex, &plan, root);
 
     // Every node that got at least one new vertex reserves one by marking
     // it `taken` (Algorithm 4.6, line 9).
@@ -221,24 +208,13 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
             attempt += 1;
             assert!(
                 attempt < dex.cfg.max_walk_retries,
-                "deflation phase-2 walk starved (p {p_old} -> {p_new})"
+                "deflation phase-2 walk starved (p {p_old} -> {})",
+                plan.p_new()
             );
         }
     }
 
-    // Install the new fabric and switch over.
-    fabric::rewire_to_map(&mut dex.net, &new_map, &new_cycle);
-    dex.map = new_map;
-    dex.cycle = new_cycle;
-
-    let total_deg = dex.net.graph().degree_sum() as u64;
-    dex.net.charge_messages(total_deg);
-    dex.net.charge_rounds(1);
-
-    // Defensive: adversarial vertex placement can leave a node above 4ζ
-    // even after contraction (the paper's Claim bounds the typical case);
-    // reuse the inflation rebalancer.
-    rebalance_overload(dex);
+    install(dex, new_map, &plan);
 }
 
 /// Phase 2 of `simplifiedInfl`: nodes with load > 4ζ spread their surplus

@@ -11,10 +11,10 @@
 //! once, matching [`crate::MultiGraph`] conventions). Lubotzky showed this
 //! family has a constant eigenvalue gap, which is what DEX leans on.
 //!
-//! The [`resize`] submodule holds the pure arithmetic of *inflation*
-//! (Eq. 6–7: old vertex `x` becomes the cloud `y₀…y_c(x)` in the larger
-//! cycle) and *deflation* (`x ↦ ⌊x/α⌋`), with the bijection/surjection
-//! properties of Lemmas 4 and 6 verified by tests.
+//! The [`resize`] submodule holds the arithmetic of *inflation* (Eq. 6–7:
+//! old vertex `x` becomes the cloud `y₀…y_c(x)` in the larger cycle) and
+//! *deflation* (`x ↦ ⌊x/α⌋`) as one [`resize::Plan`], with the
+//! bijection/surjection properties of Lemmas 4 and 6 verified by tests.
 
 use crate::adjacency::MultiGraph;
 use crate::ids::{NodeId, VertexId};
@@ -32,6 +32,9 @@ pub struct PCycle {
 }
 
 impl PCycle {
+    /// The smallest prime a p-cycle is built on.
+    pub const MIN_P: u64 = 5;
+
     /// Build `Z(p)`.
     ///
     /// # Panics
@@ -40,7 +43,7 @@ impl PCycle {
     /// stored as `u32` by the route search here and by Φ's owner records,
     /// and the chord kernel's Barrett multiplication needs it).
     pub fn new(p: u64) -> Self {
-        assert!(p >= 5, "p-cycle needs p >= 5, got {p}");
+        assert!(p >= Self::MIN_P, "p-cycle needs p >= 5, got {p}");
         assert!(p >> 32 == 0, "p-cycle needs p < 2^32, got {p}");
         assert!(is_prime(p), "p-cycle needs prime p, got {p}");
         PCycle { p }
@@ -485,10 +488,15 @@ impl PathScratch {
     }
 }
 
-/// Pure arithmetic of p-cycle inflation and deflation (paper Eq. 6–8 and
-/// Sect. 4.2.2). All functions are total and deterministic; the protocol
-/// crates call these to compute clouds locally.
+/// The type-2 map of paper Eq. 6–8 and Sect. 4.2.2: which vertices of the
+/// new cycle each old vertex generates. [`resize::Plan`] is its one owner;
+/// both type-2 modes and the permutation router read it. All arithmetic
+/// is integral, total and deterministic, so every node computes it locally.
 pub mod resize {
+    use super::PCycle;
+    use crate::primes::{deflation_prime, inflation_prime};
+    use std::ops::Range;
+
     /// `⌈a·x / b⌉` in integer arithmetic (no floats — the paper's `α = p₊/p`
     /// is rational and float rounding would break the bijection proofs).
     #[inline]
@@ -502,103 +510,154 @@ pub mod resize {
         (((x as u128) * (a as u128)) / (b as u128)) as u64
     }
 
-    /// Inflation cloud size helper `c(x) = ⌈α(x+1)⌉ − ⌈αx⌉ − 1` (Eq. 6)
-    /// where `α = p_new / p_old`.
-    pub fn inflation_c(x: u64, p_old: u64, p_new: u64) -> u64 {
-        ceil_mul_div(x + 1, p_new, p_old) - ceil_mul_div(x, p_new, p_old) - 1
+    /// Which way a type-2 rebuild resizes the cycle.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Kind {
+        /// To the larger cycle `Z(p')`, `p' ∈ (4p, 8p)` (Sect. 4.2.1).
+        Inflation,
+        /// To the smaller cycle `Z(p_s)`, `p_s ∈ (p/8, p/4)` (Sect. 4.2.2).
+        Deflation,
     }
 
-    /// The inflation cloud of old vertex `x`: new vertices
-    /// `y_j = (⌈αx⌉ + j) mod p_new` for `0 ≤ j ≤ c(x)` (Eq. 7).
+    /// One type-2 rebuild `Z(p_old) → Z(p_new)`. Old vertex `x` generates
+    /// the contiguous range [`Plan::generated_by`]`(x)` of new vertices;
+    /// over `x` ascending these ranges tile `0..p_new` in order, and
+    /// [`Plan::source`]`(y)` is the old vertex whose range holds `y`.
     ///
-    /// Lemma 4(b): over all `x ∈ Z_{p_old}` these clouds partition
-    /// `Z_{p_new}` (a bijection between ⋃ clouds and `Z_{p_new}`), with
-    /// cloud size ≤ ζ = 8 because `α < 8`.
-    pub fn inflation_cloud(x: u64, p_old: u64, p_new: u64) -> Vec<u64> {
-        let (base, len) = inflation_cloud_range(x, p_old, p_new);
-        (0..len).map(|j| (base + j) % p_new).collect()
+    /// * **Inflation** (`α = p_new/p_old`): `x` generates its cloud
+    ///   `y_j = ⌈αx⌉ + j`, `0 ≤ j ≤ c(x) = ⌈α(x+1)⌉ − ⌈αx⌉ − 1` (Eq. 6–7).
+    ///   The clouds partition `Z_{p_new}` without wrapping (Lemma 4(b)) and
+    ///   hold at most ζ = 8 vertices, as `α < 8`.
+    /// * **Deflation** (`α = p_old/p_new`): `x` maps to its image `⌊x/α⌋`,
+    ///   and only the image's smallest preimage — its *dominating* vertex —
+    ///   generates it; so a node simulating a dominating vertex is
+    ///   guaranteed a vertex of the smaller cycle. The range is
+    ///   `image..image+1` for a dominating vertex and the empty
+    ///   `image+1..image+1` otherwise.
+    ///
+    /// Either way `generated_by(x).end` is the end of the prefix of the new
+    /// cycle generated by `0..=x`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub struct Plan {
+        kind: Kind,
+        p_old: u64,
+        p_new: u64,
     }
 
-    /// The cloud of `x` as a contiguous `(start, len)` range — clouds are
-    /// the consecutive intervals `[⌈αx⌉, ⌈α(x+1)⌉)` partitioning
-    /// `[0, p_new)`, so no wraparound occurs. The allocation-free form the
-    /// type-2 rebuild consumes (`VirtualMapping::assign_run`).
-    pub fn inflation_cloud_range(x: u64, p_old: u64, p_new: u64) -> (u64, u64) {
-        let base = ceil_mul_div(x, p_new, p_old);
-        let c = inflation_c(x, p_old, p_new);
-        debug_assert!(base + c < p_new, "cloud of {x} wraps");
-        (base, c + 1)
-    }
+    impl Plan {
+        /// Inflate `Z(p)` to `Z(p')`, `p'` the smallest prime in `(4p, 8p)`.
+        pub fn inflation(p: u64) -> Plan {
+            Plan {
+                kind: Kind::Inflation,
+                p_old: p,
+                p_new: inflation_prime(p),
+            }
+        }
 
-    /// Inverse of [`inflation_cloud`]: the old vertex whose cloud contains
-    /// new vertex `y`. Clouds are the consecutive ranges
-    /// `[⌈αx⌉, ⌈α(x+1)⌉)`, so the source is `⌊y·p_old/p_new⌋` (the
-    /// boundary case `y = αx` cannot occur for coprime primes unless
-    /// `x = 0`, where the formula is still right).
-    pub fn inflation_source(y: u64, p_old: u64, p_new: u64) -> u64 {
-        floor_mul_div(y, p_old, p_new)
-    }
+        /// Deflate `Z(p)` to `Z(p_s)`, `p_s` the smallest prime in
+        /// `(p/8, p/4)` — or `None` when that interval holds no prime of at
+        /// least [`PCycle::MIN_P`]: a network that small keeps its cycle.
+        pub fn deflation(p: u64) -> Option<Plan> {
+            let p_new = deflation_prime(p).filter(|&q| q >= PCycle::MIN_P)?;
+            Some(Plan {
+                kind: Kind::Deflation,
+                p_old: p,
+                p_new,
+            })
+        }
 
-    /// Deflation image `y_x = ⌊x / α⌋ = ⌊x · p_new / p_old⌋` with
-    /// `α = p_old / p_new` (Sect. 4.2.2).
-    pub fn deflation_image(x: u64, p_old: u64, p_new: u64) -> u64 {
-        floor_mul_div(x, p_new, p_old)
-    }
+        /// Inflation or deflation.
+        pub fn kind(&self) -> Kind {
+            self.kind
+        }
 
-    /// Is old vertex `x` *dominating*, i.e. the smallest preimage of its
-    /// deflation image? Dominating vertices are the ones that survive into
-    /// the smaller cycle (the node simulating one is guaranteed a vertex).
-    pub fn is_dominating(x: u64, p_old: u64, p_new: u64) -> bool {
-        x == 0 || deflation_image(x - 1, p_old, p_new) != deflation_image(x, p_old, p_new)
-    }
+        /// The prime of the cycle being replaced.
+        pub fn p_old(&self) -> u64 {
+            self.p_old
+        }
 
-    /// The deflation cloud (preimage) of new vertex `y`: the contiguous old
-    /// vertices `x` with `⌊x/α⌋ = y`, i.e. `⌈yα⌉ ≤ x < ⌈(y+1)α⌉` clipped to
-    /// `Z_{p_old}`.
-    pub fn deflation_cloud(y: u64, p_old: u64, p_new: u64) -> std::ops::Range<u64> {
-        let lo = ceil_mul_div(y, p_old, p_new);
-        let hi = ceil_mul_div(y + 1, p_old, p_new).min(p_old);
-        lo..hi
+        /// The prime of the cycle being built.
+        pub fn p_new(&self) -> u64 {
+            self.p_new
+        }
+
+        /// The new vertices old vertex `x` generates (see [`Plan`]).
+        pub fn generated_by(&self, x: u64) -> Range<u64> {
+            let (p_old, p_new) = (self.p_old, self.p_new);
+            match self.kind {
+                Kind::Inflation => ceil_mul_div(x, p_new, p_old)..ceil_mul_div(x + 1, p_new, p_old),
+                Kind::Deflation => {
+                    let image = floor_mul_div(x, p_new, p_old);
+                    let dominating = x == 0 || floor_mul_div(x - 1, p_new, p_old) != image;
+                    let start = if dominating { image } else { image + 1 };
+                    start..image + 1
+                }
+            }
+        }
+
+        /// The old vertex that generates new vertex `y`: `⌊y/α⌋` under an
+        /// inflation (the boundary case `y = αx` cannot occur for coprime
+        /// primes unless `x = 0`, where the formula still holds), the
+        /// smallest preimage `⌈yα⌉` under a deflation.
+        pub fn source(&self, y: u64) -> u64 {
+            match self.kind {
+                Kind::Inflation => floor_mul_div(y, self.p_old, self.p_new),
+                Kind::Deflation => ceil_mul_div(y, self.p_old, self.p_new),
+            }
+        }
     }
 
     #[cfg(test)]
     mod tests {
         use super::*;
-        use crate::primes::{deflation_prime, inflation_prime};
+        use crate::primes::is_prime;
+
+        /// The plan's contract, for either kind: the generated ranges of
+        /// `0..p_old` tile `0..p_new` in order, and `source(y) == x` for
+        /// every `y` in `generated_by(x)`. Returns the widest range.
+        fn check_plan(plan: Plan) -> u64 {
+            let (mut next, mut widest) = (0, 0);
+            for x in 0..plan.p_old() {
+                let ys = plan.generated_by(x);
+                assert_eq!(ys.start, next, "{plan:?}: gap or overlap at old {x}");
+                for y in ys.clone() {
+                    assert_eq!(plan.source(y), x, "{plan:?}: source of {y}");
+                }
+                widest = widest.max(ys.end - ys.start);
+                next = ys.end;
+            }
+            assert_eq!(next, plan.p_new(), "{plan:?}: not onto Z_p_new");
+            widest
+        }
 
         #[test]
         fn inflation_clouds_partition_new_cycle() {
             for p_old in [5u64, 23, 37, 101] {
-                let p_new = inflation_prime(p_old);
-                let mut seen = vec![false; p_new as usize];
-                let mut max_cloud = 0;
-                for x in 0..p_old {
-                    let cloud = inflation_cloud(x, p_old, p_new);
-                    assert!(!cloud.is_empty());
-                    max_cloud = max_cloud.max(cloud.len());
-                    for y in cloud {
-                        assert!(
-                            !seen[y as usize],
-                            "vertex {y} generated twice (p {p_old}->{p_new})"
-                        );
-                        seen[y as usize] = true;
-                    }
-                }
-                assert!(seen.iter().all(|&s| s), "not surjective onto Z_{p_new}");
-                assert!(max_cloud <= 8, "cloud size {max_cloud} exceeds ζ=8");
+                let plan = Plan::inflation(p_old);
+                assert_eq!(plan.kind(), Kind::Inflation);
+                assert!(check_plan(plan) <= 8, "a cloud of {plan:?} exceeds ζ = 8");
+                assert!(
+                    (0..p_old).all(|x| !plan.generated_by(x).is_empty()),
+                    "{plan:?}: every old vertex has a cloud"
+                );
             }
         }
 
         #[test]
         fn inflation_source_inverts_cloud() {
-            for p_old in [5u64, 23, 101] {
-                let p_new = inflation_prime(p_old);
-                for x in 0..p_old {
-                    for y in inflation_cloud(x, p_old, p_new) {
-                        assert_eq!(
-                            inflation_source(y, p_old, p_new),
-                            x,
-                            "y={y} p {p_old}->{p_new}"
+            // Both kinds, every prime below 2,000 that has a plan: the
+            // ranges tile, and `source` is also a right inverse — each new
+            // vertex lies in the range of its source.
+            for p in (5..2000u64).filter(|&p| is_prime(p)) {
+                for plan in [Some(Plan::inflation(p)), Plan::deflation(p)]
+                    .into_iter()
+                    .flatten()
+                {
+                    check_plan(plan);
+                    for y in 0..plan.p_new() {
+                        assert!(
+                            plan.generated_by(plan.source(y)).contains(&y),
+                            "{plan:?}: {y}"
                         );
                     }
                 }
@@ -607,11 +666,16 @@ pub mod resize {
 
         #[test]
         fn inflation_cloud_is_contiguous_mod_p() {
-            let (p_old, p_new) = (23u64, inflation_prime(23));
-            for x in 0..p_old {
-                let cloud = inflation_cloud(x, p_old, p_new);
-                for w in cloud.windows(2) {
-                    assert_eq!((w[0] + 1) % p_new, w[1]);
+            // Against Eq. 6–7 written out: y_j = (⌈αx⌉ + j) mod p_new for
+            // 0 ≤ j ≤ c(x) — contiguous, and never wrapping past p_new.
+            for p_old in [23u64, 101, 1009] {
+                let plan = Plan::inflation(p_old);
+                let p_new = plan.p_new();
+                let ceil_alpha = |x: u64| (x * p_new).div_ceil(p_old);
+                for x in 0..p_old {
+                    let c = ceil_alpha(x + 1) - ceil_alpha(x) - 1;
+                    let eq7: Vec<u64> = (0..=c).map(|j| (ceil_alpha(x) + j) % p_new).collect();
+                    assert_eq!(plan.generated_by(x).collect::<Vec<_>>(), eq7, "x = {x}");
                 }
             }
         }
@@ -619,11 +683,20 @@ pub mod resize {
         #[test]
         fn deflation_surjective_with_unique_dominators() {
             for p_old in [101u64, 499, 1009] {
-                let p_new = deflation_prime(p_old).unwrap();
-                let mut dominated = vec![0usize; p_new as usize];
+                let plan = Plan::deflation(p_old).unwrap();
+                assert_eq!(plan.kind(), Kind::Deflation);
+                check_plan(plan);
+                // Sect. 4.2.2 written out: image ⌊x·p_new/p_old⌋, and x
+                // generates it iff x is the image's smallest preimage.
+                let image = |x: u64| x * plan.p_new() / p_old;
+                let mut dominated = vec![0usize; plan.p_new() as usize];
                 for x in 0..p_old {
-                    if is_dominating(x, p_old, p_new) {
-                        dominated[deflation_image(x, p_old, p_new) as usize] += 1;
+                    let ys = plan.generated_by(x);
+                    assert_eq!(ys.end, image(x) + 1, "x = {x}");
+                    let dominating = x == 0 || image(x - 1) != image(x);
+                    assert_eq!(!ys.is_empty(), dominating, "x = {x}");
+                    for y in ys {
+                        dominated[y as usize] += 1;
                     }
                 }
                 assert!(
@@ -631,26 +704,42 @@ pub mod resize {
                     "each new vertex needs exactly one dominator"
                 );
             }
+            // No plan exactly where no prime ≥ 5 lies in (p/8, p/4).
+            for p in (5..2000u64).filter(|&p| is_prime(p)) {
+                let q = deflation_prime(p);
+                assert_eq!(
+                    Plan::deflation(p).is_none(),
+                    q.is_none_or(|q| q < 5),
+                    "p = {p}"
+                );
+            }
+            assert!(Plan::deflation(23).is_none() && Plan::deflation(29).is_some());
         }
 
         #[test]
         fn deflation_clouds_cover_old_cycle() {
-            let p_old = 499u64;
-            let p_new = deflation_prime(p_old).unwrap();
-            let mut covered = vec![false; p_old as usize];
-            let mut max_cloud = 0usize;
-            for y in 0..p_new {
-                let r = deflation_cloud(y, p_old, p_new);
-                max_cloud = max_cloud.max((r.end - r.start) as usize);
-                for x in r {
-                    assert!(!covered[x as usize]);
-                    covered[x as usize] = true;
-                    assert_eq!(deflation_image(x, p_old, p_new), y);
+            // The preimage of new vertex y is source(y)..source(y+1): these
+            // partition Z_{p_old}, and α = p_old/p_new < 8 ⇒ ≤ 8 elements.
+            for p_old in [499u64, 1009, 10007] {
+                let plan = Plan::deflation(p_old).unwrap();
+                let p_new = plan.p_new();
+                let mut covered = vec![false; p_old as usize];
+                for y in 0..p_new {
+                    let end = if y + 1 < p_new {
+                        plan.source(y + 1)
+                    } else {
+                        p_old
+                    };
+                    let preimage = plan.source(y)..end;
+                    assert!((1..=8).contains(&(end - plan.source(y))), "{plan:?}: {y}");
+                    for x in preimage {
+                        assert!(!covered[x as usize]);
+                        covered[x as usize] = true;
+                        assert!(plan.generated_by(x).end == y + 1, "x = {x}");
+                    }
                 }
+                assert!(covered.iter().all(|&c| c));
             }
-            assert!(covered.iter().all(|&c| c));
-            // α = p_old/p_new < 8 ⇒ preimages have ≤ 8 elements.
-            assert!(max_cloud <= 8, "deflation cloud {max_cloud} > 8");
         }
     }
 }

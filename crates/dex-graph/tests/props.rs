@@ -3,7 +3,8 @@
 use dex_graph::adjacency::MultiGraph;
 use dex_graph::connectivity::bfs_distances;
 use dex_graph::ids::{NodeId, VertexId};
-use dex_graph::pcycle::{resize, PCycle};
+use dex_graph::pcycle::resize::Plan;
+use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
 use proptest::prelude::*;
 
@@ -62,10 +63,10 @@ proptest! {
 
     #[test]
     fn inflation_partitions_new_cycle(p in arb_prime()) {
-        let q = primes::inflation_prime(p);
-        let mut seen = vec![false; q as usize];
+        let plan = Plan::inflation(p);
+        let mut seen = vec![false; plan.p_new() as usize];
         for x in 0..p {
-            for y in resize::inflation_cloud(x, p, q) {
+            for y in plan.generated_by(x) {
                 prop_assert!(!seen[y as usize], "duplicate {}", y);
                 seen[y as usize] = true;
             }
@@ -75,25 +76,23 @@ proptest! {
 
     #[test]
     fn inflation_cloud_size_below_zeta(p in arb_prime(), x in 0u64..4000) {
-        let q = primes::inflation_prime(p);
-        let x = x % p;
-        let cloud = resize::inflation_cloud(x, p, q);
+        let cloud = Plan::inflation(p).generated_by(x % p);
         prop_assert!(!cloud.is_empty());
-        prop_assert!(cloud.len() <= 8, "cloud of {} vertices", cloud.len());
+        prop_assert!(cloud.end - cloud.start <= 8, "cloud of {:?}", cloud);
     }
 
     #[test]
     fn deflation_image_within_range(p in arb_prime().prop_filter("large enough", |&p| p >= 97)) {
-        let q = primes::deflation_prime(p).expect("deflation prime exists for p >= 97");
-        for x in 0..p {
-            let y = resize::deflation_image(x, p, q);
-            prop_assert!(y < q, "image {} out of Z_{}", y, q);
-        }
-        // Each new vertex has exactly one dominating preimage.
+        let plan = Plan::deflation(p).expect("deflation prime exists for p >= 97");
+        let q = plan.p_new();
+        // Each new vertex has exactly one dominating preimage, which alone
+        // generates it; every image lies in Z_q.
         let mut dom = vec![0u32; q as usize];
         for x in 0..p {
-            if resize::is_dominating(x, p, q) {
-                dom[resize::deflation_image(x, p, q) as usize] += 1;
+            let ys = plan.generated_by(x);
+            prop_assert!(ys.end <= q, "image {} out of Z_{}", ys.end - 1, q);
+            for y in ys {
+                dom[y as usize] += 1;
             }
         }
         prop_assert!(dom.iter().all(|&c| c == 1));
