@@ -17,6 +17,7 @@ use dex_sim::msim::FloodOutcome;
 use dex_sim::rng::{Purpose, SeedSpace};
 use dex_sim::tokens::random_walk_search_slots;
 use dex_sim::{Network, RecoveryKind, StepKind, StepMetrics};
+use std::ops::Range;
 
 /// Counters for walk behaviour (experiment E7).
 #[derive(Debug, Default, Clone, Copy)]
@@ -259,7 +260,7 @@ impl DexNetwork {
         self.net.adversary_add_edge_slots(su, sv);
 
         let recovery = if self.stag.is_some() {
-            crate::staggered::insert_during_staggered(self, u, v);
+            crate::staggered::insert_during_staggered(self, su, sv);
             RecoveryKind::Type1Staggered
         } else {
             self.heal_insert(su, sv, HealScope::SingleOp)
@@ -334,9 +335,9 @@ impl DexNetwork {
                 // walks that complete keep missing an empty spare set.
                 if res.complete {
                     self.walk_stats.type2 += 1;
-                    let v_id = self.net.graph().id_of_slot(v);
                     return match self.cfg.mode {
                         RecoveryMode::Simplified => {
+                            let v_id = self.net.graph().id_of_slot(v);
                             crate::type2_simple::inflate(self, (u_id, v_id));
                             RecoveryKind::InflateSimple
                         }
@@ -346,7 +347,7 @@ impl DexNetwork {
                             // now, and the new node is served from the
                             // first staged window.
                             crate::staggered::begin(self, Plan::inflation(self.cycle.p()));
-                            crate::staggered::insert_during_staggered(self, u_id, v_id);
+                            crate::staggered::insert_during_staggered(self, u, v);
                             RecoveryKind::InflateStaggered
                         }
                     };
@@ -426,8 +427,7 @@ impl DexNetwork {
         self.net.adversary_remove_node(victim);
 
         let recovery = if self.stag.is_some() {
-            let rescuer = self.net.graph().id_of_slot(rescuer);
-            crate::staggered::delete_during_staggered(self, victim, victim_slot, rescuer);
+            crate::staggered::delete_during_staggered(self, victim_slot, rescuer);
             RecoveryKind::Type1Staggered
         } else {
             self.heal_delete(victim, victim_slot, rescuer, HealScope::SingleOp)
@@ -656,12 +656,14 @@ impl DexNetwork {
     // Transports
     // ------------------------------------------------------------------
 
-    /// One healing walk from slot `start`, keyed by `(purpose, ctx)`.
-    /// Without a fault spec it is a single centralized token that cannot be
-    /// lost, walking the arena with a per-slot load read as its predicate;
-    /// with one it runs on the message schedule, which speaks ids
-    /// ([`Self::walk_scheduled`]). Inlined into the two loops so the
-    /// caller's constant goal and exclusion reach the walk's inner loop.
+    /// One healing walk from slot `start`, keyed by `(purpose, ctx)`;
+    /// `ctx` ends in the walk's attempt index. Without a fault spec it is
+    /// one attempt of the centralized leaf ([`Self::walk_central`]), a
+    /// token that cannot be lost, walking the arena with a per-slot load
+    /// read as its predicate; with one it runs on the message schedule,
+    /// which speaks ids ([`Self::walk_scheduled`]). Inlined into the two
+    /// loops so the caller's constant goal and exclusion reach the walk's
+    /// inner loop.
     #[inline]
     fn heal_walk(
         &mut self,
@@ -673,18 +675,24 @@ impl DexNetwork {
     ) -> HealWalk {
         match self.faults {
             None => {
-                let mut rng = self.seeds.stream(purpose, ctx);
+                let (&attempt, key) = ctx.split_last().expect("ctx ends in the attempt");
+                let one = attempt..attempt + 1;
                 // Matched out here so the walk's per-hop predicate stays a
                 // direct call.
                 let hit = match goal {
                     WalkGoal::Spare => {
-                        self.walk_central(start, exclude, VirtualMapping::is_spare_at, &mut rng)
+                        let spare = VirtualMapping::is_spare_at;
+                        self.walk_central(start, exclude, purpose, key, one, spare)
                     }
                     WalkGoal::Low => {
-                        self.walk_central(start, exclude, VirtualMapping::is_low_at, &mut rng)
+                        let low = VirtualMapping::is_low_at;
+                        self.walk_central(start, exclude, purpose, key, one, low)
                     }
                 };
-                HealWalk { hit, lost: false }
+                HealWalk {
+                    hit: hit.map(|(w, _)| w),
+                    lost: false,
+                }
             }
             Some(spec) => {
                 let g = self.net.graph();
@@ -694,26 +702,46 @@ impl DexNetwork {
         }
     }
 
-    /// The centralized walk transport, generic over the goal's predicate.
+    /// The centralized walk-with-budget leaf: one walk of `walk_len` hops
+    /// from slot `start` (never onto `exclude`) per attempt index in
+    /// `attempts`, attempt `k` drawing its stream from `(purpose, ctx ++
+    /// [k])`, until one stops on a node `accept(&Φ, slot)` takes. Returns
+    /// that node's slot and the attempt that found it. Type-1's walks
+    /// ([`Self::heal_walk`], one attempt at a time) and every type-2 walk,
+    /// simplified or staggered, go through it. Generic and inlined, so
+    /// each caller's predicate is a direct call in the walk's inner loop.
     #[inline]
-    fn walk_central(
+    pub(crate) fn walk_central(
         &mut self,
         start: u32,
         exclude: Option<u32>,
+        purpose: Purpose,
+        ctx: &[u64],
+        attempts: Range<u64>,
         accept: impl Fn(&VirtualMapping, u32) -> bool,
-        rng: &mut impl rand::Rng,
-    ) -> Option<u32> {
+    ) -> Option<(u32, u64)> {
         let walk_len = self.cfg.walk_len(self.cycle.p());
-        let map = &self.map;
-        random_walk_search_slots(
-            &mut self.net,
-            start,
-            walk_len,
-            exclude,
-            |w| accept(map, w),
-            rng,
-        )
-        .hit
+        // Every caller's key is at most three words before the attempt.
+        let mut key = [0u64; 4];
+        let n = ctx.len();
+        key[..n].copy_from_slice(ctx);
+        for attempt in attempts {
+            key[n] = attempt;
+            let mut rng = self.seeds.stream(purpose, &key[..=n]);
+            let map = &self.map;
+            let out = random_walk_search_slots(
+                &mut self.net,
+                start,
+                walk_len,
+                exclude,
+                |w| accept(map, w),
+                &mut rng,
+            );
+            if let Some(w) = out.hit {
+                return Some((w, attempt));
+            }
+        }
+        None
     }
 
     /// One deterministic count of `goal`'s set from the node in slot
@@ -876,6 +904,63 @@ mod tests {
             assert_eq!((res.n, res.matching), (dex.n(), matching));
         }
         dex.net.end_step(StepKind::Insert, RecoveryKind::Type1);
+    }
+
+    /// The walk-with-budget leaf. With a predicate that takes nothing and
+    /// a budget of `b` attempts it returns `None` after exactly `b` walks
+    /// of `walk_len` hops, charged one round and one message per hop. An
+    /// attempt range starting at `k` draws attempt `k`'s stream from
+    /// `(purpose, ctx ++ [k])`: hop for hop the walk a direct
+    /// `random_walk_search_slots` call on that stream takes. A hit returns
+    /// the first attempt whose direct walk hits.
+    #[test]
+    fn walk_leaf_spends_exactly_its_budget_and_keys_attempts_by_index() {
+        use std::cell::{Cell, RefCell};
+        let mut dex = DexNetwork::bootstrap(DexConfig::new(0x1eaf).simplified(), 32);
+        let walk_len = dex.cfg.walk_len(dex.cycle.p());
+        let start = dex.slot(NodeId(3));
+        let (purpose, ctx) = (Purpose::DeleteWalk, [7, 11]);
+        dex.net.begin_step();
+        for (k, b) in [(0, 0), (0, 1), (4, 5), (9, 16)] {
+            let (r0, m0, t0) = dex.net.current_counters();
+            let hops = Cell::new(0);
+            let never = |_: &VirtualMapping, _| {
+                hops.set(hops.get() + 1);
+                false
+            };
+            assert_eq!(
+                dex.walk_central(start, None, purpose, &ctx, k..k + b, never),
+                None
+            );
+            assert_eq!(hops.get(), b * walk_len, "{b} walks, none cut short");
+            let (r, m, t) = dex.net.current_counters();
+            assert_eq!((r - r0, m - m0, t - t0), (b * walk_len, b * walk_len, 0));
+        }
+        // The slots one walk visits, through the leaf or called directly.
+        let path = |dex: &mut DexNetwork, direct: bool, k: u64| {
+            let seen = RefCell::new(Vec::new());
+            let record = |w: u32| {
+                seen.borrow_mut().push(w);
+                false
+            };
+            if direct {
+                let mut rng = dex.seeds.stream(purpose, &[ctx[0], ctx[1], k]);
+                random_walk_search_slots(&mut dex.net, start, walk_len, None, record, &mut rng);
+            } else {
+                dex.walk_central(start, None, purpose, &ctx, k..k + 1, |_, w| record(w));
+            }
+            seen.into_inner()
+        };
+        for k in [0, 3, 40] {
+            let leaf = path(&mut dex, false, k);
+            assert_eq!(leaf.len() as u64, walk_len);
+            assert_eq!(leaf, path(&mut dex, true, k), "attempt {k}");
+        }
+        let target = dex.slot(NodeId(20));
+        let first_hit = (5..).find(|&k| path(&mut dex, true, k).contains(&target));
+        let hit = dex.walk_central(start, None, purpose, &ctx, 5..200, |_, w| w == target);
+        assert_eq!(hit, first_hit.map(|k| (target, k)));
+        dex.net.end_step(StepKind::Delete, RecoveryKind::Type1);
     }
 
     /// One script step on both networks — an insert attached to a random

@@ -10,7 +10,8 @@
 //! transport is this module's — every token, flood forward, convergecast
 //! report and route hop is an actual scheduled message, subject to loss,
 //! latency skew and partitions — and without one it is the centralized
-//! `random_walk_search` / `flood_count_with` / hop count, which never
+//! `random_walk_search_slots` / `flood_count_slots` / hop count behind
+//! `DexNetwork::heal_walk` / `DexNetwork::heal_flood`, which never
 //! loses a token and always completes its convergecast. Generation 0 of
 //! a scheduled walk replays the centralized RNG stream and unit-latency
 //! scheduling charges one round and one message per hop, so a **zero**
@@ -59,9 +60,11 @@
 //! re-initiates with exponential backoff up to `type2_retries` times
 //! before escalating to a per-link-ARQ reliable announcement (charged at
 //! the centralized flood cost), so a type-2 always completes. Only the
-//! in-rebuild traffic models (permutation routing, phase-2 rebalance
-//! walks) stay analytical/centralized — they run after the commit point
-//! on charged cost models.
+//! in-rebuild traffic models stay analytical/centralized — permutation
+//! routing, the overload-spreading token walks, and the deflation's
+//! phase-2 walks, which go through the centralized walk leaf
+//! (`DexNetwork::walk_central`) — they run after the commit point on
+//! charged cost models.
 
 use crate::config::RecoveryMode;
 use crate::dex::{DexNetwork, HealWalk, WalkGoal};

@@ -16,7 +16,11 @@
 //! over Θ(n) steps behind a coordinator ([`staggered`], worst-case
 //! bounds). Both modes, and the permutation router that installs the new
 //! cycle's chords ([`routing`]), read one `dex_graph::pcycle::resize::Plan`
-//! for which new vertices each old vertex generates. A DHT rides on top
+//! for which new vertices each old vertex generates. Every centralized
+//! walk, type-1's and both type-2 modes', is one walk-with-budget leaf
+//! (`DexNetwork::walk_central`), and the staggered mode builds on type-1's
+//! primitives by node slot: its edge edits move enumerated instances with
+//! one detach/attach pair. A DHT rides on top
 //! ([`dht`]) and a batch extension handles εn simultaneous
 //! insertions/deletions ([`batch`]).
 //!

@@ -28,6 +28,15 @@
 //! spare credit and either receive a staged vertex or a *preassignment* of
 //! a not-yet-staged one (the paper's "generate such vertices on the fly").
 //!
+//! The operation is built from type-1's primitives, on node slots
+//! throughout. Every walk — rebalancing, contention, a newcomer's, a
+//! rescuer's — is one call of the walk-with-budget leaf
+//! (`DexNetwork::walk_central`). Every edge edit goes through one
+//! enumerator of edge instances (`Inst`: old remnant, overlay,
+//! intermediate) and one detach/attach pair: staging attaches, dropping
+//! detaches, and every move of vertices between nodes — a type-1 heal's,
+//! a donation, a rescuer's adoption — is one `rehome`.
+//!
 //! An operation starts at [`begin`] with its plan (either kind); the
 //! coordinator's entry points take it out of `DexNetwork::stag` for the
 //! call and hand `&mut StaggeredOp` down explicitly; nothing they call on
@@ -38,11 +47,10 @@ use crate::dex::DexNetwork;
 use crate::fabric;
 use crate::mapping::VirtualMapping;
 use dex_graph::fxhash::FxHashMap;
-use dex_graph::ids::{NodeId, VertexId};
+use dex_graph::ids::VertexId;
 use dex_graph::pcycle::resize::{Kind, Plan};
 use dex_graph::pcycle::PCycle;
 use dex_sim::rng::Purpose;
-use dex_sim::tokens::random_walk_search_slots;
 use std::ops::Range;
 
 /// An in-progress staggered type-2 operation.
@@ -62,8 +70,9 @@ pub struct StaggeredOp {
     // --- deflation-only state, indexed by node slot like Φ ---
     /// Each node's reserve: the one staged vertex it never gives away.
     reserve: Vec<Option<VertexId>>,
-    /// Future owners of not-yet-staged new vertices (credit donations).
-    preassigned: FxHashMap<u64, NodeId>,
+    /// Future owners' slots of not-yet-staged new vertices (credit
+    /// donations).
+    preassigned: FxHashMap<u64, u32>,
     /// Per node, the entries of `preassigned` naming it.
     preassigned_count: Vec<u32>,
 }
@@ -145,6 +154,14 @@ impl StaggeredOp {
         self.reserve.get(slot as usize).copied().flatten()
     }
 
+    /// The largest staged vertex the node in `slot` may give away: any but
+    /// its reserve (an inflation has none).
+    fn giveable_at(&self, slot: u32) -> Option<u64> {
+        let reserve = self.reserve_at(slot);
+        let sim = self.staged_map.sim_at(slot).iter();
+        sim.filter(|&&z| Some(z) != reserve).map(|z| z.0).max()
+    }
+
     /// Preassignments promised to the node in `slot`.
     fn preassigned_at(&self, slot: u32) -> u64 {
         self.preassigned_count
@@ -160,34 +177,43 @@ impl StaggeredOp {
     }
 
     // ------------------------------------------------------------------
-    // Overlay instance enumeration
+    // Edge instances
     // ------------------------------------------------------------------
 
-    /// Physical endpoints of one overlay instance.
-    fn endpoints(&self, map: &VirtualMapping, inst: Inst) -> (NodeId, NodeId) {
+    /// Both endpoints' slots of one instance: a staged vertex's owner from
+    /// the staged map, an old vertex's from the live Φ `map`.
+    fn endpoints(&self, map: &VirtualMapping, inst: Inst) -> (u32, u32) {
+        let old = |x: u64| map.owner_slot_of(VertexId(x));
+        let new = |y: u64| self.staged_map.owner_slot_of(VertexId(y));
         match inst {
-            Inst::Real(a, b) => (
-                self.staged_map.owner_of(VertexId(a)),
-                self.staged_map.owner_of(VertexId(b)),
-            ),
-            Inst::Loop(y) => {
-                let u = self.staged_map.owner_of(VertexId(y));
-                (u, u)
-            }
-            Inst::Inter(y, x) => (
-                self.staged_map.owner_of(VertexId(y)),
-                map.owner_of(VertexId(x)),
-            ),
+            Inst::Old(a, b) => (old(a), old(b)),
+            Inst::Real(a, b) => (new(a), new(b)),
+            Inst::Loop(y) => (new(y), new(y)),
+            Inst::Inter(y, x) => (new(y), old(x)),
         }
     }
 
-    /// Overlay instances incident to the staged vertex set `set` (each
-    /// undirected instance exactly once). All members must be staged.
-    fn incident_overlay(&self, set: &[u64]) -> Vec<Inst> {
+    /// The instances incident to the live old vertices `old` and the
+    /// staged vertices `staged`, each undirected instance exactly once:
+    /// the old remnant ([`fabric::incident_edges_into`] minus the instances
+    /// whose far endpoint is dropped), the overlay of `staged`, then the
+    /// intermediate edges other staged vertices point at `old`. A move
+    /// detaches and attaches them in this order, which fixes where each
+    /// lands in its rows, and with that every later walk.
+    fn incident(&self, cycle_old: &PCycle, old: &[VertexId], staged: &[u64]) -> Vec<Inst> {
+        debug_assert!(old.iter().all(|z| !self.dropped(z.0)));
+        let chords: Vec<VertexId> = old.iter().map(|&z| cycle_old.chord(z)).collect();
+        let mut remnant = Vec::new();
+        fabric::incident_edges_into(cycle_old, old, &chords, &mut remnant);
+        let mut out: Vec<Inst> = remnant
+            .into_iter()
+            .filter(|&(a, b)| !self.dropped(a.0) && !self.dropped(b.0))
+            .map(|(a, b)| Inst::Old(a.0, b.0))
+            .collect();
+
         let p = self.new_cycle.p();
-        let in_set = |v: u64| set.contains(&v);
-        let mut out = Vec::new();
-        for &y in set {
+        let in_set = |v: u64| staged.contains(&v);
+        for &y in staged {
             debug_assert!(self.staged(y));
             let succ = (y + 1) % p;
             if self.staged(succ) {
@@ -214,6 +240,14 @@ impl StaggeredOp {
                 out.push(Inst::Inter(y, self.plan.source(chord)));
             }
         }
+
+        for &z in old.iter().filter(|z| z.0 >= self.stage_cursor) {
+            self.for_each_inter_source(z.0, |y| {
+                if !in_set(y) {
+                    out.push(Inst::Inter(y, z.0));
+                }
+            });
+        }
         out
     }
 
@@ -233,34 +267,6 @@ impl StaggeredOp {
                 }
             }
         }
-    }
-
-    /// Staged vertices whose intermediate edges point at old vertex `x`
-    /// (one entry per instance; duplicates mean parallel instances).
-    /// `exclude` suppresses sources in a set being handled elsewhere.
-    fn inter_sources_at_old(&self, x: u64, exclude: &[u64]) -> Vec<u64> {
-        let mut out = Vec::new();
-        if self.stage_cursor > x {
-            return out; // x processed: nothing points at it
-        }
-        self.for_each_inter_source(x, |y| {
-            if !exclude.contains(&y) {
-                out.push(y);
-            }
-        });
-        out
-    }
-
-    /// Old-fabric instances incident to the live old vertices `xs`, each
-    /// exactly once: [`fabric::incident_edges_into`] minus the instances
-    /// whose far endpoint is dropped (Phase 2).
-    fn old_incident(&self, cycle_old: &PCycle, xs: &[VertexId]) -> Vec<(VertexId, VertexId)> {
-        debug_assert!(xs.iter().all(|z| !self.dropped(z.0)));
-        let chords: Vec<VertexId> = xs.iter().map(|&z| cycle_old.chord(z)).collect();
-        let mut out = Vec::new();
-        fabric::incident_edges_into(cycle_old, xs, &chords, &mut out);
-        out.retain(|&(a, b)| !self.dropped(a.0) && !self.dropped(b.0));
-        out
     }
 
     /// Append the overlay's entries of the row of the node in `slot`, by
@@ -325,15 +331,73 @@ impl StaggeredOp {
     }
 }
 
-/// One overlay edge instance.
+/// One edge instance of the network during an operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Inst {
+    /// Old-remnant edge between two live old vertices.
+    Old(u64, u64),
     /// Both endpoints staged (new-cycle edge).
     Real(u64, u64),
     /// Self-loop at a staged vertex.
     Loop(u64),
     /// Intermediate edge: staged vertex → owner of an old source vertex.
     Inter(u64, u64),
+}
+
+/// Take the instances `insts` off the network, each between the nodes
+/// that hold its endpoints now.
+fn detach(dex: &mut DexNetwork, op: &StaggeredOp, insts: &[Inst]) {
+    for &inst in insts {
+        let (a, b) = op.endpoints(&dex.map, inst);
+        assert!(
+            dex.net.remove_edge_slots(a, b),
+            "missing instance {inst:?} at slots ({a},{b})"
+        );
+    }
+}
+
+/// Put the instances `insts` on the network, each between the nodes that
+/// hold its endpoints now.
+fn attach(dex: &mut DexNetwork, op: &StaggeredOp, insts: &[Inst]) {
+    for &inst in insts {
+        let (a, b) = op.endpoints(&dex.map, inst);
+        dex.net.add_edge_slots(a, b);
+    }
+}
+
+/// Move the live old vertices `old` and the staged vertices `staged` to
+/// the node in slot `to` with every instance incident to them
+/// ([`StaggeredOp::incident`]): detach the instances, retarget both maps,
+/// attach them again. `wired` is `false` for a deletion's rescuer: the
+/// victim took the instances with it, so there is nothing to detach.
+/// Uncharged: each caller charges its own handoff.
+fn rehome(
+    dex: &mut DexNetwork,
+    op: &mut StaggeredOp,
+    old: &[VertexId],
+    staged: &[u64],
+    to: u32,
+    wired: bool,
+) {
+    let insts = op.incident(&dex.cycle, old, staged);
+    if wired {
+        detach(dex, op, &insts);
+    }
+    let id = dex.net.graph().id_of_slot(to);
+    for &z in old {
+        dex.map.transfer_at(z, id, to);
+    }
+    for &y in staged {
+        op.staged_map.transfer_at(VertexId(y), id, to);
+    }
+    attach(dex, op, &insts);
+}
+
+/// One vertex handoff: the vertex and its neighbours' owners in O(1)
+/// messages, one round.
+fn charge_handoff(dex: &mut DexNetwork) {
+    dex.net.charge_messages(4);
+    dex.net.charge_rounds(1);
 }
 
 // ======================================================================
@@ -428,32 +492,27 @@ fn advance(dex: &mut DexNetwork, mut op: StaggeredOp) {
 
 /// Phase 1: process old vertex `x` (stage its generated vertices).
 fn stage_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
-    let owner_old = dex.map.owner_of(VertexId(x));
+    let owner = dex.map.owner_slot_of(VertexId(x));
 
     // Remove intermediate instances that currently point at x: they are
     // about to be upgraded to real new-cycle edges.
-    for src in op.inter_sources_at_old(x, &[]) {
-        let a = op.staged_map.owner_of(VertexId(src));
-        assert!(
-            dex.net.remove_edge(a, owner_old),
-            "missing intermediate ({a} -> {owner_old}) for staged {src} at old {x}"
-        );
-    }
+    let mut inters = Vec::new();
+    op.for_each_inter_source(x, |y| inters.push(Inst::Inter(y, x)));
+    detach(dex, op, &inters);
 
     // Stage the generated vertices.
     let gens: Vec<u64> = op.plan.generated_by(x).collect();
-    let is_deflate = !op.is_inflation();
     for &y in &gens {
-        let target = match op.preassigned.remove(&y) {
-            Some(u) => {
-                *at_mut(&mut op.preassigned_count, dex.slot(u)) -= 1;
-                u
+        let slot = match op.preassigned.remove(&y) {
+            Some(s) => {
+                op.preassigned_count[s as usize] -= 1;
+                s
             }
-            None => owner_old,
+            None => owner,
         };
-        let slot = dex.slot(target);
-        op.staged_map.assign_at(VertexId(y), target, slot);
-        if is_deflate && op.staged_map.load_at(slot) == 1 {
+        let id = dex.net.graph().id_of_slot(slot);
+        op.staged_map.assign_at(VertexId(y), id, slot);
+        if !op.is_inflation() && op.staged_map.load_at(slot) == 1 {
             op.set_reserve(slot, y); // the node's reserve
         }
     }
@@ -462,113 +521,64 @@ fn stage_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
     op.stage_cursor = x + 1;
     // Materialize the staged vertices' instances (real edges to staged
     // neighbors, intermediate edges into the unstaged region).
-    for inst in op.incident_overlay(&gens) {
-        let (a, b) = op.endpoints(&dex.map, inst);
-        dex.net.add_edge(a, b);
-    }
+    let insts = op.incident(&dex.cycle, &[], &gens);
+    attach(dex, op, &insts);
     dex.net.charge_messages(3 * gens.len() as u64 + 2);
     dex.net.charge_rounds(1);
 
-    // Inflation: a node holding > 4ζ staged vertices spreads the surplus.
     if op.is_inflation() {
-        rebalance_staged(dex, op, owner_old);
-        // Transfers may also have pushed the preassignment recipient over.
+        // A node holding > 4ζ staged vertices spreads the surplus.
+        rebalance_staged(dex, op, owner);
     } else {
-        // Deflation: contention check for the owner whose old vertices may
-        // now all be processed.
-        maybe_contend(dex, op, owner_old);
+        // Contention check for the owner whose old vertices may now all
+        // be processed.
+        maybe_contend(dex, op, owner);
     }
 }
 
-/// Inflation Phase 1 rebalancing (Algorithm 4.8, line 6): while `u` holds
-/// more than 4ζ staged vertices, walk the real network for nodes with
-/// staged load < 4ζ and hand surplus vertices over.
-fn rebalance_staged(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId) {
+/// Inflation Phase 1 rebalancing (Algorithm 4.8, line 6): while the node
+/// in slot `u` holds more than 4ζ staged vertices, walk the real network
+/// for nodes with staged load < 4ζ and hand surplus vertices over. One
+/// attempt budget serves the whole surplus.
+fn rebalance_staged(dex: &mut DexNetwork, op: &mut StaggeredOp, u: u32) {
     let cap = dex.cfg.max_load();
-    let walk_len = dex.cfg.walk_len(dex.cycle.p());
-    let su = dex.slot(u);
+    let key = [dex.step_no, dex.net.graph().id_of_slot(u).0];
+    // The surplus's walks share attempts 0..max − 1: one that would
+    // need attempt max − 1 starves.
+    let budget = dex.cfg.max_walk_retries.saturating_sub(1);
     let mut attempt = 0u64;
-    while op.staged_map.load_at(su) > cap {
-        let step_no = dex.step_no;
-        let out = {
-            let op = &*op;
-            let mut rng = dex
-                .seeds
-                .stream(Purpose::RebalanceWalk, &[step_no, u.0, attempt]);
-            random_walk_search_slots(
-                &mut dex.net,
-                su,
-                walk_len,
-                None,
-                |w| w != su && op.staged_map.load_at(w) < cap,
-                &mut rng,
-            )
-        };
-        if let Some(sw) = out.hit {
-            // An inflation has no reserves: any vertex may go.
-            let y = op
-                .staged_map
-                .sim_at(su)
-                .iter()
-                .map(|z| z.0)
-                .max()
-                .expect("load > cap");
-            let w = dex.net.graph().id_of_slot(sw);
-            move_staged_vertex(dex, op, y, w);
-        }
-        attempt += 1;
-        assert!(
-            attempt < dex.cfg.max_walk_retries,
-            "staged rebalance starved at node {u}"
-        );
+    while op.staged_map.load_at(u) > cap {
+        let under_cap = |_: &VirtualMapping, w| w != u && op.staged_map.load_at(w) < cap;
+        let purpose = Purpose::RebalanceWalk;
+        let (w, hit) = dex
+            .walk_central(u, None, purpose, &key, attempt..budget, under_cap)
+            .unwrap_or_else(|| panic!("staged rebalance starved at node {}", key[1]));
+        let y = op.giveable_at(u).expect("load > cap");
+        rehome(dex, op, &[], &[y], w, true);
+        charge_handoff(dex);
+        attempt = hit + 1;
     }
 }
 
-/// Deflation contention check: if `u` has no processed or future vertex of
-/// the new cycle left, it walks for credit (Algorithm 4.9 + on-the-fly
-/// generation).
-fn maybe_contend(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId) {
-    let Some(su) = dex.net.graph().slot_of(u) else {
-        return;
-    };
-    if dex.map.sim_at(su).iter().any(|z| z.0 >= op.stage_cursor)
-        || op.staged_map.load_at(su) > 0
-        || op.preassigned_at(su) > 0
+/// Deflation contention check: if the node in slot `u` has no processed or
+/// future vertex of the new cycle left, it walks for credit (Algorithm
+/// 4.9 + on-the-fly generation).
+fn maybe_contend(dex: &mut DexNetwork, op: &mut StaggeredOp, u: u32) {
+    if dex.map.sim_at(u).iter().any(|z| z.0 >= op.stage_cursor)
+        || op.staged_map.load_at(u) > 0
+        || op.preassigned_at(u) > 0
     {
         return;
     }
     // u is contending: walk until a node with spare credit donates.
-    let walk_len = dex.cfg.walk_len(dex.cycle.p());
-    let step_no = dex.step_no;
-    let mut attempt = 0u64;
-    loop {
-        let out = {
-            let (op, map) = (&*op, &dex.map);
-            let mut rng = dex
-                .seeds
-                .stream(Purpose::RebalanceWalk, &[step_no, u.0 ^ 0xdef1a7e, attempt]);
-            random_walk_search_slots(
-                &mut dex.net,
-                su,
-                walk_len,
-                None,
-                |w| w != su && credit(op, map, w) >= 1,
-                &mut rng,
-            )
-        };
-        if let Some(w) = out.hit {
-            let w = dex.net.graph().id_of_slot(w);
-            donate(dex, op, w, u);
-            dex.net.charge_messages(4);
-            dex.net.charge_rounds(1);
-            return;
-        }
-        attempt += 1;
-        assert!(
-            attempt < dex.cfg.max_walk_retries,
-            "contending node {u} starved for credit"
-        );
-    }
+    let key = [dex.step_no, dex.net.graph().id_of_slot(u).0 ^ 0xdef1a7e];
+    let has_credit = |map: &VirtualMapping, w| w != u && credit(op, map, w) >= 1;
+    let budget = 0..dex.cfg.max_walk_retries;
+    let (w, _) = dex
+        .walk_central(u, None, Purpose::RebalanceWalk, &key, budget, has_credit)
+        .unwrap_or_else(|| panic!("contending node slot {u} starved for credit"));
+    donate(dex, op, w, u);
+    charge_handoff(dex);
 }
 
 /// Deflation credit of the node in slot `w`: guaranteed new vertices
@@ -598,29 +608,22 @@ fn unstaged_dominating_unpreassigned<'a>(
     })
 }
 
-/// Donate one unit of deflation credit from `w` to `to`: a staged
-/// non-reserve vertex if available, else a preassignment of a future one.
-fn donate(dex: &mut DexNetwork, op: &mut StaggeredOp, w: NodeId, to: NodeId) {
-    let (sw, st) = (dex.slot(w), dex.slot(to));
+/// Donate one unit of deflation credit from the node in slot `w` to the
+/// one in slot `to`: a staged non-reserve vertex if available, else a
+/// preassignment of a future one.
+fn donate(dex: &mut DexNetwork, op: &mut StaggeredOp, w: u32, to: u32) {
     // Prefer a physically staged, non-reserved vertex.
-    let reserve = op.reserve_at(sw);
-    let staged_pick = op
-        .staged_map
-        .sim_at(sw)
-        .iter()
-        .filter(|&&z| Some(z) != reserve)
-        .map(|z| z.0)
-        .max();
-    if let Some(y) = staged_pick {
-        move_staged_vertex(dex, op, y, to);
-        op.set_reserve(st, y); // recipient's reserve
+    if let Some(y) = op.giveable_at(w) {
+        rehome(dex, op, &[], &[y], to, true);
+        charge_handoff(dex);
+        op.set_reserve(to, y); // recipient's reserve
         return;
     }
     // Else promise a future vertex from w's dominating stock.
-    if let Some(x) = unstaged_dominating_unpreassigned(op, &dex.map, sw).max() {
+    if let Some(x) = unstaged_dominating_unpreassigned(op, &dex.map, w).max() {
         let y = op.plan.generated_by(x).start;
         op.preassigned.insert(y, to);
-        *at_mut(&mut op.preassigned_count, st) += 1;
+        *at_mut(&mut op.preassigned_count, to) += 1;
         return;
     }
     // Last resort: reassign one of w's own preassignments.
@@ -632,20 +635,16 @@ fn donate(dex: &mut DexNetwork, op: &mut StaggeredOp, w: NodeId, to: NodeId) {
         .max()
         .expect("credit >= 1 guaranteed a donatable unit");
     op.preassigned.insert(y, to);
-    op.preassigned_count[sw as usize] -= 1;
-    *at_mut(&mut op.preassigned_count, st) += 1;
+    op.preassigned_count[w as usize] -= 1;
+    *at_mut(&mut op.preassigned_count, to) += 1;
 }
 
 /// Phase 2: discard old vertex `x` and its remaining old-cycle edges.
 fn drop_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
     let z = VertexId(x);
-    for (a, b) in op.old_incident(&dex.cycle, &[z]) {
-        let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
-        assert!(
-            dex.net.remove_edge(ua, ub),
-            "missing old instance {a}-{b} at {x}"
-        );
-    }
+    // Staging is over: nothing points at x but its old remnant.
+    let insts = op.incident(&dex.cycle, &[z], &[]);
+    detach(dex, op, &insts);
     dex.map.unassign(z);
     op.drop_cursor = x + 1;
     dex.net.charge_messages(3);
@@ -666,67 +665,13 @@ fn switchover(dex: &mut DexNetwork, op: StaggeredOp) {
 }
 
 // ======================================================================
-// Vertex movement during a staggered operation
-// ======================================================================
-
-/// Move staged vertex `y` to node `to`, rewiring its overlay instances.
-fn move_staged_vertex(dex: &mut DexNetwork, op: &mut StaggeredOp, y: u64, to: NodeId) {
-    let insts = op.incident_overlay(&[y]);
-    for &inst in &insts {
-        let (a, b) = op.endpoints(&dex.map, inst);
-        assert!(
-            dex.net.remove_edge(a, b),
-            "missing overlay instance {inst:?} at ({a},{b})"
-        );
-    }
-    op.staged_map.transfer_at(VertexId(y), to, dex.slot(to));
-    for &inst in &insts {
-        let (a, b) = op.endpoints(&dex.map, inst);
-        dex.net.add_edge(a, b);
-    }
-    dex.net.charge_messages(4);
-    dex.net.charge_rounds(1);
-}
-
-/// Move live old vertex `x` to node `to`: old-fabric instances plus any
-/// intermediate instances pointing at `x` follow it.
-fn move_old_vertex(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64, to: NodeId) {
-    let z = VertexId(x);
-    let from = dex.map.owner_of(z);
-    let old_insts = op.old_incident(&dex.cycle, &[z]);
-    let inters = op.inter_sources_at_old(x, &[]);
-    for &(a, b) in &old_insts {
-        let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
-        assert!(dex.net.remove_edge(ua, ub), "missing old instance {a}-{b}");
-    }
-    for &src in &inters {
-        let a = op.staged_map.owner_of(VertexId(src));
-        assert!(dex.net.remove_edge(a, from), "missing inter at old {x}");
-    }
-    dex.map.transfer_at(z, to, dex.slot(to));
-    for &(a, b) in &old_insts {
-        let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
-        dex.net.add_edge(ua, ub);
-    }
-    for &src in &inters {
-        let a = op.staged_map.owner_of(VertexId(src));
-        dex.net.add_edge(a, to);
-    }
-    dex.net.charge_messages(4);
-    dex.net.charge_rounds(1);
-    // The donor may have become contending (deflation).
-    if !op.is_inflation() {
-        maybe_contend(dex, op, from);
-    }
-}
-
-// ======================================================================
 // Type-1 recovery while an operation is in flight
 // ======================================================================
 
 /// Insertion during a staggered operation (paper Sect. 4.4.1/4.4.2: serve
-/// the newcomer from the new cycle where possible).
-pub fn insert_during_staggered(dex: &mut DexNetwork, u: NodeId, v: NodeId) {
+/// the newcomer from the new cycle where possible): the newcomer in slot
+/// `u` attached at the node in slot `v`.
+pub fn insert_during_staggered(dex: &mut DexNetwork, u: u32, v: u32) {
     let mut op = dex
         .stag
         .take()
@@ -735,116 +680,87 @@ pub fn insert_during_staggered(dex: &mut DexNetwork, u: NodeId, v: NodeId) {
     dex.stag = Some(op);
 }
 
-fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: NodeId, v: NodeId) {
-    let walk_len = dex.cfg.walk_len(dex.cycle.p());
-    let step_no = dex.step_no;
-    let (su, sv) = (dex.slot(u), dex.slot(v));
-    for attempt in 0..dex.cfg.max_walk_retries {
-        let out = {
-            let (op, map) = (&*op, &dex.map);
-            let mut rng = dex.seeds.stream(Purpose::InsertWalk, &[step_no, attempt]);
-            let accept: Box<dyn Fn(u32) -> bool> = match (op.plan.kind(), op.staging()) {
-                (Kind::Inflation, true) => Box::new(move |w| {
-                    op.staged_map.load_at(w) >= 2
-                        || (map.load_at(w) >= 2
-                            && map.sim_at(w).iter().any(|z| z.0 >= op.stage_cursor))
-                }),
-                (_, false) => Box::new(move |w| op.staged_map.load_at(w) >= 2),
-                (Kind::Deflation, true) => {
-                    Box::new(move |w| map.load_at(w) >= 2 && credit(op, map, w) >= 1)
-                }
-            };
-            random_walk_search_slots(&mut dex.net, sv, walk_len, Some(su), &accept, &mut rng)
-        };
-        let Some(sw) = out.hit else { continue };
-        let w = dex.net.graph().id_of_slot(sw);
-        dex.walk_stats.hits += 1;
+fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: u32, v: u32) {
+    let phase = (op.plan.kind(), op.staging());
+    let accept = |map: &VirtualMapping, w: u32| match phase {
+        (Kind::Inflation, true) => {
+            op.staged_map.load_at(w) >= 2
+                || (map.load_at(w) >= 2 && map.sim_at(w).iter().any(|z| z.0 >= op.stage_cursor))
+        }
+        (_, false) => op.staged_map.load_at(w) >= 2,
+        (Kind::Deflation, true) => map.load_at(w) >= 2 && credit(op, map, w) >= 1,
+    };
+    let (key, budget) = ([dex.step_no], 0..dex.cfg.max_walk_retries);
+    let hit = dex.walk_central(v, Some(u), Purpose::InsertWalk, &key, budget, accept);
+    let Some((w, attempt)) = hit else {
+        panic!(
+            "staggered insertion starved after {} walks (n={}, p={})",
+            dex.cfg.max_walk_retries,
+            dex.n(),
+            dex.cycle.p()
+        );
+    };
+    dex.walk_stats.attempts += attempt + 1;
+    dex.walk_stats.hits += 1;
 
-        match (op.plan.kind(), op.staging()) {
-            (Kind::Inflation, true) => {
-                if op.staged_map.load_at(sw) >= 2 {
-                    let y = op.staged_map.sim_at(sw).iter().map(|z| z.0).max();
-                    move_staged_vertex(dex, op, y.expect("load >= 2"), u);
-                } else {
-                    let x = dex
-                        .map
-                        .sim_at(sw)
-                        .iter()
-                        .map(|z| z.0)
-                        .filter(|&x| x >= op.stage_cursor)
-                        .max()
-                        .expect("acceptance guaranteed an unstaged vertex");
-                    move_old_vertex(dex, op, x, u);
-                }
-            }
-            (_, false) => {
-                // Load ≥ 2 leaves a vertex beyond w's reserve (an
-                // inflation has none); a deflation's newcomer keeps it as
-                // its own.
-                let reserve = op.reserve_at(sw);
-                let y = op
-                    .staged_map
-                    .sim_at(sw)
-                    .iter()
-                    .filter(|&&z| Some(z) != reserve)
-                    .map(|z| z.0)
-                    .max()
-                    .expect("load >= 2");
-                move_staged_vertex(dex, op, y, u);
-                if !op.is_inflation() {
-                    op.set_reserve(su, y);
-                }
-            }
-            (Kind::Deflation, true) => {
-                // Give the newcomer an old vertex for connectivity; a
-                // dominating unpromised one carries its future new vertex.
-                if let Some(x) = unstaged_dominating_unpreassigned(op, &dex.map, sw).max() {
-                    move_old_vertex(dex, op, x, u);
-                } else {
-                    let x = dex.map.sim_at(sw).iter().map(|z| z.0).max();
-                    move_old_vertex(dex, op, x.expect("load >= 2"), u);
-                    donate(dex, op, w, u);
-                }
+    match phase {
+        (Kind::Inflation, true) if op.staged_map.load_at(w) < 2 => {
+            let x = dex
+                .map
+                .sim_at(w)
+                .iter()
+                .map(|z| z.0)
+                .filter(|&x| x >= op.stage_cursor)
+                .max()
+                .expect("acceptance guaranteed an unstaged vertex");
+            rehome(dex, op, &[VertexId(x)], &[], u, true);
+            charge_handoff(dex);
+        }
+        (Kind::Deflation, true) => {
+            // Give the newcomer an old vertex for connectivity; a
+            // dominating unpromised one carries its future new vertex,
+            // any other comes with a unit of w's credit.
+            let dominating = unstaged_dominating_unpreassigned(op, &dex.map, w).max();
+            let x = dominating.or_else(|| dex.map.sim_at(w).iter().map(|z| z.0).max());
+            rehome(dex, op, &[VertexId(x.expect("load >= 2"))], &[], u, true);
+            charge_handoff(dex);
+            // The donor may have become contending.
+            maybe_contend(dex, op, w);
+            if dominating.is_none() {
+                donate(dex, op, w, u);
             }
         }
-        dex.net.charge_messages(4);
-        dex.net.charge_rounds(1);
-        dex.charge_load_updates(&[sw, su]);
-        dex.net.remove_edge(u, v);
-        return;
+        _ => {
+            // Staged load ≥ 2 leaves a vertex beyond w's reserve (an
+            // inflation has none); a deflation's newcomer keeps it as its
+            // own.
+            let y = op.giveable_at(w).expect("load >= 2");
+            rehome(dex, op, &[], &[y], u, true);
+            charge_handoff(dex);
+            if !op.is_inflation() {
+                op.set_reserve(u, y);
+            }
+        }
     }
-    panic!(
-        "staggered insertion starved after {} walks (n={}, p={})",
-        dex.cfg.max_walk_retries,
-        dex.n(),
-        dex.cycle.p()
-    );
+    charge_handoff(dex);
+    dex.charge_load_updates(&[w, u]);
+    dex.net.remove_edge_slots(u, v);
 }
 
-/// Deletion during a staggered operation: the rescuer adopts everything
-/// the victim (who held Φ slot `victim_slot`) simulated — old vertices,
-/// staged vertices, preassignments — and redistributes.
-pub fn delete_during_staggered(
-    dex: &mut DexNetwork,
-    victim: NodeId,
-    victim_slot: u32,
-    rescuer: NodeId,
-) {
+/// Deletion during a staggered operation: the rescuer in slot `rescuer`
+/// adopts everything the victim (who held Φ slot `victim_slot`)
+/// simulated — old vertices, staged vertices, preassignments — and
+/// redistributes.
+pub fn delete_during_staggered(dex: &mut DexNetwork, victim_slot: u32, rescuer: u32) {
     let mut op = dex
         .stag
         .take()
         .expect("a staggered operation is in progress");
-    delete_from(dex, &mut op, victim, victim_slot, rescuer);
+    delete_from(dex, &mut op, victim_slot, rescuer);
     dex.stag = Some(op);
 }
 
-fn delete_from(
-    dex: &mut DexNetwork,
-    op: &mut StaggeredOp,
-    victim: NodeId,
-    victim_slot: u32,
-    rescuer: NodeId,
-) {
+fn delete_from(dex: &mut DexNetwork, op: &mut StaggeredOp, victim_slot: u32, rescuer: u32) {
     let old_zs: Vec<VertexId> = dex.map.sim_at(victim_slot).to_vec();
     let staged_zs: Vec<u64> = op
         .staged_map
@@ -853,15 +769,9 @@ fn delete_from(
         .map(|z| z.0)
         .collect();
 
-    // Retarget ownership.
-    let rescuer_slot = dex.slot(rescuer);
-    for &z in &old_zs {
-        dex.map.transfer_at(z, rescuer, rescuer_slot);
-    }
-    for &y in &staged_zs {
-        op.staged_map
-            .transfer_at(VertexId(y), rescuer, rescuer_slot);
-    }
+    // Adopt both sets and restore every instance the victim's
+    // disappearance destroyed.
+    rehome(dex, op, &old_zs, &staged_zs, rescuer, false);
     // The victim's reserve came along: the rescuer keeps the smaller of
     // the two and releases the other as credit, so it holds one.
     let victims = op
@@ -869,45 +779,23 @@ fn delete_from(
         .get_mut(victim_slot as usize)
         .and_then(Option::take);
     if let Some(y) = victims {
-        let kept = at_mut(&mut op.reserve, rescuer_slot);
+        let kept = at_mut(&mut op.reserve, rescuer);
         *kept = Some(kept.map_or(y, |r| r.min(y)));
     }
     // Preassignments follow the rescuer.
     for owner in op.preassigned.values_mut() {
-        if *owner == victim {
+        if *owner == victim_slot {
             *owner = rescuer;
         }
     }
     if let Some(c) = op.preassigned_count.get_mut(victim_slot as usize) {
         let c = std::mem::take(c);
-        *at_mut(&mut op.preassigned_count, rescuer_slot) += c;
-    }
-
-    // Restore all physical instances the victim's disappearance destroyed.
-    let old_insts = op.old_incident(&dex.cycle, &old_zs);
-    let staged_insts = op.incident_overlay(&staged_zs);
-    let mut inter_insts: Vec<(u64, u64)> = Vec::new(); // (staged src, old x)
-    for &z in &old_zs {
-        for src in op.inter_sources_at_old(z.0, &staged_zs) {
-            inter_insts.push((src, z.0));
-        }
-    }
-    for (a, b) in old_insts {
-        let (ua, ub) = (dex.map.owner_of(a), dex.map.owner_of(b));
-        dex.net.add_edge(ua, ub);
-    }
-    for inst in staged_insts {
-        let (a, b) = op.endpoints(&dex.map, inst);
-        dex.net.add_edge(a, b);
-    }
-    for (src, x) in inter_insts {
-        let a = op.staged_map.owner_of(VertexId(src));
-        dex.net.add_edge(a, dex.map.owner_of(VertexId(x)));
+        *at_mut(&mut op.preassigned_count, rescuer) += c;
     }
     dex.net
         .charge_messages(3 * (old_zs.len() + staged_zs.len()) as u64 + 2);
     dex.net.charge_rounds(1);
-    dex.charge_load_updates(&[rescuer_slot]);
+    dex.charge_load_updates(&[rescuer]);
 
     // Redistribute: old vertices to Low(old), staged ones to nodes with
     // staged load below the balance cap. Mid-operation the target sets can
@@ -916,72 +804,36 @@ fn delete_from(
     // whatever cannot be placed — that is exactly the slack the 8ζ bound
     // of Lemma 9(a) provides, and it keeps every step at O(log n).
     const STAGGERED_WALK_ATTEMPTS: u64 = 4;
-    let walk_len = dex.cfg.walk_len(dex.cycle.p());
     let step_no = dex.step_no;
     for (i, &z) in old_zs.iter().enumerate() {
-        let mut attempt = 0u64;
-        loop {
-            let out = {
-                let map = &dex.map;
-                let mut rng = dex
-                    .seeds
-                    .stream(Purpose::DeleteWalk, &[step_no, i as u64, attempt]);
-                random_walk_search_slots(
-                    &mut dex.net,
-                    rescuer_slot,
-                    walk_len,
-                    None,
-                    |w| map.is_low_at(w),
-                    &mut rng,
-                )
-            };
-            if let Some(sw) = out.hit {
-                if sw != rescuer_slot {
-                    let w = dex.net.graph().id_of_slot(sw);
-                    move_old_vertex(dex, op, z.0, w);
-                }
-                break;
-            }
-            attempt += 1;
-            if attempt >= STAGGERED_WALK_ATTEMPTS {
-                break; // rescuer keeps the vertex (≤ 8ζ, Lemma 9(a))
+        let key = [step_no, i as u64];
+        let budget = 0..STAGGERED_WALK_ATTEMPTS;
+        let low = VirtualMapping::is_low_at;
+        let hit = dex.walk_central(rescuer, None, Purpose::DeleteWalk, &key, budget, low);
+        if let Some((w, _)) = hit.filter(|&(w, _)| w != rescuer) {
+            rehome(dex, op, &[z], &[], w, true);
+            charge_handoff(dex);
+            if !op.is_inflation() {
+                maybe_contend(dex, op, rescuer);
             }
         }
     }
     let cap = dex.cfg.max_load();
     for (i, &y) in staged_zs.iter().enumerate() {
-        if op.staged_map.load_at(rescuer_slot) <= cap {
+        if op.staged_map.load_at(rescuer) <= cap {
             break;
         }
         // The victim's reserve, if the rescuer kept it, stays put.
-        if op.reserve_at(rescuer_slot) == Some(VertexId(y)) {
+        if op.reserve_at(rescuer) == Some(VertexId(y)) {
             continue;
         }
-        let mut attempt = 0u64;
-        loop {
-            let out = {
-                let op = &*op;
-                let mut rng = dex
-                    .seeds
-                    .stream(Purpose::DeleteWalk, &[step_no, 0x57a6 + i as u64, attempt]);
-                random_walk_search_slots(
-                    &mut dex.net,
-                    rescuer_slot,
-                    walk_len,
-                    None,
-                    |w| w != rescuer_slot && op.staged_map.load_at(w) < cap,
-                    &mut rng,
-                )
-            };
-            if let Some(sw) = out.hit {
-                let w = dex.net.graph().id_of_slot(sw);
-                move_staged_vertex(dex, op, y, w);
-                break;
-            }
-            attempt += 1;
-            if attempt >= STAGGERED_WALK_ATTEMPTS {
-                break;
-            }
+        let key = [step_no, 0x57a6 + i as u64];
+        let budget = 0..STAGGERED_WALK_ATTEMPTS;
+        let under_cap = |_: &VirtualMapping, w| w != rescuer && op.staged_map.load_at(w) < cap;
+        let hit = dex.walk_central(rescuer, None, Purpose::DeleteWalk, &key, budget, under_cap);
+        if let Some((w, _)) = hit {
+            rehome(dex, op, &[], &[y], w, true);
+            charge_handoff(dex);
         }
     }
     // The rescuer's contention state may have changed (deflation).
@@ -998,14 +850,22 @@ mod tests {
     use super::*;
     use crate::config::DexConfig;
     use crate::invariants;
+    use dex_graph::ids::NodeId;
+    use dex_graph::MultiGraph;
     use dex_sim::rng::splitmix64;
 
     type Edges = Vec<(NodeId, NodeId)>;
 
     /// The staggered fabric oracle: the full expected edge multiset (old
     /// remnant + overlay) as `(min id, max id)` pairs, sorted, each
-    /// overlay instance listed once by set-free canonical rules.
-    fn expected_multiset(op: &StaggeredOp, map: &VirtualMapping, cycle_old: &PCycle) -> Edges {
+    /// overlay instance listed once by set-free canonical rules. `g` names
+    /// the nodes in the slots the instances' endpoints resolve to.
+    fn expected_multiset(
+        op: &StaggeredOp,
+        map: &VirtualMapping,
+        cycle_old: &PCycle,
+        g: &MultiGraph,
+    ) -> Edges {
         let mut out = Vec::new();
         let mut push = |(a, b): (NodeId, NodeId)| out.push((a.min(b), a.max(b)));
         // Old remnant.
@@ -1028,7 +888,10 @@ mod tests {
             if !op.staged(y) {
                 return;
             }
-            let mut inst = |i: Inst| push(op.endpoints(map, i));
+            let mut inst = |i: Inst| {
+                let (a, b) = op.endpoints(map, i);
+                push((g.id_of_slot(a), g.id_of_slot(b)))
+            };
             let succ = (y + 1) % p;
             if op.staged(succ) {
                 inst(Inst::Real(y, succ));
@@ -1061,7 +924,7 @@ mod tests {
 
     fn oracle_exact(dex: &DexNetwork) -> bool {
         let op = dex.stag.as_ref().expect("mid-operation");
-        current_edges(dex) == expected_multiset(op, &dex.map, &dex.cycle)
+        current_edges(dex) == expected_multiset(op, &dex.map, &dex.cycle, dex.graph())
     }
 
     /// The row check's verdict is the oracle's; a mismatch is reported as

@@ -33,7 +33,6 @@ use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::resize::Plan;
 use dex_graph::pcycle::PCycle;
 use dex_sim::rng::Purpose;
-use dex_sim::tokens::random_walk_search_slots;
 use rand::Rng;
 
 /// Charge the analytical cost of one permutation-routing pass on a
@@ -166,52 +165,41 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     // Phase 2 — run *before* discarding the old fabric so contending nodes
     // can still communicate. A node with no new vertex walks (on the
     // actual network) until it finds a node holding a non-taken vertex.
-    let mut contending: Vec<NodeId> = dex
+    let contending: Vec<NodeId> = dex
         .net
         .graph()
         .nodes_sorted()
         .into_iter()
         .filter(|&u| new_map.load_at(dex.slot(u)) == 0)
         .collect();
-    let walk_len = dex.cfg.walk_len(p_old);
     let step_no = dex.step_no;
-    for (ci, c) in contending.drain(..).enumerate() {
+    // Borrowed, not consumed: the list is freed after `install`. Freed
+    // before it, it raised the `resize` benchmark's peak RSS from 33.3 to
+    // 35.0 MB (glibc's reuse of freed memory follows allocation order).
+    for (ci, &c) in contending.iter().enumerate() {
         let sc = dex.slot(c);
-        let mut attempt = 0u64;
-        loop {
-            let nm = &new_map;
-            let mut rng = dex
-                .seeds
-                .stream(Purpose::RebalanceWalk, &[step_no, ci as u64, attempt]);
-            // Non-taken vertex exists iff new load ≥ 2 (one is reserved).
-            let out = random_walk_search_slots(
-                &mut dex.net,
-                sc,
-                walk_len,
-                None,
-                |w| nm.load_at(w) >= 2,
-                &mut rng,
-            );
-            if let Some(w) = out.hit {
-                let z = *new_map
-                    .sim_at(w)
-                    .iter()
-                    .filter(|z| !taken.contains(z))
-                    .max()
-                    .expect("load >= 2 implies a non-taken vertex");
-                new_map.transfer_at(z, c, sc);
-                taken.insert(z);
-                dex.net.charge_messages(4);
-                dex.net.charge_rounds(1);
-                break;
-            }
-            attempt += 1;
-            assert!(
-                attempt < dex.cfg.max_walk_retries,
-                "deflation phase-2 walk starved (p {p_old} -> {})",
-                plan.p_new()
-            );
-        }
+        let key = [step_no, ci as u64];
+        let budget = 0..dex.cfg.max_walk_retries;
+        // Non-taken vertex exists iff new load ≥ 2 (one is reserved).
+        let untaken = |_: &VirtualMapping, w| new_map.load_at(w) >= 2;
+        let (w, _) = dex
+            .walk_central(sc, None, Purpose::RebalanceWalk, &key, budget, untaken)
+            .unwrap_or_else(|| {
+                panic!(
+                    "deflation phase-2 walk starved (p {p_old} -> {})",
+                    plan.p_new()
+                )
+            });
+        let z = *new_map
+            .sim_at(w)
+            .iter()
+            .filter(|z| !taken.contains(z))
+            .max()
+            .expect("load >= 2 implies a non-taken vertex");
+        new_map.transfer_at(z, c, sc);
+        taken.insert(z);
+        dex.net.charge_messages(4);
+        dex.net.charge_rounds(1);
     }
 
     install(dex, new_map, &plan);

@@ -55,6 +55,7 @@ fn digest(dex: &DexNetwork) -> Digest {
         .fold(0, |h, &(z, u)| splitmix64(splitmix64(h ^ z.0) ^ u.0));
     let t = dex.net.totals();
     let w = dex.walk_stats;
+    assert!(w.hits <= w.attempts, "every hit is an attempt's: {w:?}");
     Digest {
         phi,
         rounds: t.rounds,
@@ -182,7 +183,7 @@ const GOLDEN_STAGGERED: Digest = Digest {
     rounds: 24_086,
     messages: 57_085,
     topology_changes: 23_109,
-    walks: [2_151, 2_155, 3, 0],
+    walks: [2_158, 2_155, 3, 0],
     faults: NO_FAULTS,
 };
 
@@ -263,7 +264,7 @@ const GOLDEN_STAGGERED_RESIZE: Digest = Digest {
     rounds: 95_861,
     messages: 256_956,
     topology_changes: 88_862,
-    walks: [7_721, 7_731, 26, 0],
+    walks: [7_757, 7_731, 26, 0],
     faults: NO_FAULTS,
 };
 
