@@ -17,9 +17,11 @@
 //!    saturation knee and the backpressure behavior, in one table.
 //!
 //! Reported per sweep point: sustained throughput in ops per virtual
-//! round, utilization against calibrated capacity, shed count, and
-//! latency percentiles (p50/p95/p99/p999) in virtual rounds, plus the
-//! pooled per-batch heal/route cost summaries and a bit-identity digest.
+//! round, utilization against calibrated capacity, shed count, the most
+//! DHT routes in flight on one shard at once, and latency percentiles
+//! (p50/p95/p99/p999) in virtual rounds — pooled, and split per class
+//! (DHT, churn) into queueing and service — plus the pooled per-batch
+//! heal/route cost summaries and a bit-identity digest.
 //!
 //! Determinism contract: everything except the clearly-labelled timing
 //! fields is a pure function of `(smoke, seed, shards, queue_cap)` —
@@ -74,6 +76,11 @@ fn check_report(r: &ServeReport, offered_ops: usize, what: &str) {
         r.latency.count as u64, r.served,
         "{what}: one latency sample per served op"
     );
+    assert_eq!(
+        (r.dht_queueing.count + r.churn_queueing.count) as u64,
+        r.served,
+        "{what}: every served op is DHT or churn"
+    );
     for sr in &r.shards {
         assert_eq!(
             sr.mismatches, 0,
@@ -81,6 +88,11 @@ fn check_report(r: &ServeReport, offered_ops: usize, what: &str) {
             sr.shard
         );
     }
+}
+
+/// Most DHT ops in flight at once on any one shard.
+fn inflight_peak(r: &ServeReport) -> usize {
+    r.shards.iter().map(|s| s.inflight_peak).max().unwrap_or(0)
 }
 
 /// Run the benchmark; returns the `BENCH_serve.json` contents.
@@ -159,6 +171,11 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> String {
                 format!("{}", r.latency.p50),
                 format!("{}", r.latency.p99),
                 format!("{}", r.latency.p999),
+                format!("{}", inflight_peak(r)),
+                format!("{}", r.dht_queueing.p99),
+                format!("{}", r.dht_service.p99),
+                format!("{}", r.churn_queueing.p99),
+                format!("{}", r.churn_service.p99),
                 if opts.smoke {
                     "-".into()
                 } else {
@@ -173,7 +190,19 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> String {
             shards, n0, capacity
         ),
         &[
-            "load", "offered", "ops/rnd", "shed", "p50", "p99", "p999", "ops/s",
+            "load",
+            "offered",
+            "ops/rnd",
+            "shed",
+            "p50",
+            "p99",
+            "p999",
+            "inflight",
+            "dht q99",
+            "dht s99",
+            "churn q99",
+            "churn s99",
+            "ops/s",
         ],
         &rows,
     );
@@ -229,16 +258,21 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> String {
         );
         let _ = writeln!(
             json,
-            "      \"batches\": {}, \"batch_peak\": {}, \"queue_peak\": {},",
+            "      \"batches\": {}, \"batch_peak\": {}, \"queue_peak\": {}, \"inflight_peak\": {},",
             r.shards.iter().map(|s| s.batches).sum::<u64>(),
             r.shards.iter().map(|s| s.batch_peak).max().unwrap_or(0),
-            r.shards.iter().map(|s| s.queue_peak).max().unwrap_or(0)
+            r.shards.iter().map(|s| s.queue_peak).max().unwrap_or(0),
+            inflight_peak(r)
         );
-        let _ = writeln!(
-            json,
-            "      \"latency_rounds\": {},",
-            summary_json(&r.latency)
-        );
+        for (name, summary) in [
+            ("latency_rounds", &r.latency),
+            ("dht_queueing_rounds", &r.dht_queueing),
+            ("dht_service_rounds", &r.dht_service),
+            ("churn_queueing_rounds", &r.churn_queueing),
+            ("churn_service_rounds", &r.churn_service),
+        ] {
+            let _ = writeln!(json, "      \"{name}\": {},", summary_json(summary));
+        }
         let _ = writeln!(
             json,
             "      \"heal_rounds\": {},",

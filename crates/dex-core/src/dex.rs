@@ -22,11 +22,12 @@ use std::ops::Range;
 /// Counters for walk behaviour (experiment E7).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct WalkStats {
-    /// Individual walk attempts.
+    /// Individual walk attempts, type-1 and type-2 alike.
     pub attempts: u64,
-    /// Walks that found an accepting node.
+    /// Walks that found an accepting node (and type-1 steps healed to a
+    /// flood's witness after their walks were lost).
     pub hits: u64,
-    /// Walks that missed and forced a flood count.
+    /// Type-1 walks that missed and forced a flood count.
     pub misses: u64,
     /// Type-2 recoveries triggered.
     pub type2: u64,
@@ -297,10 +298,8 @@ impl DexNetwork {
                     &batch
                 }
             };
-            self.walk_stats.attempts += 1;
             let out = self.heal_walk(v, Some(u), WalkGoal::Spare, Purpose::InsertWalk, ctx);
             if let Some(w) = out.hit {
-                self.walk_stats.hits += 1;
                 self.give_vertex_to_new_node(w, u, v);
                 return RecoveryKind::Type1;
             }
@@ -516,10 +515,8 @@ impl DexNetwork {
                         &batch
                     }
                 };
-                self.walk_stats.attempts += 1;
                 let out = self.heal_walk(rescuer, None, WalkGoal::Low, Purpose::DeleteWalk, ctx);
                 if let Some(w) = out.hit {
-                    self.walk_stats.hits += 1;
                     let delta = self.move_to_low(z, rescuer, w);
                     if let Some(count) = carried.as_mut() {
                         count.matching = count
@@ -657,7 +654,8 @@ impl DexNetwork {
     // ------------------------------------------------------------------
 
     /// One healing walk from slot `start`, keyed by `(purpose, ctx)`;
-    /// `ctx` ends in the walk's attempt index. Without a fault spec it is
+    /// `ctx` ends in the walk's attempt index, and `walk_stats` counts it
+    /// on either transport. Without a fault spec it is
     /// one attempt of the centralized leaf ([`Self::walk_central`]), a
     /// token that cannot be lost, walking the arena with a per-slot load
     /// read as its predicate; with one it runs on the message schedule,
@@ -697,7 +695,10 @@ impl DexNetwork {
             Some(spec) => {
                 let g = self.net.graph();
                 let (start, exclude) = (g.id_of_slot(start), exclude.map(|s| g.id_of_slot(s)));
-                self.walk_scheduled(&spec, start, exclude, goal, purpose, ctx)
+                let out = self.walk_scheduled(&spec, start, exclude, goal, purpose, ctx);
+                self.walk_stats.attempts += 1;
+                self.walk_stats.hits += u64::from(out.hit.is_some());
+                out
             }
         }
     }
@@ -706,7 +707,9 @@ impl DexNetwork {
     /// from slot `start` (never onto `exclude`) per attempt index in
     /// `attempts`, attempt `k` drawing its stream from `(purpose, ctx ++
     /// [k])`, until one stops on a node `accept(&Φ, slot)` takes. Returns
-    /// that node's slot and the attempt that found it. Type-1's walks
+    /// that node's slot and the attempt that found it. Every walk it runs
+    /// counts as an attempt in `walk_stats`, and the one that stops on an
+    /// accepted node as a hit. Type-1's walks
     /// ([`Self::heal_walk`], one attempt at a time) and every type-2 walk,
     /// simplified or staggered, go through it. Generic and inlined, so
     /// each caller's predicate is a direct call in the walk's inner loop.
@@ -737,7 +740,9 @@ impl DexNetwork {
                 |w| accept(map, w),
                 &mut rng,
             );
+            self.walk_stats.attempts += 1;
             if let Some(w) = out.hit {
+                self.walk_stats.hits += 1;
                 return Some((w, attempt));
             }
         }

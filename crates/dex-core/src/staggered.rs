@@ -692,7 +692,7 @@ fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: u32, v: u32) {
     };
     let (key, budget) = ([dex.step_no], 0..dex.cfg.max_walk_retries);
     let hit = dex.walk_central(v, Some(u), Purpose::InsertWalk, &key, budget, accept);
-    let Some((w, attempt)) = hit else {
+    let Some((w, _)) = hit else {
         panic!(
             "staggered insertion starved after {} walks (n={}, p={})",
             dex.cfg.max_walk_retries,
@@ -700,8 +700,6 @@ fn insert_into(dex: &mut DexNetwork, op: &mut StaggeredOp, u: u32, v: u32) {
             dex.cycle.p()
         );
     };
-    dex.walk_stats.attempts += attempt + 1;
-    dex.walk_stats.hits += 1;
 
     match phase {
         (Kind::Inflation, true) if op.staged_map.load_at(w) < 2 => {

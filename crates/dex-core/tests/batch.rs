@@ -354,13 +354,14 @@ fn run_golden_script() -> DexNetwork {
 /// where `insert_batch`/`delete_batch` ran through the wave engine at
 /// 1, 3 and 8 executor threads and all three agreed. The one test that
 /// fails if the surviving per-op path ever drifts from what the engine
-/// produced.
+/// produced. `walks` was re-recorded when type-2 walks began to count
+/// as attempts (the deflation's phase-2 walks added 167).
 const GOLDEN: Digest = Digest {
     phi: 2837674740750611915,
     rounds: 361_625,
     messages: 18_282_692,
     topology_changes: 767_524,
-    walks: [83_381, 83_100, 281, 2],
+    walks: [83_548, 83_267, 281, 2],
 };
 
 #[test]

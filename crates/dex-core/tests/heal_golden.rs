@@ -174,7 +174,7 @@ const GOLDEN_SIMPLIFIED: Digest = Digest {
     rounds: 10_540,
     messages: 57_610,
     topology_changes: 20_702,
-    walks: [2_281, 2_252, 29, 2],
+    walks: [2_284, 2_255, 29, 2],
     faults: NO_FAULTS,
 };
 
@@ -183,7 +183,7 @@ const GOLDEN_STAGGERED: Digest = Digest {
     rounds: 24_086,
     messages: 57_085,
     topology_changes: 23_109,
-    walks: [2_158, 2_155, 3, 0],
+    walks: [2_211, 2_164, 3, 0],
     faults: NO_FAULTS,
 };
 
@@ -264,7 +264,7 @@ const GOLDEN_STAGGERED_RESIZE: Digest = Digest {
     rounds: 95_861,
     messages: 256_956,
     topology_changes: 88_862,
-    walks: [7_757, 7_731, 26, 0],
+    walks: [8_002, 7_854, 26, 0],
     faults: NO_FAULTS,
 };
 
@@ -338,7 +338,7 @@ const GOLDEN_LOSSY: Digest = Digest {
     rounds: 151_665,
     messages: 445_603,
     topology_changes: 39_501,
-    walks: [4_271, 4_220, 40, 2],
+    walks: [4_277, 4_226, 40, 2],
     faults: FaultStats {
         sent: 391_610,
         delivered: 376_148,

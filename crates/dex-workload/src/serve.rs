@@ -14,22 +14,34 @@
 //!   entirely from the seed: virtual-time Poisson or uniform arrivals of
 //!   a put/get/join/leave mix. No wall-clock anywhere — time is counted
 //!   in the simulator's synchronous *rounds*;
-//! * each shard pumps its arrivals through a **bounded ingestion queue**:
-//!   ops wait for the shard's single server, compatible neighbors at the
-//!   queue head coalesce into one batch step (`insert_batch` /
-//!   `delete_batch`: k joins heal in one step scope instead of k), and
-//!   an arrival that finds the queue full is **shed** — deterministic
+//! * each shard pumps its arrivals through a **bounded ingestion queue**
+//!   in FIFO order, against two clocks. A DHT get or put is a route of
+//!   O(log n) rounds along a locally computed path (Sect. 4.4.4), and
+//!   nothing makes one initiator's route wait for another's: it starts
+//!   once it has arrived and the churn batch in progress has ended, and
+//!   later DHT ops do not wait for it. Churn is exclusive: a join/leave
+//!   batch starts only once every earlier DHT op has completed, so the
+//!   topology never changes under an in-flight route. Compatible churn
+//!   ops at the queue head coalesce into one batch step (`insert_batch` /
+//!   `delete_batch`: k joins heal in one step scope instead of k), and an
+//!   arrival that finds the queue full is **shed** — deterministic
 //!   backpressure, visible in the report;
 //! * shard execution fans out over the order-preserving
 //!   `dex_exec::par_map`. Shards are fully independent (own RNG
 //!   stream, own heal queue, own [`StepLog`]), so the whole run is
 //!   **bit-identical at any thread count**.
 //!
-//! Per-op latency is `completion − arrival` in virtual rounds: queueing
-//! delay plus the service rounds of the batch the op rode in (heal rounds
-//! for churn, route rounds for DHT traffic). Latencies pool across shards
-//! into a [`Summary`] (p50/p99/p999); per-step heal costs pool through
-//! the same [`StepAggregate::pooled`] entry point the trial runners use.
+//! Ops apply to the network in FIFO order, one at a time, so every op
+//! sees the network state it would see served singly; only the timing
+//! (and with it how churn coalesces) comes from the two clocks. Per-op
+//! latency is `completion − arrival` in virtual rounds: queueing delay
+//! (`start − arrival`) plus service rounds (heal rounds of the batch for
+//! churn, route rounds for DHT traffic), each also summarised per class.
+//! Latencies pool across shards into a [`Summary`] (p50/p99/p999);
+//! per-step heal costs pool through the same [`StepAggregate::pooled`]
+//! entry point the trial runners use. Concurrent routes are not charged
+//! for sharing edges; [`ShardReport::inflight_peak`] measures how many
+//! share a shard at once.
 
 use dex_core::batch::MAX_ATTACH_FAN_IN;
 use dex_core::{DexConfig, DexNetwork};
@@ -37,7 +49,8 @@ use dex_graph::fxhash::FxHashMap;
 use dex_graph::ids::NodeId;
 use dex_sim::rng::splitmix64;
 use dex_sim::{HasStepLog, HistoryMode, StepAggregate, StepLog, Summary};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Smallest node count a shard may shrink to; leave ops that would cross
 /// the floor are skipped (counted in [`ShardReport::leaves_skipped`]).
@@ -233,8 +246,10 @@ pub struct ShardReport {
     pub batches: u64,
     /// Largest coalesced batch observed.
     pub batch_peak: usize,
-    /// Deepest the ingestion queue got.
+    /// Deepest the ingestion queue got (ops arrived, not yet started).
     pub queue_peak: usize,
+    /// Most DHT ops in flight at once.
+    pub inflight_peak: usize,
     /// Virtual round at which the shard went idle (makespan).
     pub makespan: u64,
     /// Served op counts by kind: puts, gets, joins, leaves.
@@ -252,11 +267,31 @@ pub struct ShardReport {
     /// Per-batch heal/route costs, one entry per service batch.
     pub log: StepLog,
     /// Per-op latency in virtual rounds (`completion − arrival`),
-    /// completion order.
+    /// service (FIFO) order.
     pub latencies: Vec<u64>,
+    /// Queueing and service rounds of every DHT op, service order.
+    pub dht: ClassTimes,
+    /// Queueing and service rounds of every churn op, service order.
+    pub churn: ClassTimes,
     /// splitmix64 fold of every served step's costs and lookup results —
     /// the cheap bit-identity witness.
     pub digest: u64,
+}
+
+/// Per-op timing of one service class, in virtual rounds.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClassTimes {
+    /// `start − arrival` of each op.
+    pub queueing: Vec<u64>,
+    /// `completion − start` of each op (its batch's service rounds).
+    pub service: Vec<u64>,
+}
+
+impl ClassTimes {
+    fn push(&mut self, arrival: u64, start: u64, end: u64) {
+        self.queueing.push(start - arrival);
+        self.service.push(end - start);
+    }
 }
 
 impl HasStepLog for ShardReport {
@@ -282,6 +317,14 @@ pub struct ServeReport {
     pub ops_per_round: f64,
     /// Latency percentiles over every served op, pooled across shards.
     pub latency: Summary,
+    /// Queueing delay of DHT ops, pooled across shards.
+    pub dht_queueing: Summary,
+    /// Service (route) rounds of DHT ops, pooled across shards.
+    pub dht_service: Summary,
+    /// Queueing delay of churn ops, pooled across shards.
+    pub churn_queueing: Summary,
+    /// Service (heal) rounds of churn ops, pooled across shards.
+    pub churn_service: Summary,
     /// Per-batch heal/route costs pooled across shards.
     pub steps: StepAggregate,
     /// Fold of the shard digests (order-independent-free: shard order is
@@ -300,11 +343,20 @@ pub fn run_serve(opts: &ServeOptions) -> ServeReport {
     } else {
         opts.threads
     };
-    let shards = dex_exec::par_map(&idx, threads, |&s| run_shard(s, &schedule[s], opts));
+    let shards = dex_exec::par_map(&idx, threads, |&s| {
+        serve_shard(s, &schedule[s], opts).into_report()
+    });
     let served: u64 = shards.iter().map(|r| r.served).sum();
     let shed: u64 = shards.iter().map(|r| r.shed).sum();
     let makespan = shards.iter().map(|r| r.makespan).max().unwrap_or(0);
-    let latency = Summary::of(shards.iter().flat_map(|r| r.latencies.iter().copied()));
+    let pool = |col: fn(&ShardReport) -> &[u64]| {
+        Summary::of(shards.iter().flat_map(|r| col(r).iter().copied()))
+    };
+    let latency = pool(|r| &r.latencies);
+    let dht_queueing = pool(|r| &r.dht.queueing);
+    let dht_service = pool(|r| &r.dht.service);
+    let churn_queueing = pool(|r| &r.churn.queueing);
+    let churn_service = pool(|r| &r.churn.service);
     let steps = StepAggregate::pooled(&shards);
     let mut digest = splitmix64(opts.seed ^ SHARD_SALT);
     for r in &shards {
@@ -321,6 +373,10 @@ pub fn run_serve(opts: &ServeOptions) -> ServeReport {
             served as f64 / makespan as f64
         },
         latency,
+        dht_queueing,
+        dht_service,
+        churn_queueing,
+        churn_service,
         steps,
         digest,
         shards,
@@ -328,8 +384,8 @@ pub fn run_serve(opts: &ServeOptions) -> ServeReport {
 }
 
 /// The service classes a batch may coalesce. DHT ops are served singly
-/// (their cost is one route); churn ops of the same direction coalesce
-/// into one batch step.
+/// (their cost is one route) and overlap one another; churn ops of the
+/// same direction coalesce into one exclusive batch step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Class {
     Join,
@@ -347,9 +403,8 @@ fn class_of(kind: &OpKind) -> Class {
 
 /// One shard's discrete-event serving loop — a pure function of
 /// `(shard, its schedule slice, opts)`, sequential inside.
-fn run_shard(shard: usize, arrivals: &[OpSpec], opts: &ServeOptions) -> ShardReport {
-    let seed = splitmix64(opts.seed ^ SHARD_SALT ^ shard as u64);
-    let mut sh = Shard::new(shard, seed, opts);
+fn serve_shard(shard: usize, arrivals: &[OpSpec], opts: &ServeOptions) -> Shard {
+    let mut sh = Shard::new(shard, opts);
     for op in arrivals {
         // Serve every batch that must start before this op can be part
         // of one: a batch starting at `start` may only carry ops with
@@ -364,7 +419,7 @@ fn run_shard(shard: usize, arrivals: &[OpSpec], opts: &ServeOptions) -> ShardRep
         }
     }
     sh.drain(u64::MAX, true);
-    sh.into_report()
+    sh
 }
 
 struct Shard {
@@ -374,10 +429,21 @@ struct Shard {
     next_id: u64,
     state: u64,
     queue: VecDeque<OpSpec>,
-    busy_until: u64,
+    /// End of the latest churn batch.
+    churn_until: u64,
+    /// Latest completion of any DHT op.
+    dht_until: u64,
+    /// Completion rounds of the DHT ops that may still be in flight.
+    inflight: BinaryHeap<Reverse<u64>>,
+    inflight_peak: usize,
     shadow: FxHashMap<u64, u64>,
     log: StepLog,
     latencies: Vec<u64>,
+    dht: ClassTimes,
+    churn: ClassTimes,
+    /// Every service interval `[start, end)` with its class.
+    #[cfg(test)]
+    intervals: Vec<(Class, u64, u64)>,
     batch: Vec<OpSpec>,
     joins_buf: Vec<(NodeId, NodeId)>,
     victims_buf: Vec<NodeId>,
@@ -399,7 +465,8 @@ struct Shard {
 }
 
 impl Shard {
-    fn new(shard: usize, seed: u64, opts: &ServeOptions) -> Shard {
+    fn new(shard: usize, opts: &ServeOptions) -> Shard {
+        let seed = splitmix64(opts.seed ^ SHARD_SALT ^ shard as u64);
         let mut dex = DexNetwork::bootstrap(
             DexConfig::new(splitmix64(seed ^ 0x6e75)).simplified(),
             opts.n0,
@@ -414,10 +481,17 @@ impl Shard {
             next_id,
             state: splitmix64(seed ^ 0x11ea1),
             queue: VecDeque::new(),
-            busy_until: 0,
+            churn_until: 0,
+            dht_until: 0,
+            inflight: BinaryHeap::new(),
+            inflight_peak: 0,
             shadow: FxHashMap::default(),
             log: StepLog::new(),
             latencies: Vec::new(),
+            dht: ClassTimes::default(),
+            churn: ClassTimes::default(),
+            #[cfg(test)]
+            intervals: Vec::new(),
             batch: Vec::new(),
             joins_buf: Vec::new(),
             victims_buf: Vec::new(),
@@ -445,18 +519,23 @@ impl Shard {
         self.state
     }
 
-    /// Serve batches from the queue head. A batch may start once the
-    /// server is free and its head op has arrived; it must not start at
-    /// or after `horizon` (the next arrival's time) unless `force`, since
-    /// that arrival could still belong to it.
+    /// Serve batches from the queue head, in FIFO order. A DHT op may
+    /// start once it has arrived and the latest churn batch has ended; a
+    /// churn batch also waits for every earlier DHT op to complete. A
+    /// batch must not start at or after `horizon` (the next arrival's
+    /// time) unless `force`, since that arrival could still belong to it.
     fn drain(&mut self, horizon: u64, force: bool) {
         while let Some(front) = self.queue.front().copied() {
-            let start = self.busy_until.max(front.arrival);
+            let class = class_of(&front.kind);
+            let ready = match class {
+                Class::Dht => self.churn_until,
+                Class::Join | Class::Leave => self.churn_until.max(self.dht_until),
+            };
+            let start = ready.max(front.arrival);
             if !force && start >= horizon {
                 break;
             }
             // Coalesce the head run: same class, already arrived.
-            let class = class_of(&front.kind);
             let cap = if class == Class::Dht {
                 1
             } else {
@@ -472,20 +551,33 @@ impl Shard {
                     _ => break,
                 }
             }
-            let svc = self.serve_batch(class, start);
-            self.busy_until = start + svc.max(1);
+            let end = start + self.serve_batch(class).max(1);
+            #[cfg(test)]
+            self.intervals.push((class, start, end));
+            let times = if class == Class::Dht {
+                self.dht_until = self.dht_until.max(end);
+                while self.inflight.peek().is_some_and(|&Reverse(t)| t <= start) {
+                    self.inflight.pop();
+                }
+                self.inflight.push(Reverse(end));
+                self.inflight_peak = self.inflight_peak.max(self.inflight.len());
+                &mut self.dht
+            } else {
+                self.churn_until = end;
+                &mut self.churn
+            };
+            for op in &self.batch {
+                times.push(op.arrival, start, end);
+                self.latencies.push(end - op.arrival);
+            }
             self.batches += 1;
             self.batch_peak = self.batch_peak.max(self.batch.len());
-            for k in 0..self.batch.len() {
-                let arrival = self.batch[k].arrival;
-                self.latencies.push(self.busy_until - arrival);
-            }
             self.served += self.batch.len() as u64;
         }
     }
 
     /// Execute one coalesced batch; returns its service time in rounds.
-    fn serve_batch(&mut self, class: Class, _start: u64) -> u64 {
+    fn serve_batch(&mut self, class: Class) -> u64 {
         match class {
             Class::Join => {
                 self.joins_buf.clear();
@@ -594,7 +686,8 @@ impl Shard {
             batches: self.batches,
             batch_peak: self.batch_peak,
             queue_peak: self.queue_peak,
-            makespan: self.busy_until,
+            inflight_peak: self.inflight_peak,
+            makespan: self.churn_until.max(self.dht_until),
             puts: self.puts,
             gets: self.gets,
             joins: self.joins,
@@ -603,14 +696,21 @@ impl Shard {
             mismatches: self.mismatches,
             log: self.log,
             latencies: self.latencies,
+            dht: self.dht,
+            churn: self.churn,
             digest,
         }
     }
 }
 
 #[cfg(test)]
+#[path = "../tests/common/mod.rs"]
+mod arb;
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn opts() -> ServeOptions {
         ServeOptions {
@@ -744,5 +844,56 @@ mod tests {
             lo.latency.p50
         );
         assert!(hi.makespan <= lo.makespan, "higher load compresses time");
+    }
+
+    // Churn is exclusive: no churn batch's service interval overlaps a
+    // DHT op's or another churn batch's, so the topology never changes
+    // under an in-flight route.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        #[test]
+        fn churn_runs_alone(o in arb::arb_opts()) {
+            for (s, arrivals) in build_schedule(&o).iter().enumerate() {
+                let iv = serve_shard(s, arrivals, &o).intervals;
+                for (i, &(class, start, end)) in iv.iter().enumerate() {
+                    if class == Class::Dht {
+                        continue;
+                    }
+                    for (j, &(other, s2, e2)) in iv.iter().enumerate() {
+                        prop_assert!(
+                            i == j || e2 <= start || end <= s2,
+                            "shard {}: {:?} [{}, {}) overlaps {:?} [{}, {})",
+                            s, class, start, end, other, s2, e2
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn without_churn_every_op_is_its_route() {
+        let o = ServeOptions {
+            churn_pct: 0,
+            offered: 16.0,
+            ..opts()
+        };
+        for (s, arrivals) in build_schedule(&o).iter().enumerate() {
+            let r = serve_shard(s, arrivals, &o).into_report();
+            assert_eq!(r.latencies.len(), r.log.len());
+            for (&lat, &rounds) in r.latencies.iter().zip(&r.log.rounds) {
+                assert_eq!(lat, rounds.max(1), "shard {s}: a route queued");
+            }
+            assert!(r.inflight_peak > 1, "shard {s}: routes never overlapped");
+            // The same ops served one at a time, nothing overlapping.
+            let mut one = Shard::new(s, &o);
+            for op in arrivals {
+                one.batch.clear();
+                one.batch.push(*op);
+                one.serve_batch(Class::Dht);
+            }
+            assert_eq!(r.log, one.log, "shard {s}");
+        }
     }
 }
