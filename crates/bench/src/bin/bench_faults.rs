@@ -124,12 +124,21 @@ fn fault_stats_json(fs: &FaultStats) -> String {
     )
 }
 
+/// The slots of `g`'s nodes in id order: the engine-level points pick
+/// nodes by their rank in id order and translate each pick once, here.
+fn slots_by_id(g: &dex::graph::MultiGraph) -> Vec<u32> {
+    g.nodes_sorted()
+        .into_iter()
+        .map(|u| g.slot_of(u).expect("live node"))
+        .collect()
+}
+
 /// Engine-level percolation point: `n_ops` walks (to a sparse accept set)
 /// and `n_ops` fixed-length routes on a frozen bootstrap topology.
 fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: usize) -> String {
     let spec = spec_for(loss, seed);
-    let nodes = g.nodes_sorted();
-    let pick = |x: u64| nodes[(splitmix64(x) % nodes.len() as u64) as usize];
+    let slots = slots_by_id(g);
+    let pick = |x: u64| slots[(splitmix64(x) % slots.len() as u64) as usize];
 
     // Walks: hunt for a ~1/8 sparse accept set, 32-hop budget.
     let walk_ops: Vec<msim::WalkOp> = (0..n_ops)
@@ -140,7 +149,7 @@ fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: us
             op_key: splitmix64(seed ^ 0x3a1c ^ (i as u64)),
         })
         .collect();
-    let accept = |u: NodeId| splitmix64(u.0 ^ seed).is_multiple_of(8);
+    let accept = |s: u32| splitmix64(g.id_of_slot(s).0 ^ seed).is_multiple_of(8);
     let mk_rng = |i: usize, retry: u32| {
         StdRng::seed_from_u64(splitmix64(
             seed ^ 0x77a1 ^ (i as u64) ^ ((retry as u64) << 40),
@@ -160,7 +169,7 @@ fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: us
             let mut at = pick(seed ^ 0x5b3d ^ (i as u64));
             let mut path = vec![at];
             for hop in 0..12u64 {
-                let nbrs: Vec<NodeId> = g.neighbors(at).iter().collect();
+                let nbrs = g.neighbor_slots(at);
                 at = nbrs
                     [(splitmix64(seed ^ (i as u64) ^ (hop << 32)) % nbrs.len() as u64) as usize];
                 path.push(at);
@@ -254,14 +263,14 @@ fn degradation_point(loss: u32, opts: &RunOptions, smoke: bool) -> (String, Step
 /// and the new flood counters.
 fn flood_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, k: usize) -> String {
     let spec = spec_for(loss, seed);
-    let nodes = g.nodes_sorted();
-    let n = nodes.len() as f64;
-    let pred = |u: NodeId| splitmix64(u.0 ^ seed ^ 0x5e7).is_multiple_of(8);
+    let slots = slots_by_id(g);
+    let n = slots.len() as f64;
+    let pred = |s: u32| splitmix64(g.id_of_slot(s).0 ^ seed ^ 0x5e7).is_multiple_of(8);
     let mut fs = FaultStats::default();
     let (mut complete, mut witnesses) = (0usize, 0usize);
     let (mut err_sum, mut makespan_sum) = (0.0f64, 0u64);
     for i in 0..k {
-        let root = nodes[(splitmix64(seed ^ 0xf10d ^ i as u64) % nodes.len() as u64) as usize];
+        let root = slots[(splitmix64(seed ^ 0xf10d ^ i as u64) % slots.len() as u64) as usize];
         let op_key = splitmix64(seed ^ 0xf1f1 ^ i as u64);
         let (out, report) = msim::run_flood(g, &spec, root, pred, op_key, spec.flood_retries);
         if out.complete {

@@ -11,7 +11,6 @@ use dex_graph::ids::{NodeId, VertexId};
 use dex_graph::pcycle::resize::Plan;
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
-use dex_graph::MultiGraph;
 use dex_sim::flood::{flood_count_slots, FloodScratch, FloodWork};
 use dex_sim::msim::FloodOutcome;
 use dex_sim::rng::{Purpose, SeedSpace};
@@ -43,13 +42,7 @@ pub(crate) enum WalkGoal {
 }
 
 impl WalkGoal {
-    /// Is node `w` of `g` in this goal's set? For transports that speak
-    /// ids: one translation, through the graph's arena.
-    pub(crate) fn accepts(self, map: &VirtualMapping, g: &MultiGraph, w: NodeId) -> bool {
-        g.slot_of(w).is_some_and(|s| self.accepts_at(map, s))
-    }
-
-    /// [`Self::accepts`] for the node in `slot`: one load read, no id.
+    /// Is the node in `slot` in this goal's set? One load read, no id.
     #[inline]
     pub(crate) fn accepts_at(self, map: &VirtualMapping, slot: u32) -> bool {
         match self {
@@ -336,8 +329,7 @@ impl DexNetwork {
                     self.walk_stats.type2 += 1;
                     return match self.cfg.mode {
                         RecoveryMode::Simplified => {
-                            let v_id = self.net.graph().id_of_slot(v);
-                            crate::type2_simple::inflate(self, (u_id, v_id));
+                            crate::type2_simple::inflate(self, (u, v));
                             RecoveryKind::InflateSimple
                         }
                         RecoveryMode::Staggered => {
@@ -354,7 +346,7 @@ impl DexNetwork {
                 if let Some(w) = res.witness {
                     self.fault_stats.heal_fallbacks += 1;
                     self.walk_stats.hits += 1;
-                    self.give_vertex_to_new_node(self.slot(w), u, v);
+                    self.give_vertex_to_new_node(w, u, v);
                     return RecoveryKind::Type1;
                 }
                 return self.insert_fallback(u, v);
@@ -554,7 +546,6 @@ impl DexNetwork {
                             self.walk_stats.type2 += 1;
                             return match self.cfg.mode {
                                 RecoveryMode::Simplified => {
-                                    let rescuer = self.net.graph().id_of_slot(rescuer);
                                     crate::type2_simple::deflate(self, rescuer);
                                     RecoveryKind::DeflateSimple
                                 }
@@ -571,7 +562,7 @@ impl DexNetwork {
                         if let Some(w) = res.witness {
                             self.fault_stats.heal_fallbacks += 1;
                             self.walk_stats.hits += 1;
-                            self.move_to_low(z, rescuer, self.slot(w));
+                            self.move_to_low(z, rescuer, w);
                             break;
                         }
                     }
@@ -655,13 +646,12 @@ impl DexNetwork {
 
     /// One healing walk from slot `start`, keyed by `(purpose, ctx)`;
     /// `ctx` ends in the walk's attempt index, and `walk_stats` counts it
-    /// on either transport. Without a fault spec it is
-    /// one attempt of the centralized leaf ([`Self::walk_central`]), a
-    /// token that cannot be lost, walking the arena with a per-slot load
-    /// read as its predicate; with one it runs on the message schedule,
-    /// which speaks ids ([`Self::walk_scheduled`]). Inlined into the two
-    /// loops so the caller's constant goal and exclusion reach the walk's
-    /// inner loop.
+    /// on either transport. Without a fault spec it is one attempt of the
+    /// centralized leaf ([`Self::walk_central`]), a token that cannot be
+    /// lost; with one it runs on the message schedule
+    /// ([`Self::walk_scheduled`]). Both walk the arena with a per-slot
+    /// load read as their predicate. Inlined into the two loops so the
+    /// caller's constant goal and exclusion reach the walk's inner loop.
     #[inline]
     fn heal_walk(
         &mut self,
@@ -693,8 +683,6 @@ impl DexNetwork {
                 }
             }
             Some(spec) => {
-                let g = self.net.graph();
-                let (start, exclude) = (g.id_of_slot(start), exclude.map(|s| g.id_of_slot(s)));
                 let out = self.walk_scheduled(&spec, start, exclude, goal, purpose, ctx);
                 self.walk_stats.attempts += 1;
                 self.walk_stats.hits += u64::from(out.hit.is_some());
@@ -767,16 +755,13 @@ impl DexNetwork {
                 FloodOutcome {
                     n: res.n,
                     matching: res.matching,
-                    witness: res.witness,
+                    witness: res.witness.map(|w| self.slot(w)),
                     complete: true,
                     retries: 0,
                     close_round: res.rounds,
                 }
             }
-            Some(spec) => {
-                let root = self.net.graph().id_of_slot(root);
-                self.flood_scheduled(&spec, root, Some(goal), ctx, spec.flood_retries)
-            }
+            Some(spec) => self.flood_scheduled(&spec, root, Some(goal), ctx, spec.flood_retries),
         }
     }
 
@@ -796,8 +781,8 @@ impl DexNetwork {
             .min_by_key(|&w| g.id_of_slot(w))
     }
 
-    /// Slot of a live node named by a transport that speaks ids (a
-    /// scheduled walk's hit, a flood's witness).
+    /// Slot of a live node named by its id (the centralized flood's
+    /// witness, a batch newcomer that is a later join's attach point).
     pub(crate) fn slot(&self, u: NodeId) -> u32 {
         self.net
             .graph()
@@ -891,11 +876,6 @@ mod tests {
             );
             assert!(!out.lost, "centralized walk {i} reported lost");
             assert!(out.hit.is_none_or(|w| goal.accepts_at(&dex.map, w)));
-            assert!(out.hit.is_none_or(|w| goal.accepts(
-                &dex.map,
-                dex.graph(),
-                dex.graph().id_of_slot(w)
-            )));
             misses += out.hit.is_none() as usize;
         }
         assert!((1..256).contains(&misses), "misses={misses}");
@@ -903,7 +883,7 @@ mod tests {
             let res = dex.heal_flood(dex.slot(nodes[0]), goal, &[0]);
             let matching = nodes
                 .iter()
-                .filter(|&&w| goal.accepts(&dex.map, dex.graph(), w))
+                .filter(|&&w| goal.accepts_at(&dex.map, dex.slot(w)))
                 .count();
             assert!(res.complete);
             assert_eq!((res.n, res.matching), (dex.n(), matching));

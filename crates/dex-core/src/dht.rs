@@ -147,8 +147,8 @@ impl DexNetwork {
     /// through the graph arena's index); each path vertex then resolves
     /// to its owner's slot ([`crate::VirtualMapping::owner_slot_of`], one
     /// load of an 8-byte record), and a change of slot is a physical hop.
-    /// Only the message-scheduled transport, which speaks ids, reads the
-    /// hops' ids from the arena. Every buffer lives in the pooled
+    /// The message-scheduled transport gets those hops' slots as its path.
+    /// Every buffer of the centralized route lives in the pooled
     /// [`crate::routing::RouteScratch`] — zero allocation per operation
     /// once warm. The one buffer of size p is the search's epoch-stamped
     /// visited marks, p bytes, zeroed once every 31 searches: under 17 B
@@ -164,24 +164,24 @@ impl DexNetwork {
             &mut route.vpath,
         );
         // A physical hop is a change of owner slot along the path; only
-        // the message schedule needs the hops' node ids.
+        // the message schedule needs the hops' slots listed.
         let (g, scheduled) = (self.net.graph(), self.faults.is_some());
         let mut prev = self.map.owner_slot_of(route.vpath[0]);
         let mut hops = 0;
-        route.npath.clear();
+        let mut path = Vec::new();
         if scheduled {
-            route.npath.push(g.id_of_slot(prev));
+            path.push(prev);
         }
         for &z in &route.vpath[1..] {
             let cur = self.map.owner_slot_of(z);
             if cur != prev {
                 debug_assert!(
-                    g.contains_edge(g.id_of_slot(prev), g.id_of_slot(cur)),
+                    g.neighbor_slots(prev).contains(&cur),
                     "virtual path step not physical: slots {prev} {cur}"
                 );
                 hops += 1;
                 if scheduled {
-                    route.npath.push(g.id_of_slot(cur));
+                    path.push(cur);
                 }
                 prev = cur;
             }
@@ -193,7 +193,7 @@ impl DexNetwork {
                 self.net.charge_messages(hops);
                 true
             }
-            Some(spec) => self.route_scheduled(&spec, key, round_trip),
+            Some(spec) => self.route_scheduled(&spec, key, path, round_trip),
         }
     }
 

@@ -19,6 +19,14 @@
 //! per-step rounds and messages (`tests/msim_diff.rs` runs the two
 //! transports under the one loop).
 //!
+//! Both transports speak the graph's arena slots, as the heal loops do:
+//! a walk's start and hit, a flood's root and witness, a route's hops and
+//! the `Spare` / `Low` test (`WalkGoal::accepts_at`, one load read) pass
+//! between this module and the simulator untranslated. Node ids enter
+//! only where they decide something: the op keys and RNG context words
+//! (a type-2 attempt's root, a fallback flood's context), and inside the
+//! simulator the fault draws, which hash the ids of a link's endpoints.
+//!
 //! Under real faults, three robustness layers engage:
 //!
 //! 1. **transport retries** — inside the simulator, walks and routes run
@@ -69,8 +77,8 @@
 use crate::config::RecoveryMode;
 use crate::dex::{DexNetwork, HealWalk, WalkGoal};
 use crate::dht::Key;
-use dex_graph::ids::{NodeId, VertexId};
-use dex_sim::flood::flood_count_with;
+use dex_graph::ids::VertexId;
+use dex_sim::flood::flood_count_slots;
 use dex_sim::msim::{self, FaultSpec, FaultStats, FloodOutcome, OpStatus, RouteOp, WalkOp};
 use dex_sim::rng::{splitmix64, Purpose};
 use dex_sim::{RecoveryKind, StepKind, StepMetrics};
@@ -144,17 +152,16 @@ impl DexNetwork {
         self.faults.expect("reached only under a fault spec")
     }
 
-    /// Run one healing walk on the message schedule. `ctx` is exactly
-    /// the context the centralized transport keys its stream with;
-    /// generation 0 replays that stream, so at zero faults the outcome
-    /// (hit, hops, charge) is bit-identical to
-    /// [`dex_sim::tokens::random_walk_search`]. The schedule speaks ids;
-    /// the hit goes back to the heal loop as a slot.
+    /// Run one healing walk from slot `start` on the message schedule.
+    /// `ctx` is exactly the context the centralized transport keys its
+    /// stream with; generation 0 replays that stream, so at zero faults
+    /// the outcome (hit, hops, charge) is bit-identical to
+    /// [`dex_sim::tokens::random_walk_search_slots`].
     pub(crate) fn walk_scheduled(
         &mut self,
         spec: &FaultSpec,
-        start: NodeId,
-        exclude: Option<NodeId>,
+        start: u32,
+        exclude: Option<u32>,
         goal: WalkGoal,
         purpose: Purpose,
         ctx: &[u64],
@@ -171,7 +178,7 @@ impl DexNetwork {
             let g = self.net.graph();
             let map = &self.map;
             let seeds = &self.seeds;
-            let accept = move |w: NodeId| goal.accepts(map, g, w);
+            let accept = move |w| goal.accepts_at(map, w);
             let mk_rng = |_: usize, retry: u32| {
                 if retry == 0 {
                     seeds.stream(purpose, ctx)
@@ -189,7 +196,7 @@ impl DexNetwork {
         self.fault_stats.merge(&report.stats);
         let r = &results[0];
         HealWalk {
-            hit: r.hit.map(|w| self.slot(w)),
+            hit: r.hit,
             lost: r.status == OpStatus::Lost,
         }
     }
@@ -198,16 +205,16 @@ impl DexNetwork {
     // Floods & type-2 coordination
     // ------------------------------------------------------------------
 
-    /// Run one flood-aggregate on the message schedule with a re-flood
-    /// budget of `retries`, charging its makespan and sends; `goal: None`
-    /// counts nothing (a type-2 announcement). At zero faults the outcome
-    /// and charges are bit-identical to [`flood_count_with`]; under
-    /// faults the result may be a partial count with the best partial
-    /// witness.
+    /// Run one flood-aggregate from slot `root` on the message schedule
+    /// with a re-flood budget of `retries`, charging its makespan and
+    /// sends; `goal: None` counts nothing (a type-2 announcement). At zero
+    /// faults the outcome and charges are bit-identical to
+    /// [`flood_count_slots`]; under faults the result may be a partial
+    /// count with the best partial witness.
     pub(crate) fn flood_scheduled(
         &mut self,
         spec: &FaultSpec,
-        root: NodeId,
+        root: u32,
         goal: Option<WalkGoal>,
         ctx: &[u64],
         retries: u32,
@@ -216,7 +223,7 @@ impl DexNetwork {
         let (outcome, report) = {
             let g = self.net.graph();
             let map = &self.map;
-            let pred = move |w: NodeId| goal.is_some_and(|goal| goal.accepts(map, g, w));
+            let pred = move |w| goal.is_some_and(|goal| goal.accepts_at(map, w));
             msim::run_flood(g, spec, root, pred, op_key, retries)
         };
         self.net.charge_rounds(report.makespan);
@@ -232,23 +239,20 @@ impl DexNetwork {
     /// permutation-route reservations and commit acks. Returns whether
     /// the convergecast completed; a failed attempt charges its timeout
     /// rounds and messages but stages nothing — graph, Φ and DHT are
-    /// byte-identical to the pre-op state.
+    /// byte-identical to the pre-op state. The attempt's fault draws are
+    /// keyed by the root's id.
     pub(crate) fn type2_coordinate_attempt(
         &mut self,
         spec: &FaultSpec,
-        root: NodeId,
+        root: u32,
         attempt: u32,
     ) -> FloodOutcome {
-        self.flood_scheduled(
-            spec,
-            root,
-            None,
-            &[self.step_no, root.0, TYPE2_WORD | attempt as u64],
-            0,
-        )
+        let root_id = self.net.graph().id_of_slot(root);
+        let ctx = [self.step_no, root_id.0, TYPE2_WORD | attempt as u64];
+        self.flood_scheduled(spec, root, None, &ctx, 0)
     }
 
-    /// Announce a type-2 rebuild (inflate/deflate) from `root` so every
+    /// Announce a type-2 rebuild (inflate/deflate) from slot `root` so every
     /// node switches to the same Z(p'). Without a fault spec that is one
     /// centralized flood. With one, the announcement and its convergecast
     /// run on the message schedule first: the initiator releases the
@@ -260,7 +264,7 @@ impl DexNetwork {
     /// budget exhausts, the announcement escalates to per-link ARQ
     /// (reliable, charged at the centralized flood cost), so a type-2
     /// always completes.
-    pub(crate) fn type2_coordinate(&mut self, root: NodeId) {
+    pub(crate) fn type2_coordinate(&mut self, root: u32) {
         if let Some(spec) = self.faults {
             for attempt in 0..=spec.type2_retries {
                 let out = self.type2_coordinate_attempt(&spec, root, attempt);
@@ -279,7 +283,7 @@ impl DexNetwork {
                 }
             }
         }
-        flood_count_with(&mut self.net, root, |_| false, &mut self.flood_scratch);
+        flood_count_slots(&mut self.net, root, |_| false, &mut self.flood_scratch);
     }
 
     // ------------------------------------------------------------------
@@ -291,13 +295,9 @@ impl DexNetwork {
     /// witness: flood for the spare set, heal to its witness (or inflate
     /// if spares ran out).
     pub(crate) fn insert_fallback(&mut self, su: u32, sv: u32) -> RecoveryKind {
-        let (u, v) = {
-            let g = self.net.graph();
-            (g.id_of_slot(su), g.id_of_slot(sv))
-        };
         let spec = self.scheduled_spec();
-        let ctx = [self.step_no, u.0, FLOOD_WORD];
-        let res = self.flood_scheduled(&spec, v, Some(WalkGoal::Spare), &ctx, spec.flood_retries);
+        let ctx = [self.step_no, self.net.graph().id_of_slot(su).0, FLOOD_WORD];
+        let res = self.flood_scheduled(&spec, sv, Some(WalkGoal::Spare), &ctx, spec.flood_retries);
         let n_prev = res.n.saturating_sub(1);
         // Inflate only on *proof* that the spare set is dry: a complete
         // convergecast (exact count) that fails the sufficiency test. A
@@ -307,7 +307,7 @@ impl DexNetwork {
         // spurious rebuilds compound.
         if res.complete && !self.cfg.spare_sufficient(res.matching, n_prev) {
             self.walk_stats.type2 += 1;
-            crate::type2_simple::inflate(self, (u, v));
+            crate::type2_simple::inflate(self, (su, sv));
             return RecoveryKind::InflateSimple;
         }
         // Partial flood: heal to the best partial witness. When not even
@@ -316,7 +316,7 @@ impl DexNetwork {
         // (one ARQ-reliable link away), hands `u` one of its vertices.
         // Only a neighborhood uniformly down to its last vertex — the
         // local signature of n ≈ p — still escalates to inflation.
-        let donor = res.witness.map(|w| self.slot(w)).or_else(|| {
+        let donor = res.witness.or_else(|| {
             if self.map.load_at(sv) >= 2 {
                 return Some(sv);
             }
@@ -329,7 +329,7 @@ impl DexNetwork {
         });
         let Some(w) = donor else {
             self.walk_stats.type2 += 1;
-            crate::type2_simple::inflate(self, (u, v));
+            crate::type2_simple::inflate(self, (su, sv));
             return RecoveryKind::InflateSimple;
         };
         self.fault_stats.heal_fallbacks += 1;
@@ -339,13 +339,12 @@ impl DexNetwork {
     }
 
     /// Walk-free delete fallback: flood for the low set, rehome `z` (with
-    /// its chord partner) from the rescuer in slot `rescuer_slot` to the
+    /// its chord partner) from the rescuer in slot `rescuer` to the
     /// witness (or deflate if Low ran out). Returns `true` when type-1
     /// healing sufficed.
-    pub(crate) fn delete_fallback(&mut self, z: (VertexId, VertexId), rescuer_slot: u32) -> bool {
-        let rescuer = self.net.graph().id_of_slot(rescuer_slot);
+    pub(crate) fn delete_fallback(&mut self, z: (VertexId, VertexId), rescuer: u32) -> bool {
         let spec = self.scheduled_spec();
-        let ctx = [self.step_no, z.0 .0, rescuer.0];
+        let ctx = [self.step_no, z.0 .0, self.net.graph().id_of_slot(rescuer).0];
         let res = self.flood_scheduled(
             &spec,
             rescuer,
@@ -366,7 +365,7 @@ impl DexNetwork {
         let w = res.witness.expect("checked above");
         self.fault_stats.heal_fallbacks += 1;
         self.walk_stats.hits += 1;
-        self.move_to_low(z, rescuer_slot, self.slot(w));
+        self.move_to_low(z, rescuer, w);
         true
     }
 
@@ -374,22 +373,27 @@ impl DexNetwork {
     // DHT routing
     // ------------------------------------------------------------------
 
-    /// Run the resolved DHT route (`self.heal.route.npath`) as one
-    /// [`RouteOp`] on the message schedule (round-trip for lookups).
-    /// Charges the run's makespan and sends; returns `false` when the
-    /// route was abandoned (counted in `dht_abandoned`).
-    pub(crate) fn route_scheduled(&mut self, spec: &FaultSpec, key: Key, round_trip: bool) -> bool {
+    /// Run a resolved DHT route — the slots of its physical hops, both
+    /// ends included — as one [`RouteOp`] on the message schedule
+    /// (round-trip for lookups). Charges the run's makespan and sends;
+    /// returns `false` when the route was abandoned (counted in
+    /// `dht_abandoned`).
+    pub(crate) fn route_scheduled(
+        &mut self,
+        spec: &FaultSpec,
+        key: Key,
+        path: Vec<u32>,
+        round_trip: bool,
+    ) -> bool {
         let op_key = splitmix64(
             splitmix64(spec.seed ^ key) ^ (self.net.steps_completed().wrapping_mul(0x9e37)),
         );
         let ops = [RouteOp {
-            path: std::mem::take(&mut self.heal.route.npath),
+            path,
             round_trip,
             op_key,
         }];
         let (results, report) = msim::run_routes(self.net.graph(), spec, &ops);
-        let [op] = ops;
-        self.heal.route.npath = op.path;
         self.net.charge_rounds(report.makespan);
         self.net.charge_messages(report.messages);
         self.fault_stats.merge(&report.stats);
@@ -405,6 +409,7 @@ impl DexNetwork {
 mod tests {
     use super::*;
     use crate::{invariants, DexConfig};
+    use dex_graph::ids::NodeId;
 
     /// A spec whose burst window covers every round: every send is lost,
     /// so no flood generation can ever complete.
@@ -443,7 +448,7 @@ mod tests {
         let before = snapshot(&dex);
         let dht_before = dex.dht_store().entries_sorted();
         dex.net.begin_step();
-        let out = dex.type2_coordinate_attempt(&all_loss(), root, 0);
+        let out = dex.type2_coordinate_attempt(&all_loss(), dex.slot(root), 0);
         dex.net.end_step(StepKind::Insert, RecoveryKind::Type1);
         assert!(!out.complete, "all-loss spec completed a convergecast");
         assert_eq!(snapshot(&dex), before, "failed attempt mutated state");
@@ -494,7 +499,7 @@ mod tests {
         dex.set_faults(Some(spec));
         let before = snapshot(&dex);
         dex.net.begin_step();
-        dex.type2_coordinate(root);
+        dex.type2_coordinate(dex.slot(root));
         let m = dex.net.end_step(StepKind::Insert, RecoveryKind::Type1);
         assert_eq!(
             dex.fault_stats.type2_rollbacks,

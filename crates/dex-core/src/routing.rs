@@ -26,7 +26,7 @@
 //! that executed rounds stay within `6·log² p`.
 
 use crate::mapping::VirtualMapping;
-use dex_graph::ids::{NodeId, VertexId};
+use dex_graph::ids::VertexId;
 use dex_graph::pcycle::resize::Plan;
 use dex_graph::pcycle::{PCycle, PathScratch};
 use dex_sim::tokens::route_batch_flat;
@@ -39,25 +39,22 @@ pub const EXACT_ROUTING_MAX_P: u64 = 2500;
 /// route: one bidirectional-BFS scratch and one vertex-path buffer serve
 /// every search — vertex to vertex for a permutation pair, from the
 /// initiator's whole `Sim` set for a DHT route — and all token paths of a
-/// permutation live in one flat node buffer addressed by `(start, len)`
-/// ranges, so resolving a pair allocates nothing. The BFS scratch holds
-/// one epoch-stamped visited mark per vertex of the largest cycle
-/// searched: p bytes, zeroed once every 31 searches — under 17 B per
-/// node, as p/n peaks at 16.9 before a deflation on the `resize` trace.
+/// permutation live in one flat buffer of node slots addressed by
+/// `(start, len)` ranges, so resolving a pair allocates nothing. The BFS
+/// scratch holds one epoch-stamped visited mark per vertex of the largest
+/// cycle searched: p bytes, zeroed once every 31 searches — under 17 B
+/// per node, as p/n peaks at 16.9 before a deflation on the `resize`
+/// trace.
 #[derive(Default)]
 pub struct RouteScratch {
-    /// Flattened physical paths, one range per token.
-    flat: Vec<NodeId>,
+    /// Flattened physical paths (node slots), one range per token.
+    flat: Vec<u32>,
     /// `(start, len)` of each token's path within `flat`.
     ranges: Vec<(usize, usize)>,
     /// Bidirectional-BFS scratch of the virtual shortest-path search.
     pub(crate) bfs: PathScratch,
     /// The virtual path of the pair (or DHT route) being resolved.
     pub(crate) vpath: Vec<VertexId>,
-    /// The DHT route's physical node path (`vpath`'s owner sequence with
-    /// consecutive duplicates collapsed), for the message-scheduled
-    /// transport.
-    pub(crate) npath: Vec<NodeId>,
 }
 
 impl RouteScratch {
@@ -84,9 +81,9 @@ pub fn route_pairs(
     route_pairs_with(net, map, cycle, pairs, cap, &mut RouteScratch::new())
 }
 
-/// Resolve the physical path (the owner of every virtual hop) of each
-/// `src → dst` into `scratch`'s flat buffer, one `(start, len)` range per
-/// pair.
+/// Resolve the physical path (the owner slot of every virtual hop) of
+/// each `src → dst` into `scratch`'s flat buffer, one `(start, len)`
+/// range per pair.
 fn resolve_pairs(
     map: &VirtualMapping,
     cycle: &PCycle,
@@ -105,7 +102,7 @@ fn resolve_pairs(
     for &(src, dst) in pairs {
         cycle.shortest_path_with(src, dst, bfs, vpath);
         ranges.push((flat.len(), vpath.len()));
-        flat.extend(vpath.iter().map(|&z| map.owner_of(z)));
+        flat.extend(vpath.iter().map(|&z| map.owner_slot_of(z)));
     }
 }
 
@@ -147,6 +144,7 @@ mod tests {
     use super::*;
     use crate::fabric;
     use dex_graph::connectivity::bfs_distances;
+    use dex_graph::ids::NodeId;
     use rand::rngs::StdRng;
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
@@ -174,8 +172,9 @@ mod tests {
     #[test]
     fn type2_workloads_resolve_to_shortest_virtual_paths() {
         for p in [101u64, 1009, 10007] {
-            // Identity Φ (vertex x on node x): a resolved owner path *is*
-            // the virtual path.
+            // Identity Φ (vertex x on node x, which the self-allocating
+            // map puts in slot x): a resolved owner path *is* the virtual
+            // path.
             let cycle = PCycle::new(p);
             let graph = cycle.to_multigraph();
             let mut map = VirtualMapping::new(8);
@@ -195,20 +194,19 @@ mod tests {
                 for (i, (&(src, dst), &(start, len))) in
                     pairs.iter().zip(&scratch.ranges).enumerate()
                 {
-                    let path = &scratch.flat[start..start + len];
-                    assert_eq!(
-                        (path[0], path[len - 1]),
-                        (NodeId(src.0), NodeId(dst.0)),
-                        "{name} of Z({p})"
-                    );
+                    let path: Vec<u64> = scratch.flat[start..start + len]
+                        .iter()
+                        .map(|&s| s as u64)
+                        .collect();
+                    assert_eq!((path[0], path[len - 1]), (src.0, dst.0), "{name} of Z({p})");
                     for w in path.windows(2) {
                         assert!(
-                            cycle.adjacent(VertexId(w[0].0), VertexId(w[1].0)),
+                            cycle.adjacent(VertexId(w[0]), VertexId(w[1])),
                             "{name} of Z({p}), {src} -> {dst}: non-edge step {w:?}"
                         );
                     }
                     if i % stride == 0 {
-                        sampled.push((path[0], path[len - 1], len as u32 - 1));
+                        sampled.push((NodeId(path[0]), NodeId(path[len - 1]), len as u32 - 1));
                     }
                 }
                 // One reference BFS per distinct source.

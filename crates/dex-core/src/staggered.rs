@@ -543,9 +543,7 @@ fn stage_one(dex: &mut DexNetwork, op: &mut StaggeredOp, x: u64) {
 fn rebalance_staged(dex: &mut DexNetwork, op: &mut StaggeredOp, u: u32) {
     let cap = dex.cfg.max_load();
     let key = [dex.step_no, dex.net.graph().id_of_slot(u).0];
-    // The surplus's walks share attempts 0..max − 1: one that would
-    // need attempt max − 1 starves.
-    let budget = dex.cfg.max_walk_retries.saturating_sub(1);
+    let budget = dex.cfg.max_walk_retries;
     let mut attempt = 0u64;
     while op.staged_map.load_at(u) > cap {
         let under_cap = |_: &VirtualMapping, w| w != u && op.staged_map.load_at(w) < cap;

@@ -62,7 +62,7 @@ fn inverse_edge_routing(dex: &mut DexNetwork, plan: &Plan) {
     }
     let mut pairs = crate::routing::inverse_pairs(plan);
     // Pairs whose sources live on the same node are local and free.
-    pairs.retain(|&(a, b)| dex.map.owner_of(a) != dex.map.owner_of(b));
+    pairs.retain(|&(a, b)| dex.map.owner_slot_of(a) != dex.map.owner_slot_of(b));
     crate::routing::route_pairs_with(
         &mut dex.net,
         &dex.map,
@@ -73,11 +73,12 @@ fn inverse_edge_routing(dex: &mut DexNetwork, plan: &Plan) {
     );
 }
 
-/// Phase 1, shared by both procedures: coordinate the rebuild from `root`,
-/// hand every old vertex's generated run (its inflation cloud, or its
-/// deflation image if it dominates) to the vertex's owner, and build the
-/// new cycle's edges. Returns the new Φ; the old one stays live.
-fn stage(dex: &mut DexNetwork, plan: &Plan, root: NodeId) -> VirtualMapping {
+/// Phase 1, shared by both procedures: coordinate the rebuild from the
+/// node in slot `root`, hand every old vertex's generated run (its
+/// inflation cloud, or its deflation image if it dominates) to the
+/// vertex's owner, and build the new cycle's edges. Returns the new Φ;
+/// the old one stays live.
+fn stage(dex: &mut DexNetwork, plan: &Plan, root: u32) -> VirtualMapping {
     // Flood the rebuild request so every node switches to the same Z(p').
     // Under a fault spec the announcement flood plus its convergecast
     // (reservations + commit acks) run on the message schedule and may
@@ -126,9 +127,9 @@ fn install(dex: &mut DexNetwork, new_map: VirtualMapping, plan: &Plan) {
     rebalance_overload(dex);
 }
 
-/// Procedure `simplifiedInfl`, triggered by the insertion of `u` at the
-/// attach point `v`.
-pub fn inflate(dex: &mut DexNetwork, (u, v): (NodeId, NodeId)) {
+/// Procedure `simplifiedInfl`, triggered by the insertion of the node in
+/// slot `u` at the attach point in slot `v`.
+pub fn inflate(dex: &mut DexNetwork, (u, v): (u32, u32)) {
     let plan = Plan::inflation(dex.cycle.p());
     let mut new_map = stage(dex, &plan, v);
 
@@ -136,19 +137,18 @@ pub fn inflate(dex: &mut DexNetwork, (u, v): (NodeId, NodeId)) {
     // its attach point (Algorithm 4.5, line 6). The adversarial attach
     // edge disappears at the rewire unless the new virtual graph requires
     // a (u, v) edge.
-    let sv = dex.slot(v);
-    debug_assert!(new_map.load_at(sv) >= 4, "cloud sizes are >= 4 (α > 4)");
-    let z = *new_map.sim_at(sv).iter().max().expect("nonempty");
-    new_map.transfer_at(z, u, dex.slot(u));
+    debug_assert!(new_map.load_at(v) >= 4, "cloud sizes are >= 4 (α > 4)");
+    let z = *new_map.sim_at(v).iter().max().expect("nonempty");
+    new_map.transfer_at(z, dex.net.graph().id_of_slot(u), u);
     dex.net.charge_messages(4);
     dex.net.charge_rounds(1);
 
     install(dex, new_map, &plan);
 }
 
-/// Procedure `simplifiedDefl`. `root` is the node that detected the
-/// failure (the deletion rescuer).
-pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
+/// Procedure `simplifiedDefl`. `root` is the slot of the node that
+/// detected the failure (the deletion rescuer).
+pub fn deflate(dex: &mut DexNetwork, root: u32) {
     let p_old = dex.cycle.p();
     let plan = Plan::deflation(p_old)
         .unwrap_or_else(|| panic!("cannot deflate below p = {p_old}: network too small for Z(p)"));
@@ -165,19 +165,15 @@ pub fn deflate(dex: &mut DexNetwork, root: NodeId) {
     // Phase 2 — run *before* discarding the old fabric so contending nodes
     // can still communicate. A node with no new vertex walks (on the
     // actual network) until it finds a node holding a non-taken vertex.
-    let contending: Vec<NodeId> = dex
-        .net
-        .graph()
-        .nodes_sorted()
-        .into_iter()
-        .filter(|&u| new_map.load_at(dex.slot(u)) == 0)
+    // Contenders walk in id order: their rank in it keys each one's walk.
+    let g = dex.net.graph();
+    let mut contending: Vec<(NodeId, u32)> = (0..g.slot_bound() as u32)
+        .filter(|&s| g.slot_alive(s) && new_map.load_at(s) == 0)
+        .map(|s| (g.id_of_slot(s), s))
         .collect();
+    contending.sort_unstable();
     let step_no = dex.step_no;
-    // Borrowed, not consumed: the list is freed after `install`. Freed
-    // before it, it raised the `resize` benchmark's peak RSS from 33.3 to
-    // 35.0 MB (glibc's reuse of freed memory follows allocation order).
-    for (ci, &c) in contending.iter().enumerate() {
-        let sc = dex.slot(c);
+    for (ci, &(c, sc)) in contending.iter().enumerate() {
         let key = [step_no, ci as u64];
         let budget = 0..dex.cfg.max_walk_retries;
         // Non-taken vertex exists iff new load ≥ 2 (one is reserved).
@@ -213,11 +209,11 @@ fn rebalance_overload(dex: &mut DexNetwork) {
     let four_zeta = dex.cfg.max_load();
     let two_zeta = 2 * dex.cfg.zeta;
 
-    let mut full: FxHashSet<NodeId> = dex
+    let mut full: FxHashSet<u32> = dex
         .map
         .nodes_at()
-        .filter(|&(_, s)| dex.map.load_at(s) > two_zeta)
-        .map(|(u, _)| u)
+        .map(|(_, s)| s)
+        .filter(|&s| dex.map.load_at(s) > two_zeta)
         .collect();
 
     // Surplus vertices, deterministically the largest ids beyond 4ζ.
@@ -254,7 +250,7 @@ fn rebalance_overload(dex: &mut DexNetwork) {
             .collect();
         let mut rounds = 0u64;
         let mut messages = 0u64;
-        let mut edge_load: FxHashMap<(NodeId, NodeId), u64> = FxHashMap::default();
+        let mut edge_load: FxHashMap<(u32, u32), u64> = FxHashMap::default();
         for _ in 0..walk_len {
             edge_load.clear();
             for (c, rng) in cur.iter_mut().zip(rngs.iter_mut()) {
@@ -264,7 +260,7 @@ fn rebalance_overload(dex: &mut DexNetwork) {
                     1 => dex.cycle.pred(*c),
                     _ => dex.cycle.chord(*c),
                 };
-                let (a, b) = (dex.map.owner_of(*c), dex.map.owner_of(next));
+                let (a, b) = (dex.map.owner_slot_of(*c), dex.map.owner_slot_of(next));
                 if a != b {
                     *edge_load.entry((a, b)).or_insert(0) += 1;
                     messages += 1;
@@ -285,8 +281,8 @@ fn rebalance_overload(dex: &mut DexNetwork) {
         let mut next_surplus = Vec::new();
         for (i, &z) in surplus.iter().enumerate() {
             let land = cur[i];
-            let (host, host_slot) = (dex.map.owner_of(land), dex.map.owner_slot_of(land));
-            let origin = dex.map.owner_of(z);
+            let host = dex.map.owner_slot_of(land);
+            let origin = dex.map.owner_slot_of(z);
             if landing_count[&land] == 1 && !full.contains(&host) && host != origin {
                 fabric::move_vertices(
                     &mut dex.net,
@@ -294,12 +290,12 @@ fn rebalance_overload(dex: &mut DexNetwork) {
                     &dex.cycle,
                     &[z],
                     &[dex.cycle.chord(z)],
-                    host_slot,
+                    host,
                     &mut dex.heal.insts,
                 );
                 dex.net.charge_messages(4);
                 dex.net.charge_rounds(1);
-                if dex.map.load_at(host_slot) > two_zeta {
+                if dex.map.load_at(host) > two_zeta {
                     full.insert(host);
                 }
             } else {

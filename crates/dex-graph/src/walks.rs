@@ -11,6 +11,10 @@
 //! Walks run in the graph's dense slot space: the public [`NodeId`]
 //! entry points resolve the id→slot translation once, then every hop is
 //! two array reads and one RNG draw — no hashing, no heap allocation.
+//!
+//! Held for `benchmark/`, goes with the next benchmark PR: its probes
+//! call [`walk`]; everything else walks slots
+//! ([`MultiGraph::walk_slots`]).
 
 use crate::adjacency::MultiGraph;
 use crate::ids::NodeId;

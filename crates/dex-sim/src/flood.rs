@@ -10,8 +10,8 @@
 //! DEX floods on a step's first *walk miss* — type-1 recovery falls back
 //! to this count when a random walk finds no Spare / Low node, which near
 //! a type-2 threshold is most steps — so callers hold a [`FloodScratch`] and
-//! use [`flood_count_with`] or, when they already hold slots, the kernel
-//! under it, [`flood_count_slots`].
+//! use the slot kernel, [`flood_count_slots`]. The `NodeId` form,
+//! [`flood_count_with`], resolves the root and wraps it.
 //!
 //! # The kernel
 //!
@@ -171,17 +171,12 @@ pub struct FloodResult {
     pub witness: Option<NodeId>,
 }
 
-/// Flood from `root`, count nodes satisfying `pred`, converge-cast back.
-/// Convenience wrapper allocating a throwaway [`FloodScratch`]; repeated
-/// callers should keep one and use [`flood_count_with`].
-pub fn flood_count(net: &mut Network, root: NodeId, pred: impl Fn(NodeId) -> bool) -> FloodResult {
-    flood_count_with(net, root, pred, &mut FloodScratch::new())
-}
-
-/// Flood from `root` using caller-provided scratch buffers. See
-/// [`flood_count`] for semantics and cost accounting. Thin wrapper over
-/// the slot kernel ([`flood_count_slots`]): the root is resolved once and
-/// the predicate sees `id_of_slot`.
+/// Flood from `root`, count nodes satisfying `pred`, converge-cast back,
+/// using caller-provided scratch buffers (see the module docs for the
+/// cost charged). Thin wrapper over the slot kernel
+/// ([`flood_count_slots`]): the root is resolved once and the predicate
+/// sees `id_of_slot`. Held for `benchmark/`, goes with the next
+/// benchmark PR.
 pub fn flood_count_with(
     net: &mut Network,
     root: NodeId,
@@ -196,7 +191,7 @@ pub fn flood_count_with(
     charge(net, res)
 }
 
-/// [`flood_count_with`] in the graph's dense slot space: `root` and the
+/// The flood in the graph's dense slot space: `root` and the
 /// predicate's argument are arena slots, so a predicate that reads a
 /// slot-indexed table (Φ's per-slot loads) costs no hashing per node. The
 /// witness is still the matching node minimizing (BFS distance, node
@@ -397,6 +392,11 @@ mod tests {
     use super::*;
     use crate::{RecoveryKind, StepKind};
 
+    /// One flood on a fresh scratch.
+    fn fresh_flood(net: &mut Network, root: NodeId, pred: impl Fn(NodeId) -> bool) -> FloodResult {
+        flood_count_with(net, root, pred, &mut FloodScratch::new())
+    }
+
     fn ring_net(k: u64) -> Network {
         let mut net = Network::new();
         for i in 0..k {
@@ -412,7 +412,7 @@ mod tests {
     fn counts_whole_ring() {
         let mut net = ring_net(8);
         net.begin_step();
-        let r = flood_count(&mut net, NodeId(0), |u| u.0 % 2 == 0);
+        let r = fresh_flood(&mut net, NodeId(0), |u| u.0 % 2 == 0);
         assert_eq!(r.n, 8);
         assert_eq!(r.matching, 4);
         assert_eq!(r.rounds, 2 * 4); // ecc of a ring root = n/2
@@ -423,7 +423,7 @@ mod tests {
     fn message_cost_is_linear_in_edges() {
         let mut net = ring_net(8);
         net.begin_step();
-        let r = flood_count(&mut net, NodeId(0), |_| true);
+        let r = fresh_flood(&mut net, NodeId(0), |_| true);
         // broadcast: root sends deg=2, others deg-1=1 each → 2 + 7 = 9;
         // convergecast: 7. Total 16.
         assert_eq!(r.messages, 16);
@@ -440,7 +440,7 @@ mod tests {
         }
         net.adversary_add_edge(NodeId(10), NodeId(11));
         net.begin_step();
-        let r = flood_count(&mut net, NodeId(10), |_| true);
+        let r = fresh_flood(&mut net, NodeId(10), |_| true);
         assert_eq!(r.n, 2);
         net.end_step(StepKind::Insert, RecoveryKind::Type1);
     }
@@ -450,7 +450,7 @@ mod tests {
         let mut net = Network::new();
         net.adversary_add_node(NodeId(0));
         net.begin_step();
-        let r = flood_count(&mut net, NodeId(0), |_| true);
+        let r = fresh_flood(&mut net, NodeId(0), |_| true);
         assert_eq!(r.n, 1);
         assert_eq!(r.matching, 1);
         assert_eq!(r.rounds, 0);
@@ -463,7 +463,7 @@ mod tests {
         let mut scratch = FloodScratch::new();
         net.begin_step();
         let a = flood_count_with(&mut net, NodeId(0), |u| u.0 < 6, &mut scratch);
-        let b = flood_count(&mut net, NodeId(0), |u| u.0 < 6);
+        let b = fresh_flood(&mut net, NodeId(0), |u| u.0 < 6);
         assert_eq!(a, b);
         // Mutate, re-flood with the same scratch: results track the graph.
         net.adversary_remove_node(NodeId(6));
@@ -495,13 +495,13 @@ mod tests {
         net.begin_step();
         // pred = odd ids; from root 0 the nearest odd nodes are 1 and 9
         // (both at distance 1) — the witness is the lower id.
-        let r = flood_count(&mut net, NodeId(0), |u| u.0 % 2 == 1);
+        let r = fresh_flood(&mut net, NodeId(0), |u| u.0 % 2 == 1);
         assert_eq!(r.witness, Some(NodeId(1)));
         // No matching node: no witness.
-        let r2 = flood_count(&mut net, NodeId(0), |u| u.0 > 100);
+        let r2 = fresh_flood(&mut net, NodeId(0), |u| u.0 > 100);
         assert_eq!(r2.witness, None);
         // Root matches: the witness is the root itself (distance 0).
-        let r3 = flood_count(&mut net, NodeId(4), |_| true);
+        let r3 = fresh_flood(&mut net, NodeId(4), |_| true);
         assert_eq!(r3.witness, Some(NodeId(4)));
         net.end_step(StepKind::Insert, RecoveryKind::Type1);
     }

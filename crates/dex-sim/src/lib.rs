@@ -13,6 +13,9 @@
 //!   paper give Phase-2 walks `ρ = O(log² n)` rounds;
 //! * [`flood`] implements BFS broadcast + convergecast aggregation
 //!   (the paper's `computeSpare` / `computeLow`, Algorithm 4.4);
+//! * [`msim`] runs the same walks, routes and floods as scheduled
+//!   messages under fault injection. Like the `tokens` and `flood`
+//!   kernels it speaks the graph's arena slots;
 //! * [`rng`] derives deterministic per-purpose RNG streams so whole runs
 //!   replay bit-identically from one master seed (the adaptive adversary is
 //!   entitled to all past random choices — determinism makes that honest).

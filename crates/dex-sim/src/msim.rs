@@ -1,7 +1,7 @@
 //! Event-driven message-level simulator with fault injection.
 //!
 //! The rest of the workspace *charges* CONGEST costs — a walk calls
-//! [`crate::tokens::random_walk_search`] and bills one round and one
+//! [`crate::tokens::random_walk_search_slots`] and bills one round and one
 //! message per hop, but the hop itself is a synchronous array read that
 //! cannot fail. This module puts the same token exchanges on an actual
 //! message schedule: every hop becomes a send that is enqueued into the
@@ -55,10 +55,10 @@
 //!   a sequential function of its inputs.
 //!
 //! With a zero [`FaultSpec`] the walk engine reproduces
-//! [`crate::tokens::random_walk_search`] exactly — same RNG draws, same
-//! hit, same hop count — which is what lets `dex-core` route its healing
-//! walks through here unconditionally and stay bit-identical to the
-//! centralized oracle when faults are off.
+//! [`crate::tokens::random_walk_search_slots`] exactly — same RNG draws,
+//! same hit, same hop count — which is what lets `dex-core` route its
+//! healing walks through here unconditionally and stay bit-identical to
+//! the centralized oracle when faults are off.
 //!
 //! [`run_flood`] puts the protocol's broadcast/convergecast aggregates
 //! (Algorithm 4.4's computeSpare/computeLow) on the same schedule:
@@ -66,7 +66,19 @@
 //! convergecast report is a faultable send, bounded re-flood on timeout,
 //! and graceful degradation to a partial count plus best partial witness
 //! when the budget exhausts. With a zero spec it reproduces
-//! [`crate::flood::flood_count_with`]'s result and charges exactly.
+//! [`crate::flood::flood_count_slots`]'s result and charges exactly.
+//!
+//! # One id space
+//!
+//! The engine speaks the graph's arena slots end to end: a walk's start
+//! and exclusion, a route's path, a flood's root, the `accept` / `pred`
+//! argument, a walk's hit and a flood's witness are all slots, so a
+//! caller that heals on slots (`dex-core`) translates nothing per hop.
+//! Node ids enter only where they decide something: every fault draw —
+//! loss, burst window, link latency, partition side — hashes the ids of
+//! the link's endpoints ([`MultiGraph::id_of_slot`], one array read), so
+//! the draws do not depend on which slots the arena happened to hand
+//! out, and a flood's witness breaks a depth tie on the lower id.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -442,16 +454,16 @@ pub fn send_fate(
 }
 
 /// One random-walk search to schedule (same inputs as
-/// [`crate::tokens::random_walk_search`], plus an op key for the fault
-/// hashes).
+/// [`crate::tokens::random_walk_search_slots`], plus an op key for the
+/// fault hashes).
 #[derive(Debug, Clone)]
 pub struct WalkOp {
-    /// Start node (must be in the graph).
-    pub start: NodeId,
+    /// Slot of the start node (must be live).
+    pub start: u32,
     /// Hop budget.
     pub max_len: u64,
-    /// Node never stepped onto.
-    pub exclude: Option<NodeId>,
+    /// Slot never stepped onto.
+    pub exclude: Option<u32>,
     /// Stable operation identity for fault draws (derive from protocol
     /// state — step number, node id — never from batch position).
     pub op_key: u64,
@@ -460,9 +472,10 @@ pub struct WalkOp {
 /// One token to route along a prescribed node path.
 #[derive(Debug, Clone)]
 pub struct RouteOp {
-    /// Nodes visited in order, endpoints included (consecutive entries
-    /// must be adjacent; a single-entry path delivers immediately).
-    pub path: Vec<NodeId>,
+    /// Slots of the nodes visited in order, endpoints included
+    /// (consecutive entries must be adjacent; a single-entry path
+    /// delivers immediately).
+    pub path: Vec<u32>,
     /// Route back along the reversed path after reaching the end (a DHT
     /// lookup's request + reply).
     pub round_trip: bool,
@@ -487,8 +500,8 @@ pub enum OpStatus {
 /// Outcome of one operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OpResult {
-    /// Accepting node (walks that hit).
-    pub hit: Option<NodeId>,
+    /// Slot of the accepting node (walks that hit).
+    pub hit: Option<u32>,
     /// How the operation closed.
     pub status: OpStatus,
     /// Hops taken by the generation that closed the op.
@@ -548,9 +561,9 @@ struct Event {
 #[derive(Debug)]
 enum MetaKind {
     Walk {
-        start_slot: u32,
+        start: u32,
         max_len: u64,
-        exclude_slot: Option<u32>,
+        exclude: Option<u32>,
     },
     Route {
         /// Flattened slot path (round trips already unrolled).
@@ -584,7 +597,7 @@ struct OpState {
     sends: u64,
     retransmits: u64,
     result_hops: u64,
-    hit: Option<NodeId>,
+    hit: Option<u32>,
     status: OpStatus,
     close_round: u64,
 }
@@ -626,10 +639,10 @@ fn send_tag(retry: u32, k: u32, hop: u64) -> u64 {
 enum Intent {
     /// Forward the token to `dst` (a slot).
     Forward(u32),
-    /// Close the op: a walk hit (with the accepting node), a walk that
+    /// Close the op: a walk hit (with the accepting slot), a walk that
     /// exhausted its budget or got stuck (`Miss`), or a route that
     /// reached the end of its path (`Delivered`).
-    Close(OpStatus, Option<NodeId>),
+    Close(OpStatus, Option<u32>),
 }
 
 struct Work {
@@ -647,7 +660,7 @@ struct Work {
 /// Decide what token `tok`, delivered at `slot`, does next. Reads the
 /// graph and the op metadata, mutates only the token (RNG, hop/pos
 /// counters).
-fn decide<A: Fn(NodeId) -> bool>(
+fn decide<A: Fn(u32) -> bool>(
     g: &MultiGraph,
     metas: &[OpMeta],
     accept: &A,
@@ -657,19 +670,17 @@ fn decide<A: Fn(NodeId) -> bool>(
     match (&metas[tok.op as usize].kind, &mut tok.body) {
         (
             MetaKind::Walk {
-                max_len,
-                exclude_slot,
-                ..
+                max_len, exclude, ..
             },
             TokBody::Walk { rng, hops },
         ) => {
-            // Mirrors `random_walk_search` exactly: the start node is not
-            // tested, the accept test runs after each hop, the budget
-            // gate runs before each pick, and the pick is a reservoir
-            // pass over the adjacency multiset skipping the excluded
-            // node (which consumes no draw).
-            if *hops > 0 && accept(g.id_of_slot(slot)) {
-                return Intent::Close(OpStatus::Hit, Some(g.id_of_slot(slot)));
+            // Mirrors `random_walk_search_slots` exactly: the start node
+            // is not tested, the accept test runs after each hop, the
+            // budget gate runs before each pick, and the pick is a
+            // reservoir pass over the adjacency multiset skipping the
+            // excluded node (which consumes no draw).
+            if *hops > 0 && accept(slot) {
+                return Intent::Close(OpStatus::Hit, Some(slot));
             }
             if *hops >= *max_len {
                 return Intent::Close(OpStatus::Miss, None);
@@ -677,7 +688,7 @@ fn decide<A: Fn(NodeId) -> bool>(
             let mut choice: Option<u32> = None;
             let mut seen = 0usize;
             for &v in g.neighbor_slots(slot) {
-                if Some(v) == *exclude_slot {
+                if Some(v) == *exclude {
                     continue;
                 }
                 seen += 1;
@@ -714,7 +725,7 @@ fn run_engine<A, M>(
     mut mk_rng: M,
 ) -> (Vec<OpResult>, RunReport)
 where
-    A: Fn(NodeId) -> bool,
+    A: Fn(u32) -> bool,
     M: FnMut(usize, u32) -> StdRng,
 {
     let n_ops = metas.len();
@@ -735,8 +746,8 @@ where
             let retry: u32 = $retry;
             let round: u64 = $round;
             let (start, body) = match &metas[i].kind {
-                MetaKind::Walk { start_slot, .. } => (
-                    *start_slot,
+                MetaKind::Walk { start, .. } => (
+                    *start,
                     TokBody::Walk {
                         rng: $mk(i, retry),
                         hops: 0,
@@ -969,14 +980,14 @@ where
 
 /// Run a batch of random-walk searches on an actual message schedule.
 ///
-/// `accept` is the membership test (pure, consulted at every delivered
-/// hop except the start node); `mk_rng` builds the RNG for op `i`'s
-/// generation `retry` — generation 0 must use exactly the stream the
-/// centralized walk would use, so a zero [`FaultSpec`] reproduces
-/// [`crate::tokens::random_walk_search`] bit-for-bit (same hit, same
-/// hops, `makespan == hops` for a single op). Hop-level retransmissions
-/// draw nothing, so under loss a walk still takes the centralized walk's
-/// hops unless one of them spends its whole budget.
+/// `accept` is the membership test on a slot (pure, consulted at every
+/// delivered hop except the start node); `mk_rng` builds the RNG for op
+/// `i`'s generation `retry` — generation 0 must use exactly the stream
+/// the centralized walk would use, so a zero [`FaultSpec`] reproduces
+/// [`crate::tokens::random_walk_search_slots`] bit-for-bit (same hit,
+/// same hops, `makespan == hops` for a single op). Hop-level
+/// retransmissions draw nothing, so under loss a walk still takes the
+/// centralized walk's hops unless one of them spends its whole budget.
 pub fn run_walks<A, M>(
     g: &MultiGraph,
     spec: &FaultSpec,
@@ -985,24 +996,21 @@ pub fn run_walks<A, M>(
     mk_rng: M,
 ) -> (Vec<OpResult>, RunReport)
 where
-    A: Fn(NodeId) -> bool,
+    A: Fn(u32) -> bool,
     M: FnMut(usize, u32) -> StdRng,
 {
     let metas: Vec<OpMeta> = ops
         .iter()
         .map(|op| {
-            let start_slot = g
-                .slot_of(op.start)
-                .unwrap_or_else(|| panic!("walk start {} missing", op.start));
-            let exclude_slot = op.exclude.and_then(|u| g.slot_of(u));
+            assert!(g.slot_alive(op.start), "walk start slot {} dead", op.start);
             OpMeta {
                 key: op.op_key,
                 timeout: generation_timeout(spec, op.max_len, spec.walk_retries),
                 budget: spec.walk_retries,
                 kind: MetaKind::Walk {
-                    start_slot,
+                    start: op.start,
                     max_len: op.max_len,
-                    exclude_slot,
+                    exclude: op.exclude,
                 },
             }
         })
@@ -1017,14 +1025,7 @@ pub fn run_routes(g: &MultiGraph, spec: &FaultSpec, ops: &[RouteOp]) -> (Vec<OpR
     let metas: Vec<OpMeta> = ops
         .iter()
         .map(|op| {
-            let mut slots: Vec<u32> = op
-                .path
-                .iter()
-                .map(|&u| {
-                    g.slot_of(u)
-                        .unwrap_or_else(|| panic!("route node {u} missing"))
-                })
-                .collect();
+            let mut slots = op.path.clone();
             assert!(!slots.is_empty(), "empty route path");
             if op.round_trip && slots.len() > 1 {
                 let back: Vec<u32> = slots[..slots.len() - 1].iter().rev().copied().collect();
@@ -1053,10 +1054,10 @@ pub struct FloodOutcome {
     pub n: usize,
     /// Reported nodes satisfying the predicate.
     pub matching: usize,
-    /// Best reported witness: the reported matching node minimizing
-    /// (flood-tree depth, node id). With zero faults this is exactly the
-    /// centralized flood's (BFS distance, id) witness.
-    pub witness: Option<NodeId>,
+    /// Slot of the best reported witness: the reported matching node
+    /// minimizing (flood-tree depth, node id). With zero faults this is
+    /// exactly the centralized flood's (BFS distance, id) witness.
+    pub witness: Option<u32>,
     /// Whether the count covers the whole component (every node reached
     /// and every convergecast report delivered before the initiator's
     /// timeout).
@@ -1086,12 +1087,16 @@ struct FloodEv {
 /// always `< u32::MAX` (the timer pseudo-slot convention).
 const UNSEEN_SLOT: u32 = u32::MAX;
 
+/// A witness candidate as `(depth, id, slot)`: it compares on depth, then
+/// id (a node's slot follows from its id, so it never decides).
+type Witness = (u32, NodeId, u32);
+
 /// Best `(count, matching, witness)` convergecast seen so far, retained
 /// across flood generations so an exhausted retry budget can still
 /// report its richest partial evidence.
-type PartialBest = (u64, u64, Option<(u32, NodeId)>);
+type PartialBest = (u64, u64, Option<Witness>);
 
-/// Run `flood_count_with`'s broadcast + convergecast on an actual
+/// Run `flood_count_slots`' broadcast + convergecast on an actual
 /// message schedule: every first-receipt forward and every convergecast
 /// report is a send subject to [`send_fate`].
 ///
@@ -1108,20 +1113,18 @@ type PartialBest = (u64, u64, Option<(u32, NodeId)>);
 /// (graceful degradation, never a hang).
 ///
 /// With a zero [`FaultSpec`] the outcome and charges reproduce the
-/// centralized [`crate::flood::flood_count_with`] exactly: same `n`,
-/// `matching` and witness, `2·ecc(root)` rounds, broadcast degree-sum
-/// plus `n − 1` convergecast messages.
-pub fn run_flood<P: Fn(NodeId) -> bool>(
+/// centralized [`crate::flood::flood_count_slots`] exactly: same `n`,
+/// `matching` and witness (there an id, here its slot), `2·ecc(root)`
+/// rounds, broadcast degree-sum plus `n − 1` convergecast messages.
+pub fn run_flood<P: Fn(u32) -> bool>(
     g: &MultiGraph,
     spec: &FaultSpec,
-    root: NodeId,
+    root_slot: u32,
     pred: P,
     op_key: u64,
     retries: u32,
 ) -> (FloodOutcome, RunReport) {
-    let root_slot = g
-        .slot_of(root)
-        .unwrap_or_else(|| panic!("flood root {root} missing"));
+    assert!(g.slot_alive(root_slot), "flood root slot {root_slot} dead");
     let bound = g.slot_bound();
 
     // Ground truth (the initiator's eccentricity bound sizes the
@@ -1162,7 +1165,7 @@ pub fn run_flood<P: Fn(NodeId) -> bool>(
     let mut arrival: Vec<u64> = Vec::new();
     let mut acc_cnt: Vec<u64> = Vec::new();
     let mut acc_mat: Vec<u64> = Vec::new();
-    let mut acc_wit: Vec<Option<(u32, NodeId)>> = Vec::new();
+    let mut acc_wit: Vec<Option<Witness>> = Vec::new();
     let mut ready: Vec<u64> = Vec::new();
     let mut heap: BinaryHeap<Reverse<FloodEv>> = BinaryHeap::new();
 
@@ -1261,10 +1264,9 @@ pub fn run_flood<P: Fn(NodeId) -> bool>(
         });
         for &s in &reached {
             acc_cnt[s as usize] = 1;
-            let id = g.id_of_slot(s);
-            if pred(id) {
+            if pred(s) {
                 acc_mat[s as usize] = 1;
-                acc_wit[s as usize] = Some((dist[s as usize], id));
+                acc_wit[s as usize] = Some((dist[s as usize], g.id_of_slot(s), s));
             }
         }
         let mut root_done = launch;
@@ -1316,7 +1318,7 @@ pub fn run_flood<P: Fn(NodeId) -> bool>(
             let outcome = FloodOutcome {
                 n: got_n as usize,
                 matching: got_mat as usize,
-                witness: got_wit.map(|(_, id)| id),
+                witness: got_wit.map(|(_, _, slot)| slot),
                 complete: true,
                 retries: gen,
                 close_round: root_done,
@@ -1348,7 +1350,7 @@ pub fn run_flood<P: Fn(NodeId) -> bool>(
     let outcome = FloodOutcome {
         n: bn as usize,
         matching: bm as usize,
-        witness: bw.map(|(_, id)| id),
+        witness: bw.map(|(_, _, slot)| slot),
         complete: false,
         retries,
         close_round: cur_round,
@@ -1364,11 +1366,13 @@ pub fn run_flood<P: Fn(NodeId) -> bool>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flood::{flood_count_slots, FloodScratch};
     use crate::network::Network;
-    use crate::tokens::random_walk_search;
+    use crate::tokens::random_walk_search_slots;
 
     /// Ring of `n` nodes plus deterministic chords — connected, degree
-    /// ≥ 2 everywhere, enough structure for walks to wander.
+    /// ≥ 2 everywhere, enough structure for walks to wander. Node `i`
+    /// sits in slot `i`.
     fn test_net(n: u64) -> Network {
         let mut net = Network::new();
         for i in 0..n {
@@ -1384,7 +1388,7 @@ mod tests {
     fn walk_ops(n: u64, count: usize, max_len: u64) -> Vec<WalkOp> {
         (0..count)
             .map(|i| WalkOp {
-                start: NodeId(splitmix64(0x5747 ^ i as u64) % n),
+                start: (splitmix64(0x5747 ^ i as u64) % n) as u32,
                 max_len,
                 exclude: None,
                 op_key: 0x6f70_0000 + i as u64,
@@ -1392,8 +1396,8 @@ mod tests {
             .collect()
     }
 
-    fn accept_mod7(u: NodeId) -> bool {
-        u.0.is_multiple_of(7)
+    fn accept_mod7(s: u32) -> bool {
+        s.is_multiple_of(7)
     }
 
     /// Every counter — including the flood/type-2 additions — must
@@ -1429,10 +1433,11 @@ mod tests {
         let mut net = test_net(64);
         let spec = FaultSpec::zero();
         for trial in 0..20u64 {
-            let start = NodeId(splitmix64(trial) % 64);
-            let exclude = (trial % 3 == 0).then(|| NodeId(splitmix64(trial ^ 1) % 64));
+            let start = (splitmix64(trial) % 64) as u32;
+            let exclude = (trial % 3 == 0).then(|| (splitmix64(trial ^ 1) % 64) as u32);
             let mut rng = StdRng::seed_from_u64(splitmix64(0xabc ^ trial));
-            let scalar = random_walk_search(&mut net, start, 40, exclude, accept_mod7, &mut rng);
+            let scalar =
+                random_walk_search_slots(&mut net, start, 40, exclude, accept_mod7, &mut rng);
             let ops = [WalkOp {
                 start,
                 max_len: 40,
@@ -1494,7 +1499,7 @@ mod tests {
     #[test]
     fn lossy_route_pays_one_hop_timeout_per_retransmission() {
         let net = test_net(64);
-        let path: Vec<NodeId> = (0..12).map(NodeId).collect();
+        let path: Vec<u32> = (0..12).collect();
         let spec = FaultSpec::zero()
             .with_loss(300)
             .with_latency(1, 4)
@@ -1511,9 +1516,10 @@ mod tests {
         assert_eq!(r.retries, 0);
         assert!(r.retransmits > 0, "30 % loss never retransmitted");
         // Latency is symmetric, so the reply pays the request's links.
+        let id = |s: u32| net.graph().id_of_slot(s).0;
         let one_way: u64 = path
             .windows(2)
-            .map(|w| link_latency(&spec, w[0].0, w[1].0) as u64)
+            .map(|w| link_latency(&spec, id(w[0]), id(w[1])) as u64)
             .sum();
         assert_eq!(
             r.close_round,
@@ -1555,7 +1561,7 @@ mod tests {
     fn latency_stretches_makespan() {
         let net = test_net(32);
         // A fixed 5-hop path route at latency 3 closes at round 15.
-        let path: Vec<NodeId> = (0..6).map(NodeId).collect();
+        let path: Vec<u32> = (0..6).collect();
         let ops = [RouteOp {
             path,
             round_trip: false,
@@ -1573,7 +1579,7 @@ mod tests {
     #[test]
     fn round_trip_route_retraces_path() {
         let net = test_net(32);
-        let path: Vec<NodeId> = (0..4).map(NodeId).collect();
+        let path: Vec<u32> = (0..4).collect();
         let ops = [RouteOp {
             path,
             round_trip: true,
@@ -1587,11 +1593,13 @@ mod tests {
         assert_eq!(rep.stats.retransmits, 0);
     }
 
-    /// A ring edge that crosses the partition cut of `spec`.
-    fn cross_edge(spec: &FaultSpec, n: u64) -> (NodeId, NodeId) {
+    /// A ring edge of `test_net(n)` that crosses the partition cut of
+    /// `spec`, as slots.
+    fn cross_edge(spec: &FaultSpec, n: u64) -> (u32, u32) {
         (0..n)
-            .map(|i| (NodeId(i), NodeId((i + 1) % n)))
-            .find(|(a, b)| partition_side(spec, a.0) != partition_side(spec, b.0))
+            .map(|i| (i, (i + 1) % n))
+            .find(|&(a, b)| partition_side(spec, a) != partition_side(spec, b))
+            .map(|(a, b)| (a as u32, b as u32))
             .expect("hash split leaves no crossing ring edge")
     }
 
@@ -1697,21 +1705,22 @@ mod tests {
 
     #[test]
     fn zero_fault_flood_matches_centralized_flood() {
-        use crate::flood::flood_count;
         let mut net = test_net(48);
+        let mut scratch = FloodScratch::new();
         let spec = FaultSpec::zero();
         for trial in 0..8u64 {
-            let root = NodeId(splitmix64(0xf10d ^ trial) % 48);
-            let pred = |u: NodeId| u.0 % 5 == trial % 5;
+            let root = (splitmix64(0xf10d ^ trial) % 48) as u32;
+            let pred = |s: u32| s as u64 % 5 == trial % 5;
             net.begin_step();
-            let central = flood_count(&mut net, root, pred);
+            let central = flood_count_slots(&mut net, root, pred, &mut scratch);
             net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
             let (out, rep) = run_flood(net.graph(), &spec, root, pred, trial, 4);
             assert!(out.complete, "trial {trial}");
             assert_eq!(out.retries, 0, "zero faults must never re-flood");
             assert_eq!(out.n, central.n, "trial {trial}");
             assert_eq!(out.matching, central.matching, "trial {trial}");
-            assert_eq!(out.witness, central.witness, "trial {trial}");
+            let witness = out.witness.map(|s| net.graph().id_of_slot(s));
+            assert_eq!(witness, central.witness, "trial {trial}");
             assert_eq!(out.close_round, central.rounds, "trial {trial}");
             assert_eq!(rep.makespan, central.rounds, "trial {trial}");
             assert_eq!(rep.messages, central.messages, "trial {trial}");
@@ -1733,7 +1742,7 @@ mod tests {
         // itself alone.
         let net = test_net(32);
         let spec = FaultSpec::zero().with_burst(1 << 20, 1000);
-        let root = NodeId(0);
+        let root = 0u32;
         let (out, rep) = run_flood(net.graph(), &spec, root, |_| true, 7, 0);
         assert!(!out.complete);
         assert_eq!(out.n, 1, "only the initiator is counted");
@@ -1744,9 +1753,8 @@ mod tests {
         let g = net.graph();
         let mut dist = vec![u32::MAX; g.slot_bound()];
         let mut q = std::collections::VecDeque::new();
-        let rs = g.slot_of(root).unwrap();
-        dist[rs as usize] = 0;
-        q.push_back(rs);
+        dist[root as usize] = 0;
+        q.push_back(root);
         let mut ecc = 0u32;
         while let Some(u) = q.pop_front() {
             ecc = ecc.max(dist[u as usize]);
@@ -1774,7 +1782,7 @@ mod tests {
         // never exceeds the truth.
         for seed in 0..6u64 {
             let spec = FaultSpec::zero().with_loss(300).with_seed(0xbad0 + seed);
-            let (out, rep) = run_flood(net.graph(), &spec, NodeId(1), |_| true, seed, 3);
+            let (out, rep) = run_flood(net.graph(), &spec, 1, |_| true, seed, 3);
             assert!(out.n <= 40);
             assert!(out.matching <= out.n);
             if out.complete {
@@ -1797,7 +1805,7 @@ mod tests {
             // No retry budget: one generation per loss level, so the
             // reported count directly tracks the loss rate.
             let spec = FaultSpec::zero().with_loss(loss).with_seed(0x10ad);
-            let (out, _) = run_flood(net.graph(), &spec, NodeId(0), |_| true, 9, 0);
+            let (out, _) = run_flood(net.graph(), &spec, 0, |_| true, 9, 0);
             assert!(
                 (out.n as u64) <= prev.saturating_add(6),
                 "partial count should not grow with loss: {} after {prev}",
@@ -1809,6 +1817,148 @@ mod tests {
                 assert_eq!(out.n, 64);
             }
         }
+    }
+
+    /// The ring-with-chords of `test_net(n)` in two arenas. `straight`
+    /// holds node `i` in slot `i`; `shuffled` first vacates a few slots,
+    /// then inserts the nodes in a permuted order, so they land in
+    /// recycled and fresh slots and no slot names the same node in both.
+    /// Edges go in by id in the same order, so every row lists the same
+    /// ids in the same order and a walk draws the same neighbours.
+    fn twin_arenas(n: u64) -> (MultiGraph, MultiGraph) {
+        let edges: Vec<(u64, u64)> = (0..n)
+            .flat_map(|i| [(i, (i + 1) % n), (i, splitmix64(i) % n)])
+            .collect();
+        let mut straight = MultiGraph::new();
+        let mut shuffled = MultiGraph::new();
+        for i in 0..n {
+            straight.add_node(NodeId(i));
+        }
+        for i in 0..8 {
+            shuffled.add_node(NodeId(1_000 + i));
+        }
+        for i in [3, 0, 6, 1, 7, 2, 5, 4] {
+            shuffled.remove_node(NodeId(1_000 + i));
+        }
+        for i in 0..n {
+            shuffled.add_node(NodeId((i * 37 + 11) % n));
+        }
+        for g in [&mut straight, &mut shuffled] {
+            for &(a, b) in &edges {
+                g.add_edge(NodeId(a), NodeId(b));
+            }
+        }
+        let moved = (0..n)
+            .filter(|&i| shuffled.slot_of(NodeId(i)) != Some(i as u32))
+            .count();
+        assert_eq!(moved as u64, n, "some node kept its slot");
+        (straight, shuffled)
+    }
+
+    /// An op's outcome with its hit read as an id.
+    type IdOutcome = (Option<NodeId>, OpStatus, u64, u64, u64, u64, u32);
+
+    fn as_ids(g: &MultiGraph, results: &[OpResult]) -> Vec<IdOutcome> {
+        results
+            .iter()
+            .map(|r| {
+                let hit = r.hit.map(|s| g.id_of_slot(s));
+                let OpResult {
+                    status,
+                    hops,
+                    sends,
+                    retransmits,
+                    close_round,
+                    retries,
+                    ..
+                } = *r;
+                (hit, status, hops, sends, retransmits, close_round, retries)
+            })
+            .collect()
+    }
+
+    /// The engine runs on slots but draws every fault from node ids, so
+    /// the same topology in an arena that numbers its slots differently
+    /// gives the same outcome, read as ids: lossy walks and routes under
+    /// every fault family, and a zero-spec flood. A fault draw keyed on
+    /// slots would tell the two arenas apart.
+    #[test]
+    fn outcomes_read_as_ids_do_not_depend_on_slot_numbering() {
+        let n = 96u64;
+        let (straight, shuffled) = twin_arenas(n);
+        let spec = FaultSpec::zero()
+            .with_loss(200)
+            .with_burst(8, 100)
+            .with_latency(1, 3)
+            .with_partition(64, 6)
+            .with_retries(3, 3)
+            .with_seed(0x5107);
+        // Walk and route inputs, as ids.
+        let walks: Vec<(u64, Option<u64>)> = (0..40u64)
+            .map(|i| {
+                let start = splitmix64(0x5747 ^ i) % n;
+                (start, (i % 3 == 0).then(|| (start + 1) % n))
+            })
+            .collect();
+        let paths: Vec<Vec<u64>> = (0..40u64)
+            .map(|i| {
+                let mut at = splitmix64(0x7a7e ^ i) % n;
+                let mut path = vec![at];
+                for hop in 0..12u64 {
+                    let row = straight.neighbor_slots(at as u32);
+                    at = row[(splitmix64(i ^ (hop << 32)) % row.len() as u64) as usize] as u64;
+                    path.push(at);
+                }
+                path
+            })
+            .collect();
+        let run = |g: &MultiGraph| {
+            let slot = |u: u64| g.slot_of(NodeId(u)).expect("live node");
+            let walk_ops: Vec<WalkOp> = walks
+                .iter()
+                .enumerate()
+                .map(|(i, &(start, exclude))| WalkOp {
+                    start: slot(start),
+                    max_len: 40,
+                    exclude: exclude.map(slot),
+                    op_key: 0x6f70_0000 + i as u64,
+                })
+                .collect();
+            let accept = |s: u32| g.id_of_slot(s).0.is_multiple_of(7);
+            let mk = |i: usize, retry: u32| {
+                StdRng::seed_from_u64(fold(0x1d5, &[i as u64, retry as u64]))
+            };
+            let (w, w_rep) = run_walks(g, &spec, &walk_ops, accept, mk);
+            let route_ops: Vec<RouteOp> = paths
+                .iter()
+                .enumerate()
+                .map(|(i, path)| RouteOp {
+                    path: path.iter().map(|&u| slot(u)).collect(),
+                    round_trip: i % 2 == 0,
+                    op_key: 0x7200 + i as u64,
+                })
+                .collect();
+            let (r, r_rep) = run_routes(g, &spec, &route_ops);
+            let floods: Vec<_> = [0u64, 17, 58]
+                .iter()
+                .map(|&root| {
+                    let pred = |s: u32| g.id_of_slot(s).0 % 5 == root % 5;
+                    let (mut out, rep) =
+                        run_flood(g, &FaultSpec::zero(), slot(root), pred, root, 4);
+                    let witness = out.witness.take().map(|s| g.id_of_slot(s));
+                    (out, witness, rep)
+                })
+                .collect();
+            (as_ids(g, &w), w_rep, as_ids(g, &r), r_rep, floods)
+        };
+        let (a, b) = (run(&straight), run(&shuffled));
+        assert!(a.1.stats.retransmits > 0 && a.3.stats.lost_partition > 0);
+        assert!(a.0.iter().any(|o| o.0.is_some()), "no walk hit");
+        assert_eq!(a.0, b.0, "walk outcomes");
+        assert_eq!(a.1, b.1, "walk report");
+        assert_eq!(a.2, b.2, "route outcomes");
+        assert_eq!(a.3, b.3, "route report");
+        assert_eq!(a.4, b.4, "floods");
     }
 
     #[test]

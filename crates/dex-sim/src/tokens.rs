@@ -1,15 +1,16 @@
 //! Token forwarding: random-walk searches and congestion-aware routing.
 //!
 //! Every hop of a token is one message over one physical edge in one round —
-//! the unit of cost in the CONGEST model. Two primitives:
+//! the unit of cost in the CONGEST model. Two primitives, both on the
+//! graph's arena slots end to end:
 //!
-//! * [`random_walk_search`] — the type-1 recovery walk (Algorithms
+//! * [`random_walk_search_slots`] — the type-1 recovery walk (Algorithms
 //!   4.2/4.3): forward a token to uniformly random neighbors until an
-//!   accepting node is reached or the length budget runs out. The kernel
-//!   is [`random_walk_search_slots`], on arena slots end to end; the
-//!   `NodeId` form resolves its two ids and wraps it;
-//! * [`route_batch`] — store-and-forward routing of many tokens along
-//!   prescribed paths with a per-edge-per-round capacity; this is the
+//!   accepting node is reached or the length budget runs out. The
+//!   `NodeId` form [`random_walk_search`] resolves its two ids and wraps
+//!   it; only the `benchmark/` crate's probes call it;
+//! * [`route_batch_flat`] — store-and-forward routing of many tokens along
+//!   prescribed slot paths with a per-edge-per-round capacity; this is the
 //!   congestion discipline under which the paper budgets `ρ = O(log² n)`
 //!   rounds for Phase-2 rebalancing walks and runs permutation routing.
 
@@ -49,7 +50,8 @@ pub struct SlotWalkOutcome {
 ///
 /// Thin wrapper over the slot kernel ([`random_walk_search_slots`]): the
 /// two ids are resolved to slots once up front and the predicate sees
-/// `id_of_slot` — same draws, same hops, same hit.
+/// `id_of_slot` — same draws, same hops, same hit. Held for `benchmark/`,
+/// goes with the next benchmark PR.
 pub fn random_walk_search<R: Rng + ?Sized>(
     net: &mut Network,
     start: NodeId,
@@ -141,61 +143,22 @@ fn charge_hops(net: &mut Network, hops: u64) {
     net.charge_messages(hops);
 }
 
-/// Send one message along an explicit node path (consecutive entries must
-/// be physically adjacent). Charges `len−1` rounds and messages. Used for
-/// routing to the coordinator along virtual-graph shortest paths, which map
-/// to physical paths (Fact 1).
-///
-/// # Panics
-/// Panics if a path step is not a physical edge.
-pub fn route_path(net: &mut Network, path: &[NodeId]) {
-    for w in path.windows(2) {
-        assert!(
-            w[0] == w[1] || net.graph().contains_edge(w[0], w[1]),
-            "route_path: {:?} -> {:?} is not an edge",
-            w[0],
-            w[1]
-        );
-    }
-    let hops = path.len().saturating_sub(1) as u64;
-    // Consecutive equal entries (vertex-level hops that stay on one real
-    // node) are free: local computation costs nothing in the model.
-    let real_hops = path.windows(2).filter(|w| w[0] != w[1]).count() as u64;
-    let _ = hops;
-    net.charge_rounds(real_hops);
-    net.charge_messages(real_hops);
-}
-
-/// Store-and-forward batch routing: token `i` follows `paths[i]`
-/// (consecutive entries adjacent or equal; equal = local handoff, free).
-/// At most `cap` tokens traverse any directed physical edge per round.
-/// Returns the makespan in rounds; charges the makespan as rounds and each
-/// actual traversal as one message.
-///
-/// Convenience shape for tests and small callers; hot paths resolve paths
-/// into one flat buffer and call [`route_batch_flat`].
-pub fn route_batch(net: &mut Network, paths: &[Vec<NodeId>], cap: usize) -> u64 {
-    let mut flat: Vec<NodeId> = Vec::new();
-    let mut ranges: Vec<(usize, usize)> = Vec::with_capacity(paths.len());
-    for p in paths {
-        ranges.push((flat.len(), p.len()));
-        flat.extend_from_slice(p);
-    }
-    route_batch_flat(net, &flat, &ranges, cap)
-}
-
-/// [`route_batch`] over flattened paths: token `i` follows
-/// `flat[ranges[i].0 .. ranges[i].0 + ranges[i].1]`. Accepting the flat
-/// form lets callers resolve an entire permutation into one reused buffer
-/// with no per-token allocation (see `dex-core`'s `RouteScratch`).
+/// Store-and-forward batch routing over flattened slot paths: token `i`
+/// follows `flat[ranges[i].0 .. ranges[i].0 + ranges[i].1]` (consecutive
+/// entries adjacent or equal; equal = local handoff, free). At most `cap`
+/// tokens traverse any directed physical edge per round. Returns the
+/// makespan in rounds; charges the makespan as rounds and each actual
+/// traversal as one message. The flat form lets callers resolve an entire
+/// permutation into one reused buffer with no per-token allocation (see
+/// `dex-core`'s `RouteScratch`).
 pub fn route_batch_flat(
     net: &mut Network,
-    flat: &[NodeId],
+    flat: &[u32],
     ranges: &[(usize, usize)],
     cap: usize,
 ) -> u64 {
     assert!(cap >= 1);
-    let path = |i: usize| -> &[NodeId] {
+    let path = |i: usize| -> &[u32] {
         let (start, len) = ranges[i];
         &flat[start..start + len]
     };
@@ -215,7 +178,7 @@ pub fn route_batch_flat(
     let total = ranges.len();
     let mut rounds = 0u64;
     let mut messages = 0u64;
-    let mut edge_use: FxHashMap<(NodeId, NodeId), usize> = FxHashMap::default();
+    let mut edge_use: FxHashMap<(u32, u32), usize> = FxHashMap::default();
     while done < total {
         rounds += 1;
         edge_use.clear();
@@ -226,8 +189,8 @@ pub fn route_batch_flat(
             }
             let (from, to) = (p[pos[i]], p[pos[i] + 1]);
             debug_assert!(
-                net.graph().contains_edge(from, to),
-                "route_batch: {from:?}->{to:?} not an edge"
+                net.graph().neighbor_slots(from).contains(&to),
+                "route_batch_flat: slots {from}->{to} not an edge"
             );
             let used = edge_use.entry((from, to)).or_insert(0);
             if *used >= cap {
@@ -397,16 +360,27 @@ mod tests {
         net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
     }
 
+    /// Route `paths` (slots of `line`, where node `i` sits in slot `i`)
+    /// through [`route_batch_flat`].
+    fn route(net: &mut Network, paths: &[&[u32]], cap: usize) -> u64 {
+        let flat: Vec<u32> = paths.concat();
+        let mut ranges = Vec::new();
+        let mut start = 0;
+        for p in paths {
+            ranges.push((start, p.len()));
+            start += p.len();
+        }
+        route_batch_flat(net, &flat, &ranges, cap)
+    }
+
     #[test]
-    fn route_path_charges_real_hops_only() {
+    fn local_handoffs_are_free() {
         let mut net = Network::new();
         line(&mut net, 4);
         net.begin_step();
         // 0 -> 1 -> 1 (local handoff) -> 2 -> 3: 3 real hops
-        route_path(
-            &mut net,
-            &[NodeId(0), NodeId(1), NodeId(1), NodeId(2), NodeId(3)],
-        );
+        let rounds = route(&mut net, &[&[0, 1, 1, 2, 3]], 1);
+        assert_eq!(rounds, 3);
         let (r, m, _) = net.current_counters();
         assert_eq!((r, m), (3, 3));
         net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
@@ -418,12 +392,7 @@ mod tests {
         let mut net = Network::new();
         line(&mut net, 2);
         net.begin_step();
-        let paths = vec![
-            vec![NodeId(0), NodeId(1)],
-            vec![NodeId(0), NodeId(1)],
-            vec![NodeId(0), NodeId(1)],
-        ];
-        let rounds = route_batch(&mut net, &paths, 1);
+        let rounds = route(&mut net, &[&[0, 1], &[0, 1], &[0, 1]], 1);
         assert_eq!(rounds, 3);
         let (r, m, _) = net.current_counters();
         assert_eq!(r, 3);
@@ -436,11 +405,7 @@ mod tests {
         let mut net = Network::new();
         line(&mut net, 6);
         net.begin_step();
-        let paths = vec![
-            vec![NodeId(0), NodeId(1), NodeId(2)],
-            vec![NodeId(3), NodeId(4), NodeId(5)],
-        ];
-        let rounds = route_batch(&mut net, &paths, 1);
+        let rounds = route(&mut net, &[&[0, 1, 2], &[3, 4, 5]], 1);
         assert_eq!(rounds, 2, "disjoint paths must not serialize");
         net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
     }
@@ -450,11 +415,7 @@ mod tests {
         let mut net = Network::new();
         line(&mut net, 3);
         net.begin_step();
-        let rounds = route_batch(
-            &mut net,
-            &[vec![], vec![NodeId(1)], vec![NodeId(2), NodeId(2)]],
-            1,
-        );
+        let rounds = route(&mut net, &[&[], &[1], &[2, 2]], 1);
         assert_eq!(rounds, 0);
         let (r, m, _) = net.current_counters();
         assert_eq!((r, m), (0, 0));
@@ -467,8 +428,7 @@ mod tests {
         let mut net = Network::new();
         line(&mut net, 2);
         net.begin_step();
-        let paths = vec![vec![NodeId(0), NodeId(1)], vec![NodeId(1), NodeId(0)]];
-        let rounds = route_batch(&mut net, &paths, 1);
+        let rounds = route(&mut net, &[&[0, 1], &[1, 0]], 1);
         assert_eq!(rounds, 1);
         net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
     }

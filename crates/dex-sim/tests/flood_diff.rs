@@ -10,7 +10,7 @@
 
 use dex_graph::adjacency::MultiGraph;
 use dex_graph::ids::NodeId;
-use dex_sim::flood::{flood_count, flood_count_slots, flood_count_with, FloodResult, FloodScratch};
+use dex_sim::flood::{flood_count_slots, flood_count_with, FloodResult, FloodScratch};
 use dex_sim::{Network, RecoveryKind, StepKind};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -110,8 +110,9 @@ fn scrambled_net(
     net
 }
 
-/// One flood through each of the three entry points: all equal to the
-/// reference, each charging exactly what it reports.
+/// One flood through the `NodeId` form, the slot kernel, and the `NodeId`
+/// form on a fresh scratch: all equal to the reference, each charging
+/// exactly what it reports.
 fn assert_flood_matches(
     net: &mut Network,
     root: NodeId,
@@ -130,7 +131,7 @@ fn assert_flood_matches(
         let got = match entry {
             0 => flood_count_with(net, root, pred, scratch),
             1 => flood_count_slots(net, root_slot, slot_pred, scratch),
-            _ => flood_count(net, root, pred),
+            _ => flood_count_with(net, root, pred, &mut FloodScratch::new()),
         };
         let after = net.current_counters();
         assert_eq!(got, expected, "root {root}, entry point {entry}");

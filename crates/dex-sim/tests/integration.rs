@@ -2,11 +2,12 @@
 //! correctly across walks, floods, and batch routing within one step.
 
 use dex_graph::ids::NodeId;
-use dex_sim::flood::flood_count;
+use dex_sim::flood::{flood_count_slots, FloodScratch};
 use dex_sim::rng::{Purpose, SeedSpace};
-use dex_sim::tokens::{random_walk_search, route_batch, route_path};
+use dex_sim::tokens::{random_walk_search_slots, route_batch_flat};
 use dex_sim::{Network, RecoveryKind, StepKind, Summary};
 
+/// Z(p) as a physical network, vertex `x` on node `x` in slot `x`.
 fn expander_net(p: u64) -> Network {
     let z = dex_graph::pcycle::PCycle::new(p);
     let mut net = Network::new();
@@ -26,19 +27,20 @@ fn mixed_operations_accumulate_in_one_step() {
     net.begin_step();
 
     let mut rng = seeds.stream(Purpose::InsertWalk, &[1]);
-    let walk = random_walk_search(&mut net, NodeId(0), 30, None, |u| u == NodeId(50), &mut rng);
+    let walk = random_walk_search_slots(&mut net, 0, 30, None, |s| s == 50, &mut rng);
     let (r1, m1, _) = net.current_counters();
     assert_eq!(r1, walk.hops);
     assert_eq!(m1, walk.hops);
 
-    let flood = flood_count(&mut net, NodeId(0), |u| u.0 % 2 == 0);
+    let mut scratch = FloodScratch::new();
+    let flood = flood_count_slots(&mut net, 0, |s| s % 2 == 0, &mut scratch);
     assert_eq!(flood.n, 101);
     assert_eq!(flood.matching, 51);
     let (r2, m2, _) = net.current_counters();
     assert_eq!(r2, r1 + flood.rounds);
     assert_eq!(m2, m1 + flood.messages);
 
-    route_path(&mut net, &[NodeId(0), NodeId(1), NodeId(2)]);
+    route_batch_flat(&mut net, &[0, 1, 2], &[(0, 3)], 1);
     let (r3, m3, _) = net.current_counters();
     assert_eq!(r3, r2 + 2);
     assert_eq!(m3, m2 + 2);
@@ -59,7 +61,7 @@ fn walk_on_expander_finds_large_targets_quickly() {
     net.begin_step();
     for i in 0..200u64 {
         let mut rng = seeds.stream(Purpose::InsertWalk, &[i]);
-        let out = random_walk_search(&mut net, NodeId(0), 100, None, |u| u.0 % 2 == 1, &mut rng);
+        let out = random_walk_search_slots(&mut net, 0, 100, None, |s| s % 2 == 1, &mut rng);
         assert!(out.hit.is_some());
         hops.push(out.hops);
     }
@@ -71,14 +73,12 @@ fn walk_on_expander_finds_large_targets_quickly() {
 #[test]
 fn congested_routing_is_conserving() {
     // Total messages equals total real hops regardless of capacity.
-    let mut paths = Vec::new();
-    for i in 0..20u64 {
-        paths.push(vec![NodeId(i), NodeId(i + 1), NodeId(i + 2)]);
-    }
+    let flat: Vec<u32> = (0..20u32).flat_map(|i| [i, i + 1, i + 2]).collect();
+    let ranges: Vec<(usize, usize)> = (0..20).map(|i| (3 * i, 3)).collect();
     for cap in [1usize, 2, 8] {
         let mut net = expander_net(101);
         net.begin_step();
-        route_batch(&mut net, &paths, cap);
+        route_batch_flat(&mut net, &flat, &ranges, cap);
         let (_, m, _) = net.current_counters();
         assert_eq!(m, 40, "cap {cap}: messages {m}");
         net.end_step(StepKind::Insert, RecoveryKind::Type1);

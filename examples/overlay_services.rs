@@ -2,7 +2,8 @@
 //!
 //! Demonstrates the paper's motivating applications on a live DEX network
 //! under churn: near-uniform peer sampling, O(log n) broadcast, push–pull
-//! gossip, and crash-tolerant multipath delivery.
+//! gossip, and crash-tolerant multipath delivery. Each service's printed
+//! numbers are also asserted, so a broken service exits non-zero.
 //!
 //! ```sh
 //! cargo run --release --example overlay_services
@@ -52,6 +53,7 @@ fn main() {
         net.n(),
         max_count as f64 / (2000.0 / net.n() as f64)
     );
+    assert_eq!(distinct, net.n(), "peer sampling missed a node");
 
     // 2. Broadcast (low latency for all messages).
     let src = net.node_ids()[1];
@@ -65,6 +67,7 @@ fn main() {
         b.rounds,
         b.messages
     );
+    assert_eq!(b.reached, net.n(), "broadcast missed a node");
 
     // 3. Gossip.
     let src = net.node_ids()[2];
@@ -75,6 +78,7 @@ fn main() {
         "gossip:          push-pull informed everyone: {} (rounds = {}, messages = {})",
         g.complete, g.rounds, g.messages
     );
+    assert!(g.complete, "gossip left a node uninformed");
 
     // 4. Multipath under crashes.
     let live = net.node_ids();
@@ -93,6 +97,7 @@ fn main() {
         crashed.len(),
         m.hops
     );
+    assert!(m.delivered >= 1, "multipath delivered no copy");
 
     println!("\nall services stay functional on the self-healing expander ✓");
 }
