@@ -25,8 +25,9 @@
 //!   invariant checks after every step.
 //!
 //! Determinism contract: everything in the JSON except the executor
-//! header is **byte-identical** for a given `--seed` regardless of
-//! `--exec-threads` (CI byte-diffs the smoke output across 1/3/8).
+//! header is **byte-identical** for a given `--seed` regardless of the
+//! thread budget (CI byte-diffs the smoke output across
+//! `DEX_EXEC_THREADS=1/3/8`).
 //! Nothing in the JSON reads the wall clock.
 //!
 //! ```sh
@@ -37,51 +38,10 @@
 use dex::prelude::*;
 use dex::sim::msim;
 use dex::sim::rng::splitmix64;
-use dex_bench::summary_json;
+use dex_bench::json::Json;
+use dex_bench::Args;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::fmt::Write as _;
-
-struct Args {
-    smoke: bool,
-    threads: usize,
-    seed: u64,
-    trials: usize,
-    out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: dex::exec::thread_budget(),
-        seed: 0xfa57_cafe,
-        trials: 0, // 0 = scale default
-        out: None,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--exec-threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exec-threads N");
-            }
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--trials" => {
-                args.trials = it.next().and_then(|v| v.parse().ok()).expect("--trials R");
-            }
-            "--out" => args.out = Some(it.next().expect("--out FILE")),
-            other => panic!(
-                "unknown flag {other:?} (try --smoke / --exec-threads / --seed / --trials / --out)"
-            ),
-        }
-    }
-    args
-}
 
 /// The loss grid, in 1/1000 units.
 const LOSS_GRID: [u32; 4] = [0, 250, 500, 800];
@@ -96,32 +56,26 @@ fn spec_for(loss: u32, seed: u64) -> FaultSpec {
         .with_seed(splitmix64(seed ^ 0xfa57))
 }
 
-fn fault_stats_json(fs: &FaultStats) -> String {
-    format!(
-        "{{\"sent\": {}, \"delivered\": {}, \"lost_random\": {}, \"lost_burst\": {}, \
-         \"lost_partition\": {}, \"retransmits\": {}, \"timeouts\": {}, \"reinitiations\": {}, \
-         \"walks_lost\": {}, \"routes_lost\": {}, \"heal_fallbacks\": {}, \"dht_abandoned\": {}, \
-         \"flood_retries\": {}, \"floods_partial\": {}, \"type2_rollbacks\": {}, \
-         \"type2_reinitiations\": {}, \
-         \"delivery_rate\": {:.6}}}",
-        fs.sent,
-        fs.delivered,
-        fs.lost_random,
-        fs.lost_burst,
-        fs.lost_partition,
-        fs.retransmits,
-        fs.timeouts,
-        fs.reinitiations,
-        fs.walks_lost,
-        fs.routes_lost,
-        fs.heal_fallbacks,
-        fs.dht_abandoned,
-        fs.flood_retries,
-        fs.floods_partial,
-        fs.type2_rollbacks,
-        fs.type2_reinitiations,
-        fs.delivery_rate(),
-    )
+fn fault_stats(fs: &FaultStats) -> Json {
+    Json::obj([
+        ("sent", fs.sent.into()),
+        ("delivered", fs.delivered.into()),
+        ("lost_random", fs.lost_random.into()),
+        ("lost_burst", fs.lost_burst.into()),
+        ("lost_partition", fs.lost_partition.into()),
+        ("retransmits", fs.retransmits.into()),
+        ("timeouts", fs.timeouts.into()),
+        ("reinitiations", fs.reinitiations.into()),
+        ("walks_lost", fs.walks_lost.into()),
+        ("routes_lost", fs.routes_lost.into()),
+        ("heal_fallbacks", fs.heal_fallbacks.into()),
+        ("dht_abandoned", fs.dht_abandoned.into()),
+        ("flood_retries", fs.flood_retries.into()),
+        ("floods_partial", fs.floods_partial.into()),
+        ("type2_rollbacks", fs.type2_rollbacks.into()),
+        ("type2_reinitiations", fs.type2_reinitiations.into()),
+        ("delivery_rate", Json::Fixed(fs.delivery_rate(), 6)),
+    ])
 }
 
 /// The slots of `g`'s nodes in id order: the engine-level points pick
@@ -135,7 +89,7 @@ fn slots_by_id(g: &dex::graph::MultiGraph) -> Vec<u32> {
 
 /// Engine-level percolation point: `n_ops` walks (to a sparse accept set)
 /// and `n_ops` fixed-length routes on a frozen bootstrap topology.
-fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: usize) -> String {
+fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: usize) -> Json {
     let spec = spec_for(loss, seed);
     let slots = slots_by_id(g);
     let pick = |x: u64| slots[(splitmix64(x) % slots.len() as u64) as usize];
@@ -189,27 +143,42 @@ fn percolation_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, n_ops: us
     let mean_retries = route_results.iter().map(|r| r.retries as u64).sum::<u64>() as f64
         / route_results.len() as f64;
 
-    format!(
-        "{{\"loss_milli\": {loss}, \
-         \"walk_hit_rate\": {:.6}, \"walks_lost\": {walk_lost}, \
-         \"walk_delivery_rate\": {:.6}, \"walk_makespan\": {}, \
-         \"route_delivery_rate\": {:.6}, \"route_token_delivery_rate\": {:.6}, \
-         \"route_mean_retries\": {mean_retries:.4}, \"route_makespan\": {}, \
-         \"sends\": {}, \"retransmits\": {}}}",
-        walk_hits as f64 / walk_ops.len() as f64,
-        walk_report.stats.delivery_rate(),
-        walk_report.makespan,
-        route_delivered as f64 / route_ops.len() as f64,
-        route_report.stats.delivery_rate(),
-        route_report.makespan,
-        walk_report.messages + route_report.messages,
-        walk_report.stats.retransmits + route_report.stats.retransmits,
-    )
+    Json::obj([
+        ("loss_milli", loss.into()),
+        (
+            "walk_hit_rate",
+            Json::Fixed(walk_hits as f64 / walk_ops.len() as f64, 6),
+        ),
+        ("walks_lost", walk_lost.into()),
+        (
+            "walk_delivery_rate",
+            Json::Fixed(walk_report.stats.delivery_rate(), 6),
+        ),
+        ("walk_makespan", walk_report.makespan.into()),
+        (
+            "route_delivery_rate",
+            Json::Fixed(route_delivered as f64 / route_ops.len() as f64, 6),
+        ),
+        (
+            "route_token_delivery_rate",
+            Json::Fixed(route_report.stats.delivery_rate(), 6),
+        ),
+        ("route_mean_retries", Json::Fixed(mean_retries, 4)),
+        ("route_makespan", route_report.makespan.into()),
+        (
+            "sends",
+            (walk_report.messages + route_report.messages).into(),
+        ),
+        (
+            "retransmits",
+            (walk_report.stats.retransmits + route_report.stats.retransmits).into(),
+        ),
+    ])
 }
 
 /// Protocol-level degradation point: churn + DHT traffic inside a
 /// [`Phase::Faults`] span at this loss.
-fn degradation_point(loss: u32, opts: &RunOptions, smoke: bool) -> (String, StepAggregate) {
+fn degradation_point(loss: u32, opts: &RunOptions, smoke: bool) -> (Json, StepAggregate) {
     let churn = if smoke { 16 } else { 192 };
     let dht_ops = if smoke { 16 } else { 256 };
     let sc = Scenario::new("degradation")
@@ -243,16 +212,17 @@ fn degradation_point(loss: u32, opts: &RunOptions, smoke: bool) -> (String, Step
         .map(|r| *r.lambda2.last().expect("trajectory"))
         .sum::<f64>()
         / reports.len() as f64;
-    let json = format!(
-        "{{\"loss_milli\": {loss}, \"steps\": {}, \"rounds\": {}, \"messages\": {}, \
-         \"lambda2_start\": {l2_first:.6}, \"lambda2_final\": {l2_final:.6}, \
-         \"dht_success_rate\": {dht_success:.6}, \"dht_mismatches\": {mismatches}, \
-         \"faults\": {}}}",
-        agg.steps,
-        summary_json(&agg.rounds),
-        summary_json(&agg.messages),
-        fault_stats_json(&fs),
-    );
+    let json = Json::obj([
+        ("loss_milli", loss.into()),
+        ("steps", agg.steps.into()),
+        ("rounds", (&agg.rounds).into()),
+        ("messages", (&agg.messages).into()),
+        ("lambda2_start", Json::Fixed(l2_first, 6)),
+        ("lambda2_final", Json::Fixed(l2_final, 6)),
+        ("dht_success_rate", Json::Fixed(dht_success, 6)),
+        ("dht_mismatches", mismatches.into()),
+        ("faults", fault_stats(&fs)),
+    ]);
     (json, agg)
 }
 
@@ -261,7 +231,7 @@ fn degradation_point(loss: u32, opts: &RunOptions, smoke: bool) -> (String, Step
 /// re-flood budget. Reports how gracefully the count degrades: complete
 /// rate, mean partial-count error vs the true size, witness-found rate,
 /// and the new flood counters.
-fn flood_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, k: usize) -> String {
+fn flood_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, k: usize) -> Json {
     let spec = spec_for(loss, seed);
     let slots = slots_by_id(g);
     let n = slots.len() as f64;
@@ -287,16 +257,18 @@ fn flood_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, k: usize) -> St
         assert_eq!(complete, k, "zero loss left a flood incomplete");
         assert_eq!(err_sum, 0.0, "zero loss miscounted");
     }
-    format!(
-        "{{\"loss_milli\": {loss}, \"floods\": {k}, \
-         \"complete_rate\": {:.6}, \"partial_count_error\": {:.6}, \
-         \"witness_rate\": {:.6}, \"mean_makespan\": {:.4}, \"faults\": {}}}",
-        complete as f64 / k as f64,
-        err_sum / k as f64,
-        witnesses as f64 / k as f64,
-        makespan_sum as f64 / k as f64,
-        fault_stats_json(&fs),
-    )
+    Json::obj([
+        ("loss_milli", loss.into()),
+        ("floods", k.into()),
+        ("complete_rate", Json::Fixed(complete as f64 / k as f64, 6)),
+        ("partial_count_error", Json::Fixed(err_sum / k as f64, 6)),
+        ("witness_rate", Json::Fixed(witnesses as f64 / k as f64, 6)),
+        (
+            "mean_makespan",
+            Json::Fixed(makespan_sum as f64 / k as f64, 4),
+        ),
+        ("faults", fault_stats(&fs)),
+    ])
 }
 
 /// Protocol-level type-2 degradation point: insert-heavy growth from a
@@ -304,9 +276,9 @@ fn flood_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, k: usize) -> St
 /// message-scheduled coordination must roll back and re-initiate under
 /// loss. `rollback_rate` is failed coordination attempts per attempt
 /// (completions + rollbacks).
-fn type2_point(loss: u32, seed: u64, smoke: bool) -> String {
+fn type2_point(loss: u32, seed: u64, smoke: bool) -> Json {
     let n0 = 16u64;
-    let inserts = if smoke { 120 } else { 280 };
+    let inserts: usize = if smoke { 120 } else { 280 };
     let cfg = DexConfig::new(splitmix64(seed ^ 0x7209)).simplified();
     let mut dex = DexNetwork::bootstrap(cfg, n0);
     dex.set_faults(Some(spec_for(loss, seed)));
@@ -323,17 +295,21 @@ fn type2_point(loss: u32, seed: u64, smoke: bool) -> String {
     let t2 = dex.walk_stats.type2;
     assert!(t2 >= 1, "loss {loss}: growth never forced a type-2");
     let attempts = t2 + fs.type2_rollbacks;
-    format!(
-        "{{\"loss_milli\": {loss}, \"inserts\": {inserts}, \"final_n\": {}, \
-         \"type2_steps\": {t2}, \"rollback_rate\": {:.6}, \"faults\": {}}}",
-        dex.n(),
-        fs.type2_rollbacks as f64 / attempts as f64,
-        fault_stats_json(&fs),
-    )
+    Json::obj([
+        ("loss_milli", loss.into()),
+        ("inserts", inserts.into()),
+        ("final_n", dex.n().into()),
+        ("type2_steps", t2.into()),
+        (
+            "rollback_rate",
+            Json::Fixed(fs.type2_rollbacks as f64 / attempts as f64, 6),
+        ),
+        ("faults", fault_stats(&fs)),
+    ])
 }
 
 /// One attack family re-run under loss with full invariant checking.
-fn attack_point(name: &str, sc: &Scenario, opts: &RunOptions) -> String {
+fn attack_point(name: &str, sc: &Scenario, opts: &RunOptions) -> Json {
     let reports = run_trials(sc, opts);
     let agg = pool_aggregate(&reports);
     let mismatches: u64 = reports.iter().map(|r| r.dht_mismatches).sum();
@@ -347,94 +323,76 @@ fn attack_point(name: &str, sc: &Scenario, opts: &RunOptions) -> String {
         .map(|r| *r.lambda2.last().expect("trajectory"))
         .sum::<f64>()
         / reports.len() as f64;
-    format!(
-        "{{\"name\": \"{name}\", \"invariants_checked\": true, \"steps\": {}, \
-         \"rounds\": {}, \"messages\": {}, \"lambda2_final\": {l2_final:.6}, \
-         \"final_n\": [{}], \"faults\": {}}}",
-        agg.steps,
-        summary_json(&agg.rounds),
-        summary_json(&agg.messages),
-        reports
-            .iter()
-            .map(|r| r.final_n.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-        fault_stats_json(&fs),
-    )
+    Json::obj([
+        ("name", name.into()),
+        ("invariants_checked", true.into()),
+        ("steps", agg.steps.into()),
+        ("rounds", (&agg.rounds).into()),
+        ("messages", (&agg.messages).into()),
+        ("lambda2_final", Json::Fixed(l2_final, 6)),
+        ("final_n", Json::arr(reports.iter().map(|r| r.final_n))),
+        ("faults", fault_stats(&fs)),
+    ])
 }
 
 fn main() {
-    let args = parse_args();
-    let n0: u64 = if args.smoke { 48 } else { 2048 };
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.smoke {
-        2
-    } else {
-        3
+    let args = Args::parse(&["--smoke", "--seed", "--trials", "--out"]);
+    let smoke = args.smoke();
+    let seed = args.get("--seed", 0xfa57_cafe_u64);
+    let n0: u64 = if smoke { 48 } else { 2048 };
+    let trials = match args.get("--trials", 0) {
+        0 if smoke => 2,
+        0 => 3,
+        t => t,
     };
     let losses = LOSS_GRID;
-    let out = args
-        .out
-        .clone()
-        .unwrap_or_else(|| "BENCH_faults.json".to_string());
+    let out = args.get("--out", "BENCH_faults.json".to_string());
 
     let opts = RunOptions {
         n0,
         trials,
-        seed: args.seed,
+        seed,
         // Sample λ₂ only at the endpoints: the curve wants "gap before vs
         // after the campaign", not a trajectory.
         lambda_every: 1 << 30,
-        exec: dex::exec::ExecConfig::with_threads(args.threads),
-        check_invariants: args.smoke,
+        exec: dex::exec::ExecConfig::AUTO,
+        check_invariants: smoke,
         keep_actions: false,
         keep_step_metrics: false,
     };
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n0\": {n0}, \"trials\": {trials}, \"seed\": {}, \"smoke\": {}, \
-         \"loss_grid\": [{}]}},",
-        args.seed,
-        args.smoke,
-        losses
-            .iter()
-            .map(|l| l.to_string())
-            .collect::<Vec<_>>()
-            .join(", "),
-    );
-    let _ = writeln!(json, "  {},", dex_bench::exec_header_json());
+    let mut json = Json::obj([
+        (
+            "config",
+            Json::obj([
+                ("n0", n0.into()),
+                ("trials", trials.into()),
+                ("seed", seed.into()),
+                ("smoke", smoke.into()),
+                ("loss_grid", Json::arr(losses)),
+            ]),
+        ),
+        ("exec", dex_bench::exec_header()),
+    ]);
 
     // ---- Section 1: engine-level delivery percolation -------------------
-    let frozen = DexNetwork::bootstrap(
-        DexConfig::new(splitmix64(args.seed ^ 0x9e1)).simplified(),
-        n0,
-    );
-    let n_ops = if args.smoke { 200 } else { 2000 };
-    let _ = writeln!(json, "  \"percolation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    let frozen = DexNetwork::bootstrap(DexConfig::new(splitmix64(seed ^ 0x9e1)).simplified(), n0);
+    let n_ops = if smoke { 200 } else { 2000 };
+    let percolation = losses.map(|loss| {
         let t0 = std::time::Instant::now();
-        let point = percolation_point(frozen.graph(), loss, args.seed, n_ops);
+        let point = percolation_point(frozen.graph(), loss, seed, n_ops);
         println!(
             "percolation loss {loss:>4}  ({:.2}s)",
             t0.elapsed().as_secs_f64()
         );
-        let _ = writeln!(
-            json,
-            "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
+        point
+    });
+    json.push("percolation", Json::arr(percolation));
 
     // ---- Section 2: protocol-level degradation curve --------------------
-    let _ = writeln!(json, "  \"degradation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    let degradation = losses.map(|loss| {
         let t0 = std::time::Instant::now();
-        let (point, agg) = degradation_point(loss, &opts, args.smoke);
+        let (point, agg) = degradation_point(loss, &opts, smoke);
         println!(
             "degradation loss {loss:>4}  steps {:>5}  rounds p50/p95 {}/{}  ({:.2}s)",
             agg.steps,
@@ -442,42 +400,28 @@ fn main() {
             agg.rounds.p95,
             t0.elapsed().as_secs_f64()
         );
-        let _ = writeln!(
-            json,
-            "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
+        point
+    });
+    json.push("degradation", Json::arr(degradation));
 
     // ---- Section 3: flood-aggregate degradation curve -------------------
-    let flood_k = if args.smoke { 16 } else { 64 };
-    let _ = writeln!(json, "  \"flood_degradation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    let flood_k = if smoke { 16 } else { 64 };
+    let floods = losses.map(|loss| {
         let t0 = std::time::Instant::now();
-        let point = flood_point(frozen.graph(), loss, args.seed, flood_k);
+        let point = flood_point(frozen.graph(), loss, seed, flood_k);
         println!("flood loss {loss:>4}  ({:.2}s)", t0.elapsed().as_secs_f64());
-        let _ = writeln!(
-            json,
-            "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
+        point
+    });
+    json.push("flood_degradation", Json::arr(floods));
 
     // ---- Section 4: type-2 coordination degradation curve ---------------
-    let _ = writeln!(json, "  \"type2_degradation\": [");
-    for (i, &loss) in losses.iter().enumerate() {
+    let type2 = losses.map(|loss| {
         let t0 = std::time::Instant::now();
-        let point = type2_point(loss, args.seed, args.smoke);
+        let point = type2_point(loss, seed, smoke);
         println!("type2 loss {loss:>4}  ({:.2}s)", t0.elapsed().as_secs_f64());
-        let _ = writeln!(
-            json,
-            "    {point}{}",
-            if i + 1 < losses.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ],");
+        point
+    });
+    json.push("type2_degradation", Json::arr(type2));
 
     // ---- Section 5: attack families under loss, invariants on -----------
     let attack_loss = 350;
@@ -485,13 +429,13 @@ fn main() {
         check_invariants: true,
         ..opts
     };
-    let s = |a: usize, b: usize| if args.smoke { b } else { a };
+    let s = |a: usize, b: usize| if smoke { b } else { a };
     let attacks = [
         (
             "flash-crowd-under-loss",
             Scenario::new("flash-crowd-under-loss")
                 .phase(Phase::Faults {
-                    spec: spec_for(attack_loss, args.seed),
+                    spec: spec_for(attack_loss, seed),
                 })
                 .phase(Phase::FlashCrowd {
                     waves: s(6, 2),
@@ -503,7 +447,7 @@ fn main() {
             "partition-heal-under-loss",
             Scenario::new("partition-heal-under-loss")
                 .phase(Phase::Faults {
-                    spec: spec_for(attack_loss, args.seed).with_partition(48, 6),
+                    spec: spec_for(attack_loss, seed).with_partition(48, 6),
                 })
                 .phase(Phase::PartitionHeal {
                     bursts: s(3, 1),
@@ -513,21 +457,15 @@ fn main() {
                 .phase(Phase::FaultsOff),
         ),
     ];
-    let _ = writeln!(json, "  \"attacks\": [");
-    for (i, (name, sc)) in attacks.iter().enumerate() {
+    let attack_rows = attacks.iter().map(|(name, sc)| {
         let t0 = std::time::Instant::now();
         let point = attack_point(name, sc, &attack_opts);
         println!("attack {name:<28}  ({:.2}s)", t0.elapsed().as_secs_f64());
-        let _ = writeln!(
-            json,
-            "    {point}{}",
-            if i + 1 < attacks.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
+        point
+    });
+    json.push("attacks", Json::arr(attack_rows));
 
-    std::fs::write(&out, &json).expect("write faults bench JSON");
+    std::fs::write(&out, json.render()).expect("write faults bench JSON");
     println!(
         "wrote {out} ({} loss points, {} attack families)",
         losses.len(),

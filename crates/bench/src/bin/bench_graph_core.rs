@@ -42,9 +42,10 @@ use dex::graph::primes;
 use dex::prelude::*;
 use dex::sim::flood::{flood_count_slots, FloodResult, FloodScratch, FloodWork};
 use dex::sim::rng::splitmix64;
+use dex_bench::json::Json;
+use dex_bench::Args;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 const P: u64 = 20011; // prime ⇒ n = 20011 ≈ 20k nodes, 3-regular
@@ -107,7 +108,7 @@ const ROUTE_PAIRS: usize = 2000;
 
 /// One `route` row: deterministic work counts, plus wall-clock unit costs
 /// when `timed` (and the inversion kernel's, on the one-root rows).
-fn route_row(p: u64, roots: u64, timed: bool) -> String {
+fn route_row(p: u64, roots: u64, timed: bool) -> Json {
     let cycle = PCycle::new(p);
     let stride = p / roots;
     let mut rng = StdRng::seed_from_u64(0x5eed ^ p);
@@ -135,17 +136,22 @@ fn route_row(p: u64, roots: u64, timed: bool) -> String {
     }
     let route_us = t0.elapsed().as_secs_f64() * 1e6 / ROUTE_PAIRS as f64;
     let (expansions, inversions) = scratch.work();
-    let mut row = format!(
-        "{{\"p\": {p}, \"roots\": {roots}, \"pairs\": {ROUTE_PAIRS}, \
-         \"expansions_per_route\": {:.1}, \"inversions_per_route\": {:.1}, \
-         \"mean_path_len\": {:.3}, \"path_digest\": \"{digest:#018x}\"",
-        expansions as f64 / ROUTE_PAIRS as f64,
-        inversions as f64 / ROUTE_PAIRS as f64,
-        hops as f64 / ROUTE_PAIRS as f64
-    );
+    let per_route = |x: u64| Json::Fixed(x as f64 / ROUTE_PAIRS as f64, 1);
+    let mut row = Json::obj([
+        ("p", p.into()),
+        ("roots", roots.into()),
+        ("pairs", ROUTE_PAIRS.into()),
+        ("expansions_per_route", per_route(expansions)),
+        ("inversions_per_route", per_route(inversions)),
+        (
+            "mean_path_len",
+            Json::Fixed(hops as f64 / ROUTE_PAIRS as f64, 3),
+        ),
+        ("path_digest", Json::hex(digest)),
+    ]);
     if timed {
         println!("route p={p} roots={roots}: {route_us:.1} us/route");
-        let _ = write!(row, ", \"route_us\": {route_us:.1}");
+        row.push("route_us", Json::Fixed(route_us, 1));
     }
     if timed && roots == 1 {
         let xs: Vec<u32> = (0..1 << 16)
@@ -163,22 +169,19 @@ fn route_row(p: u64, roots: u64, timed: bool) -> String {
         let batch_ns = t0.elapsed().as_secs_f64() * 1e9 / xs.len() as f64;
         std::hint::black_box((acc, &out));
         println!("inverse p={p}: {scalar_ns:.1} ns scalar, {batch_ns:.2} ns/elt batched");
-        let _ = write!(
-            row,
-            ", \"scalar_inverse_ns\": {scalar_ns:.1}, \"batch_inverse_ns_per_elt\": {batch_ns:.2}"
-        );
+        row.push("scalar_inverse_ns", Json::Fixed(scalar_ns, 1));
+        row.push("batch_inverse_ns_per_elt", Json::Fixed(batch_ns, 2));
     }
-    row.push('}');
     row
 }
 
-/// The `"route"` JSON member (no trailing comma or newline).
-fn route_section(timed: bool) -> String {
-    let rows: Vec<String> = ROUTE_ROWS
-        .iter()
-        .map(|&(p, roots)| route_row(p, roots, timed))
-        .collect();
-    format!("  \"route\": [\n    {}\n  ]", rows.join(",\n    "))
+/// The `"route"` section.
+fn route_section(timed: bool) -> Json {
+    Json::arr(
+        ROUTE_ROWS
+            .iter()
+            .map(|&(p, roots)| route_row(p, roots, timed)),
+    )
 }
 
 /// The queue BFS the flood kernel replaced, kept as its reference: every
@@ -226,18 +229,28 @@ fn reference_flood(g: &MultiGraph, root: u32, pred: impl Fn(u32) -> bool) -> Flo
 /// Floods per regime.
 const FLOODS: usize = 64;
 
-/// The work members of a `flood` row: `after − before`, per flood.
-fn work_members(after: FloodWork, before: FloodWork) -> String {
+/// Append the work members of a `flood` row: `after − before`, per flood.
+fn push_work(row: &mut Json, after: FloodWork, before: FloodWork) {
     let floods = after.floods - before.floods;
-    let per_flood = |after: u64, before: u64| (after - before) as f64 / floods as f64;
-    format!(
-        "\"floods\": {floods}, \"levels_per_flood\": {:.2}, \"rows_top_down_per_flood\": {:.1}, \
-         \"rows_bottom_up_per_flood\": {:.1}, \"entries_per_flood\": {:.1}",
-        per_flood(after.levels, before.levels),
-        per_flood(after.rows_top_down, before.rows_top_down),
-        per_flood(after.rows_bottom_up, before.rows_bottom_up),
-        per_flood(after.entries, before.entries),
-    )
+    row.push("floods", floods);
+    for (key, a, b, decimals) in [
+        ("levels_per_flood", after.levels, before.levels, 2),
+        (
+            "rows_top_down_per_flood",
+            after.rows_top_down,
+            before.rows_top_down,
+            1,
+        ),
+        (
+            "rows_bottom_up_per_flood",
+            after.rows_bottom_up,
+            before.rows_bottom_up,
+            1,
+        ),
+        ("entries_per_flood", after.entries, before.entries, 1),
+    ] {
+        row.push(key, Json::Fixed((a - b) as f64 / floods as f64, decimals));
+    }
 }
 
 /// A network driven the way `benchmark/`'s `resize` drives one: inserts
@@ -306,15 +319,14 @@ impl Grown {
 
     /// The `script` row: what the network's own floods cost over every
     /// step so far.
-    fn script_row(&self, timed: bool) -> String {
+    fn script_row(&self, timed: bool) -> Json {
         let work = self.net.flood_work();
-        let mut row = format!(
-            "{{\"steps\": {}, \"flood_steps\": {}, \"walk_misses\": {}, {}",
-            self.steps,
-            self.flood_steps,
-            self.net.walk_stats.misses,
-            work_members(work, FloodWork::default()),
-        );
+        let mut row = Json::obj([
+            ("steps", self.steps.into()),
+            ("flood_steps", self.flood_steps.into()),
+            ("walk_misses", self.net.walk_stats.misses.into()),
+        ]);
+        push_work(&mut row, work, FloodWork::default());
         if timed {
             println!(
                 "resize script: {} steps {:.3} s, of which {} flooded ({} floods): {:.3} s = {:.0} %",
@@ -325,19 +337,15 @@ impl Grown {
                 self.flood_steps_s,
                 100.0 * self.flood_steps_s / self.steps_s
             );
-            let _ = write!(
-                row,
-                ", \"steps_s\": {:.3}, \"flood_steps_s\": {:.3}",
-                self.steps_s, self.flood_steps_s
-            );
+            row.push("steps_s", Json::Fixed(self.steps_s, 3));
+            row.push("flood_steps_s", Json::Fixed(self.flood_steps_s, 3));
         }
-        row.push('}');
         row
     }
 
     /// One `flood` row: [`FLOODS`] `computeSpare` counts from random
     /// roots, each asserted equal to the reference BFS.
-    fn flood_row(&mut self, regime: &str, timed: bool) -> String {
+    fn flood_row(&mut self, regime: &str, timed: bool) -> Json {
         let roots: Vec<u32> = (0..FLOODS)
             .map(|_| {
                 let u = self.live[self.rng.random_range(0..self.live.len())];
@@ -376,13 +384,14 @@ impl Grown {
             entries < degree_sum as f64,
             "{regime}: {entries} entries examined per flood, Σ degree {degree_sum}"
         );
-        let mut row = format!(
-            "{{\"regime\": \"{regime}\", \"n\": {n}, \"p\": {}, \"dead_slots\": {}, \
-             \"degree_sum\": {degree_sum}, {}",
-            self.net.cycle.p(),
-            g.free_slots().len(),
-            work_members(work, before),
-        );
+        let mut row = Json::obj([
+            ("regime", regime.into()),
+            ("n", n.into()),
+            ("p", self.net.cycle.p().into()),
+            ("dead_slots", g.free_slots().len().into()),
+            ("degree_sum", degree_sum.into()),
+        ]);
+        push_work(&mut row, work, before);
         if timed {
             println!(
                 "flood {regime}: n={n} Σdeg={degree_sum} entries/flood={entries:.0}: kernel \
@@ -390,27 +399,27 @@ impl Grown {
                 kernel_ns / 1e3,
                 reference_ns / 1e3
             );
-            let _ = write!(
-                row,
-                ", \"kernel_ns_per_node\": {:.1}, \"kernel_ns_per_entry\": {:.2}, \
-                 \"reference_ns_per_node\": {:.1}, \"reference_ns_per_entry\": {:.2}",
-                kernel_ns / n as f64,
-                kernel_ns / entries,
-                reference_ns / n as f64,
-                reference_ns / degree_sum as f64
+            row.push("kernel_ns_per_node", Json::Fixed(kernel_ns / n as f64, 1));
+            row.push("kernel_ns_per_entry", Json::Fixed(kernel_ns / entries, 2));
+            row.push(
+                "reference_ns_per_node",
+                Json::Fixed(reference_ns / n as f64, 1),
+            );
+            row.push(
+                "reference_ns_per_entry",
+                Json::Fixed(reference_ns / degree_sum as f64, 2),
             );
         }
-        row.push('}');
         row
     }
 }
 
-/// The `"flood"` JSON member (no trailing comma or newline), from one run
+/// The `"flood"` section, from one run
 /// of `resize`'s script: grow from `n0` through one inflation to within
 /// 5 % of the next, flood; grow to `peak`, shrink until n ≤ p/16 with four
 /// dead slots per live node, flood; shrink to `n0 / 4`. Smoke runs the
 /// same script at toy scale.
-fn flood_section(timed: bool) -> String {
+fn flood_section(timed: bool) -> Json {
     let (n0, peak) = if timed { (2_000, 40_000) } else { (100, 2_000) };
     let mut grown = Grown::bootstrap(n0);
     let p0 = grown.net.cycle.p();
@@ -430,11 +439,10 @@ fn flood_section(timed: bool) -> String {
     while grown.net.n() as u64 > n0 / 4 {
         grown.delete();
     }
-    let script = grown.script_row(timed);
-    format!(
-        "  \"flood\": {{\n    \"regimes\": [\n      {low},\n      {high}\n    ],\n    \
-         \"script\": {script}\n  }}"
-    )
+    Json::obj([
+        ("regimes", Json::arr([low, high])),
+        ("script", grown.script_row(timed)),
+    ])
 }
 
 /// Bootstrap sizes: timed, and at toy scale in the smoke JSON.
@@ -468,9 +476,9 @@ fn status_mb(field: &str) -> Option<f64> {
 }
 
 /// One bootstrap row; timed, `reps` builds.
-fn bootstrap_row(n: u64, timed: bool) -> String {
+fn bootstrap_row(n: u64, timed: bool) -> Json {
     let cfg = DexConfig::new(1);
-    let mut row = format!("{{\"n\": {n}");
+    let mut row = Json::obj([("n", n.into())]);
     if timed {
         // Writing 5 to clear_refs resets VmHWM to the current RSS.
         let reset = std::fs::write("/proc/self/clear_refs", "5").is_ok();
@@ -489,39 +497,41 @@ fn bootstrap_row(n: u64, timed: bool) -> String {
         }
         ns.sort_by(f64::total_cmp);
         let median = ns[ns.len() / 2];
-        let rise = match (hwm, before) {
-            (Some(h), Some(b)) => format!("{:.1}", h - b),
-            _ => "null".into(),
-        };
-        println!("bootstrap n={n}: {median:.0} ns/node (median of {reps}), VmHWM +{rise} MB");
-        let _ = write!(
-            row,
-            ", \"reps\": {reps}, \"ns_per_node\": {median:.1}, \"ns_per_node_min\": {:.1}, \
-             \"ns_per_node_max\": {:.1}, \"hwm_rise_mb\": {rise}",
-            ns[0],
-            ns[ns.len() - 1]
+        let rise = hwm.zip(before).map(|(h, b)| h - b);
+        println!(
+            "bootstrap n={n}: {median:.0} ns/node (median of {reps}), VmHWM +{} MB",
+            rise.map_or("null".into(), |r| format!("{r:.1}"))
         );
+        row.push("reps", reps);
+        row.push("ns_per_node", Json::Fixed(median, 1));
+        row.push("ns_per_node_min", Json::Fixed(ns[0], 1));
+        row.push("ns_per_node_max", Json::Fixed(ns[ns.len() - 1], 1));
+        row.push("hwm_rise_mb", rise.map(|r| Json::Fixed(r, 1)));
     }
     let dex = DexNetwork::bootstrap(cfg, n);
-    let _ = write!(
-        row,
-        ", \"p\": {}, \"edges\": {}, \"digest\": \"{:#018x}\"}}",
-        dex.cycle.p(),
-        dex.graph().num_edges(),
-        bootstrap_digest(&dex)
-    );
+    row.push("p", dex.cycle.p());
+    row.push("edges", dex.graph().num_edges());
+    row.push("digest", Json::hex(bootstrap_digest(&dex)));
     row
 }
 
-/// The `"bootstrap"` JSON member (no trailing comma or newline).
-fn bootstrap_section(timed: bool) -> String {
+/// The `"bootstrap"` section.
+fn bootstrap_section(timed: bool) -> Json {
     let ns = if timed {
         BOOTSTRAP_NS
     } else {
         BOOTSTRAP_SMOKE_NS
     };
-    let rows: Vec<String> = ns.iter().map(|&n| bootstrap_row(n, timed)).collect();
-    format!("  \"bootstrap\": [\n    {}\n  ]", rows.join(",\n    "))
+    Json::arr(ns.map(|n| bootstrap_row(n, timed)))
+}
+
+/// The `"graph"` header of both modes.
+fn graph_header(base: &MultiGraph) -> Json {
+    Json::obj([
+        ("n", base.num_nodes().into()),
+        ("m", base.num_edges().into()),
+        ("family", "pcycle".into()),
+    ])
 }
 
 const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
@@ -541,7 +551,7 @@ fn fnv1a(acc: u64, v: u64) -> u64 {
 // for any DEX_EXEC_THREADS setting.
 // ---------------------------------------------------------------------
 
-fn run_smoke(base: &MultiGraph) -> String {
+fn run_smoke(base: &MultiGraph) -> Json {
     let csr = base.csr();
     let rows = csr.n();
     let x: Vec<f64> = (0..rows).map(|i| (i as f64 * 0.618).sin()).collect();
@@ -558,27 +568,23 @@ fn run_smoke(base: &MultiGraph) -> String {
         last = solver.lambda2(&g, 600, TOL, 0xdecafbad);
     }
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"graph\": {{\"n\": {}, \"m\": {}, \"family\": \"pcycle\"}},",
-        base.num_nodes(),
-        base.num_edges()
-    );
-    let _ = writeln!(json, "  {},", dex_bench::exec_header_json());
-    let _ = writeln!(json, "  \"digests\": {{");
-    let _ = writeln!(json, "    \"spmv_y_fnv\": \"{spmv_fnv:#018x}\",");
-    let _ = writeln!(json, "    \"lambda2_bits\": \"{:#018x}\"", last.to_bits());
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "{},", route_section(false));
-    let _ = writeln!(json, "{},", flood_section(false));
-    let _ = writeln!(json, "{}", bootstrap_section(false));
-    let _ = writeln!(json, "}}");
-    json
+    Json::obj([
+        ("graph", graph_header(base)),
+        ("exec", dex_bench::exec_header()),
+        (
+            "digests",
+            Json::obj([
+                ("spmv_y_fnv", Json::hex(spmv_fnv)),
+                ("lambda2_bits", Json::hex(last.to_bits())),
+            ]),
+        ),
+        ("route", route_section(false)),
+        ("flood", flood_section(false)),
+        ("bootstrap", bootstrap_section(false)),
+    ])
 }
 
-fn run_full(base: &MultiGraph) -> String {
+fn run_full(base: &MultiGraph) -> Json {
     // First, while the heap holds little else to recycle.
     let bootstrap = bootstrap_section(true);
     let lambda = lambda2_under_churn(base.clone(), 99);
@@ -595,52 +601,42 @@ fn run_full(base: &MultiGraph) -> String {
     let slot_mhps = hops as f64 / t_slot / 1e6;
     println!("walks: slot-space {slot_mhps:.2} Mhops/s");
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"graph\": {{\"n\": {}, \"m\": {}, \"family\": \"pcycle\"}},",
-        base.num_nodes(),
-        base.num_edges()
-    );
-    let _ = writeln!(json, "  {},", dex_bench::exec_header_json());
-    let _ = writeln!(json, "  \"lambda2_under_churn\": {{");
-    let _ = writeln!(json, "    \"epochs\": {EPOCHS},");
-    let _ = writeln!(json, "    \"edge_churn_per_epoch\": {CHURN_PER_EPOCH},");
-    let _ = writeln!(json, "    \"cached_warm_start_s\": {:.4},", lambda.total_s);
-    let _ = writeln!(json, "    \"ms_per_epoch\": {per_epoch_ms:.3},");
-    let _ = writeln!(json, "    \"lambda2\": {:.6}", lambda.last_lambda);
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"walk_throughput\": {{");
-    let _ = writeln!(json, "    \"hops\": {hops},");
-    let _ = writeln!(json, "    \"slot_space_mhops_per_s\": {slot_mhps:.2}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "{},", route_section(true));
-    let _ = writeln!(json, "{},", flood_section(true));
-    let _ = writeln!(json, "{bootstrap}");
-    let _ = writeln!(json, "}}");
-    json
+    Json::obj([
+        ("graph", graph_header(base)),
+        ("exec", dex_bench::exec_header()),
+        (
+            "lambda2_under_churn",
+            Json::obj([
+                ("epochs", EPOCHS.into()),
+                ("edge_churn_per_epoch", CHURN_PER_EPOCH.into()),
+                ("cached_warm_start_s", Json::Fixed(lambda.total_s, 4)),
+                ("ms_per_epoch", Json::Fixed(per_epoch_ms, 3)),
+                ("lambda2", Json::Fixed(lambda.last_lambda, 6)),
+            ]),
+        ),
+        (
+            "walk_throughput",
+            Json::obj([
+                ("hops", hops.into()),
+                ("slot_space_mhops_per_s", Json::Fixed(slot_mhps, 2)),
+            ]),
+        ),
+        ("route", route_section(true)),
+        ("flood", flood_section(true)),
+        ("bootstrap", bootstrap),
+    ])
 }
 
 fn main() {
-    let mut smoke = false;
-    let mut out: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = Some(it.next().expect("--out FILE")),
-            other => panic!("unknown flag {other:?} (try --smoke / --out)"),
-        }
-    }
-    let out = out.unwrap_or_else(|| "BENCH_graph_core.json".into());
+    let args = Args::parse(&["--smoke", "--out"]);
+    let out = args.get("--out", "BENCH_graph_core.json".to_string());
     let base = PCycle::new(P).to_multigraph();
     println!("graph: n={} m={}", base.num_nodes(), base.num_edges());
-    let json = if smoke {
+    let json = if args.smoke() {
         run_smoke(&base)
     } else {
         run_full(&base)
     };
-    std::fs::write(&out, &json).expect("write graph-core bench JSON");
+    std::fs::write(&out, json.render()).expect("write graph-core bench JSON");
     println!("wrote {out}");
 }

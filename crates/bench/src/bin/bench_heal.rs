@@ -8,49 +8,34 @@
 //! are pooled in `HealScratch` / `FloodScratch`).
 //!
 //! Determinism: everything in the JSON except the timing fields is
-//! bit-identical for a given `--seed` regardless of `--exec-threads`; `--smoke`
-//! omits the timing fields so the whole file is byte-identical (the CI
-//! smoke job and the `heal_determinism` test rely on this).
+//! bit-identical for a given `--seed` regardless of the thread budget
+//! (`DEX_EXEC_THREADS`); `--smoke` omits the timing fields so the whole
+//! file is byte-identical (the CI smoke job and the `heal_determinism`
+//! test rely on this).
 //!
 //! ```sh
 //! cargo run --release -p dex-bench --bin bench_heal            # full, up to n≈1M
 //! cargo run --release -p dex-bench --bin bench_heal -- --smoke # CI-sized
-//! cargo run --release -p dex-bench --bin bench_heal -- --exec-threads 1
+//! DEX_EXEC_THREADS=1 cargo run --release -p dex-bench --bin bench_heal
 //! ```
 
 use dex_bench::alloc::{allocated_bytes, CountingAlloc};
 use dex_bench::heal::{run_heal_bench, HealBenchOptions};
+use dex_bench::Args;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
 fn main() {
-    let mut opts = HealBenchOptions {
+    let args = Args::parse(&["--smoke", "--seed", "--trials"]);
+    let defaults = HealBenchOptions::default();
+    let json = run_heal_bench(&HealBenchOptions {
+        smoke: args.smoke(),
+        seed: args.get("--seed", defaults.seed),
+        trials: args.get("--trials", defaults.trials),
         alloc_bytes: Some(allocated_bytes),
-        ..HealBenchOptions::default()
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => opts.smoke = true,
-            "--exec-threads" => {
-                opts.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exec-threads N");
-            }
-            "--seed" => {
-                opts.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--trials" => {
-                opts.trials = it.next().and_then(|v| v.parse().ok()).expect("--trials R");
-            }
-            other => {
-                panic!("unknown flag {other:?} (try --smoke / --exec-threads / --seed / --trials)")
-            }
-        }
-    }
-    let json = run_heal_bench(&opts);
+        ..defaults
+    });
     std::fs::write("BENCH_heal.json", &json).expect("write BENCH_heal.json");
     println!("wrote BENCH_heal.json");
 }

@@ -28,16 +28,17 @@
 //! cargo run --release -p dex-bench --bin bench_paper -- --smoke # CI-sized
 //! ```
 
-use dex::core::{fabric, routing};
+use dex::core::fabric;
+use dex::core::routing::{self, RouteScratch};
 use dex::graph::connectivity;
 use dex::graph::pcycle::resize::Plan;
 use dex::prelude::*;
 use dex::sim::rng::splitmix64;
 use dex::sim::HistoryMode;
-use dex_bench::{exec_header_json, summary_json};
+use dex_bench::json::Json;
+use dex_bench::{exec_header, Args};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// A churn schedule that drives any overlay identically: each entry is
@@ -139,23 +140,16 @@ fn grow_to(net: &mut DexNetwork, target: usize, seed: u64) {
     }
 }
 
-/// Pre-rendered items as a JSON array at a section's field depth.
-fn list(items: &[String]) -> String {
-    format!("[\n      {}\n    ]", items.join(",\n      "))
-}
-
-/// The `"rounds"`, `"messages"` and `"topology"` fields of an aggregate.
-fn costs(a: &StepAggregate) -> String {
-    format!(
-        "\"rounds\": {}, \"messages\": {}, \"topology\": {}",
-        summary_json(&a.rounds),
-        summary_json(&a.messages),
-        summary_json(&a.topology)
-    )
+/// Append the `"rounds"`, `"messages"` and `"topology"` fields of an
+/// aggregate to `row`.
+fn push_costs(row: &mut Json, a: &StepAggregate) {
+    row.push("rounds", &a.rounds);
+    row.push("messages", &a.messages);
+    row.push("topology", &a.topology);
 }
 
 /// Fig. 1: the 23-cycle and the mapping of vertex x to node x mod 7.
-fn figure1(json: &mut String, _smoke: bool) {
+fn figure1(_smoke: bool) -> Json {
     let z = PCycle::new(23);
     let zg = z.to_multigraph();
     let (net, map) = fabric::deal_round_robin(8, &z, 7);
@@ -163,86 +157,88 @@ fn figure1(json: &mut String, _smoke: bool) {
     // Φ is slotted by the graph's node arena: resolve a name there.
     let slot = |i: u64| g.slot_of(NodeId(i)).expect("a dealt node");
     let graph = |name: &str, g: &MultiGraph| {
-        format!(
-            "{{\"graph\": \"{name}\", \"n\": {}, \"edges\": {}, \"max_degree\": {}, \"spectral_gap\": {:.4}, \"diameter\": {}}}",
-            g.num_nodes(),
-            g.num_edges(),
-            g.max_degree(),
-            spectral::spectral_gap(g),
-            connectivity::diameter(g).expect("connected")
-        )
+        Json::obj([
+            ("graph", name.into()),
+            ("n", g.num_nodes().into()),
+            ("edges", g.num_edges().into()),
+            ("max_degree", g.max_degree().into()),
+            ("spectral_gap", Json::Fixed(spectral::spectral_gap(g), 4)),
+            (
+                "diameter",
+                connectivity::diameter(g).expect("connected").into(),
+            ),
+        ])
     };
     let graphs = [graph("Z(23)", &zg), graph("Φ(Z(23))", g)];
-    let mapping: Vec<String> = (0..7u64)
-        .map(|i| {
-            let mut sim: Vec<u64> = map.sim_at(slot(i)).iter().map(|z| z.raw()).collect();
-            sim.sort_unstable();
-            let name = (b'A' + i as u8) as char;
-            format!(
-                "{{\"node\": \"{name}\", \"load\": {}, \"vertices\": {sim:?}}}",
-                sim.len()
-            )
-        })
-        .collect();
+    let mapping = (0..7u64).map(|i| {
+        let mut sim: Vec<u64> = map.sim_at(slot(i)).iter().map(|z| z.raw()).collect();
+        sim.sort_unstable();
+        let name = (b'A' + i as u8) as char;
+        Json::obj([
+            ("node", Json::Str(name.to_string())),
+            ("load", sim.len().into()),
+            ("vertices", Json::arr(sim)),
+        ])
+    });
     let lemma1 = spectral::spectral_gap(g) >= spectral::spectral_gap(&zg) - 1e-9;
     let degree = (0..7).all(|i| g.degree(NodeId(i)) as u64 == 3 * map.load_at(slot(i)));
-    let _ = writeln!(json, "    \"graphs\": {},", list(&graphs));
-    let _ = writeln!(json, "    \"mapping\": {},", list(&mapping));
-    let _ = writeln!(json, "    \"lemma1_gap_not_below_z\": {lemma1},");
-    let _ = writeln!(json, "    \"degree_is_3_load\": {degree}");
+    Json::obj([
+        ("graphs", Json::arr(graphs)),
+        ("mapping", Json::arr(mapping)),
+        ("lemma1_gap_not_below_z", lemma1.into()),
+        ("degree_is_3_load", degree.into()),
+    ])
 }
 
 /// Table 1: one churn schedule through every overlay.
-fn table1(json: &mut String, _smoke: bool) {
-    let (n0, steps) = (128, 400);
+fn table1(_smoke: bool) -> Json {
+    let (n0, steps) = (128u64, 400usize);
     let sched = Schedule::random(0x7ab1e, steps, 0.5);
-    let rows: Vec<String> = lineup(1, n0)
-        .into_iter()
-        .map(|(label, guarantee, mut o)| {
-            let (metrics, max_deg) = sched.apply(o.as_mut());
-            format!(
-                "{{\"overlay\": \"{label}\", \"guarantee\": \"{guarantee}\", \"gap_end\": {:.4}, \"max_degree\": {max_deg}, {}}}",
-                o.spectral_gap(),
-                costs(&StepAggregate::of(&metrics))
-            )
-        })
-        .collect();
-    let _ = writeln!(json, "    \"n0\": {n0},\n    \"steps\": {steps},");
-    let _ = writeln!(json, "    \"rows\": {}", list(&rows));
+    let rows = lineup(1, n0).into_iter().map(|(label, guarantee, mut o)| {
+        let (metrics, max_deg) = sched.apply(o.as_mut());
+        let mut row = Json::obj([
+            ("overlay", label.into()),
+            ("guarantee", guarantee.into()),
+            ("gap_end", Json::Fixed(o.spectral_gap(), 4)),
+            ("max_degree", max_deg.into()),
+        ]);
+        push_costs(&mut row, &StepAggregate::of(&metrics));
+        row
+    });
+    Json::obj([
+        ("n0", n0.into()),
+        ("steps", steps.into()),
+        ("rows", Json::arr(rows)),
+    ])
 }
 
 /// E1: type-1 step costs at growing n, staggered mode, 300 churn steps
 /// after growing from 64 nodes.
-fn envelopes(json: &mut String, smoke: bool) {
+fn envelopes(smoke: bool) -> Json {
     let steps = 300;
     let mut sizes = vec![64usize, 128, 256, 512, 1024, 2048, 4096];
     if !smoke {
         sizes.extend([1 << 14, 1 << 17, 1 << 20]);
     }
-    let rows: Vec<String> = sizes
-        .into_iter()
-        .map(|n| {
-            let mut net = DexNetwork::bootstrap(DexConfig::new(1).staggered(), 64);
-            net.net.set_history_mode(HistoryMode::Off);
-            grow_to(&mut net, n, 2);
-            let (metrics, _) = Schedule::random(3, steps, 0.5).apply(&mut net);
-            invariants::assert_ok(&net);
-            let a = StepAggregate::of(metrics.iter().filter(|m| !m.recovery.is_type2()));
-            let ratio = |p95: u64| p95 as f64 / log2(n) as f64;
-            format!(
-                "{{\"n\": {n}, \"log2_n\": {}, {}, \"rounds_p95_per_log2_n\": {:.1}, \"messages_p95_per_log2_n\": {:.1}}}",
-                log2(n),
-                costs(&a),
-                ratio(a.rounds.p95),
-                ratio(a.messages.p95)
-            )
-        })
-        .collect();
-    let _ = writeln!(
-        json,
-        "    \"mode\": \"staggered\",\n    \"steps_per_size\": {steps},"
-    );
-    let _ = writeln!(json, "    \"rows\": {}", list(&rows));
+    let rows = sizes.into_iter().map(|n| {
+        let mut net = DexNetwork::bootstrap(DexConfig::new(1).staggered(), 64);
+        net.net.set_history_mode(HistoryMode::Off);
+        grow_to(&mut net, n, 2);
+        let (metrics, _) = Schedule::random(3, steps, 0.5).apply(&mut net);
+        invariants::assert_ok(&net);
+        let a = StepAggregate::of(metrics.iter().filter(|m| !m.recovery.is_type2()));
+        let ratio = |p95: u64| Json::Fixed(p95 as f64 / log2(n) as f64, 1);
+        let mut row = Json::obj([("n", n.into()), ("log2_n", log2(n).into())]);
+        push_costs(&mut row, &a);
+        row.push("rounds_p95_per_log2_n", ratio(a.rounds.p95));
+        row.push("messages_p95_per_log2_n", ratio(a.messages.p95));
+        row
+    });
+    Json::obj([
+        ("mode", "staggered".into()),
+        ("steps_per_size", steps.into()),
+        ("rows", Json::arr(rows)),
+    ])
 }
 
 /// Bootstrap `cfg` at `n0`, insert to `top`, then delete to `floor`.
@@ -278,31 +274,34 @@ fn resize_trace(cfg: DexConfig, seed: u64, n0: u64, top: usize, floor: usize) ->
 /// insert-heavy schedule (92 % joins) from 32 nodes. `resize_rows`: the
 /// resize trace at seeds 1 and 7, with the worst per-step cost over
 /// log₂ n and the number of steps above 64·log₂ n rounds or messages.
-fn theorem1(json: &mut String, smoke: bool) {
+fn theorem1(smoke: bool) -> Json {
     let steps = 3000;
     let modes = [
         ("simplified", DexConfig::new(11).simplified()),
         ("staggered", DexConfig::new(11).staggered()),
     ];
-    let growth: Vec<String> = modes
-        .into_iter()
-        .map(|(mode, cfg)| {
-            let mut net = DexNetwork::bootstrap(cfg, 32);
-            let (h, _) = Schedule::random(7, steps, 0.92).apply(&mut net);
-            invariants::assert_ok(&net);
-            let t2 = StepAggregate::of(h.iter().filter(|m| m.recovery.is_type2()));
-            let total: u64 = h.iter().map(|m| m.messages).sum();
-            format!(
-                "{{\"mode\": \"{mode}\", \"n_end\": {}, \"type2_steps\": {}, \"type2_rounds\": {}, \"type2_messages\": {}, \"worst_step_messages\": {}, \"amortized_messages_per_step\": {:.0}}}",
-                net.n(),
-                t2.steps,
-                summary_json(&t2.rounds),
-                summary_json(&t2.messages),
-                h.iter().map(|m| m.messages).max().unwrap_or(0),
-                total as f64 / h.len() as f64
-            )
-        })
-        .collect();
+    let growth = modes.map(|(mode, cfg)| {
+        let mut net = DexNetwork::bootstrap(cfg, 32);
+        let (h, _) = Schedule::random(7, steps, 0.92).apply(&mut net);
+        invariants::assert_ok(&net);
+        let t2 = StepAggregate::of(h.iter().filter(|m| m.recovery.is_type2()));
+        let total: u64 = h.iter().map(|m| m.messages).sum();
+        Json::obj([
+            ("mode", mode.into()),
+            ("n_end", net.n().into()),
+            ("type2_steps", t2.steps.into()),
+            ("type2_rounds", (&t2.rounds).into()),
+            ("type2_messages", (&t2.messages).into()),
+            (
+                "worst_step_messages",
+                h.iter().map(|m| m.messages).max().unwrap_or(0).into(),
+            ),
+            (
+                "amortized_messages_per_step",
+                Json::Fixed(total as f64 / h.len() as f64, 0),
+            ),
+        ])
+    });
     let (n0, top, floor) = if smoke {
         (200, 9_000, 50)
     } else {
@@ -315,75 +314,93 @@ fn theorem1(json: &mut String, smoke: bool) {
             let cfg = if staggered { cfg } else { cfg.simplified() };
             let h = resize_trace(cfg, seed, n0, top, floor);
             let per_log = |f: fn(&StepMetrics) -> u64| {
-                h.iter()
+                let max = h
+                    .iter()
                     .map(|m| f(m) as f64 / log2(m.n_after) as f64)
-                    .fold(0.0, f64::max)
+                    .fold(0.0, f64::max);
+                Json::Fixed(max, 1)
             };
             let over = h
                 .iter()
                 .filter(|m| m.rounds.max(m.messages) > 64 * log2(m.n_after))
                 .count();
-            resize.push(format!(
-                "{{\"mode\": \"{mode}\", \"seed\": {seed}, \"steps\": {}, \"type2_steps\": {}, {}, \"rounds_max_per_log2_n\": {:.1}, \"messages_max_per_log2_n\": {:.1}, \"steps_over_64_log2_n\": {over}}}",
-                h.len(),
-                h.iter().filter(|m| m.recovery.is_type2()).count(),
-                costs(&StepAggregate::of(&h)),
-                per_log(|m| m.rounds),
-                per_log(|m| m.messages)
-            ));
+            let mut row = Json::obj([
+                ("mode", mode.into()),
+                ("seed", seed.into()),
+                ("steps", h.len().into()),
+                (
+                    "type2_steps",
+                    h.iter().filter(|m| m.recovery.is_type2()).count().into(),
+                ),
+            ]);
+            push_costs(&mut row, &StepAggregate::of(&h));
+            row.push("rounds_max_per_log2_n", per_log(|m| m.rounds));
+            row.push("messages_max_per_log2_n", per_log(|m| m.messages));
+            row.push("steps_over_64_log2_n", over);
+            resize.push(row);
         }
     }
-    let _ = writeln!(
-        json,
-        "    \"growth\": {{\"n0\": 32, \"steps\": {steps}, \"p_insert\": 0.92}},"
-    );
-    let _ = writeln!(json, "    \"growth_rows\": {},", list(&growth));
-    let _ = writeln!(
-        json,
-        "    \"resize\": {{\"n0\": {n0}, \"top\": {top}, \"floor\": {floor}}},"
-    );
-    let _ = writeln!(json, "    \"resize_rows\": {}", list(&resize));
+    Json::obj([
+        (
+            "growth",
+            Json::obj([
+                ("n0", 32u64.into()),
+                ("steps", steps.into()),
+                ("p_insert", Json::Fixed(0.92, 2)),
+            ]),
+        ),
+        ("growth_rows", Json::arr(growth)),
+        (
+            "resize",
+            Json::obj([
+                ("n0", n0.into()),
+                ("top", top.into()),
+                ("floor", floor.into()),
+            ]),
+        ),
+        ("resize_rows", Json::Arr(resize)),
+    ])
 }
 
 /// E5: 200 DHT inserts then 200 lookups from random nodes, simplified mode.
-fn dht(json: &mut String, _smoke: bool) {
-    let rows: Vec<String> = [64usize, 256, 1024, 4096]
-        .into_iter()
-        .map(|n| {
-            let mut net = DexNetwork::bootstrap(DexConfig::new(21).simplified(), 64);
-            grow_to(&mut net, n, 22);
-            let mut rng = StdRng::seed_from_u64(23);
-            let live = net.node_ids();
-            let mut from = || live[rng.random_range(0..live.len())];
-            let ins: Vec<u64> = (0..200u64)
-                .map(|k| net.dht_insert(from(), k, k).messages)
-                .collect();
-            let mut lost = 0;
-            let looks: Vec<u64> = (0..200u64)
-                .map(|k| {
-                    let (v, m) = net.dht_lookup(from(), k);
-                    lost += usize::from(v != Some(k));
-                    m.messages
-                })
-                .collect();
-            let (si, sl) = (Summary::of(ins), Summary::of(looks));
-            format!(
-                "{{\"n\": {n}, \"log2_n\": {}, \"insert_messages\": {}, \"lookup_messages\": {}, \"lookup_p95_per_log2_n\": {:.2}, \"lost\": {lost}}}",
-                log2(n),
-                summary_json(&si),
-                summary_json(&sl),
-                sl.p95 as f64 / log2(n) as f64
-            )
-        })
-        .collect();
-    let _ = writeln!(json, "    \"ops\": 200,");
-    let _ = writeln!(json, "    \"rows\": {}", list(&rows));
+fn dht(_smoke: bool) -> Json {
+    let rows = [64usize, 256, 1024, 4096].map(|n| {
+        let mut net = DexNetwork::bootstrap(DexConfig::new(21).simplified(), 64);
+        grow_to(&mut net, n, 22);
+        let mut rng = StdRng::seed_from_u64(23);
+        let live = net.node_ids();
+        let mut from = || live[rng.random_range(0..live.len())];
+        let ins: Vec<u64> = (0..200u64)
+            .map(|k| net.dht_insert(from(), k, k).messages)
+            .collect();
+        let mut lost = 0;
+        let looks: Vec<u64> = (0..200u64)
+            .map(|k| {
+                let (v, m) = net.dht_lookup(from(), k);
+                lost += usize::from(v != Some(k));
+                m.messages
+            })
+            .collect();
+        let (si, sl) = (Summary::of(ins), Summary::of(looks));
+        Json::obj([
+            ("n", n.into()),
+            ("log2_n", log2(n).into()),
+            ("insert_messages", (&si).into()),
+            ("lookup_messages", (&sl).into()),
+            (
+                "lookup_p95_per_log2_n",
+                Json::Fixed(sl.p95 as f64 / log2(n) as f64, 2),
+            ),
+            ("lost", lost.into()),
+        ])
+    });
+    Json::obj([("ops", 200u64.into()), ("rows", Json::arr(rows))])
 }
 
 /// E2/E3: the sampled minimum spectral gap, overall and during staggered
 /// type-2, against Lemma 9(b)'s floor, with the worst load and degree.
-fn lambda2_floor(json: &mut String, smoke: bool) {
-    let steps = if smoke { 100 } else { 500 };
+fn lambda2_floor(smoke: bool) -> Json {
+    let steps: usize = if smoke { 100 } else { 500 };
     let adversaries: Vec<(&str, Box<dyn Adversary>)> = vec![
         ("random-churn", Box::new(RandomChurn::new(1, 0.5))),
         ("insert-only", Box::new(InsertOnly::new(2))),
@@ -393,44 +410,43 @@ fn lambda2_floor(json: &mut String, smoke: bool) {
         ("cut-attacker", Box::new(CutAttacker::new(6))),
         ("oscillating", Box::new(OscillatingSize::new(7, 24, 300))),
     ];
-    let rows: Vec<String> = adversaries
-        .into_iter()
-        .map(|(name, mut adv)| {
-            let mut net = DexNetwork::bootstrap(DexConfig::new(5).staggered(), 48);
-            let (mut min_gap, mut min_gap_type2) = (f64::INFINITY, f64::INFINITY);
-            let (mut max_load, mut max_deg, mut type2_steps) = (0u64, 0usize, 0usize);
-            for s in 0..steps {
-                dex::adversary::driver::step(&mut net, adv.as_mut());
-                max_load = max_load.max(net.max_total_load());
-                max_deg = max_deg.max(net.max_degree());
-                type2_steps += usize::from(net.type2_in_progress());
-                if s % 5 == 0 {
-                    let g = net.spectral_gap();
-                    min_gap = min_gap.min(g);
-                    if net.type2_in_progress() {
-                        min_gap_type2 = min_gap_type2.min(g);
-                    }
+    let rows = adversaries.into_iter().map(|(name, mut adv)| {
+        let mut net = DexNetwork::bootstrap(DexConfig::new(5).staggered(), 48);
+        let (mut min_gap, mut min_gap_type2) = (f64::INFINITY, f64::INFINITY);
+        let (mut max_load, mut max_deg, mut type2_steps) = (0u64, 0usize, 0usize);
+        for s in 0..steps {
+            dex::adversary::driver::step(&mut net, adv.as_mut());
+            max_load = max_load.max(net.max_total_load());
+            max_deg = max_deg.max(net.max_degree());
+            type2_steps += usize::from(net.type2_in_progress());
+            if s % 5 == 0 {
+                let g = net.spectral_gap();
+                min_gap = min_gap.min(g);
+                if net.type2_in_progress() {
+                    min_gap_type2 = min_gap_type2.min(g);
                 }
             }
-            invariants::assert_ok(&net);
-            let family_gap = spectral::spectral_gap(&net.cycle.to_multigraph());
-            let floor = spectral::staggered_gap_floor(family_gap);
-            let during = if min_gap_type2.is_finite() {
-                format!("{min_gap_type2:.4}")
-            } else {
-                "null".into()
-            };
-            format!(
-                "{{\"adversary\": \"{name}\", \"n_end\": {}, \"min_gap\": {min_gap:.4}, \"min_gap_during_type2\": {during}, \"floor\": {floor:.4}, \"max_load\": {max_load}, \"max_degree\": {max_deg}, \"type2_steps\": {type2_steps}}}",
-                net.n()
-            )
-        })
-        .collect();
-    let _ = writeln!(
-        json,
-        "    \"steps\": {steps},\n    \"gap_sampled_every\": 5,"
-    );
-    let _ = writeln!(json, "    \"rows\": {}", list(&rows));
+        }
+        invariants::assert_ok(&net);
+        let family_gap = spectral::spectral_gap(&net.cycle.to_multigraph());
+        let floor = spectral::staggered_gap_floor(family_gap);
+        // Never sampled during a type-2: infinite, rendered `null`.
+        Json::obj([
+            ("adversary", name.into()),
+            ("n_end", net.n().into()),
+            ("min_gap", Json::Fixed(min_gap, 4)),
+            ("min_gap_during_type2", Json::Fixed(min_gap_type2, 4)),
+            ("floor", Json::Fixed(floor, 4)),
+            ("max_load", max_load.into()),
+            ("max_degree", max_deg.into()),
+            ("type2_steps", type2_steps.into()),
+        ])
+    });
+    Json::obj([
+        ("steps", steps.into()),
+        ("gap_sampled_every", 5u64.into()),
+        ("rows", Json::arr(rows)),
+    ])
 }
 
 /// Drive any overlay with the spectral cut attacker (it needs only the
@@ -485,7 +501,7 @@ fn random_churn(o: &mut dyn Overlay, steps: usize, seed: u64) -> (f64, f64) {
 
 /// E8: min and final gap under random churn and under the adaptive cut
 /// attack, DEX against the probabilistic and naive overlays.
-fn degradation(json: &mut String, smoke: bool) {
+fn degradation(smoke: bool) -> Json {
     let steps = if smoke { 100 } else { 500 };
     let make = |name: &str| -> Box<dyn Overlay> {
         match name {
@@ -495,42 +511,42 @@ fn degradation(json: &mut String, smoke: bool) {
             _ => Box::new(NaivePatch::bootstrap(54, 48)),
         }
     };
-    let rows: Vec<String> = ["dex", "law-siu", "skip-lite", "naive-patch"]
-        .into_iter()
-        .map(|name| {
-            let (rmin, rend) = random_churn(make(name).as_mut(), steps, 55);
-            let mut attacked = make(name);
-            let (amin, aend) = adaptive_attack(attacked.as_mut(), steps, 56);
-            format!(
-                "{{\"overlay\": \"{name}\", \"random_min\": {rmin:.4}, \"random_end\": {rend:.4}, \"adaptive_min\": {amin:.4}, \"adaptive_end\": {aend:.4}, \"degree_after_attack\": {}}}",
-                attacked.max_degree()
-            )
-        })
-        .collect();
-    let _ = writeln!(json, "    \"steps\": {steps},");
-    let _ = writeln!(json, "    \"rows\": {}", list(&rows));
+    let rows = ["dex", "law-siu", "skip-lite", "naive-patch"].map(|name| {
+        let (rmin, rend) = random_churn(make(name).as_mut(), steps, 55);
+        let mut attacked = make(name);
+        let (amin, aend) = adaptive_attack(attacked.as_mut(), steps, 56);
+        Json::obj([
+            ("overlay", name.into()),
+            ("random_min", Json::Fixed(rmin, 4)),
+            ("random_end", Json::Fixed(rend, 4)),
+            ("adaptive_min", Json::Fixed(amin, 4)),
+            ("adaptive_end", Json::Fixed(aend, 4)),
+            ("degree_after_attack", attacked.max_degree().into()),
+        ])
+    });
+    Json::obj([("steps", steps.into()), ("rows", Json::arr(rows))])
 }
 
 /// E7: walk hits against the length factor ℓ (n = 256, 400 steps), and
 /// the steps between consecutive type-2 events of an 80 %-join run.
-fn walks(json: &mut String, _smoke: bool) {
-    let hits: Vec<String> = [1u64, 2, 3, 4, 6, 8]
-        .into_iter()
-        .map(|ell| {
-            let cfg = DexConfig::new(41).simplified().with_walk_len_factor(ell);
-            let mut net = DexNetwork::bootstrap(cfg, 256);
-            Schedule::random(42, 400, 0.5).apply(&mut net);
-            let s = net.walk_stats;
-            format!(
-                "{{\"ell\": {ell}, \"attempts\": {}, \"hits\": {}, \"hit_rate\": {:.4}, \"misses\": {}, \"type2\": {}}}",
-                s.attempts,
-                s.hits,
-                s.hits as f64 / s.attempts.max(1) as f64,
-                s.misses,
-                s.type2
-            )
-        })
-        .collect();
+fn walks(_smoke: bool) -> Json {
+    let hits = [1u64, 2, 3, 4, 6, 8].map(|ell| {
+        let cfg = DexConfig::new(41).simplified().with_walk_len_factor(ell);
+        let mut net = DexNetwork::bootstrap(cfg, 256);
+        Schedule::random(42, 400, 0.5).apply(&mut net);
+        let s = net.walk_stats;
+        Json::obj([
+            ("ell", ell.into()),
+            ("attempts", s.attempts.into()),
+            ("hits", s.hits.into()),
+            (
+                "hit_rate",
+                Json::Fixed(s.hits as f64 / s.attempts.max(1) as f64, 4),
+            ),
+            ("misses", s.misses.into()),
+            ("type2", s.type2.into()),
+        ])
+    });
     let mut net = DexNetwork::bootstrap(DexConfig::new(43).simplified(), 16);
     let mut ids = IdAllocator::new();
     let mut last: Option<(usize, usize)> = None;
@@ -544,89 +560,94 @@ fn walks(json: &mut String, _smoke: bool) {
             net.delete(live[raw % live.len()]);
         }
         if net.cycle.p() != before {
-            let (since, per_n) = match last {
-                Some((prev, n)) => (
-                    (step - prev).to_string(),
-                    format!("{:.2}", (step - prev) as f64 / n as f64),
-                ),
-                None => ("null".into(), "null".into()),
-            };
-            separations.push(format!(
-                "{{\"step\": {step}, \"p_from\": {before}, \"p_to\": {}, \"steps_since_last\": {since}, \"per_n_at_last\": {per_n}}}",
-                net.cycle.p()
-            ));
+            let since = last.map(|(prev, _)| step - prev);
+            let per_n = last.map(|(prev, n)| Json::Fixed((step - prev) as f64 / n as f64, 2));
+            separations.push(Json::obj([
+                ("step", step.into()),
+                ("p_from", before.into()),
+                ("p_to", net.cycle.p().into()),
+                ("steps_since_last", since.into()),
+                ("per_n_at_last", per_n.into()),
+            ]));
             last = Some((step, net.n()));
         }
     }
-    let _ = writeln!(json, "    \"hit_rate\": {},", list(&hits));
-    let _ = writeln!(json, "    \"type2_separations\": {}", list(&separations));
+    Json::obj([
+        ("hit_rate", Json::arr(hits)),
+        ("type2_separations", Json::Arr(separations)),
+    ])
 }
 
 /// Ablations: θ (simplified, insert-heavy growth), the staggered window
 /// (derived from θ), and executed permutation routing against the
 /// analytical charge that type-2 bills above `EXACT_ROUTING_MAX_P`.
-fn ablation(json: &mut String, _smoke: bool) {
-    let theta: Vec<String> = [16u64, 64, 256, 545]
-        .into_iter()
-        .map(|theta_inv| {
-            let cfg = DexConfig::new(61).simplified().with_theta_inv(theta_inv);
-            let mut net = DexNetwork::bootstrap(cfg, 32);
-            let (h, _) = Schedule::random(62, 1200, 0.9).apply(&mut net);
-            invariants::assert_ok(&net);
-            let msgs = Summary::of(h.iter().map(|m| m.messages));
-            format!(
-                "{{\"theta_inv\": {theta_inv}, \"n_end\": {}, \"type2_steps\": {}, \"messages_p95\": {}, \"messages_max\": {}, \"gap_end\": {:.4}}}",
-                net.n(),
-                h.iter().filter(|m| m.recovery.is_type2()).count(),
-                msgs.p95,
-                msgs.max,
-                net.spectral_gap()
-            )
-        })
-        .collect();
-    let window: Vec<String> = [16u64, 64, 256]
-        .into_iter()
-        .map(|theta_inv| {
-            let cfg = DexConfig::new(63).staggered().with_theta_inv(theta_inv);
-            let mut net = DexNetwork::bootstrap(cfg, 32);
-            let (h, _) = Schedule::random(64, 1500, 0.9).apply(&mut net);
-            invariants::assert_ok(&net);
-            let t2 = StepAggregate::of(h.iter().filter(|m| m.recovery.is_type2()));
-            format!(
-                "{{\"theta_inv\": {theta_inv}, \"type2_steps\": {}, \"type2_messages\": {}, \"type2_topology\": {}, \"gap_end\": {:.4}}}",
-                t2.steps,
-                summary_json(&t2.messages),
-                summary_json(&t2.topology),
-                net.spectral_gap()
-            )
-        })
-        .collect();
-    let routing: Vec<String> = [101u64, 499, 1009, 2003]
-        .into_iter()
-        .map(|p| {
-            let cycle = PCycle::new(p);
-            let (mut net, map) = fabric::deal_round_robin(8, &cycle, (p / 5).max(4));
-            net.begin_step();
-            let pairs = routing::inverse_pairs(&Plan::inflation(p));
-            let rounds = routing::route_pairs(&mut net, &map, &cycle, &pairs, 1);
-            let (_, messages, _) = net.current_counters();
-            net.end_step(StepKind::Insert, RecoveryKind::Type1);
-            let logp = log2(p as usize);
-            format!(
-                "{{\"p\": {p}, \"rounds\": {rounds}, \"rounds_charged\": {}, \"messages\": {messages}, \"messages_charged\": {}, \"messages_over_charged\": {:.2}, \"rounds_per_log2_p_sq\": {:.2}}}",
-                6 * logp,
-                p * logp,
-                messages as f64 / (p * logp) as f64,
-                rounds as f64 / (logp * logp) as f64
-            )
-        })
-        .collect();
-    let _ = writeln!(json, "    \"theta\": {},", list(&theta));
-    let _ = writeln!(json, "    \"window\": {},", list(&window));
-    let _ = writeln!(json, "    \"routing\": {}", list(&routing));
+fn ablation(_smoke: bool) -> Json {
+    let theta = [16u64, 64, 256, 545].map(|theta_inv| {
+        let cfg = DexConfig::new(61).simplified().with_theta_inv(theta_inv);
+        let mut net = DexNetwork::bootstrap(cfg, 32);
+        let (h, _) = Schedule::random(62, 1200, 0.9).apply(&mut net);
+        invariants::assert_ok(&net);
+        let msgs = Summary::of(h.iter().map(|m| m.messages));
+        Json::obj([
+            ("theta_inv", theta_inv.into()),
+            ("n_end", net.n().into()),
+            (
+                "type2_steps",
+                h.iter().filter(|m| m.recovery.is_type2()).count().into(),
+            ),
+            ("messages_p95", msgs.p95.into()),
+            ("messages_max", msgs.max.into()),
+            ("gap_end", Json::Fixed(net.spectral_gap(), 4)),
+        ])
+    });
+    let window = [16u64, 64, 256].map(|theta_inv| {
+        let cfg = DexConfig::new(63).staggered().with_theta_inv(theta_inv);
+        let mut net = DexNetwork::bootstrap(cfg, 32);
+        let (h, _) = Schedule::random(64, 1500, 0.9).apply(&mut net);
+        invariants::assert_ok(&net);
+        let t2 = StepAggregate::of(h.iter().filter(|m| m.recovery.is_type2()));
+        Json::obj([
+            ("theta_inv", theta_inv.into()),
+            ("type2_steps", t2.steps.into()),
+            ("type2_messages", (&t2.messages).into()),
+            ("type2_topology", (&t2.topology).into()),
+            ("gap_end", Json::Fixed(net.spectral_gap(), 4)),
+        ])
+    });
+    let routing = [101u64, 499, 1009, 2003].map(|p| {
+        let cycle = PCycle::new(p);
+        let (mut net, map) = fabric::deal_round_robin(8, &cycle, (p / 5).max(4));
+        net.begin_step();
+        let pairs = routing::inverse_pairs(&Plan::inflation(p));
+        let mut scratch = RouteScratch::new();
+        let rounds = routing::route_pairs_with(&mut net, &map, &cycle, &pairs, 1, &mut scratch);
+        let (_, messages, _) = net.current_counters();
+        net.end_step(StepKind::Insert, RecoveryKind::Type1);
+        let logp = log2(p as usize);
+        Json::obj([
+            ("p", p.into()),
+            ("rounds", rounds.into()),
+            ("rounds_charged", (6 * logp).into()),
+            ("messages", messages.into()),
+            ("messages_charged", (p * logp).into()),
+            (
+                "messages_over_charged",
+                Json::Fixed(messages as f64 / (p * logp) as f64, 2),
+            ),
+            (
+                "rounds_per_log2_p_sq",
+                Json::Fixed(rounds as f64 / (logp * logp) as f64, 2),
+            ),
+        ])
+    });
+    Json::obj([
+        ("theta", Json::arr(theta)),
+        ("window", Json::arr(window)),
+        ("routing", Json::arr(routing)),
+    ])
 }
 
-type Section = fn(&mut String, bool);
+type Section = fn(bool) -> Json;
 
 const SECTIONS: [(&str, Section); 9] = [
     ("figure1", figure1),
@@ -641,29 +662,19 @@ const SECTIONS: [(&str, Section); 9] = [
 ];
 
 fn main() {
-    let mut smoke = false;
-    let mut out = "BENCH_paper.json".to_string();
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--out" => out = it.next().expect("--out FILE"),
-            other => panic!("unknown flag {other:?} (try --smoke / --out)"),
-        }
-    }
-    let mut json = String::new();
-    let _ = writeln!(json, "{{\n  \"config\": {{\"smoke\": {smoke}}},");
-    let _ = writeln!(json, "  {},", exec_header_json());
-    for (i, (name, section)) in SECTIONS.iter().enumerate() {
+    let args = Args::parse(&["--smoke", "--out"]);
+    let smoke = args.smoke();
+    let out = args.get("--out", "BENCH_paper.json".to_string());
+    let mut json = Json::obj([
+        ("config", Json::obj([("smoke", smoke.into())])),
+        ("exec", exec_header()),
+    ]);
+    for (name, section) in SECTIONS {
         let t = Instant::now();
-        let _ = writeln!(json, "  \"{name}\": {{");
-        section(&mut json, smoke);
-        let comma = if i + 1 < SECTIONS.len() { "," } else { "" };
-        let _ = writeln!(json, "  }}{comma}");
+        json.push(name, section(smoke));
         println!("{name}: {:.1} s", t.elapsed().as_secs_f64());
     }
-    let _ = writeln!(json, "}}");
-    std::fs::write(&out, &json).expect("write paper bench JSON");
+    std::fs::write(&out, json.render()).expect("write paper bench JSON");
     println!("wrote {out}");
 }
 
@@ -703,8 +714,7 @@ mod tests {
     /// Fig. 1's facts hold: Lemma 1's gap order, deg = 3·load, max load 4.
     #[test]
     fn figure1_section_reports_the_papers_facts() {
-        let mut json = String::new();
-        figure1(&mut json, true);
+        let json = figure1(true).render();
         assert!(json.contains("\"lemma1_gap_not_below_z\": true"));
         assert!(json.contains("\"degree_is_3_load\": true"));
         assert_eq!(json.matches("\"load\": 4").count(), 2, "{json}");

@@ -3,58 +3,20 @@
 //! percentile cost summaries and λ₂ trajectories.
 //!
 //! Determinism contract: everything in the JSON except the executor
-//! header is **byte-identical** for a given `--seed` regardless of
-//! `--exec-threads` (trials fan out over the order-preserving `par_map`;
+//! header is **byte-identical** for a given `--seed` regardless of the
+//! thread budget (trials fan out over the order-preserving `par_map`;
 //! nothing in the output depends on timing). The CI smoke job relies on
 //! `--smoke` running every family at toy scale in seconds.
 //!
 //! ```sh
 //! cargo run --release -p dex-bench --bin bench_scenarios            # full, n≈20k
 //! cargo run --release -p dex-bench --bin bench_scenarios -- --smoke # CI-sized
-//! cargo run --release -p dex-bench --bin bench_scenarios -- --exec-threads 1
+//! DEX_EXEC_THREADS=1 cargo run --release -p dex-bench --bin bench_scenarios
 //! ```
 
 use dex::prelude::*;
-use dex_bench::summary_json;
-use std::fmt::Write as _;
-
-struct Args {
-    smoke: bool,
-    threads: usize,
-    seed: u64,
-    trials: usize,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        smoke: false,
-        threads: dex::exec::thread_budget(),
-        seed: 0xd5c0_cafe,
-        trials: 0, // 0 = scale default
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => args.smoke = true,
-            "--exec-threads" => {
-                args.threads = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--exec-threads N");
-            }
-            "--seed" => {
-                args.seed = it.next().and_then(|v| v.parse().ok()).expect("--seed S");
-            }
-            "--trials" => {
-                args.trials = it.next().and_then(|v| v.parse().ok()).expect("--trials R");
-            }
-            other => {
-                panic!("unknown flag {other:?} (try --smoke / --exec-threads / --seed / --trials)")
-            }
-        }
-    }
-    args
-}
+use dex_bench::json::Json;
+use dex_bench::Args;
 
 /// The benchmark's scenario lineup. `full` scales every family to the
 /// n ≈ 20k regime; otherwise sizes are CI-smoke toys. Shapes mirror the
@@ -115,40 +77,30 @@ fn lineup(full: bool) -> Vec<Scenario> {
 }
 
 fn main() {
-    let args = parse_args();
-    let n0: u64 = if args.smoke { 48 } else { 20_000 };
-    let trials = if args.trials > 0 {
-        args.trials
-    } else if args.smoke {
-        2
-    } else {
-        4
+    let args = Args::parse(&["--smoke", "--seed", "--trials"]);
+    let smoke = args.smoke();
+    let seed = args.get("--seed", 0xd5c0_cafe_u64);
+    let n0: u64 = if smoke { 48 } else { 20_000 };
+    let trials = match args.get("--trials", 0) {
+        0 if smoke => 2,
+        0 => 4,
+        t => t,
     };
     let opts = RunOptions {
         n0,
         trials,
-        seed: args.seed,
-        lambda_every: if args.smoke { 16 } else { 64 },
-        exec: dex::exec::ExecConfig::with_threads(args.threads),
-        check_invariants: args.smoke, // free correctness coverage at toy scale
+        seed,
+        lambda_every: if smoke { 16 } else { 64 },
+        exec: dex::exec::ExecConfig::AUTO,
+        check_invariants: smoke, // free correctness coverage at toy scale
         // Aggregates come from the compact per-step logs; full traces and
         // StepMetrics records are dead weight at benchmark scale.
         keep_actions: false,
         keep_step_metrics: false,
     };
-    let lineup = lineup(!args.smoke);
+    let lineup = lineup(!smoke);
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"n0\": {n0}, \"trials\": {trials}, \"seed\": {}, \"lambda_every\": {}, \"smoke\": {}}},",
-        args.seed, opts.lambda_every, args.smoke
-    );
-    let _ = writeln!(json, "  {},", dex_bench::exec_header_json());
-    let _ = writeln!(json, "  \"scenarios\": [");
-
-    for (i, sc) in lineup.iter().enumerate() {
+    let scenarios = lineup.iter().map(|sc| {
         let t0 = std::time::Instant::now();
         let reports = run_trials(sc, &opts);
         let wall = t0.elapsed().as_secs_f64();
@@ -169,48 +121,34 @@ fn main() {
             agg.type2_steps,
         );
 
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(json, "      \"name\": \"{}\",", sc.name);
-        let _ = writeln!(json, "      \"steps\": {},", agg.steps);
-        let _ = writeln!(json, "      \"type2_steps\": {},", agg.type2_steps);
-        let _ = writeln!(json, "      \"dht_mismatches\": {mismatches},");
-        let _ = writeln!(
-            json,
-            "      \"final_n\": [{}],",
-            reports
-                .iter()
-                .map(|r| r.final_n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(json, "      \"rounds\": {},", summary_json(&agg.rounds));
-        let _ = writeln!(json, "      \"messages\": {},", summary_json(&agg.messages));
-        let _ = writeln!(json, "      \"topology\": {},", summary_json(&agg.topology));
-        let _ = writeln!(json, "      \"lambda2_trajectories\": [");
-        for (t, r) in reports.iter().enumerate() {
-            let traj = r
-                .lambda2
-                .iter()
-                .map(|l| format!("{l:.6}"))
-                .collect::<Vec<_>>()
-                .join(", ");
-            let _ = writeln!(
-                json,
-                "        [{traj}]{}",
-                if t + 1 < reports.len() { "," } else { "" }
-            );
-        }
-        let _ = writeln!(json, "      ]");
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < lineup.len() { "," } else { "" }
-        );
-    }
-
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    std::fs::write("BENCH_scenarios.json", &json).expect("write BENCH_scenarios.json");
+        let trajectory = |r: &TrialReport| Json::arr(r.lambda2.iter().map(|&l| Json::Fixed(l, 6)));
+        Json::obj([
+            ("name", sc.name.as_str().into()),
+            ("steps", agg.steps.into()),
+            ("type2_steps", agg.type2_steps.into()),
+            ("dht_mismatches", mismatches.into()),
+            ("final_n", Json::arr(reports.iter().map(|r| r.final_n))),
+            ("rounds", (&agg.rounds).into()),
+            ("messages", (&agg.messages).into()),
+            ("topology", (&agg.topology).into()),
+            ("lambda2_trajectories", Json::arr(reports.iter().map(trajectory))),
+        ])
+    });
+    let json = Json::obj([
+        (
+            "config",
+            Json::obj([
+                ("n0", n0.into()),
+                ("trials", trials.into()),
+                ("seed", seed.into()),
+                ("lambda_every", opts.lambda_every.into()),
+                ("smoke", smoke.into()),
+            ]),
+        ),
+        ("exec", dex_bench::exec_header()),
+        ("scenarios", Json::arr(scenarios)),
+    ]);
+    std::fs::write("BENCH_scenarios.json", json.render()).expect("write BENCH_scenarios.json");
     println!(
         "wrote BENCH_scenarios.json ({} scenario families)",
         lineup.len()

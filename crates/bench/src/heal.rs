@@ -23,18 +23,17 @@
 //!
 //! Determinism contract: everything except the clearly-labelled timing
 //! fields (`*_ops_per_sec`, `*wall_s`) is a pure function of
-//! `(smoke, seed, trials)` — independent of `--exec-threads` and of machine
-//! speed. In `--smoke` mode the timing fields are omitted entirely and
+//! `(smoke, seed, trials)` — independent of the thread budget and of
+//! machine speed. In `--smoke` mode the timing fields are omitted entirely and
 //! the JSON is **byte-identical** across thread counts; the
 //! `heal_determinism` test runs threads ∈ {1, 3, 8} and diffs the bytes.
 
-use crate::summary_json;
+use crate::json::Json;
 use dex::core::VirtualMapping;
 use dex::exec::par_map;
 use dex::prelude::*;
 use dex::sim::rng::splitmix64;
 use dex::sim::{HasStepLog, HistoryMode, StepLog};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Options for one benchmark run.
@@ -541,24 +540,19 @@ pub fn run_heal_bench(opts: &HealBenchOptions) -> String {
         vec![20_000, 200_000, 1_000_000]
     };
 
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"smoke\": {}, \"seed\": {}, \"trials\": {trials}}},",
-        opts.smoke, opts.seed
-    );
-    let _ = writeln!(json, "  {},", crate::exec_header_json());
-
     // --- Φ heal kernel -------------------------------------------------
-    let _ = writeln!(json, "  \"phi_kernel\": [");
-    for (i, &n) in kernel_ns.iter().enumerate() {
+
+    let mut kernel_rows = Vec::new();
+    for &n in &kernel_ns {
         let r = phi_kernel_scale(n, splitmix64(opts.seed ^ n));
         let k = &r.outcome;
-        let mut line = format!(
-            "    {{\"n\": {}, \"p\": {}, \"steps\": {}, \"mapping_ops\": {}, \"checksum\": \"{:#018x}\"",
-            r.n, r.p, r.steps, k.ops, k.checksum
-        );
+        let mut row = Json::obj([
+            ("n", r.n.into()),
+            ("p", r.p.into()),
+            ("steps", r.steps.into()),
+            ("mapping_ops", k.ops.into()),
+            ("checksum", Json::hex(k.checksum)),
+        ]);
         if opts.smoke {
             println!(
                 "phi_kernel n={:<9} ops {:>10}  (smoke: untimed)",
@@ -568,26 +562,20 @@ pub fn run_heal_bench(opts: &HealBenchOptions) -> String {
             let all_ops = k.ops as f64 / (k.steady_s + k.type2_s);
             let steady_ops = k.steady_ops as f64 / k.steady_s;
             let type2_ops = k.type2_ops as f64 / k.type2_s;
-            let _ = write!(
-                line,
-                ", \"slot_ops_per_sec\": {all_ops:.0}, \"steady_ops_per_sec\": {steady_ops:.0}, \"type2_rebuild_ops_per_sec\": {type2_ops:.0}"
-            );
+            row.push("slot_ops_per_sec", Json::Fixed(all_ops, 0));
+            row.push("steady_ops_per_sec", Json::Fixed(steady_ops, 0));
+            row.push("type2_rebuild_ops_per_sec", Json::Fixed(type2_ops, 0));
             println!(
                 "phi_kernel n={:<9} ops {:>10}  slot Φ {all_ops:>12.0}/s (steady {steady_ops:.0}/s, type-2 rebuild {type2_ops:.0}/s)",
                 r.n, k.ops
             );
         }
-        line.push('}');
-        if i + 1 < kernel_ns.len() {
-            line.push(',');
-        }
-        let _ = writeln!(json, "{line}");
+        kernel_rows.push(row);
     }
-    let _ = writeln!(json, "  ],");
 
     // --- end-to-end churn ----------------------------------------------
-    let _ = writeln!(json, "  \"churn\": [");
-    for (i, &(n0, steps)) in scales.iter().enumerate() {
+    let mut churn_rows = Vec::new();
+    for &(n0, steps) in &scales {
         let idx: Vec<usize> = (0..trials).collect();
         let t0 = Instant::now();
         let reports: Vec<ChurnTrial> = par_map(&idx, opts.threads, |&t| {
@@ -611,63 +599,36 @@ pub fn run_heal_bench(opts: &HealBenchOptions) -> String {
         );
         let bytes_per_op = m.bytes.map(|b| b / m.measured_ops.max(1));
 
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(
-            json,
-            "      \"n0\": {n0}, \"steps\": {steps}, \"trials\": {trials}, \"ops\": {ops},"
-        );
-        let _ = writeln!(
-            json,
-            "      \"final_n\": [{}],",
-            reports
-                .iter()
-                .map(|r| r.final_n.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(
-            json,
-            "      \"p\": [{}],",
-            reports
-                .iter()
-                .map(|r| r.p.to_string())
-                .collect::<Vec<_>>()
-                .join(", ")
-        );
-        let _ = writeln!(
-            json,
-            "      \"max_load\": {}, \"type2_steps\": {}, \"digest\": \"{digest:#018x}\",",
-            reports.iter().map(|r| r.max_load).max().unwrap_or(0),
-            agg.type2_steps
-        );
-        let _ = writeln!(json, "      \"invariants\": \"ok\",");
-        let _ = writeln!(json, "      \"rounds\": {},", summary_json(&agg.rounds));
-        let _ = writeln!(json, "      \"messages\": {},", summary_json(&agg.messages));
-        let _ = writeln!(json, "      \"topology\": {},", summary_json(&agg.topology));
-        let _ = writeln!(
-            json,
-            "      \"steady_alloc_bytes_per_op\": {}, \"alloc_window_type2\": {}, \"alloc_window_ops\": {}{}",
-            bytes_per_op
-                .map(|b| b.to_string())
-                .unwrap_or_else(|| "null".into()),
-            m.window_type2,
-            m.measured_ops,
-            if opts.smoke { "" } else { "," }
-        );
+        let mut row = Json::obj([
+            ("n0", n0.into()),
+            ("steps", steps.into()),
+            ("trials", trials.into()),
+            ("ops", ops.into()),
+            ("final_n", Json::arr(reports.iter().map(|r| r.final_n))),
+            ("p", Json::arr(reports.iter().map(|r| r.p))),
+            (
+                "max_load",
+                reports.iter().map(|r| r.max_load).max().unwrap_or(0).into(),
+            ),
+            ("type2_steps", agg.type2_steps.into()),
+            ("digest", Json::hex(digest)),
+            ("invariants", "ok".into()),
+            ("rounds", (&agg.rounds).into()),
+            ("messages", (&agg.messages).into()),
+            ("topology", (&agg.topology).into()),
+            ("steady_alloc_bytes_per_op", bytes_per_op.into()),
+            ("alloc_window_type2", m.window_type2.into()),
+            ("alloc_window_ops", m.measured_ops.into()),
+        ]);
         if !opts.smoke {
-            let _ = writeln!(
-                json,
-                "      \"ops_per_sec\": {:.0}, \"wall_s\": {:.3}, \"trials_wall_s\": {:.3}",
-                m.measured_ops as f64 / m.wall_s,
-                m.wall_s,
-                trials_wall
+            row.push(
+                "ops_per_sec",
+                Json::Fixed(m.measured_ops as f64 / m.wall_s, 0),
             );
+            row.push("wall_s", Json::Fixed(m.wall_s, 3));
+            row.push("trials_wall_s", Json::Fixed(trials_wall, 3));
         }
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < scales.len() { "," } else { "" }
-        );
+        churn_rows.push(row);
         println!(
             "churn n0={n0:<9} steps {steps:>6}  ops {ops:>8}  type2 {}  heal {:>10.0} ops/s  alloc/op {}",
             agg.type2_steps,
@@ -677,7 +638,18 @@ pub fn run_heal_bench(opts: &HealBenchOptions) -> String {
                 .unwrap_or_else(|| "n/a".into()),
         );
     }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    json
+    Json::obj([
+        (
+            "config",
+            Json::obj([
+                ("smoke", opts.smoke.into()),
+                ("seed", opts.seed.into()),
+                ("trials", trials.into()),
+            ]),
+        ),
+        ("exec", crate::exec_header()),
+        ("phi_kernel", Json::Arr(kernel_rows)),
+        ("churn", Json::Arr(churn_rows)),
+    ])
+    .render()
 }

@@ -25,14 +25,13 @@
 //!
 //! Determinism contract: everything except the clearly-labelled timing
 //! fields is a pure function of `(smoke, seed, shards, queue_cap)` —
-//! independent of `--exec-threads`. In `--smoke` mode the timing fields
+//! independent of the thread budget. In `--smoke` mode the timing fields
 //! are omitted and the JSON is **byte-identical** across thread counts
-//! (CI runs `--exec-threads 1/3/8` and diffs the files).
+//! (CI runs `DEX_EXEC_THREADS=1/3/8` and diffs the files).
 
-use crate::summary_json;
-use dex::workload::serve::ServeReport;
+use crate::json::Json;
+use dex::workload::serve::{ServeReport, ShardReport};
 use dex::workload::{Arrivals, ServeOptions};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Offered-load fractions of calibrated capacity the sweep visits.
@@ -43,7 +42,7 @@ pub struct ServeBenchOptions {
     /// Toy scale, no timing fields, byte-identical across thread counts.
     pub smoke: bool,
     /// Executor fan-out width of the shard map (results are bit-identical
-    /// for any value).
+    /// for any value); defaults to `dex::exec::thread_budget()`.
     pub threads: usize,
     /// Master seed.
     pub seed: u64,
@@ -57,7 +56,7 @@ impl Default for ServeBenchOptions {
     fn default() -> Self {
         ServeBenchOptions {
             smoke: false,
-            threads: 1,
+            threads: dex::exec::thread_budget(),
             seed: 0x5e7e,
             shards: 4,
             queue_cap: 4096,
@@ -207,104 +206,74 @@ pub fn run_serve_bench(opts: &ServeBenchOptions) -> String {
         &rows,
     );
 
-    // JSON assembly.
-    let mut json = String::new();
-    let _ = writeln!(json, "{{");
-    let _ = writeln!(
-        json,
-        "  \"config\": {{\"smoke\": {}, \"seed\": {}, \"shards\": {}, \"n0_per_shard\": {}, \"aggregate_n0\": {}, \"queue_cap\": {}, \"batch_max\": {}, \"read_pct\": 60, \"churn_pct\": 20}},",
-        opts.smoke,
-        opts.seed,
-        shards,
-        n0,
-        shards as u64 * n0,
-        queue_cap,
-        batch_max
-    );
-    let _ = writeln!(json, "  {},", crate::exec_header_json());
-    let _ = writeln!(
-        json,
-        "  \"calibration\": {{\"ops\": {}, \"capacity_ops_per_round\": {:.6}, \"makespan_rounds\": {}, \"batches\": {}, \"digest\": \"0x{:016x}\"}},",
-        cal_ops,
-        capacity,
-        cal.makespan,
-        cal.shards.iter().map(|s| s.batches).sum::<u64>(),
-        cal.digest
-    );
-    let _ = writeln!(json, "  \"sweep\": [");
-    for (i, p) in points.iter().enumerate() {
+    let sweep = points.iter().map(|p| {
         let r = &p.report;
-        let _ = writeln!(json, "    {{");
-        let _ = writeln!(
-            json,
-            "      \"offered_frac\": {:.2}, \"offered_ops_per_round\": {:.6},",
-            p.frac,
-            capacity * p.frac
-        );
-        let _ = writeln!(
-            json,
-            "      \"served\": {}, \"shed\": {}, \"leaves_skipped\": {}, \"final_n\": {},",
-            r.served,
-            r.shed,
-            r.shards.iter().map(|s| s.leaves_skipped).sum::<u64>(),
-            r.final_n
-        );
-        let _ = writeln!(
-            json,
-            "      \"makespan_rounds\": {}, \"ops_per_round\": {:.6}, \"utilization\": {:.4},",
-            r.makespan,
-            r.ops_per_round,
-            r.ops_per_round / capacity
-        );
-        let _ = writeln!(
-            json,
-            "      \"batches\": {}, \"batch_peak\": {}, \"queue_peak\": {}, \"inflight_peak\": {},",
-            r.shards.iter().map(|s| s.batches).sum::<u64>(),
-            r.shards.iter().map(|s| s.batch_peak).max().unwrap_or(0),
-            r.shards.iter().map(|s| s.queue_peak).max().unwrap_or(0),
-            inflight_peak(r)
-        );
-        for (name, summary) in [
-            ("latency_rounds", &r.latency),
-            ("dht_queueing_rounds", &r.dht_queueing),
-            ("dht_service_rounds", &r.dht_service),
-            ("churn_queueing_rounds", &r.churn_queueing),
-            ("churn_service_rounds", &r.churn_service),
-        ] {
-            let _ = writeln!(json, "      \"{name}\": {},", summary_json(summary));
-        }
-        let _ = writeln!(
-            json,
-            "      \"heal_rounds\": {},",
-            summary_json(&r.steps.rounds)
-        );
-        let _ = writeln!(
-            json,
-            "      \"heal_messages\": {},",
-            summary_json(&r.steps.messages)
-        );
-        if opts.smoke {
-            let _ = writeln!(json, "      \"digest\": \"0x{:016x}\"", r.digest);
-        } else {
+        let total = |f: fn(&ShardReport) -> u64| r.shards.iter().map(f).sum::<u64>();
+        let peak = |f: fn(&ShardReport) -> usize| r.shards.iter().map(f).max().unwrap_or(0);
+        let mut row = Json::obj([
+            ("offered_frac", Json::Fixed(p.frac, 2)),
+            ("offered_ops_per_round", Json::Fixed(capacity * p.frac, 6)),
+            ("served", r.served.into()),
+            ("shed", r.shed.into()),
+            ("leaves_skipped", total(|s| s.leaves_skipped).into()),
+            ("final_n", r.final_n.into()),
+            ("makespan_rounds", r.makespan.into()),
+            ("ops_per_round", Json::Fixed(r.ops_per_round, 6)),
+            ("utilization", Json::Fixed(r.ops_per_round / capacity, 4)),
+            ("batches", total(|s| s.batches).into()),
+            ("batch_peak", peak(|s| s.batch_peak).into()),
+            ("queue_peak", peak(|s| s.queue_peak).into()),
+            ("inflight_peak", inflight_peak(r).into()),
+            ("latency_rounds", (&r.latency).into()),
+            ("dht_queueing_rounds", (&r.dht_queueing).into()),
+            ("dht_service_rounds", (&r.dht_service).into()),
+            ("churn_queueing_rounds", (&r.churn_queueing).into()),
+            ("churn_service_rounds", (&r.churn_service).into()),
+            ("heal_rounds", (&r.steps.rounds).into()),
+            ("heal_messages", (&r.steps.messages).into()),
+            ("digest", Json::hex(r.digest)),
+        ]);
+        if !opts.smoke {
             // Wall-clock throughput: the only machine-dependent fields,
             // full mode only (smoke output must byte-diff clean).
-            let _ = writeln!(json, "      \"digest\": \"0x{:016x}\",", r.digest);
-            let _ = writeln!(
-                json,
-                "      \"wall_s\": {:.3}, \"ops_per_sec\": {:.0}",
-                p.wall_s,
-                r.served as f64 / p.wall_s.max(1e-9)
-            );
+            row.push("wall_s", Json::Fixed(p.wall_s, 3));
+            let ops_per_sec = r.served as f64 / p.wall_s.max(1e-9);
+            row.push("ops_per_sec", Json::Fixed(ops_per_sec, 0));
         }
-        let _ = writeln!(
-            json,
-            "    }}{}",
-            if i + 1 < points.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(json, "  ]");
-    let _ = writeln!(json, "}}");
-    json
+        row
+    });
+    Json::obj([
+        (
+            "config",
+            Json::obj([
+                ("smoke", opts.smoke.into()),
+                ("seed", opts.seed.into()),
+                ("shards", shards.into()),
+                ("n0_per_shard", n0.into()),
+                ("aggregate_n0", (shards as u64 * n0).into()),
+                ("queue_cap", queue_cap.into()),
+                ("batch_max", batch_max.into()),
+                ("read_pct", base.read_pct.into()),
+                ("churn_pct", base.churn_pct.into()),
+            ]),
+        ),
+        ("exec", crate::exec_header()),
+        (
+            "calibration",
+            Json::obj([
+                ("ops", cal_ops.into()),
+                ("capacity_ops_per_round", Json::Fixed(capacity, 6)),
+                ("makespan_rounds", cal.makespan.into()),
+                (
+                    "batches",
+                    cal.shards.iter().map(|s| s.batches).sum::<u64>().into(),
+                ),
+                ("digest", Json::hex(cal.digest)),
+            ]),
+        ),
+        ("sweep", Json::arr(sweep)),
+    ])
+    .render()
 }
 
 #[cfg(test)]

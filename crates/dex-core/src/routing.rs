@@ -64,23 +64,6 @@ impl RouteScratch {
     }
 }
 
-/// Route one token per `(source, target)` vertex pair along virtual
-/// shortest paths mapped to physical node paths (Fact 1), with at most
-/// `cap` tokens per directed physical edge per round. Returns the makespan
-/// in rounds; messages and rounds are charged to `net`.
-///
-/// Convenience wrapper allocating a throwaway [`RouteScratch`]; repeated
-/// callers (the type-2 procedures) hold one and use [`route_pairs_with`].
-pub fn route_pairs(
-    net: &mut Network,
-    map: &VirtualMapping,
-    cycle: &PCycle,
-    pairs: &[(VertexId, VertexId)],
-    cap: usize,
-) -> u64 {
-    route_pairs_with(net, map, cycle, pairs, cap, &mut RouteScratch::new())
-}
-
 /// Resolve the physical path (the owner slot of every virtual hop) of
 /// each `src → dst` into `scratch`'s flat buffer, one `(start, len)`
 /// range per pair.
@@ -106,7 +89,11 @@ fn resolve_pairs(
     }
 }
 
-/// [`route_pairs`] over caller-provided buffers.
+/// Route one token per `(source, target)` vertex pair along virtual
+/// shortest paths mapped to physical node paths (Fact 1), with at most
+/// `cap` tokens per directed physical edge per round. Returns the makespan
+/// in rounds; messages and rounds are charged to `net`. The type-2
+/// procedures hold one `scratch` across calls.
 pub fn route_pairs_with(
     net: &mut Network,
     map: &VirtualMapping,
@@ -229,7 +216,7 @@ mod tests {
         let (mut net, map, cycle) = world(101, 25);
         net.begin_step();
         let pairs = inverse_pairs(&Plan::inflation(101));
-        let rounds = route_pairs(&mut net, &map, &cycle, &pairs, 1);
+        let rounds = route_pairs_with(&mut net, &map, &cycle, &pairs, 1, &mut RouteScratch::new());
         let (r, m, _) = net.current_counters();
         assert_eq!(r, rounds);
         assert!(m > 0);
@@ -276,7 +263,8 @@ mod tests {
             let (mut net, map, cycle) = world(p, n);
             net.begin_step();
             let pairs = inverse_pairs(&Plan::inflation(p));
-            let rounds = route_pairs(&mut net, &map, &cycle, &pairs, 1);
+            let rounds =
+                route_pairs_with(&mut net, &map, &cycle, &pairs, 1, &mut RouteScratch::new());
             net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
             results.push((p, rounds));
         }
@@ -305,7 +293,7 @@ mod tests {
             .map(|(i, &t)| (VertexId(i as u64), VertexId(t)))
             .collect();
         net.begin_step();
-        let rounds = route_pairs(&mut net, &map, &cycle, &pairs, 1);
+        let rounds = route_pairs_with(&mut net, &map, &cycle, &pairs, 1, &mut RouteScratch::new());
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
         let bound = 4 * log2(499) * log2(499);
         assert!(
@@ -319,11 +307,18 @@ mod tests {
         let (mut net, map, cycle) = world(499, 124);
         let pairs = inverse_pairs(&Plan::inflation(499));
         net.begin_step();
-        let r1 = route_pairs(&mut net, &map, &cycle, &pairs, 1);
+        let r1 = route_pairs_with(&mut net, &map, &cycle, &pairs, 1, &mut RouteScratch::new());
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
         let (mut net2, map2, cycle2) = world(499, 124);
         net2.begin_step();
-        let r4 = route_pairs(&mut net2, &map2, &cycle2, &pairs, 4);
+        let r4 = route_pairs_with(
+            &mut net2,
+            &map2,
+            &cycle2,
+            &pairs,
+            4,
+            &mut RouteScratch::new(),
+        );
         net2.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
         assert!(r4 <= r1, "cap 4 ({r4}) should not exceed cap 1 ({r1})");
     }
@@ -338,7 +333,8 @@ mod tests {
             for (name, pairs) in type2_workloads(p) {
                 let (mut net, map, cycle) = world(p, p / 5);
                 net.begin_step();
-                let rounds = route_pairs(&mut net, &map, &cycle, &pairs, 1);
+                let rounds =
+                    route_pairs_with(&mut net, &map, &cycle, &pairs, 1, &mut RouteScratch::new());
                 net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
                 assert!(
                     rounds <= 6 * log2(p) * log2(p),

@@ -212,7 +212,7 @@ mod tests {
 
     #[test]
     fn one_thread_or_one_item_runs_on_the_caller() {
-        // The guarantee behind `--exec-threads 1` and every path below
+        // The guarantee behind `DEX_EXEC_THREADS=1` and every path below
         // `dex-workload`: no thread is created.
         let me = std::thread::current().id();
         let items: Vec<u32> = (0..100).collect();

@@ -207,13 +207,14 @@ pub fn flood_count_slots(
 }
 
 /// The flood and its cost, uncharged (the graph is borrowed shared so the
-/// id-speaking wrapper's predicate can read it). See the module docs.
+/// id-speaking wrapper's predicate can read it). `msim::run_flood` sizes
+/// its timeout from it. See the module docs.
 ///
 /// Never inlined: it is instantiated per predicate in the healer's crate,
 /// and folded into the heal loops it slows the steps that do not flood
 /// (`batch`, whose walks never miss, lost 6–11 %).
 #[inline(never)]
-fn flood_kernel(
+pub(crate) fn flood_kernel(
     g: &MultiGraph,
     root_slot: u32,
     pred: impl Fn(u32) -> bool,

@@ -89,6 +89,7 @@ use rand::rngs::StdRng;
 use rand::Rng;
 use rand::SeedableRng;
 
+use crate::flood::{flood_kernel, FloodScratch};
 use crate::rng::splitmix64;
 
 /// Domain-separation salts for the fault decision hashes. Arbitrary odd
@@ -1130,30 +1131,13 @@ pub fn run_flood<P: Fn(u32) -> bool>(
     // Ground truth (the initiator's eccentricity bound sizes the
     // timeout; the component size is the completion check the per-hop
     // acks implement in the real protocol).
-    let (truth_n, ecc) = {
-        let mut dist: Vec<u32> = vec![UNSEEN_SLOT; bound];
-        let mut queue: std::collections::VecDeque<u32> = std::collections::VecDeque::new();
-        dist[root_slot as usize] = 0;
-        queue.push_back(root_slot);
-        let mut n = 0u64;
-        let mut ecc = 0u32;
-        while let Some(u) = queue.pop_front() {
-            n += 1;
-            ecc = ecc.max(dist[u as usize]);
-            for &v in g.neighbor_slots(u) {
-                if dist[v as usize] == UNSEEN_SLOT {
-                    dist[v as usize] = dist[u as usize] + 1;
-                    queue.push_back(v);
-                }
-            }
-        }
-        (n, ecc)
-    };
+    let truth = flood_kernel(g, root_slot, |_| false, &mut FloodScratch::new());
+    let (truth_n, ecc) = (truth.n as u64, truth.rounds / 2);
 
     // Strictly more than the longest possible in-flight lifetime of a
     // zero-fault generation (broadcast ≤ ecc hops + convergecast ≤ ecc
     // hops, each ≤ lat_hi rounds), so a firing timer proves loss.
-    let t0 = (2 * ecc as u64 + 2) * spec.lat_hi() as u64 + 1;
+    let t0 = (2 * ecc + 2) * spec.lat_hi() as u64 + 1;
 
     let mut stats = FaultStats::default();
     let mut seq = 0u64;
