@@ -808,6 +808,26 @@ mod tests {
         assert_eq!(spectrum(&g).gap(), 0.0);
     }
 
+    #[test]
+    fn spectral_gap_bits_are_pinned() {
+        // Both arms of `spectral_gap` to the bit: the dense Jacobi oracle
+        // (n ≤ 256) and the cold power solver above it, plus the guards.
+        for (p, bits) in [
+            (23u64, 0x3fbf_2572_7551_c850u64),
+            (101, 0x3fa6_8068_85ad_3780),
+            (257, 0x3fa6_dc53_d82f_1380),
+            (499, 0x3fa1_736a_847f_13c0),
+        ] {
+            let gap = spectral_gap(&PCycle::new(p).to_multigraph());
+            assert_eq!(gap.to_bits(), bits, "Z({p}) gap {gap}");
+        }
+        let mut g = MultiGraph::new();
+        g.add_node(NodeId(0));
+        assert_eq!(spectral_gap(&g), 1.0, "one node");
+        g.add_node(NodeId(1));
+        assert_eq!(spectral_gap(&g), 0.0, "a degree-0 node");
+    }
+
     // ---- solver engine behaviour ------------------------------------------
 
     #[test]
