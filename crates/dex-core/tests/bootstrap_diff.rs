@@ -8,7 +8,7 @@
 //! order. [`fabric::deal_round_robin`] writes each node's row and `Sim`
 //! segment once, in slot order, and must come out identical: every row
 //! entry for entry (order included — walks draw a uniform index into it),
-//! the edge count and the CSR snapshot, Φ's entries, every `Sim` slice in
+//! the edge count and the CSR form, Φ's entries, every `Sim` slice in
 //! order, `|Spare|` and `|Low|`.
 //!
 //! Small primes on n ∈ {2, 3, 5, 7} hit the shapes a row has to merge:
@@ -80,8 +80,8 @@ fn same_bootstrap(p: u64, n: u64) -> Result<(), String> {
     if (map.spare_count(), map.low_count()) != (want_map.spare_count(), want_map.low_count()) {
         return Err(format!("{case}: |Spare| / |Low| differ"));
     }
-    if *g.csr() != *want.csr() {
-        return Err(format!("{case}: CSR snapshots differ"));
+    if g.csr() != want.csr() {
+        return Err(format!("{case}: CSR forms differ"));
     }
     map.validate().map_err(|e| format!("{case}: Φ: {e}"))
 }

@@ -14,11 +14,11 @@ pub const MAX_EXACT_N: usize = 24;
 /// [`MAX_EXACT_N`] nodes or fewer than 2 nodes. Self-loops never cross a
 /// cut; parallel edges count with multiplicity.
 pub fn edge_expansion(g: &MultiGraph) -> Option<f64> {
-    let csr = g.csr();
-    let n = csr.n();
+    let n = g.num_nodes();
     if !(2..=MAX_EXACT_N).contains(&n) {
         return None;
     }
+    let csr = g.csr();
     let half = n / 2;
     let mut best = f64::INFINITY;
     for mask in 1u32..(1u32 << n) {
@@ -48,11 +48,11 @@ pub fn edge_expansion(g: &MultiGraph) -> Option<f64> {
 /// Exact conductance `φ(G) = min_S cut(S) / min(vol S, vol S̄)` with
 /// volume = degree sum. Same size limit as [`edge_expansion`].
 pub fn conductance(g: &MultiGraph) -> Option<f64> {
-    let csr = g.csr();
-    let n = csr.n();
+    let n = g.num_nodes();
     if !(2..=MAX_EXACT_N).contains(&n) {
         return None;
     }
+    let csr = g.csr();
     let total_vol: usize = (0..n).map(|i| csr.degree(i)).sum();
     let mut best = f64::INFINITY;
     for mask in 1u32..((1u32 << n) - 1) {

@@ -23,17 +23,16 @@
 //! * [`walks`] — a random-walk engine and mixing-time estimation.
 //! * [`connectivity`] — BFS/DFS, components, diameter.
 //!
-//! # Storage and snapshot model
+//! # Storage model
 //!
 //! [`adjacency::MultiGraph`] stores nodes in a dense **slot arena** (u32
 //! slots, free-list reuse) with neighbor lists as contiguous slot-index
-//! vectors, and owns a **generation-stamped cached CSR snapshot**:
-//! mutations bump a generation counter and mark dirty rows;
-//! [`adjacency::MultiGraph::csr`] returns a borrowed up-to-date snapshot,
-//! refreshing only dirty rows under edge churn. Hot loops (walks, floods,
-//! mat-vecs, expansion checks) run on dense indices with no hashing and no
-//! per-step allocation; see the `adjacency` module docs for the
-//! conventions.
+//! vectors. Numeric code asks [`adjacency::MultiGraph::csr`] for a compact
+//! CSR form, built from scratch on each call (O(n + m), ascending by id);
+//! the graph caches none, so a mutation is only its row edits. Hot loops
+//! (walks, floods, mat-vecs, expansion checks) run on dense indices with
+//! no hashing and no per-step allocation; see the `adjacency` module docs
+//! for the conventions.
 //!
 //! All structures are deterministic given an RNG seed, and everything here
 //! is sequential: numeric reductions sum fixed-size chunks in chunk order,
@@ -50,7 +49,7 @@ pub mod primes;
 pub mod spectral;
 pub mod walks;
 
-pub use adjacency::{Csr, CsrRef, MultiGraph, Neighbors};
+pub use adjacency::{Csr, MultiGraph, Neighbors};
 pub use ids::{NodeId, VertexId};
 pub use pcycle::PCycle;
 pub use spectral::Lambda2Solver;
