@@ -239,10 +239,19 @@ fn flood_point(g: &dex::graph::MultiGraph, loss: u32, seed: u64, k: usize) -> Js
     let mut fs = FaultStats::default();
     let (mut complete, mut witnesses) = (0usize, 0usize);
     let (mut err_sum, mut makespan_sum) = (0.0f64, 0u64);
+    let mut scratch = msim::FloodRunScratch::new();
     for i in 0..k {
         let root = slots[(splitmix64(seed ^ 0xf10d ^ i as u64) % slots.len() as u64) as usize];
         let op_key = splitmix64(seed ^ 0xf1f1 ^ i as u64);
-        let (out, report) = msim::run_flood(g, &spec, root, pred, op_key, spec.flood_retries);
+        let (out, report) = msim::run_flood(
+            g,
+            &spec,
+            root,
+            pred,
+            op_key,
+            spec.flood_retries,
+            &mut scratch,
+        );
         if out.complete {
             complete += 1;
         }

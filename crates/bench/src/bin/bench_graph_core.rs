@@ -9,9 +9,10 @@
 //!   ([`MultiGraph::csr`]); seconds over all epochs and per epoch.
 //! * **walk throughput**: slot-space random-walk hops per second
 //!   ([`MultiGraph::walk_slots`]).
-//! * **route**: the DHT's shortest-path search on `Z(p)` at the p of a
-//!   20k-vertex and a 500k-node network — work per route as exact counts
-//!   (vertices expanded, modular inversions) and a splitmix64 digest of
+//! * **route**: the DHT's shortest-path search on `Z(p)` at the p of
+//!   every workload that routes (a 20k-vertex graph, and networks of
+//!   20k, 100k and 500k nodes) — work per route as exact counts
+//!   (visited-mark probes, modular inversions) and a splitmix64 digest of
 //!   every returned path (these are in the smoke JSON too) and, timed,
 //!   the route and the two forms of the chord kernel under it (scalar
 //!   [`primes::mod_inverse`], batched [`primes::inverse_batch`]).
@@ -97,12 +98,19 @@ fn walk_slot_path(g: &MultiGraph, hops: usize, seed: u64) -> (f64, u64) {
     (elapsed, g.id_of_slot(end).0)
 }
 
-/// The route rows, `(p, roots)`: this bench's own graph and the cycle of
-/// a 500k-node network (`benchmark/`'s `dht` workload) point to point,
-/// and that cycle again from four roots a quarter-cycle apart — the `Sim`
-/// set `{i, i+n, i+2n, i+3n}` a bootstrap node holds at n = 500k, which a
-/// DHT route starts from.
-const ROUTE_ROWS: [(u64, u64); 3] = [(P, 1), (2_000_003, 1), (2_000_003, 4)];
+/// The route rows, `(p, roots)`. One root is type-2's vertex-to-vertex
+/// search: this bench's own graph, and the cycle of a 500k-node network.
+/// Four roots a quarter-cycle apart are the `Sim` set `{i, i+n, i+2n,
+/// i+3n}` a bootstrap node holds, which a DHT route starts from: at the p
+/// of `benchmark/`'s `lossy` (n = 20k), of one `serve` shard (n = 100k)
+/// and of `dht` (n = 500k).
+const ROUTE_ROWS: [(u64, u64); 5] = [
+    (P, 1),
+    (80_021, 4),
+    (400_009, 4),
+    (2_000_003, 1),
+    (2_000_003, 4),
+];
 const ROUTE_PAIRS: usize = 2000;
 
 /// One `route` row: deterministic work counts, plus wall-clock unit costs
@@ -134,13 +142,13 @@ fn route_row(p: u64, roots: u64, timed: bool) -> Json {
         }
     }
     let route_us = t0.elapsed().as_secs_f64() * 1e6 / ROUTE_PAIRS as f64;
-    let (expansions, inversions) = scratch.work();
+    let (probes, inversions) = scratch.work();
     let per_route = |x: u64| Json::Fixed(x as f64 / ROUTE_PAIRS as f64, 1);
     let mut row = Json::obj([
         ("p", p.into()),
         ("roots", roots.into()),
         ("pairs", ROUTE_PAIRS.into()),
-        ("expansions_per_route", per_route(expansions)),
+        ("probes_per_route", per_route(probes)),
         ("inversions_per_route", per_route(inversions)),
         (
             "mean_path_len",

@@ -12,7 +12,7 @@ use dex_graph::pcycle::resize::Plan;
 use dex_graph::pcycle::PCycle;
 use dex_graph::primes;
 use dex_sim::flood::{flood_count_slots, FloodScratch, FloodWork};
-use dex_sim::msim::FloodOutcome;
+use dex_sim::msim::{FloodOutcome, FloodRunScratch};
 use dex_sim::rng::{Purpose, SeedSpace};
 use dex_sim::tokens::random_walk_search_slots;
 use dex_sim::{Network, RecoveryKind, StepKind, StepMetrics};
@@ -99,6 +99,9 @@ pub struct DexNetwork {
     /// Reusable buffers for the walk-miss floods (reusing them keeps the
     /// hot path allocation-free).
     pub(crate) flood_scratch: FloodScratch,
+    /// Reusable buffers for the message-scheduled floods and type-2
+    /// announcements under a fault spec ([`dex_sim::msim::run_flood`]).
+    pub(crate) flood_run: FloodRunScratch,
     /// Pooled healing buffers (vertex sets, fabric instances, routing
     /// paths) — with these, steady-state type-1 recovery allocates
     /// nothing per operation.
@@ -144,6 +147,7 @@ impl DexNetwork {
             dht: crate::dht::DhtStore::default(),
             step_no: 0,
             flood_scratch: FloodScratch::new(),
+            flood_run: FloodRunScratch::new(),
             heal: HealScratch::new(),
             batch_stats: crate::batch::BatchHealStats::default(),
             faults: None,

@@ -137,12 +137,14 @@ impl DexNetwork {
     /// ([`dex_graph::pcycle::PCycle::shortest_path_from_any`]), whose
     /// forward side starts from the whole `Sim` set (≈ p/n vertices).
     /// At p = 2,000,003 a route from the four vertices of a bootstrap
-    /// node is 21.4 virtual hops (24.2 from one of them); it expands
-    /// ≈ 4.7k vertices and inverts the chords of ≈ 3.2k of them, a
-    /// frontier block at a time through the four-lane chord kernel
-    /// (≈ 6 ns each on a 2.1 GHz Xeon, against 70–110 ns for a scalar
-    /// inversion); each expansion also probes three one-byte visited
-    /// marks, two of them on its own cache line. The initiator's
+    /// node is 21.4 virtual hops (24.2 from one of them); it makes
+    /// ≈ 8.9k probes of one-byte visited marks and ≈ 3.2k chord
+    /// inversions (`bench_graph_core`'s 2,000 routes). A search level is
+    /// two passes over plain vertex lists: the succ and pred probes,
+    /// each on the cache line of the vertex expanded, then the chord
+    /// list, 256 vertices at a time through the four-lane chord kernel
+    /// (≈ 3.5–5 ns each on a 2.1 GHz Xeon, against 50–95 ns for a scalar
+    /// inversion) with no per-vertex dispatch and no copy. The initiator's
     /// own `Sim` set is read by slot (the caller translated its id once,
     /// through the graph arena's index); each path vertex then resolves
     /// to its owner's slot ([`crate::VirtualMapping::owner_slot_of`], one

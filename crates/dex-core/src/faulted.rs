@@ -224,7 +224,7 @@ impl DexNetwork {
             let g = self.net.graph();
             let map = &self.map;
             let pred = move |w| goal.is_some_and(|goal| goal.accepts_at(map, w));
-            msim::run_flood(g, spec, root, pred, op_key, retries)
+            msim::run_flood(g, spec, root, pred, op_key, retries, &mut self.flood_run)
         };
         self.net.charge_rounds(report.makespan);
         self.net.charge_messages(report.messages);

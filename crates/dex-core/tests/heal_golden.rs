@@ -22,6 +22,13 @@
 //! with the smaller frontier expands next, a different tie-break among
 //! equally short permutation-routing paths (simplified: 57,612 → 57,610
 //! messages). Φ, topology changes and the walk counters kept.
+//! Both were re-recorded once more when a search level began to run all
+//! successor probes, then all predecessor probes, then all chord probes:
+//! another tie-break among equally short paths. Simplified: rounds
+//! 10,540 → 10,543, messages 57,610 → 57,626. Lossy: rounds 151,665 →
+//! 151,437, messages 445,603 → 445,645, one abandoned route fewer, and
+//! the sends and losses those paths draw. Φ, topology changes and the
+//! walk counters kept.
 //!
 //! The staggered resize script (two inflations, then two deflations with
 //! deletions landing mid-deflation, `invariants::check` after every step)
@@ -171,8 +178,8 @@ fn run_single_op_script(cfg: DexConfig) -> DexNetwork {
 
 const GOLDEN_SIMPLIFIED: Digest = Digest {
     phi: 4951634934777399712,
-    rounds: 10_540,
-    messages: 57_610,
+    rounds: 10_543,
+    messages: 57_626,
     topology_changes: 20_702,
     walks: [2_284, 2_255, 29, 2],
     faults: NO_FAULTS,
@@ -335,23 +342,23 @@ fn run_lossy_script() -> DexNetwork {
 
 const GOLDEN_LOSSY: Digest = Digest {
     phi: 11255324475236437600,
-    rounds: 151_665,
-    messages: 445_603,
+    rounds: 151_437,
+    messages: 445_645,
     topology_changes: 39_501,
     walks: [4_277, 4_226, 40, 2],
     faults: FaultStats {
-        sent: 391_610,
-        delivered: 376_148,
-        lost_random: 11_741,
-        lost_burst: 3_721,
+        sent: 391_655,
+        delivered: 376_188,
+        lost_random: 11_751,
+        lost_burst: 3_716,
         lost_partition: 0,
-        retransmits: 871,
-        timeouts: 316,
-        reinitiations: 194,
+        retransmits: 878,
+        timeouts: 314,
+        reinitiations: 193,
         walks_lost: 28,
-        routes_lost: 3,
+        routes_lost: 2,
         heal_fallbacks: 17,
-        dht_abandoned: 3,
+        dht_abandoned: 2,
         flood_retries: 43,
         floods_partial: 48,
         type2_rollbacks: 5,

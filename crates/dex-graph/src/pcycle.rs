@@ -206,33 +206,40 @@ impl PCycle {
     ///
     /// A full O(p) BFS per route would be ruinous for per-operation
     /// routing (the DHT) at p ≈ 10⁶. Meeting in the middle expands
-    /// O(3^(d/2)) ≈ O(√p) vertices instead. An expansion costs its chord
-    /// — a modular inversion — and three visited-mark probes. So the
-    /// search is level-synchronous and inverts a frontier block at a time
-    /// through [`inverse_batch`]; a vertex that was itself reached over a
-    /// chord needs no inversion at all (its chord is its parent), and no
-    /// vertex probes its own parent. The marks are one byte per vertex,
-    /// indexed directly and stamped with the search's epoch, so succ and
-    /// pred share the cache line of the vertex expanded, only the chord's
-    /// probe is scattered, and no search clears what the last one
-    /// marked. Every buffer lives in `scratch`: a warmed-up caller
-    /// allocates nothing.
+    /// O(3^(d/2)) ≈ O(√p) vertices instead. Expanding a vertex probes the
+    /// visited marks of its neighbours except the parent it was reached
+    /// from (so two probes, three at a root), and its chord probe needs a
+    /// modular inversion unless the chord is that parent. So the search
+    /// is level-synchronous, and a level is held as three plain vertex
+    /// lists, one per probe: a vertex reached via succ
+    /// goes on the succ and chord lists, via pred on pred and chord, via
+    /// chord on succ and pred. A level runs the succ list, then the pred
+    /// list, then the chord list 256 vertices at a time,
+    /// each block handed to [`inverse_batch`] as it stands — no per-vertex
+    /// dispatch on how it was reached, and no copy. The marks are one byte
+    /// per vertex, indexed directly and stamped with the search's epoch,
+    /// so a succ or pred probe lands on the cache line of the vertex
+    /// expanded, only the chord's probe is scattered, and no search clears
+    /// what the last one marked. Every buffer lives in `scratch`: a
+    /// warmed-up caller allocates nothing.
     ///
     /// Fully deterministic: the forward frontier starts as `roots` in the
-    /// given order (duplicates once), frontiers expand in insertion order
-    /// with the fixed (succ, pred, chord) neighbor order, the side with
-    /// the smaller frontier expands the next level (the forward one on a
-    /// tie), and the search stops at the first vertex reached from both
-    /// sides. That first meeting is a shortest one: as long as the two
+    /// given order (duplicates once), each list keeps discovery order, a
+    /// level runs all succ probes, then all pred probes, then all chord
+    /// probes, the side with the smaller frontier (in vertices) expands
+    /// the next level (the forward one on a tie), and the search stops at
+    /// the first vertex reached from both sides. That first meeting is a
+    /// shortest one: as long as the two
     /// balls — radius `d_f` around the root set, `d_b` around `to`, both
     /// complete — are disjoint, every root is more than `d_f + d_b` from
     /// `to`, so a meeting found while growing one of them by a level (say
     /// the forward one) has length `≥ d_f + d_b + 1`, and it joins a
     /// depth-`d_f + 1` vertex to one of depth `≤ d_b` — length exactly
     /// `d_f + d_b + 1`. Every meeting of that level is therefore equally
-    /// short, and the first in expansion order is the one a search that
-    /// finishes the level and keeps the earliest minimum would return
-    /// (`tests/route_diff.rs` pins path equality against that search).
+    /// short, whatever order the level's probes run in, and the first in
+    /// probe order is the one a search that finishes the level and keeps
+    /// the earliest minimum would return (`tests/route_diff.rs` pins path
+    /// equality against that search).
     /// The path's length always equals the BFS distance from the nearest
     /// root; the path itself may differ from a unidirectional search's —
     /// any shortest path is a valid route (Sect. 4.4).
@@ -262,74 +269,94 @@ impl PCycle {
         let p = self.p as u32;
         let PathScratch {
             marks,
-            queues: [fq, bq],
+            frontiers: [fwd, bwd],
             next,
-            xs,
             inv,
-            expansions,
+            probes,
             inversions,
         } = scratch;
         marks.begin_search(self.p as usize);
-        fq.clear();
-        bq.clear();
+        let mut stamp = marks.stamp();
+        fwd.reset(roots.len());
         for root in roots {
-            if marks
-                .visit_or_get(root.0 as u32, Side::Fwd, Via::Root)
-                .is_none()
-            {
-                fq.push((root.0 as u32, Via::Root));
+            let r = root.0 as u32;
+            if stamp.visit_or_get(r, Side::Fwd, Via::Root).is_none() {
+                fwd.push_root(r);
             }
         }
-        marks.visit_or_get(to.0 as u32, Side::Bwd, Via::Root);
-        bq.push((to.0 as u32, Via::Root));
+        stamp.visit_or_get(to.0 as u32, Side::Bwd, Via::Root);
+        bwd.reset(1);
+        bwd.push_root(to.0 as u32);
+        let (mut n_probes, mut n_inversions) = (0u64, 0u64);
         // (expanding side, its last vertex, the other side's first vertex).
         let (side, near, far) = 'search: loop {
-            let (side, queue) = if fq.len() <= bq.len() {
-                (Side::Fwd, &mut *fq)
+            let (side, frontier) = if fwd.len <= bwd.len {
+                (Side::Fwd, &mut *fwd)
             } else {
-                (Side::Bwd, &mut *bq)
+                (Side::Bwd, &mut *bwd)
             };
-            assert!(!queue.is_empty(), "Z(p) is connected");
-            next.clear();
-            for block in queue.chunks(FRONTIER_BLOCK) {
-                xs.clear();
-                xs.extend(block.iter().filter(|e| e.1 != Via::Chord).map(|e| e.0));
-                inv.resize(xs.len(), 0);
-                inverse_batch(self.p, xs, inv);
-                *inversions += xs.len() as u64;
-                let mut chords = inv.iter();
-                // Reach `v` from the vertex being expanded: true iff the
-                // other side already holds it (the meeting).
-                let mut reach = |v: u32, how: Via| match marks.visit_or_get(v, side, how) {
+            assert!(frontier.len > 0, "Z(p) is connected");
+            // A level probes each list entry once and adds at most one
+            // entry per probe to each list of the next: size them first,
+            // then append through plain slices and local lengths.
+            let [succs, preds, chords] = frontier.lists();
+            next.reset(succs.len() + preds.len() + chords.len());
+            let [to_succ, to_pred, to_chord] = &mut next.lists;
+            let [mut n_succ, mut n_pred, mut n_chord] = [0usize; 3];
+            // Reach `v` from the vertex being expanded: true iff the
+            // other side already holds it (the meeting). A new vertex
+            // goes on the lists of the two probes that do not lead back
+            // to its parent.
+            let mut reach = |v: u32, how: Via| {
+                n_probes += 1;
+                match stamp.visit_or_get(v, side, how) {
                     None => {
-                        next.push((v, how));
+                        if how != Via::Pred {
+                            to_succ[n_succ] = v;
+                            n_succ += 1;
+                        }
+                        if how != Via::Succ {
+                            to_pred[n_pred] = v;
+                            n_pred += 1;
+                        }
+                        if how != Via::Chord {
+                            to_chord[n_chord] = v;
+                            n_chord += 1;
+                        }
                         false
                     }
                     Some(holder) => holder != side,
-                };
-                for &(x, via) in block {
-                    *expansions += 1;
-                    // The neighbor `x` was discovered from is already
-                    // seen on this side: skip it, and with it the
-                    // inversion when that neighbor is the chord.
-                    let succ = if x + 1 == p { 0 } else { x + 1 };
-                    if via != Via::Pred && reach(succ, Via::Succ) {
-                        break 'search (side, x, succ);
-                    }
-                    let pred = if x == 0 { p - 1 } else { x - 1 };
-                    if via != Via::Succ && reach(pred, Via::Pred) {
-                        break 'search (side, x, pred);
-                    }
-                    if via != Via::Chord {
-                        let chord = *chords.next().expect("one inverse per non-chord vertex");
-                        if reach(chord, Via::Chord) {
-                            break 'search (side, x, chord);
-                        }
+                }
+            };
+            for &x in succs {
+                let succ = if x + 1 == p { 0 } else { x + 1 };
+                if reach(succ, Via::Succ) {
+                    break 'search (side, x, succ);
+                }
+            }
+            for &x in preds {
+                let pred = if x == 0 { p - 1 } else { x - 1 };
+                if reach(pred, Via::Pred) {
+                    break 'search (side, x, pred);
+                }
+            }
+            for block in chords.chunks(FRONTIER_BLOCK) {
+                inv.resize(block.len(), 0);
+                inverse_batch(self.p, block, inv);
+                n_inversions += block.len() as u64;
+                for (&x, &chord) in block.iter().zip(inv.iter()) {
+                    if reach(chord, Via::Chord) {
+                        break 'search (side, x, chord);
                     }
                 }
             }
-            std::mem::swap(queue, next);
+            next.lens = [n_succ, n_pred, n_chord];
+            // Each vertex of a level past the roots is on two lists.
+            next.len = (n_succ + n_pred + n_chord) / 2;
+            std::mem::swap(frontier, next);
         };
+        *probes += n_probes;
+        *inversions += n_inversions;
         let (fwd_end, bwd_end) = match side {
             Side::Fwd => (near, far),
             Side::Bwd => (far, near),
@@ -363,9 +390,11 @@ impl std::fmt::Debug for PCycle {
     }
 }
 
-/// Frontier vertices inverted per [`inverse_batch`] call: large enough
+/// Chord-list vertices inverted per [`inverse_batch`] call: large enough
 /// that the one scalar inversion per batch vanishes, small enough that
-/// stopping at the first meeting wastes at most this many inversions.
+/// stopping at the first meeting wastes at most this many inversions. A
+/// block is a slice of the chord list itself, inverted in place of a
+/// copy.
 const FRONTIER_BLOCK: usize = 256;
 
 /// Which search ball a visited vertex belongs to.
@@ -416,21 +445,12 @@ impl Marks {
         }
     }
 
-    /// Record `v` as reached on `side` via `via` unless this search has
-    /// already visited it, in which case nothing changes and the side that
-    /// holds it is returned.
-    #[inline]
-    fn visit_or_get(&mut self, v: u32, side: Side, via: Via) -> Option<Side> {
-        let m = &mut self.mark[v as usize];
-        if *m >> Self::EPOCH_SHIFT == self.epoch {
-            return Some(if *m & Self::SIDE == 0 {
-                Side::Fwd
-            } else {
-                Side::Bwd
-            });
+    /// The current search's view of the marks.
+    fn stamp(&mut self) -> Stamp<'_> {
+        Stamp {
+            mark: &mut self.mark,
+            epoch: self.epoch,
         }
-        *m = self.epoch << Self::EPOCH_SHIFT | (side as u8) << 2 | via as u8;
-        None
     }
 
     /// How `v`, visited by this search, was reached.
@@ -449,10 +469,38 @@ impl Marks {
     }
 }
 
+/// The marks as a slice and the current epoch, held in locals by the
+/// probe loop: a mark store is a byte store, which the compiler must
+/// assume may overwrite any field it would otherwise reload.
+struct Stamp<'a> {
+    mark: &'a mut [u8],
+    epoch: u8,
+}
+
+impl Stamp<'_> {
+    /// Record `v` as reached on `side` via `via` unless this search has
+    /// already visited it, in which case nothing changes and the side that
+    /// holds it is returned.
+    #[inline]
+    fn visit_or_get(&mut self, v: u32, side: Side, via: Via) -> Option<Side> {
+        let m = &mut self.mark[v as usize];
+        if *m >> Marks::EPOCH_SHIFT == self.epoch {
+            return Some(if *m & Marks::SIDE == 0 {
+                Side::Fwd
+            } else {
+                Side::Bwd
+            });
+        }
+        *m = self.epoch << Marks::EPOCH_SHIFT | (side as u8) << 2 | via as u8;
+        None
+    }
+}
+
 /// Pooled buffers for [`PCycle::shortest_path_from_any`] (multi-source
 /// bidirectional BFS): one epoch-stamped visited-mark array for both
-/// balls, two frontiers and a staging queue, and the batch-inversion
-/// input/output of one frontier block. One instance serves unbounded
+/// balls, each side's frontier and the level being discovered as three
+/// vertex lists each, and the chords of one chord-list block. One
+/// instance serves unbounded
 /// routing operations — on any mix of cycles — with no steady-state
 /// allocation: the buffers keep their high-water capacity across calls.
 /// The marks are the one buffer that scales with p: p bytes for the
@@ -465,13 +513,60 @@ impl Marks {
 #[derive(Default)]
 pub struct PathScratch {
     marks: Marks,
-    /// Forward and backward frontier: `(vertex, how it was reached)`.
-    queues: [Vec<(u32, Via)>; 2],
-    next: Vec<(u32, Via)>,
-    xs: Vec<u32>,
+    /// Forward and backward frontier.
+    frontiers: [Frontier; 2],
+    /// The level being discovered.
+    next: Frontier,
+    /// Chords of one chord-list block.
     inv: Vec<u32>,
-    expansions: u64,
+    probes: u64,
     inversions: u64,
+}
+
+/// One BFS level of one side, as the three probes still to run: the
+/// vertices whose successor, predecessor and chord are unvisited as far
+/// as this side knows. A vertex's parent is already on its side, so it
+/// skips the probe back to it: one reached via succ goes on the succ and
+/// chord lists, via pred on pred and chord, via chord on succ and pred,
+/// and a root on all three. Each list keeps discovery order. A list is a
+/// buffer that only grows, of which the first `lens[i]` entries are the
+/// level.
+#[derive(Default)]
+struct Frontier {
+    /// The succ, pred and chord lists.
+    lists: [Vec<u32>; 3],
+    lens: [usize; 3],
+    /// Vertices in the level (the balance rule compares these).
+    len: usize,
+}
+
+impl Frontier {
+    /// Empty the level, with room for `n` entries on each list.
+    fn reset(&mut self, n: usize) {
+        for list in &mut self.lists {
+            if list.len() < n {
+                list.resize(n, 0);
+            }
+        }
+        self.lens = [0; 3];
+        self.len = 0;
+    }
+
+    /// Add the root `v` to all three lists (the caller made room).
+    fn push_root(&mut self, v: u32) {
+        for (list, len) in self.lists.iter_mut().zip(&mut self.lens) {
+            list[*len] = v;
+            *len += 1;
+        }
+        self.len += 1;
+    }
+
+    /// The succ, pred and chord lists of the level.
+    fn lists(&self) -> [&[u32]; 3] {
+        let [s, p, c] = &self.lists;
+        let [ns, np, nc] = self.lens;
+        [&s[..ns], &p[..np], &c[..nc]]
+    }
 }
 
 impl PathScratch {
@@ -480,11 +575,13 @@ impl PathScratch {
         Self::default()
     }
 
-    /// Work done by every search on this scratch so far: `(vertices
-    /// expanded, modular inversions among them)` — deterministic counts,
-    /// the unit a route's cost is stated in.
+    /// Work done by every search on this scratch so far: `(visited-mark
+    /// probes, modular inversions)` — deterministic counts, the unit a
+    /// route's cost is stated in. A probe is one neighbour tested
+    /// against the marks; an inversion is one chord-list entry handed to
+    /// [`inverse_batch`].
     pub fn work(&self) -> (u64, u64) {
-        (self.expansions, self.inversions)
+        (self.probes, self.inversions)
     }
 }
 
@@ -910,6 +1007,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn route_work_is_pinned() {
+        // Exact search work over fixed routes on Z(20,011): 200 one-root
+        // pairs, then 200 routes from four roots a quarter-cycle apart
+        // (a bootstrap node's `Sim` set). A change that adds probes or
+        // inversions fails here; one that saves some re-pins the totals.
+        let z = PCycle::new(20_011);
+        let mut scratch = PathScratch::new();
+        let mut out = Vec::new();
+        let to = |i: u64| VertexId((i * i * 104_729 + 10_005) % 20_011);
+        for i in 0..200u64 {
+            z.shortest_path_with(
+                VertexId((i * 7_919 + 3) % 20_011),
+                to(i),
+                &mut scratch,
+                &mut out,
+            );
+        }
+        assert_eq!(scratch.work(), (177_804, 61_793), "one root");
+        let mut roots = Vec::new();
+        for i in 0..200u64 {
+            roots.clear();
+            roots.extend((0..4).map(|j| VertexId((i * 7_919 + 3) % 5_002 + j * 5_002)));
+            z.shortest_path_from_any(&roots, to(i), &mut scratch, &mut out);
+        }
+        assert_eq!(scratch.work(), (318_843, 108_580), "one root, then four");
     }
 
     #[test]

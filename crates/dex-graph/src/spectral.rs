@@ -262,16 +262,6 @@ impl Lambda2Solver {
         self.run(&csr, max_iters, tol, seed)
     }
 
-    /// Approximate Fiedler-style eigenvector for λ₂, indexed like
-    /// [`MultiGraph::csr`] (ascending node id), by the same iteration as
-    /// [`Lambda2Solver::lambda2`].
-    pub fn fiedler(&mut self, g: &MultiGraph, max_iters: usize, tol: f64, seed: u64) -> Vec<f64> {
-        assert!(g.min_degree() >= 1);
-        let csr = g.csr();
-        self.run(&csr, max_iters, tol, seed);
-        self.x.clone()
-    }
-
     fn run(&mut self, csr: &Csr, max_iters: usize, tol: f64, seed: u64) -> f64 {
         let n = csr.n();
         if n <= 1 {
@@ -670,19 +660,14 @@ mod tests {
             g.add_edge(NodeId(i), NodeId(j));
         }
         g.add_edge(NodeId(0), NodeId(100));
-        let fv = Lambda2Solver::new().fiedler(&g, 4000, 1e-12, 3);
-        let order = g.csr().order;
-        // Signs should split the two rings.
-        let side_a: Vec<bool> = order
-            .iter()
-            .zip(fv.iter())
-            .filter(|(u, _)| u.0 < 100)
-            .map(|(_, &v)| v > 0.0)
-            .collect();
-        assert!(
-            side_a.iter().all(|&b| b) || side_a.iter().all(|&b| !b),
-            "ring A not on one side of the Fiedler vector"
-        );
+        // The sweep orders nodes by the Fiedler vector; its sparse side
+        // is exactly one ring: one bridge edge over a ring's volume.
+        let (mut side, phi) = sweep_cut(&g);
+        side.sort();
+        let ring_a: Vec<NodeId> = (0..6).map(NodeId).collect();
+        let ring_b: Vec<NodeId> = (100..106).map(NodeId).collect();
+        assert!(side == ring_a || side == ring_b, "side {side:?}");
+        assert_eq!(phi, 1.0 / 13.0, "one bridge over vol 2·6 + 1");
     }
 
     #[test]

@@ -4,15 +4,18 @@
 //! The route's *bytes* are protocol state: which physical nodes a DHT
 //! message crosses decides its rounds and messages, so every benchmark's
 //! deterministic metrics pin the exact path, not just its length.
-//! [`reference_path`] is the search with a scalar inversion per
-//! expansion, two hash maps, every level finished and the earliest
-//! minimum kept, expanding by the shipped rule: the forward side starts
-//! from the whole root set, and the side with the smaller frontier grows
-//! next (the forward one on a tie). The shipped search batches the
-//! inversions, never inverts a chord-discovered vertex, never probes a
-//! parent, stamps its marks with an epoch and stops at the first meeting;
-//! these tests hold it to the same path for every input, and hold both to
-//! the whole-cycle BFS distance from the nearest root.
+//! [`reference_path`] is the search with a scalar inversion per chord
+//! probe, two hash maps, one frontier list per side, every level finished
+//! and the earliest minimum kept, expanding by the shipped rule: the
+//! forward side starts from the whole root set, the side with the smaller
+//! frontier grows next (the forward one on a tie), and a level runs all
+//! successor probes, then all predecessor probes, then all chord probes,
+//! each in frontier order. The shipped search keeps one list per probe,
+//! batches the inversions, never probes a parent (so never inverts a
+//! chord-discovered vertex), stamps its marks with an epoch and stops at
+//! the first meeting; these tests hold it to the same path for every
+//! input, and hold both to the whole-cycle BFS distance from the nearest
+//! root.
 
 use dex_graph::connectivity::bfs_distances;
 use dex_graph::fxhash::FxHashMap;
@@ -79,8 +82,12 @@ fn reference_path(
         }
         *depth += 1;
         next.clear();
-        for &x in queue.iter() {
-            for v in cycle.neighbors(VertexId(x)) {
+        // Succ probes, then pred, then chord. A probe of a parent finds
+        // it on this side and does nothing, as the shipped search's
+        // skipped one.
+        for probe in [PCycle::succ, PCycle::pred, PCycle::chord] {
+            for &x in queue.iter() {
+                let v = probe(cycle, VertexId(x));
                 if let std::collections::hash_map::Entry::Vacant(e) = this.entry(v.0) {
                     e.insert((x, *depth));
                     next.push(v.0);

@@ -1097,6 +1097,68 @@ type Witness = (u32, NodeId, u32);
 /// report its richest partial evidence.
 type PartialBest = (u64, u64, Option<Witness>);
 
+/// Reusable buffers for [`run_flood`]: slot-indexed per-node state of one
+/// flood generation, the event heap, the generation's reached list, and
+/// the centralized flood's scratch for the ground truth. Every slot array
+/// holds its neutral value between generations: a generation resets
+/// exactly the slots it reached, through the reached list, so a flood
+/// costs O(reached) on top of its sends, not O(slot bound) per
+/// generation. The arrays grow to the largest slot bound seen and stay
+/// allocated.
+#[derive(Default)]
+pub struct FloodRunScratch {
+    /// Flood-tree depth per slot (`UNSEEN_SLOT` = not reached).
+    dist: Vec<u32>,
+    /// Flood-tree parent per slot (`UNSEEN_SLOT` for the initiator).
+    parent: Vec<u32>,
+    /// Round of first receipt per slot.
+    arrival: Vec<u64>,
+    /// Convergecast aggregates per slot: count, matching, best witness.
+    acc_cnt: Vec<u64>,
+    acc_mat: Vec<u64>,
+    acc_wit: Vec<Option<Witness>>,
+    /// Round by which every child report of the slot has arrived.
+    ready: Vec<u64>,
+    /// The slots the current generation reached (children before
+    /// parents once its broadcast has closed).
+    reached: Vec<u32>,
+    heap: BinaryHeap<Reverse<FloodEv>>,
+    truth: FloodScratch,
+}
+
+impl FloodRunScratch {
+    /// Fresh (empty) scratch.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Return the slots the last generation reached to their neutral
+    /// values, and make room for `bound` slots.
+    fn begin_generation(&mut self, bound: usize) {
+        for &s in &self.reached {
+            let s = s as usize;
+            self.dist[s] = UNSEEN_SLOT;
+            self.parent[s] = UNSEEN_SLOT;
+            self.arrival[s] = 0;
+            self.acc_cnt[s] = 0;
+            self.acc_mat[s] = 0;
+            self.acc_wit[s] = None;
+            self.ready[s] = 0;
+        }
+        self.reached.clear();
+        self.heap.clear();
+        if self.dist.len() < bound {
+            self.dist.resize(bound, UNSEEN_SLOT);
+            self.parent.resize(bound, UNSEEN_SLOT);
+            self.arrival.resize(bound, 0);
+            self.acc_cnt.resize(bound, 0);
+            self.acc_mat.resize(bound, 0);
+            self.acc_wit.resize(bound, None);
+            self.ready.resize(bound, 0);
+        }
+    }
+}
+
 /// Run `flood_count_slots`' broadcast + convergecast on an actual
 /// message schedule: every first-receipt forward and every convergecast
 /// report is a send subject to [`send_fate`].
@@ -1117,6 +1179,8 @@ type PartialBest = (u64, u64, Option<Witness>);
 /// centralized [`crate::flood::flood_count_slots`] exactly: same `n`,
 /// `matching` and witness (there an id, here its slot), `2·ecc(root)`
 /// rounds, broadcast degree-sum plus `n − 1` convergecast messages.
+///
+/// Every buffer lives in `scratch`, which the caller holds across floods.
 pub fn run_flood<P: Fn(u32) -> bool>(
     g: &MultiGraph,
     spec: &FaultSpec,
@@ -1124,6 +1188,7 @@ pub fn run_flood<P: Fn(u32) -> bool>(
     pred: P,
     op_key: u64,
     retries: u32,
+    scratch: &mut FloodRunScratch,
 ) -> (FloodOutcome, RunReport) {
     assert!(g.slot_alive(root_slot), "flood root slot {root_slot} dead");
     let bound = g.slot_bound();
@@ -1131,7 +1196,7 @@ pub fn run_flood<P: Fn(u32) -> bool>(
     // Ground truth (the initiator's eccentricity bound sizes the
     // timeout; the component size is the completion check the per-hop
     // acks implement in the real protocol).
-    let truth = flood_kernel(g, root_slot, |_| false, &mut FloodScratch::new());
+    let truth = flood_kernel(g, root_slot, |_| false, &mut scratch.truth);
     let (truth_n, ecc) = (truth.n as u64, truth.rounds / 2);
 
     // Strictly more than the longest possible in-flight lifetime of a
@@ -1144,27 +1209,24 @@ pub fn run_flood<P: Fn(u32) -> bool>(
     let mut cur_round = 0u64;
     let mut best: Option<PartialBest> = None;
 
-    let mut dist: Vec<u32> = Vec::new();
-    let mut parent: Vec<u32> = Vec::new();
-    let mut arrival: Vec<u64> = Vec::new();
-    let mut acc_cnt: Vec<u64> = Vec::new();
-    let mut acc_mat: Vec<u64> = Vec::new();
-    let mut acc_wit: Vec<Option<Witness>> = Vec::new();
-    let mut ready: Vec<u64> = Vec::new();
-    let mut heap: BinaryHeap<Reverse<FloodEv>> = BinaryHeap::new();
-
     for gen in 0..=retries {
         let launch = cur_round;
         let timer = launch + (t0 << gen.min(3));
         let mut snd = 0u64;
 
-        dist.clear();
-        dist.resize(bound, UNSEEN_SLOT);
-        parent.clear();
-        parent.resize(bound, UNSEEN_SLOT);
-        arrival.clear();
-        arrival.resize(bound, 0);
-        heap.clear();
+        scratch.begin_generation(bound);
+        let FloodRunScratch {
+            dist,
+            parent,
+            arrival,
+            acc_cnt,
+            acc_mat,
+            acc_wit,
+            ready,
+            reached,
+            heap,
+            ..
+        } = &mut *scratch;
         heap.push(Reverse(FloodEv {
             round: launch,
             slot: root_slot,
@@ -1191,6 +1253,7 @@ pub fn run_flood<P: Fn(u32) -> bool>(
                 dist[ev.slot as usize] = ev.depth;
                 parent[ev.slot as usize] = ev.from;
                 arrival[ev.slot as usize] = round;
+                reached.push(ev.slot);
                 let mut skipped_parent = false;
                 for &v in g.neighbor_slots(ev.slot) {
                     if !skipped_parent && ev.from != UNSEEN_SLOT && v == ev.from {
@@ -1230,23 +1293,12 @@ pub fn run_flood<P: Fn(u32) -> bool>(
         // is strictly later than its parent's), each report one send. A
         // lost or post-timeout report drops its whole aggregated
         // subtree.
-        acc_cnt.clear();
-        acc_cnt.resize(bound, 0);
-        acc_mat.clear();
-        acc_mat.resize(bound, 0);
-        acc_wit.clear();
-        acc_wit.resize(bound, None);
-        ready.clear();
-        ready.resize(bound, 0);
-        let mut reached: Vec<u32> = (0..bound as u32)
-            .filter(|&s| dist[s as usize] != UNSEEN_SLOT)
-            .collect();
         reached.sort_unstable_by(|&a, &b| {
             arrival[b as usize]
                 .cmp(&arrival[a as usize])
                 .then(a.cmp(&b))
         });
-        for &s in &reached {
+        for &s in reached.iter() {
             acc_cnt[s as usize] = 1;
             if pred(s) {
                 acc_mat[s as usize] = 1;
@@ -1254,7 +1306,7 @@ pub fn run_flood<P: Fn(u32) -> bool>(
             }
         }
         let mut root_done = launch;
-        for &s in &reached {
+        for &s in reached.iter() {
             if s == root_slot {
                 continue;
             }
@@ -1691,6 +1743,7 @@ mod tests {
     fn zero_fault_flood_matches_centralized_flood() {
         let mut net = test_net(48);
         let mut scratch = FloodScratch::new();
+        let mut run_scratch = FloodRunScratch::new();
         let spec = FaultSpec::zero();
         for trial in 0..8u64 {
             let root = (splitmix64(0xf10d ^ trial) % 48) as u32;
@@ -1698,7 +1751,7 @@ mod tests {
             net.begin_step();
             let central = flood_count_slots(&mut net, root, pred, &mut scratch);
             net.end_step(crate::StepKind::Insert, crate::RecoveryKind::Type1);
-            let (out, rep) = run_flood(net.graph(), &spec, root, pred, trial, 4);
+            let (out, rep) = run_flood(net.graph(), &spec, root, pred, trial, 4, &mut run_scratch);
             assert!(out.complete, "trial {trial}");
             assert_eq!(out.retries, 0, "zero faults must never re-flood");
             assert_eq!(out.n, central.n, "trial {trial}");
@@ -1727,7 +1780,15 @@ mod tests {
         let net = test_net(32);
         let spec = FaultSpec::zero().with_burst(1 << 20, 1000);
         let root = 0u32;
-        let (out, rep) = run_flood(net.graph(), &spec, root, |_| true, 7, 0);
+        let (out, rep) = run_flood(
+            net.graph(),
+            &spec,
+            root,
+            |_| true,
+            7,
+            0,
+            &mut FloodRunScratch::new(),
+        );
         assert!(!out.complete);
         assert_eq!(out.n, 1, "only the initiator is counted");
         assert_eq!(out.matching, 1);
@@ -1763,10 +1824,22 @@ mod tests {
         let net = test_net(40);
         // Moderate loss: some generations fail; the budget either finds
         // a complete generation or settles for a partial count that
-        // never exceeds the truth.
+        // never exceeds the truth. One scratch serves every flood, and
+        // reports what a fresh one does.
+        let mut warm = FloodRunScratch::new();
         for seed in 0..6u64 {
             let spec = FaultSpec::zero().with_loss(300).with_seed(0xbad0 + seed);
-            let (out, rep) = run_flood(net.graph(), &spec, 1, |_| true, seed, 3);
+            let (out, rep) = run_flood(net.graph(), &spec, 1, |_| true, seed, 3, &mut warm);
+            let cold = run_flood(
+                net.graph(),
+                &spec,
+                1,
+                |_| true,
+                seed,
+                3,
+                &mut FloodRunScratch::new(),
+            );
+            assert_eq!((out, rep), cold, "seed {seed}: warm scratch differs");
             assert!(out.n <= 40);
             assert!(out.matching <= out.n);
             if out.complete {
@@ -1789,7 +1862,15 @@ mod tests {
             // No retry budget: one generation per loss level, so the
             // reported count directly tracks the loss rate.
             let spec = FaultSpec::zero().with_loss(loss).with_seed(0x10ad);
-            let (out, _) = run_flood(net.graph(), &spec, 0, |_| true, 9, 0);
+            let (out, _) = run_flood(
+                net.graph(),
+                &spec,
+                0,
+                |_| true,
+                9,
+                0,
+                &mut FloodRunScratch::new(),
+            );
             assert!(
                 (out.n as u64) <= prev.saturating_add(6),
                 "partial count should not grow with loss: {} after {prev}",
@@ -1927,8 +2008,15 @@ mod tests {
                 .iter()
                 .map(|&root| {
                     let pred = |s: u32| g.id_of_slot(s).0 % 5 == root % 5;
-                    let (mut out, rep) =
-                        run_flood(g, &FaultSpec::zero(), slot(root), pred, root, 4);
+                    let (mut out, rep) = run_flood(
+                        g,
+                        &FaultSpec::zero(),
+                        slot(root),
+                        pred,
+                        root,
+                        4,
+                        &mut FloodRunScratch::new(),
+                    );
                     let witness = out.witness.take().map(|s| g.id_of_slot(s));
                     (out, witness, rep)
                 })
