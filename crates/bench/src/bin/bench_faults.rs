@@ -367,7 +367,6 @@ fn main() {
         exec: dex::exec::ExecConfig::AUTO,
         check_invariants: smoke,
         keep_actions: false,
-        keep_step_metrics: false,
     };
 
     let mut json = Json::obj([

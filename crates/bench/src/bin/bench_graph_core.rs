@@ -14,8 +14,10 @@
 //!   20k, 100k and 500k nodes) — work per route as exact counts
 //!   (visited-mark probes, modular inversions) and a splitmix64 digest of
 //!   every returned path (these are in the smoke JSON too) and, timed,
-//!   the route and the two forms of the chord kernel under it (scalar
-//!   [`primes::mod_inverse`], batched [`primes::inverse_batch`]).
+//!   µs per route (median and quartiles of five passes over the pairs,
+//!   after an untimed warm one) and the two forms of the chord kernel
+//!   under it (scalar [`primes::mod_inverse`], batched
+//!   [`primes::inverse_batch`]).
 //! * **flood**: `computeSpare` (Algorithm 4.4, `dex_sim::flood`) along one
 //!   run of `benchmark/`'s `resize` script (real `insert` / `delete`,
 //!   2k → 40k → 500 nodes), at the two regimes that script floods in — n
@@ -112,6 +114,9 @@ const ROUTE_ROWS: [(u64, u64); 5] = [
     (2_000_003, 4),
 ];
 const ROUTE_PAIRS: usize = 2000;
+/// Timed passes over the pairs per route row (after one untimed warm
+/// pass): `route_us` is their median, `route_us_iqr` their quartiles.
+const ROUTE_REPS: usize = 5;
 
 /// One `route` row: deterministic work counts, plus wall-clock unit costs
 /// when `timed` (and the inversion kernel's, on the one-root rows).
@@ -129,19 +134,23 @@ fn route_row(p: u64, roots: u64, timed: bool) -> Json {
         .collect();
     let mut scratch = PathScratch::new();
     let (mut sources, mut path) = (Vec::new(), Vec::new());
-    let (mut hops, mut digest) = (0usize, 0u64);
-    let t0 = Instant::now();
-    for &(a, b) in &pairs {
-        sources.clear();
-        sources.extend((0..roots).map(|j| VertexId(a.0 + j * stride)));
-        cycle.shortest_path_from_any(&sources, b, &mut scratch, &mut path);
-        hops += path.len() - 1;
-        digest = splitmix64(digest ^ path.len() as u64);
-        for z in &path {
-            digest = splitmix64(digest ^ z.0);
+    // One pass over every pair: (total hops, digest of every path).
+    let mut pass = |scratch: &mut PathScratch| {
+        let (mut hops, mut digest) = (0usize, 0u64);
+        for &(a, b) in &pairs {
+            sources.clear();
+            sources.extend((0..roots).map(|j| VertexId(a.0 + j * stride)));
+            cycle.shortest_path_from_any(&sources, b, scratch, &mut path);
+            hops += path.len() - 1;
+            digest = splitmix64(digest ^ path.len() as u64);
+            for z in &path {
+                digest = splitmix64(digest ^ z.0);
+            }
         }
-    }
-    let route_us = t0.elapsed().as_secs_f64() * 1e6 / ROUTE_PAIRS as f64;
+        (hops, digest)
+    };
+    // The counted pass doubles as the timed passes' warm-up.
+    let (hops, digest) = pass(&mut scratch);
     let (probes, inversions) = scratch.work();
     let per_route = |x: u64| Json::Fixed(x as f64 / ROUTE_PAIRS as f64, 1);
     let mut row = Json::obj([
@@ -157,8 +166,22 @@ fn route_row(p: u64, roots: u64, timed: bool) -> Json {
         ("path_digest", Json::hex(digest)),
     ]);
     if timed {
-        println!("route p={p} roots={roots}: {route_us:.1} us/route");
-        row.push("route_us", Json::Fixed(route_us, 1));
+        let mut us: Vec<f64> = (0..ROUTE_REPS)
+            .map(|_| {
+                let t0 = Instant::now();
+                std::hint::black_box(pass(&mut scratch));
+                t0.elapsed().as_secs_f64() * 1e6 / ROUTE_PAIRS as f64
+            })
+            .collect();
+        us.sort_by(f64::total_cmp);
+        let q = |k: usize| us[k * (ROUTE_REPS - 1) / 4];
+        let (q1, median, q3) = (q(1), q(2), q(3));
+        println!("route p={p} roots={roots}: {median:.1} us/route [{q1:.1}, {q3:.1}]");
+        row.push("route_us", Json::Fixed(median, 1));
+        row.push(
+            "route_us_iqr",
+            Json::arr([Json::Fixed(q1, 1), Json::Fixed(q3, 1)]),
+        );
     }
     if timed && roots == 1 {
         let xs: Vec<u32> = (0..1 << 16)

@@ -96,7 +96,6 @@ fn main() {
         // Aggregates come from the compact per-step logs; full traces and
         // StepMetrics records are dead weight at benchmark scale.
         keep_actions: false,
-        keep_step_metrics: false,
     };
     let lineup = lineup(!smoke);
 

@@ -26,6 +26,7 @@ pub mod driver;
 pub mod trace;
 
 use dex_graph::adjacency::MultiGraph;
+use dex_graph::fxhash::FxHashSet;
 use dex_graph::ids::{NodeId, VertexId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -348,10 +349,78 @@ impl Adversary for CoordinatorHunter {
     }
 }
 
-/// Greedy expansion attack: sweep the nodes by a cheap spectral-ish
-/// ordering (BFS layering from the lowest-degree node approximates the
-/// Fiedler order at this scale), find the sparsest prefix cut, and delete
-/// the boundary node with the most cross-edges. Alternates with
+/// Small side of the sparsest BFS sweep cut of a nonempty `g`: order
+/// the nodes breadth-first from a lowest-degree node, expanding each
+/// node's neighbours in ascending id order, then sweep the prefixes of
+/// the first half of that order for the lowest cut/size ratio (the
+/// first prefix wins a tie). A cheap deterministic stand-in for a
+/// Fiedler sweep: [`CutAttacker`] and the workload engine's cut bursts
+/// both attack this side.
+pub fn sparsest_sweep_side(g: &MultiGraph) -> Vec<NodeId> {
+    let start = g
+        .nodes()
+        .min_by_key(|&u| (g.degree(u), u))
+        .expect("nonempty graph");
+    let mut order = vec![start];
+    let mut seen: FxHashSet<NodeId> = [start].into_iter().collect();
+    let mut head = 0;
+    while let Some(&u) = order.get(head) {
+        head += 1;
+        let mut nbrs = g.neighbors(u).to_vec();
+        nbrs.sort_unstable();
+        for v in nbrs {
+            if seen.insert(v) {
+                order.push(v);
+            }
+        }
+    }
+    let mut in_prefix: FxHashSet<NodeId> = FxHashSet::default();
+    let mut cut = 0i64;
+    let mut best = (f64::INFINITY, 1usize);
+    for (i, &u) in order.iter().enumerate().take(order.len() / 2) {
+        for v in g.neighbors(u) {
+            if v != u {
+                cut += if in_prefix.contains(&v) { -1 } else { 1 };
+            }
+        }
+        in_prefix.insert(u);
+        let ratio = cut as f64 / (i + 1) as f64;
+        if ratio < best.0 {
+            best = (ratio, i + 1);
+        }
+    }
+    order.truncate(best.1);
+    order
+}
+
+/// `(cross, u)` for every `u` of `side`, in `side`'s order: `cross`
+/// counts `u`'s edges (with multiplicity) that leave `side`.
+pub fn cross_degrees(g: &MultiGraph, side: &[NodeId]) -> Vec<(usize, NodeId)> {
+    let side_set: FxHashSet<NodeId> = side.iter().copied().collect();
+    side.iter()
+        .map(|&u| {
+            let cross = g
+                .neighbors(u)
+                .iter()
+                .filter(|v| !side_set.contains(v))
+                .count();
+            (cross, u)
+        })
+        .collect()
+}
+
+/// The node of `side` with the most cross edges, the larger id on a tie.
+fn busiest_boundary(g: &MultiGraph, side: &[NodeId]) -> NodeId {
+    cross_degrees(g, side)
+        .into_iter()
+        .max()
+        .expect("nonempty side")
+        .1
+}
+
+/// Greedy expansion attack: find [`sparsest_sweep_side`] (BFS layering
+/// from the lowest-degree node approximates the Fiedler order at this
+/// scale) and delete its node with the most cross-edges. Alternates with
 /// insertions that all attach inside the small side, trying to grow a
 /// poorly-connected lobe.
 pub struct CutAttacker {
@@ -369,78 +438,16 @@ impl CutAttacker {
             flip: false,
         }
     }
-
-    /// (small side of the sparsest sweep cut found, its boundary node with
-    /// most cross edges)
-    fn sparsest_sweep(&self, g: &MultiGraph) -> (Vec<NodeId>, NodeId) {
-        // BFS order from a lowest-degree node.
-        let start = g
-            .nodes_sorted()
-            .into_iter()
-            .min_by_key(|&u| (g.degree(u), u))
-            .expect("nonempty");
-        let order: Vec<NodeId> = {
-            let mut seen = vec![start];
-            let mut queue = std::collections::VecDeque::from([start]);
-            let mut in_seen: dex_graph::fxhash::FxHashSet<NodeId> = [start].into_iter().collect();
-            while let Some(u) = queue.pop_front() {
-                let mut nbrs: Vec<NodeId> = g.neighbors(u).to_vec();
-                nbrs.sort_unstable();
-                for v in nbrs {
-                    if in_seen.insert(v) {
-                        seen.push(v);
-                        queue.push_back(v);
-                    }
-                }
-            }
-            seen
-        };
-        // Sweep prefixes up to half the graph, tracking cut size.
-        let mut in_prefix: dex_graph::fxhash::FxHashSet<NodeId> = Default::default();
-        let mut cut = 0i64;
-        let mut best = (f64::INFINITY, 1usize);
-        for (i, &u) in order.iter().enumerate().take(order.len() / 2) {
-            for v in g.neighbors(u) {
-                if v == u {
-                    continue;
-                }
-                if in_prefix.contains(&v) {
-                    cut -= 1;
-                } else {
-                    cut += 1;
-                }
-            }
-            in_prefix.insert(u);
-            let ratio = cut as f64 / (i + 1) as f64;
-            if ratio < best.0 {
-                best = (ratio, i + 1);
-            }
-        }
-        let side: Vec<NodeId> = order[..best.1].to_vec();
-        let side_set: dex_graph::fxhash::FxHashSet<NodeId> = side.iter().copied().collect();
-        let boundary = side
-            .iter()
-            .copied()
-            .max_by_key(|&u| {
-                (
-                    g.neighbors(u)
-                        .iter()
-                        .filter(|&v| !side_set.contains(&v))
-                        .count(),
-                    u,
-                )
-            })
-            .expect("nonempty side");
-        (side, boundary)
-    }
 }
 
 impl Adversary for CutAttacker {
     fn next(&mut self, view: &View<'_>) -> Action {
         self.flip = !self.flip;
-        let (side, boundary) = self.sparsest_sweep(view.graph);
+        let side = sparsest_sweep_side(view.graph);
         if self.flip && view.graph.num_nodes() > 6 {
-            Action::Delete { victim: boundary }
+            Action::Delete {
+                victim: busiest_boundary(view.graph, &side),
+            }
         } else {
             // Grow the weak side.
             Action::Insert {
@@ -491,22 +498,9 @@ impl Adversary for SpectralCutAttacker {
             };
         }
         if self.flip && view.graph.num_nodes() > 6 {
-            let side_set: dex_graph::fxhash::FxHashSet<NodeId> = side.iter().copied().collect();
-            let boundary = side
-                .iter()
-                .copied()
-                .max_by_key(|&u| {
-                    (
-                        view.graph
-                            .neighbors(u)
-                            .iter()
-                            .filter(|&v| !side_set.contains(&v))
-                            .count(),
-                        u,
-                    )
-                })
-                .expect("nonempty side");
-            Action::Delete { victim: boundary }
+            Action::Delete {
+                victim: busiest_boundary(view.graph, &side),
+            }
         } else {
             Action::Insert {
                 id: self.ids.fresh(),
@@ -660,10 +654,12 @@ mod tests {
             g.add_edge(NodeId(i), NodeId(j));
         }
         g.add_edge(NodeId(0), NodeId(10));
-        let adv = CutAttacker::new(4);
-        let (side, boundary) = adv.sparsest_sweep(&g);
+        let side = sparsest_sweep_side(&g);
         assert!(side.len() <= 6);
-        assert!(side.contains(&boundary));
+        let Action::Delete { victim } = CutAttacker::new(4).next(&view_of(&g)) else {
+            panic!("expected a delete");
+        };
+        assert!(side.contains(&victim));
     }
 
     #[test]

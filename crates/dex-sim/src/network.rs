@@ -17,18 +17,15 @@
 use crate::metrics::{RecoveryKind, StepKind, StepMetrics};
 use dex_graph::adjacency::MultiGraph;
 use dex_graph::ids::NodeId;
-use std::collections::VecDeque;
 
 /// How the network records per-step metrics. Long-running large-n drivers
-/// (the 1M-node churn benchmarks) switch away from [`HistoryMode::Full`]
-/// so a multi-thousand-step run does not hold every [`StepMetrics`] live;
-/// running [`StepTotals`] are maintained in every mode.
+/// (the 1M-node churn benchmarks) switch to [`HistoryMode::Off`] so a
+/// multi-thousand-step run does not hold every [`StepMetrics`] live;
+/// running [`StepTotals`] are maintained in both modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HistoryMode {
     /// Keep every step (default — tests and experiment-scale harnesses).
     Full,
-    /// Ring buffer of the most recent `k` steps.
-    Window(usize),
     /// Keep no per-step history at all.
     Off,
 }
@@ -59,9 +56,8 @@ pub struct Network {
     in_step: bool,
     step_counter: u64,
     mode: HistoryMode,
-    /// Per-step metric history (push order = step order; bounded by the
-    /// mode's window).
-    history: VecDeque<StepMetrics>,
+    /// Per-step metric history (push order = step order).
+    history: Vec<StepMetrics>,
     totals: StepTotals,
 }
 
@@ -82,31 +78,24 @@ impl Network {
             in_step: false,
             step_counter: 0,
             mode: HistoryMode::Full,
-            history: VecDeque::new(),
+            history: Vec::new(),
             totals: StepTotals::default(),
         }
     }
 
-    /// Change how per-step metrics are retained. Shrinking modes drop the
-    /// oldest retained entries immediately; totals are unaffected.
+    /// Change how per-step metrics are retained. [`HistoryMode::Off`]
+    /// drops the retained entries immediately; totals are unaffected.
     pub fn set_history_mode(&mut self, mode: HistoryMode) {
         self.mode = mode;
-        match mode {
-            HistoryMode::Full => {}
-            HistoryMode::Window(k) => {
-                while self.history.len() > k {
-                    self.history.pop_front();
-                }
-            }
-            HistoryMode::Off => self.history.clear(),
+        if mode == HistoryMode::Off {
+            self.history.clear();
         }
     }
 
-    /// The retained per-step history (everything under
-    /// [`HistoryMode::Full`], the trailing window under
-    /// [`HistoryMode::Window`], empty under [`HistoryMode::Off`]).
+    /// The retained per-step history (every step recorded under
+    /// [`HistoryMode::Full`], none under [`HistoryMode::Off`]).
     #[inline]
-    pub fn history(&self) -> &VecDeque<StepMetrics> {
+    pub fn history(&self) -> &[StepMetrics] {
         &self.history
     }
 
@@ -260,17 +249,8 @@ impl Network {
         if recovery.is_type2() {
             self.totals.type2_steps += 1;
         }
-        match self.mode {
-            HistoryMode::Full => self.history.push_back(m),
-            HistoryMode::Window(k) => {
-                if k > 0 {
-                    if self.history.len() == k {
-                        self.history.pop_front();
-                    }
-                    self.history.push_back(m);
-                }
-            }
-            HistoryMode::Off => {}
+        if self.mode == HistoryMode::Full {
+            self.history.push(m);
         }
         m
     }
@@ -332,18 +312,16 @@ mod tests {
     }
 
     #[test]
-    fn window_mode_keeps_trailing_steps_and_totals_everything() {
+    fn full_mode_keeps_every_step_and_totals_everything() {
         let mut net = Network::new();
         net.adversary_add_node(n(0));
-        net.set_history_mode(HistoryMode::Window(2));
         for i in 0..5u64 {
             net.begin_step();
             net.charge_rounds(i + 1);
             net.end_step(StepKind::Insert, RecoveryKind::Type1);
         }
-        assert_eq!(net.history().len(), 2);
-        assert_eq!(net.history()[0].step, 4);
-        assert_eq!(net.history()[1].step, 5);
+        let steps: Vec<u64> = net.history().iter().map(|m| m.step).collect();
+        assert_eq!(steps, [1, 2, 3, 4, 5]);
         let t = net.totals();
         assert_eq!(t.steps, 5);
         assert_eq!(t.rounds, 1 + 2 + 3 + 4 + 5);

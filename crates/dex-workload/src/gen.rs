@@ -5,7 +5,7 @@
 //! reproduces the run bit-for-bit, and the same seed gives the same
 //! stream regardless of how many trials run in parallel around it.
 
-use dex_adversary::{Action, IdAllocator};
+use dex_adversary::{cross_degrees, sparsest_sweep_side, Action, IdAllocator};
 use dex_core::batch::MAX_ATTACH_FAN_IN;
 use dex_core::DexNetwork;
 use dex_graph::fxhash::{FxHashMap, FxHashSet};
@@ -116,10 +116,10 @@ pub fn correlated_burst(
     Some(Action::BatchDelete { victims })
 }
 
-/// Sparsest-cut attack burst: BFS-sweep the graph for its thinnest prefix
-/// cut (the cheap deterministic stand-in for a Fiedler sweep at workload
-/// scale), then batch-delete the small side's highest-cross-degree
-/// boundary nodes. Returns `None` when the network is too small.
+/// Sparsest-cut attack burst: batch-delete the highest-cross-degree
+/// nodes of [`sparsest_sweep_side`] (the side `CutAttacker` attacks),
+/// the smaller id first on a tie. Returns `None` when the network is too
+/// small.
 pub fn cut_burst(dex: &DexNetwork, burst_size: usize) -> Option<Action> {
     let g = dex.graph();
     let n = g.num_nodes();
@@ -127,66 +127,9 @@ pub fn cut_burst(dex: &DexNetwork, burst_size: usize) -> Option<Action> {
     if take == 0 || n < 2 * MIN_N {
         return None;
     }
-    // BFS order from a lowest-degree node (sorted neighbor expansion).
-    let start = g
-        .nodes_sorted()
-        .into_iter()
-        .min_by_key(|&u| (g.degree(u), u))
-        .expect("nonempty");
-    let mut order = vec![start];
-    let mut seen: FxHashSet<NodeId> = FxHashSet::default();
-    seen.insert(start);
-    let mut queue = std::collections::VecDeque::from([start]);
-    while let Some(u) = queue.pop_front() {
-        let mut nbrs: Vec<NodeId> = g.neighbors(u).iter().collect();
-        nbrs.sort_unstable();
-        nbrs.dedup();
-        for v in nbrs {
-            if v != u && seen.insert(v) {
-                order.push(v);
-                queue.push_back(v);
-            }
-        }
-    }
-    // Sweep prefixes up to half the graph for the sparsest ratio cut.
-    let mut in_prefix: FxHashSet<NodeId> = FxHashSet::default();
-    let mut cut = 0i64;
-    let mut best = (f64::INFINITY, 1usize);
-    for (i, &u) in order.iter().enumerate().take(order.len() / 2) {
-        for v in g.neighbors(u) {
-            if v == u {
-                continue;
-            }
-            if in_prefix.contains(&v) {
-                cut -= 1;
-            } else {
-                cut += 1;
-            }
-        }
-        in_prefix.insert(u);
-        let ratio = cut as f64 / (i + 1) as f64;
-        if ratio < best.0 {
-            best = (ratio, i + 1);
-        }
-    }
-    let side = &order[..best.1];
-    let side_set: FxHashSet<NodeId> = side.iter().copied().collect();
-    let mut boundary: Vec<(usize, NodeId)> = side
-        .iter()
-        .map(|&u| {
-            let cross = g
-                .neighbors(u)
-                .iter()
-                .filter(|v| !side_set.contains(v))
-                .count();
-            (cross, u)
-        })
-        .collect();
+    let mut boundary = cross_degrees(g, &sparsest_sweep_side(g));
     boundary.sort_unstable_by_key(|&(cross, u)| (std::cmp::Reverse(cross), u));
-    let victims: Vec<NodeId> = boundary.into_iter().take(take).map(|(_, u)| u).collect();
-    if victims.is_empty() {
-        return None;
-    }
+    let victims = boundary.into_iter().take(take).map(|(_, u)| u).collect();
     Some(Action::BatchDelete { victims })
 }
 
@@ -307,6 +250,34 @@ mod tests {
         };
         assert!(!victims.is_empty() && victims.len() <= 4);
         assert!(victims.iter().all(|&v| dex.graph().has_node(v)));
+    }
+
+    #[test]
+    fn cut_burst_strikes_the_side_cut_attacker_attacks() {
+        use dex_adversary::{Adversary, CutAttacker, View};
+        for n in [24, 300] {
+            let dex = DexNetwork::bootstrap(DexConfig::new(n), n);
+            let side = sparsest_sweep_side(dex.graph());
+            let Some(Action::BatchDelete { victims }) = cut_burst(&dex, 6) else {
+                panic!("expected burst");
+            };
+            assert!(victims.iter().all(|v| side.contains(v)), "n = {n}");
+            let load = |u| dex.load(u);
+            let owner = |z| dex.map.owner(z);
+            let view = View {
+                graph: dex.graph(),
+                load: &load,
+                owner: &owner,
+                p: dex.cycle.p(),
+            };
+            let Action::Delete { victim } = CutAttacker::new(1).next(&view) else {
+                panic!("expected delete");
+            };
+            // Both pick the most cross edges; only the tie rule differs.
+            let cross = cross_degrees(dex.graph(), &side);
+            let of = |x| cross.iter().find(|&&(_, u)| u == x).map(|&(c, _)| c);
+            assert_eq!(of(victim), of(victims[0]), "n = {n}");
+        }
     }
 
     #[test]

@@ -17,8 +17,9 @@
 //!   splitmix64-derived stream, so results are **bit-identical for any
 //!   thread count**;
 //! * every trial records its full action trace (replayable through
-//!   [`dex_adversary::trace`]), per-step [`StepMetrics`](dex_sim::StepMetrics), and a sampled
-//!   λ₂ trajectory.
+//!   [`dex_adversary::trace`]), a columnar per-step
+//!   [`StepLog`](dex_sim::StepLog) of rounds, messages and topology
+//!   changes, and a sampled λ₂ trajectory.
 //!
 //! # Example
 //!

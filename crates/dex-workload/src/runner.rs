@@ -12,7 +12,7 @@ use dex_core::{invariants, DexConfig, DexNetwork};
 use dex_graph::fxhash::FxHashMap;
 use dex_graph::spectral::Lambda2Solver;
 use dex_sim::rng::splitmix64;
-use dex_sim::{HasStepLog, HistoryMode, StepAggregate, StepLog, StepMetrics};
+use dex_sim::{HasStepLog, HistoryMode, StepAggregate, StepLog};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -49,9 +49,6 @@ pub struct RunOptions {
     /// streaming runs turn this off; the compact [`StepLog`] (and hence
     /// [`pool_aggregate`]) is unaffected.
     pub keep_actions: bool,
-    /// Retain every [`StepMetrics`] record in the report. Off, the report
-    /// carries only the columnar [`StepLog`] (24 bytes/step).
-    pub keep_step_metrics: bool,
 }
 
 impl Default for RunOptions {
@@ -64,7 +61,6 @@ impl Default for RunOptions {
             exec: dex_exec::ExecConfig::AUTO,
             check_invariants: false,
             keep_actions: true,
-            keep_step_metrics: true,
         }
     }
 }
@@ -81,11 +77,8 @@ pub struct TrialReport {
     /// Full action trace, replayable via `dex_adversary::trace` (empty
     /// when the run streamed with `keep_actions: false`).
     pub actions: Vec<Action>,
-    /// Per-step metered cost, aligned with `actions` (empty when the run
-    /// streamed with `keep_step_metrics: false`).
-    pub metrics: Vec<StepMetrics>,
-    /// Columnar per-step counters — always recorded; the streaming-mode
-    /// source of [`pool_aggregate`].
+    /// Per-step metered cost (rounds, messages, topology changes),
+    /// aligned with `actions`; the source of [`pool_aggregate`].
     pub log: StepLog,
     /// Sampled λ₂ trajectory (index 0 is the bootstrap network).
     pub lambda2: Vec<f64>,
@@ -151,14 +144,12 @@ pub fn run_scenario(
         shadow: FxHashMap::default(),
         known_keys: Vec::new(),
         actions: Vec::new(),
-        metrics: Vec::new(),
         log: StepLog::new(),
         lambda2: Vec::new(),
         dht_mismatches: 0,
         lambda_every: opts.lambda_every,
         check_invariants: opts.check_invariants,
         keep_actions: opts.keep_actions,
-        keep_step_metrics: opts.keep_step_metrics,
     };
     // The trial streams its own compact log; the inner network need not
     // hold a second copy of every step.
@@ -179,7 +170,6 @@ pub fn run_scenario(
         final_n: t.dex.n(),
         fault_stats: t.dex.fault_stats(),
         actions: t.actions,
-        metrics: t.metrics,
         log: t.log,
         lambda2: t.lambda2,
         dht_mismatches: t.dht_mismatches,
@@ -197,14 +187,12 @@ struct Trial {
     /// Insertion-ordered distinct keys (deterministic read sampling).
     known_keys: Vec<u64>,
     actions: Vec<Action>,
-    metrics: Vec<StepMetrics>,
     log: StepLog,
     lambda2: Vec<f64>,
     dht_mismatches: u64,
     lambda_every: usize,
     check_invariants: bool,
     keep_actions: bool,
-    keep_step_metrics: bool,
 }
 
 impl Trial {
@@ -335,9 +323,6 @@ impl Trial {
             other => driver::apply(&mut self.dex, other),
         };
         self.log.push(&m);
-        if self.keep_step_metrics {
-            self.metrics.push(m);
-        }
         if self.keep_actions {
             self.actions.push(a);
         }
@@ -407,7 +392,6 @@ mod tests {
             exec: dex_exec::ExecConfig::with_threads(2),
             check_invariants: true,
             keep_actions: true,
-            keep_step_metrics: true,
         }
     }
 
@@ -417,14 +401,14 @@ mod tests {
         assert_eq!(reports.len(), 3);
         for r in &reports {
             assert_eq!(r.dht_mismatches, 0, "trial {}", r.trial);
-            assert!(!r.metrics.is_empty());
-            assert_eq!(r.metrics.len(), r.actions.len());
+            assert!(!r.log.is_empty());
+            assert_eq!(r.log.len(), r.actions.len());
             assert!(r.lambda2.iter().all(|&l| l < 1.0), "still an expander");
         }
         let agg = pool_aggregate(&reports);
         assert_eq!(
             agg.steps,
-            reports.iter().map(|r| r.metrics.len()).sum::<usize>()
+            reports.iter().map(|r| r.log.len()).sum::<usize>()
         );
     }
 
@@ -441,11 +425,7 @@ mod tests {
             for (a, b) in seq.iter().zip(par.iter()) {
                 assert_eq!(a.actions, b.actions, "threads={threads}");
                 assert_eq!(a.lambda2, b.lambda2, "threads={threads}");
-                assert_eq!(
-                    a.metrics.iter().map(|m| m.messages).collect::<Vec<_>>(),
-                    b.metrics.iter().map(|m| m.messages).collect::<Vec<_>>(),
-                    "threads={threads}"
-                );
+                assert_eq!(a.log, b.log, "threads={threads}");
             }
         }
     }
@@ -457,20 +437,13 @@ mod tests {
         o.check_invariants = false;
         let full = run_trials(&sc, &o);
         o.keep_actions = false;
-        o.keep_step_metrics = false;
         let slim = run_trials(&sc, &o);
         assert_eq!(pool_aggregate(&full), pool_aggregate(&slim));
         for (a, b) in full.iter().zip(slim.iter()) {
             assert!(b.actions.is_empty(), "streaming run must not keep traces");
-            assert!(b.metrics.is_empty(), "streaming run must not keep metrics");
             assert_eq!(a.log, b.log, "compact log must be retention-invariant");
             assert_eq!(a.lambda2, b.lambda2);
             assert_eq!(a.final_n, b.final_n);
-            // And the full run's log matches its own retained metrics.
-            assert_eq!(
-                a.log.rounds,
-                a.metrics.iter().map(|m| m.rounds).collect::<Vec<_>>()
-            );
         }
     }
 
@@ -492,10 +465,7 @@ mod tests {
             messages.push(driver::apply(&mut dex, a).messages);
         }
         assert_eq!(dex.n(), r.final_n);
-        assert_eq!(
-            messages,
-            r.metrics.iter().map(|m| m.messages).collect::<Vec<_>>()
-        );
+        assert_eq!(messages, r.log.messages);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   ([`route_shard`]: a splitmix64 hash of the key — the same key always
 //!   lands on the same shard);
 //! * an **open-loop arrival schedule** ([`build_schedule`]) is derived
-//!   entirely from the seed: virtual-time Poisson or uniform arrivals of
+//!   entirely from the seed: virtual-time Poisson arrivals of
 //!   a put/get/join/leave mix. No wall-clock anywhere — time is counted
 //!   in the simulator's synchronous *rounds*;
 //! * each shard pumps its arrivals through a **bounded ingestion queue**
@@ -79,8 +79,6 @@ pub enum Arrivals {
     /// used to calibrate a shard's service capacity (run it with an
     /// unbounded queue so nothing sheds).
     Burst,
-    /// Evenly spaced: op `k` arrives at `⌊k / offered⌋`.
-    Uniform,
     /// Poisson: exponential inter-arrival gaps at rate `offered`,
     /// sampled from the seed's splitmix64 stream.
     Poisson,
@@ -196,7 +194,6 @@ pub fn build_schedule(opts: &ServeOptions) -> Vec<Vec<OpSpec>> {
     for seq in 0..opts.ops as u64 {
         let arrival = match opts.arrivals {
             Arrivals::Burst => 0,
-            Arrivals::Uniform => (seq as f64 / opts.offered) as u64,
             Arrivals::Poisson => {
                 // u ∈ (0, 1]: 53 mantissa bits, nudged off zero.
                 let u = ((splitmix64(opts.seed ^ GAP_SALT ^ seq) >> 11) as f64 + 1.0)

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 pub fn arb_opts() -> impl Strategy<Value = ServeOptions> {
     (
         1usize..4,    // shards
-        0u8..3,       // arrival process selector
+        0u8..2,       // arrival process selector
         1u32..64,     // offered load ×4 (0.25 .. 16 ops/round)
         0u32..101,    // read_pct
         0u32..81,     // churn_pct
@@ -30,10 +30,10 @@ pub fn arb_opts() -> impl Strategy<Value = ServeOptions> {
                     n0: 20,
                     ops: 160,
                     offered: offered4 as f64 / 4.0,
-                    arrivals: match arr {
-                        0 => Arrivals::Burst,
-                        1 => Arrivals::Uniform,
-                        _ => Arrivals::Poisson,
+                    arrivals: if arr == 0 {
+                        Arrivals::Burst
+                    } else {
+                        Arrivals::Poisson
                     },
                     read_pct,
                     churn_pct,

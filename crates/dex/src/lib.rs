@@ -20,8 +20,6 @@
 //! * [`adversary`] — adaptive attack strategies and churn traces;
 //! * [`baselines`] — Law–Siu, skip-graph-lite, flooding, and naive
 //!   patching comparators behind one [`baselines::Overlay`] trait;
-//! * [`services`] — what the expander is *for*: uniform peer sampling,
-//!   O(log n) broadcast, push–pull gossip, crash-tolerant multipath;
 //! * [`workload`] — the scenario engine: composable adversarial/traffic
 //!   workloads (flash crowds, correlated failures, partition-then-heal,
 //!   DHT mixes) with deterministic parallel trial fan-out.
@@ -47,7 +45,6 @@ pub use dex_baselines as baselines;
 pub use dex_core as core;
 pub use dex_exec as exec;
 pub use dex_graph as graph;
-pub use dex_services as services;
 pub use dex_sim as sim;
 pub use dex_workload as workload;
 

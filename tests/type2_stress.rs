@@ -97,7 +97,7 @@ fn staggered_steps_stay_cheap_during_type2() {
     let mut during: Vec<StepMetrics> = Vec::new();
     for _ in 0..6000 {
         dex::adversary::driver::step(&mut net, &mut adv);
-        let m = *net.net.history().back().unwrap();
+        let m = *net.net.history().last().unwrap();
         if m.recovery.is_type2() {
             during.push(m);
         }
