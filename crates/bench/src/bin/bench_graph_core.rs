@@ -6,7 +6,9 @@
 //! * **λ₂ under churn** (n ≈ 20k): the "mutate the multigraph, then
 //!   re-measure" loop — per epoch a few edges churn, then a warm-started
 //!   [`Lambda2Solver`] measures λ₂ on a CSR form built from scratch
-//!   ([`MultiGraph::csr`]); seconds over all epochs and per epoch.
+//!   ([`MultiGraph::csr`]); the solver's power iterations per epoch
+//!   ([`Lambda2Solver::work`]; in the smoke JSON too), and, timed,
+//!   seconds over all epochs, per epoch and per iteration.
 //! * **walk throughput**: slot-space random-walk hops per second
 //!   ([`MultiGraph::walk_slots`]).
 //! * **route**: the DHT's shortest-path search on `Z(p)` at the p of
@@ -71,6 +73,8 @@ fn churn_edges(g: &mut MultiGraph, rng: &mut StdRng) {
 struct Lambda2Outcome {
     total_s: f64,
     last_lambda: f64,
+    /// Power iterations over all epochs ([`Lambda2Solver::work`]).
+    iters: u64,
 }
 
 /// λ₂ under churn: each epoch builds the CSR form anew, and a persistent
@@ -87,6 +91,7 @@ fn lambda2_under_churn(mut g: MultiGraph, seed: u64) -> Lambda2Outcome {
     Lambda2Outcome {
         total_s: t0.elapsed().as_secs_f64(),
         last_lambda: last,
+        iters: solver.work(),
     }
 }
 
@@ -593,7 +598,8 @@ fn run_smoke(base: &MultiGraph) -> Json {
     let mut rng = StdRng::seed_from_u64(99);
     let mut solver = Lambda2Solver::new();
     let mut last = 0.0;
-    for _ in 0..3 {
+    const SMOKE_EPOCHS: u64 = 3;
+    for _ in 0..SMOKE_EPOCHS {
         churn_edges(&mut g, &mut rng);
         last = solver.lambda2(&g, 600, TOL, 0xdecafbad);
     }
@@ -606,6 +612,10 @@ fn run_smoke(base: &MultiGraph) -> Json {
             Json::obj([
                 ("spmv_y_fnv", Json::hex(spmv_fnv)),
                 ("lambda2_bits", Json::hex(last.to_bits())),
+                (
+                    "lambda2_iters_per_epoch",
+                    Json::Fixed(solver.work() as f64 / SMOKE_EPOCHS as f64, 1),
+                ),
             ]),
         ),
         ("route", route_section(false)),
@@ -619,8 +629,10 @@ fn run_full(base: &MultiGraph) -> Json {
     let bootstrap = bootstrap_section(true);
     let lambda = lambda2_under_churn(base.clone(), 99);
     let per_epoch_ms = lambda.total_s * 1e3 / EPOCHS as f64;
+    let iters_per_epoch = lambda.iters as f64 / EPOCHS as f64;
+    let us_per_iter = lambda.total_s * 1e6 / lambda.iters as f64;
     println!(
-        "lambda2 under churn: {:.4} s over {EPOCHS} epochs, {per_epoch_ms:.2} ms each (λ₂ = {:.6})",
+        "lambda2 under churn: {:.4} s over {EPOCHS} epochs, {per_epoch_ms:.2} ms each, {iters_per_epoch:.1} iterations of {us_per_iter:.1} us (λ₂ = {:.6})",
         lambda.total_s, lambda.last_lambda
     );
 
@@ -641,6 +653,8 @@ fn run_full(base: &MultiGraph) -> Json {
                 ("edge_churn_per_epoch", CHURN_PER_EPOCH.into()),
                 ("warm_start_s", Json::Fixed(lambda.total_s, 4)),
                 ("ms_per_epoch", Json::Fixed(per_epoch_ms, 3)),
+                ("iters_per_epoch", Json::Fixed(iters_per_epoch, 1)),
+                ("us_per_iter", Json::Fixed(us_per_iter, 1)),
                 ("lambda2", Json::Fixed(lambda.last_lambda, 6)),
             ]),
         ),

@@ -15,16 +15,18 @@
 //! 2. **End-to-end churn** — full DEX networks at n ∈ {20k, 200k, 1M}
 //!    under a deterministic 45/45/5/5 single-insert / single-delete /
 //!    batch-insert / batch-delete mix, with trials fanned out over the
-//!    order-preserving `par_map`. A separate single-threaded pass measures
-//!    wall-clock ops/s and — through a caller-provided allocation counter —
-//!    **bytes allocated per healing operation**, which is 0 in steady
-//!    state (no type-2 in the measurement window) now that every hot-path
-//!    buffer is pooled in `HealScratch`.
+//!    order-preserving `par_map`. Separate single-threaded passes, each on
+//!    a network of its own after an untimed warm-up, measure wall-clock
+//!    ops/s (the median of five, with its quartiles) and — through a
+//!    caller-provided allocation counter, in the first pass — **bytes
+//!    allocated per healing operation**, which is 0 in steady state (no
+//!    type-2 in the measurement window) now that every hot-path buffer is
+//!    pooled in `HealScratch`.
 //!
 //! Determinism contract: everything except the clearly-labelled timing
-//! fields (`*_ops_per_sec`, `*wall_s`) is a pure function of
-//! `(smoke, seed, trials)` — independent of the thread budget and of
-//! machine speed. In `--smoke` mode the timing fields are omitted entirely and
+//! fields (`*_ops_per_sec`, `ops_per_sec_iqr`, `*wall_s`) is a pure
+//! function of `(smoke, seed, trials)` — independent of the thread budget
+//! and of machine speed. In `--smoke` mode the timing fields are omitted entirely and
 //! the JSON is **byte-identical** across thread counts; the
 //! `heal_determinism` test runs threads ∈ {1, 3, 8} and diffs the bytes.
 
@@ -478,8 +480,14 @@ fn churn_trial(n0: u64, steps: usize, seed: u64, check_every_step: bool) -> Chur
     }
 }
 
-/// The single-threaded measurement pass: warm the scratch pools, then
-/// meter wall time and allocated bytes over the tail of the run.
+/// Timed churn passes per scale (full mode): `ops_per_sec` is their
+/// median, `ops_per_sec_iqr` their quartiles. A pass of 1,500–3,000 steps
+/// takes tens of milliseconds, so one pass alone cannot resolve a change.
+const CHURN_PASSES: usize = 5;
+
+/// One single-threaded measurement pass on a network of its own: warm the
+/// scratch pools (untimed), then meter wall time and allocated bytes over
+/// the tail of the run.
 struct MeasuredChurn {
     measured_ops: u64,
     window_type2: u64,
@@ -589,15 +597,32 @@ pub fn run_heal_bench(opts: &HealBenchOptions) -> String {
             digest = splitmix64(digest ^ r.digest);
         }
 
-        // Single-threaded measurement pass (trial-0 seed): bytes/op and,
-        // in full mode, ops/s.
-        let m = churn_measure(
-            n0,
-            steps,
-            scale_trial_seed(opts.seed, n0, 0),
-            opts.alloc_bytes,
+        // Single-threaded measurement passes (trial-0 seed): bytes/op from
+        // the first and, in full mode, ops/s over all of them.
+        let passes = if opts.smoke { 1 } else { CHURN_PASSES };
+        let runs: Vec<MeasuredChurn> = (0..passes)
+            .map(|_| {
+                churn_measure(
+                    n0,
+                    steps,
+                    scale_trial_seed(opts.seed, n0, 0),
+                    opts.alloc_bytes,
+                )
+            })
+            .collect();
+        let m = &runs[0];
+        assert!(
+            runs.iter().all(|r| r.measured_ops == m.measured_ops),
+            "churn passes replay one seed"
         );
         let bytes_per_op = m.bytes.map(|b| b / m.measured_ops.max(1));
+        // Every pass times the same ops, so the quartiles of the walls are
+        // those of the rates, reversed.
+        let mut walls: Vec<f64> = runs.iter().map(|r| r.wall_s).collect();
+        walls.sort_by(f64::total_cmp);
+        let q = |k: usize| walls[k * (passes - 1) / 4];
+        let rate = |wall: f64| m.measured_ops as f64 / wall;
+        let (wall_s, q1, q3) = (q(2), rate(q(3)), rate(q(1)));
 
         let mut row = Json::obj([
             ("n0", n0.into()),
@@ -621,18 +646,19 @@ pub fn run_heal_bench(opts: &HealBenchOptions) -> String {
             ("alloc_window_ops", m.measured_ops.into()),
         ]);
         if !opts.smoke {
+            row.push("ops_per_sec", Json::Fixed(rate(wall_s), 0));
             row.push(
-                "ops_per_sec",
-                Json::Fixed(m.measured_ops as f64 / m.wall_s, 0),
+                "ops_per_sec_iqr",
+                Json::arr([Json::Fixed(q1, 0), Json::Fixed(q3, 0)]),
             );
-            row.push("wall_s", Json::Fixed(m.wall_s, 3));
+            row.push("wall_s", Json::Fixed(wall_s, 3));
             row.push("trials_wall_s", Json::Fixed(trials_wall, 3));
         }
         churn_rows.push(row);
         println!(
-            "churn n0={n0:<9} steps {steps:>6}  ops {ops:>8}  type2 {}  heal {:>10.0} ops/s  alloc/op {}",
+            "churn n0={n0:<9} steps {steps:>6}  ops {ops:>8}  type2 {}  heal {:>10.0} ops/s [{q1:.0}, {q3:.0}]  alloc/op {}",
             agg.type2_steps,
-            m.measured_ops as f64 / m.wall_s,
+            rate(wall_s),
             bytes_per_op
                 .map(|b| format!("{b} B"))
                 .unwrap_or_else(|| "n/a".into()),

@@ -12,9 +12,11 @@
 //!                                  # install fault spec (13 fixed fields)
 //! FC                               # clear fault spec
 //! ```
-//! Blank lines and `#` comments are skipped. Parse errors carry 1-based
-//! line numbers, and any trailing tokens on a line are rejected (a silent
-//! truncation would desynchronize a replay from the recorded run).
+//! Blank lines and `#` comments are skipped. A node id is any `u64` but
+//! `u64::MAX` ([`NodeId::VACANT`], the mark of a freed arena slot), which
+//! is rejected. Parse errors carry 1-based line numbers, and any trailing
+//! tokens on a line are rejected (a silent truncation would desynchronize
+//! a replay from the recorded run).
 //! Hand-rolled (no serialization-format crate in the approved dependency
 //! set); round-trips exactly — a proptest over the full action grammar
 //! enforces it.
@@ -98,30 +100,31 @@ pub fn parse(s: &str) -> Result<Vec<Action>, String> {
                 .parse::<u64>()
                 .map_err(|e| format!("line {lineno}: {e}"))
         };
+        // A node id field: any u64 but the one that marks a freed slot.
+        let parse_node = |p: Option<&str>| -> Result<NodeId, String> {
+            match NodeId(parse_u64(p)?) {
+                NodeId::VACANT => Err(format!("line {lineno}: node id {} is reserved", u64::MAX)),
+                id => Ok(id),
+            }
+        };
         match tag {
             "I" => {
-                let id = parse_u64(parts.next())?;
-                let attach = parse_u64(parts.next())?;
-                out.push(Action::Insert {
-                    id: NodeId(id),
-                    attach: NodeId(attach),
-                });
+                let id = parse_node(parts.next())?;
+                let attach = parse_node(parts.next())?;
+                out.push(Action::Insert { id, attach });
             }
             "D" => {
-                let victim = parse_u64(parts.next())?;
-                out.push(Action::Delete {
-                    victim: NodeId(victim),
-                });
+                let victim = parse_node(parts.next())?;
+                out.push(Action::Delete { victim });
             }
             "BI" => {
                 let mut joins = Vec::new();
                 while let Some(p) = parts.next() {
-                    let id = parse_u64(Some(p))?;
+                    let id = parse_node(Some(p))?;
                     let attach = parts
                         .next()
                         .ok_or_else(|| format!("line {lineno}: BI needs id/attach pairs"))?;
-                    let attach = parse_u64(Some(attach))?;
-                    joins.push((NodeId(id), NodeId(attach)));
+                    joins.push((id, parse_node(Some(attach))?));
                 }
                 if joins.is_empty() {
                     return Err(format!("line {lineno}: empty batch insert"));
@@ -131,7 +134,7 @@ pub fn parse(s: &str) -> Result<Vec<Action>, String> {
             "BD" => {
                 let mut victims = Vec::new();
                 for p in parts.by_ref() {
-                    victims.push(NodeId(parse_u64(Some(p))?));
+                    victims.push(parse_node(Some(p))?);
                 }
                 if victims.is_empty() {
                     return Err(format!("line {lineno}: empty batch delete"));
@@ -139,22 +142,15 @@ pub fn parse(s: &str) -> Result<Vec<Action>, String> {
                 out.push(Action::BatchDelete { victims });
             }
             "P" => {
-                let from = parse_u64(parts.next())?;
+                let from = parse_node(parts.next())?;
                 let key = parse_u64(parts.next())?;
                 let value = parse_u64(parts.next())?;
-                out.push(Action::DhtPut {
-                    from: NodeId(from),
-                    key,
-                    value,
-                });
+                out.push(Action::DhtPut { from, key, value });
             }
             "G" => {
-                let from = parse_u64(parts.next())?;
+                let from = parse_node(parts.next())?;
                 let key = parse_u64(parts.next())?;
-                out.push(Action::DhtGet {
-                    from: NodeId(from),
-                    key,
-                });
+                out.push(Action::DhtGet { from, key });
             }
             "F" => {
                 // 13 fixed fields — field order is the struct order, and
@@ -261,6 +257,27 @@ mod tests {
         assert!(parse("FC 1").is_err());
         assert!(parse("F 0 0 0 0 0 0 0 0 0 0 0 0 0").is_ok());
         assert!(parse("FC").is_ok());
+    }
+
+    #[test]
+    fn the_reserved_node_id_is_rejected() {
+        let max = u64::MAX;
+        for line in [
+            format!("I {max} 2"),
+            format!("I 1 {max}"),
+            format!("D {max}"),
+            format!("BI 1 2 {max} 3"),
+            format!("BI 1 {max}"),
+            format!("BD 1 {max}"),
+            format!("P {max} 1 2"),
+            format!("G {max} 1"),
+        ] {
+            let err = parse(&line).unwrap_err();
+            assert!(err.contains("reserved"), "{line}: {err}");
+        }
+        // Keys, values and the largest node id that is not reserved parse.
+        let below = max - 1;
+        assert!(parse(&format!("I {below} 2\nP 1 {max} {max}\nG 1 {max}")).is_ok());
     }
 
     #[test]

@@ -42,8 +42,9 @@ impl DexNetwork {
     /// paper).
     ///
     /// # Panics
-    /// Panics on duplicate ids, missing attach points, or more than O(1)
-    /// newcomers per attach point (the paper's congestion condition).
+    /// Panics on duplicate or reserved ([`NodeId::VACANT`]) ids, missing
+    /// attach points, or more than O(1) newcomers per attach point (the
+    /// paper's congestion condition).
     pub fn insert_batch(&mut self, joins: &[(NodeId, NodeId)]) -> StepMetrics {
         self.validate_insert_batch(joins);
         self.step_no += 1;
@@ -69,12 +70,13 @@ impl DexNetwork {
     /// Validate the whole batch before touching any state: fan-in per
     /// attach point (the paper's O(1) anti-congestion requirement,
     /// counted in one pass), newcomer uniqueness, no collision with a
-    /// live node, and attach-point existence — an attach point may be a
-    /// live node or an *earlier newcomer of the same batch* (healing
-    /// runs pair-by-pair, so chained joins are well-defined). A
-    /// mid-batch panic after partial mutation would leave the fabric
-    /// unhealable. Each attach point is translated here, once:
-    /// `heal.batch_slots[i]` is its slot, `None` for an earlier newcomer.
+    /// live node or with the reserved [`NodeId::VACANT`], and attach-point
+    /// existence — an attach point may be a live node or an *earlier
+    /// newcomer of the same batch* (healing runs pair-by-pair, so chained
+    /// joins are well-defined). A mid-batch panic after partial mutation
+    /// would leave the fabric unhealable. Each attach point is translated
+    /// here, once: `heal.batch_slots[i]` is its slot, `None` for an
+    /// earlier newcomer.
     fn validate_insert_batch(&mut self, joins: &[(NodeId, NodeId)]) {
         assert_eq!(
             self.cfg.mode,
@@ -99,6 +101,7 @@ impl DexNetwork {
                 "attach point {v} missing"
             );
             self.heal.batch_slots.push(sv);
+            assert_ne!(u, NodeId::VACANT, "newcomer {u} is the reserved id");
             assert!(self.heal.seen.insert(u), "duplicate newcomer {u} in batch");
             assert!(
                 !self.net.graph().has_node(u),

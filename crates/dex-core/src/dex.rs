@@ -148,7 +148,7 @@ impl DexNetwork {
             step_no: 0,
             flood_scratch: FloodScratch::new(),
             flood_run: FloodRunScratch::new(),
-            heal: HealScratch::new(),
+            heal: HealScratch::new(cfg.max_load_staggered()),
             batch_stats: crate::batch::BatchHealStats::default(),
             faults: None,
             fault_stats: dex_sim::msim::FaultStats::default(),
@@ -244,8 +244,13 @@ impl DexNetwork {
 
     /// Adversary inserts node `u` attached to existing node `v`; the
     /// algorithm heals and the step's cost is returned.
+    ///
+    /// # Panics
+    /// Panics if `u` is present or is the reserved [`NodeId::VACANT`], or
+    /// if `v` is missing.
     pub fn insert(&mut self, u: NodeId, v: NodeId) -> StepMetrics {
         // The step's only id translations: from here on it runs on slots.
+        assert_ne!(u, NodeId::VACANT, "insert: {u} is the reserved id");
         assert!(!self.net.graph().has_node(u), "insert: {u} already present");
         let sv = self
             .net
@@ -386,7 +391,7 @@ impl DexNetwork {
             &[z],
             &[self.cycle.chord(z)],
             u,
-            &mut self.heal.insts,
+            &mut self.heal.fabric,
         );
         // O(1) handoff messages: vertex id + its 3 neighbor node ids.
         self.net.charge_messages(4);
@@ -480,7 +485,7 @@ impl DexNetwork {
             zs,
             chords,
             rescuer,
-            &mut self.heal.insts,
+            &mut self.heal.fabric,
         );
         self.net.charge_messages(3 * zs.len() as u64);
         self.net.charge_rounds(1);
@@ -637,7 +642,7 @@ impl DexNetwork {
             &[z],
             &[chord],
             w,
-            &mut self.heal.insts,
+            &mut self.heal.fabric,
         );
         self.net.charge_messages(4);
         self.net.charge_rounds(1);

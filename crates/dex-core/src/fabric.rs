@@ -43,7 +43,7 @@ use dex_sim::Network;
 /// or `z` is the canonical (smaller) endpoint; loops always.
 ///
 /// The healing hot path calls this for every vertex move; threading the
-/// buffer from [`crate::scratch::HealScratch`] keeps it allocation-free.
+/// buffer from [`FabricScratch`] keeps it allocation-free.
 pub fn incident_edges_into(
     cycle: &PCycle,
     set: &[VertexId],
@@ -68,12 +68,54 @@ pub fn incident_edges_into(
     }
 }
 
-/// Both endpoints' slots of the virtual-edge instance `(a, b)`. Inside a
-/// `DexNetwork` a node's Φ slot is its graph slot, so these index the
-/// network's adjacency rows directly.
-#[inline]
-fn owner_slots(map: &VirtualMapping, (a, b): (VertexId, VertexId)) -> (u32, u32) {
-    (map.owner_slot_of(a), map.owner_slot_of(b))
+/// The reusable buffers of one vertex move ([`move_vertices`],
+/// [`adopt_vertices`]); one instance lives in
+/// [`crate::scratch::HealScratch`]. Their prior contents are discarded.
+#[derive(Default)]
+pub struct FabricScratch {
+    /// The moved vertices' virtual-edge instances
+    /// ([`incident_edges_into`]).
+    pub insts: Vec<(VertexId, VertexId)>,
+    /// The owner slots of `insts[k]` at `ends[2k]` and `ends[2k + 1]`,
+    /// resolved once per move: the rows the move edits, which
+    /// [`dex_graph::MultiGraph::touch_rows`] reads before the first edit.
+    pub ends: Vec<u32>,
+}
+
+impl FabricScratch {
+    /// Buffers whose owner-slot list holds a move of up to `max_vertices`
+    /// vertices (three instances each, two ends each) without growing on
+    /// the healing path.
+    pub fn new(max_vertices: usize) -> Self {
+        FabricScratch {
+            insts: Vec::new(),
+            ends: Vec::with_capacity(6 * max_vertices),
+        }
+    }
+
+    /// Enumerate the instances of `zs` and resolve both owner slots of
+    /// each under `map`. Inside a `DexNetwork` a node's Φ slot is its
+    /// graph slot, so these index the network's adjacency rows.
+    fn resolve(
+        &mut self,
+        map: &VirtualMapping,
+        cycle: &PCycle,
+        zs: &[VertexId],
+        chords: &[VertexId],
+    ) {
+        incident_edges_into(cycle, zs, chords, &mut self.insts);
+        self.ends.clear();
+        for &(a, b) in &self.insts {
+            self.ends
+                .extend([map.owner_slot_of(a), map.owner_slot_of(b)]);
+        }
+    }
+
+    /// The resolved owner slots of instance `k`.
+    #[inline]
+    fn ends(&self, k: usize) -> (u32, u32) {
+        (self.ends[2 * k], self.ends[2 * k + 1])
+    }
 }
 
 /// The bootstrap object for nodes `0..n`: the vertices of `cycle` dealt
@@ -251,9 +293,19 @@ pub fn for_each_canonical_edge(cycle: &PCycle, mut f: impl FnMut(VertexId, Verte
 /// chord partners) to the node in slot `to`: removes every incident
 /// physical instance, retargets the mapping, and re-adds the instances
 /// under the new owners — all by slot, Φ's being the network's. All edge
-/// churn is charged. O(|zs|) topology changes. `insts` is a reusable
-/// instance buffer (typically [`crate::scratch::HealScratch::insts`]); its
-/// prior contents are discarded.
+/// churn is charged. O(|zs|) topology changes.
+///
+/// Each instance's two owner slots are resolved once, before the
+/// removals; an end in `zs` is re-added at `to`, which is what Φ holds
+/// for it after the transfer. Before the first removal the rows of the
+/// ends are touched ([`dex_graph::MultiGraph::touch_rows`]): the removals
+/// then run on cached rows, where one after another each would wait for
+/// its own two misses (the slot record, then the row). The row of `to`
+/// is left to the additions: its misses then overlap those of Φ's
+/// transfer to `to` just before them, where touched up front they ran in
+/// series (a deletion's redistribution moves, whose other rows the
+/// adoption has cached, took a quarter longer). The edits, and their
+/// order, are those of an untouched move.
 pub fn move_vertices(
     net: &mut Network,
     map: &mut VirtualMapping,
@@ -261,11 +313,12 @@ pub fn move_vertices(
     zs: &[VertexId],
     chords: &[VertexId],
     to: u32,
-    insts: &mut Vec<(VertexId, VertexId)>,
+    buf: &mut FabricScratch,
 ) {
-    incident_edges_into(cycle, zs, chords, insts);
-    for &inst in insts.iter() {
-        let (sa, sb) = owner_slots(map, inst);
+    buf.resolve(map, cycle, zs, chords);
+    net.graph().touch_rows(&buf.ends);
+    for (k, inst) in buf.insts.iter().enumerate() {
+        let (sa, sb) = buf.ends(k);
         assert!(
             net.remove_edge_slots(sa, sb),
             "fabric desync: missing instance {}->{} at slots ({sa},{sb})",
@@ -277,9 +330,10 @@ pub fn move_vertices(
     for &z in zs {
         map.transfer_at(z, to_id, to);
     }
-    for &inst in insts.iter() {
-        let (sa, sb) = owner_slots(map, inst);
-        net.add_edge_slots(sa, sb);
+    let moved = |z: VertexId, s: u32| if zs.contains(&z) { to } else { s };
+    for (k, &(a, b)) in buf.insts.iter().enumerate() {
+        let (sa, sb) = buf.ends(k);
+        net.add_edge_slots(moved(a, sa), moved(b, sb));
     }
 }
 
@@ -288,8 +342,11 @@ pub fn move_vertices(
 /// simulated (`chords` their chord partners): retarget the mapping and
 /// re-add the lost instances. Until this runs, the dead node's `Sim`
 /// still sits in its — already freed — graph slot. Additions are charged;
-/// nothing is removed (the attack already removed it). `insts` is a
-/// reusable instance buffer; its prior contents are discarded.
+/// nothing is removed (the attack already removed it). As in
+/// [`move_vertices`], the instances' owner slots are resolved once, after
+/// the transfers, and their rows — `to`'s among them, since every
+/// instance now has an end there — are touched before the first
+/// addition.
 pub fn adopt_vertices(
     net: &mut Network,
     map: &mut VirtualMapping,
@@ -297,15 +354,16 @@ pub fn adopt_vertices(
     zs: &[VertexId],
     chords: &[VertexId],
     to: u32,
-    insts: &mut Vec<(VertexId, VertexId)>,
+    buf: &mut FabricScratch,
 ) {
     let to_id = net.graph().id_of_slot(to);
     for &z in zs {
         map.transfer_at(z, to_id, to);
     }
-    incident_edges_into(cycle, zs, chords, insts);
-    for &inst in insts.iter() {
-        let (sa, sb) = owner_slots(map, inst);
+    buf.resolve(map, cycle, zs, chords);
+    net.graph().touch_rows(&buf.ends);
+    for k in 0..buf.insts.len() {
+        let (sa, sb) = buf.ends(k);
         net.add_edge_slots(sa, sb);
     }
 }
@@ -649,7 +707,7 @@ mod tests {
             &[VertexId(7)],
             &[cycle.chord(VertexId(7))],
             to,
-            &mut Vec::new(),
+            &mut FabricScratch::default(),
         );
         let m = net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
         assert!(
@@ -675,7 +733,7 @@ mod tests {
             &zs,
             &chords(&cycle, &zs),
             to,
-            &mut Vec::new(),
+            &mut FabricScratch::default(),
         );
         net.end_step(dex_sim::StepKind::Insert, dex_sim::RecoveryKind::Type1);
         assert_exact(&net, &map, &cycle);
@@ -696,7 +754,7 @@ mod tests {
             &zs,
             &chords(&cycle, &zs),
             to,
-            &mut Vec::new(),
+            &mut FabricScratch::default(),
         );
         net.end_step(dex_sim::StepKind::Delete, dex_sim::RecoveryKind::Type1);
         assert_exact(&net, &map, &cycle);

@@ -152,7 +152,7 @@ const VERTEX_FREE: VertexRec = VertexRec {
 
 /// A node slot nobody holds (load 0 in [`VirtualMapping::lens`]).
 const NODE_VACANT: NodeRec = NodeRec {
-    id: NodeId(u64::MAX),
+    id: NodeId::VACANT,
     start: 0,
     class: 0,
 };

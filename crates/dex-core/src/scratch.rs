@@ -17,6 +17,7 @@
 //! `mem::take` a buffer to detach it from `self` across a `&mut self`
 //! call, restoring it afterwards so the capacity is never lost.
 
+use crate::fabric::FabricScratch;
 use crate::routing::RouteScratch;
 use dex_graph::fxhash::{FxHashMap, FxHashSet};
 use dex_graph::ids::{NodeId, VertexId};
@@ -32,9 +33,9 @@ pub struct HealScratch {
     /// `u32` workspace of that inversion
     /// ([`dex_graph::pcycle::PCycle::chords_into`]).
     pub inverse: Vec<u32>,
-    /// Virtual-edge instance buffer for fabric moves
-    /// ([`crate::fabric::incident_edges_into`]).
-    pub insts: Vec<(VertexId, VertexId)>,
+    /// A fabric move's instances and their owner slots
+    /// ([`crate::fabric::move_vertices`], [`crate::fabric::adopt_vertices`]).
+    pub fabric: FabricScratch,
     /// Path-resolution buffers for type-2 permutation routing.
     pub route: RouteScratch,
     /// Batch-validation map: attach-point fan-in counts.
@@ -47,8 +48,12 @@ pub struct HealScratch {
 }
 
 impl HealScratch {
-    /// Fresh (empty) scratch.
-    pub fn new() -> Self {
-        Self::default()
+    /// Fresh scratch for a network whose nodes hold at most `max_load`
+    /// vertices: the largest vertex set a fabric move carries.
+    pub fn new(max_load: u64) -> Self {
+        HealScratch {
+            fabric: FabricScratch::new(max_load as usize),
+            ..Self::default()
+        }
     }
 }

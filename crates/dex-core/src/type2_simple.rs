@@ -291,7 +291,7 @@ fn rebalance_overload(dex: &mut DexNetwork) {
                     &[z],
                     &[dex.cycle.chord(z)],
                     host,
-                    &mut dex.heal.insts,
+                    &mut dex.heal.fabric,
                 );
                 dex.net.charge_messages(4);
                 dex.net.charge_rounds(1);

@@ -175,6 +175,31 @@ fn batch_rejects_excess_fan_in() {
     dex.insert_batch(&joins);
 }
 
+/// The id that marks a freed arena slot is refused before the step
+/// touches any state, alone and inside a batch.
+#[test]
+fn the_reserved_node_id_is_rejected_at_validation() {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    let mut dex = DexNetwork::bootstrap(DexConfig::new(9).simplified(), 16);
+    let v = dex.node_ids()[0];
+    let steps = dex.net.steps_completed();
+    let err = catch_unwind(AssertUnwindSafe(|| dex.insert(NodeId::VACANT, v))).unwrap_err();
+    assert!(err
+        .downcast_ref::<String>()
+        .is_some_and(|m| m.contains("insert: n18446744073709551615 is the reserved id")));
+    let joins = [(NodeId(920), v), (NodeId::VACANT, v)];
+    let err = catch_unwind(AssertUnwindSafe(|| dex.insert_batch(&joins))).unwrap_err();
+    assert!(err
+        .downcast_ref::<String>()
+        .is_some_and(|m| m.contains("is the reserved id")));
+    assert_eq!(dex.n(), 16);
+    assert_eq!(dex.net.steps_completed(), steps);
+    invariants::assert_ok(&dex);
+    // The network still heals an ordinary insert.
+    dex.insert(NodeId(920), v);
+    invariants::assert_ok(&dex);
+}
+
 #[test]
 fn batch_fan_in_boundary_accepts_exactly_the_bound() {
     // MAX_ATTACH_FAN_IN newcomers on one attach point is legal; one more

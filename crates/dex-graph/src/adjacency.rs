@@ -30,6 +30,26 @@
 //! translates only the ids the adversary names. A slot stays valid until
 //! its node is removed; a removed node's slot is dead until recycled.
 //!
+//! A slot is one 32-byte record, so two share a cache line: the node's id
+//! and its row's `Vec` header (pointer, capacity, length). A free slot
+//! carries the reserved id [`NodeId::VACANT`], which no node may have, in
+//! place of a separate liveness flag (which padded the record to 40
+//! bytes).
+//!
+//! # Row edits: touch first
+//!
+//! Editing a row costs two dependent cache misses on a large arena: the
+//! slot record, then the heap row it points to. A type-1 healing step
+//! edits about a dozen rows, none of which it has read before, and each
+//! edit would wait for its own two misses. [`MultiGraph::touch_rows`]
+//! reads a batch of records and then the ends of their rows, each pass a
+//! run of independent loads, so the misses of the whole batch overlap;
+//! the edits that follow run on cached lines. [`MultiGraph::remove_node`]
+//! touches the victim's neighbours before it clears their entries, and
+//! `dex_core::fabric` touches the owner rows of a vertex move's edge
+//! instances before its first edit. The edits, and their order, do not
+//! change.
+//!
 //! # CSR form: built on demand
 //!
 //! Numeric code (spectral solvers, exact expansion) wants a compact CSR
@@ -62,12 +82,23 @@ const NO_DENSE: u32 = u32::MAX;
 /// reallocs on the healing hot path all but disappear.
 const ADJ_MIN_CAP: usize = 32;
 
+/// One arena record: 32 bytes, so two share a 64-byte cache line.
 #[derive(Clone)]
 struct Slot {
+    /// The node in the slot; [`NodeId::VACANT`] while the slot is free.
     id: NodeId,
-    alive: bool,
     /// Neighbor multiset as slot indices; a self-loop appears once.
     adj: Vec<u32>,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
+
+impl Slot {
+    /// Is a node in this slot? (A freed slot carries the reserved id.)
+    #[inline]
+    fn alive(&self) -> bool {
+        self.id != NodeId::VACANT
+    }
 }
 
 /// Dynamic undirected multigraph in a slot arena. See module docs.
@@ -153,7 +184,7 @@ impl MultiGraph {
     /// Panics (in debug builds) if the slot is dead; callers own liveness.
     #[inline]
     pub fn id_of_slot(&self, slot: u32) -> NodeId {
-        debug_assert!(self.slots[slot as usize].alive, "dead slot {slot}");
+        debug_assert!(self.slots[slot as usize].alive(), "dead slot {slot}");
         self.slots[slot as usize].id
     }
 
@@ -168,7 +199,7 @@ impl MultiGraph {
     /// the arena until the free list recycles them.)
     #[inline]
     pub fn slot_alive(&self, slot: u32) -> bool {
-        self.slots.get(slot as usize).is_some_and(|s| s.alive)
+        self.slots.get(slot as usize).is_some_and(Slot::alive)
     }
 
     /// The dead slots below [`Self::slot_bound`], each once, in the order
@@ -219,6 +250,30 @@ impl MultiGraph {
         slot
     }
 
+    /// Read the record of every slot in `slots`, then the first and last
+    /// entry of its row, and nothing else. Each pass is a run of
+    /// independent loads, so a batch of rows pays its cache misses
+    /// together instead of one after another; the edits that follow find
+    /// their records and the ends of their rows cached (a removal scans a
+    /// row from its start, an addition writes at its end). Duplicates and
+    /// empty rows are fine. Dead slots read as empty rows.
+    pub fn touch_rows(&self, slots: &[u32]) {
+        let mut acc = 0usize;
+        for &s in slots {
+            let row = &self.slots[s as usize].adj;
+            acc ^= row.as_ptr() as usize ^ row.len();
+        }
+        for &s in slots {
+            let row = &self.slots[s as usize].adj;
+            if let (Some(&a), Some(&b)) = (row.first(), row.last()) {
+                acc ^= (a ^ b) as usize;
+            }
+        }
+        // The fold is what the loads feed; it keeps them from being
+        // dropped as dead code.
+        std::hint::black_box(acc);
+    }
+
     // ---- mutation ---------------------------------------------------------
 
     /// Insert an isolated node. Returns `false` if it already existed.
@@ -229,16 +284,19 @@ impl MultiGraph {
     /// Insert an isolated node and return its slot (`None` if it already
     /// existed): the most recently vacated slot, else a fresh one. One
     /// probe of the id index serves the membership test and the insertion.
+    ///
+    /// # Panics
+    /// Panics if `u` is [`NodeId::VACANT`], the id that marks a freed slot.
     pub fn insert_node(&mut self, u: NodeId) -> Option<u32> {
+        assert_ne!(u, NodeId::VACANT, "insert_node: the id of a freed slot");
         let Entry::Vacant(entry) = self.index.entry(u) else {
             return None;
         };
         let slot = match self.free.pop() {
             Some(s) => {
                 let cell = &mut self.slots[s as usize];
-                debug_assert!(!cell.alive && cell.adj.is_empty());
+                debug_assert!(!cell.alive() && cell.adj.is_empty());
                 cell.id = u;
-                cell.alive = true;
                 if cell.adj.capacity() < ADJ_MIN_CAP {
                     cell.adj.reserve(ADJ_MIN_CAP);
                 }
@@ -248,7 +306,6 @@ impl MultiGraph {
                 let s = u32::try_from(self.slots.len()).expect("more than u32::MAX nodes");
                 self.slots.push(Slot {
                     id: u,
-                    alive: true,
                     adj: Vec::with_capacity(ADJ_MIN_CAP),
                 });
                 s
@@ -265,6 +322,7 @@ impl MultiGraph {
     pub fn remove_node(&mut self, u: NodeId) -> Option<usize> {
         let slot = self.index.remove(&u)?;
         let mut incident = std::mem::take(&mut self.slots[slot as usize].adj);
+        self.touch_rows(&incident);
         let mut removed = 0usize;
         for &v in &incident {
             removed += 1;
@@ -281,8 +339,10 @@ impl MultiGraph {
         // when the free-list recycles the slot, keeping steady-state
         // delete→insert churn allocation-free.
         incident.clear();
-        self.slots[slot as usize].adj = incident;
-        self.slots[slot as usize].alive = false;
+        self.slots[slot as usize] = Slot {
+            id: NodeId::VACANT,
+            adj: incident,
+        };
         self.free.push(slot);
         self.live -= 1;
         self.num_edges -= removed;
@@ -354,7 +414,7 @@ impl MultiGraph {
         assert_eq!(self.num_edges, 0, "fill_rows needs an edgeless graph");
         let mut ends = 0usize;
         for (slot, cell) in self.slots.iter_mut().enumerate() {
-            if !cell.alive {
+            if !cell.alive() {
                 continue;
             }
             let slot = slot as u32;
@@ -448,7 +508,7 @@ impl MultiGraph {
     /// Iterator over node ids (slot order; deterministic for a fixed
     /// insert/remove history).
     pub fn nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.slots.iter().filter(|s| s.alive).map(|s| s.id)
+        self.slots.iter().filter(|s| s.alive()).map(|s| s.id)
     }
 
     /// Node ids in ascending order (canonical order for reporting).
@@ -462,7 +522,7 @@ impl MultiGraph {
     /// yielded once, with endpoints ordered `u <= v`.
     pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
         let mut out = Vec::with_capacity(self.num_edges);
-        for s in self.slots.iter().filter(|s| s.alive) {
+        for s in self.slots.iter().filter(|s| s.alive()) {
             for &v in &s.adj {
                 let vid = self.slots[v as usize].id;
                 if s.id <= vid {
@@ -477,7 +537,7 @@ impl MultiGraph {
     pub fn max_degree(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| s.alive)
+            .filter(|s| s.alive())
             .map(|s| s.adj.len())
             .max()
             .unwrap_or(0)
@@ -487,7 +547,7 @@ impl MultiGraph {
     pub fn min_degree(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| s.alive)
+            .filter(|s| s.alive())
             .map(|s| s.adj.len())
             .min()
             .unwrap_or(0)
@@ -497,7 +557,7 @@ impl MultiGraph {
     pub fn degree_sum(&self) -> usize {
         self.slots
             .iter()
-            .filter(|s| s.alive)
+            .filter(|s| s.alive())
             .map(|s| s.adj.len())
             .sum()
     }
@@ -507,7 +567,7 @@ impl MultiGraph {
     /// by tests and invariant checkers.
     pub fn validate(&self) -> Result<(), String> {
         // Arena bookkeeping.
-        let alive = self.slots.iter().filter(|s| s.alive).count();
+        let alive = self.slots.iter().filter(|s| s.alive()).count();
         if alive != self.live {
             return Err(format!("live count {} != alive slots {alive}", self.live));
         }
@@ -523,13 +583,13 @@ impl MultiGraph {
                 .slots
                 .get(slot as usize)
                 .ok_or_else(|| format!("index maps {id} to out-of-range slot {slot}"))?;
-            if !s.alive || s.id != id {
+            if !s.alive() || s.id != id {
                 return Err(format!("index maps {id} to stale slot {slot}"));
             }
         }
         for &f in &self.free {
             let s = &self.slots[f as usize];
-            if s.alive {
+            if s.alive() {
                 return Err(format!("free list contains live slot {f}"));
             }
             if !s.adj.is_empty() {
@@ -540,7 +600,7 @@ impl MultiGraph {
         let mut directed = 0usize;
         let mut loops = 0usize;
         for (si, s) in self.slots.iter().enumerate() {
-            if !s.alive {
+            if !s.alive() {
                 continue;
             }
             let si = si as u32;
@@ -549,7 +609,7 @@ impl MultiGraph {
                     .slots
                     .get(v as usize)
                     .ok_or_else(|| format!("edge {}->slot {v} out of range", s.id))?;
-                if !t.alive {
+                if !t.alive() {
                     return Err(format!("edge {}->slot {v} dangles: slot dead", s.id));
                 }
                 if v == si {
@@ -885,6 +945,57 @@ mod tests {
         assert_eq!(g.slot_bound(), 4);
         assert_eq!(g.num_nodes(), 4);
         g.validate().unwrap();
+    }
+
+    #[test]
+    fn recycled_slots_read_correctly_over_many_reuses() {
+        let mut g = MultiGraph::new();
+        for i in 0..6 {
+            g.add_node(n(i));
+        }
+        for i in 0..6 {
+            g.add_edge(n(i), n((i + 1) % 6));
+        }
+        let bound = g.slot_bound();
+        let mut fresh = 100;
+        for _ in 0..5 {
+            // Free two slots: they read dead, through every view.
+            let live: Vec<NodeId> = g.nodes().collect();
+            let victims = [live[0], live[live.len() - 1]];
+            let freed: Vec<u32> = victims.iter().map(|&u| g.slot_of(u).unwrap()).collect();
+            for &u in &victims {
+                g.remove_node(u).unwrap();
+            }
+            for &s in &freed {
+                assert!(!g.slot_alive(s));
+                assert!(g.free_slots().contains(&s));
+            }
+            assert_eq!(g.nodes().count(), g.num_nodes());
+            assert!(g.nodes().all(|u| !victims.contains(&u)));
+            g.touch_rows(&(0..bound as u32).collect::<Vec<_>>());
+            g.validate().unwrap();
+            // Recycle them, last freed first, each joined to a survivor.
+            let anchor = g.nodes().next().unwrap();
+            for &s in freed.iter().rev() {
+                let u = n(fresh);
+                fresh += 1;
+                assert_eq!(g.insert_node(u), Some(s));
+                assert!(g.slot_alive(s));
+                assert_eq!(g.id_of_slot(s), u);
+                assert!(!g.free_slots().contains(&s));
+                g.add_edge(u, anchor);
+            }
+            assert!(g.free_slots().is_empty());
+            assert_eq!(g.slot_bound(), bound);
+            assert_eq!(g.nodes().count(), 6);
+            g.validate().unwrap();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "the id of a freed slot")]
+    fn the_vacant_id_cannot_be_inserted() {
+        MultiGraph::new().insert_node(NodeId::VACANT);
     }
 
     #[test]

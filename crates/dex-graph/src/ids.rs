@@ -21,6 +21,12 @@ pub struct NodeId(pub u64);
 pub struct VertexId(pub u64);
 
 impl NodeId {
+    /// The one id no node may carry: it marks a freed arena slot
+    /// ([`crate::adjacency::MultiGraph`]) and a vacant Φ node record. Inputs
+    /// are rejected at validation (trace parsing, `insert`,
+    /// `insert_batch`), and the arena refuses to insert it.
+    pub const VACANT: NodeId = NodeId(u64::MAX);
+
     /// Raw integer value.
     #[inline]
     pub fn raw(self) -> u64 {

@@ -229,6 +229,8 @@ pub struct Lambda2Solver {
     y: Vec<f64>,
     pi: Vec<f64>,
     warm: bool,
+    /// Power iterations run so far, over every call.
+    iters: u64,
 }
 
 impl Lambda2Solver {
@@ -242,6 +244,14 @@ impl Lambda2Solver {
     /// benchmark PR.
     pub fn with_threads(_threads: usize) -> Self {
         Self::new()
+    }
+
+    /// Work done by every run of this solver so far: the power iterations,
+    /// each one lazy mat-vec over the CSR form plus two streaming passes
+    /// over the iterate — a deterministic count, the unit a measurement's
+    /// cost is stated in.
+    pub fn work(&self) -> u64 {
+        self.iters
     }
 
     /// Drop the warm-start state (the next call re-seeds from `seed`).
@@ -319,6 +329,7 @@ impl Lambda2Solver {
         let mut prev_delta = f64::NAN;
         let mut prev_extrap = f64::NAN;
         for it in 0..max_iters {
+            self.iters += 1;
             // One iteration = SpMV + deflate + Rayleigh quotient (in the
             // π inner product: <x, Wx>_π, x is unit) + norm, fused into
             // two streaming passes over y (apply⊕numerator, then

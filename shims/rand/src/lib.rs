@@ -123,22 +123,26 @@ pub trait SampleRange<T> {
 }
 
 /// Unbiased integer in [0, bound) by Lemire's multiply-shift with
-/// rejection.
+/// rejection: a draw `x` is accepted when the low half of `x · bound` is
+/// at least `2^64 mod bound`. That remainder is below `bound`, so a low
+/// half of `bound` or more is accepted without it, and the division that
+/// computes it runs only on the rare draws below `bound` (Lemire 2019,
+/// "Fast random integer generation in an interval"). The decisions, and
+/// the words drawn, are those of computing the remainder first.
 #[inline]
 fn uniform_below<R: RngCore + ?Sized>(rng: &mut R, bound: u64) -> u64 {
     debug_assert!(bound > 0);
     if bound.is_power_of_two() {
         return rng.next_u64() & (bound - 1);
     }
-    // Rejection zone keeps the multiply-shift exact.
-    let zone = bound.wrapping_neg() % bound; // = 2^64 mod bound
-    loop {
-        let x = rng.next_u64();
-        let m = (x as u128) * (bound as u128);
-        if (m as u64) >= zone {
-            return (m >> 64) as u64;
+    let mut m = (rng.next_u64() as u128) * (bound as u128);
+    if (m as u64) < bound {
+        let zone = bound.wrapping_neg() % bound; // = 2^64 mod bound
+        while (m as u64) < zone {
+            m = (rng.next_u64() as u128) * (bound as u128);
         }
     }
+    (m >> 64) as u64
 }
 
 macro_rules! impl_int_range {
@@ -346,6 +350,39 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..100).collect::<Vec<_>>());
         assert_ne!(v, sorted, "shuffle left the identity permutation");
+    }
+
+    /// The multiply-shift with the remainder computed before every draw:
+    /// the form `uniform_below` must agree with.
+    fn uniform_below_by_division(rng: &mut StdRng, bound: u64) -> u64 {
+        if bound.is_power_of_two() {
+            return rng.random::<u64>() & (bound - 1);
+        }
+        let zone = bound.wrapping_neg() % bound;
+        loop {
+            let m = (rng.random::<u64>() as u128) * (bound as u128);
+            if (m as u64) >= zone {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    #[test]
+    fn divisionless_draws_match_the_division_formula() {
+        let bounds = (1..=1000).chain([(1 << 32) + 1, (1 << 63) + 1, u64::MAX]);
+        for bound in bounds {
+            let mut fast = StdRng::seed_from_u64(bound);
+            let mut slow = fast.clone();
+            for _ in 0..200 {
+                assert_eq!(
+                    super::uniform_below(&mut fast, bound),
+                    uniform_below_by_division(&mut slow, bound),
+                    "bound {bound}"
+                );
+            }
+            // The same words were consumed.
+            assert_eq!(fast, slow, "bound {bound}");
+        }
     }
 
     #[test]
