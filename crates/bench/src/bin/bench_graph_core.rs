@@ -7,7 +7,8 @@
 //!   re-measure" loop — per epoch a few edges churn, then a warm-started
 //!   [`Lambda2Solver`] measures λ₂ on a CSR form built from scratch
 //!   ([`MultiGraph::csr`]); the solver's power iterations per epoch
-//!   ([`Lambda2Solver::work`]; in the smoke JSON too), and, timed,
+//!   ([`Lambda2Solver::work`]; in the smoke JSON too, whose three epochs
+//!   run under the same cap and panic if a solve reaches it), and, timed,
 //!   seconds over all epochs, per epoch and per iteration.
 //! * **walk throughput**: slot-space random-walk hops per second
 //!   ([`MultiGraph::walk_slots`]).
@@ -599,9 +600,15 @@ fn run_smoke(base: &MultiGraph) -> Json {
     let mut solver = Lambda2Solver::new();
     let mut last = 0.0;
     const SMOKE_EPOCHS: u64 = 3;
-    for _ in 0..SMOKE_EPOCHS {
+    for epoch in 0..SMOKE_EPOCHS {
         churn_edges(&mut g, &mut rng);
-        last = solver.lambda2(&g, 600, TOL, 0xdecafbad);
+        let before = solver.work();
+        last = solver.lambda2(&g, MAX_ITERS, TOL, 0xdecafbad);
+        // A capped solve would pin an unconverged iterate, not λ₂.
+        assert!(
+            solver.work() - before < MAX_ITERS as u64,
+            "smoke λ₂ epoch {epoch} reached its {MAX_ITERS}-iteration cap"
+        );
     }
 
     Json::obj([

@@ -83,12 +83,11 @@ pub struct FabricScratch {
 }
 
 impl FabricScratch {
-    /// Buffers whose owner-slot list holds a move of up to `max_vertices`
-    /// vertices (three instances each, two ends each) without growing on
-    /// the healing path.
+    /// Buffers that hold a move of up to `max_vertices` vertices (three
+    /// instances each, two ends each) without growing on the healing path.
     pub fn new(max_vertices: usize) -> Self {
         FabricScratch {
-            insts: Vec::new(),
+            insts: Vec::with_capacity(3 * max_vertices),
             ends: Vec::with_capacity(6 * max_vertices),
         }
     }

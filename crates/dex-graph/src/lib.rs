@@ -12,15 +12,15 @@
 //!   (paper, Definition 1; Lubotzky's construction) and its one route
 //!   search, a multi-source bidirectional BFS. Whole-cycle distances and
 //!   diameters are [`connectivity`] over [`pcycle::PCycle::to_multigraph`].
-//! * [`spectral`] — matrix-free power iteration (one plain CSR row loop)
-//!   for the second eigenvalue of the lazy random-walk operator, plus a
-//!   dense Jacobi eigensolver for small graphs and as the test oracle;
+//! * [`spectral`] — one eigen-solver: matrix-free power iteration (one
+//!   plain CSR row loop) for the second eigenvalue of the lazy random-walk
+//!   operator, which also gives the spectral gap at every n;
 //!   Cheeger-inequality helpers (paper, Theorem 2).
 //! * [`expansion`] — exact edge expansion `h(G)` by subset enumeration for
 //!   small graphs (paper, Definition 5).
 //! * [`generators`] — random regular graphs, unions of random Hamiltonian
 //!   cycles (the Law–Siu baseline substrate), rings, cliques, hypercubes.
-//! * [`walks`] — a random-walk engine and mixing-time estimation.
+//! * [`walks`] — a random-walk engine.
 //! * [`connectivity`] — BFS/DFS, components, diameter.
 //!
 //! # Storage model

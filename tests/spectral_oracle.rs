@@ -1,0 +1,130 @@
+//! `spectral::spectral_gap` against the dense Jacobi oracle: the accuracy
+//! contract its doc states — within 1e-10 of the oracle — on prime cycles
+//! Z(p), bootstrapped and churned DEX networks in both type-2 modes, and
+//! tiny graphs at the solver's edge cases. Each graph is also solved once
+//! more at `spectral_gap`'s setting to check that the solve stopped before
+//! its iteration cap.
+//!
+//! The quick cover runs in every `cargo test`. The full range (every prime
+//! 11 ≤ p ≤ 251, every fifth n₀ from 3 to 248) costs minutes of Jacobi in a
+//! debug build and is ignored there; run it with
+//! `cargo test --release --test spectral_oracle -- --ignored --nocapture`,
+//! which prints the worst error it saw.
+
+use dex::graph::primes::is_prime;
+use dex::prelude::*;
+
+#[path = "../crates/dex-graph/tests/common/dense_oracle.rs"]
+mod dense_oracle;
+
+/// `spectral_gap`'s accuracy contract.
+const CONTRACT: f64 = 1e-10;
+/// `spectral_gap`'s solver setting.
+const MAX_ITERS: usize = 100_000;
+const TOL: f64 = 1e-16;
+const SEED: u64 = 0xdecafbad;
+/// The bootstrap sizes of the quick cover.
+const QUICK_SIZES: [u64; 7] = [3, 5, 9, 17, 33, 65, 128];
+
+/// Checks `g` against the oracle and returns the gap's error.
+fn check(what: &str, g: &MultiGraph) -> f64 {
+    let gap = spectral::spectral_gap(g);
+    let oracle = 1.0 - dense_oracle::eigenvalues(g)[1];
+    let err = (gap - oracle).abs();
+    assert!(
+        err <= CONTRACT,
+        "{what}: gap {gap} against the oracle's {oracle} ({err:e})"
+    );
+    let mut solver = Lambda2Solver::new();
+    let lambda2 = solver.lambda2(g, MAX_ITERS, TOL, SEED);
+    assert_eq!(1.0 - lambda2, gap, "{what}: not spectral_gap's setting");
+    assert!(
+        solver.work() < MAX_ITERS as u64,
+        "{what}: the solve reached its cap"
+    );
+    err
+}
+
+fn cycles(max_p: u64) -> f64 {
+    (11..=max_p)
+        .filter(|&p| is_prime(p))
+        .map(|p| check(&format!("Z({p})"), &PCycle::new(p).to_multigraph()))
+        .fold(0.0, f64::max)
+}
+
+/// Each network at its bootstrap and again after `2·n₀` random churn
+/// steps.
+fn networks(cfg: DexConfig, sizes: impl IntoIterator<Item = u64>) -> f64 {
+    let mut worst = 0.0f64;
+    for n0 in sizes {
+        let mut net = DexNetwork::bootstrap(cfg, n0);
+        worst = worst.max(check(&format!("{:?} n0 = {n0}", cfg.mode), net.graph()));
+        let mut adv = RandomChurn::new(n0, 0.5);
+        for _ in 0..2 * n0 {
+            dex::adversary::driver::step(&mut net, &mut adv);
+        }
+        let what = format!(
+            "{:?} n0 = {n0} churned to n = {}",
+            cfg.mode,
+            net.graph().num_nodes()
+        );
+        worst = worst.max(check(&what, net.graph()));
+    }
+    worst
+}
+
+fn graph(n: u64, edges: &[(u64, u64)]) -> MultiGraph {
+    let mut g = MultiGraph::new();
+    for i in 0..n {
+        g.add_node(NodeId(i));
+    }
+    for &(a, b) in edges {
+        g.add_edge(NodeId(a), NodeId(b));
+    }
+    g
+}
+
+#[test]
+fn tiny_graphs_match_the_oracle() {
+    let two_hexagons: Vec<(u64, u64)> = (0..6)
+        .flat_map(|i| [(i, (i + 1) % 6), (6 + i, 6 + (i + 1) % 6)])
+        .collect();
+    for (what, g, gap) in [
+        ("K2", graph(2, &[(0, 1)]), 2.0),
+        ("K2 with loops", graph(2, &[(0, 1), (0, 0), (1, 1)]), 1.0),
+        ("triangle", graph(3, &[(0, 1), (1, 2), (2, 0)]), 1.5),
+        ("3-star", graph(4, &[(0, 1), (0, 2), (0, 3)]), 1.0),
+        ("two disjoint 6-cycles", graph(12, &two_hexagons), 0.0),
+    ] {
+        check(what, &g);
+        let got = spectral::spectral_gap(&g);
+        assert!(
+            (got - gap).abs() <= CONTRACT,
+            "{what}: gap {got}, not {gap}"
+        );
+    }
+}
+
+#[test]
+fn prime_cycles_match_the_oracle() {
+    cycles(101);
+}
+
+#[test]
+fn simplified_networks_match_the_oracle() {
+    networks(DexConfig::new(3).simplified(), QUICK_SIZES);
+}
+
+#[test]
+fn staggered_networks_match_the_oracle() {
+    networks(DexConfig::new(4).staggered(), QUICK_SIZES);
+}
+
+#[test]
+#[ignore = "minutes in a debug build; run with --release"]
+fn full_range_matches_the_oracle() {
+    let primes = cycles(251);
+    let simplified = networks(DexConfig::new(3).simplified(), (3..=250).step_by(5));
+    let staggered = networks(DexConfig::new(4).staggered(), (3..=250).step_by(5));
+    println!("worst error: Z(p) {primes:e}, simplified {simplified:e}, staggered {staggered:e}");
+}
