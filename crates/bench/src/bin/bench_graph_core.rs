@@ -15,12 +15,12 @@
 //! * **route**: the DHT's shortest-path search on `Z(p)` at the p of
 //!   every workload that routes (a 20k-vertex graph, and networks of
 //!   20k, 100k and 500k nodes) — work per route as exact counts
-//!   (visited-mark probes, modular inversions) and a splitmix64 digest of
-//!   every returned path (these are in the smoke JSON too) and, timed,
+//!   (visited-mark probes, chord-table lookups) and a splitmix64 digest
+//!   of every returned path (these are in the smoke JSON too) and, timed,
 //!   µs per route (median and quartiles of five passes over the pairs,
-//!   after an untimed warm one) and the two forms of the chord kernel
-//!   under it (scalar [`primes::mod_inverse`], batched
-//!   [`primes::inverse_batch`]).
+//!   after an untimed warm one), the one-time build of the search's
+//!   chord table, and the two forms of the chord kernel that builds it
+//!   (scalar [`primes::mod_inverse`], batched [`primes::inverse_batch`]).
 //! * **flood**: `computeSpare` (Algorithm 4.4, `dex_sim::flood`) along one
 //!   run of `benchmark/`'s `resize` script (real `insert` / `delete`,
 //!   2k → 40k → 500 nodes), at the two regimes that script floods in — n
@@ -126,6 +126,8 @@ const ROUTE_REPS: usize = 5;
 
 /// One `route` row: deterministic work counts, plus wall-clock unit costs
 /// when `timed` (and the inversion kernel's, on the one-root rows).
+/// `chord_table_ms` is the first search on a fresh scratch, a one-hop
+/// route: the chord table's build, plus sizing the marks.
 fn route_row(p: u64, roots: u64, timed: bool) -> Json {
     let cycle = PCycle::new(p);
     let stride = p / roots;
@@ -157,14 +159,14 @@ fn route_row(p: u64, roots: u64, timed: bool) -> Json {
     };
     // The counted pass doubles as the timed passes' warm-up.
     let (hops, digest) = pass(&mut scratch);
-    let (probes, inversions) = scratch.work();
+    let (probes, lookups) = scratch.work();
     let per_route = |x: u64| Json::Fixed(x as f64 / ROUTE_PAIRS as f64, 1);
     let mut row = Json::obj([
         ("p", p.into()),
         ("roots", roots.into()),
         ("pairs", ROUTE_PAIRS.into()),
         ("probes_per_route", per_route(probes)),
-        ("inversions_per_route", per_route(inversions)),
+        ("chord_lookups_per_route", per_route(lookups)),
         (
             "mean_path_len",
             Json::Fixed(hops as f64 / ROUTE_PAIRS as f64, 3),
@@ -172,6 +174,11 @@ fn route_row(p: u64, roots: u64, timed: bool) -> Json {
         ("path_digest", Json::hex(digest)),
     ]);
     if timed {
+        let t0 = Instant::now();
+        let (mut fresh, mut one_hop) = (PathScratch::new(), Vec::new());
+        cycle.shortest_path_with(VertexId(0), VertexId(1), &mut fresh, &mut one_hop);
+        let table_ms = t0.elapsed().as_secs_f64() * 1e3;
+        row.push("chord_table_ms", Json::Fixed(table_ms, 2));
         let mut us: Vec<f64> = (0..ROUTE_REPS)
             .map(|_| {
                 let t0 = Instant::now();

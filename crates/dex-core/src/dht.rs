@@ -138,13 +138,14 @@ impl DexNetwork {
     /// forward side starts from the whole `Sim` set (≈ p/n vertices).
     /// At p = 2,000,003 a route from the four vertices of a bootstrap
     /// node is 21.4 virtual hops (24.2 from one of them); it makes
-    /// ≈ 8.9k probes of one-byte visited marks and ≈ 3.2k chord
-    /// inversions (`bench_graph_core`'s 2,000 routes). A search level is
+    /// ≈ 8.9k probes of one-byte visited marks and ≈ 3.1k chord
+    /// lookups (`bench_graph_core`'s 2,000 routes). A search level is
     /// two passes over plain vertex lists: the succ and pred probes,
     /// each on the cache line of the vertex expanded, then the chord
-    /// list, 256 vertices at a time through the four-lane chord kernel
-    /// (≈ 3.5–5 ns each on a 2.1 GHz Xeon, against 50–95 ns for a scalar
-    /// inversion) with no per-vertex dispatch and no copy. The initiator's
+    /// list, each entry's chord one read of the search's chord table
+    /// (`x⁻¹ mod p` for every vertex, built by the four-lane chord kernel
+    /// when the network's p changes: ≈ 5 ms at p = 2,000,003 on a
+    /// 2-CPU Xeon), with no per-vertex dispatch. The initiator's
     /// own `Sim` set is read by slot (the caller translated its id once,
     /// through the graph arena's index); each path vertex then resolves
     /// to its owner's slot ([`crate::VirtualMapping::owner_slot_of`], one
@@ -152,10 +153,10 @@ impl DexNetwork {
     /// The message-scheduled transport gets those hops' slots as its path.
     /// Every buffer of the centralized route lives in the pooled
     /// [`crate::routing::RouteScratch`] — zero allocation per operation
-    /// once warm. The one buffer of size p is the search's epoch-stamped
-    /// visited marks, p bytes, zeroed once every 31 searches: under 17 B
-    /// per node, as p/n peaks at 16.9 before a deflation on the `resize`
-    /// trace.
+    /// once warm. Two buffers have size p: the search's epoch-stamped
+    /// visited marks, p bytes, zeroed once every 31 searches, and its
+    /// chord table, 4p bytes — under 85 B per node together, as p/n
+    /// peaks at 16.9 before a deflation on the `resize` trace.
     fn route_dht(&mut self, from: u32, key: Key, round_trip: bool) -> bool {
         let target = hash_to_vertex(key, self.cycle.p());
         let route = &mut self.heal.route;

@@ -42,9 +42,10 @@ pub const EXACT_ROUTING_MAX_P: u64 = 2500;
 /// permutation live in one flat buffer of node slots addressed by
 /// `(start, len)` ranges, so resolving a pair allocates nothing. The BFS
 /// scratch holds one epoch-stamped visited mark per vertex of the largest
-/// cycle searched: p bytes, zeroed once every 31 searches — under 17 B
-/// per node, as p/n peaks at 16.9 before a deflation on the `resize`
-/// trace.
+/// cycle searched, p bytes zeroed once every 31 searches, and the chord
+/// table of the cycle last searched, 4p bytes rebuilt when p changes —
+/// under 85 B per node together, as p/n peaks at 16.9 before a deflation
+/// on the `resize` trace.
 #[derive(Default)]
 pub struct RouteScratch {
     /// Flattened physical paths (node slots), one range per token.

@@ -84,9 +84,10 @@ impl PCycle {
     /// return themselves.
     ///
     /// One scalar inversion (≈ 1.5·log₂ p modular multiplications) — for
-    /// a handful of vertices. Anything that walks a range, a frontier or
-    /// the whole cycle uses [`PCycle::for_each_chord`] or
-    /// [`inverse_batch`], which pay three multiplications per vertex.
+    /// a handful of vertices. Anything that walks a range or the whole
+    /// cycle uses [`PCycle::for_each_chord`] or [`inverse_batch`], which
+    /// pay three multiplications per vertex; the route search reads a
+    /// table that one such sweep builds.
     #[inline]
     pub fn chord(&self, z: VertexId) -> VertexId {
         if z.0 == 0 {
@@ -208,20 +209,21 @@ impl PCycle {
     /// routing (the DHT) at p ≈ 10⁶. Meeting in the middle expands
     /// O(3^(d/2)) ≈ O(√p) vertices instead. Expanding a vertex probes the
     /// visited marks of its neighbours except the parent it was reached
-    /// from (so two probes, three at a root), and its chord probe needs a
-    /// modular inversion unless the chord is that parent. So the search
-    /// is level-synchronous, and a level is held as three plain vertex
+    /// from (so two probes, three at a root). So the search is
+    /// level-synchronous, and a level is held as three plain vertex
     /// lists, one per probe: a vertex reached via succ
     /// goes on the succ and chord lists, via pred on pred and chord, via
     /// chord on succ and pred. A level runs the succ list, then the pred
-    /// list, then the chord list 256 vertices at a time,
-    /// each block handed to [`inverse_batch`] as it stands — no per-vertex
-    /// dispatch on how it was reached, and no copy. The marks are one byte
-    /// per vertex, indexed directly and stamped with the search's epoch,
-    /// so a succ or pred probe lands on the cache line of the vertex
-    /// expanded, only the chord's probe is scattered, and no search clears
-    /// what the last one marked. Every buffer lives in `scratch`: a
-    /// warmed-up caller allocates nothing.
+    /// list, then the chord list — no per-vertex dispatch on how it was
+    /// reached. A chord is read from `scratch`'s chord table
+    /// (`x⁻¹ mod p` for every vertex, built by one [`inverse_batch`]
+    /// sweep the first time the scratch searches a cycle of a new p), so
+    /// a search inverts nothing. The marks are one byte per vertex,
+    /// indexed directly and stamped with the search's epoch, so a succ or
+    /// pred probe lands on the cache line of the vertex expanded, only
+    /// the chord's table read and probe are scattered, and no search
+    /// clears what the last one marked. Every buffer lives in `scratch`:
+    /// a warmed-up caller allocates nothing.
     ///
     /// Fully deterministic: the forward frontier starts as `roots` in the
     /// given order (duplicates once), each list keeps discovery order, a
@@ -269,12 +271,13 @@ impl PCycle {
         let p = self.p as u32;
         let PathScratch {
             marks,
+            chords: table,
             frontiers: [fwd, bwd],
             next,
-            inv,
             probes,
-            inversions,
+            chord_lookups,
         } = scratch;
+        let inv = table.of(self);
         marks.begin_search(self.p as usize);
         let mut stamp = marks.stamp();
         fwd.reset(roots.len());
@@ -287,7 +290,7 @@ impl PCycle {
         stamp.visit_or_get(to.0 as u32, Side::Bwd, Via::Root);
         bwd.reset(1);
         bwd.push_root(to.0 as u32);
-        let (mut n_probes, mut n_inversions) = (0u64, 0u64);
+        let (mut n_probes, mut n_lookups) = (0u64, 0u64);
         // (expanding side, its last vertex, the other side's first vertex).
         let (side, near, far) = 'search: loop {
             let (side, frontier) = if fwd.len <= bwd.len {
@@ -340,14 +343,11 @@ impl PCycle {
                     break 'search (side, x, pred);
                 }
             }
-            for block in chords.chunks(FRONTIER_BLOCK) {
-                inv.resize(block.len(), 0);
-                inverse_batch(self.p, block, inv);
-                n_inversions += block.len() as u64;
-                for (&x, &chord) in block.iter().zip(inv.iter()) {
-                    if reach(chord, Via::Chord) {
-                        break 'search (side, x, chord);
-                    }
+            for &x in chords {
+                let chord = inv[x as usize];
+                n_lookups += 1;
+                if reach(chord, Via::Chord) {
+                    break 'search (side, x, chord);
                 }
             }
             next.lens = [n_succ, n_pred, n_chord];
@@ -356,21 +356,21 @@ impl PCycle {
             std::mem::swap(frontier, next);
         };
         *probes += n_probes;
-        *inversions += n_inversions;
+        *chord_lookups += n_lookups;
         let (fwd_end, bwd_end) = match side {
             Side::Fwd => (near, far),
             Side::Bwd => (far, near),
         };
         // Forward half back to its root, reversed; then the backward chain.
-        self.climb(marks, fwd_end, out);
+        self.climb(marks, inv, fwd_end, out);
         out.reverse();
-        self.climb(marks, bwd_end, out);
+        self.climb(marks, inv, bwd_end, out);
     }
 
     /// Append `x` and its chain of BFS parents up to the search root.
     /// A parent is recovered from how the vertex was reached; the chord
-    /// case pays a scalar inversion, a few per path.
-    fn climb(&self, marks: &Marks, mut x: u32, out: &mut Vec<VertexId>) {
+    /// case reads the chord table `inv`.
+    fn climb(&self, marks: &Marks, inv: &[u32], mut x: u32, out: &mut Vec<VertexId>) {
         loop {
             out.push(VertexId(x as u64));
             let z = VertexId(x as u64);
@@ -378,7 +378,7 @@ impl PCycle {
                 Via::Root => return,
                 Via::Succ => self.pred(z).0 as u32,
                 Via::Pred => self.succ(z).0 as u32,
-                Via::Chord => self.chord(z).0 as u32,
+                Via::Chord => inv[x as usize],
             };
         }
     }
@@ -389,13 +389,6 @@ impl std::fmt::Debug for PCycle {
         write!(f, "Z({})", self.p)
     }
 }
-
-/// Chord-list vertices inverted per [`inverse_batch`] call: large enough
-/// that the one scalar inversion per batch vanishes, small enough that
-/// stopping at the first meeting wastes at most this many inversions. A
-/// block is a slice of the chord list itself, inverted in place of a
-/// copy.
-const FRONTIER_BLOCK: usize = 256;
 
 /// Which search ball a visited vertex belongs to.
 #[derive(Clone, Copy, PartialEq, Eq)]
@@ -496,31 +489,77 @@ impl Stamp<'_> {
     }
 }
 
+/// Every chord of the cycle last searched: `inv[x] = x⁻¹ mod p`, and
+/// `0 ↦ 0`. A cache of a function each node computes locally
+/// (Sect. 4.2.1), not per-node state. Built when a search meets a new p
+/// by one [`inverse_batch`] block sweep over the lower half of the cycle,
+/// written in place, and mirrored into the upper half, as
+/// `(p − x)⁻¹ = p − x⁻¹`. The vector keeps the capacity of the largest p
+/// seen.
+#[derive(Default)]
+struct ChordTable {
+    /// The prime `inv` holds the chords of (0 before the first search).
+    p: u64,
+    inv: Vec<u32>,
+}
+
+impl ChordTable {
+    /// Vertices per [`inverse_batch`] call of a build.
+    const BLOCK: usize = 4096;
+
+    /// The chords of `cycle`, built first if the table holds another p.
+    fn of(&mut self, cycle: &PCycle) -> &[u32] {
+        let p = cycle.p as u32;
+        if self.p != cycle.p {
+            self.inv.clear();
+            self.inv.resize(p as usize, 0);
+            // p is odd: 0..=half below, half + 1..p their mirror images.
+            let half = (p / 2) as usize;
+            let (lower, upper) = self.inv.split_at_mut(half + 1);
+            let mut xs = [0u32; Self::BLOCK];
+            for (i, out) in lower.chunks_mut(Self::BLOCK).enumerate() {
+                let xs = &mut xs[..out.len()];
+                for (j, x) in xs.iter_mut().enumerate() {
+                    *x = (i * Self::BLOCK + j) as u32;
+                }
+                inverse_batch(cycle.p, xs, out);
+            }
+            for (y, &x_inv) in upper.iter_mut().zip(lower[1..].iter().rev()) {
+                *y = p - x_inv;
+            }
+            self.p = cycle.p;
+        }
+        &self.inv
+    }
+}
+
 /// Pooled buffers for [`PCycle::shortest_path_from_any`] (multi-source
 /// bidirectional BFS): one epoch-stamped visited-mark array for both
-/// balls, each side's frontier and the level being discovered as three
-/// vertex lists each, and the chords of one chord-list block. One
-/// instance serves unbounded
+/// balls, the chord table of the cycle searched, and each side's
+/// frontier and the level being discovered as three vertex lists each.
+/// One instance serves unbounded
 /// routing operations — on any mix of cycles — with no steady-state
-/// allocation: the buffers keep their high-water capacity across calls.
-/// The marks are the one buffer that scales with p: p bytes for the
-/// largest cycle searched, zeroed once every 31 searches. In a DEX
-/// network p/n starts in (4, 8) but grows as nodes leave, until a
-/// deflation; the largest p/n measured on `benchmark/`'s `resize` trace
-/// (2k → 40k → 500 nodes) is 16.9, so the marks stay under 17 B per
-/// node, against 336 B per node measured for a bootstrapped network at
-/// n = 500k (README, "Memory per node").
+/// allocation: the buffers keep their high-water capacity across calls,
+/// and only a change of p rebuilds the chord table (≈ 5 ms at
+/// p = 2,000,003 on a 2-CPU Xeon).
+/// Two buffers scale with p: the marks, p bytes for the largest cycle
+/// searched, zeroed once every 31 searches, and the chord table, 4p
+/// bytes. In a DEX network p/n starts in (4, 8) but grows as nodes
+/// leave, until a deflation; the largest p/n measured on `benchmark/`'s
+/// `resize` trace (2k → 40k → 500 nodes) is 16.9, so the two stay under
+/// 85 B per node of a network that routes, against 336 B per node
+/// measured for a bootstrapped network at n = 500k (README, "Memory per
+/// node").
 #[derive(Default)]
 pub struct PathScratch {
     marks: Marks,
+    chords: ChordTable,
     /// Forward and backward frontier.
     frontiers: [Frontier; 2],
     /// The level being discovered.
     next: Frontier,
-    /// Chords of one chord-list block.
-    inv: Vec<u32>,
     probes: u64,
-    inversions: u64,
+    chord_lookups: u64,
 }
 
 /// One BFS level of one side, as the three probes still to run: the
@@ -576,12 +615,12 @@ impl PathScratch {
     }
 
     /// Work done by every search on this scratch so far: `(visited-mark
-    /// probes, modular inversions)` — deterministic counts, the unit a
-    /// route's cost is stated in. A probe is one neighbour tested
-    /// against the marks; an inversion is one chord-list entry handed to
-    /// [`inverse_batch`].
+    /// probes, chord lookups)` — deterministic counts, the unit a route's
+    /// cost is stated in. A probe is one neighbour tested against the
+    /// marks; a chord lookup is one chord-list entry's read of the chord
+    /// table (so a subset of the probes). Table builds are not counted.
     pub fn work(&self) -> (u64, u64) {
-        (self.probes, self.inversions)
+        (self.probes, self.chord_lookups)
     }
 }
 
@@ -982,6 +1021,36 @@ mod tests {
     }
 
     #[test]
+    fn chord_table_follows_every_change_of_p() {
+        // One scratch over Z(20,011) → Z(80,021) → Z(20,011) → Z(499),
+        // ten searches each, the epoch wrapping in the last: it routes as
+        // a scratch that only ever searched the cycle at hand, and its
+        // table holds the current cycle's chords while the marks keep the
+        // largest cycle's length and read a prefix.
+        let mut warm = PathScratch::new();
+        let (mut got, mut want) = (Vec::new(), Vec::new());
+        for (phase, p) in [20_011u64, 80_021, 20_011, 499].into_iter().enumerate() {
+            let z = PCycle::new(p);
+            let mut fresh = PathScratch::new();
+            for i in 0..10u64 {
+                let (a, b) = ((i * 7_919 + phase as u64) % p, (i * 104_729 + p / 2) % p);
+                z.shortest_path_with(VertexId(a), VertexId(b), &mut warm, &mut got);
+                z.shortest_path_with(VertexId(a), VertexId(b), &mut fresh, &mut want);
+                assert_eq!(got, want, "{a}->{b} on Z({p})");
+            }
+            let ChordTable { p: table_p, inv } = &warm.chords;
+            assert_eq!((*table_p, inv.len()), (p, p as usize));
+            let largest = if phase == 0 { 20_011 } else { 80_021 };
+            assert!(inv.capacity() >= largest, "capacity of the largest p");
+            for x in 0..p {
+                assert_eq!(inv[x as usize] as u64, z.chord(VertexId(x)).0);
+            }
+            assert_eq!(warm.marks.mark.len(), largest);
+        }
+        assert_eq!(warm.marks.epoch, 40 - 31, "the epoch wrapped");
+    }
+
+    #[test]
     fn bidirectional_path_is_shortest_and_allocation_pooled() {
         let mut scratch = PathScratch::new();
         let mut out = Vec::new();
@@ -1014,7 +1083,7 @@ mod tests {
         // Exact search work over fixed routes on Z(20,011): 200 one-root
         // pairs, then 200 routes from four roots a quarter-cycle apart
         // (a bootstrap node's `Sim` set). A change that adds probes or
-        // inversions fails here; one that saves some re-pins the totals.
+        // chord lookups fails here; one that saves some re-pins the totals.
         let z = PCycle::new(20_011);
         let mut scratch = PathScratch::new();
         let mut out = Vec::new();
@@ -1027,14 +1096,14 @@ mod tests {
                 &mut out,
             );
         }
-        assert_eq!(scratch.work(), (177_804, 61_793), "one root");
+        assert_eq!(scratch.work(), (177_804, 60_695), "one root");
         let mut roots = Vec::new();
         for i in 0..200u64 {
             roots.clear();
             roots.extend((0..4).map(|j| VertexId((i * 7_919 + 3) % 5_002 + j * 5_002)));
             z.shortest_path_from_any(&roots, to(i), &mut scratch, &mut out);
         }
-        assert_eq!(scratch.work(), (318_843, 108_580), "one root, then four");
+        assert_eq!(scratch.work(), (318_843, 106_343), "one root, then four");
     }
 
     #[test]

@@ -140,8 +140,8 @@ pub fn mod_inverse(x: u64, p: u64) -> u64 {
 /// running product plus three multiplications per element, instead of a
 /// ≈ 1.5·log₂ p-multiplication powering each. This is the chord kernel:
 /// every traversal of `Z(p)` that touches more than a handful of
-/// vertices (route BFS frontiers, full-cycle sweeps, inverse tables)
-/// goes through it.
+/// vertices (full-cycle sweeps, the route search's chord table, a
+/// victim's `Sim` set) goes through it.
 ///
 /// One running product is a chain of dependent multiplications, bound by
 /// their latency. So element `j` joins lane `j mod 4`, and the four lane

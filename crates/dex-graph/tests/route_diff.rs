@@ -11,11 +11,11 @@
 //! frontier grows next (the forward one on a tie), and a level runs all
 //! successor probes, then all predecessor probes, then all chord probes,
 //! each in frontier order. The shipped search keeps one list per probe,
-//! batches the inversions, never probes a parent (so never inverts a
-//! chord-discovered vertex), stamps its marks with an epoch and stops at
-//! the first meeting; these tests hold it to the same path for every
-//! input, and hold both to the whole-cycle BFS distance from the nearest
-//! root.
+//! reads chords from a per-cycle table, never probes a parent (so never
+//! looks up a chord-discovered vertex's chord), stamps its marks with an
+//! epoch and stops at the first meeting; these tests hold it to the same
+//! path for every input, and hold both to the whole-cycle BFS distance
+//! from the nearest root.
 
 use dex_graph::connectivity::bfs_distances;
 use dex_graph::fxhash::FxHashMap;

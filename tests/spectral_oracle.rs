@@ -120,6 +120,16 @@ fn staggered_networks_match_the_oracle() {
     networks(DexConfig::new(4).staggered(), QUICK_SIZES);
 }
 
+/// The tightest graph the full range has found: at n₀ = 208, λ₂ and λ₃
+/// lie close (0.80836 and 0.80422), and the solver's Aitken stop lands
+/// 4.7e-11 from the oracle, half the contract. The bootstrap is the same
+/// graph in both type-2 modes.
+#[test]
+fn tightest_bootstrap_matches_the_oracle() {
+    let net = DexNetwork::bootstrap(DexConfig::new(3).simplified(), 208);
+    check("n0 = 208", net.graph());
+}
+
 #[test]
 #[ignore = "minutes in a debug build; run with --release"]
 fn full_range_matches_the_oracle() {
